@@ -59,6 +59,7 @@ from .picard import (
     majorant_growth,
     picard_solve,
     solve_autonomous_quadrature,
+    tower_trajectory,
     verify_bound_preservation,
     verify_comparison_bound,
 )
@@ -73,6 +74,6 @@ from .pipeline import (
     reduce_problem,
     run_pipeline,
 )
-from .volterra import partial_volterra, weighted_volterra
+from .volterra import integral_image, partial_volterra, weighted_volterra
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -248,13 +249,17 @@ def _trajectory_csv(path: Path, traj: Trajectory) -> None:
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     """Dispatch one experiment; returns the exit status (0 pass / 1 verdict
     failure / 2 numeric or config error).  Artifacts land in out_dir."""
+    return _guarded(cfg, out_dir, lambda cfg, out: _HANDLERS[cfg.run](cfg, out))
+
+
+def _guarded(cfg: ExperimentConfig, out_dir, handler) -> int:
+    """Run handler(cfg, out), mapping config and numeric errors to exit 2."""
     out = Path(out_dir) if out_dir is not None else (Path(cfg.out) if cfg.out else None)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     try:
         if cfg.run is None:
             raise ConfigError(["missing 'run' key"])
-        handler = _HANDLERS[cfg.run]
         return handler(cfg, out)
     except ConfigError as e:
         for msg in e.errors:
@@ -294,13 +299,18 @@ def _run_classify(cfg: ExperimentConfig, out: Optional[Path]) -> int:
     return 0
 
 
-def _run_integrate(cfg: ExperimentConfig, out: Optional[Path]) -> int:
+def _run_integrate(cfg: ExperimentConfig, out: Optional[Path], csv_path: Optional[Path] = None) -> int:
+    """``csv_path`` (the --csv flag) also gets the trajectory CSV."""
     p = cfg.problem()
     T = cfg.T if cfg.T is not None else 5.0
     tol = cfg.tol if cfg.tol is not None else 1e-9
     result = integrate(p, T, tol)
     escaped = isinstance(result, BlowupEvent)
     traj = result.trajectory if escaped else result
+    if csv_path is not None:
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        _trajectory_csv(csv_path, traj)
+        print(f"wrote {csv_path} ({len(traj.ts)} rows)")
     if out is not None:
         _trajectory_csv(out / "trajectory.csv", traj)
     kv = [
@@ -596,27 +606,9 @@ def main(argv=None) -> int:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
 
-    out_dir = args.out
-    if args.command == "integrate" and getattr(args, "csv", None) is not None:
-        status = _run_integrate_csv(cfg, args.csv)
-        return status
-    return run_experiment(cfg, out_dir=out_dir)
-
-
-def _run_integrate_csv(cfg: ExperimentConfig, csv_path: Path) -> int:
-    p = cfg.problem()
-    T = cfg.T if cfg.T is not None else 5.0
-    tol = cfg.tol if cfg.tol is not None else 1e-9
-    try:
-        result = integrate(p, T, tol)
-    except BlowupError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    traj = result.trajectory if isinstance(result, BlowupEvent) else result
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    _trajectory_csv(csv_path, traj)
-    print(f"wrote {csv_path} ({len(traj.ts)} rows)")
-    return 0
+    if args.command == "integrate" and args.csv is not None:
+        return _guarded(cfg, args.out, functools.partial(_run_integrate, csv_path=args.csv))
+    return run_experiment(cfg, out_dir=args.out)
 
 
 if __name__ == "__main__":  # pragma: no cover

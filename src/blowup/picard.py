@@ -43,7 +43,7 @@ from .errors import (
 )
 from .functions import ScalarFn, make_custom
 from .ode import ProblemSpec, Trajectory
-from .volterra import partial_volterra, weighted_volterra
+from .volterra import integral_image, weighted_volterra
 
 __all__ = [
     "ComparisonConstants",
@@ -54,6 +54,7 @@ __all__ = [
     "majorant_growth",
     "PicardTower",
     "picard_solve",
+    "tower_trajectory",
     "apply_integral_operator",
     "BoundPreservationReport",
     "verify_bound_preservation",
@@ -294,13 +295,6 @@ class PicardTower:
         return self.iterates[-1] if t is None else np.interp(t, self.grid, self.iterates[-1])
 
 
-def _seed_poly(b: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(grid)
-    for i, bi in enumerate(b):
-        out += bi * grid ** i / math.factorial(i)
-    return out
-
-
 def picard_solve(
     h: ScalarFn,
     n: int,
@@ -354,7 +348,7 @@ def picard_solve(
     if q_sup <= 0.0:
         q_sup = 1.0  # q == 0: the tower is the bare polynomial; any majorant works
     g = majorant_growth(h, n, weight=q_sup)
-    u0_maj = float(_seed_poly(mb, np.array([T]))[0])
+    u0_maj = sum(bi * T ** i / math.factorial(i) for i, bi in enumerate(mb))
     bps = tuple(bp for bp in (q.breakpoints if q is not None else ()) if 0.0 < bp < T)
 
     edges = [0.0, *bps, float(T)]
@@ -366,7 +360,7 @@ def picard_solve(
     while True:
         grid = _segmented_grid(edges, [c * mult for c in base_cells])
         u_maj = solve_autonomous_quadrature(g, n, u0_maj, grid)
-        result = _run_tower(h, n, b, q, grid, bps, u_maj, tol, max_iter)
+        result = _run_tower(h, b, q, grid, u_maj, tol, max_iter)
         final = result["iterates"][-1]
         if prev_final is not None:
             shared = _nearest_indices(grid, prev_grid)
@@ -426,12 +420,14 @@ def _sup_on_interval(q: ScalarFn, T: float) -> float:
     return float(np.max(q.eval_array(probes)))
 
 
-def _q_blocks(q: Optional[ScalarFn], grid: np.ndarray, bps: tuple):
+def _q_blocks(q: Optional[ScalarFn], grid: np.ndarray):
     """(i0, i1, q values) per smoothness block, edges exactly on nodes.
 
-    The right-edge sample takes q's left limit so each block sees only its
-    own branch of a piecewise coefficient.
+    The blocks split the grid at q's breakpoints inside it.  The right-edge
+    sample takes q's left limit so each block sees only its own branch of a
+    piecewise coefficient.
     """
+    bps = [bp for bp in (q.breakpoints if q is not None else ()) if grid[0] < bp < grid[-1]]
     edges = [float(grid[0]), *bps, float(grid[-1])]
     blocks = []
     for i in range(len(edges) - 1):
@@ -449,29 +445,19 @@ def _q_blocks(q: Optional[ScalarFn], grid: np.ndarray, bps: tuple):
     return blocks
 
 
-def _volterra_blocks(h_vals: np.ndarray, p_order: int, grid: np.ndarray, blocks) -> np.ndarray:
-    """1/(p-1)! * int_0^t (t-tau)^(p-1) q(tau) h_vals(tau) dtau, blockwise."""
-    if len(blocks) == 1:
-        _i0, _i1, qv = blocks[0]
-        return weighted_volterra(qv * h_vals, p_order, grid)
-    out = np.zeros(len(grid))
-    for i0, i1, qv in blocks:
-        out += partial_volterra(qv * h_vals[i0 : i1 + 1], p_order, grid[i0 : i1 + 1], grid)
-    return out / math.factorial(p_order - 1)
-
-
-def _run_tower(h, n, b, q, grid, bps, u_maj, tol, max_iter):
-    blocks = _q_blocks(q, grid, bps)
-    v = _seed_poly(b, grid)
-    seed = v.copy()
-    iterates = [seed]
+def _run_tower(h, b, q, grid, u_maj, tol, max_iter):
+    q_blocks = _q_blocks(q, grid)
+    v = integral_image(b, (), grid)[:, 0]
+    iterates = [v]
     mono_slack = 0.0
     maj_slack = float(np.min(u_maj - v))
     converged = False
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        v_new = seed + _volterra_blocks(h.eval_array(v), n, grid, blocks)
+        h_vals = h.eval_array(v)
+        blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, qv in q_blocks]
+        v_new = integral_image(b, blocks, grid)[:, 0]
         if not np.all(np.isfinite(v_new)):
             raise NumericFailureError("Picard iterate became non-finite")
         mono_slack = min(mono_slack, float(np.min(v_new - v)))
@@ -490,6 +476,24 @@ def _run_tower(h, n, b, q, grid, bps, u_maj, tol, max_iter):
         "monotone_slack": mono_slack,
         "majorant_slack": maj_slack,
     }
+
+
+def tower_trajectory(tower: PicardTower, h: ScalarFn, q: ScalarFn, b: Sequence[float]) -> Trajectory:
+    """Full derivative state of a tower's solution of v^(n) = q(t) h(v).
+
+    ``h``, ``q`` and the initial values ``b`` are the ones the tower was
+    built from.  One extra application of the integral operator to the
+    refined solution yields all n components with mutually consistent
+    integral relations; blocks keep the quadrature away from q's jump points.
+    """
+    grid = tower.grid
+    h_vals = h.eval_array(tower.solution)
+    blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, qv in _q_blocks(q, grid)]
+    ys = integral_image(b, blocks, grid)
+    dys = np.empty_like(ys)
+    dys[:, :-1] = ys[:, 1:]
+    dys[:, -1] = q.eval_array(grid) * h_vals
+    return Trajectory(ts=grid.copy(), ys=ys, dys=dys, m=len(b), tol=tower.sup_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +535,7 @@ def apply_integral_operator(
     if not np.all(np.isfinite(f_values)):
         raise NumericFailureError("non-finite right-hand side samples")
 
-    out = np.empty((len(grid), p.m))
-    a = np.asarray(p.a)
-    for i in range(p.m):
-        out[:, i] = _seed_poly(a[i:], grid) + weighted_volterra(f_values, p.m - i, grid)
-    return out
+    return integral_image(p.a, [(0, len(grid) - 1, f_values)], grid)
 
 
 @dataclass(frozen=True)
@@ -575,23 +575,19 @@ def verify_bound_preservation(
     qvals = p.q.eval_array(grid)
     worst = 0.0
     worst_trial = -1
-    facts = [math.factorial(p.m - 1 - i) for i in range(p.m)]
 
     for trial in range(int(trials)):
         cuts = _block_cuts(rng, len(grid), pieces)
         u_scales = rng.uniform(0.0, 1.0, (len(cuts) - 1, p.m))
         c_scales = rng.uniform(0.0, 1.0, len(cuts) - 1)
 
-        img = np.zeros((len(grid), p.m))
-        for i in range(p.m):
-            img[:, i] = _seed_poly(np.asarray(p.a)[i:], grid)
+        blocks = []
         for bi in range(len(cuts) - 1):
             a_idx, b_idx = cuts[bi], cuts[bi + 1]
-            sub = grid[a_idx : b_idx + 1]
             u_k = V[a_idx : b_idx + 1, p.k] * u_scales[bi, p.k]
             f_block = c_scales[bi] * qvals[a_idx : b_idx + 1] * p.h.eval_array(u_k)
-            for i in range(p.m):
-                img[:, i] += partial_volterra(f_block, p.m - i, sub, grid) / facts[i]
+            blocks.append((a_idx, b_idx, f_block))
+        img = integral_image(p.a, blocks, grid)
 
         over = float(np.max(img - V))
         under = float(np.max(-img))

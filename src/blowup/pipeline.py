@@ -22,6 +22,7 @@ the comparison argument at desk scale.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -47,8 +48,8 @@ from .ode import (
     detect_blowup,
     integrate,
 )
-from .picard import PicardTower, apply_integral_operator, picard_solve
-from .volterra import weighted_volterra
+from .picard import picard_solve, tower_trajectory
+from .volterra import integral_image
 
 __all__ = [
     "ReducedProblem",
@@ -100,12 +101,7 @@ def lift_solution(u: Trajectory, a_low: Sequence[float], k: int) -> Trajectory:
     m_new = k + u.m
     ys = np.empty((len(grid), m_new))
     ys[:, k:] = u.ys
-    u0 = u.ys[:, 0]
-    for i in range(k):
-        poly = np.zeros_like(grid)
-        for j, aj in enumerate(a_low[i:]):
-            poly += aj * grid ** j / math.factorial(j)
-        ys[:, i] = poly + weighted_volterra(u0, k - i, grid)
+    ys[:, :k] = integral_image(a_low, [(0, len(grid) - 1, u.ys[:, 0])], grid)
 
     dys = np.empty_like(ys)
     dys[:, :-1] = ys[:, 1:]
@@ -312,17 +308,15 @@ class PipelineReport:
         return True
 
 
+@contextlib.contextmanager
 def _stage(name):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    """Relabel a failure inside the block as a StageError of this stage."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | None = None) -> PipelineReport:
@@ -422,7 +416,7 @@ def _construct_and_check(p, red, horizon, opts, notes):
                 f"tower not converged after {tower.iterations} iterations "
                 f"(sup gap {tower.sup_gap:.3e})"
             )
-        u_traj = _tower_trajectory(red, tower)
+        u_traj = tower_trajectory(tower, red.h, red.q, red.a_reduced)
 
     with _stage("lift"):
         lifted = lift_solution(u_traj, p.a[: p.k], p.k)
@@ -465,26 +459,3 @@ def _construct_and_check(p, red, horizon, opts, notes):
                 tol=max(opts.tol, 1e-12),
             )
     return construction, lifted, direct, table
-
-
-def _tower_trajectory(red: ReducedProblem, tower: PicardTower) -> Trajectory:
-    """Assemble the full derivative state of the tower's solution.
-
-    One extra application of the integral operator to the refined solution
-    yields all n components with mutually consistent integral relations;
-    blocks keep the quadrature away from q's jump points.
-    """
-    from .picard import _q_blocks, _seed_poly, _volterra_blocks
-
-    grid = tower.grid
-    bps = tuple(bp for bp in red.q.breakpoints if grid[0] < bp < grid[-1])
-    blocks = _q_blocks(red.q, grid, bps)
-    h_vals = red.h.eval_array(tower.solution)
-    a = np.asarray(red.a_reduced)
-    ys = np.empty((len(grid), red.n))
-    for i in range(red.n):
-        ys[:, i] = _seed_poly(a[i:], grid) + _volterra_blocks(h_vals, red.n - i, grid, blocks)
-    dys = np.empty_like(ys)
-    dys[:, :-1] = ys[:, 1:]
-    dys[:, -1] = red.q.eval_array(grid) * h_vals
-    return Trajectory(ts=grid.copy(), ys=ys, dys=dys, m=red.n, tol=tower.sup_gap)

@@ -7,12 +7,18 @@
 the Cauchy formula for p-fold repeated integration.  For p = 1 this is the
 running integral.
 
-The integral is computed by product integration: on each grid cell phi is
-replaced by its cubic interpolant through a 4-node stencil (the cell's
-endpoints plus one neighbour on each side, one-sided at the boundary) and
-the product against the exact kernel moments is integrated in closed form.
-The rule is exact for piecewise-cubic phi and O(h^4) for smooth phi, on
-uniform or non-uniform grids.  Uniform grids take a convolution fast path.
+On each grid cell phi is replaced by its cubic interpolant through a 4-node
+stencil (the cell's endpoints plus one neighbour on each side, one-sided at
+the boundary).  The repeated integrals of that piecewise cubic are carried
+from node to node exactly: across a cell of width h, the r-fold integral
+Y_r (r = 1..p) at the right end is the Taylor shift of the lower orders at
+the left end plus h^r times a closed-form Beta moment of the cell's cubic.
+Each order is one cumulative sum, so the cost is O(N * p) on any grid.  The rule
+is exact for piecewise-cubic phi and O(h^4) for smooth phi, on uniform or
+non-uniform grids.
+
+:func:`integral_image` writes the library's operator once: the seed
+polynomial plus the blockwise Volterra image, for every derivative order.
 """
 
 from __future__ import annotations
@@ -23,30 +29,9 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
 
-__all__ = ["weighted_volterra", "partial_volterra"]
+__all__ = ["weighted_volterra", "partial_volterra", "integral_image"]
 
 _MAX_ORDER = 12
-
-
-def _binom_row(p: int) -> np.ndarray:
-    return np.array([math.comb(p - 1, e) for e in range(p)], dtype=float)
-
-
-def _kernel_moments(A, h, p: int) -> np.ndarray:
-    """M_d = int_0^1 (A - x*h)^(p-1) x^d dx for d = 0..3.
-
-    A and h broadcast; returns shape A.shape + (4,).  Expanded binomially in
-    x: terms decay like (h/A)^e, so no cancellation for cells left of t.
-    """
-    A = np.asarray(A, dtype=float)
-    h = np.asarray(h, dtype=float)
-    binom = _binom_row(p)
-    out = np.zeros(np.broadcast_shapes(A.shape, h.shape) + (4,))
-    d_plus_1 = np.arange(1.0, 5.0)
-    for e in range(p):
-        coef = binom[e] * A ** (p - 1 - e) * (-h) ** e
-        out += coef[..., None] / (e + d_plus_1)
-    return out
 
 
 def _stencil_indices(n_nodes: int) -> np.ndarray:
@@ -57,15 +42,43 @@ def _stencil_indices(n_nodes: int) -> np.ndarray:
     return lo[:, None] + np.arange(width)[None, :]
 
 
-def _lagrange_coeffs(xi: np.ndarray) -> np.ndarray:
-    """Polynomial coefficients a[r, d] of the Lagrange basis on nodes xi.
+def _cell_cubics(phi: np.ndarray, grid: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """c[j, d]: cell j's stencil interpolant is sum_d c[j, d] x^d, x = (t - t_j)/h_j."""
+    idx = _stencil_indices(len(grid))
+    xi = (grid[idx] - grid[:-1, None]) / h[:, None]  # (cells, w)
+    w = idx.shape[1]
+    dd = phi[idx]  # Newton divided differences, built in place
+    for lvl in range(1, w):
+        dd[:, lvl:] = (dd[:, lvl:] - dd[:, lvl - 1 : -1]) / (xi[:, lvl:] - xi[:, :-lvl])
+    # expand the Newton form to monomials, Horner-style from the top
+    c = np.zeros_like(dd)
+    c[:, 0] = dd[:, -1]
+    for q in range(w - 2, -1, -1):
+        shifted = np.zeros_like(c)
+        shifted[:, 1:] = c[:, :-1]
+        c = shifted - xi[:, q, None] * c
+        c[:, 0] += dd[:, q]
+    return c
 
-    xi has shape (cells, w); returns (cells, w, w) with
-    L_r(x) = sum_d a[r, d] x^d   and   L_r(xi_q) = delta_rq.
+
+def _carry(phi: np.ndarray, p: int, grid: np.ndarray) -> np.ndarray:
+    """Y[r-1, i] = 1/(r-1)! int_{grid[0]}^{grid[i]} (grid[i]-tau)^(r-1) phi dtau, r = 1..p.
+
+    Across cell j (width h), Y_r(t_{j+1}) = sum_{s<r} Y_{r-s}(t_j) h^s/s!
+    + h^r sum_d c_d d!/(d+r)!, the last term being the Beta integral
+    int_0^1 (1-x)^(r-1) x^d dx / (r-1)! of the cell's cubic.
     """
-    w = xi.shape[1]
-    V = xi[..., None] ** np.arange(w)[None, None, :]  # V[c, q, d] = xi_q^d
-    return np.linalg.inv(V).transpose(0, 2, 1)  # a = inv(V^T) = inv(V)^T
+    h = np.diff(grid)
+    c = _cell_cubics(phi, grid, h)
+    d = np.arange(c.shape[1])
+    Y = np.zeros((p, len(grid)))
+    for r in range(1, p + 1):
+        moments = np.array([math.factorial(k) / math.factorial(k + r) for k in d])
+        inc = h ** r * (c @ moments)
+        for s in range(1, r):
+            inc += Y[r - s - 1, :-1] * (h ** s / math.factorial(s))
+        Y[r - 1, 1:] = np.cumsum(inc)
+    return Y
 
 
 def weighted_volterra(phi, p: int, grid) -> np.ndarray:
@@ -85,8 +98,7 @@ def weighted_volterra(phi, p: int, grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise InvalidParameterError("grid must be 1-D with at least 2 nodes")
-    dgrid = np.diff(grid)
-    if np.any(dgrid <= 0):
+    if np.any(np.diff(grid) <= 0):
         raise InvalidParameterError("grid must be strictly increasing")
     if not (isinstance(p, (int, np.integer)) and 1 <= p <= _MAX_ORDER):
         raise InvalidParameterError(f"kernel order must be an integer in [1, {_MAX_ORDER}]")
@@ -99,58 +111,7 @@ def weighted_volterra(phi, p: int, grid) -> np.ndarray:
         raise InvalidParameterError("phi must be sampled on the grid")
     if not np.all(np.isfinite(phi)):
         raise NumericFailureError("non-finite phi samples")
-
-    n = len(grid)
-    uniform = np.allclose(dgrid, dgrid[0], rtol=1e-12, atol=1e-15 * max(1.0, dgrid[0]))
-    if uniform and n >= 6:
-        out = _uniform_path(phi, p, float(dgrid[0]), n)
-    else:
-        out = _general_path(phi, p, grid)
-    return out / math.factorial(p - 1)
-
-
-def _uniform_path(phi: np.ndarray, p: int, h: float, n: int) -> np.ndarray:
-    out = np.zeros(n)
-
-    # Interior cells j in [1, n-3] share the stencil (-1, 0, 1, 2).
-    xi_int = np.array([[-1.0, 0.0, 1.0, 2.0]])
-    a_int = _lagrange_coeffs(xi_int)[0]  # (4, 4)
-
-    # Kernel tables K[r, delta] for delta = i - j = 1..n-1.
-    delta = np.arange(1, n, dtype=float)
-    M = _kernel_moments(delta * h, h, p)  # (n-1, 4)
-    K = h * (M @ a_int.T)  # (n-1, 4): columns are stencil offsets -1..2
-
-    # sum over interior cells via convolution; psi_r[j] = phi[j-1+r] on [1, n-3]
-    j_int = np.arange(1, n - 2)
-    if len(j_int):
-        kpad = np.zeros(n)
-        for r in range(4):
-            psi = np.zeros(n)
-            psi[j_int] = phi[j_int - 1 + r]
-            kpad[1:] = K[:, r]
-            kpad[0] = 0.0
-            out += np.convolve(psi, kpad)[:n]
-
-    # first cell (j = 0), stencil nodes 0..3, contributes to every i >= 1
-    xi_first = np.array([[0.0, 1.0, 2.0, 3.0]])
-    a_first = _lagrange_coeffs(xi_first)[0]
-    i_all = np.arange(1, n, dtype=float)
-    M0 = _kernel_moments(i_all * h, h, p)  # (n-1, 4)
-    W0 = h * (M0 @ a_first.T)  # weights for phi[0..3]
-    out[1:] += W0 @ phi[:4]
-
-    # last cell (j = n-2), stencil nodes n-4..n-1, contributes only to i = n-1
-    xi_last = np.array([[-2.0, -1.0, 0.0, 1.0]])
-    a_last = _lagrange_coeffs(xi_last)[0]
-    Ml = _kernel_moments(np.array(h), h, p)  # A = h
-    Wl = h * (Ml @ a_last.T)
-    out[n - 1] += float(Wl @ phi[n - 4 : n])
-    return out
-
-
-def _general_path(phi: np.ndarray, p: int, grid: np.ndarray) -> np.ndarray:
-    return partial_volterra(phi, p, grid, grid)
+    return _carry(phi, p, grid)[p - 1]
 
 
 def partial_volterra(phi, p: int, tau_grid, t_targets) -> np.ndarray:
@@ -158,38 +119,53 @@ def partial_volterra(phi, p: int, tau_grid, t_targets) -> np.ndarray:
 
     Returns, for each target t,
 
-        int over [tau_grid[0], min(t, tau_grid[-1])] of (t - tau)^(p-1) phi(tau) dtau
+        int over [tau_grid[0], t_k] of (t - tau)^(p-1) phi(tau) dtau
 
-    (without the 1/(p-1)! factor).  Targets that land strictly inside the
-    span must coincide with grid nodes; cells whose right endpoint exceeds
-    the target are dropped.  This is the building block for integrands that
-    are smooth only blockwise: integrate each block separately and sum.
+    (without the 1/(p-1)! factor), where t_k is the last node <= t: cells
+    right of the target are dropped, a target past the span end integrates
+    the whole span, and a target before it gets 0.  This is the building
+    block for integrands that are smooth only blockwise: integrate each
+    block separately and sum.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     phi = np.asarray(phi, dtype=float)
     t_targets = np.asarray(t_targets, dtype=float)
-    n = len(tau_grid)
-    cells = n - 1
-    h = np.diff(tau_grid)  # (cells,)
-    idx = _stencil_indices(n)  # (cells, w)
-    xi = (tau_grid[idx] - tau_grid[:cells, None]) / h[:, None]
-    coeffs = _lagrange_coeffs(xi)  # (cells, w, w)
-    phi_st = phi[idx]  # (cells, w)
-    w = idx.shape[1]
-    # contract phi into the polynomial coefficients of its cell interpolant,
-    # scaled by the cell width: cell integral = sum_d cpoly[c, d] * M_d
-    cpoly = np.einsum("cn,cnd->cd", phi_st, coeffs) * h[:, None]  # (cells, w)
-
-    right = tau_grid[1:]  # cell right endpoints
+    Y = _carry(phi, p, tau_grid)
+    # Taylor-extend from the last node t_k <= t: exact, since y^(p) = 0 past
+    # t_k.  Targets before the span extend from the first node, where Y = 0.
     tiny = 1e-12 * max(1.0, float(np.max(np.abs(tau_grid))))
+    k = np.maximum(np.searchsorted(tau_grid, t_targets + tiny, side="right") - 1, 0)
+    dt = t_targets - tau_grid[k]
     out = np.zeros(len(t_targets))
-    chunk = max(1, int(4_000_000 // max(cells, 1)))
-    for start in range(0, len(t_targets), chunk):
-        stop = min(len(t_targets), start + chunk)
-        ti = t_targets[start:stop, None]  # (rows, 1)
-        mask = right[None, :] <= ti + tiny
-        A = np.where(mask, ti - tau_grid[None, :cells], 1.0)
-        M = _kernel_moments(A, h[None, :], p)  # (rows, cells, 4)
-        contrib = np.einsum("rcd,cd->rc", M[..., :w], cpoly)
-        out[start:stop] = np.sum(np.where(mask, contrib, 0.0), axis=1)
+    for s in range(p):
+        out += Y[p - 1 - s, k] * (dt ** s / math.factorial(s))
+    return out * math.factorial(p - 1)
+
+
+def integral_image(a, blocks, grid) -> np.ndarray:
+    """Seed polynomial plus blockwise repeated integral, every derivative order.
+
+    ``blocks`` holds (i0, i1, f) triples, f sampled on grid[i0 : i1 + 1];
+    each block is integrated on its own, so the quadrature never straddles a
+    jump between blocks.  With p = len(a), column i of the (len(grid), p)
+    result is
+
+        sum_j a_{i+j} t^j / j!  +  1/(p-i-1)! int_0^t (t-tau)^(p-i-1) f dtau,
+
+    the i-th derivative of the y with y^(p) = f and y^(j)(0) = a_j.  No
+    blocks gives the seed polynomial alone.
+    """
+    grid = np.asarray(grid, dtype=float)
+    p = len(a)
+    out = np.zeros((len(grid), p))
+    for i in range(p):
+        for j, aj in enumerate(a[i:]):
+            out[:, i] += aj * grid ** j / math.factorial(j)
+        order = p - i
+        for i0, i1, f in blocks:
+            if i0 == 0 and i1 == len(grid) - 1:  # validated: non-finite f raises
+                out[:, i] += weighted_volterra(f, order, grid)
+            else:
+                sub = grid[i0 : i1 + 1]
+                out[:, i] += partial_volterra(f, order, sub, grid) / math.factorial(order - 1)
     return out

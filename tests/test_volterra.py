@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup.errors import InvalidParameterError
 from blowup.volterra import partial_volterra, weighted_volterra
@@ -88,6 +90,44 @@ class TestPartial:
         t = 2.0
         exact = (t - 0.5) + 3.0 * 0.5  # int (2-tau)*1 on [0,1] + int (2-tau)*3 on [1,2]
         assert total[-1] == pytest.approx(exact, rel=1e-13)
+
+
+class TestKernelContract:
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(
+        steps=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=40),
+        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        p=st.integers(1, 4),
+    )
+    def test_random_cubic_on_random_grid_is_exact(self, steps, coeffs, p):
+        # the piecewise-cubic rule reproduces any cubic phi, on any grid
+        g = np.concatenate(([0.0], np.cumsum(steps)))
+        phi = sum(c * g ** d for d, c in enumerate(coeffs))
+        terms = [
+            c * math.factorial(d) / math.factorial(d + p) * g ** (d + p)
+            for d, c in enumerate(coeffs)
+        ]
+        exact = sum(terms)
+        scale = np.max(sum(np.abs(t) for t in terms))
+        err = np.max(np.abs(weighted_volterra(phi, p, g) - exact))
+        assert err <= 1e-11 * max(scale, 1e-300)
+
+    def test_partial_targets_off_the_nodes(self):
+        # targets before the span, between nodes, on a node and past the end:
+        # the span integral runs up to the last node t_k <= t, kernel (t - tau)^(p-1)
+        coeffs = [0.5, -1.0, 2.0, 0.75]
+        span = np.linspace(1.0, 2.0, 9)
+        phi = np.polynomial.Polynomial(coeffs)(span)
+        targets = np.array([0.5, 1.1, 1.3, 1.5, 2.0, 2.7])
+        last_node = np.array([1.0, 1.0, 1.25, 1.5, 2.0, 2.0])
+        p = 3
+        got = partial_volterra(phi, p, span, targets)
+        for t, t_k, val in zip(targets, last_node, got):
+            integrand = np.polynomial.Polynomial([t, -1.0]) ** (p - 1) * np.polynomial.Polynomial(coeffs)
+            F = integrand.integ()
+            exact = F(t_k) - F(1.0)
+            assert val == pytest.approx(exact, rel=1e-12, abs=1e-14)
+        assert got[0] == 0.0 and got[1] == 0.0
 
 
 class TestValidation:
