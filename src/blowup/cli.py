@@ -11,15 +11,15 @@ Configs are line-oriented ``key = value`` text with ``#`` comments:
 
 Reports are flat ``key=value`` lines (machine-parseable) followed by a
 short human summary; CSVs always carry a header row.  All output is
-deterministic for a fixed config and seed.
+deterministic for a fixed config and seed.  A key left unset takes the
+default of the library function it is passed to.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +29,6 @@ from .classify import classify, classify_scaled
 from .errors import BlowupError, ConfigError, InvalidParameterError
 from .functions import parse_fn_spec
 from .ode import (
-    DEFAULT_THRESHOLDS,
     BlowupEvent,
     BlowupKind,
     ProblemSpec,
@@ -38,19 +37,9 @@ from .ode import (
     integrate,
 )
 from .picard import picard_solve, verify_comparison_bound
-from .pipeline import PipelineOptions, run_pipeline
+from .pipeline import PipelineOptions, majorization_experiment, run_pipeline
 
 __all__ = ["ExperimentConfig", "parse_config", "emit_config", "run_experiment", "main"]
-
-RUNS = (
-    "classify",
-    "integrate",
-    "detect-blowup",
-    "construct",
-    "majorize",
-    "verify-lemma22",
-    "pipeline",
-)
 
 _INT_KEYS = {"m", "k", "n", "J", "seed", "grid_size", "max_iter"}
 _REAL_KEYS = {"T", "tol", "horizon", "alpha", "u0", "rho"}
@@ -58,6 +47,7 @@ _LIST_KEYS = {"a", "b", "thresholds"}
 _FN_KEYS = {"q", "h", "g"}
 _STR_KEYS = {"run", "out"}
 _ALL_KEYS = _INT_KEYS | _REAL_KEYS | _LIST_KEYS | _FN_KEYS | _STR_KEYS
+_PROBLEM_KEYS = ("m", "k", "a", "q", "h")
 
 
 @dataclass(frozen=True)
@@ -87,7 +77,7 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def problem(self) -> ProblemSpec:
-        missing = [key for key in ("m", "k", "a", "q", "h") if getattr(self, key) is None]
+        missing = [key for key in _PROBLEM_KEYS if getattr(self, key) is None]
         if missing:
             raise ConfigError([f"missing keys for a problem definition: {', '.join(missing)}"])
         return ProblemSpec(
@@ -157,19 +147,22 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _semantic_errors(values: dict) -> list[str]:
+    """Checks that no library call makes on every run reading the key.
+
+    A complete problem definition is checked by ProblemSpec itself; other
+    parameters (n, T, horizon, ...) are checked by the library at run time.
+    """
     errors = []
     run = values.get("run")
     if run is not None and run not in RUNS:
         errors.append(f"run must be one of {', '.join(RUNS)}; got {run!r}")
-    m, k = values.get("m"), values.get("k")
-    if m is not None and m < 1:
-        errors.append("m must satisfy m >= 1")
-    if m is not None and k is not None and not (0 <= k <= m - 1):
-        errors.append("k must satisfy 0 <= k <= m-1")
     a = values.get("a")
-    if a is not None and m is not None and len(a) != m:
-        errors.append(f"a must list exactly m = {m} values")
-    if a is not None and any(x < 0 for x in a):
+    if all(values.get(key) is not None for key in _PROBLEM_KEYS):
+        try:
+            ExperimentConfig(**values).problem()
+        except InvalidParameterError as e:
+            errors.append(str(e))
+    elif a is not None and any(x < 0 for x in a):
         errors.append("a values must be >= 0")
     tol = values.get("tol")
     if tol is not None and not (1e-14 < tol < 1e-2):
@@ -178,11 +171,8 @@ def _semantic_errors(values: dict) -> list[str]:
     if th is not None:
         if any(x < 10 for x in th):
             errors.append("thresholds must each be >= 10")
-        if any(b <= a_ for a_, b in zip(th, th[1:])) is True:
+        if any(hi <= lo for lo, hi in zip(th, th[1:])):
             errors.append("thresholds must be strictly increasing")
-    n = values.get("n")
-    if n is not None and n < 1:
-        errors.append("n must satisfy n >= 1")
     return errors
 
 
@@ -221,14 +211,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_report(path: Optional[Path], kv: list[tuple], summary: list[str]) -> str:
-    lines = [f"{key}={_fmt(val)}" for key, val in kv]
-    text = "\n".join(lines) + "\n\n" + "\n".join(f"# {s}" for s in summary) + "\n"
-    if path is not None:
-        path.write_text(text)
-    return text
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -242,6 +224,11 @@ def _trajectory_csv(path: Path, traj: Trajectory) -> None:
     _write_csv(path, header, rows)
 
 
+def _majorization_csv(path: Path, table) -> None:
+    _write_csv(path, ["j", "t_j", "tau_j", "eps_j", "margin_min"],
+               [[r.j, r.t_j, r.tau_j, r.eps_j, r.margin_min] for r in table.rows])
+
+
 # ---------------------------------------------------------------------------
 # experiment dispatch
 
@@ -249,39 +236,62 @@ def _trajectory_csv(path: Path, traj: Trajectory) -> None:
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     """Dispatch one experiment; returns the exit status (0 pass / 1 verdict
     failure / 2 numeric or config error).  Artifacts land in out_dir."""
-    return _guarded(cfg, out_dir, lambda cfg, out: _HANDLERS[cfg.run](cfg, out))
+    return _guarded(cfg, out_dir)
 
 
-def _guarded(cfg: ExperimentConfig, out_dir, handler) -> int:
-    """Run handler(cfg, out), mapping config and numeric errors to exit 2."""
+def _config_errors(e: ConfigError, prefix: str = "") -> int:
+    for msg in e.errors:
+        print(f"{prefix}config error: {msg}", file=sys.stderr)
+    return 2
+
+
+def _guarded(cfg: ExperimentConfig, out_dir, **extra) -> int:
+    """Run cfg's handler and write its report, ``<run>.txt`` in the output
+    directory (if any) and on stdout; returns the handler's status.  Config
+    and numeric errors map to exit 2."""
     out = Path(out_dir) if out_dir is not None else (Path(cfg.out) if cfg.out else None)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     try:
         if cfg.run is None:
             raise ConfigError(["missing 'run' key"])
-        return handler(cfg, out)
+        kv, summary, status = _COMMANDS[cfg.run][0](cfg, out, **extra)
     except ConfigError as e:
-        for msg in e.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 2
+        return _config_errors(e)
     except BlowupError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    text = "\n".join(f"{key}={_fmt(val)}" for key, val in kv) + "\n\n"
+    text += "\n".join(f"# {s}" for s in summary) + "\n"
+    if out is not None:
+        (out / f"{cfg.run}.txt").write_text(text)
+    print(text, end="")
+    return status
 
 
-def _report_path(out: Optional[Path], name: str) -> Optional[Path]:
-    return (out / name) if out is not None else None
+def _need(cfg: ExperimentConfig, *keys: str) -> None:
+    if any(getattr(cfg, key) is None for key in keys):
+        raise ConfigError([f"{cfg.run} needs keys: {', '.join(keys)}"])
 
 
-def _run_classify(cfg: ExperimentConfig, out: Optional[Path]) -> int:
-    if cfg.h is None or cfg.n is None:
-        raise ConfigError(["classify needs keys: h, n"])
+def _given(cfg: ExperimentConfig, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments for the config keys that are set, so that every
+    unset key takes the called function's own default.  ``renamed`` maps a
+    parameter name to its config key; function specs are parsed.  An empty
+    ``thresholds`` list counts as unset: it means the default ladder."""
+    out = {}
+    for param, key in [(key, key) for key in keys] + list(renamed.items()):
+        val = getattr(cfg, key)
+        if val is None or (key == "thresholds" and not val):
+            continue
+        out[param] = parse_fn_spec(val) if key in _FN_KEYS else val
+    return out
+
+
+def _run_classify(cfg: ExperimentConfig, out: Optional[Path]):
+    _need(cfg, "h", "n")
     h = parse_fn_spec(cfg.h)
-    if cfg.alpha is not None:
-        verdict = classify_scaled(h, cfg.n, cfg.alpha)
-    else:
-        verdict = classify(h, cfg.n)
+    verdict = classify(h, cfg.n) if cfg.alpha is None else classify_scaled(h, cfg.n, cfg.alpha)
     print(f"{h.spec_text} with n={cfg.n}: {verdict}")
     kv = [
         ("verdict", verdict.verdict.value),
@@ -293,18 +303,13 @@ def _run_classify(cfg: ExperimentConfig, out: Optional[Path]) -> int:
         ("cap_hit", verdict.evidence.get("cap_hit")),
         ("tail_bound", verdict.evidence.get("tail_bound")),
     ]
-    text = _write_report(_report_path(out, "classify.txt"), kv,
-                         [f"{h.spec_text}, n={cfg.n}: {verdict}"])
-    print(text, end="")
-    return 0
+    return kv, [f"{h.spec_text}, n={cfg.n}: {verdict}"], 0
 
 
-def _run_integrate(cfg: ExperimentConfig, out: Optional[Path], csv_path: Optional[Path] = None) -> int:
+def _run_integrate(cfg: ExperimentConfig, out: Optional[Path], csv_path: Optional[Path] = None):
     """``csv_path`` (the --csv flag) also gets the trajectory CSV."""
-    p = cfg.problem()
     T = cfg.T if cfg.T is not None else 5.0
-    tol = cfg.tol if cfg.tol is not None else 1e-9
-    result = integrate(p, T, tol)
+    result = integrate(cfg.problem(), T, **_given(cfg, "tol"))
     escaped = isinstance(result, BlowupEvent)
     traj = result.trajectory if escaped else result
     if csv_path is not None:
@@ -321,20 +326,11 @@ def _run_integrate(cfg: ExperimentConfig, out: Optional[Path], csv_path: Optiona
     ]
     if escaped:
         kv += [("event", result.reason), ("t_event", result.t_event)]
-    text = _write_report(_report_path(out, "integrate.txt"), kv,
-                         ["escaped before T" if escaped else f"reached T = {T}"])
-    print(text, end="")
-    return 0
+    return kv, ["escaped before T" if escaped else f"reached T = {T}"], 0
 
 
-def _run_detect_blowup(cfg: ExperimentConfig, out: Optional[Path]) -> int:
-    p = cfg.problem()
-    rep = detect_blowup(
-        p,
-        thresholds=cfg.thresholds or DEFAULT_THRESHOLDS,
-        horizon=cfg.horizon if cfg.horizon is not None else 50.0,
-        tol=cfg.tol if cfg.tol is not None else 1e-10,
-    )
+def _run_detect_blowup(cfg: ExperimentConfig, out: Optional[Path]):
+    rep = detect_blowup(cfg.problem(), **_given(cfg, "thresholds", "horizon", "tol"))
     kv = [
         ("kind", rep.kind.value),
         ("horizon", rep.horizon),
@@ -345,27 +341,17 @@ def _run_detect_blowup(cfg: ExperimentConfig, out: Optional[Path]) -> int:
     for M, tM in rep.escape_thresholds:
         kv.append((f"t_escape_{M:g}", tM))
     summary = (
-        [f"blow-up near t = {rep.t_blow_estimate}"]
+        f"blow-up near t = {rep.t_blow_estimate}"
         if rep.kind is BlowupKind.BLOW_UP
-        else [f"global up to horizon {rep.horizon}"]
+        else f"global up to horizon {rep.horizon}"
     )
-    text = _write_report(_report_path(out, "detect-blowup.txt"), kv, summary)
-    print(text, end="")
-    return 0
+    return kv, [summary], 0
 
 
-def _run_construct(cfg: ExperimentConfig, out: Optional[Path]) -> int:
-    if cfg.h is None or cfg.n is None or cfg.b is None:
-        raise ConfigError(["construct needs keys: h, n, b (and T)"])
-    tower = picard_solve(
-        parse_fn_spec(cfg.h),
-        cfg.n,
-        cfg.b,
-        cfg.T if cfg.T is not None else 1.0,
-        tol=cfg.tol if cfg.tol is not None else 1e-10,
-        max_iter=cfg.max_iter if cfg.max_iter is not None else 60,
-        q=parse_fn_spec(cfg.q) if cfg.q is not None else None,
-    )
+def _run_construct(cfg: ExperimentConfig, out: Optional[Path]):
+    _need(cfg, "h", "n", "b")
+    T = cfg.T if cfg.T is not None else 1.0
+    tower = picard_solve(parse_fn_spec(cfg.h), cfg.n, cfg.b, T, **_given(cfg, "tol", "max_iter", "q"))
     if out is not None:
         rows = []
         for j, it in enumerate(tower.iterates):
@@ -381,58 +367,36 @@ def _run_construct(cfg: ExperimentConfig, out: Optional[Path]) -> int:
         ("majorant_slack", tower.majorant_slack),
         ("v_end", float(tower.solution[-1])),
     ]
-    text = _write_report(_report_path(out, "construct.txt"), kv,
-                         [f"tower {'converged' if tower.converged else 'did not converge'} "
-                          f"in {tower.iterations} iterations"])
-    print(text, end="")
-    return 0 if tower.converged else 1
+    state = "converged" if tower.converged else "did not converge"
+    return kv, [f"tower {state} in {tower.iterations} iterations"], 0 if tower.converged else 1
 
 
-def _run_majorize(cfg: ExperimentConfig, out: Optional[Path]) -> int:
-    from .pipeline import majorization_experiment
-
-    if cfg.h is None or cfg.n is None or cfg.a is None:
-        raise ConfigError(["majorize needs keys: h, n, a (reduced data)"])
-    q = parse_fn_spec(cfg.q) if cfg.q is not None else parse_fn_spec("constant(1.0)")
+def _run_majorize(cfg: ExperimentConfig, out: Optional[Path]):
+    _need(cfg, "h", "n", "a")
     table = majorization_experiment(
-        q,
+        parse_fn_spec(cfg.q if cfg.q is not None else "constant(1.0)"),
         parse_fn_spec(cfg.h),
         cfg.n,
         cfg.a,
-        b=cfg.b,
-        J=cfg.J if cfg.J is not None else 8,
-        horizon=cfg.horizon if cfg.horizon is not None else 50.0,
-        rho=cfg.rho if cfg.rho is not None else 2.0,
+        **_given(cfg, "b", "J", "horizon", "rho"),
     )
     if out is not None:
-        _write_csv(
-            out / "majorization.csv",
-            ["j", "t_j", "tau_j", "eps_j", "margin_min"],
-            [[r.j, r.t_j, r.tau_j, r.eps_j, r.margin_min] for r in table.rows],
-        )
+        _majorization_csv(out / "majorization.csv", table)
     kv = [
         ("rows", len(table.rows)),
         ("passed", table.passed),
         ("levels_reachable", table.levels_reachable),
         ("min_margin_rel", min((r.margin_min_rel for r in table.rows), default=None)),
     ]
-    text = _write_report(_report_path(out, "majorize.txt"), kv,
-                         ["all margins nonnegative" if table.passed else "margin violated",
-                          table.note or "all levels reached"])
-    print(text, end="")
-    return 0 if table.passed else 1
+    summary = ["all margins nonnegative" if table.passed else "margin violated",
+               table.note or "all levels reached"]
+    return kv, summary, 0 if table.passed else 1
 
 
-def _run_verify_comparison(cfg: ExperimentConfig, out: Optional[Path]) -> int:
-    if cfg.g is None or cfg.n is None or cfg.u0 is None:
-        raise ConfigError(["verify-lemma22 needs keys: g, n, u0 (and T)"])
-    rep = verify_comparison_bound(
-        parse_fn_spec(cfg.g),
-        cfg.n,
-        cfg.u0,
-        cfg.T if cfg.T is not None else 1.0,
-        cfg.grid_size if cfg.grid_size is not None else 200,
-    )
+def _run_verify_comparison(cfg: ExperimentConfig, out: Optional[Path]):
+    _need(cfg, "g", "n", "u0")
+    T = cfg.T if cfg.T is not None else 1.0
+    rep = verify_comparison_bound(parse_fn_spec(cfg.g), cfg.n, cfg.u0, T, **_given(cfg, "grid_size"))
     kv = [
         ("passed", rep.passed),
         ("min_slack", rep.min_slack),
@@ -440,22 +404,13 @@ def _run_verify_comparison(cfg: ExperimentConfig, out: Optional[Path]) -> int:
         ("t_at_min", rep.t_at_min),
         ("grid_size", rep.grid_size),
     ]
-    text = _write_report(_report_path(out, "verify-lemma22.txt"), kv,
-                         ["comparison bound holds on the grid" if rep.passed
-                          else "comparison bound violated"])
-    print(text, end="")
-    return 0 if rep.passed else 1
+    summary = "comparison bound holds on the grid" if rep.passed else "comparison bound violated"
+    return kv, [summary], 0 if rep.passed else 1
 
 
-def _run_pipeline_cmd(cfg: ExperimentConfig, out: Optional[Path]) -> int:
-    p = cfg.problem()
-    opts = PipelineOptions(
-        tol=cfg.tol if cfg.tol is not None else 1e-10,
-        thresholds=cfg.thresholds or DEFAULT_THRESHOLDS,
-        majorize_levels=cfg.J if cfg.J is not None else 6,
-        rho=cfg.rho if cfg.rho is not None else 2.0,
-    )
-    rep = run_pipeline(p, horizon=cfg.horizon if cfg.horizon is not None else 5.0, opts=opts)
+def _run_pipeline_cmd(cfg: ExperimentConfig, out: Optional[Path]):
+    opts = PipelineOptions(**_given(cfg, "tol", "thresholds", "rho", majorize_levels="J"))
+    rep = run_pipeline(cfg.problem(), opts=opts, **_given(cfg, "horizon"))
     kv = [
         ("label", rep.label),
         ("verdict", rep.classification.verdict.value),
@@ -481,134 +436,82 @@ def _run_pipeline_cmd(cfg: ExperimentConfig, out: Optional[Path]) -> int:
         if rep.blowup is not None and rep.blowup.trajectory is not None:
             _trajectory_csv(out / "probe.csv", rep.blowup.trajectory)
         if rep.majorization is not None:
-            _write_csv(
-                out / "majorization.csv",
-                ["j", "t_j", "tau_j", "eps_j", "margin_min"],
-                [[r.j, r.t_j, r.tau_j, r.eps_j, r.margin_min] for r in rep.majorization.rows],
-            )
-    text = _write_report(_report_path(out, "pipeline.txt"), kv,
-                         [rep.label] + list(rep.notes))
-    print(text, end="")
-    return 0 if rep.passed else 1
-
-
-_HANDLERS = {
-    "classify": _run_classify,
-    "integrate": _run_integrate,
-    "detect-blowup": _run_detect_blowup,
-    "construct": _run_construct,
-    "majorize": _run_majorize,
-    "verify-lemma22": _run_verify_comparison,
-    "pipeline": _run_pipeline_cmd,
-}
+            _majorization_csv(out / "majorization.csv", rep.majorization)
+    return kv, [rep.label] + list(rep.notes), 0 if rep.passed else 1
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-
-def _add_common(sub):
-    sub.add_argument("--config", type=Path, help="config file path")
-    sub.add_argument("--out", type=Path, help="output directory")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--tol", type=float, default=None)
-
-
-def _load_cfg(args, run: str, overrides: dict) -> ExperimentConfig:
-    base: dict = {}
-    if getattr(args, "config", None) is not None:
-        parsed = parse_config(Path(args.config).read_text())
-        base = {f.name: getattr(parsed, f.name) for f in fields(parsed)}
-    base["run"] = run
-    for key, val in overrides.items():
-        if val is not None:
-            base[key] = val
-    if getattr(args, "seed", None) is not None:
-        base["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
-        base["tol"] = args.tol
-    if getattr(args, "out", None) is not None:
-        base["out"] = str(args.out)
-    return ExperimentConfig(**base)
+# run -> (handler, help, flags beyond the common ones); each flag sets the
+# config key of its name, except integrate's --csv
+_COMMANDS = {
+    "classify": (_run_classify, "integral test for the nonlinearity", ("h", "n", "alpha")),
+    "integrate": (_run_integrate, "integrate the problem up to T", ("T", "csv")),
+    "detect-blowup": (_run_detect_blowup, "escape ladder and blow-up time", ("horizon",)),
+    "construct": (_run_construct, "monotone tower construction", ("T",)),
+    "majorize": (_run_majorize, "level-doubling comparison experiment", ("J", "horizon")),
+    "verify-lemma22": (_run_verify_comparison, "check the comparison inequality",
+                       ("n", "g", "u0", "T", "grid_size")),
+    "pipeline": (_run_pipeline_cmd, "full classification pipeline", ("horizon",)),
+}
+RUNS = tuple(_COMMANDS)
+_FLAG_HELP = {"config": "config file path", "out": "output directory"}
 
 
-def main(argv=None) -> int:
+def _flag_type(key: str):
+    if key in _INT_KEYS:
+        return int
+    if key in _REAL_KEYS:
+        return float
+    return Path if key in ("config", "csv") else str
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blowup",
         description="Blow-up vs. global existence for nonlinear Cauchy problems",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("classify", help="integral test for the nonlinearity")
-    _add_common(s)
-    s.add_argument("--h", dest="h")
-    s.add_argument("--n", dest="n", type=int)
-    s.add_argument("--alpha", dest="alpha", type=float)
-
-    s = subs.add_parser("integrate", help="integrate the problem up to T")
-    _add_common(s)
-    s.add_argument("--T", dest="T", type=float)
-    s.add_argument("--csv", dest="csv", type=Path)
-
-    s = subs.add_parser("detect-blowup", help="escape ladder and blow-up time")
-    _add_common(s)
-    s.add_argument("--horizon", dest="horizon", type=float)
-
-    s = subs.add_parser("construct", help="monotone tower construction")
-    _add_common(s)
-    s.add_argument("--T", dest="T", type=float)
-
-    s = subs.add_parser("majorize", help="level-doubling comparison experiment")
-    _add_common(s)
-    s.add_argument("--J", dest="J", type=int)
-    s.add_argument("--horizon", dest="horizon", type=float)
-
-    s = subs.add_parser("verify-lemma22", help="check the comparison inequality")
-    _add_common(s)
-    s.add_argument("--n", dest="n", type=int)
-    s.add_argument("--g", dest="g")
-    s.add_argument("--u0", dest="u0", type=float)
-    s.add_argument("--T", dest="T", type=float)
-    s.add_argument("--grid-size", dest="grid_size", type=int)
-
-    s = subs.add_parser("pipeline", help="full classification pipeline")
-    _add_common(s)
-    s.add_argument("--horizon", dest="horizon", type=float)
-
+    for command, (_handler, help_text, keys) in _COMMANDS.items():
+        s = subs.add_parser(command, help=help_text)
+        for key in ("config", "out", "seed", "tol") + keys:
+            s.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(key),
+                           help=_FLAG_HELP.get(key))
     s = subs.add_parser("batch", help="run several configs sequentially")
     s.add_argument("--configs", nargs="+", type=Path, required=True)
     s.add_argument("--out", type=Path, required=True)
+    return parser
 
-    args = parser.parse_args(argv)
 
+def _run_batch(configs, out: Path) -> int:
+    worst = 0
+    for cfg_path in configs:
+        try:
+            cfg = parse_config(cfg_path.read_text())
+        except ConfigError as e:
+            worst = max(worst, _config_errors(e, prefix=f"{cfg_path}: "))
+            continue
+        status = run_experiment(cfg, out_dir=out / cfg_path.stem)
+        print(f"[{cfg_path.name}] exit {status}")
+        worst = max(worst, status)
+    return worst
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "batch":
-        worst = 0
-        for cfg_path in args.configs:
-            sub_out = args.out / cfg_path.stem
-            try:
-                cfg = parse_config(cfg_path.read_text())
-            except ConfigError as e:
-                for msg in e.errors:
-                    print(f"{cfg_path}: config error: {msg}", file=sys.stderr)
-                worst = max(worst, 2)
-                continue
-            status = run_experiment(cfg, out_dir=sub_out)
-            print(f"[{cfg_path.name}] exit {status}")
-            worst = max(worst, status)
-        return worst
-
-    override_keys = ("h", "n", "alpha", "T", "horizon", "J", "g", "u0", "grid_size")
-    overrides = {key: getattr(args, key, None) for key in override_keys}
+        return _run_batch(args.configs, args.out)
+    # the config file, then every flag given on the command line
+    overrides = {key: val for key, val in vars(args).items() if key in _ALL_KEYS and val is not None}
     try:
-        cfg = _load_cfg(args, args.command, overrides)
+        base = parse_config(args.config.read_text()) if args.config is not None else ExperimentConfig()
     except ConfigError as e:
-        for msg in e.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 2
-
-    if args.command == "integrate" and args.csv is not None:
-        return _guarded(cfg, args.out, functools.partial(_run_integrate, csv_path=args.csv))
-    return run_experiment(cfg, out_dir=args.out)
+        return _config_errors(e)
+    cfg = replace(base, run=args.command, **overrides)
+    if getattr(args, "csv", None) is not None:
+        return _guarded(cfg, None, csv_path=args.csv)
+    return run_experiment(cfg)
 
 
 if __name__ == "__main__":  # pragma: no cover

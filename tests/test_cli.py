@@ -213,3 +213,76 @@ class TestMain:
         bad.write_text("run = fly\n")
         out = tmp_path / "out"
         assert main(["batch", "--configs", str(bad), "--out", str(out)]) == 2
+
+
+# every flag of every subcommand, with a value and the config key it must set
+FLAGS = {
+    "classify": [("--h", "power(2.0)", "h", "power(2.0)"), ("--n", "3", "n", 3),
+                 ("--alpha", "2.5", "alpha", 2.5)],
+    "integrate": [("--T", "4.5", "T", 4.5)],
+    "detect-blowup": [("--horizon", "7.5", "horizon", 7.5)],
+    "construct": [("--T", "1.5", "T", 1.5)],
+    "majorize": [("--J", "4", "J", 4), ("--horizon", "9.0", "horizon", 9.0)],
+    "verify-lemma22": [("--n", "2", "n", 2), ("--g", "power(1.0)", "g", "power(1.0)"),
+                       ("--u0", "1.5", "u0", 1.5), ("--T", "2.5", "T", 2.5),
+                       ("--grid-size", "50", "grid_size", 50)],
+    "pipeline": [("--horizon", "3.5", "horizon", 3.5)],
+}
+COMMON = [("--seed", "7", "seed", 7), ("--tol", "1e-8", "tol", 1e-8)]
+
+PROBLEM = "m = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(1.0)\n"
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flags_land_in_config_keys(self, command, tmp_path, monkeypatch):
+        import blowup.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg, out_dir=None: seen.append(cfg) or 0)
+        cfg_file = tmp_path / "base.cfg"
+        cfg_file.write_text("alpha = 9.0\nhorizon = 1.0\n")
+        argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        for flag, raw, _key, _val in FLAGS[command] + COMMON:
+            argv += [flag, raw]
+        assert main(argv) == 0
+        (cfg,) = seen
+        assert cfg.run == command
+        assert cfg.out == str(tmp_path / "o")
+        for _flag, _raw, key, val in FLAGS[command] + COMMON:
+            assert getattr(cfg, key) == val
+        # keys without a flag keep the config file's value
+        if "alpha" not in [key for *_, key, _v in FLAGS[command]]:
+            assert cfg.alpha == 9.0
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("classify", "run = fly\nh = power(2.0)\nn = 1\n"),
+            ("integrate", PROBLEM.replace("m = 1", "m = 0").replace("a = [1]", "a = []")),
+            ("integrate", PROBLEM.replace("k = 0", "k = 1")),
+            ("integrate", PROBLEM.replace("a = [1]", "a = [1, 1]")),
+            ("integrate", PROBLEM.replace("a = [1]", "a = [-1]")),
+            ("majorize", "h = power(1.0)\nn = 1\na = [-1]\nJ = 2\nhorizon = 2.0\n"),
+            ("integrate", PROBLEM + "T = 0.5\ntol = 1.0\n"),
+            ("construct", "h = power(1.0)\nn = 1\nb = [1]\ntol = 1e-20\n"),
+            ("detect-blowup", PROBLEM + "thresholds = [5]\nhorizon = 0.5\n"),
+            ("detect-blowup", PROBLEM + "thresholds = [100, 50]\nhorizon = 0.5\n"),
+            ("classify", "h = power(2.0)\nn = 0\n"),
+            ("verify-lemma22", "g = power(1.0)\nn = 0\nu0 = 1\n"),
+            ("construct", "h = power(1.0)\nn = 0\nb = [1]\n"),
+        ],
+    )
+    def test_rejected_configs_exit_2(self, command, text, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text)
+        assert main([command, "--config", str(cfg_file)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_empty_thresholds_run_the_default_ladder(self, tmp_path):
+        base = "run = detect-blowup\nm = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(2.0)\n"
+        assert run_experiment(parse_config(base + "thresholds = []\n"), tmp_path / "empty") == 0
+        assert run_experiment(parse_config(base), tmp_path / "unset") == 0
+        empty = (tmp_path / "empty" / "detect-blowup.txt").read_text()
+        assert empty == (tmp_path / "unset" / "detect-blowup.txt").read_text()
+        assert "t_escape_10=" in empty and "t_escape_1e+11=" in empty
