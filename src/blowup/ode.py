@@ -134,8 +134,10 @@ class Trajectory:
     derivatives of one function, every component except the top one also has
     an exact second derivative at the nodes (component i+2, or f itself for
     i = m-2), so dense output is quintic Hermite there and cubic Hermite
-    only for the top component.  Values are immutable once returned and
-    safe to share.
+    only for the top component.  A jump point of q where integration
+    restarted appears twice in ``ts``: first with the left-limit derivative
+    that closes the cell before it, then with the right-limit one that opens
+    the cell after it.  Values are immutable once returned and safe to share.
     """
 
     ts: np.ndarray
@@ -164,20 +166,17 @@ class Trajectory:
         h = (self.ts[i + 1] - self.ts[i])[:, None]
         th = np.clip(((tq - self.ts[i])[:, None]) / h, 0.0, 1.0)
         y0, y1 = self.ys[i], self.ys[i + 1]
-        d0, d1 = self.dys[i] * h, self.dys[i + 1] * h
         out = np.empty((len(tq), self.m))
 
         # top component: cubic Hermite
-        h00 = (1 + 2 * th) * (1 - th) ** 2
-        h10 = th * (1 - th) ** 2
-        h01 = th * th * (3 - 2 * th)
-        h11 = th * th * (th - 1)
-        cubic = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-        out[:, -1] = cubic[:, -1]
+        out[:, -1] = _cubic_hermite(
+            th[:, 0], h[:, 0], y0[:, -1], y1[:, -1], self.dys[i, -1], self.dys[i + 1, -1]
+        )
 
         if self.m > 1:
             # lower components: quintic Hermite (two-point Taylor) with exact
             # second derivatives s = (y[2:], f) at both ends
+            d0, d1 = self.dys[i][:, :-1] * h, self.dys[i + 1][:, :-1] * h
             s0 = self.dys[i][:, 1:] * h * h
             s1 = self.dys[i + 1][:, 1:] * h * h
             t2, t3 = th * th, th ** 3
@@ -190,10 +189,10 @@ class Trajectory:
             C1 = 0.5 * (t3 - 2 * t4 + t5)
             out[:, :-1] = (
                 A0 * y0[:, :-1]
-                + B0 * d0[:, :-1]
+                + B0 * d0
                 + C0 * s0
                 + A1 * y1[:, :-1]
-                + B1 * d1[:, :-1]
+                + B1 * d1
                 + C1 * s1
             )
         return out[0] if scalar else out
@@ -247,9 +246,9 @@ def integrate(
     return result
 
 
-def _hermite_scalar(t, t0, t1, y0, y1, d0, d1):
-    h = t1 - t0
-    th = (t - t0) / h
+def _cubic_hermite(th, h, y0, y1, d0, d1):
+    """Cubic Hermite interpolant at th = (t - t0)/h of a cell of width h, from
+    the end values y0, y1 and end derivatives d0, d1."""
     h00 = (1 + 2 * th) * (1 - th) ** 2
     h10 = th * (1 - th) ** 2
     h01 = th * th * (3 - 2 * th)
@@ -261,7 +260,7 @@ def _crossing_time(t0, t1, y0, y1, d0, d1, level):
     """First time the max-component Hermite interpolant reaches ``level``."""
 
     def g(t):
-        vals = _hermite_scalar(t, t0, t1, y0, y1, d0, d1)
+        vals = _cubic_hermite((t - t0) / (t1 - t0), t1 - t0, y0, y1, d0, d1)
         return float(np.max(vals)) - level
 
     lo, hi = t0, t1
@@ -312,6 +311,8 @@ def _integrate_events(
     ts, ys, dys = [0.0], [y.copy()], [f.copy()]
 
     def finish(partial=False, t_event=None, reason=None, threshold=None):
+        if len(ts) > 1 and ts[-1] == ts[-2]:  # stopped right at a restart
+            del ts[-1], ys[-1], dys[-1]
         traj = Trajectory(
             ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), m=p.m, tol=tol
         )
@@ -345,8 +346,13 @@ def _integrate_events(
         def seg_rhs(tt, yy, _hi=seg_hi):
             return p.rhs(min(tt, _hi), yy)
 
-        # re-evaluate at the segment start: q may jump there
+        # re-evaluate at the segment start: q may jump there, so a restart
+        # inside the span repeats the node with the right-limit derivative
         f = p.rhs(t, y)
+        if t > 0.0:
+            ts.append(t)
+            ys.append(y.copy())
+            dys.append(f.copy())
         while t < seg_end:
             h_step = min(h_step, seg_end - t)
             min_step = MIN_STEP_FACTOR * max(1.0, abs(t))
@@ -389,7 +395,7 @@ def _integrate_events(
             escaped = float(np.max(np.abs(y_new))) >= escape_threshold
             if escaped:
                 t_star = _crossing_time(t, t_new, y, y_new, f, f_new, escape_threshold)
-                y_star = _hermite_scalar(t_star, t, t_new, y, y_new, f, f_new)
+                y_star = _cubic_hermite((t_star - t) / (t_new - t), t_new - t, y, y_new, f, f_new)
                 ts.append(t_star)
                 ys.append(np.asarray(y_star))
                 dys.append(seg_rhs(t_star, np.asarray(y_star)))

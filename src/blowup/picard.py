@@ -275,9 +275,11 @@ class PicardTower:
 
     ``iterates[0]`` is the seed polynomial; ``converged`` refers to the
     iteration sup-gap, separate from the recorded discretization gap of the
-    grid-refinement ladder.  ``solution`` is the final iterate with one
-    Richardson correction across the last grid doubling (used where extra
-    accuracy matters); the invariant checks apply to the raw iterates.
+    grid-refinement ladder; ``grid_converged`` says whether that gap met
+    tol/4 (false when the ladder stopped at its grid cap).  ``solution`` is
+    the final iterate with one Richardson correction across the last grid
+    doubling (used where extra accuracy matters); the invariant checks apply
+    to the raw iterates.
     """
 
     grid: np.ndarray
@@ -288,6 +290,7 @@ class PicardTower:
     majorant: np.ndarray
     solution: np.ndarray
     discretization_gap: float
+    grid_converged: bool
     monotone_slack: float      # most negative value of v_j - v_{j-1} observed
     majorant_slack: float      # most negative value of u - v_j observed
 
@@ -377,6 +380,7 @@ def picard_solve(
                     majorant=u_maj,
                     solution=solution,
                     discretization_gap=disc_gap,
+                    grid_converged=disc_gap <= tol / 4.0,
                     monotone_slack=result["monotone_slack"],
                     majorant_slack=result["majorant_slack"],
                 )
@@ -485,6 +489,8 @@ def tower_trajectory(tower: PicardTower, h: ScalarFn, q: ScalarFn, b: Sequence[f
     built from.  One extra application of the integral operator to the
     refined solution yields all n components with mutually consistent
     integral relations; blocks keep the quadrature away from q's jump points.
+    The trajectory's ``tol`` is the larger of the tower's iteration and
+    discretization gaps, the error actually achieved.
     """
     grid = tower.grid
     h_vals = h.eval_array(tower.solution)
@@ -493,7 +499,8 @@ def tower_trajectory(tower: PicardTower, h: ScalarFn, q: ScalarFn, b: Sequence[f
     dys = np.empty_like(ys)
     dys[:, :-1] = ys[:, 1:]
     dys[:, -1] = q.eval_array(grid) * h_vals
-    return Trajectory(ts=grid.copy(), ys=ys, dys=dys, m=len(b), tol=tower.sup_gap)
+    tol = max(tower.sup_gap, tower.discretization_gap)
+    return Trajectory(ts=grid.copy(), ys=ys, dys=dys, m=len(b), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +574,9 @@ def verify_bound_preservation(
     The check runs on the trajectory's own nodes (exact values, no dense
     interpolation) and the image integrals are assembled block by block so
     the quadrature never straddles a factor jump.  Violations are reported,
-    never raised.
+    never raised; a trajectory with a repeated node (a restart at a jump of
+    q) is refused with InvalidParameterError, since the operator needs a
+    strictly increasing grid.
     """
     rng = np.random.default_rng(seed)
     grid = v.ts

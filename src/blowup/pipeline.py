@@ -416,6 +416,11 @@ def _construct_and_check(p, red, horizon, opts, notes):
                 f"tower not converged after {tower.iterations} iterations "
                 f"(sup gap {tower.sup_gap:.3e})"
             )
+        if not tower.grid_converged:
+            notes.append(
+                f"tower grid stopped at its cap of {len(tower.grid)} nodes "
+                f"(discretization gap {tower.discretization_gap:.3e} > tol/4)"
+            )
         u_traj = tower_trajectory(tower, red.h, red.q, red.a_reduced)
 
     with _stage("lift"):

@@ -81,6 +81,27 @@ def _carry(phi: np.ndarray, p: int, grid: np.ndarray) -> np.ndarray:
     return Y
 
 
+def _checked(phi, p: int, grid):
+    """(phi, p, grid) as arrays, after the checks every kernel call makes: a
+    1-D strictly increasing grid of at least 2 nodes, an integer order in
+    [1, 12], and finite phi sampled on the grid (or a callable)."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise InvalidParameterError("grid must be 1-D with at least 2 nodes")
+    if np.any(np.diff(grid) <= 0):
+        raise InvalidParameterError("grid must be strictly increasing")
+    if not (isinstance(p, (int, np.integer)) and 1 <= p <= _MAX_ORDER):
+        raise InvalidParameterError(f"kernel order must be an integer in [1, {_MAX_ORDER}]")
+    if callable(phi):
+        phi = np.array([float(phi(t)) for t in grid])
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != grid.shape:
+        raise InvalidParameterError("phi must be sampled on the grid")
+    if not np.all(np.isfinite(phi)):
+        raise NumericFailureError("non-finite phi samples")
+    return phi, int(p), grid
+
+
 def weighted_volterra(phi, p: int, grid) -> np.ndarray:
     """Sampled p-fold repeated integral of phi over the grid.
 
@@ -95,22 +116,7 @@ def weighted_volterra(phi, p: int, grid) -> np.ndarray:
         Array of the same length as the grid; entry i is the integral up to
         grid[i] (entry 0 is 0).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise InvalidParameterError("grid must be 1-D with at least 2 nodes")
-    if np.any(np.diff(grid) <= 0):
-        raise InvalidParameterError("grid must be strictly increasing")
-    if not (isinstance(p, (int, np.integer)) and 1 <= p <= _MAX_ORDER):
-        raise InvalidParameterError(f"kernel order must be an integer in [1, {_MAX_ORDER}]")
-    p = int(p)
-
-    if callable(phi):
-        phi = np.array([float(phi(t)) for t in grid])
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != grid.shape:
-        raise InvalidParameterError("phi must be sampled on the grid")
-    if not np.all(np.isfinite(phi)):
-        raise NumericFailureError("non-finite phi samples")
+    phi, p, grid = _checked(phi, p, grid)
     return _carry(phi, p, grid)[p - 1]
 
 
@@ -125,10 +131,10 @@ def partial_volterra(phi, p: int, tau_grid, t_targets) -> np.ndarray:
     right of the target are dropped, a target past the span end integrates
     the whole span, and a target before it gets 0.  This is the building
     block for integrands that are smooth only blockwise: integrate each
-    block separately and sum.
+    block separately and sum.  ``phi`` and ``tau_grid`` are checked as in
+    :func:`weighted_volterra`.
     """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    phi, p, tau_grid = _checked(phi, p, tau_grid)
     t_targets = np.asarray(t_targets, dtype=float)
     Y = _carry(phi, p, tau_grid)
     # Taylor-extend from the last node t_k <= t: exact, since y^(p) = 0 past
@@ -163,7 +169,7 @@ def integral_image(a, blocks, grid) -> np.ndarray:
             out[:, i] += aj * grid ** j / math.factorial(j)
         order = p - i
         for i0, i1, f in blocks:
-            if i0 == 0 and i1 == len(grid) - 1:  # validated: non-finite f raises
+            if i0 == 0 and i1 == len(grid) - 1:
                 out[:, i] += weighted_volterra(f, order, grid)
             else:
                 sub = grid[i0 : i1 + 1]

@@ -134,6 +134,19 @@ class TestDenseOutput:
         node_err = np.max(np.abs(traj.ys[:, 0] - np.cosh(traj.ts)))
         assert err0 <= 4.0 * node_err + 1e-12
 
+    def test_first_cell_after_a_jump(self):
+        # w' = q(t) is piecewise linear; the cell after the jump must start
+        # from the right-limit slope, so cubic Hermite is exact there
+        q = make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])
+        p = ProblemSpec(m=1, k=0, a=(0.0,), q=q, h=make_power(0))
+        traj = integrate(p, 2.0, 1e-10)
+        assert list(traj.ts).count(1.0) == 2  # the jump node, left and right limit
+        after = traj.ts[np.searchsorted(traj.ts, 1.0, side="right")]
+        t = np.linspace(1.0, after, 7)
+        assert np.max(np.abs(traj(t)[:, 0] - (0.5 + 2.0 * (t - 1.0)))) <= 1e-12
+        t = np.linspace(0.5, 1.0, 7)
+        assert np.max(np.abs(traj(t)[:, 0] - 0.5 * t)) <= 1e-12
+
     def test_component_callable(self):
         traj = integrate(cosh_problem(), 2.0, 1e-9)
         w1 = traj.component(1)

@@ -13,6 +13,7 @@ from blowup.picard import (
     majorant_growth,
     picard_solve,
     solve_autonomous_quadrature,
+    tower_trajectory,
     verify_bound_preservation,
     verify_comparison_bound,
 )
@@ -185,6 +186,18 @@ class TestPicardTower:
         assert tw.iterations == 3
         assert tw.sup_gap > 1e-12
 
+    def test_grid_cap_is_reported(self):
+        # e^t to 1e-13 needs more than 257 nodes: the ladder stops at the cap
+        # and says so, and the trajectory carries the achieved error
+        capped = picard_solve(make_power(1), 1, [1.0], 1.0, tol=1e-13, grid_cap=257)
+        assert len(capped.grid) == 257 and capped.converged
+        assert not capped.grid_converged
+        assert capped.discretization_gap > 1e-13 / 4
+        traj = tower_trajectory(capped, make_power(1), ONE, [1.0])
+        assert traj.tol == capped.discretization_gap > capped.sup_gap
+        free = picard_solve(make_power(1), 1, [1.0], 1.0, tol=1e-10)
+        assert free.grid_converged and free.discretization_gap <= 1e-10 / 4
+
     def test_positive_data_required_without_majorant_seed(self):
         with pytest.raises(InvalidParameterError):
             picard_solve(make_power(1), 1, [0.0], 1.0)
@@ -206,14 +219,12 @@ class TestPicardTower:
         assert tw.solution[i1] == pytest.approx(v1, abs=1e-8)
         assert tw.solution[-1] == pytest.approx(c1 * math.e ** 2 + c2 * math.e ** -2, abs=1e-8)
 
-        # direct integration agrees everywhere except inside the single
-        # dense-output cell adjacent to the jump (one-sided derivative there)
+        # direct integration agrees at every tower node, inside the
+        # dense-output cell that follows the jump too
         p = ProblemSpec(m=2, k=0, a=(1.0, 1.0), q=q, h=make_power(1))
         traj = integrate(p, 3.0, 1e-10)
         direct = traj(tw.grid)[:, 0]
-        gap_cell = np.searchsorted(traj.ts, 1.0, side="right")
-        hide = (tw.grid > 1.0) & (tw.grid < traj.ts[min(gap_cell, len(traj.ts) - 1)])
-        assert np.max(np.abs((tw.solution - direct)[~hide])) <= 1e-6
+        assert np.max(np.abs(tw.solution - direct)) <= 1e-6
 
 
 class TestIntegralOperator:
@@ -251,6 +262,20 @@ class TestBoundPreservation:
         traj = integrate(p, 3.0, 1e-10)
         rep = verify_bound_preservation(p, traj, 100, seed=0)
         assert rep.worst_violation <= 1e-9
+
+    def test_refuses_a_repeated_jump_node(self):
+        # integration restarts at q's jump and repeats the node there; the
+        # operator needs a strictly increasing grid, so the check must raise
+        # rather than report a NaN violation as a pass
+        from blowup.functions import make_piecewise
+
+        q = make_piecewise([((0, 1), 0.5), ((1, math.inf), 1.0)])
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(1))
+        traj = integrate(p, 2.0, 1e-10)
+        assert np.any(np.diff(traj.ts) == 0.0)
+        for seed in range(5):
+            with pytest.raises(InvalidParameterError):
+                verify_bound_preservation(p, traj, 3, seed=seed)
 
     def test_deterministic_for_seed(self):
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1))

@@ -161,6 +161,20 @@ class TestPipeline:
         assert np.max(np.abs(vals[:, 0] - (4.0 + np.exp(ts)))) <= 1e-5
         assert np.max(np.abs(vals[:, 1] - np.exp(ts))) <= 1e-5  # v' = u
 
+    def test_grid_cap_note(self, monkeypatch):
+        import functools
+
+        import blowup.pipeline as pipeline
+        from blowup.picard import picard_solve
+
+        monkeypatch.setattr(pipeline, "picard_solve", functools.partial(picard_solve, grid_cap=257))
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1))
+        opts = PipelineOptions(picard_tol=1e-13, run_majorization=False)
+        rep = run_pipeline(p, horizon=1.0, opts=opts)
+        assert rep.construction.discretization_gap > 1e-13 / 4
+        assert any("cap of 257 nodes" in note for note in rep.notes)
+        assert not any("cap" in note for note in run_pipeline(p, horizon=1.0).notes)
+
     def test_small_data_note_on_blowup_side(self):
         p = ProblemSpec(m=1, k=0, a=(0.5,), q=ONE, h=make_power(2))
         rep = run_pipeline(p, horizon=10.0)

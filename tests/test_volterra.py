@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup.errors import InvalidParameterError
+from blowup.errors import InvalidParameterError, NumericFailureError
 from blowup.volterra import partial_volterra, weighted_volterra
 
 
@@ -155,3 +155,16 @@ class TestValidation:
         g3 = np.array([0.0, 0.5, 1.0])
         out = weighted_volterra(g3 ** 2, 1, g3)  # quadratic exactly integrable at w=3
         assert out[-1] == pytest.approx(1 / 3, rel=1e-14)
+
+    def test_partial_checks_its_input_like_the_full_kernel(self):
+        targets = [1.5, 3.0]
+        with pytest.raises(InvalidParameterError):  # unsorted span
+            partial_volterra([1.0, 1.0, 1.0], 1, [0.0, 2.0, 1.0], targets)
+        with pytest.raises(InvalidParameterError):  # repeated node
+            partial_volterra([1.0, 1.0, 1.0], 1, [0.0, 1.0, 1.0], targets)
+        with pytest.raises(NumericFailureError):  # non-finite sample
+            partial_volterra([1.0, math.nan, 1.0], 1, [0.0, 1.0, 2.0], targets)
+        with pytest.raises(InvalidParameterError):
+            partial_volterra(np.ones(3), 13, [0.0, 1.0, 2.0], targets)
+        with pytest.raises(InvalidParameterError):
+            partial_volterra(np.ones(2), 1, [0.0, 1.0, 2.0], targets)
