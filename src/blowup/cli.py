@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -509,6 +509,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         return _config_errors(e)
     cfg = replace(base, run=args.command, **overrides)
+    errors = _semantic_errors(asdict(cfg))  # flags get the config file's checks
+    if errors:
+        return _config_errors(ConfigError(errors))
     if getattr(args, "csv", None) is not None:
         return _guarded(cfg, None, csv_path=args.csv)
     return run_experiment(cfg)

@@ -87,8 +87,7 @@ def _inverse_integrand_y(g: ScalarFn, n: int):
     def fy(y):
         try:
             s = math.exp(y)
-            with np.errstate(over="ignore"):
-                gv = float(g(s))
+            gv = float(g(s))
         except OverflowError:
             return 0.0  # g huge => integrand underflows to 0
         if gv <= 0.0 or not math.isfinite(gv):
@@ -144,53 +143,55 @@ def solve_autonomous_quadrature(
     Y_CAP = 660.0  # e^660 ~ 5e286, close to the float ceiling
     y_warm = y0
 
-    for idx in order:
-        t = float(targets[idx])
-        if t == 0.0:
-            out[idx] = u0
-            continue
-        # grow the bracket geometrically in y (multiplicatively in U),
-        # warm-started from the previous (smaller) root
-        y_lo = y_warm
-        f_lo = F_of_y(y_lo)
-        while f_lo > t:  # paranoia: warm start overshot
-            y_lo = max(y0, y_lo - 1.0)
+    # g may overflow to inf on the way to a root; the integrand maps that to 0
+    with np.errstate(over="ignore"):
+        for idx in order:
+            t = float(targets[idx])
+            if t == 0.0:
+                out[idx] = u0
+                continue
+            # grow the bracket geometrically in y (multiplicatively in U),
+            # warm-started from the previous (smaller) root
+            y_lo = y_warm
             f_lo = F_of_y(y_lo)
-            if y_lo == y0:
-                break
-        y_hi, step = y_lo, 0.5
-        f_hi = f_lo
-        while f_hi < t:
-            if y_hi >= Y_CAP:
-                tail, _ = quad(fy, y_hi, np.inf, epsabs=quad_tol, epsrel=1e-9, limit=400)
-                total = f_hi + tail / n
-                if math.isfinite(total) and total < t:
-                    raise FiniteEscapeError(
-                        f"majorant escapes at finite time ~{total!r} < target {t!r}",
-                        escape_time=total,
+            while f_lo > t:  # paranoia: warm start overshot
+                y_lo = max(y0, y_lo - 1.0)
+                f_lo = F_of_y(y_lo)
+                if y_lo == y0:
+                    break
+            y_hi, step = y_lo, 0.5
+            f_hi = f_lo
+            while f_hi < t:
+                if y_hi >= Y_CAP:
+                    tail, _ = quad(fy, y_hi, np.inf, epsabs=quad_tol, epsrel=1e-9, limit=400)
+                    total = f_hi + tail / n
+                    if math.isfinite(total) and total < t:
+                        raise FiniteEscapeError(
+                            f"majorant escapes at finite time ~{total!r} < target {t!r}",
+                            escape_time=total,
+                        )
+                    raise BracketFailureError(
+                        f"could not bracket target t={t!r} below the overflow cap"
                     )
-                raise BracketFailureError(
-                    f"could not bracket target t={t!r} below the overflow cap"
-                )
-            y_lo, f_lo = y_hi, f_hi
-            y_hi = min(Y_CAP, y_hi + step)
-            f_hi = F_of_y(y_hi)
-            step = min(step * 2.0, 128.0)
+                y_lo, f_lo = y_hi, f_hi
+                y_hi = min(Y_CAP, y_hi + step)
+                f_hi = F_of_y(y_hi)
+                step = min(step * 2.0, 128.0)
 
-        y_root = brentq(lambda yb: F_of_y(yb) - t, y_lo, y_hi, xtol=1e-13, rtol=8.9e-16)
-        U = math.exp(y_root)
-        # Newton polish on F(U) = t with the analytic derivative
-        for _ in range(2):
-            r = F_of_y(math.log(U)) - t
-            gv = float(g(U))
-            if gv <= 0.0:
-                break
-            dF = gv ** (-1.0 / n) * U ** (1.0 / n - 1.0) / n
-            if dF <= 0.0 or not math.isfinite(dF):
-                break
-            U = max(u0, U - r / dF)
-        out[idx] = U
-        y_warm = max(y0, min(math.log(U) - 1e-9, Y_CAP))
+            y_root = brentq(lambda yb: F_of_y(yb) - t, y_lo, y_hi, xtol=1e-13, rtol=8.9e-16)
+            U = math.exp(y_root)
+            # Newton polish on F(U) = t with the analytic derivative
+            for _ in range(2):
+                r = F_of_y(math.log(U)) - t
+                gv = float(g(U))
+                if gv <= 0.0:
+                    break
+                dF = gv ** (-1.0 / n) * U ** (1.0 / n - 1.0) / n
+                if dF <= 0.0 or not math.isfinite(dF):
+                    break
+                U = max(u0, U - r / dF)
+            out[idx] = U
+            y_warm = max(y0, min(math.log(U) - 1e-9, Y_CAP))
     return out
 
 
@@ -279,7 +280,10 @@ class PicardTower:
     tol/4 (false when the ladder stopped at its grid cap).  ``solution`` is
     the final iterate with one Richardson correction across the last grid
     doubling (used where extra accuracy matters); the invariant checks apply
-    to the raw iterates.
+    to the raw iterates.  ``majorant`` is the quadrature majorant on
+    ``grid``, inverted once for the returned grid only, and every
+    diagnostic (gaps, slacks, iteration count) is read from the returned
+    iterates.
     """
 
     grid: np.ndarray
@@ -322,12 +326,16 @@ def picard_solve(
     reported either way).
 
     Raises FiniteEscapeError if the quadrature majorant fails to exist on
-    [0, T] (the divergence hypothesis fails numerically).
+    [0, T] (the divergence hypothesis fails numerically); that is checked
+    once, at T, before the first tower is built.  The majorant itself is
+    inverted once, on the grid the ladder stops at.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
     if not (T > 0.0):
         raise InvalidParameterError(f"T must be > 0, got {T!r}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InvalidParameterError(f"tol must be > 0 and finite, got {tol!r}")
     n = int(n)
     b = np.asarray(b, dtype=float)
     if len(b) != n:
@@ -357,35 +365,41 @@ def picard_solve(
     edges = [0.0, *bps, float(T)]
     base_cells = _allocate_cells(edges, max(8, int(grid_min) - 1))
 
-    prev_grid = None
-    prev_final = None
+    # F is increasing, so the majorant escapes before some grid node exactly
+    # when it escapes before T: one target settles escape for every grid
+    solve_autonomous_quadrature(g, n, u0_maj, [T])
+
+    prev_grid = prev_final = None
     mult = 1
     while True:
         grid = _segmented_grid(edges, [c * mult for c in base_cells])
-        u_maj = solve_autonomous_quadrature(g, n, u0_maj, grid)
-        result = _run_tower(h, b, q, grid, u_maj, tol, max_iter)
-        final = result["iterates"][-1]
+        iterates = _run_tower(h, b, q, grid, tol, max_iter)
+        final = iterates[-1]
         if prev_final is not None:
             shared = _nearest_indices(grid, prev_grid)
             disc_gap = float(np.max(np.abs(final[shared] - prev_final)))
             if disc_gap <= tol / 4.0 or len(grid) >= grid_cap:
-                correction = (final[shared] - prev_final) / 3.0
-                solution = final + np.interp(grid, prev_grid, correction)
-                return PicardTower(
-                    grid=grid,
-                    iterates=result["iterates"],
-                    converged=result["converged"],
-                    iterations=result["iterations"],
-                    sup_gap=result["sup_gap"],
-                    majorant=u_maj,
-                    solution=solution,
-                    discretization_gap=disc_gap,
-                    grid_converged=disc_gap <= tol / 4.0,
-                    monotone_slack=result["monotone_slack"],
-                    majorant_slack=result["majorant_slack"],
-                )
+                break
         prev_grid, prev_final = grid, final
         mult *= 2
+
+    correction = (final[shared] - prev_final) / 3.0
+    u_maj = solve_autonomous_quadrature(g, n, u0_maj, grid)
+    pairs = list(zip(iterates[1:], iterates))
+    sup_gap = float(np.max(np.abs(final - iterates[-2]))) if pairs else math.inf
+    return PicardTower(
+        grid=grid,
+        iterates=iterates,
+        converged=sup_gap <= tol,
+        iterations=len(pairs),
+        sup_gap=sup_gap,
+        majorant=u_maj,
+        solution=final + np.interp(grid, prev_grid, correction),
+        discretization_gap=disc_gap,
+        grid_converged=disc_gap <= tol / 4.0,
+        monotone_slack=min([0.0] + [float(np.min(v - w)) for v, w in pairs]),
+        majorant_slack=min(float(np.min(u_maj - v)) for v in iterates),
+    )
 
 
 def _allocate_cells(edges: list, total_cells: int) -> list:
@@ -449,37 +463,21 @@ def _q_blocks(q: Optional[ScalarFn], grid: np.ndarray):
     return blocks
 
 
-def _run_tower(h, b, q, grid, u_maj, tol, max_iter):
+def _run_tower(h, b, q, grid, tol, max_iter) -> list:
+    """Picard iterates on ``grid`` from the seed polynomial, until a step
+    moves the iterate by <= tol or max_iter steps are taken."""
     q_blocks = _q_blocks(q, grid)
-    v = integral_image(b, (), grid)[:, 0]
-    iterates = [v]
-    mono_slack = 0.0
-    maj_slack = float(np.min(u_maj - v))
-    converged = False
-    gap = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        h_vals = h.eval_array(v)
+    iterates = [integral_image(b, (), grid)[:, 0]]
+    for _ in range(max_iter):
+        h_vals = h.eval_array(iterates[-1])
         blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, qv in q_blocks]
         v_new = integral_image(b, blocks, grid)[:, 0]
         if not np.all(np.isfinite(v_new)):
             raise NumericFailureError("Picard iterate became non-finite")
-        mono_slack = min(mono_slack, float(np.min(v_new - v)))
-        maj_slack = min(maj_slack, float(np.min(u_maj - v_new)))
-        gap = float(np.max(np.abs(v_new - v)))
         iterates.append(v_new)
-        v = v_new
-        if gap <= tol:
-            converged = True
+        if float(np.max(np.abs(v_new - iterates[-2]))) <= tol:
             break
-    return {
-        "iterates": iterates,
-        "converged": converged,
-        "iterations": it,
-        "sup_gap": gap,
-        "monotone_slack": mono_slack,
-        "majorant_slack": maj_slack,
-    }
+    return iterates
 
 
 def tower_trajectory(tower: PicardTower, h: ScalarFn, q: ScalarFn, b: Sequence[float]) -> Trajectory:

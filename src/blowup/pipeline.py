@@ -165,6 +165,8 @@ def majorization_experiment(
     values are experimental knobs with no correctness claim).  Levels stop
     early when u never reaches the next one within the horizon.
     """
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
     if not (rho > 1.0):
         raise InvalidParameterError(f"rho must be > 1, got {rho!r}")
     a_reduced = tuple(float(x) for x in a_reduced)

@@ -271,12 +271,14 @@ class TestSurface:
             ("classify", "h = power(2.0)\nn = 0\n"),
             ("verify-lemma22", "g = power(1.0)\nn = 0\nu0 = 1\n"),
             ("construct", "h = power(1.0)\nn = 0\nb = [1]\n"),
+            # a flag gets the same checks as the config key it sets
+            ("construct --tol 0.5", "h = power(1.0)\nn = 1\nb = [1]\n"),
         ],
     )
     def test_rejected_configs_exit_2(self, command, text, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(text)
-        assert main([command, "--config", str(cfg_file)]) == 2
+        assert main(command.split() + ["--config", str(cfg_file)]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_empty_thresholds_run_the_default_ladder(self, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blowup.errors import FiniteEscapeError, InvalidParameterError
@@ -179,6 +181,40 @@ class TestPicardTower:
         # h = s^2 forces a finite-escape majorant: hypothesis fails
         with pytest.raises(FiniteEscapeError):
             picard_solve(make_power(2), 1, [1.0], 2.0, tol=1e-8)
+
+    def test_majorant_inverted_once_on_the_returned_grid(self, monkeypatch):
+        # one target at T settles escape; the majorant is inverted on the
+        # grid the ladder stops at, never on the coarser levels before it
+        import blowup.picard as picard
+
+        targets = []
+        inverse = picard.solve_autonomous_quadrature
+
+        def counted(g, n, u0, t_targets, **kw):
+            targets.append(len(t_targets))
+            return inverse(g, n, u0, t_targets, **kw)
+
+        monkeypatch.setattr(picard, "solve_autonomous_quadrature", counted)
+        tw = picard_solve(make_power(1), 1, [1.0], 1.0, tol=1e-10)
+        assert len(tw.grid) > 129  # the ladder doubled at least once
+        assert targets == [1, len(tw.grid)]  # len(tw.grid) + 1 targets in all
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(InvalidParameterError, match="tol"):
+            picard_solve(make_power(1), 1, [1.0], 1.0, tol=tol)
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(
+        lam=st.floats(0.0, 1.0),
+        b=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=2),
+        T=st.floats(0.05, 1.0),
+    )
+    def test_tower_monotone_and_below_majorant(self, lam, b, T):
+        # power-law data, n = len(b) in {1, 2}: the paper's two invariants
+        tw = picard_solve(make_power(lam), len(b), b, T, tol=1e-9)
+        assert tw.monotone_slack >= -1e-12
+        assert tw.majorant_slack >= -1e-12 * (1.0 + float(np.max(tw.majorant)))
 
     def test_nonconvergence_reported(self):
         tw = picard_solve(make_power(1), 1, [1.0], 1.0, tol=1e-12, max_iter=3)

@@ -133,6 +133,10 @@ class TestMajorization:
         with pytest.raises(InvalidParameterError):
             majorization_experiment(ONE, make_power(1), 1, (1.0,), (1.0,), J=2, horizon=5.0)
 
+    def test_order_checked_by_its_own_name(self):
+        with pytest.raises(InvalidParameterError, match=r"^n must be an integer >= 1, got 0$"):
+            majorization_experiment(ONE, make_power(1), 0, (), J=2, horizon=5.0)
+
 
 class TestPipeline:
     def test_global_exponential(self):
