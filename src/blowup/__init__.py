@@ -8,7 +8,6 @@ towers bounded by quadrature-inverted majorants.
 """
 
 from .classify import (
-    ClassifyOpts,
     IntegralVerdict,
     Method,
     Verdict,

@@ -31,13 +31,13 @@ from .errors import (
     InvalidParameterError,
     NumericFailureError,
     SingularIntegrandError,
+    check_int,
 )
 from .functions import Family, ScalarFn
 
 __all__ = [
     "Verdict",
     "Method",
-    "ClassifyOpts",
     "IntegralVerdict",
     "blowup_integrand",
     "classify",
@@ -56,15 +56,12 @@ class Method(str, Enum):
     NUMERIC_HEURISTIC = "NumericHeuristic"
 
 
-@dataclass(frozen=True)
-class ClassifyOpts:
-    """Caps and thresholds for the numeric heuristic."""
-
-    diverge_cap: float = 1e9      # cumulative integral beyond this -> Diverges
-    tail_eps: float = 1e-10       # relative panel contribution for convergence
-    tail_streak: int = 4          # consecutive small panels required
-    j_max: int = 256              # dyadic panels [2^j, 2^(j+1)], j < j_max
-    panel_tol: float = 1e-12      # per-panel quadrature tolerance (abs and rel)
+# Caps and thresholds of the numeric heuristic
+DIVERGE_CAP = 1e9      # cumulative integral beyond this -> Diverges
+TAIL_EPS = 1e-10       # relative panel contribution for convergence
+TAIL_STREAK = 4        # consecutive small panels required
+J_MAX = 256            # dyadic panels [2^j, 2^(j+1)], j < J_MAX
+PANEL_TOL = 1e-12      # per-panel quadrature tolerance (abs and rel)
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,7 @@ class IntegralVerdict:
 
 def blowup_integrand(h: ScalarFn, n: int, s: float, *, scale: float = 1.0) -> float:
     """The dichotomy integrand h(scale*s)^(-1/n) * s^(1/n - 1) at s > 0."""
-    _check_n(n)
+    check_int("n", n)
     hv = float(h(scale * s))
     if not hv > 0.0:
         raise SingularIntegrandError(
@@ -93,14 +90,12 @@ def blowup_integrand(h: ScalarFn, n: int, s: float, *, scale: float = 1.0) -> fl
     return hv ** (-1.0 / n) * s ** (1.0 / n - 1.0)
 
 
-def classify(h: ScalarFn, n: int, opts: ClassifyOpts | None = None) -> IntegralVerdict:
+def classify(h: ScalarFn, n: int) -> IntegralVerdict:
     """Decide convergence of I(h, n); see module docstring."""
-    return _classify(h, n, 1.0, opts or ClassifyOpts())
+    return _classify(h, n, 1.0)
 
 
-def classify_scaled(
-    h: ScalarFn, n: int, alpha: float, opts: ClassifyOpts | None = None
-) -> IntegralVerdict:
+def classify_scaled(h: ScalarFn, n: int, alpha: float) -> IntegralVerdict:
     """Decide convergence of int_1^inf h(alpha*s)^(-1/n) s^(1/n-1) ds.
 
     By the substitution zeta = alpha*s the verdict agrees with
@@ -108,22 +103,16 @@ def classify_scaled(
     """
     if not (alpha > 0.0):
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
-    return _classify(h, n, float(alpha), opts or ClassifyOpts())
+    return _classify(h, n, float(alpha))
 
 
-def _check_n(n: int) -> None:
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
-
-
-def _classify(h: ScalarFn, n: int, scale: float, opts: ClassifyOpts) -> IntegralVerdict:
-    _check_n(n)
-    n = int(n)
+def _classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
+    n = check_int("n", n)
 
     exact = _exact_verdict(h, n, scale)
     if exact is not None:
         return exact
-    return _panel_classify(h, n, scale, opts)
+    return _panel_classify(h, n, scale)
 
 
 def _exact_verdict(h: ScalarFn, n: int, scale: float) -> Optional[IntegralVerdict]:
@@ -224,7 +213,7 @@ def _generic_converging_estimate(h: ScalarFn, n: int, scale: float) -> Optional[
     return val
 
 
-def _panel_classify(h: ScalarFn, n: int, scale: float, opts: ClassifyOpts) -> IntegralVerdict:
+def _panel_classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
     def f(s):
         return blowup_integrand(h, n, s, scale=scale)
 
@@ -232,15 +221,15 @@ def _panel_classify(h: ScalarFn, n: int, scale: float, opts: ClassifyOpts) -> In
     prev_panel = None
     last_panel = 0.0
     streak = 0
-    for j in range(opts.j_max):
+    for j in range(J_MAX):
         lo, hi = 2.0 ** j, 2.0 ** (j + 1)
-        panel, _ = quad(f, lo, hi, epsabs=opts.panel_tol, epsrel=opts.panel_tol, limit=200)
+        panel, _ = quad(f, lo, hi, epsabs=PANEL_TOL, epsrel=PANEL_TOL, limit=200)
         if not math.isfinite(panel):
             raise NumericFailureError(f"quadrature failed on panel [{lo}, {hi}]")
         cumulative += panel
         last_panel = panel
 
-        if cumulative >= opts.diverge_cap:
+        if cumulative >= DIVERGE_CAP:
             return IntegralVerdict(
                 verdict=Verdict.DIVERGES,
                 estimate=None,
@@ -254,12 +243,12 @@ def _panel_classify(h: ScalarFn, n: int, scale: float, opts: ClassifyOpts) -> In
                 },
             )
 
-        if panel / max(cumulative, 1.0) < opts.tail_eps:
+        if panel / max(cumulative, 1.0) < TAIL_EPS:
             streak += 1
         else:
             streak = 0
 
-        if streak >= opts.tail_streak and prev_panel is not None and prev_panel > 0.0:
+        if streak >= TAIL_STREAK and prev_panel is not None and prev_panel > 0.0:
             ratio = panel / prev_panel
             if ratio < 0.9 and _integrand_decays(f, hi):
                 tail = panel * ratio / (1.0 - ratio)
@@ -280,7 +269,7 @@ def _panel_classify(h: ScalarFn, n: int, scale: float, opts: ClassifyOpts) -> In
     return IntegralVerdict(
         verdict=Verdict.INCONCLUSIVE,
         estimate=None,
-        panels_used=opts.j_max,
+        panels_used=J_MAX,
         method=Method.NUMERIC_HEURISTIC,
         evidence={
             "cumulative": cumulative,

@@ -11,7 +11,7 @@ Configs are line-oriented ``key = value`` text with ``#`` comments:
 
 Reports are flat ``key=value`` lines (machine-parseable) followed by a
 short human summary; CSVs always carry a header row.  All output is
-deterministic for a fixed config and seed.  A key left unset takes the
+deterministic for a fixed config.  A key left unset takes the
 default of the library function it is passed to.
 """
 
@@ -41,7 +41,7 @@ from .pipeline import PipelineOptions, majorization_experiment, run_pipeline
 
 __all__ = ["ExperimentConfig", "parse_config", "emit_config", "run_experiment", "main"]
 
-_INT_KEYS = {"m", "k", "n", "J", "seed", "grid_size", "max_iter"}
+_INT_KEYS = {"m", "k", "n", "J", "grid_size", "max_iter"}
 _REAL_KEYS = {"T", "tol", "horizon", "alpha", "u0", "rho"}
 _LIST_KEYS = {"a", "b", "thresholds"}
 _FN_KEYS = {"q", "h", "g"}
@@ -71,7 +71,6 @@ class ExperimentConfig:
     rho: Optional[float] = None
     thresholds: Optional[tuple] = None
     J: Optional[int] = None
-    seed: int = 0
     grid_size: Optional[int] = None
     max_iter: Optional[int] = None
     out: Optional[str] = None
@@ -182,8 +181,6 @@ def emit_config(cfg: ExperimentConfig) -> str:
     for f in fields(cfg):
         val = getattr(cfg, f.name)
         if val is None:
-            continue
-        if f.name == "seed" and val == 0:
             continue
         if isinstance(val, tuple):
             body = ", ".join(repr(float(x)) for x in val)
@@ -475,7 +472,7 @@ def _parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (_handler, help_text, keys) in _COMMANDS.items():
         s = subs.add_parser(command, help=help_text)
-        for key in ("config", "out", "seed", "tol") + keys:
+        for key in ("config", "out", "tol") + keys:
             s.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(key),
                            help=_FLAG_HELP.get(key))
     s = subs.add_parser("batch", help="run several configs sequentially")

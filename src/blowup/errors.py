@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and its one integer check."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class BlowupError(Exception):
@@ -9,6 +11,17 @@ class BlowupError(Exception):
 
 class InvalidParameterError(BlowupError, ValueError):
     """A constructor or operation precondition was violated."""
+
+
+def check_int(name: str, value, lo: int = 1, hi: int | None = None, rule: str = "") -> int:
+    """``value`` as an int when it is an integer in [lo, hi] (hi None: no
+    upper bound); otherwise InvalidParameterError "<name> <rule>, got <value!r>",
+    the rule reading "must be an integer >= <lo>" unless given."""
+    if not (isinstance(value, (int, np.integer)) and lo <= value and (hi is None or value <= hi)):
+        raise InvalidParameterError(
+            f"{name} {rule or f'must be an integer >= {lo}'}, got {value!r}"
+        )
+    return int(value)
 
 
 class SingularIntegrandError(BlowupError, ArithmeticError):

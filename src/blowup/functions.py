@@ -69,15 +69,13 @@ class PowerFamilyParams:
 
 @dataclass(frozen=True)
 class ScalarFn:
-    """An evaluable function [domain_lo, inf) -> R with declared structure.
+    """An evaluable function [0, inf) -> R with declared structure.
 
     Instances are immutable and safe to share across threads; ``fn`` must be
-    a pure function of its argument.  Evaluation below ``domain_lo`` is a
-    contract violation by the caller and is not checked.
+    a pure function of its argument.
     """
 
     fn: Callable[[float], float]
-    domain_lo: float = 0.0
     nondecreasing: bool = False
     nonnegative: bool = False
     asymptotic_exponent: Optional[float] = None
@@ -229,13 +227,11 @@ def make_custom(
     nondecreasing: bool = False,
     nonnegative: bool = False,
     asymptotic_exponent: Optional[float] = None,
-    domain_lo: float = 0.0,
     label: str = "custom",
 ) -> ScalarFn:
     """Wrap an arbitrary callable with declared metadata."""
     return ScalarFn(
         fn=fn,
-        domain_lo=domain_lo,
         nondecreasing=nondecreasing,
         nonnegative=nonnegative,
         asymptotic_exponent=asymptotic_exponent,

@@ -31,6 +31,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     NumericFailureError,
+    check_int,
 )
 from .functions import ScalarFn
 
@@ -45,7 +46,7 @@ __all__ = [
     "aitken_blowup_estimate",
 ]
 
-ESCAPE_THRESHOLD_DEFAULT = 1e12
+ESCAPE_THRESHOLD = 1e12
 MIN_STEP_FACTOR = 1e-13
 DEFAULT_THRESHOLDS = tuple(np.geomspace(10.0, 1e12, 12))
 # Internal multiplier on the user tolerance: the per-step estimate controls
@@ -87,18 +88,16 @@ class ProblemSpec:
     f_override: Optional[Callable[[float, np.ndarray], float]] = None
 
     def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise InvalidParameterError(f"m must be an integer >= 1, got {self.m!r}")
-        if not (isinstance(self.k, (int, np.integer)) and 0 <= self.k <= self.m - 1):
-            raise InvalidParameterError(f"k must satisfy 0 <= k <= m-1, got {self.k!r}")
+        m = check_int("m", self.m)
+        k = check_int("k", self.k, 0, m - 1, rule="must satisfy 0 <= k <= m-1")
         a = tuple(float(x) for x in self.a)
         if len(a) != self.m:
             raise InvalidParameterError(f"need {self.m} initial values, got {len(a)}")
         if any(x < 0.0 for x in a):
             raise InvalidParameterError("initial values must be >= 0")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -233,16 +232,10 @@ def _validate_tol(tol: float) -> float:
     return float(tol)
 
 
-def integrate(
-    p: ProblemSpec,
-    T: float,
-    tol: float = 1e-9,
-    *,
-    escape_threshold: float = ESCAPE_THRESHOLD_DEFAULT,
-):
+def integrate(p: ProblemSpec, T: float, tol: float = 1e-9):
     """Integrate up to T; returns a Trajectory, or a BlowupEvent if the
-    state escapes ``escape_threshold`` (or the step collapses) first."""
-    result, _ = _integrate_events(p, T, tol, (), escape_threshold)
+    state escapes ESCAPE_THRESHOLD (or the step collapses) first."""
+    result, _ = _integrate_events(p, T, tol, (), ESCAPE_THRESHOLD)
     return result
 
 
@@ -433,6 +426,8 @@ def detect_blowup(
     reported global up to the horizon.
     """
     thresholds = [float(M) for M in thresholds]
+    if not thresholds:
+        raise InvalidParameterError("thresholds must list at least one level")
     if any(M < 10.0 for M in thresholds):
         raise InvalidParameterError("thresholds must each be >= 10")
     if any(hi <= lo for lo, hi in zip(thresholds, thresholds[1:])):

@@ -40,6 +40,7 @@ from .errors import (
     FiniteEscapeError,
     InvalidParameterError,
     NumericFailureError,
+    check_int,
 )
 from .functions import ScalarFn, make_custom
 from .ode import ProblemSpec, Trajectory
@@ -60,6 +61,10 @@ __all__ = [
     "verify_bound_preservation",
 ]
 
+QUAD_TOL = 1e-12      # abs and rel tolerance of each quadrature of F
+GRID_MIN = 129        # nodes of the tower's first grid
+BOUND_PIECES = 4      # blocks of the random data in verify_bound_preservation
+
 
 @dataclass(frozen=True)
 class ComparisonConstants:
@@ -71,9 +76,7 @@ class ComparisonConstants:
 
 
 def comparison_constants(n: int) -> ComparisonConstants:
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = check_int("n", n)
     return ComparisonConstants(n=n, alpha=1.0 / 2 ** (n + 1), beta=1.0 / (1 + 2 ** n))
 
 
@@ -104,8 +107,6 @@ def solve_autonomous_quadrature(
     n: int,
     u0: float,
     t_targets: Sequence[float],
-    *,
-    quad_tol: float = 1e-12,
 ) -> np.ndarray:
     """Invert F(U) = t for each target t >= 0.
 
@@ -118,8 +119,7 @@ def solve_autonomous_quadrature(
     t_max < max(t_targets): the majorant itself reaches infinity at the
     finite time t_max (carried on the exception).
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
+    n = check_int("n", n)
     if not (u0 > 0.0):
         raise InvalidParameterError(f"u0 must be > 0, got {u0!r}")
     targets = np.asarray(t_targets, dtype=float)
@@ -127,7 +127,6 @@ def solve_autonomous_quadrature(
         raise InvalidParameterError("t_targets must be a 1-D sequence")
     if np.any(targets < 0.0):
         raise InvalidParameterError("targets must be >= 0")
-    n = int(n)
 
     fy = _inverse_integrand_y(g, n)
     y0 = math.log(u0)
@@ -135,7 +134,7 @@ def solve_autonomous_quadrature(
     def F_of_y(yb: float) -> float:
         if yb <= y0:
             return 0.0
-        val, _ = quad(fy, y0, yb, epsabs=quad_tol, epsrel=quad_tol, limit=400)
+        val, _ = quad(fy, y0, yb, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
         return val / n
 
     order = np.argsort(targets)
@@ -163,7 +162,7 @@ def solve_autonomous_quadrature(
             f_hi = f_lo
             while f_hi < t:
                 if y_hi >= Y_CAP:
-                    tail, _ = quad(fy, y_hi, np.inf, epsabs=quad_tol, epsrel=1e-9, limit=400)
+                    tail, _ = quad(fy, y_hi, np.inf, epsabs=QUAD_TOL, epsrel=1e-9, limit=400)
                     total = f_hi + tail / n
                     if math.isfinite(total) and total < t:
                         raise FiniteEscapeError(
@@ -298,9 +297,6 @@ class PicardTower:
     monotone_slack: float      # most negative value of v_j - v_{j-1} observed
     majorant_slack: float      # most negative value of u - v_j observed
 
-    def value(self, t=None) -> np.ndarray:
-        return self.iterates[-1] if t is None else np.interp(t, self.grid, self.iterates[-1])
-
 
 def picard_solve(
     h: ScalarFn,
@@ -312,7 +308,6 @@ def picard_solve(
     *,
     q: Optional[ScalarFn] = None,
     majorant_b: Optional[Sequence[float]] = None,
-    grid_min: int = 129,
     grid_cap: int = 16385,
 ) -> PicardTower:
     """Run the monotone Picard tower for v^(n) = q(t) h(v) on [0, T].
@@ -321,22 +316,20 @@ def picard_solve(
     use).  ``majorant_b`` (componentwise >= b, all > 0) seeds the
     quadrature majorant; it defaults to b and allows towers started from
     nonnegative data as long as a strictly positive dominating seed is
-    supplied.  The uniform grid is doubled until two successive converged
-    towers differ by < tol/4 (or the cap is reached; the achieved gap is
-    reported either way).
+    supplied.  The uniform grid (GRID_MIN nodes at first) is doubled until
+    two successive converged towers differ by < tol/4 (or the cap is
+    reached; the achieved gap is reported either way).
 
     Raises FiniteEscapeError if the quadrature majorant fails to exist on
     [0, T] (the divergence hypothesis fails numerically); that is checked
     once, at T, before the first tower is built.  The majorant itself is
     inverted once, on the grid the ladder stops at.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
+    n = check_int("n", n)
     if not (T > 0.0):
         raise InvalidParameterError(f"T must be > 0, got {T!r}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InvalidParameterError(f"tol must be > 0 and finite, got {tol!r}")
-    n = int(n)
     b = np.asarray(b, dtype=float)
     if len(b) != n:
         raise InvalidParameterError(f"need {n} initial values, got {len(b)}")
@@ -363,12 +356,13 @@ def picard_solve(
     bps = tuple(bp for bp in (q.breakpoints if q is not None else ()) if 0.0 < bp < T)
 
     edges = [0.0, *bps, float(T)]
-    base_cells = _allocate_cells(edges, max(8, int(grid_min) - 1))
+    base_cells = _allocate_cells(edges, GRID_MIN - 1)
 
     # F is increasing, so the majorant escapes before some grid node exactly
     # when it escapes before T: one target settles escape for every grid
     solve_autonomous_quadrature(g, n, u0_maj, [T])
 
+    # every segment doubles its cells, so coarse node i is fine node 2i
     prev_grid = prev_final = None
     mult = 1
     while True:
@@ -376,14 +370,13 @@ def picard_solve(
         iterates = _run_tower(h, b, q, grid, tol, max_iter)
         final = iterates[-1]
         if prev_final is not None:
-            shared = _nearest_indices(grid, prev_grid)
-            disc_gap = float(np.max(np.abs(final[shared] - prev_final)))
+            disc_gap = float(np.max(np.abs(final[::2] - prev_final)))
             if disc_gap <= tol / 4.0 or len(grid) >= grid_cap:
                 break
         prev_grid, prev_final = grid, final
         mult *= 2
 
-    correction = (final[shared] - prev_final) / 3.0
+    correction = (final[::2] - prev_final) / 3.0
     u_maj = solve_autonomous_quadrature(g, n, u0_maj, grid)
     pairs = list(zip(iterates[1:], iterates))
     sup_gap = float(np.max(np.abs(final - iterates[-2]))) if pairs else math.inf
@@ -423,13 +416,6 @@ def _segmented_grid(edges: list, seg_cells: list) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _nearest_indices(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    """Index of the fine node nearest each coarse node (nested up to ulp)."""
-    idx = np.clip(np.searchsorted(fine, coarse), 1, len(fine) - 1)
-    left_closer = np.abs(fine[idx - 1] - coarse) <= np.abs(fine[idx] - coarse)
-    return np.where(left_closer, idx - 1, idx)
-
-
 def _sup_on_interval(q: ScalarFn, T: float) -> float:
     probes = np.linspace(0.0, T, 257)
     if q.breakpoints:
@@ -439,11 +425,12 @@ def _sup_on_interval(q: ScalarFn, T: float) -> float:
 
 
 def _q_blocks(q: Optional[ScalarFn], grid: np.ndarray):
-    """(i0, i1, q values) per smoothness block, edges exactly on nodes.
+    """(i0, i1, sample times, q values) per smoothness block, edges on nodes.
 
-    The blocks split the grid at q's breakpoints inside it.  The right-edge
-    sample takes q's left limit so each block sees only its own branch of a
-    piecewise coefficient.
+    The blocks split the grid at q's breakpoints inside it.  The sample
+    times are the block's nodes, except that an interior right edge takes
+    q's left limit, so each block sees only its own branch of a piecewise
+    coefficient.
     """
     bps = [bp for bp in (q.breakpoints if q is not None else ()) if grid[0] < bp < grid[-1]]
     edges = [float(grid[0]), *bps, float(grid[-1])]
@@ -451,15 +438,10 @@ def _q_blocks(q: Optional[ScalarFn], grid: np.ndarray):
     for i in range(len(edges) - 1):
         i0 = int(np.searchsorted(grid, edges[i]))
         i1 = int(np.searchsorted(grid, edges[i + 1]))
-        sub = grid[i0 : i1 + 1].copy()
-        if q is None:
-            qv = np.ones(len(sub))
-        else:
-            sub_eval = sub.copy()
-            if i + 1 < len(edges) - 1:  # interior right edge: left limit
-                sub_eval[-1] = np.nextafter(sub_eval[-1], sub_eval[0])
-            qv = q.eval_array(sub_eval)
-        blocks.append((i0, i1, qv))
+        ts = grid[i0 : i1 + 1].copy()
+        if i + 1 < len(edges) - 1:  # interior right edge: left limit
+            ts[-1] = np.nextafter(ts[-1], ts[0])
+        blocks.append((i0, i1, ts, np.ones(len(ts)) if q is None else q.eval_array(ts)))
     return blocks
 
 
@@ -470,7 +452,7 @@ def _run_tower(h, b, q, grid, tol, max_iter) -> list:
     iterates = [integral_image(b, (), grid)[:, 0]]
     for _ in range(max_iter):
         h_vals = h.eval_array(iterates[-1])
-        blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, qv in q_blocks]
+        blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, _, qv in q_blocks]
         v_new = integral_image(b, blocks, grid)[:, 0]
         if not np.all(np.isfinite(v_new)):
             raise NumericFailureError("Picard iterate became non-finite")
@@ -492,7 +474,7 @@ def tower_trajectory(tower: PicardTower, h: ScalarFn, q: ScalarFn, b: Sequence[f
     """
     grid = tower.grid
     h_vals = h.eval_array(tower.solution)
-    blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, qv in _q_blocks(q, grid)]
+    blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, _, qv in _q_blocks(q, grid)]
     ys = integral_image(b, blocks, grid)
     dys = np.empty_like(ys)
     dys[:, :-1] = ys[:, 1:]
@@ -520,6 +502,10 @@ def apply_integral_operator(
 
     with f = f_override(t, u) (or q h(u_k)) unless explicit samples are
     passed.  Column 0 is the operator image, column i its i-th derivative.
+    A computed f is integrated block by block between q's jumps, each block
+    sampling q's own branch at its ends, so on a grid with nodes at the
+    jumps the quadrature never straddles one; explicit ``f_values`` are
+    integrated as one block.
     """
     grid = np.asarray(grid, dtype=float)
     u_values = np.atleast_2d(np.asarray(u_values, dtype=float))
@@ -529,18 +515,21 @@ def apply_integral_operator(
         raise InvalidParameterError(
             f"u_values must have shape ({len(grid)}, {p.m}), got {u_values.shape}"
         )
-    if f_values is None:
-        if p.f_override is not None:
-            f_values = np.array(
-                [float(p.f_override(t, u_values[i])) for i, t in enumerate(grid)]
-            )
-        else:
-            f_values = p.q.eval_array(grid) * p.h.eval_array(u_values[:, p.k])
-    f_values = np.asarray(f_values, dtype=float)
-    if not np.all(np.isfinite(f_values)):
+    if f_values is not None:
+        blocks = [(0, len(grid) - 1, np.asarray(f_values, dtype=float))]
+    else:
+        blocks = []
+        for i0, i1, ts, qv in _q_blocks(p.q, grid):
+            u = u_values[i0 : i1 + 1]
+            if p.f_override is None:
+                f = qv * p.h.eval_array(u[:, p.k])
+            else:
+                f = np.array([float(p.f_override(t, y)) for t, y in zip(ts, u)])
+            blocks.append((i0, i1, f))
+    if not all(np.all(np.isfinite(f)) for _, _, f in blocks):
         raise NumericFailureError("non-finite right-hand side samples")
 
-    return integral_image(p.a, [(0, len(grid) - 1, f_values)], grid)
+    return integral_image(p.a, blocks, grid)
 
 
 @dataclass(frozen=True)
@@ -560,14 +549,12 @@ def verify_bound_preservation(
     v: Trajectory,
     trials: int,
     seed: int = 0,
-    *,
-    pieces: int = 4,
 ) -> BoundPreservationReport:
     """Randomized check that the operator maps the box [0, v] into itself.
 
-    Each trial draws admissible data u with 0 <= u^(i) <= v^(i) (piecewise
-    random scalings of v's components, jumps aligned with trajectory nodes)
-    and an admissible right-hand side f = c(t) q h(u_k) with piecewise c in
+    Each trial draws admissible data u with 0 <= u^(i) <= v^(i) (random
+    scalings of v's components on BOUND_PIECES blocks, jumps aligned with
+    trajectory nodes) and an admissible right-hand side f = c(t) q h(u_k) with piecewise c in
     [0, 1], then checks 0 <= (operator image)^(i) <= v^(i) at all nodes.
     The check runs on the trajectory's own nodes (exact values, no dense
     interpolation) and the image integrals are assembled block by block so
@@ -584,7 +571,7 @@ def verify_bound_preservation(
     worst_trial = -1
 
     for trial in range(int(trials)):
-        cuts = _block_cuts(rng, len(grid), pieces)
+        cuts = _block_cuts(rng, len(grid))
         u_scales = rng.uniform(0.0, 1.0, (len(cuts) - 1, p.m))
         c_scales = rng.uniform(0.0, 1.0, len(cuts) - 1)
 
@@ -606,9 +593,10 @@ def verify_bound_preservation(
     )
 
 
-def _block_cuts(rng, n_nodes: int, pieces: int) -> list[int]:
-    """Node indices splitting [0, n-1] into up to ``pieces`` blocks."""
-    if pieces <= 1 or n_nodes < 4:
+def _block_cuts(rng, n_nodes: int) -> list[int]:
+    """Node indices splitting [0, n-1] into BOUND_PIECES blocks, or into one
+    block when nodes 2..n-3 are too few to hold the cuts."""
+    if n_nodes < BOUND_PIECES + 3:
         return [0, n_nodes - 1]
-    interior = rng.choice(np.arange(2, n_nodes - 2), size=pieces - 1, replace=False)
+    interior = rng.choice(np.arange(2, n_nodes - 2), size=BOUND_PIECES - 1, replace=False)
     return [0] + sorted(int(i) for i in interior) + [n_nodes - 1]

@@ -24,18 +24,19 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .classify import ClassifyOpts, IntegralVerdict, Verdict, classify
+from .classify import IntegralVerdict, Verdict, classify
 from .errors import (
     InvalidParameterError,
     NumericFailureError,
     StageError,
+    check_int,
 )
 from .functions import ScalarFn, make_constant, make_custom
 from .ode import (
@@ -63,6 +64,9 @@ __all__ = [
     "run_pipeline",
 ]
 
+PICARD_TOL = 1e-8          # tower sup-gap tolerance
+CONSISTENCY_TOL = 1e-5     # constructed vs direct sup-norm gate (criterion 11)
+
 
 @dataclass(frozen=True)
 class ReducedProblem:
@@ -72,9 +76,6 @@ class ReducedProblem:
     a_reduced: tuple
     q: ScalarFn
     h: ScalarFn
-
-    def as_problem_spec(self) -> ProblemSpec:
-        return ProblemSpec(m=self.n, k=0, a=self.a_reduced, q=self.q, h=self.h)
 
 
 def reduce_problem(p: ProblemSpec) -> ReducedProblem:
@@ -88,9 +89,7 @@ def lift_solution(u: Trajectory, a_low: Sequence[float], k: int) -> Trajectory:
     i-th derivative of the lift, components k.. are u's own.  For k = 0 the
     input is returned unchanged.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise InvalidParameterError(f"k must be an integer >= 0, got {k!r}")
-    k = int(k)
+    k = check_int("k", k, 0)
     if k == 0:
         return u
     a_low = [float(x) for x in a_low]
@@ -165,8 +164,7 @@ def majorization_experiment(
     values are experimental knobs with no correctness claim).  Levels stop
     early when u never reaches the next one within the horizon.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
+    check_int("n", n)
     if not (rho > 1.0):
         raise InvalidParameterError(f"rho must be > 1, got {rho!r}")
     a_reduced = tuple(float(x) for x in a_reduced)
@@ -265,13 +263,9 @@ def majorization_experiment(
 @dataclass(frozen=True)
 class PipelineOptions:
     tol: float = 1e-10                 # direct-integration tolerance
-    picard_tol: float = 1e-8           # tower sup-gap tolerance
-    consistency_tol: float = 1e-5      # constructed vs direct sup-norm gate
-    classify_opts: ClassifyOpts = field(default_factory=ClassifyOpts)
     thresholds: tuple = DEFAULT_THRESHOLDS
     majorize_levels: int = 6
     rho: float = 2.0
-    run_majorization: bool = True
 
 
 @dataclass(frozen=True)
@@ -335,7 +329,7 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
     with _stage("reduce"):
         red = reduce_problem(p)
     with _stage("classify"):
-        cls = classify(red.h, red.n, opts.classify_opts)
+        cls = classify(red.h, red.n)
 
     if cls.verdict is Verdict.DIVERGES:
         construction, constructed, direct, table = _construct_and_check(
@@ -409,7 +403,7 @@ def _construct_and_check(p, red, horizon, opts, notes):
             red.n,
             a_red,
             float(horizon),
-            tol=opts.picard_tol,
+            tol=PICARD_TOL,
             q=red.q,
             majorant_b=a_red + 1.0,
         )
@@ -443,7 +437,7 @@ def _construct_and_check(p, red, horizon, opts, notes):
             tower_sup_gap=tower.sup_gap,
             discretization_gap=tower.discretization_gap,
             consistency_sup=sup,
-            consistency_tol=opts.consistency_tol,
+            consistency_tol=CONSISTENCY_TOL,
         )
         if p.f_override is not None:
             wres = integrate(p, float(horizon), opts.tol)
@@ -452,17 +446,15 @@ def _construct_and_check(p, red, horizon, opts, notes):
             sandwich = float(np.min(lifted.ys - wres(lifted.ts)))
             notes.append(f"sandwich slack min(v - w) = {sandwich:.3e}")
 
-    table = None
-    if opts.run_majorization:
-        with _stage("majorize"):
-            table = majorization_experiment(
-                red.q,
-                red.h,
-                red.n,
-                red.a_reduced,
-                J=opts.majorize_levels,
-                horizon=float(horizon),
-                rho=opts.rho,
-                tol=max(opts.tol, 1e-12),
-            )
+    with _stage("majorize"):
+        table = majorization_experiment(
+            red.q,
+            red.h,
+            red.n,
+            red.a_reduced,
+            J=opts.majorize_levels,
+            horizon=float(horizon),
+            rho=opts.rho,
+            tol=max(opts.tol, 1e-12),
+        )
     return construction, lifted, direct, table

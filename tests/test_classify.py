@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from blowup.classify import (
-    ClassifyOpts,
+    DIVERGE_CAP,
     Method,
     Verdict,
     blowup_integrand,
@@ -145,7 +145,7 @@ class TestConstantAndCustom:
         assert v.verdict is Verdict.DIVERGES
         assert v.method is Method.NUMERIC_HEURISTIC
         assert v.evidence["cap_hit"]
-        assert v.evidence["cumulative"] >= ClassifyOpts().diverge_cap
+        assert v.evidence["cumulative"] >= DIVERGE_CAP
 
     def test_heuristic_inconclusive_on_borderline(self):
         h = make_custom(

@@ -39,6 +39,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config("m = 1\nbogus = 3\n")
         assert any("line 2" in e and "bogus" in e for e in exc.value.errors)
+        with pytest.raises(ConfigError, match="unknown key 'seed'"):
+            parse_config("seed = 1\n")  # no run reads a seed
 
     def test_multiple_errors_collected(self):
         with pytest.raises(ConfigError) as exc:
@@ -63,7 +65,6 @@ class TestParseConfig:
             u0=1.0,
             T=2.0,
             grid_size=100,
-            seed=7,
             b=(1.0, 2.0),
         )
         assert parse_config(emit_config(cfg)) == cfg
@@ -228,7 +229,7 @@ FLAGS = {
                        ("--grid-size", "50", "grid_size", 50)],
     "pipeline": [("--horizon", "3.5", "horizon", 3.5)],
 }
-COMMON = [("--seed", "7", "seed", 7), ("--tol", "1e-8", "tol", 1e-8)]
+COMMON = [("--tol", "1e-8", "tol", 1e-8)]
 
 PROBLEM = "m = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(1.0)\n"
 

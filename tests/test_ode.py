@@ -196,6 +196,11 @@ class TestDetectBlowup:
         with pytest.raises(InvalidParameterError):
             detect_blowup(p, thresholds=(1e3, 1e2), horizon=1.0)
 
+    def test_empty_ladder_is_refused(self):
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))
+        with pytest.raises(InvalidParameterError, match="at least one level"):
+            detect_blowup(p, thresholds=(), horizon=1.0)
+
 
 class TestAitken:
     def test_geometric_sequence_exact(self):

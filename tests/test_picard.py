@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blowup.errors import FiniteEscapeError, InvalidParameterError
-from blowup.functions import make_constant, make_power
+from blowup.functions import make_constant, make_power, parse_fn_spec
 from blowup.ode import ProblemSpec, integrate
 from blowup.picard import (
     apply_integral_operator,
@@ -284,6 +284,17 @@ class TestIntegralOperator:
         img = apply_integral_operator(p, traj.ts, traj.ys)
         assert np.max(np.abs(img - traj.ys)) <= 1e-7
 
+    def test_fixed_point_across_a_jump_of_q(self):
+        # the tower's grid has a node at the jump; the operator must not
+        # run its quadrature stencil across it
+        q = parse_fn_spec("piecewise((0,0.5):1, (0.5,inf):3)")
+        h = make_power(1)
+        tw = picard_solve(h, 1, [1.0], 1.0, q=q)
+        traj = tower_trajectory(tw, h, q, [1.0])
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=h)
+        img = apply_integral_operator(p, traj.ts, traj.ys)
+        assert np.max(np.abs(img - traj.ys)) <= 1e-10
+
 
 class TestBoundPreservation:
     def test_vacuous(self):
@@ -312,6 +323,14 @@ class TestBoundPreservation:
         for seed in range(5):
             with pytest.raises(InvalidParameterError):
                 verify_bound_preservation(p, traj, 3, seed=seed)
+
+    def test_short_trajectory(self):
+        # q = 0: the integrator needs only four steps, too few nodes for
+        # the random cuts
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=make_constant(0.0), h=make_power(1))
+        traj = integrate(p, 1.0, 1e-10)
+        assert len(traj.ts) < 7
+        assert verify_bound_preservation(p, traj, 10, seed=0).passed
 
     def test_deterministic_for_seed(self):
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1))

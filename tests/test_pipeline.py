@@ -8,7 +8,6 @@ from blowup.errors import InvalidParameterError, StageError
 from blowup.functions import make_constant, make_custom, make_power
 from blowup.ode import ProblemSpec, Trajectory, integrate
 from blowup.pipeline import (
-    PipelineOptions,
     lift_solution,
     majorization_experiment,
     reduce_problem,
@@ -166,17 +165,17 @@ class TestPipeline:
         assert np.max(np.abs(vals[:, 1] - np.exp(ts))) <= 1e-5  # v' = u
 
     def test_grid_cap_note(self, monkeypatch):
-        import functools
-
         import blowup.pipeline as pipeline
         from blowup.picard import picard_solve
 
-        monkeypatch.setattr(pipeline, "picard_solve", functools.partial(picard_solve, grid_cap=257))
+        forced = {"tol": 1e-13, "grid_cap": 257}
+        monkeypatch.setattr(pipeline, "picard_solve",
+                            lambda *args, **kwargs: picard_solve(*args, **{**kwargs, **forced}))
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1))
-        opts = PipelineOptions(picard_tol=1e-13, run_majorization=False)
-        rep = run_pipeline(p, horizon=1.0, opts=opts)
+        rep = run_pipeline(p, horizon=1.0)
         assert rep.construction.discretization_gap > 1e-13 / 4
         assert any("cap of 257 nodes" in note for note in rep.notes)
+        del forced["tol"]  # the pipeline's own tower tol stays under the same cap
         assert not any("cap" in note for note in run_pipeline(p, horizon=1.0).notes)
 
     def test_small_data_note_on_blowup_side(self):
