@@ -9,7 +9,8 @@ is autonomous and separable, so its solution is obtained by inverting
 
     F(U) = 1/n * int_{u0}^{U} g(s)^(-1/n) s^(1/n - 1) ds  =  t
 
-with bracketed root finding (:func:`solve_autonomous_quadrature`).  The
+against one Gauss-Legendre table of F per call, with Newton steps for all
+targets at once (:func:`solve_autonomous_quadrature`).  The
 comparison inequality
 
     u(t) - u(0) >= alpha * int_0^t (t - tau)^(n-1) g(beta u(tau)) dtau
@@ -28,12 +29,11 @@ whose iterates increase in j and stay below the quadrature majorant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import (
     BracketFailureError,
@@ -61,7 +61,7 @@ __all__ = [
     "verify_bound_preservation",
 ]
 
-QUAD_TOL = 1e-12      # abs and rel tolerance of each quadrature of F
+QUAD_TOL = 1e-12      # relative error allowed on each panel of the table of F
 GRID_MIN = 129        # nodes of the tower's first grid
 BOUND_PIECES = 4      # blocks of the random data in verify_bound_preservation
 
@@ -83,23 +83,27 @@ def comparison_constants(n: int) -> ComparisonConstants:
 # ---------------------------------------------------------------------------
 # quadrature inversion
 
+# F's table in y = log s: panels of width _PANEL, _CHUNK per g.eval_array call, up to
+# Y_CAP (e^660 ~ 5e286; quad takes the tail on); targets are solved _SLICE at a time
+_PANEL, _CHUNK, _SLICE, Y_CAP = 0.125, 64, 1024, 660.0
 
-def _inverse_integrand_y(g: ScalarFn, n: int):
-    """Integrand of F after the substitution s = e^y: e^(y/n) g(e^y)^(-1/n)."""
 
-    def fy(y):
-        try:
-            s = math.exp(y)
-            gv = float(g(s))
-        except OverflowError:
-            return 0.0  # g huge => integrand underflows to 0
-        if gv <= 0.0 or not math.isfinite(gv):
-            if math.isinf(gv):
-                return 0.0
-            raise NumericFailureError(f"g({s!r}) = {gv!r} not positive")
-        return math.exp(y / n) * gv ** (-1.0 / n)
-
-    return fy
+def _panels(f, edges: np.ndarray, rules):
+    """The panel edges after halving each panel until the two rules agree to
+    QUAD_TOL of its first value, and the panels' integrals of f."""
+    (x20, w20), (x11, w11) = rules
+    x, budget = np.concatenate([x20, x11]), None
+    for _ in range(64):
+        mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
+        fv = f(mid[:, None] + half[:, None] * x)
+        val = half * (fv[:, : len(w20)] @ w20)
+        budget = QUAD_TOL * val if budget is None else budget
+        bad = np.abs(val - half * (fv[:, len(w20) :] @ w11)) > budget
+        if not bad.any():
+            return edges, val
+        edges = np.insert(edges, np.flatnonzero(bad) + 1, mid[bad])
+        budget = np.repeat(budget, np.where(bad, 2, 1))
+    raise NumericFailureError(f"F not resolved to {QUAD_TOL} on [{edges[0]:.17g}, {edges[-1]:.17g}]")
 
 
 def solve_autonomous_quadrature(
@@ -108,90 +112,92 @@ def solve_autonomous_quadrature(
     u0: float,
     t_targets: Sequence[float],
 ) -> np.ndarray:
-    """Invert F(U) = t for each target t >= 0.
+    """Invert F(U) = t for each finite target t >= 0.
 
-    F is computed by adaptive quadrature (in log abscissa, which keeps the
-    panels well-scaled over many decades), the root bracketed by geometric
-    growth and solved by Brent's method, then polished with two Newton
-    steps using the analytic F' = g(U)^(-1/n) U^(1/n-1) / n.
+    F is tabulated once per call in the log abscissa y = log s, which keeps
+    the panels well-scaled over many decades: panels of width 0.125, edges
+    also at log of g's breakpoints, 20-point Gauss-Legendre halved until an
+    11-point rule agrees to QUAD_TOL, a running sum grown until F passes the
+    largest target.  All targets are then solved at once by bracketed Newton
+    steps with the analytic F' = g(U)^(-1/n) U^(1/n-1) / n.
 
-    Raises FiniteEscapeError when F is bounded above by some
-    t_max < max(t_targets): the majorant itself reaches infinity at the
-    finite time t_max (carried on the exception).
+    If F stays below a target up to y = Y_CAP, one quad of the tail decides:
+    FiniteEscapeError when F is shown to converge to some t_max <
+    max(t_targets), so the majorant itself reaches infinity at the finite
+    time t_max (carried on the exception), else BracketFailureError.
     """
     n = check_int("n", n)
-    if not (u0 > 0.0):
-        raise InvalidParameterError(f"u0 must be > 0, got {u0!r}")
+    if not (0.0 < u0 < math.inf):
+        raise InvalidParameterError(f"u0 must be > 0 and finite, got {u0!r}")
     targets = np.asarray(t_targets, dtype=float)
     if targets.ndim != 1:
         raise InvalidParameterError("t_targets must be a 1-D sequence")
-    if np.any(targets < 0.0):
-        raise InvalidParameterError("targets must be >= 0")
+    if not np.all((targets >= 0.0) & (targets < math.inf)):
+        raise InvalidParameterError("targets must be finite and >= 0")
+    out = np.full_like(targets, float(u0))
+    live = np.flatnonzero(targets > 0.0)
+    if not len(live):
+        return out
 
-    fy = _inverse_integrand_y(g, n)
-    y0 = math.log(u0)
+    def f(y):  # n times F's integrand in y, e^(y/n) g(e^y)^(-1/n); 0 where g is inf
+        s = np.exp(y)
+        gv = g.eval_array(s)
+        if not np.all(gv > 0.0):
+            i = np.flatnonzero(~(gv > 0.0))[0]
+            raise NumericFailureError(f"g({float(s.flat[i])!r}) = {float(gv.flat[i])!r} not positive")
+        return np.exp(y / n) * gv ** (-1.0 / n)
 
-    def F_of_y(yb: float) -> float:
-        if yb <= y0:
-            return 0.0
-        val, _ = quad(fy, y0, yb, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
-        return val / n
+    t_max, bps = float(targets.max()), np.log([bp for bp in g.breakpoints if bp > 0.0])
+    # 20-point Gauss-Legendre checked by 11-point (odd: it sees a jump at a panel's
+    # centre, where two even rules agree); made here, so an import runs no LAPACK
+    rules = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(11)
+    # g may overflow to inf far out, where the integrand is 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lefts, cums, y, c_last = [], [[0.0]], math.log(u0), 0.0
+        while c_last <= t_max and y < Y_CAP:
+            z = min(y + _PANEL * _CHUNK, Y_CAP)
+            cuts = np.union1d(np.append(np.arange(y, z, _PANEL), z), bps[(bps > y) & (bps < z)])
+            edges, val = _panels(f, cuts, rules)
+            lefts.append(edges[:-1])
+            cums.append(c_last + np.cumsum(val) / n)
+            y, c_last = z, float(cums[-1][-1])
 
-    order = np.argsort(targets)
-    out = np.empty_like(targets)
-    Y_CAP = 660.0  # e^660 ~ 5e286, close to the float ceiling
-    y_warm = y0
+        if t_max > c_last:
+            # quad sums the tail to e^709 ~ 8e307; the rest past the last unit step of y
+            # where g is finite, extrapolated from its decay, must be within QUAD_TOL
+            t = float(targets[targets > c_last].min())
+            total = c_last + quad(f, y, max(709.0, y), epsabs=QUAD_TOL, epsrel=1e-9, limit=400)[0] / n
+            f1, f2 = np.append([0.0, 0.0], np.trim_zeros(f(np.arange(math.log(u0), 709.0)), "b"))[-2:]
+            rest = f2 / math.log(f1 / f2) if 0.0 < f2 < f1 else math.inf
+            if rest <= QUAD_TOL * n * total and total < t:
+                raise FiniteEscapeError(f"majorant escapes at finite time ~{total!r} < target {t!r}",
+                                        escape_time=total)
+            raise BracketFailureError(f"could not bracket target t={t!r} below the overflow cap")
 
-    # g may overflow to inf on the way to a root; the integrand maps that to 0
-    with np.errstate(over="ignore"):
-        for idx in order:
-            t = float(targets[idx])
-            if t == 0.0:
-                out[idx] = u0
-                continue
-            # grow the bracket geometrically in y (multiplicatively in U),
-            # warm-started from the previous (smaller) root
-            y_lo = y_warm
-            f_lo = F_of_y(y_lo)
-            while f_lo > t:  # paranoia: warm start overshot
-                y_lo = max(y0, y_lo - 1.0)
-                f_lo = F_of_y(y_lo)
-                if y_lo == y0:
-                    break
-            y_hi, step = y_lo, 0.5
-            f_hi = f_lo
-            while f_hi < t:
-                if y_hi >= Y_CAP:
-                    tail, _ = quad(fy, y_hi, np.inf, epsabs=QUAD_TOL, epsrel=1e-9, limit=400)
-                    total = f_hi + tail / n
-                    if math.isfinite(total) and total < t:
-                        raise FiniteEscapeError(
-                            f"majorant escapes at finite time ~{total!r} < target {t!r}",
-                            escape_time=total,
-                        )
-                    raise BracketFailureError(
-                        f"could not bracket target t={t!r} below the overflow cap"
-                    )
-                y_lo, f_lo = y_hi, f_hi
-                y_hi = min(Y_CAP, y_hi + step)
-                f_hi = F_of_y(y_hi)
-                step = min(step * 2.0, 128.0)
-
-            y_root = brentq(lambda yb: F_of_y(yb) - t, y_lo, y_hi, xtol=1e-13, rtol=8.9e-16)
-            U = math.exp(y_root)
-            # Newton polish on F(U) = t with the analytic derivative
-            for _ in range(2):
-                r = F_of_y(math.log(U)) - t
-                gv = float(g(U))
-                if gv <= 0.0:
-                    break
-                dF = gv ** (-1.0 / n) * U ** (1.0 / n - 1.0) / n
-                if dF <= 0.0 or not math.isfinite(dF):
-                    break
-                U = max(u0, U - r / dF)
-            out[idx] = U
-            y_warm = max(y0, min(math.log(U) - 1e-9, Y_CAP))
+        E, C = np.append(np.concatenate(lefts), y), np.concatenate(cums)
+        for i in range(0, len(live), _SLICE):
+            idx = live[i : i + _SLICE]
+            out[idx] = np.maximum(u0, np.exp(_newton(f, n, E, C, targets[idx], *rules[0])))
     return out
+
+
+def _newton(f, n: int, E: np.ndarray, C: np.ndarray, t: np.ndarray, x, w) -> np.ndarray:
+    """y with F(y) = t from the table (edges E, F there C) by the rule (x, w); each
+    target keeps a bracket in its panel and bisects when a Newton step leaves it."""
+    k = np.clip(np.searchsorted(C, t, side="right") - 1, 0, len(E) - 2)
+    a, c, lo, hi = E[k], C[k], E[k], E[k + 1]
+    y = a + (t - c) / (C[k + 1] - c) * (hi - a)
+    for _ in range(64):
+        half = (y - a) / 2.0
+        fv = f(np.column_stack([a[:, None] + half[:, None] * (x + 1.0), y]))
+        r = c + half * (fv[:, :-1] @ w) / n - t
+        lo, hi = np.where(r <= 0.0, y, lo), np.where(r >= 0.0, y, hi)
+        y_new = y - n * r / fv[:, -1]
+        y_new = np.where((lo <= y_new) & (y_new <= hi), y_new, (lo + hi) / 2.0)
+        y, moved = y_new, np.abs(y_new - y)
+        if np.all(moved <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(y))):
+            break
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +250,8 @@ def verify_comparison_bound(
 
 
 def majorant_growth(h: ScalarFn, n: int, *, weight: float = 1.0) -> ScalarFn:
-    """g(s) = weight * h(s / beta) / (alpha (n-1)!), metadata inherited from h.
+    """g(s) = weight * h(s / beta) / (alpha (n-1)!), metadata and (scaled by
+    beta) breakpoints inherited from h.
 
     ``weight`` absorbs a constant bound on the time coefficient (sup q) when
     the driven problem is not autonomous.
@@ -256,13 +263,14 @@ def majorant_growth(h: ScalarFn, n: int, *, weight: float = 1.0) -> ScalarFn:
     def fn(s, _c=c, _ib=inv_beta, _h=h):
         return _c * _h(s * _ib)
 
-    return make_custom(
+    g = make_custom(
         fn,
         nondecreasing=h.nondecreasing,
         nonnegative=h.nonnegative,
         asymptotic_exponent=h.asymptotic_exponent,
         label=f"majorant_growth({h.spec_text}, n={n})",
     )
+    return replace(g, breakpoints=tuple(bp * consts.beta for bp in h.breakpoints))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +364,7 @@ def picard_solve(
     bps = tuple(bp for bp in (q.breakpoints if q is not None else ()) if 0.0 < bp < T)
 
     edges = [0.0, *bps, float(T)]
-    base_cells = _allocate_cells(edges, GRID_MIN - 1)
+    base_cells = [max(2, round((GRID_MIN - 1) * (hi - lo) / T)) for lo, hi in zip(edges, edges[1:])]
 
     # F is increasing, so the majorant escapes before some grid node exactly
     # when it escapes before T: one target settles escape for every grid
@@ -393,14 +401,6 @@ def picard_solve(
         monotone_slack=min([0.0] + [float(np.min(v - w)) for v, w in pairs]),
         majorant_slack=min(float(np.min(u_maj - v)) for v in iterates),
     )
-
-
-def _allocate_cells(edges: list, total_cells: int) -> list:
-    T = edges[-1] - edges[0]
-    return [
-        max(2, int(round(total_cells * (edges[i + 1] - edges[i]) / T)))
-        for i in range(len(edges) - 1)
-    ]
 
 
 def _segmented_grid(edges: list, seg_cells: list) -> np.ndarray:

@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from blowup.errors import FiniteEscapeError, InvalidParameterError
-from blowup.functions import make_constant, make_power, parse_fn_spec
+from blowup.errors import BracketFailureError, FiniteEscapeError, InvalidParameterError
+from blowup.functions import make_constant, make_custom, make_piecewise, make_power, parse_fn_spec
 from blowup.ode import ProblemSpec, integrate
 from blowup.picard import (
     apply_integral_operator,
@@ -84,6 +85,71 @@ class TestQuadratureInversion:
             solve_autonomous_quadrature(ONE, 1, 0.0, [1.0])
         with pytest.raises(InvalidParameterError):
             solve_autonomous_quadrature(ONE, 1, 1.0, [-1.0])
+        with pytest.raises(InvalidParameterError):
+            solve_autonomous_quadrature(ONE, 1, math.inf, [1.0])
+        with pytest.raises(InvalidParameterError):
+            solve_autonomous_quadrature(ONE, 1, 1.0, [math.nan])
+        with pytest.raises(InvalidParameterError):
+            solve_autonomous_quadrature(make_power(0.5), 1, 1.0, [math.inf])
+
+    @pytest.mark.parametrize("lam,t", [(0.5, 1e300), (1.0, 1e300), (1.01, 99.95)])
+    def test_no_escape_from_a_truncated_tail(self, lam, t):
+        # F is unbounded for lam <= 1 and tends to 100 for lam = 1.01, so none
+        # of these majorants escapes before t; each target lies past e^660
+        with pytest.raises(BracketFailureError):
+            solve_autonomous_quadrature(make_power(lam), 1, 1.0, [t])
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.0, 1.0),
+        n=st.integers(1, 3),
+        u0=st.floats(0.1, 10.0),
+        targets=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=20),
+    )
+    def test_matches_mpmath_oracle(self, lam, n, u0, targets):
+        # g = s^lam: F(U) = (U^a - u0^a) / (n a) with a = (1 - lam)/n, log at a = 0
+        u = solve_autonomous_quadrature(make_power(lam), n, u0, targets)
+        with mpmath.workdps(40):
+            a = (1 - mpmath.mpf(lam)) / n
+            for U, t in zip(u, targets):
+                U, v = mpmath.mpf(U), mpmath.mpf(u0)
+                F = (U ** a - v ** a) / (n * a) if a else mpmath.log(U / v) / n
+                assert abs(float(F) - t) <= 1e-10
+
+    def test_jump_of_a_piecewise_g(self):
+        # n = 1, g = 1 below s = 2 and 4 above: F(U) = U - 1, then 1 + (U - 2)/4
+        g = make_piecewise([((0.0, 2.0), 1.0), ((2.0, math.inf), 4.0)])
+        targets = np.linspace(0.0, 3.0, 61)
+        u = solve_autonomous_quadrature(g, 1, 1.0, targets)
+        exact = np.where(targets <= 1.0, 1.0 + targets, 2.0 + 4.0 * (targets - 1.0))
+        assert np.max(np.abs(u / exact - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "fn", [lambda s: max(s, 2.0), lambda s: 1.0 if s < 2.0 else 4.0], ids=["kink", "jump"]
+    )
+    def test_scalar_only_g_with_a_kink_or_jump(self, fn):
+        # neither g broadcasts, so eval_array loops over scalars; g declares no
+        # breakpoint, and its kink or jump at s = 2 falls inside a table panel
+        g = make_custom(fn, nondecreasing=True, nonnegative=True)
+        with pytest.raises(ValueError):
+            g(np.array([1.0, 3.0]))
+        targets = np.linspace(0.0, 4.0, 41)
+        u = solve_autonomous_quadrature(g, 2, 1.0, targets)
+        for U, t in zip(u, targets):
+            F, _ = quad(lambda s: 0.5 * g(s) ** -0.5 * s ** -0.5, 1.0, U,
+                        points=[2.0] if U > 2.0 else None, epsabs=1e-14, epsrel=1e-13)
+            assert abs(F - t) <= 1e-13
+
+    def test_quad_not_called_below_the_cap(self, monkeypatch):
+        # the table does the work; quad is kept for the tail past Y_CAP
+        import blowup.picard as picard
+
+        calls = []
+        real = picard.quad
+        monkeypatch.setattr(picard, "quad", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        u = solve_autonomous_quadrature(make_power(1), 2, 1.0, np.linspace(0.0, 5.0, 2049))
+        assert u[-1] == pytest.approx(math.exp(10.0), rel=1e-13)  # F = log(U) / 2
+        assert len(calls) <= 1
 
 
 class TestComparisonBound:
@@ -139,6 +205,12 @@ class TestMajorantGrowth:
         g = majorant_growth(h, 2)
         assert g.nondecreasing and g.nonnegative
         assert g.asymptotic_exponent == 2.0
+
+    def test_breakpoints_inherited(self):
+        # g(s) = c h(s / beta) jumps where s / beta meets a jump of h
+        g = majorant_growth(parse_fn_spec("piecewise((0,1):1, (1,inf):2)"), 2)
+        assert g.breakpoints == (0.2,)
+        assert g(0.19) * 2.0 == g(0.21)
 
     def test_weight_scales(self):
         g = majorant_growth(make_constant(1.0), 1, weight=3.0)
