@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -158,6 +159,8 @@ def make_constant(c: float) -> ScalarFn:
     c = float(c)
 
     def fn(s, _c=c):
+        if isinstance(s, float):
+            return _c
         arr = np.asarray(s, dtype=float)
         if arr.shape == ():
             return _c
@@ -200,6 +203,8 @@ def make_piecewise(pieces: Sequence[tuple[tuple[float, float], float]]) -> Scala
     values = np.array(vals, dtype=float)
 
     def fn(s, _e=edges, _v=values):
+        if isinstance(s, float):  # the integrator's path: no array round trip
+            return vals[max(0, bisect_right(los, s) - 1)]
         arr = np.asarray(s, dtype=float)
         idx = np.clip(np.searchsorted(_e, arr, side="right") - 1, 0, len(_v) - 1)
         out = _v[idx]

@@ -54,23 +54,6 @@ DEFAULT_THRESHOLDS = tuple(np.geomspace(10.0, 1e12, 12))
 # so the margin buys global accuracy near the user tol on unit-scale spans.
 TOL_SAFETY = 0.05
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = _B5 - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Order-m Cauchy problem data.
@@ -104,10 +87,18 @@ class ProblemSpec:
         """Reduced order m - k."""
         return self.m - self.k
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        qh = float(self.q(t)) * float(self.h(y[self.k]))
+    def rhs(self, t: float, y: Sequence[float]) -> float:
+        """Top derivative f(t, y) of the first-order system, for the state
+        y = (w, ..., w^(m-1)) given as floats."""
+        try:
+            qv, hv = self.q(t), self.h(y[self.k])
+        except OverflowError:  # Python's float ** raises where numpy gives inf
+            raise NumericFailureError(f"q or h overflowed at t={t!r}, y={y!r}") from None
+        # a fractional power of a negative stage value is complex for a
+        # Python float (nan for numpy's): not finite either way
+        qh = float(qv) * (math.nan if isinstance(hv, complex) else float(hv))
         if self.f_override is not None:
-            fv = float(self.f_override(t, y))
+            fv = float(self.f_override(t, np.array(y)))
             # contract: 0 <= f <= q h, with float-scale slack
             slack = 1e-12 * (1.0 + abs(qh))
             if fv < -slack or fv > qh + slack:
@@ -118,10 +109,7 @@ class ProblemSpec:
             fv = qh
         if not math.isfinite(fv):
             raise NumericFailureError(f"right-hand side not finite at t={t!r}, y={y!r}")
-        out = np.empty(self.m)
-        out[:-1] = y[1:]
-        out[-1] = fv
-        return out
+        return fv
 
 
 @dataclass(frozen=True)
@@ -250,16 +238,14 @@ def _cubic_hermite(th, h, y0, y1, d0, d1):
 
 
 def _crossing_time(t0, t1, y0, y1, d0, d1, level):
-    """First time the max-component Hermite interpolant reaches ``level``."""
-
-    def g(t):
-        vals = _cubic_hermite((t - t0) / (t1 - t0), t1 - t0, y0, y1, d0, d1)
-        return float(np.max(vals)) - level
-
+    """First time the max-component cubic Hermite interpolant of the cell
+    [t0, t1] reaches ``level``: bisection on floats until the midpoint no
+    longer splits the bracket."""
+    w = t1 - t0
+    cells = list(zip(y0, y1, d0, d1))
     lo, hi = t0, t1
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if max(_cubic_hermite((mid - t0) / w, w, *c) for c in cells) < level:
             lo = mid
         else:
             hi = mid
@@ -283,25 +269,9 @@ def _integrate_events(
     if not (T > 0.0):
         raise InvalidParameterError(f"T must be > 0, got {T!r}")
 
-    a = np.array(p.a)
+    y = list(p.a)
     crossings: dict[float, float] = {}
     pending = sorted(float(M) for M in thresholds)
-
-    # exact zero solution: all-zero data and h(0) = 0 (default right-hand side)
-    if (
-        p.f_override is None
-        and np.all(a == 0.0)
-        and float(p.h(0.0)) == 0.0
-    ):
-        ts = np.array([0.0, float(T)])
-        ys = np.zeros((2, p.m))
-        dys = np.zeros((2, p.m))
-        return Trajectory(ts=ts, ys=ys, dys=dys, m=p.m, tol=tol), crossings
-
-    t = 0.0
-    y = a.copy()
-    f = p.rhs(t, y)
-    ts, ys, dys = [0.0], [y.copy()], [f.copy()]
 
     def finish(partial=False, t_event=None, reason=None, threshold=None):
         if len(ts) > 1 and ts[-1] == ts[-2]:  # stopped right at a restart
@@ -318,92 +288,121 @@ def _integrate_events(
             crossings,
         )
 
+    # exact zero solution: all-zero data and h(0) = 0 (default right-hand side)
+    if p.f_override is None and not any(y) and float(p.h(0.0)) == 0.0:
+        ts, ys, dys = [0.0, float(T)], [y, y], [y, y]
+        return finish()
+
+    # The state, stage states and stage slopes are lists of floats: numpy's
+    # per-call overhead dominates on states of one to three components.  A
+    # slope is (y[1:], f); only its top component calls the right-hand side.
+    rhs = p.rhs
+    t = 0.0
+    f = y[1:] + [rhs(t, y)]
+    ts, ys, dys = [t], [y], [f]
+
     # initial escape check (data may already sit above thresholds)
-    while pending and float(np.max(y)) >= pending[0]:
+    while pending and max(y) >= pending[0]:
         crossings[pending.pop(0)] = 0.0
-    if float(np.max(np.abs(y))) >= escape_threshold:
+    if max(map(abs, y)) >= escape_threshold:
         return finish(partial=True, t_event=0.0, reason="escape", threshold=escape_threshold)
 
     eff_tol = tol * TOL_SAFETY
-    h_step = min(0.01 * (1.0 + float(np.max(np.abs(y)))) / (1.0 + float(np.max(np.abs(f)))), T / 10.0)
+    h = min(0.01 * (1.0 + max(map(abs, y))) / (1.0 + max(map(abs, f))), T / 10.0)
     err_prev = 1.0
-    K = np.empty((7, p.m))
 
     for seg_end in _segment_stops(p, T):
         if t >= seg_end:
             continue
         # within a segment stay on its own branch of q: stage times that hit
         # the right endpoint must not see the jump's right limit
-        seg_hi = np.nextafter(seg_end, -np.inf)
-
-        def seg_rhs(tt, yy, _hi=seg_hi):
-            return p.rhs(min(tt, _hi), yy)
+        hi = math.nextafter(seg_end, -math.inf)
 
         # re-evaluate at the segment start: q may jump there, so a restart
         # inside the span repeats the node with the right-limit derivative
-        f = p.rhs(t, y)
+        f = y[1:] + [rhs(t, y)]
         if t > 0.0:
             ts.append(t)
-            ys.append(y.copy())
-            dys.append(f.copy())
+            ys.append(y)
+            dys.append(f)
         while t < seg_end:
-            h_step = min(h_step, seg_end - t)
+            h = min(h, seg_end - t)
             min_step = MIN_STEP_FACTOR * max(1.0, abs(t))
-            if h_step < min_step:
+            if h < min_step:
                 return finish(partial=True, t_event=t, reason="step-collapse", threshold=None)
 
-            K[0] = f
+            # Dormand-Prince 5(4) stages; the 5th-order weights equal the
+            # seventh stage's row (FSAL), so y_new is the seventh stage state
             try:
-                for i in range(1, 7):
-                    yi = y + h_step * (K[:i].T @ _A[i])
-                    K[i] = seg_rhs(t + _C[i] * h_step, yi)
+                s = [v + h * (1 / 5 * a) for v, a in zip(y, f)]
+                k2 = s[1:] + [rhs(min(t + 1 / 5 * h, hi), s)]
+                s = [v + h * (3 / 40 * a + 9 / 40 * b) for v, a, b in zip(y, f, k2)]
+                k3 = s[1:] + [rhs(min(t + 3 / 10 * h, hi), s)]
+                s = [v + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
+                     for v, a, b, c in zip(y, f, k2, k3)]
+                k4 = s[1:] + [rhs(min(t + 4 / 5 * h, hi), s)]
+                s = [v + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
+                              - 212 / 729 * d) for v, a, b, c, d in zip(y, f, k2, k3, k4)]
+                k5 = s[1:] + [rhs(min(t + 8 / 9 * h, hi), s)]
+                s = [v + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
+                              + 49 / 176 * d - 5103 / 18656 * e)
+                     for v, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)]
+                k6 = s[1:] + [rhs(min(t + h, hi), s)]
+                y_new = [v + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
+                                  - 2187 / 6784 * e + 11 / 84 * g)
+                         for v, a, c, d, e, g in zip(y, f, k3, k4, k5, k6)]
+                f_new = y_new[1:] + [rhs(min(t + h, hi), y_new)]
             except NumericFailureError:
                 # retry with a smaller step before giving up
-                h_step *= 0.25
-                if h_step < min_step:
+                h *= 0.25
+                if h < min_step:
                     raise
                 continue
-            y_new = y + h_step * (_B5 @ K)
-            err_vec = h_step * (_E @ K)
-            sc = eff_tol + eff_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+            # embedded error (5th- minus 4th-order weights), scaled RMS norm
+            err = math.sqrt(sum(r * r for r in (
+                h * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d - 17253 / 339200 * e
+                     + 22 / 525 * g - 1 / 40 * k)
+                / (eff_tol + eff_tol * max(abs(v), abs(w)))
+                for v, w, a, c, d, e, g, k in zip(y, y_new, f, k3, k4, k5, k6, f_new)
+            )) / len(y))
 
             if not math.isfinite(err):
-                h_step *= 0.25
+                h *= 0.25
                 continue
             if err > 1.0:
-                h_step *= max(0.2, 0.9 * err ** (-0.2))
+                h *= max(0.2, 0.9 * err ** (-0.2))
                 continue
 
             # accepted
-            f_new = K[6]  # FSAL: last stage is f(t+h, y_new)
-            t_new = t + h_step
+            t_new = t + h
 
             # threshold crossings inside this step (components are monotone
             # in the intended regime; bisection is robust regardless)
-            while pending and float(np.max(y_new)) >= pending[0]:
+            while pending and max(y_new) >= pending[0]:
                 M = pending.pop(0)
                 crossings[M] = _crossing_time(t, t_new, y, y_new, f, f_new, M)
 
-            escaped = float(np.max(np.abs(y_new))) >= escape_threshold
-            if escaped:
+            if max(map(abs, y_new)) >= escape_threshold:
                 t_star = _crossing_time(t, t_new, y, y_new, f, f_new, escape_threshold)
-                y_star = _cubic_hermite((t_star - t) / (t_new - t), t_new - t, y, y_new, f, f_new)
+                y_star = [
+                    _cubic_hermite((t_star - t) / (t_new - t), t_new - t, *c)
+                    for c in zip(y, y_new, f, f_new)
+                ]
                 ts.append(t_star)
-                ys.append(np.asarray(y_star))
-                dys.append(seg_rhs(t_star, np.asarray(y_star)))
+                ys.append(y_star)
+                dys.append(y_star[1:] + [rhs(min(t_star, hi), y_star)])
                 return finish(
                     partial=True, t_event=t_star, reason="escape", threshold=escape_threshold
                 )
 
             ts.append(t_new)
-            ys.append(y_new.copy())
-            dys.append(f_new.copy())
+            ys.append(y_new)
+            dys.append(f_new)
             t, y, f = t_new, y_new, f_new
 
             # PI controller (Hairer-style exponents for a 5(4) pair)
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0.0 else 5.0
-            h_step *= min(5.0, max(0.2, fac))
+            h *= min(5.0, max(0.2, fac))
             err_prev = max(err, 1e-10)
 
     return finish()

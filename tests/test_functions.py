@@ -85,6 +85,17 @@ class TestConstantPiecewise:
         assert q(100.0) == 2.0
         assert q.breakpoints == (1.0,)
 
+    @pytest.mark.parametrize("fn", [
+        make_constant(2.5),
+        make_piecewise([((0, 1), 0.5), ((1, 3), 2.0), ((3, math.inf), 7.0)]),
+    ])
+    def test_scalar_path_matches_array_path(self, fn):
+        # at 0, inside a piece, on a breakpoint (pieces are right-open), past
+        # the last edge, at nan, and for a numpy scalar
+        xs = [0.0, 0.5, 1.0, 2.0, 3.0, 1e9, math.nan, np.float64(1.0)]
+        for x, v in zip(xs, fn.eval_array(np.array(xs))):
+            assert type(fn(x)) is float and fn(x) == v
+
     def test_piecewise_validation(self):
         with pytest.raises(InvalidParameterError):
             make_piecewise([((0, 1), 1.0)])  # must end at inf

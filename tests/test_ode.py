@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from blowup.errors import InvalidParameterError
+from blowup.errors import InvalidParameterError, NumericFailureError
 from blowup.functions import (
     PowerFamilyParams,
     make_constant,
@@ -120,6 +123,34 @@ class TestIntegrate:
         assert traj(2.0)[0] == pytest.approx(2.5, rel=1e-10)
         assert 1.0 in traj.ts  # forced node at the jump
 
+    def test_retry_starts_from_the_accepted_slope(self):
+        # h climbs from 1 to 21 across w = 2, so steps are rejected there; a
+        # retry must start from the last accepted node's slope, not from the
+        # rejected trial's last stage.  Reference: t = int ds/h.
+        h = make_custom(lambda s: 1.0 + 10.0 * (1.0 + np.tanh(40.0 * (s - 2.0))))
+        traj = integrate(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=h), 1.5, 1e-10)
+        t_end, _ = quad(lambda s: 1.0 / h(s), 1.0, traj.ys[-1, 0], points=[2.0],
+                        epsabs=0.0, epsrel=1e-13, limit=200)
+        assert abs(t_end - 1.5) <= 1e-10
+
+    def test_overflow_is_a_numeric_failure(self):
+        # Python's float ** raises OverflowError where numpy's gives inf
+        p = ProblemSpec(m=1, k=0, a=(1e10,), q=ONE, h=make_power(60))
+        with pytest.raises(NumericFailureError):
+            integrate(p, 1.0, 1e-9)
+        with pytest.raises(NumericFailureError):
+            detect_blowup(p, horizon=1.0)
+
+    def test_negative_stage_value_is_retried(self):
+        # a spike in q drives a stage state below 0, where sqrt is complex for
+        # a Python float; the step is retried smaller, as for a non-finite f.
+        # Exact: 2 sqrt(w) = 2 sqrt(a) + int_0^T q
+        spike = make_custom(lambda t: 1.0 + 1e4 * np.exp(-((t - 2e-3) / 1e-3) ** 2))
+        p = ProblemSpec(m=1, k=0, a=(1e-6,), q=spike, h=make_power(0.5))
+        traj = integrate(p, 0.1, 1e-8)
+        Q = 0.1 + 5.0 * math.sqrt(math.pi) * (math.erf(98.0) + math.erf(2.0))
+        assert traj(0.1)[0] == pytest.approx((1e-3 + Q / 2.0) ** 2, rel=1e-6)
+
     def test_dense_output_clamps_span(self):
         traj = integrate(cosh_problem(), 1.0, 1e-9)
         with pytest.raises(InvalidParameterError):
@@ -181,6 +212,21 @@ class TestDetectBlowup:
         rep = detect_blowup(p, thresholds=(1e2, 1e4, 1e6, 1e8), horizon=2.0, tol=1e-10)
         times = [t for _, t in rep.escape_thresholds]
         assert all(b > a for a, b in zip(times, times[1:]))
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(lam=st.floats(1.1, 3.0), a=st.floats(0.5, 2.0), c=st.floats(0.5, 2.0))
+    @example(lam=2.0, a=1.0, c=1.0)
+    def test_escape_times_meet_closed_form(self, lam, a, c):
+        # each crossing is interpolated between its own cell's end slopes;
+        # w reaches M at t_M = (a^(1-lam) - M^(1-lam)) / (c (lam-1))
+        p = ProblemSpec(m=1, k=0, a=(a,), q=make_constant(c), h=make_power(lam))
+        rep = detect_blowup(p, horizon=50.0, tol=1e-10)
+        times = [t for _, t in rep.escape_thresholds]
+        assert len(times) >= 3
+        assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
+        for M, t in rep.escape_thresholds:
+            exact = (a ** (1.0 - lam) - M ** (1.0 - lam)) / (c * (lam - 1.0))
+            assert t == pytest.approx(exact, rel=1e-8)
 
     def test_step_collapse_counts_as_blowup(self):
         # fast blow-up exhausts the step floor before very high thresholds
