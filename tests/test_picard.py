@@ -334,6 +334,37 @@ class TestPicardTower:
         direct = traj(tw.grid)[:, 0]
         assert np.max(np.abs(tw.solution - direct)) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "q,per_level",
+        [(None, 1), (make_piecewise([((0, 1), 0.5), ((1, 2), 2.0), ((2, math.inf), 1.0)]), 3)],
+    )
+    def test_kernel_weights_built_once_per_grid(self, monkeypatch, q, per_level):
+        # every Picard iteration on a grid level reuses that level's weights:
+        # one build per grid, one grid per smoothness block of q
+        from blowup import picard, volterra
+
+        builds, levels = [], []
+        build, run_tower = volterra._grid_weights, picard._run_tower
+
+        def counted_build(grid, p):
+            builds.append(grid.tobytes())
+            return build(grid, p)
+
+        def counted_tower(*args):
+            levels.append(len(args[3]))
+            return run_tower(*args)
+
+        monkeypatch.setattr(volterra, "_grid_weights", counted_build)
+        monkeypatch.setattr(volterra, "_WEIGHTS", {})
+        monkeypatch.setattr(picard, "_run_tower", counted_tower)
+        tw = picard_solve(make_power(1), 2, [1.0, 1.0], 3.0, tol=1e-9, q=q)
+        assert len(levels) >= 3 and tw.iterations >= 5
+        assert len(set(builds)) == len(builds)
+        if per_level == 1:
+            assert len(builds) == len(levels)
+        else:
+            assert len(levels) < len(builds) <= per_level * len(levels)
+
 
 class TestIntegralOperator:
     def test_zero_rhs_gives_taylor_polynomial(self):

@@ -1,12 +1,21 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup import volterra
 from blowup.errors import InvalidParameterError, NumericFailureError
 from blowup.volterra import partial_volterra, weighted_volterra
+
+
+def cold(fn, *args):
+    """fn(*args) with no kernel weights cached."""
+    volterra._WEIGHTS.clear()
+    return fn(*args)
 
 
 class TestExactCases:
@@ -101,6 +110,7 @@ class TestKernelContract:
     )
     def test_random_cubic_on_random_grid_is_exact(self, steps, coeffs, p):
         # the piecewise-cubic rule reproduces any cubic phi, on any grid
+        # (spacing ratio <= 20), from freshly built and from cached weights
         g = np.concatenate(([0.0], np.cumsum(steps)))
         phi = sum(c * g ** d for d, c in enumerate(coeffs))
         terms = [
@@ -109,7 +119,10 @@ class TestKernelContract:
         ]
         exact = sum(terms)
         scale = np.max(sum(np.abs(t) for t in terms))
-        err = np.max(np.abs(weighted_volterra(phi, p, g) - exact))
+        first = cold(weighted_volterra, phi, p, g)
+        warm = weighted_volterra(phi, p, g)
+        assert np.array_equal(first, warm)
+        err = np.max(np.abs(warm - exact))
         assert err <= 1e-11 * max(scale, 1e-300)
 
     def test_partial_targets_off_the_nodes(self):
@@ -156,6 +169,17 @@ class TestValidation:
         out = weighted_volterra(g3 ** 2, 1, g3)  # quadratic exactly integrable at w=3
         assert out[-1] == pytest.approx(1 / 3, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "grid", [[math.nan, 1.0, 2.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.inf]]
+    )
+    def test_non_finite_grid_is_refused_and_not_cached(self, grid):
+        volterra._WEIGHTS.clear()
+        with pytest.raises(InvalidParameterError):
+            weighted_volterra([1.0, 1.0, 1.0], 1, grid)
+        with pytest.raises(InvalidParameterError):
+            partial_volterra([1.0, 1.0, 1.0], 1, grid, [0.5])
+        assert not volterra._WEIGHTS
+
     def test_partial_checks_its_input_like_the_full_kernel(self):
         targets = [1.5, 3.0]
         with pytest.raises(InvalidParameterError):  # unsorted span
@@ -168,3 +192,89 @@ class TestValidation:
             partial_volterra(np.ones(3), 13, [0.0, 1.0, 2.0], targets)
         with pytest.raises(InvalidParameterError):
             partial_volterra(np.ones(2), 1, [0.0, 1.0, 2.0], targets)
+
+
+class TestWeightCache:
+    """Cached grid weights give the same bits as a cold build."""
+
+    def test_warm_calls_equal_cold(self):
+        g = np.linspace(0.0, 3.0, 257)
+        phi = np.exp(-g) * np.cos(4 * g)
+        for p in (1, 3, 4):
+            first = cold(weighted_volterra, phi, p, g)
+            assert np.array_equal(weighted_volterra(phi, p, g), first)
+            assert np.array_equal(weighted_volterra(phi, p, g), first)
+
+    def test_lower_order_from_a_higher_order_entry(self):
+        # order 1 is built alone, then the entry is rebuilt for order 3, and
+        # order 1 is read back from it
+        g = np.cumsum(np.linspace(0.05, 1.0, 40))
+        phi = np.sin(g) + 2.0
+        want = {p: cold(weighted_volterra, phi, p, g) for p in (1, 3)}
+        volterra._WEIGHTS.clear()
+        for p in (1, 3, 1):
+            assert np.array_equal(weighted_volterra(phi, p, g), want[p])
+        assert len(volterra._WEIGHTS) == 1
+
+    def test_more_grids_than_slots(self):
+        grids = [np.linspace(0.0, 1.0 + k, 33 + 8 * k) for k in range(volterra._SLOTS + 2)]
+        want = [cold(weighted_volterra, np.cos(g), 2, g) for g in grids]
+        volterra._WEIGHTS.clear()
+        for order in (range(len(grids)), reversed(range(len(grids))), range(len(grids))):
+            for k in order:
+                g = grids[k]
+                assert np.array_equal(weighted_volterra(np.cos(g), 2, g), want[k])
+        assert len(volterra._WEIGHTS) == volterra._SLOTS
+
+    def test_sub_grids_alternating_with_the_full_grid(self):
+        # the access pattern of a piecewise-q tower plus a full-span operator
+        g = np.linspace(0.0, 3.0, 97)
+        cuts = [(0, 32), (32, 64), (64, 96)]
+        phi = 1.0 + g ** 2
+        want_full = cold(weighted_volterra, phi, 3, g)
+        want_sub = [cold(partial_volterra, phi[i0 : i1 + 1], 3, g[i0 : i1 + 1], g) for i0, i1 in cuts]
+        volterra._WEIGHTS.clear()
+        for _ in range(3):
+            for (i0, i1), want in zip(cuts, want_sub):
+                assert np.array_equal(partial_volterra(phi[i0 : i1 + 1], 3, g[i0 : i1 + 1], g), want)
+            assert np.array_equal(weighted_volterra(phi, 3, g), want_full)
+
+    def test_grid_changed_in_place(self):
+        g = np.linspace(0.0, 2.0, 17)
+        phi = np.ones_like(g)
+        before = cold(weighted_volterra, phi, 2, g)
+        g *= 2.0  # same array object, new nodes
+        after = weighted_volterra(phi, 2, g)
+        assert np.array_equal(after, cold(weighted_volterra, phi, 2, g.copy()))
+        assert after[-1] == pytest.approx(8.0, rel=1e-14) and before[-1] == pytest.approx(2.0, rel=1e-14)
+
+    def test_threads_sharing_the_cache(self):
+        # more threads than cores and grids than slots, switching often: every
+        # result still equals its cold value
+        grids = [np.linspace(0.0, 1.0 + k, 65 + 16 * k) for k in range(volterra._SLOTS + 2)]
+        want = {(k, p): cold(weighted_volterra, np.cos(g), p, g) for k, g in enumerate(grids) for p in (1, 3)}
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(150):
+                    k, p = int(rng.integers(len(grids))), int(rng.choice([1, 3]))
+                    if not np.array_equal(weighted_volterra(np.cos(grids[k]), p, grids[k]), want[k, p]):
+                        errors.append((k, p))
+            except Exception as e:  # a thread's exception would otherwise be lost
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(volterra._WEIGHTS) <= volterra._SLOTS
