@@ -89,14 +89,25 @@ class ProblemSpec:
 
     def rhs(self, t: float, y: Sequence[float]) -> float:
         """Top derivative f(t, y) of the first-order system, for the state
-        y = (w, ..., w^(m-1)) given as floats."""
+        y = (w, ..., w^(m-1)) given as floats.
+
+        q and h are evaluated through their ``.fn`` directly: calling the
+        ScalarFn only forwards to it, and this runs six times per step.  The
+        product q(t) h(y[k]) is taken as is when it is a Python float.  Any
+        other product (a numpy scalar from powerlog's ``np.log``, a complex
+        from a fractional power of a negative stage value) is recomputed as
+        float(q) * float(h), with a complex h read as nan, which then fails
+        the finiteness check so that the step is retried.
+        """
         try:
-            qv, hv = self.q(t), self.h(y[self.k])
+            qv, hv = self.q.fn(t), self.h.fn(y[self.k])
         except OverflowError:  # Python's float ** raises where numpy gives inf
             raise NumericFailureError(f"q or h overflowed at t={t!r}, y={y!r}") from None
-        # a fractional power of a negative stage value is complex for a
-        # Python float (nan for numpy's): not finite either way
-        qh = float(qv) * (math.nan if isinstance(hv, complex) else float(hv))
+        qh = qv * hv
+        if qh.__class__ is not float:
+            # a fractional power of a negative stage value is complex for a
+            # Python float (nan for numpy's): not finite either way
+            qh = float(qv) * (math.nan if isinstance(hv, complex) else float(hv))
         if self.f_override is not None:
             fv = float(self.f_override(t, np.array(y)))
             # contract: 0 <= f <= q h, with float-scale slack
@@ -331,27 +342,40 @@ def _integrate_events(
             if h < min_step:
                 return finish(partial=True, t_event=t, reason="step-collapse", threshold=None)
 
+            # stage times stay inside the segment unless this step reaches
+            # its end; min(., hi) would leave the others unchanged
+            t2, t3, t4, t5, t6 = t + 1 / 5 * h, t + 3 / 10 * h, t + 4 / 5 * h, t + 8 / 9 * h, t + h
+            if t6 > hi:
+                t2, t3, t4, t5, t6 = min(t2, hi), min(t3, hi), min(t4, hi), min(t5, hi), hi
+
             # Dormand-Prince 5(4) stages; the 5th-order weights equal the
-            # seventh stage's row (FSAL), so y_new is the seventh stage state
+            # seventh stage's row (FSAL), so y_new is the seventh stage state.
+            # A stage slope is the stage state's tail with f appended.
             try:
                 s = [v + h * (1 / 5 * a) for v, a in zip(y, f)]
-                k2 = s[1:] + [rhs(min(t + 1 / 5 * h, hi), s)]
+                k2 = s[1:]
+                k2.append(rhs(t2, s))
                 s = [v + h * (3 / 40 * a + 9 / 40 * b) for v, a, b in zip(y, f, k2)]
-                k3 = s[1:] + [rhs(min(t + 3 / 10 * h, hi), s)]
+                k3 = s[1:]
+                k3.append(rhs(t3, s))
                 s = [v + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
                      for v, a, b, c in zip(y, f, k2, k3)]
-                k4 = s[1:] + [rhs(min(t + 4 / 5 * h, hi), s)]
+                k4 = s[1:]
+                k4.append(rhs(t4, s))
                 s = [v + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
                               - 212 / 729 * d) for v, a, b, c, d in zip(y, f, k2, k3, k4)]
-                k5 = s[1:] + [rhs(min(t + 8 / 9 * h, hi), s)]
+                k5 = s[1:]
+                k5.append(rhs(t5, s))
                 s = [v + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
                               + 49 / 176 * d - 5103 / 18656 * e)
                      for v, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)]
-                k6 = s[1:] + [rhs(min(t + h, hi), s)]
+                k6 = s[1:]
+                k6.append(rhs(t6, s))
                 y_new = [v + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
                                   - 2187 / 6784 * e + 11 / 84 * g)
                          for v, a, c, d, e, g in zip(y, f, k3, k4, k5, k6)]
-                f_new = y_new[1:] + [rhs(min(t + h, hi), y_new)]
+                f_new = y_new[1:]
+                f_new.append(rhs(t6, y_new))
             except NumericFailureError:
                 # retry with a smaller step before giving up
                 h *= 0.25
@@ -359,12 +383,11 @@ def _integrate_events(
                     raise
                 continue
             # embedded error (5th- minus 4th-order weights), scaled RMS norm
-            err = math.sqrt(sum(r * r for r in (
+            err = math.sqrt(sum([(r := (
                 h * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d - 17253 / 339200 * e
                      + 22 / 525 * g - 1 / 40 * k)
                 / (eff_tol + eff_tol * max(abs(v), abs(w)))
-                for v, w, a, c, d, e, g, k in zip(y, y_new, f, k3, k4, k5, k6, f_new)
-            )) / len(y))
+            )) * r for v, w, a, c, d, e, g, k in zip(y, y_new, f, k3, k4, k5, k6, f_new)]) / len(y))
 
             if not math.isfinite(err):
                 h *= 0.25

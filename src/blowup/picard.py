@@ -28,6 +28,7 @@ whose iterates increase in j and stay below the quadrature majorant
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -86,6 +87,18 @@ def comparison_constants(n: int) -> ComparisonConstants:
 # F's table in y = log s: panels of width _PANEL, _CHUNK per g.eval_array call, up to
 # Y_CAP (e^660 ~ 5e286; quad takes the tail on); targets are solved _SLICE at a time
 _PANEL, _CHUNK, _SLICE, Y_CAP = 0.125, 64, 1024, 660.0
+
+
+@functools.cache
+def _gauss_rules():
+    """20-point Gauss-Legendre checked by 11-point (odd: it sees a jump at a
+    panel's centre, where two even rules agree), as read-only (x, w) pairs.
+    Built on first use and kept, so an import runs no LAPACK."""
+    rules = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(11)
+    for x, w in rules:
+        x.setflags(write=False)
+        w.setflags(write=False)
+    return rules
 
 
 def _panels(f, edges: np.ndarray, rules):
@@ -148,9 +161,7 @@ def solve_autonomous_quadrature(
         return np.exp(y / n) * gv ** (-1.0 / n)
 
     t_max, bps = float(targets.max()), np.log([bp for bp in g.breakpoints if bp > 0.0])
-    # 20-point Gauss-Legendre checked by 11-point (odd: it sees a jump at a panel's
-    # centre, where two even rules agree); made here, so an import runs no LAPACK
-    rules = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(11)
+    rules = _gauss_rules()
     # g may overflow to inf far out, where the integrand is 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lefts, cums, y, c_last = [], [[0.0]], math.log(u0), 0.0

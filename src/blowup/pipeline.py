@@ -157,12 +157,19 @@ def majorization_experiment(
     *,
     rho: float = 2.0,
     tol: float = 1e-12,
+    u: Optional[Trajectory] = None,
 ) -> MajorizationTable:
     """Tabulate the comparison margins w^(i)(tau_j) - u^(i)(t_j), j = 0..J.
 
     ``rho`` is the level factor (the construction's own value is 2; other
     values are experimental knobs with no correctness claim).  Levels stop
     early when u never reaches the next one within the horizon.
+
+    ``u`` is the reduced solution when the caller has already integrated it:
+    the pipeline's direct cross-check for k = 0 is that very solve.  It must
+    be what this function would have integrated itself: order n, initial
+    values a_reduced, accuracy ``tol`` and span [0, horizon]; anything else
+    raises InvalidParameterError.  Left out, u is integrated here.
     """
     check_int("n", n)
     if not (rho > 1.0):
@@ -175,8 +182,15 @@ def majorization_experiment(
         raise InvalidParameterError("need b_i > a_reduced_i componentwise")
 
     pu = ProblemSpec(m=n, k=0, a=a_reduced, q=q, h=h)
-    res = integrate(pu, horizon, tol)
-    traj = res.trajectory if isinstance(res, BlowupEvent) else res
+    if u is None:
+        res = integrate(pu, horizon, tol)
+        traj = res.trajectory if isinstance(res, BlowupEvent) else res
+    elif (u.m, tuple(u.ys[0]), u.tol, u.ts[0], u.t_end) != (n, pu.a, tol, 0.0, horizon):
+        raise InvalidParameterError(
+            f"u must be the order-{n} solve from {pu.a} at tol {tol!r} on [0, {horizon!r}]"
+        )
+    else:
+        traj = u
     t_end = traj.t_end
 
     # anchor level: first time u is meaningfully positive
@@ -215,7 +229,7 @@ def majorization_experiment(
 
     # companion problem w^(n) = h(rho w), w^(i)(0) = b_i
     h_rho = make_custom(
-        lambda s, _h=h, _r=rho: _h(_r * s),
+        lambda s, _h=h.fn, _r=rho: _h(_r * s),
         nondecreasing=h.nondecreasing,
         nonnegative=h.nonnegative,
         asymptotic_exponent=h.asymptotic_exponent,
@@ -447,6 +461,8 @@ def _construct_and_check(p, red, horizon, opts, notes):
             notes.append(f"sandwich slack min(v - w) = {sandwich:.3e}")
 
     with _stage("majorize"):
+        tol = max(opts.tol, 1e-12)
+        # for k = 0 the direct cross-check above has integrated the reduced problem
         table = majorization_experiment(
             red.q,
             red.h,
@@ -455,6 +471,7 @@ def _construct_and_check(p, red, horizon, opts, notes):
             J=opts.majorize_levels,
             horizon=float(horizon),
             rho=opts.rho,
-            tol=max(opts.tol, 1e-12),
+            tol=tol,
+            u=direct if p.k == 0 and tol == opts.tol else None,
         )
     return construction, lifted, direct, table

@@ -66,6 +66,86 @@ class TestProblemSpec:
         assert traj(2.0)[0] == pytest.approx(math.e, rel=1e-8)
 
 
+def reference_rhs(self, t, y):
+    """ProblemSpec.rhs as it was written through the ScalarFn calls, with every
+    factor converted by float(): the reference the direct ``.fn`` path must
+    reproduce bit for bit."""
+    try:
+        qv, hv = self.q(t), self.h(y[self.k])
+    except OverflowError:
+        raise NumericFailureError("overflow") from None
+    qh = float(qv) * (math.nan if isinstance(hv, complex) else float(hv))
+    if self.f_override is not None:
+        fv = float(self.f_override(t, np.array(y)))
+        slack = 1e-12 * (1.0 + abs(qh))
+        if fv < -slack or fv > qh + slack:
+            raise InvalidParameterError("f_override out of bounds")
+    else:
+        fv = qh
+    if not math.isfinite(fv):
+        raise NumericFailureError("not finite")
+    return fv
+
+
+def _outcome(rhs, p, t, y):
+    try:
+        return rhs(p, t, y)
+    except Exception as exc:
+        return type(exc)
+
+
+_H = {
+    "power": lambda x: make_power(3.0 * x),
+    "powerlog": lambda x: make_power_log(PowerFamilyParams(3.0 * x, 2.0 * x - 0.5)),
+    "custom": lambda x: make_custom(lambda s: s * s / (1.0 + s * s) + x * abs(s) ** 0.75),
+}
+_Q = {
+    "constant": lambda x: make_constant(10.0 * x),
+    "piecewise": lambda x: make_piecewise([((0, 1.0 + x), 0.5), ((1.0 + x, math.inf), 2.0 + x)]),
+}
+
+
+class TestRhsAgainstReference:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        h=st.sampled_from(sorted(_H)), q=st.sampled_from(sorted(_Q)),
+        x=st.floats(0.0, 1.0), t=st.floats(0.0, 1e6),
+        y=st.lists(st.floats(-2.0, 1e150), min_size=1, max_size=3),
+        k=st.integers(0, 2), override=st.booleans(),
+    )
+    @example(h="power", q="constant", x=0.5, t=0.0, y=[-1.0], k=0, override=False)
+    @example(h="powerlog", q="piecewise", x=0.5, t=2.0, y=[-1.0, 3.0], k=0, override=False)
+    @example(h="power", q="constant", x=1.0, t=0.0, y=[1e150], k=0, override=False)
+    @example(h="powerlog", q="constant", x=0.9, t=0.0, y=[1e100], k=0, override=False)
+    def test_same_float_or_same_error(self, h, q, x, t, y, k, override):
+        # complex (a fractional power of a negative state), numpy scalars
+        # (powerlog), overflow and the f_override contract all meet the
+        # reference's outcome
+        f_override = (lambda t, y: 0.5 * float(y[-1])) if override else None
+        p = ProblemSpec(m=len(y), k=min(k, len(y) - 1), a=(0.0,) * len(y),
+                        q=_Q[q](x), h=_H[h](x), f_override=f_override)
+        with np.errstate(all="ignore"):
+            got, want = _outcome(ProblemSpec.rhs, p, t, y), _outcome(reference_rhs, p, t, y)
+        if isinstance(want, float):
+            assert type(got) is float and got.hex() == want.hex()
+        else:
+            assert got is want
+
+    @pytest.mark.parametrize("p", [
+        ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=ONE,
+                    h=make_power_log(PowerFamilyParams(0.5, 1.0))),
+        ProblemSpec(m=1, k=0, a=(0.5,),
+                    q=make_piecewise([((0, 0.5), 0.5), ((0.5, math.inf), 2.0)]),
+                    h=make_power(0.5)),
+    ], ids=["m3-k1-powerlog", "piecewise-q"])
+    def test_integrate_is_byte_identical(self, p, monkeypatch):
+        new = integrate(p, 2.0, 1e-10)
+        monkeypatch.setattr(ProblemSpec, "rhs", reference_rhs)
+        ref = integrate(p, 2.0, 1e-10)
+        for name in ("ts", "ys", "dys"):
+            assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
+
+
 class TestIntegrate:
     def test_cosh_oracle(self):
         traj = integrate(cosh_problem(), 10.0, 1e-9)
@@ -150,6 +230,14 @@ class TestIntegrate:
         traj = integrate(p, 0.1, 1e-8)
         Q = 0.1 + 5.0 * math.sqrt(math.pi) * (math.erf(98.0) + math.erf(2.0))
         assert traj(0.1)[0] == pytest.approx((1e-3 + Q / 2.0) ** 2, rel=1e-6)
+
+    def test_stage_times_on_a_time_dependent_q(self):
+        # w' = (cos 3t + 1.5) w: each stage must see q at its own time, or the
+        # order drops and the step count explodes.  Exact: w = exp(1.5 t + sin(3t)/3)
+        q = make_custom(lambda t: math.cos(3.0 * t) + 1.5)
+        traj = integrate(ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(1)), 2.0, 1e-10)
+        assert traj.ys[-1, 0] == pytest.approx(math.exp(3.0 + math.sin(6.0) / 3.0), rel=1e-11)
+        assert len(traj.ts) < 500
 
     def test_dense_output_clamps_span(self):
         traj = integrate(cosh_problem(), 1.0, 1e-9)

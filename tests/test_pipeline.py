@@ -136,6 +136,21 @@ class TestMajorization:
         with pytest.raises(InvalidParameterError, match=r"^n must be an integer >= 1, got 0$"):
             majorization_experiment(ONE, make_power(1), 0, (), J=2, horizon=5.0)
 
+    def test_given_solution_must_be_the_reduced_solve(self):
+        h = make_power(1)
+        u = integrate(ProblemSpec(m=2, k=0, a=(1.0, 1.0), q=ONE, h=h), 5.0, 1e-10)
+        given = majorization_experiment(ONE, h, 2, (1.0, 1.0), J=4, horizon=5.0, tol=1e-10, u=u)
+        own = majorization_experiment(ONE, h, 2, (1.0, 1.0), J=4, horizon=5.0, tol=1e-10)
+        assert repr(given) == repr(own)
+        for n, a, horizon, tol in [
+            (1, (1.0,), 5.0, 1e-10),           # order
+            (2, (1.0, 0.5), 5.0, 1e-10),       # data
+            (2, (1.0, 1.0), 4.0, 1e-10),       # span
+            (2, (1.0, 1.0), 5.0, 1e-12),       # tol
+        ]:
+            with pytest.raises(InvalidParameterError, match="u must be the order"):
+                majorization_experiment(ONE, h, n, a, J=4, horizon=horizon, tol=tol, u=u)
+
 
 class TestPipeline:
     def test_global_exponential(self):
@@ -219,6 +234,24 @@ class TestPipeline:
         with pytest.raises(StageError) as exc:
             run_pipeline(p, horizon=1e6)
         assert exc.value.stage == "construct"
+
+    @pytest.mark.parametrize("k, solves", [(0, 2), (1, 3)])
+    def test_one_solve_per_problem(self, k, solves, monkeypatch):
+        # for k = 0 the majorization reuses the direct cross-check's solve;
+        # the companion is the other one
+        import blowup.pipeline as pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "integrate",
+                            lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
+        p = ProblemSpec(m=2, k=k, a=(1.0, 1.0), q=ONE, h=make_power(0.5))
+        rep = run_pipeline(p, horizon=5.0)
+        assert rep.label == "GlobalConstructed" and rep.passed
+        assert len(calls) == solves
+        red = reduce_problem(p)
+        alone = majorization_experiment(red.q, red.h, red.n, red.a_reduced,
+                                        J=6, horizon=5.0, tol=1e-10)
+        assert repr(rep.majorization) == repr(alone)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     @pytest.mark.parametrize("m", [1, 2, 3])
