@@ -349,8 +349,7 @@ def _integrate_events(
                 t2, t3, t4, t5, t6 = min(t2, hi), min(t3, hi), min(t4, hi), min(t5, hi), hi
 
             # Dormand-Prince 5(4) stages; the 5th-order weights equal the
-            # seventh stage's row (FSAL), so y_new is the seventh stage state.
-            # A stage slope is the stage state's tail with f appended.
+            # seventh stage's row (FSAL), so y_new is the seventh stage state
             try:
                 s = [v + h * (1 / 5 * a) for v, a in zip(y, f)]
                 k2 = s[1:]
