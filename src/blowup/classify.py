@@ -111,52 +111,46 @@ def _classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
 
     exact = _exact_verdict(h, n, scale)
     if exact is not None:
-        return exact
+        verdict, est = exact
+        return _verdict(verdict, Method.EXACT_FAMILY, est, cumulative=0.0 if est is None else est)
     return _panel_classify(h, n, scale)
 
 
-def _exact_verdict(h: ScalarFn, n: int, scale: float) -> Optional[IntegralVerdict]:
-    def make(verdict, estimate=None):
-        return IntegralVerdict(
-            verdict=verdict,
-            estimate=estimate,
-            panels_used=0,
-            method=Method.EXACT_FAMILY,
-            evidence={
-                "cumulative": estimate if estimate is not None else 0.0,
-                "last_panel": 0.0,
-                "cap_hit": False,
-                "tail_bound": None,
-            },
-        )
+def _verdict(verdict, method, estimate=None, panels_used=0, *,
+             cumulative=0.0, last_panel=0.0, cap_hit=False, tail_bound=None) -> IntegralVerdict:
+    return IntegralVerdict(
+        verdict=verdict, estimate=estimate, panels_used=panels_used, method=method,
+        evidence={"cumulative": cumulative, "last_panel": last_panel,
+                  "cap_hit": cap_hit, "tail_bound": tail_bound},
+    )
 
+
+def _exact_verdict(h: ScalarFn, n: int, scale: float) -> Optional[tuple]:
+    """(verdict, estimate) for the families decided in closed form, else None."""
     if h.family is Family.POWER:
         (lam,) = h.params
         if lam <= 1.0:
-            return make(Verdict.DIVERGES)
+            return Verdict.DIVERGES, None
         # integrand scale^(-lam/n) * s^((1-lam)/n - 1): exact antiderivative
-        return make(Verdict.CONVERGES, scale ** (-lam / n) * n / (lam - 1.0))
+        return Verdict.CONVERGES, scale ** (-lam / n) * n / (lam - 1.0)
 
     if h.family is Family.POWER_LOG:
         lam, sigma, shift = h.params
-        if lam < 1.0:
-            return make(Verdict.DIVERGES)
-        if lam == 1.0 and sigma <= n:
-            return make(Verdict.DIVERGES)
-        return make(Verdict.CONVERGES, _powerlog_estimate(lam, sigma, shift, n, scale))
+        if lam < 1.0 or (lam == 1.0 and sigma <= n):
+            return Verdict.DIVERGES, None
+        return Verdict.CONVERGES, _powerlog_estimate(lam, sigma, shift, n, scale)
 
     if h.family is Family.CONSTANT:
         (c,) = h.params
         if c <= 0.0:
             raise SingularIntegrandError(f"constant h = {c} is not positive", where=1.0)
-        return make(Verdict.DIVERGES)  # exponent 0 <= 1
+        return Verdict.DIVERGES, None  # exponent 0 <= 1
 
     lam = h.asymptotic_exponent
     if lam is not None and lam != 1.0:
         if lam < 1.0:
-            return make(Verdict.DIVERGES)
-        est = _generic_converging_estimate(h, n, scale)
-        return make(Verdict.CONVERGES, est)
+            return Verdict.DIVERGES, None
+        return Verdict.CONVERGES, _generic_converging_estimate(h, n, scale)
 
     return None
 
@@ -230,18 +224,8 @@ def _panel_classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
         last_panel = panel
 
         if cumulative >= DIVERGE_CAP:
-            return IntegralVerdict(
-                verdict=Verdict.DIVERGES,
-                estimate=None,
-                panels_used=j + 1,
-                method=Method.NUMERIC_HEURISTIC,
-                evidence={
-                    "cumulative": cumulative,
-                    "last_panel": last_panel,
-                    "cap_hit": True,
-                    "tail_bound": None,
-                },
-            )
+            return _verdict(Verdict.DIVERGES, Method.NUMERIC_HEURISTIC, None, j + 1,
+                            cumulative=cumulative, last_panel=last_panel, cap_hit=True)
 
         if panel / max(cumulative, 1.0) < TAIL_EPS:
             streak += 1
@@ -252,32 +236,12 @@ def _panel_classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
             ratio = panel / prev_panel
             if ratio < 0.9 and _integrand_decays(f, hi):
                 tail = panel * ratio / (1.0 - ratio)
-                return IntegralVerdict(
-                    verdict=Verdict.CONVERGES,
-                    estimate=cumulative + tail,
-                    panels_used=j + 1,
-                    method=Method.NUMERIC_HEURISTIC,
-                    evidence={
-                        "cumulative": cumulative,
-                        "last_panel": last_panel,
-                        "cap_hit": False,
-                        "tail_bound": tail,
-                    },
-                )
+                return _verdict(Verdict.CONVERGES, Method.NUMERIC_HEURISTIC, cumulative + tail, j + 1,
+                                cumulative=cumulative, last_panel=last_panel, tail_bound=tail)
         prev_panel = panel
 
-    return IntegralVerdict(
-        verdict=Verdict.INCONCLUSIVE,
-        estimate=None,
-        panels_used=J_MAX,
-        method=Method.NUMERIC_HEURISTIC,
-        evidence={
-            "cumulative": cumulative,
-            "last_panel": last_panel,
-            "cap_hit": False,
-            "tail_bound": None,
-        },
-    )
+    return _verdict(Verdict.INCONCLUSIVE, Method.NUMERIC_HEURISTIC, None, J_MAX,
+                    cumulative=cumulative, last_panel=last_panel)
 
 
 def _integrand_decays(f, s0: float) -> bool:

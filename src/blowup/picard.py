@@ -43,7 +43,7 @@ from .errors import (
     NumericFailureError,
     check_int,
 )
-from .functions import ScalarFn, make_custom
+from .functions import ScalarFn, make_constant, make_custom
 from .ode import ProblemSpec, Trajectory
 from .volterra import integral_image, weighted_volterra
 
@@ -366,13 +366,14 @@ def picard_solve(
             )
     if np.any(b < 0.0):
         raise InvalidParameterError("tower initial values must be >= 0")
+    q = make_constant(1.0) if q is None else q
 
-    q_sup = _sup_on_interval(q, T) if q is not None else 1.0
+    q_sup = _sup_on_interval(q, T)
     if q_sup <= 0.0:
         q_sup = 1.0  # q == 0: the tower is the bare polynomial; any majorant works
     g = majorant_growth(h, n, weight=q_sup)
     u0_maj = sum(bi * T ** i / math.factorial(i) for i, bi in enumerate(mb))
-    bps = tuple(bp for bp in (q.breakpoints if q is not None else ()) if 0.0 < bp < T)
+    bps = tuple(bp for bp in q.breakpoints if 0.0 < bp < T)
 
     edges = [0.0, *bps, float(T)]
     base_cells = [max(2, round((GRID_MIN - 1) * (hi - lo) / T)) for lo, hi in zip(edges, edges[1:])]
@@ -435,7 +436,7 @@ def _sup_on_interval(q: ScalarFn, T: float) -> float:
     return float(np.max(q.eval_array(probes)))
 
 
-def _q_blocks(q: Optional[ScalarFn], grid: np.ndarray):
+def _q_blocks(q: ScalarFn, grid: np.ndarray):
     """(i0, i1, sample times, q values) per smoothness block, edges on nodes.
 
     The blocks split the grid at q's breakpoints inside it.  The sample
@@ -443,7 +444,7 @@ def _q_blocks(q: Optional[ScalarFn], grid: np.ndarray):
     q's left limit, so each block sees only its own branch of a piecewise
     coefficient.
     """
-    bps = [bp for bp in (q.breakpoints if q is not None else ()) if grid[0] < bp < grid[-1]]
+    bps = [bp for bp in q.breakpoints if grid[0] < bp < grid[-1]]
     edges = [float(grid[0]), *bps, float(grid[-1])]
     blocks = []
     for i in range(len(edges) - 1):
@@ -452,7 +453,7 @@ def _q_blocks(q: Optional[ScalarFn], grid: np.ndarray):
         ts = grid[i0 : i1 + 1].copy()
         if i + 1 < len(edges) - 1:  # interior right edge: left limit
             ts[-1] = np.nextafter(ts[-1], ts[0])
-        blocks.append((i0, i1, ts, np.ones(len(ts)) if q is None else q.eval_array(ts)))
+        blocks.append((i0, i1, ts, q.eval_array(ts)))
     return blocks
 
 
@@ -502,7 +503,6 @@ def apply_integral_operator(
     p: ProblemSpec,
     grid: np.ndarray,
     u_values: np.ndarray,
-    f_values: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Image (and derivatives) of the order-m Volterra operator.
 
@@ -511,12 +511,10 @@ def apply_integral_operator(
 
         sum_j a_{i+j} t^j / j!  +  1/(m-i-1)! int_0^t (t-tau)^(m-i-1) f dtau,
 
-    with f = f_override(t, u) (or q h(u_k)) unless explicit samples are
-    passed.  Column 0 is the operator image, column i its i-th derivative.
-    A computed f is integrated block by block between q's jumps, each block
-    sampling q's own branch at its ends, so on a grid with nodes at the
-    jumps the quadrature never straddles one; explicit ``f_values`` are
-    integrated as one block.
+    with f = f_override(t, u) (or q h(u_k)).  Column 0 is the operator
+    image, column i its i-th derivative.  f is integrated block by block
+    between q's jumps, each block sampling q's own branch at its ends, so on
+    a grid with nodes at the jumps the quadrature never straddles one.
     """
     grid = np.asarray(grid, dtype=float)
     u_values = np.atleast_2d(np.asarray(u_values, dtype=float))
@@ -526,17 +524,14 @@ def apply_integral_operator(
         raise InvalidParameterError(
             f"u_values must have shape ({len(grid)}, {p.m}), got {u_values.shape}"
         )
-    if f_values is not None:
-        blocks = [(0, len(grid) - 1, np.asarray(f_values, dtype=float))]
-    else:
-        blocks = []
-        for i0, i1, ts, qv in _q_blocks(p.q, grid):
-            u = u_values[i0 : i1 + 1]
-            if p.f_override is None:
-                f = qv * p.h.eval_array(u[:, p.k])
-            else:
-                f = np.array([float(p.f_override(t, y)) for t, y in zip(ts, u)])
-            blocks.append((i0, i1, f))
+    blocks = []
+    for i0, i1, ts, qv in _q_blocks(p.q, grid):
+        u = u_values[i0 : i1 + 1]
+        if p.f_override is None:
+            f = qv * p.h.eval_array(u[:, p.k])
+        else:
+            f = np.array([float(p.f_override(t, y)) for t, y in zip(ts, u)])
+        blocks.append((i0, i1, f))
     if not all(np.all(np.isfinite(f)) for _, _, f in blocks):
         raise NumericFailureError("non-finite right-hand side samples")
 

@@ -192,33 +192,33 @@ def majorization_experiment(
     else:
         traj = u
     t_end = traj.t_end
+    u_end = float(traj.ys[-1, 0])
+
+    def crossing(level, lo):
+        """The time in [lo, t_end] at which u reaches ``level``, by dense root finding."""
+        return brentq(lambda t: float(traj(t)[0]) - level, lo, t_end, xtol=1e-14, rtol=8.9e-16)
 
     # anchor level: first time u is meaningfully positive
     if a_reduced[0] > 0.0:
         t0 = 0.0
     else:
         thresh = 1e-8 * (1.0 + max(abs(x) for x in a_reduced) if a_reduced else 1.0)
-        u_at = lambda t: float(traj(t)[0])
-        if u_at(t_end) < thresh:
+        if u_end < thresh:
             return MajorizationTable(
                 rho=float(rho), t0=math.nan, u0=0.0, rows=(),
                 levels_reachable=False,
                 note="solution never exceeds the positivity threshold (stagnant)",
             )
-        t0 = brentq(lambda t: u_at(t) - thresh, 0.0, t_end, xtol=1e-14, rtol=8.9e-16)
+        t0 = crossing(thresh, 0.0)
     u0 = float(traj(t0)[0])
 
-    # locate levels u(t_j) = rho^j * u0 by dense root finding
+    # levels u(t_j) = rho^j * u0
     t_levels = [t0]
     for j in range(1, J + 1):
         level = rho ** j * u0
-        lo = t_levels[-1]
-        if float(traj(t_end)[0]) < level:
+        if u_end < level:
             break
-        t_j = brentq(
-            lambda t: float(traj(t)[0]) - level, lo, t_end, xtol=1e-14, rtol=8.9e-16
-        )
-        t_levels.append(t_j)
+        t_levels.append(crossing(level, t_levels[-1]))
 
     eps = [0.0]
     taus = [0.0]
@@ -243,10 +243,9 @@ def majorization_experiment(
             f"companion solution escaped at t={wres.t_event!r} before tau_J={taus[-1]!r}"
         )
 
+    # one dense call per trajectory; at tau_0 = 0 the companion returns b exactly
     rows = []
-    for j in range(len(t_levels)):
-        u_d = traj(t_levels[j])
-        w_d = wres(taus[j]) if taus[j] > 0 else np.asarray(pw.a)
+    for j, (u_d, w_d) in enumerate(zip(traj(np.array(t_levels)), wres(np.array(taus)))):
         margins = w_d - u_d
         rel = margins / (1.0 + np.abs(u_d))
         rows.append(
@@ -332,84 +331,69 @@ def _stage(name):
 def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | None = None) -> PipelineReport:
     """Classify, then construct (global regime) or probe blow-up.
 
+    One flow: reduce, classify, detect blow-up unless the test diverges,
+    then construct, lift, cross-check and majorize unless it converges.
     Divergent test: a global solution of the dominating problem is built by
     the monotone tower on the reduced data, lifted, and cross-checked
-    against direct integration.  Convergent test: the escape ladder runs up
-    to the horizon.  Inconclusive: both probes run, no verdict is claimed.
+    against direct integration; a failing stage raises.  Convergent test:
+    the escape ladder runs up to the horizon.  Inconclusive: both probes
+    run, no verdict is claimed, and a failing construction stage becomes a
+    note that keeps whatever the stages before it finished.
     """
     opts = opts or PipelineOptions()
     notes: list[str] = []
+    construction = constructed = direct = blow = table = None
 
     with _stage("reduce"):
         red = reduce_problem(p)
     with _stage("classify"):
         cls = classify(red.h, red.n)
+    verdict = cls.verdict
+    if verdict is Verdict.INCONCLUSIVE:
+        notes.append("integral test inconclusive; reporting numeric probes only")
 
-    if cls.verdict is Verdict.DIVERGES:
-        construction, constructed, direct, table = _construct_and_check(
-            p, red, horizon, opts, notes
-        )
-        return PipelineReport(
-            label="GlobalConstructed",
-            horizon=float(horizon),
-            classification=cls,
-            reduced=red,
-            construction=construction,
-            constructed=constructed,
-            direct=direct,
-            majorization=table,
-            notes=tuple(notes),
-        )
-
-    if cls.verdict is Verdict.CONVERGES:
+    if verdict is not Verdict.DIVERGES:
         with _stage("detect-blowup"):
-            rep = detect_blowup(p, thresholds=opts.thresholds, horizon=horizon, tol=opts.tol)
+            blow = detect_blowup(p, thresholds=opts.thresholds, horizon=horizon, tol=opts.tol)
+
+    if verdict is Verdict.CONVERGES:
         if max(p.a, default=0.0) < 1.0:
             notes.append(
                 "initial data are small; the convergent regime guarantees "
                 "blow-up only for sufficiently large data"
             )
-        if rep.kind is BlowupKind.BLOW_UP:
+        if blow.kind is BlowupKind.BLOW_UP:
             label = "BlowUpDetected"
         else:
             label = "BlowUpNotObserved"
             notes.append("no escape within the horizon despite convergent test")
-        return PipelineReport(
-            label=label,
-            horizon=float(horizon),
-            classification=cls,
-            reduced=red,
-            blowup=rep,
-            notes=tuple(notes),
-        )
+    else:
+        label = "GlobalConstructed" if verdict is Verdict.DIVERGES else "Inconclusive"
+        try:
+            construction, constructed, direct = _construct_and_check(p, red, horizon, opts, notes)
+            with _stage("majorize"):
+                tol = max(opts.tol, 1e-12)
+                # for k = 0 the direct cross-check has integrated the reduced problem
+                table = majorization_experiment(
+                    red.q, red.h, red.n, red.a_reduced, J=opts.majorize_levels,
+                    horizon=float(horizon), rho=opts.rho, tol=tol,
+                    u=direct if p.k == 0 and tol == opts.tol else None,
+                )
+        except StageError as e:
+            if verdict is Verdict.DIVERGES:
+                raise
+            notes.append(f"construction probe failed: {e}")
 
-    # Inconclusive: report both probes, no verdict
-    notes.append("integral test inconclusive; reporting numeric probes only")
-    blow = None
-    construction = constructed = direct = table = None
-    with _stage("detect-blowup"):
-        blow = detect_blowup(p, thresholds=opts.thresholds, horizon=horizon, tol=opts.tol)
-    try:
-        construction, constructed, direct, table = _construct_and_check(
-            p, red, horizon, opts, notes
-        )
-    except StageError as e:
-        notes.append(f"construction probe failed: {e}")
     return PipelineReport(
-        label="Inconclusive",
-        horizon=float(horizon),
-        classification=cls,
-        reduced=red,
-        construction=construction,
-        constructed=constructed,
-        direct=direct,
-        blowup=blow,
-        majorization=table,
-        notes=tuple(notes),
+        label=label, horizon=float(horizon), classification=cls, reduced=red,
+        construction=construction, constructed=constructed, direct=direct,
+        blowup=blow, majorization=table, notes=tuple(notes),
     )
 
 
 def _construct_and_check(p, red, horizon, opts, notes):
+    """Tower on the reduced data, its lift, and the direct cross-check:
+    (construction report, lifted trajectory, direct trajectory)."""
     with _stage("construct"):
         a_red = np.asarray(red.a_reduced)
         tower = picard_solve(
@@ -438,12 +422,11 @@ def _construct_and_check(p, red, horizon, opts, notes):
 
     with _stage("cross-check"):
         majorant_problem = ProblemSpec(m=p.m, k=p.k, a=p.a, q=p.q, h=p.h)
-        res = integrate(majorant_problem, float(horizon), opts.tol)
-        if isinstance(res, BlowupEvent):
+        direct = integrate(majorant_problem, float(horizon), opts.tol)
+        if isinstance(direct, BlowupEvent):
             raise NumericFailureError(
-                f"direct integration escaped at t={res.t_event!r} in the divergent regime"
+                f"direct integration escaped at t={direct.t_event!r} in the divergent regime"
             )
-        direct = res
         sup = float(np.max(np.abs(lifted.ys - direct(lifted.ts))))
         construction = ConstructionReport(
             tower_iterations=tower.iterations,
@@ -460,18 +443,4 @@ def _construct_and_check(p, red, horizon, opts, notes):
             sandwich = float(np.min(lifted.ys - wres(lifted.ts)))
             notes.append(f"sandwich slack min(v - w) = {sandwich:.3e}")
 
-    with _stage("majorize"):
-        tol = max(opts.tol, 1e-12)
-        # for k = 0 the direct cross-check above has integrated the reduced problem
-        table = majorization_experiment(
-            red.q,
-            red.h,
-            red.n,
-            red.a_reduced,
-            J=opts.majorize_levels,
-            horizon=float(horizon),
-            rho=opts.rho,
-            tol=tol,
-            u=direct if p.k == 0 and tol == opts.tol else None,
-        )
-    return construction, lifted, direct, table
+    return construction, lifted, direct

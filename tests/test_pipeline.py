@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blowup.classify import Verdict
-from blowup.errors import InvalidParameterError, StageError
+from blowup.errors import InvalidParameterError, NumericFailureError, StageError
 from blowup.functions import make_constant, make_custom, make_power
 from blowup.ode import ProblemSpec, Trajectory, integrate
 from blowup.pipeline import (
@@ -16,6 +16,19 @@ from blowup.pipeline import (
 
 ONE = make_constant(1.0)
 LN2 = math.log(2.0)
+# I(h, 1) is on the border of the dichotomy and no exponent decides it
+LOG_BORDER = make_custom(
+    lambda s: s * np.log(np.e + s) ** 1.05,
+    nonnegative=True,
+    nondecreasing=True,
+    asymptotic_exponent=1.0,
+    label="log-border",
+)
+SMALL_NOTE = (
+    "initial data are small; the convergent regime guarantees "
+    "blow-up only for sufficiently large data"
+)
+INCONCLUSIVE_NOTE = "integral test inconclusive; reporting numeric probes only"
 
 
 def constant_trajectory(value=1.0, T=2.0, n_nodes=513):
@@ -262,3 +275,48 @@ class TestPipeline:
             rep = run_pipeline(p, horizon=5.0)
             assert rep.label == "GlobalConstructed"
             assert rep.construction.consistency_sup <= 1e-5, (lam, m, k)
+
+    def test_inconclusive_keeps_construction_when_majorize_fails(self, monkeypatch):
+        import blowup.pipeline as pipeline
+
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=LOG_BORDER)
+        whole = run_pipeline(p, horizon=0.3)
+        assert whole.label == "Inconclusive" and whole.majorization is not None
+
+        def fail(*args, **kwargs):
+            raise NumericFailureError("companion escaped")
+
+        monkeypatch.setattr(pipeline, "majorization_experiment", fail)
+        rep = run_pipeline(p, horizon=0.3)
+        assert rep.label == "Inconclusive"
+        assert repr(rep.construction) == repr(whole.construction)
+        assert rep.constructed is not None and rep.direct is not None
+        assert rep.majorization is None
+        assert rep.notes == (
+            INCONCLUSIVE_NOTE,
+            "construction probe failed: stage 'majorize' failed: companion escaped",
+        )
+        # with a divergent test the same failure is the pipeline's own
+        with pytest.raises(StageError) as exc:
+            run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1)), horizon=1.0)
+        assert exc.value.stage == "majorize"
+
+    @pytest.mark.parametrize("h, a, horizon, label, notes, present", [
+        (make_power(1), (1.0,), 1.0, "GlobalConstructed", (), {"construction", "majorization"}),
+        (make_power(2), (1.0,), 5.0, "BlowUpDetected", (), {"blowup"}),
+        (make_power(2), (0.0,), 5.0, "BlowUpNotObserved",
+         (SMALL_NOTE, "no escape within the horizon despite convergent test"), {"blowup"}),
+        (LOG_BORDER, (1.0,), 0.3, "Inconclusive", (INCONCLUSIVE_NOTE,),
+         {"construction", "blowup", "majorization"}),
+        (LOG_BORDER, (1.0,), 3.0, "Inconclusive",
+         (INCONCLUSIVE_NOTE, "construction probe failed: stage 'construct' failed: "
+          "could not bracket target t=3.0 below the overflow cap"), {"blowup"}),
+    ])
+    def test_one_row_per_label(self, h, a, horizon, label, notes, present):
+        rep = run_pipeline(ProblemSpec(m=1, k=0, a=a, q=ONE, h=h), horizon=horizon)
+        assert rep.label == label
+        assert rep.notes == notes
+        assert {name for name in ("construction", "blowup", "majorization")
+                if getattr(rep, name) is not None} == present
+        kept = "construction" in present
+        assert (rep.constructed is not None) is kept and (rep.direct is not None) is kept
