@@ -20,6 +20,8 @@ which needs no knowledge of the blow-up exponent.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -53,6 +55,60 @@ DEFAULT_THRESHOLDS = tuple(np.geomspace(10.0, 1e12, 12))
 # the embedded 4th-order error while the 5th-order solution is propagated,
 # so the margin buys global accuracy near the user tol on unit-scale spans.
 TOL_SAFETY = 0.05
+
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980): the nodes c_2..c_6 (the seventh stage reuses c_6 = 1), the rows of A
+# for stages 2..6, the 5th-order weights B, which are also the seventh
+# stage's row (FSAL), and the error row E = B - B* against the 4th-order B*.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = (
+    (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+@functools.cache
+def _stepper(m: int):
+    """One Dormand-Prince step for an m-component state, generated from the
+    tableau with every stage combination unrolled into scalar locals:
+    step(rhs, t, h, hi, y, f, tol) -> (y_new, f_new, err), with the stage
+    times clamped to hi when the step passes it and err the scaled RMS norm
+    of the embedded error.  The source is registered with linecache, so
+    tracebacks and profiles show its lines."""
+
+    def combo(weights, i):  # sum_j w_j * slope_j[i], left to right, no zero terms
+        return "".join(f" - {-w!r} * {k[i]}" if w < 0 else f" + {w!r} * {k[i]}"
+                       for w, k in zip(weights, slopes) if w).removeprefix(" + ")
+
+    idx, slopes = range(m), [[f"f{i}" for i in range(m)]]
+    src = [
+        "def step(rhs, t, h, hi, y, f, tol):",
+        f"    {''.join(f'y{i}, ' for i in idx)}= y",
+        f"    {''.join(f'f{i}, ' for i in idx)}= f",
+        "    t2, t3, t4, t5, t6 = " + ", ".join("t + h" if c == 1.0 else f"t + {c!r} * h" for c in _C),
+        "    if t6 > hi:",
+        "        t2, t3, t4, t5, t6 = min(t2, hi), min(t3, hi), min(t4, hi), min(t5, hi), hi",
+    ]
+    # stages 2..7; the seventh stage's state is y_new, at the sixth's time
+    for j, row in enumerate((*_A, _B), start=2):
+        state = [f"s{j}_{i}" for i in idx]
+        src += [f"    {state[i]} = y{i} + h * ({combo(row, i)})" for i in idx]
+        arg = ("" if j < 7 else "y_new := ") + f"[{', '.join(state)}]"
+        src.append(f"    k{j} = rhs(t{min(j, 6)}, {arg})")
+        slopes.append(state[1:] + [f"k{j}"])
+    src += [f"    r{i} = h * ({combo(_E, i)}) / (tol + tol * max(abs(y{i}), abs(s7_{i})))"
+            for i in idx]
+    src.append(f"    return y_new, [{''.join(f's7_{i}, ' for i in idx[1:])}k7], "
+               f"math.sqrt(sum(({''.join(f'r{i} * r{i}, ' for i in idx)})) / {m})")
+    text, filename = "\n".join(src) + "\n", f"<blowup.ode Dormand-Prince step, m={m}>"
+    namespace = {"math": math}
+    exec(compile(text, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    return namespace["step"]
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -146,8 +202,7 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("ts", "ys", "dys"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+            getattr(self, name).setflags(write=False)
 
     @property
     def t_end(self) -> float:
@@ -175,24 +230,16 @@ class Trajectory:
             # lower components: quintic Hermite (two-point Taylor) with exact
             # second derivatives s = (y[2:], f) at both ends
             d0, d1 = self.dys[i][:, :-1] * h, self.dys[i + 1][:, :-1] * h
-            s0 = self.dys[i][:, 1:] * h * h
-            s1 = self.dys[i + 1][:, 1:] * h * h
-            t2, t3 = th * th, th ** 3
-            t4, t5 = th ** 4, th ** 5
+            s0, s1 = self.dys[i][:, 1:] * h * h, self.dys[i + 1][:, 1:] * h * h
+            t2, t3, t4, t5 = th * th, th ** 3, th ** 4, th ** 5
             A0 = 1 - 10 * t3 + 15 * t4 - 6 * t5
             B0 = th - 6 * t3 + 8 * t4 - 3 * t5
             C0 = 0.5 * (t2 - 3 * t3 + 3 * t4 - t5)
             A1 = 10 * t3 - 15 * t4 + 6 * t5
             B1 = -4 * t3 + 7 * t4 - 3 * t5
             C1 = 0.5 * (t3 - 2 * t4 + t5)
-            out[:, :-1] = (
-                A0 * y0[:, :-1]
-                + B0 * d0
-                + C0 * s0
-                + A1 * y1[:, :-1]
-                + B1 * d1
-                + C1 * s1
-            )
+            out[:, :-1] = (A0 * y0[:, :-1] + B0 * d0 + C0 * s0
+                           + A1 * y1[:, :-1] + B1 * d1 + C1 * s1)
         return out[0] if scalar else out
 
     def component(self, i: int):
@@ -284,30 +331,24 @@ def _integrate_events(
     crossings: dict[float, float] = {}
     pending = sorted(float(M) for M in thresholds)
 
-    def finish(partial=False, t_event=None, reason=None, threshold=None):
+    def finish(reason=None, t_event=None, threshold=None):
+        """The Trajectory, or with a reason the BlowupEvent, and the crossings."""
         if len(ts) > 1 and ts[-1] == ts[-2]:  # stopped right at a restart
             del ts[-1], ys[-1], dys[-1]
-        traj = Trajectory(
-            ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), m=p.m, tol=tol
-        )
-        if not partial:
+        traj = Trajectory(ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), m=p.m, tol=tol)
+        if reason is None:
             return traj, crossings
-        return (
-            BlowupEvent(
-                t_event=float(t_event), reason=reason, threshold=threshold, trajectory=traj
-            ),
-            crossings,
-        )
+        return BlowupEvent(float(t_event), reason, threshold, traj), crossings
 
     # exact zero solution: all-zero data and h(0) = 0 (default right-hand side)
     if p.f_override is None and not any(y) and float(p.h(0.0)) == 0.0:
         ts, ys, dys = [0.0, float(T)], [y, y], [y, y]
         return finish()
 
-    # The state, stage states and stage slopes are lists of floats: numpy's
-    # per-call overhead dominates on states of one to three components.  A
-    # slope is (y[1:], f); only its top component calls the right-hand side.
-    rhs = p.rhs
+    # The state and slopes are lists of floats and the step works on scalar
+    # locals: numpy's per-call overhead dominates on states of one to three
+    # components.  A slope is (y[1:], f); only f calls the right-hand side.
+    rhs, step = p.rhs, _stepper(p.m)
     t = 0.0
     f = y[1:] + [rhs(t, y)]
     ts, ys, dys = [t], [y], [f]
@@ -316,7 +357,7 @@ def _integrate_events(
     while pending and max(y) >= pending[0]:
         crossings[pending.pop(0)] = 0.0
     if max(map(abs, y)) >= escape_threshold:
-        return finish(partial=True, t_event=0.0, reason="escape", threshold=escape_threshold)
+        return finish("escape", 0.0, escape_threshold)
 
     eff_tol = tol * TOL_SAFETY
     h = min(0.01 * (1.0 + max(map(abs, y))) / (1.0 + max(map(abs, f))), T / 10.0)
@@ -325,8 +366,8 @@ def _integrate_events(
     for seg_end in _segment_stops(p, T):
         if t >= seg_end:
             continue
-        # within a segment stay on its own branch of q: stage times that hit
-        # the right endpoint must not see the jump's right limit
+        # within a segment stay on its own branch of q: the step clamps its
+        # stage times to hi, so they never see the jump's right limit
         hi = math.nextafter(seg_end, -math.inf)
 
         # re-evaluate at the segment start: q may jump there, so a restart
@@ -340,53 +381,16 @@ def _integrate_events(
             h = min(h, seg_end - t)
             min_step = MIN_STEP_FACTOR * max(1.0, abs(t))
             if h < min_step:
-                return finish(partial=True, t_event=t, reason="step-collapse", threshold=None)
+                return finish("step-collapse", t)
 
-            # stage times stay inside the segment unless this step reaches
-            # its end; min(., hi) would leave the others unchanged
-            t2, t3, t4, t5, t6 = t + 1 / 5 * h, t + 3 / 10 * h, t + 4 / 5 * h, t + 8 / 9 * h, t + h
-            if t6 > hi:
-                t2, t3, t4, t5, t6 = min(t2, hi), min(t3, hi), min(t4, hi), min(t5, hi), hi
-
-            # Dormand-Prince 5(4) stages; the 5th-order weights equal the
-            # seventh stage's row (FSAL), so y_new is the seventh stage state
             try:
-                s = [v + h * (1 / 5 * a) for v, a in zip(y, f)]
-                k2 = s[1:]
-                k2.append(rhs(t2, s))
-                s = [v + h * (3 / 40 * a + 9 / 40 * b) for v, a, b in zip(y, f, k2)]
-                k3 = s[1:]
-                k3.append(rhs(t3, s))
-                s = [v + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
-                     for v, a, b, c in zip(y, f, k2, k3)]
-                k4 = s[1:]
-                k4.append(rhs(t4, s))
-                s = [v + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
-                              - 212 / 729 * d) for v, a, b, c, d in zip(y, f, k2, k3, k4)]
-                k5 = s[1:]
-                k5.append(rhs(t5, s))
-                s = [v + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
-                              + 49 / 176 * d - 5103 / 18656 * e)
-                     for v, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)]
-                k6 = s[1:]
-                k6.append(rhs(t6, s))
-                y_new = [v + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
-                                  - 2187 / 6784 * e + 11 / 84 * g)
-                         for v, a, c, d, e, g in zip(y, f, k3, k4, k5, k6)]
-                f_new = y_new[1:]
-                f_new.append(rhs(t6, y_new))
+                y_new, f_new, err = step(rhs, t, h, hi, y, f, eff_tol)
             except NumericFailureError:
                 # retry with a smaller step before giving up
                 h *= 0.25
                 if h < min_step:
                     raise
                 continue
-            # embedded error (5th- minus 4th-order weights), scaled RMS norm
-            err = math.sqrt(sum([(r := (
-                h * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d - 17253 / 339200 * e
-                     + 22 / 525 * g - 1 / 40 * k)
-                / (eff_tol + eff_tol * max(abs(v), abs(w)))
-            )) * r for v, w, a, c, d, e, g, k in zip(y, y_new, f, k3, k4, k5, k6, f_new)]) / len(y))
 
             if not math.isfinite(err):
                 h *= 0.25
@@ -395,9 +399,7 @@ def _integrate_events(
                 h *= max(0.2, 0.9 * err ** (-0.2))
                 continue
 
-            # accepted
-            t_new = t + h
-
+            t_new = t + h  # accepted
             # threshold crossings inside this step (components are monotone
             # in the intended regime; bisection is robust regardless)
             while pending and max(y_new) >= pending[0]:
@@ -406,16 +408,12 @@ def _integrate_events(
 
             if max(map(abs, y_new)) >= escape_threshold:
                 t_star = _crossing_time(t, t_new, y, y_new, f, f_new, escape_threshold)
-                y_star = [
-                    _cubic_hermite((t_star - t) / (t_new - t), t_new - t, *c)
-                    for c in zip(y, y_new, f, f_new)
-                ]
+                y_star = [_cubic_hermite((t_star - t) / (t_new - t), t_new - t, *c)
+                          for c in zip(y, y_new, f, f_new)]
                 ts.append(t_star)
                 ys.append(y_star)
                 dys.append(y_star[1:] + [rhs(min(t_star, hi), y_star)])
-                return finish(
-                    partial=True, t_event=t_star, reason="escape", threshold=escape_threshold
-                )
+                return finish("escape", t_star, escape_threshold)
 
             ts.append(t_new)
             ys.append(y_new)

@@ -178,12 +178,16 @@ def solve_autonomous_quadrature(
             # where g is finite, extrapolated from its decay, must be within QUAD_TOL
             t = float(targets[targets > c_last].min())
             total = c_last + quad(f, y, max(709.0, y), epsabs=QUAD_TOL, epsrel=1e-9, limit=400)[0] / n
-            f1, f2 = np.append([0.0, 0.0], np.trim_zeros(f(np.arange(math.log(u0), 709.0)), "b"))[-2:]
+            samples = f(np.arange(math.log(u0), 709.0))
+            f1, f2 = np.append([0.0, 0.0], np.trim_zeros(samples, "b"))[-2:]
             rest = f2 / math.log(f1 / f2) if 0.0 < f2 < f1 else math.inf
             if rest <= QUAD_TOL * n * total and total < t:
                 raise FiniteEscapeError(f"majorant escapes at finite time ~{total!r} < target {t!r}",
                                         escape_time=total)
-            raise BracketFailureError(f"could not bracket target t={t!r} below the overflow cap")
+            why = ""
+            if len(samples) and not samples.any():  # f is 0 only where g is inf
+                why = f": g overflows from s ~ {u0!r}, so F's tail cannot be shown to converge"
+            raise BracketFailureError(f"could not bracket target t={t!r} below the overflow cap{why}")
 
         E, C = np.append(np.concatenate(lefts), y), np.concatenate(cums)
         for i in range(0, len(live), _SLICE):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blowup.classify import (
@@ -195,6 +197,23 @@ class TestScaled:
             scaled = classify_scaled(h, n, alpha).verdict
             if Verdict.INCONCLUSIVE not in (plain, scaled):
                 assert plain == scaled, h.spec_text
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(
+        lam=st.floats(0.2, 3.0), sigma=st.floats(-2.0, 3.0), log_power=st.booleans(),
+        declared=st.booleans(), n=st.integers(1, 3), log_alpha=st.floats(-3.0, 3.0),
+    )
+    def test_scale_invariant_verdicts(self, lam, sigma, log_power, declared, n, log_alpha):
+        # zeta = alpha s maps one integral onto the other's tail, so decisive
+        # verdicts agree; custom h goes through the panel heuristic unless
+        # its exponent is declared
+        sigma = sigma if log_power else 0.0
+        h = make_custom(lambda s: s ** lam * math.log(math.e + s) ** sigma,
+                        nonnegative=True, nondecreasing=True,
+                        asymptotic_exponent=lam if declared else None)
+        plain, scaled = classify(h, n).verdict, classify_scaled(h, n, 10.0 ** log_alpha).verdict
+        if Verdict.INCONCLUSIVE not in (plain, scaled):
+            assert plain == scaled
 
     def test_scaled_estimate_matches_substitution_oracle(self):
         # int_1^inf (alpha s)^(-2) ds = alpha^(-2)

@@ -1,4 +1,8 @@
+import inspect
+import linecache
 import math
+import traceback
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import blowup.ode as ode
 from blowup.errors import InvalidParameterError, NumericFailureError
 from blowup.functions import (
     PowerFamilyParams,
@@ -144,6 +149,142 @@ class TestRhsAgainstReference:
         ref = integrate(p, 2.0, 1e-10)
         for name in ("ts", "ys", "dys"):
             assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def _exact(row):
+    return [Fraction(x).limit_denominator(10**6) for x in row]
+
+
+class TestTableau:
+    """The Dormand-Prince coefficients, recovered as exact fractions: a one-digit
+    typo in any of them breaks a row sum or an order condition."""
+
+    def test_rows_sum_to_their_nodes(self):
+        assert len(ode._A) == len(ode._C)
+        for row, c in zip(ode._A, _exact(ode._C)):
+            assert sum(_exact(row)) == c
+
+    def test_quadrature_order_conditions(self):
+        c = [Fraction(0), *_exact(ode._C), Fraction(1)]  # c_1 .. c_7
+        b = _exact(ode._B) + [Fraction(0)]  # the FSAL row; b_7 = 0
+        e = _exact(ode._E)
+        b_star = [bi - ei for bi, ei in zip(b, e)]
+        for order, weights in ((5, b), (4, b_star)):
+            for k in range(1, order + 1):
+                assert sum(w * ci ** (k - 1) for w, ci in zip(weights, c)) == Fraction(1, k)
+        assert sum(e) == 0
+
+
+def reference_step(rhs, t, h, hi, y, f, tol):
+    """The Dormand-Prince step as list comprehensions over the state, with the
+    coefficients written out: the reference the generated step must reproduce
+    bit for bit."""
+    t2, t3, t4, t5, t6 = t + 1 / 5 * h, t + 3 / 10 * h, t + 4 / 5 * h, t + 8 / 9 * h, t + h
+    if t6 > hi:
+        t2, t3, t4, t5, t6 = min(t2, hi), min(t3, hi), min(t4, hi), min(t5, hi), hi
+    s = [v + h * (1 / 5 * a) for v, a in zip(y, f)]
+    k2 = s[1:]
+    k2.append(rhs(t2, s))
+    s = [v + h * (3 / 40 * a + 9 / 40 * b) for v, a, b in zip(y, f, k2)]
+    k3 = s[1:]
+    k3.append(rhs(t3, s))
+    s = [v + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
+         for v, a, b, c in zip(y, f, k2, k3)]
+    k4 = s[1:]
+    k4.append(rhs(t4, s))
+    s = [v + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
+                  - 212 / 729 * d) for v, a, b, c, d in zip(y, f, k2, k3, k4)]
+    k5 = s[1:]
+    k5.append(rhs(t5, s))
+    s = [v + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
+                  + 49 / 176 * d - 5103 / 18656 * e)
+         for v, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)]
+    k6 = s[1:]
+    k6.append(rhs(t6, s))
+    y_new = [v + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
+                      - 2187 / 6784 * e + 11 / 84 * g)
+             for v, a, c, d, e, g in zip(y, f, k3, k4, k5, k6)]
+    f_new = y_new[1:]
+    f_new.append(rhs(t6, y_new))
+    err = math.sqrt(sum([(r := (
+        h * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d - 17253 / 339200 * e
+             + 22 / 525 * g - 1 / 40 * k)
+        / (tol + tol * max(abs(v), abs(w)))
+    )) * r for v, w, a, c, d, e, g, k in zip(y, y_new, f, k3, k4, k5, k6, f_new)]) / len(y))
+    return y_new, f_new, err
+
+
+def _step_outcome(step, *args):
+    try:
+        y_new, f_new, err = step(*args)
+    except Exception as exc:
+        return type(exc)
+    return [v.hex() for v in y_new], [v.hex() for v in f_new], err.hex()
+
+
+# a q that varies between stage times, so each stage's time is seen
+_STEP_Q = {**_Q, "cosine": lambda x: make_custom(lambda t: 1.0 + x * math.cos(3.0 * t))}
+
+
+class TestStepAgainstReference:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        m=st.integers(1, 4), k=st.integers(0, 3),
+        h=st.sampled_from(sorted(_H)), q=st.sampled_from(sorted(_STEP_Q)), x=st.floats(0.0, 1.0),
+        y=st.lists(st.floats(-1.0, 1e6), min_size=4, max_size=4),
+        f=st.lists(st.floats(-1e3, 1e6), min_size=4, max_size=4),
+        t=st.floats(0.0, 10.0), gap=st.floats(0.0, 3.0), dt=st.floats(1e-9, 2.0),
+        tol=st.floats(1e-16, 1e-3),
+    )
+    @example(m=2, k=0, h="power", q="constant", x=1.0, y=[1e6] * 4, f=[1e6] * 4,
+             t=0.0, gap=3.0, dt=2.0, tol=1e-16)
+    def test_same_floats_or_same_error(self, m, k, h, q, x, y, f, t, gap, dt, tol):
+        # stage times clamped below hi (gap < dt), negative and overflowing
+        # stage values, and every state size the step is generated for
+        p = ProblemSpec(m=m, k=min(k, m - 1), a=(0.0,) * m, q=_STEP_Q[q](x), h=_H[h](x))
+        args = (p.rhs, t, dt, t + gap, y[:m], f[:m], tol)
+        with np.errstate(all="ignore"):
+            got = _step_outcome(ode._stepper(m), *args)
+            want = _step_outcome(reference_step, *args)
+        assert got == want
+
+    @pytest.mark.parametrize("p", [
+        ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=ONE,
+                    h=make_power_log(PowerFamilyParams(0.5, 1.0))),
+        ProblemSpec(m=1, k=0, a=(0.5,),
+                    q=make_piecewise([((0, 0.5), 0.5), ((0.5, math.inf), 2.0)]),
+                    h=make_power(0.5)),
+    ], ids=["m3-k1-powerlog", "piecewise-q"])
+    def test_integrate_is_byte_identical(self, p, monkeypatch):
+        new = integrate(p, 2.0, 1e-10)
+        monkeypatch.setattr(ode, "_stepper", lambda m: reference_step)
+        ref = integrate(p, 2.0, 1e-10)
+        assert len(new.ts) > 10
+        for name in ("ts", "ys", "dys"):
+            assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_traceback_shows_the_calling_stage(self):
+        calls = []
+
+        def override(t, y):
+            calls.append(t)
+            if len(calls) == 4:  # the initial slope, the segment start, stages 2 and 3
+                raise RuntimeError("fourth call")
+            return 0.5 * float(y[0])
+
+        p = ProblemSpec(m=2, k=0, a=(1.0, 0.0), q=ONE, h=make_power(1), f_override=override)
+        with pytest.raises(RuntimeError) as exc:
+            integrate(p, 1.0, 1e-9)
+        step = ode._stepper(2)
+        filename = step.__code__.co_filename
+        frames = [fr for fr in traceback.extract_tb(exc.value.__traceback__)
+                  if fr.filename == filename]
+        assert len(frames) == 1
+        assert frames[0].line == "k3 = rhs(t3, [s3_0, s3_1])"
+        text = inspect.getsource(step)
+        assert text == "".join(linecache.getlines(filename))
+        assert text.startswith("def step(rhs, t, h, hi, y, f, tol):\n")
+        assert text.splitlines()[frames[0].lineno - 1].strip() == frames[0].line
 
 
 class TestIntegrate:

@@ -99,6 +99,20 @@ class TestQuadratureInversion:
         with pytest.raises(BracketFailureError):
             solve_autonomous_quadrature(make_power(lam), 1, 1.0, [t])
 
+    def test_overflow_from_the_start_is_named(self):
+        # u0 = 1e307 lies past Y_CAP and g = s^2 is inf at every unit step of
+        # y up to 709, so no tail sample can show that F converges
+        with pytest.raises(BracketFailureError) as exc:
+            solve_autonomous_quadrature(make_power(2), 1, 1e307, [1.0])
+        assert str(exc.value) == (
+            "could not bracket target t=1.0 below the overflow cap: g overflows from "
+            "s ~ 1e+307, so F's tail cannot be shown to converge"
+        )
+        # a finite tail that merely fails to converge keeps the plain message
+        with pytest.raises(BracketFailureError) as exc:
+            solve_autonomous_quadrature(make_power(1.0), 1, 1.0, [1e300])
+        assert str(exc.value) == "could not bracket target t=1e+300 below the overflow cap"
+
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(
         lam=st.floats(0.0, 1.0),
