@@ -14,7 +14,9 @@ iff lam <= 1, for every n.
 Verdicts are exact for the built-in families (and for any function with a
 declared asymptotic exponent != 1); everything else goes through a dyadic
 panel quadrature with honest Inconclusive as the fallback — a numeric
-routine cannot prove divergence, it can only exceed a cap.
+routine cannot prove divergence, it can only exceed a cap.  Every piece of
+I = int_0^inf h(e^y)^(-1/n) e^(y/n) dy is computed in y = log s by
+:mod:`blowup.quadrature`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     InvalidParameterError,
@@ -34,6 +35,7 @@ from .errors import (
     check_int,
 )
 from .functions import Family, ScalarFn
+from .quadrature import integral
 
 __all__ = [
     "Verdict",
@@ -61,7 +63,6 @@ DIVERGE_CAP = 1e9      # cumulative integral beyond this -> Diverges
 TAIL_EPS = 1e-10       # relative panel contribution for convergence
 TAIL_STREAK = 4        # consecutive small panels required
 J_MAX = 256            # dyadic panels [2^j, 2^(j+1)], j < J_MAX
-PANEL_TOL = 1e-12      # per-panel quadrature tolerance (abs and rel)
 
 
 @dataclass(frozen=True)
@@ -77,17 +78,20 @@ class IntegralVerdict:
         return f"{self.verdict.value} ({self.method.value}{est})"
 
 
-def blowup_integrand(h: ScalarFn, n: int, s: float, *, scale: float = 1.0) -> float:
-    """The dichotomy integrand h(scale*s)^(-1/n) * s^(1/n - 1) at s > 0."""
+def blowup_integrand(h: ScalarFn, n: int, s, *, scale: float = 1.0):
+    """The dichotomy integrand h(scale*s)^(-1/n) * s^(1/n - 1) at s > 0: a
+    float for a scalar s, elementwise for an array."""
     check_int("n", n)
-    hv = float(h(scale * s))
-    if not hv > 0.0:
-        raise SingularIntegrandError(
-            f"h({scale * s!r}) = {hv!r} <= 0: integrand singular", where=float(s)
-        )
-    if not math.isfinite(hv):
-        raise NumericFailureError(f"h({scale * s!r}) is not finite")
-    return hv ** (-1.0 / n) * s ** (1.0 / n - 1.0)
+    s = np.asarray(s, dtype=float)
+    hv = h.eval_array(scale * s)
+    bad = np.flatnonzero(~(hv > 0.0) | np.isinf(hv))  # nan counts as <= 0
+    if len(bad):
+        at, value = float(s.flat[bad[0]]), float(hv.flat[bad[0]])
+        if value > 0.0:
+            raise NumericFailureError(f"h({scale * at!r}) is not finite")
+        raise SingularIntegrandError(f"h({scale * at!r}) = {value!r} <= 0: integrand singular", where=at)
+    out = hv ** (-1.0 / n) * s ** (1.0 / n - 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def classify(h: ScalarFn, n: int) -> IntegralVerdict:
@@ -150,101 +154,83 @@ def _exact_verdict(h: ScalarFn, n: int, scale: float) -> Optional[tuple]:
     if lam is not None and lam != 1.0:
         if lam < 1.0:
             return Verdict.DIVERGES, None
-        return Verdict.CONVERGES, _generic_converging_estimate(h, n, scale)
+        return Verdict.CONVERGES, _declared_estimate(h, n, scale)
 
     return None
 
 
-def _log_shift_exp(y: float, shift: float, scale: float) -> float:
-    """log(shift + scale * e^y), stable for large y."""
-    if y > 40.0:
-        return y + math.log(scale) + math.log1p(shift / scale * math.exp(-y))
-    return math.log(shift + scale * math.exp(y))
+def _in_y(h: ScalarFn, n: int, scale: float):
+    """The dichotomy integrand as a function of y = log s: blowup_integrand(e^y) e^y."""
+    return lambda y: blowup_integrand(h, n, np.exp(y), scale=scale) * np.exp(y)
+
+
+def _y_integral(fy, y_end: float) -> float:
+    """int_0^y_end fy dy on panels that double in width up to y_end."""
+    return integral(fy, np.append(0.0, y_end / 2.0 ** np.arange(10, -1, -1)))
 
 
 def _powerlog_estimate(lam, sigma, shift, n, scale) -> float:
     """I for h = s^lam log(shift+s)^sigma in the convergent cases.
 
-    Uses the substitution s = e^y:
-        I = scale^(-lam/n) int_0^inf e^(y(1-lam)/n) log(shift+scale e^y)^(-sigma/n) dy
-    For lam > 1 the integrand decays exponentially; on the borderline
-    lam = 1 (needs sigma > n) the decay is y^(-sigma/n) and the tail beyond
-    Y is appended analytically.
-    """
-    pref = scale ** (-lam / n)
-    p = sigma / n
+    In y = log s, with a = (lam - 1)/n and p = sigma/n,
+        I = scale^(-lam/n) int_0^inf e^(-a y) log(shift + scale e^y)^(-p) dy.
+    For lam > 1 the integral stops at y = 746/a, past which e^(-a y)
+    underflows to 0.  On the borderline lam = 1 (needs p > 1) it stops at
+    Y = 700, where the log is y + log(scale) to double precision, and the
+    tail (Y + log(scale))^(1-p)/(p-1) is added in closed form."""
+    a, p = (lam - 1.0) / n, sigma / n
+    log_shift, log_scale = math.log(shift), math.log(scale)
 
     def fy(y):
-        return math.exp(y * (1.0 - lam) / n) * _log_shift_exp(y, shift, scale) ** (-p)
+        return np.exp(-a * y) * np.logaddexp(log_shift, y + log_scale) ** -p
 
-    if lam > 1.0:
-        val, _ = quad(fy, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-        return pref * val
-    # lam == 1, p > 1: integrand ~ (y + log(scale))^(-p)
-    Y = 700.0
-    val, _ = quad(fy, 0.0, Y, epsabs=1e-13, epsrel=1e-12, limit=400)
-    tail = (Y + math.log(scale)) ** (1.0 - p) / (p - 1.0)
-    return pref * (val + tail)
+    Y = 746.0 / a if lam > 1.0 else 700.0
+    tail = 0.0 if lam > 1.0 else (Y + log_scale) ** (1.0 - p) / (p - 1.0)
+    return scale ** (-lam / n) * (_y_integral(fy, Y) + tail)
 
 
-def _generic_converging_estimate(h: ScalarFn, n: int, scale: float) -> Optional[float]:
-    """Best-effort estimate for a custom fn with declared exponent > 1."""
-
-    def fy(y):
-        try:
-            return blowup_integrand(h, n, math.exp(y), scale=scale) * math.exp(y)
-        except (OverflowError, NumericFailureError):
-            return 0.0  # h huge => integrand underflows
-
-    try:
-        val, err = quad(fy, 0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400)
-    except SingularIntegrandError:
-        raise
-    except Exception:
-        return None
-    if not math.isfinite(val) or err > 1e-4 * max(abs(val), 1.0):
-        return None
-    return val
+def _declared_estimate(h: ScalarFn, n: int, scale: float) -> float:
+    """I for a custom h with declared exponent > 1, up to the last unit step of y < 710 with h finite."""
+    y_end = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in range(1, 710):
+            try:
+                if not math.isfinite(h(scale * math.exp(y))):
+                    break
+            except OverflowError:  # a float ** overflows where numpy gives inf
+                break
+            y_end = float(y)
+    return _y_integral(_in_y(h, n, scale), y_end)
 
 
 def _panel_classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
-    def f(s):
-        return blowup_integrand(h, n, s, scale=scale)
-
-    cumulative = 0.0
-    prev_panel = None
-    last_panel = 0.0
+    cumulative = prev_panel = 0.0
     streak = 0
     for j in range(J_MAX):
-        lo, hi = 2.0 ** j, 2.0 ** (j + 1)
-        panel, _ = quad(f, lo, hi, epsabs=PANEL_TOL, epsrel=PANEL_TOL, limit=200)
+        # the dyadic panel [2^j, 2^(j+1)] of s is [j log 2, (j+1) log 2] in y
+        panel = integral(_in_y(h, n, scale), np.array([j, j + 1.0]) * math.log(2.0))
         if not math.isfinite(panel):
-            raise NumericFailureError(f"quadrature failed on panel [{lo}, {hi}]")
+            raise NumericFailureError(f"quadrature failed on panel [{2.0 ** j}, {2.0 ** (j + 1)}]")
         cumulative += panel
-        last_panel = panel
 
         if cumulative >= DIVERGE_CAP:
             return _verdict(Verdict.DIVERGES, Method.NUMERIC_HEURISTIC, None, j + 1,
-                            cumulative=cumulative, last_panel=last_panel, cap_hit=True)
+                            cumulative=cumulative, last_panel=panel, cap_hit=True)
 
         if panel / max(cumulative, 1.0) < TAIL_EPS:
             streak += 1
         else:
             streak = 0
 
-        if streak >= TAIL_STREAK and prev_panel is not None and prev_panel > 0.0:
-            ratio = panel / prev_panel
-            if ratio < 0.9 and _integrand_decays(f, hi):
+        ratio = panel / prev_panel if prev_panel > 0.0 else 1.0
+        if streak >= TAIL_STREAK and ratio < 0.9:
+            # sampled check that the integrand in s decays beyond the panel
+            f = blowup_integrand(h, n, 2.0 ** (j + 1 + np.arange(4)), scale=scale)
+            if np.all(f[1:] <= f[:-1] * 1.0000001):
                 tail = panel * ratio / (1.0 - ratio)
                 return _verdict(Verdict.CONVERGES, Method.NUMERIC_HEURISTIC, cumulative + tail, j + 1,
-                                cumulative=cumulative, last_panel=last_panel, tail_bound=tail)
+                                cumulative=cumulative, last_panel=panel, tail_bound=tail)
         prev_panel = panel
 
     return _verdict(Verdict.INCONCLUSIVE, Method.NUMERIC_HEURISTIC, None, J_MAX,
-                    cumulative=cumulative, last_panel=last_panel)
-
-
-def _integrand_decays(f, s0: float) -> bool:
-    """Sampled check that the integrand is decaying beyond s0."""
-    vals = [f(s0 * 2.0 ** i) for i in range(4)]
-    return all(vals[i + 1] <= vals[i] * 1.0000001 for i in range(3))
+                    cumulative=cumulative, last_panel=panel)

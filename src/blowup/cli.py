@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .classify import classify, classify_scaled
-from .errors import BlowupError, ConfigError, InvalidParameterError
+from .errors import BlowupError, ConfigError, InvalidParameterError, check_thresholds, check_tol
 from .functions import parse_fn_spec
 from .ode import (
     BlowupEvent,
@@ -163,15 +163,14 @@ def _semantic_errors(values: dict) -> list[str]:
             errors.append(str(e))
     elif a is not None and any(x < 0 for x in a):
         errors.append("a values must be >= 0")
-    tol = values.get("tol")
-    if tol is not None and not (1e-14 < tol < 1e-2):
-        errors.append("tol must lie in (1e-14, 1e-2)")
-    th = values.get("thresholds")
-    if th is not None:
-        if any(x < 10 for x in th):
-            errors.append("thresholds must each be >= 10")
-        if any(hi <= lo for lo, hi in zip(th, th[1:])):
-            errors.append("thresholds must be strictly increasing")
+    # an empty thresholds list means the default ladder
+    checks = ((check_tol, values.get("tol")), (check_thresholds, values.get("thresholds") or None))
+    for check, value in checks:
+        if value is not None:
+            try:
+                check(value)
+            except InvalidParameterError as e:
+                errors.append(str(e))
     return errors
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the library, and its one integer check."""
+"""Exception hierarchy shared across the library, and its shared input checks."""
 
 from __future__ import annotations
 
@@ -22,6 +22,25 @@ def check_int(name: str, value, lo: int = 1, hi: int | None = None, rule: str = 
             f"{name} {rule or f'must be an integer >= {lo}'}, got {value!r}"
         )
     return int(value)
+
+
+def check_tol(tol) -> float:
+    """``tol`` as a float when it lies in (1e-14, 1e-2), else InvalidParameterError."""
+    if not (1e-14 < tol < 1e-2):
+        raise InvalidParameterError(f"tol must lie in (1e-14, 1e-2), got {tol!r}")
+    return float(tol)
+
+
+def check_thresholds(thresholds) -> list[float]:
+    """The escape levels as floats: at least one, each >= 10, increasing."""
+    thresholds = [float(M) for M in thresholds]
+    if not thresholds:
+        raise InvalidParameterError("thresholds must list at least one level")
+    if any(M < 10.0 for M in thresholds):
+        raise InvalidParameterError("thresholds must each be >= 10")
+    if any(hi <= lo for lo, hi in zip(thresholds, thresholds[1:])):
+        raise InvalidParameterError("thresholds must be strictly increasing")
+    return thresholds
 
 
 class SingularIntegrandError(BlowupError, ArithmeticError):

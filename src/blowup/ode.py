@@ -34,6 +34,8 @@ from .errors import (
     InvalidParameterError,
     NumericFailureError,
     check_int,
+    check_thresholds,
+    check_tol,
 )
 from .functions import ScalarFn
 
@@ -272,12 +274,6 @@ class BlowupReport:
     trajectory: Optional[Trajectory] = None
 
 
-def _validate_tol(tol: float) -> float:
-    if not (1e-14 < tol < 1e-2):
-        raise InvalidParameterError(f"tol must lie in (1e-14, 1e-2), got {tol!r}")
-    return float(tol)
-
-
 def integrate(p: ProblemSpec, T: float, tol: float = 1e-9):
     """Integrate up to T; returns a Trajectory, or a BlowupEvent if the
     state escapes ESCAPE_THRESHOLD (or the step collapses) first."""
@@ -323,7 +319,7 @@ def _integrate_events(
     escape_threshold: float,
 ):
     """Core loop.  Returns (Trajectory | BlowupEvent, {M: t_M crossings})."""
-    tol = _validate_tol(tol)
+    tol = check_tol(tol)
     if not (T > 0.0):
         raise InvalidParameterError(f"T must be > 0, got {T!r}")
 
@@ -444,13 +440,7 @@ def detect_blowup(
     bracketed by [t_last, estimate + margin]; otherwise the problem is
     reported global up to the horizon.
     """
-    thresholds = [float(M) for M in thresholds]
-    if not thresholds:
-        raise InvalidParameterError("thresholds must list at least one level")
-    if any(M < 10.0 for M in thresholds):
-        raise InvalidParameterError("thresholds must each be >= 10")
-    if any(hi <= lo for lo, hi in zip(thresholds, thresholds[1:])):
-        raise InvalidParameterError("thresholds must be strictly increasing")
+    thresholds = check_thresholds(thresholds)
 
     result, crossings = _integrate_events(p, horizon, tol, thresholds, thresholds[-1])
     traj = result.trajectory if isinstance(result, BlowupEvent) else result

@@ -28,7 +28,6 @@ whose iterates increase in j and stay below the quadrature majorant
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -45,6 +44,7 @@ from .errors import (
 )
 from .functions import ScalarFn, make_constant, make_custom
 from .ode import ProblemSpec, Trajectory
+from .quadrature import QUAD_TOL, gauss_rules, panels
 from .volterra import integral_image, weighted_volterra
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "verify_bound_preservation",
 ]
 
-QUAD_TOL = 1e-12      # relative error allowed on each panel of the table of F
 GRID_MIN = 129        # nodes of the tower's first grid
 BOUND_PIECES = 4      # blocks of the random data in verify_bound_preservation
 
@@ -89,36 +88,6 @@ def comparison_constants(n: int) -> ComparisonConstants:
 _PANEL, _CHUNK, _SLICE, Y_CAP = 0.125, 64, 1024, 660.0
 
 
-@functools.cache
-def _gauss_rules():
-    """20-point Gauss-Legendre checked by 11-point (odd: it sees a jump at a
-    panel's centre, where two even rules agree), as read-only (x, w) pairs.
-    Built on first use and kept, so an import runs no LAPACK."""
-    rules = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(11)
-    for x, w in rules:
-        x.setflags(write=False)
-        w.setflags(write=False)
-    return rules
-
-
-def _panels(f, edges: np.ndarray, rules):
-    """The panel edges after halving each panel until the two rules agree to
-    QUAD_TOL of its first value, and the panels' integrals of f."""
-    (x20, w20), (x11, w11) = rules
-    x, budget = np.concatenate([x20, x11]), None
-    for _ in range(64):
-        mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
-        fv = f(mid[:, None] + half[:, None] * x)
-        val = half * (fv[:, : len(w20)] @ w20)
-        budget = QUAD_TOL * val if budget is None else budget
-        bad = np.abs(val - half * (fv[:, len(w20) :] @ w11)) > budget
-        if not bad.any():
-            return edges, val
-        edges = np.insert(edges, np.flatnonzero(bad) + 1, mid[bad])
-        budget = np.repeat(budget, np.where(bad, 2, 1))
-    raise NumericFailureError(f"F not resolved to {QUAD_TOL} on [{edges[0]:.17g}, {edges[-1]:.17g}]")
-
-
 def solve_autonomous_quadrature(
     g: ScalarFn,
     n: int,
@@ -128,11 +97,11 @@ def solve_autonomous_quadrature(
     """Invert F(U) = t for each finite target t >= 0.
 
     F is tabulated once per call in the log abscissa y = log s, which keeps
-    the panels well-scaled over many decades: panels of width 0.125, edges
-    also at log of g's breakpoints, 20-point Gauss-Legendre halved until an
-    11-point rule agrees to QUAD_TOL, a running sum grown until F passes the
-    largest target.  All targets are then solved at once by bracketed Newton
-    steps with the analytic F' = g(U)^(-1/n) U^(1/n-1) / n.
+    the panels well-scaled over many decades: panels of width 0.125 (edges
+    also at log of g's breakpoints) by :func:`blowup.quadrature.panels`, a
+    running sum grown until F passes the largest target.  All targets are
+    then solved at once by bracketed Newton steps with the analytic
+    F' = g(U)^(-1/n) U^(1/n-1) / n.
 
     If F stays below a target up to y = Y_CAP, one quad of the tail decides:
     FiniteEscapeError when F is shown to converge to some t_max <
@@ -161,14 +130,13 @@ def solve_autonomous_quadrature(
         return np.exp(y / n) * gv ** (-1.0 / n)
 
     t_max, bps = float(targets.max()), np.log([bp for bp in g.breakpoints if bp > 0.0])
-    rules = _gauss_rules()
     # g may overflow to inf far out, where the integrand is 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lefts, cums, y, c_last = [], [[0.0]], math.log(u0), 0.0
         while c_last <= t_max and y < Y_CAP:
             z = min(y + _PANEL * _CHUNK, Y_CAP)
             cuts = np.union1d(np.append(np.arange(y, z, _PANEL), z), bps[(bps > y) & (bps < z)])
-            edges, val = _panels(f, cuts, rules)
+            edges, val = panels(f, cuts)
             lefts.append(edges[:-1])
             cums.append(c_last + np.cumsum(val) / n)
             y, c_last = z, float(cums[-1][-1])
@@ -178,7 +146,7 @@ def solve_autonomous_quadrature(
             # where g is finite, extrapolated from its decay, must be within QUAD_TOL
             t = float(targets[targets > c_last].min())
             total = c_last + quad(f, y, max(709.0, y), epsabs=QUAD_TOL, epsrel=1e-9, limit=400)[0] / n
-            samples = f(np.arange(math.log(u0), 709.0))
+            samples = f(np.arange(math.log(u0), max(709.0, math.log(u0) + 1.0)))
             f1, f2 = np.append([0.0, 0.0], np.trim_zeros(samples, "b"))[-2:]
             rest = f2 / math.log(f1 / f2) if 0.0 < f2 < f1 else math.inf
             if rest <= QUAD_TOL * n * total and total < t:
@@ -192,7 +160,7 @@ def solve_autonomous_quadrature(
         E, C = np.append(np.concatenate(lefts), y), np.concatenate(cums)
         for i in range(0, len(live), _SLICE):
             idx = live[i : i + _SLICE]
-            out[idx] = np.maximum(u0, np.exp(_newton(f, n, E, C, targets[idx], *rules[0])))
+            out[idx] = np.maximum(u0, np.exp(_newton(f, n, E, C, targets[idx], *gauss_rules()[0])))
     return out
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .classify import IntegralVerdict, Verdict, classify
@@ -50,6 +49,7 @@ from .ode import (
     integrate,
 )
 from .picard import picard_solve, tower_trajectory
+from .quadrature import integral
 from .volterra import integral_image
 
 __all__ = [
@@ -138,14 +138,6 @@ class MajorizationTable:
         return all(r.margin_min_rel >= -1e-7 for r in self.rows)
 
 
-def _integral_of_q(q: ScalarFn, a: float, b: float) -> float:
-    if b <= a:
-        return 0.0
-    pts = [bp for bp in q.breakpoints if a < bp < b] or None
-    val, _ = quad(lambda t: float(q(t)), a, b, points=pts, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return val
-
-
 def majorization_experiment(
     q: ScalarFn,
     h: ScalarFn,
@@ -220,12 +212,10 @@ def majorization_experiment(
             break
         t_levels.append(crossing(level, t_levels[-1]))
 
-    eps = [0.0]
-    taus = [0.0]
-    for j in range(1, len(t_levels)):
-        e_j = _integral_of_q(q, t_levels[j - 1], t_levels[j])
-        eps.append(e_j)
-        taus.append(taus[-1] + (t_levels[j] - t_levels[j - 1]) + e_j)
+    eps, taus = [0.0], [0.0]
+    for lo, hi in zip(t_levels, t_levels[1:]):
+        eps.append(integral(q.eval_array, [lo, *(bp for bp in q.breakpoints if lo < bp < hi), hi]))
+        taus.append(taus[-1] + (hi - lo) + eps[-1])
 
     # companion problem w^(n) = h(rho w), w^(i)(0) = b_i
     h_rho = make_custom(

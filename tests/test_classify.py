@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,57 @@ class TestScaled:
     def test_alpha_validation(self):
         with pytest.raises(InvalidParameterError):
             classify_scaled(make_power(2), 1, 0.0)
+
+
+class TestAgainstClosedForm:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(lam=st.one_of(st.just(1.0), st.floats(0.0, 3.0)), sigma=st.floats(-3.0, 3.0),
+           kind=st.sampled_from(["undeclared", "declared", "powerlog"]), n=st.integers(1, 3))
+    def test_verdicts(self, lam, sigma, kind, n):
+        # I(s^lam log(e+s)^sigma, n) converges iff lam > 1, or lam = 1 and sigma > n
+        if kind == "powerlog":
+            h = make_power_log(PowerFamilyParams(lam, sigma))
+        else:
+            h = make_custom(lambda s: s ** lam * math.log(math.e + s) ** sigma,
+                            asymptotic_exponent=lam if kind == "declared" else None)
+        v = classify(h, n)
+        if v.verdict is Verdict.INCONCLUSIVE:
+            # J_MAX dyadic panels cannot settle an undeclared h this near lam = 1
+            assert lam == 1.0 or (kind == "undeclared" and abs(lam - 1.0) < n / 5)
+        else:
+            assert (v.verdict is Verdict.CONVERGES) == (lam > 1.0 or (lam == 1.0 and sigma > n))
+
+
+def mp_integral(h, n, alpha=1.0):
+    """int_1^inf h(alpha s)^(-1/n) s^(1/n - 1) ds in mpmath, in y = log s out to
+    y = 1e36 (the slowest tail below, y^(-1.5), leaves < 1e-17 past it); 50
+    digits keep h(alpha e^y)^(-1/n) e^(y/n) exact to 1e-13 there."""
+    with mpmath.workdps(50):
+        f = lambda y: h(alpha * mpmath.exp(y)) ** (-mpmath.mpf(1) / n) * mpmath.exp(y / n)
+        return float(mpmath.quad(f, [0, 1, 10, 100, 1e3, 1e4, 1e6, 1e9, 1e12, 1e18, 1e24, 1e36]))
+
+
+class TestEstimateOracles:
+    @pytest.mark.parametrize("lam,sigma,shift,n", [
+        (2.0, 1.0, math.e, 1), (1.5, -1.0, 2.0, 2), (3.0, 2.5, math.e, 3),   # lam > 1
+        (1.0, 2.0, math.e, 1), (1.0, 3.5, 2.0, 2), (1.0, 4.5, math.e, 3),   # lam = 1, sigma > n
+    ])
+    @pytest.mark.parametrize("alpha", [None, 30.0])
+    def test_powerlog(self, lam, sigma, shift, n, alpha):
+        h = make_power_log(PowerFamilyParams(lam, sigma, shift))
+        v = classify(h, n) if alpha is None else classify_scaled(h, n, alpha)
+        oracle = mp_integral(lambda s: s ** lam * mpmath.log(shift + s) ** sigma, n, alpha or 1.0)
+        assert v.method is Method.EXACT_FAMILY
+        assert v.estimate == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("alpha", [None, 0.01])
+    def test_declared_exponent(self, n, alpha):
+        h = make_custom(lambda s: 3.0 * s ** 2 * np.log(np.e + s), asymptotic_exponent=2.0)
+        v = classify(h, n) if alpha is None else classify_scaled(h, n, alpha)
+        oracle = mp_integral(lambda s: 3 * s ** 2 * mpmath.log(mpmath.e + s), n, alpha or 1.0)
+        assert v.method is Method.EXACT_FAMILY
+        assert v.estimate == pytest.approx(oracle, rel=1e-12)
 
 
 def test_determinism():

@@ -100,14 +100,15 @@ class TestQuadratureInversion:
             solve_autonomous_quadrature(make_power(lam), 1, 1.0, [t])
 
     def test_overflow_from_the_start_is_named(self):
-        # u0 = 1e307 lies past Y_CAP and g = s^2 is inf at every unit step of
-        # y up to 709, so no tail sample can show that F converges
-        with pytest.raises(BracketFailureError) as exc:
-            solve_autonomous_quadrature(make_power(2), 1, 1e307, [1.0])
-        assert str(exc.value) == (
-            "could not bracket target t=1.0 below the overflow cap: g overflows from "
-            "s ~ 1e+307, so F's tail cannot be shown to converge"
-        )
+        # u0 lies past Y_CAP and g = s^2 is inf at every unit step of y from
+        # log(u0) (past 709 for 1e308), so no tail sample can show that F converges
+        for u0 in (1e307, 1e308):
+            with pytest.raises(BracketFailureError) as exc:
+                solve_autonomous_quadrature(make_power(2), 1, u0, [1.0])
+            assert str(exc.value) == (
+                "could not bracket target t=1.0 below the overflow cap: g overflows from "
+                f"s ~ {u0!r}, so F's tail cannot be shown to converge"
+            )
         # a finite tail that merely fails to converge keeps the plain message
         with pytest.raises(BracketFailureError) as exc:
             solve_autonomous_quadrature(make_power(1.0), 1, 1.0, [1e300])

@@ -5,7 +5,7 @@ import pytest
 
 from blowup.classify import Verdict
 from blowup.errors import InvalidParameterError, NumericFailureError, StageError
-from blowup.functions import make_constant, make_custom, make_power
+from blowup.functions import make_constant, make_custom, make_piecewise, make_power
 from blowup.ode import ProblemSpec, Trajectory, integrate
 from blowup.pipeline import (
     lift_solution,
@@ -103,6 +103,18 @@ class TestMajorization:
         for row in tab.rows:
             assert row.t_j == pytest.approx(2.0 ** row.j - 1.0, abs=1e-9)
             assert row.tau_j == pytest.approx(2.0 * (2.0 ** row.j - 1.0), abs=1e-9)
+
+    def test_eps_of_piecewise_q_is_exact(self):
+        # eps_j = int q over [t_(j-1), t_j]: the sum of c_i times the overlap
+        # of the level interval with piece i; levels 1 and 2 straddle a jump
+        pieces = [((0.0, 0.3), 0.5), ((0.3, 0.7), 2.0), ((0.7, math.inf), 1.0)]
+        tab = majorization_experiment(make_piecewise(pieces), make_power(1), 1, (1.0,), J=4,
+                                      horizon=5.0)
+        assert tab.levels_reachable
+        for prev, row in zip(tab.rows, tab.rows[1:]):
+            exact = math.fsum(c * max(0.0, min(hi, row.t_j) - max(lo, prev.t_j))
+                              for (lo, hi), c in pieces)
+            assert row.eps_j == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_levels_double(self):
         tab = majorization_experiment(ONE, make_power(1), 2, (1.0, 1.0), J=6, horizon=10.0)
