@@ -26,14 +26,14 @@ def gauss_rules():
 
 def panels(f, edges: np.ndarray):
     """The panel edges after halving each panel until the two rules agree to
-    QUAD_TOL of its first value, and the panels' integrals of f (vectorized)."""
+    QUAD_TOL of |its first value|, and the panels' integrals of f (vectorized)."""
     (x20, w20), (x11, w11) = gauss_rules()
     x, budget = np.concatenate([x20, x11]), None
     for _ in range(64):
         mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
         fv = f(mid[:, None] + half[:, None] * x)
         val = half * (fv[:, : len(w20)] @ w20)
-        budget = QUAD_TOL * val if budget is None else budget
+        budget = QUAD_TOL * np.abs(val) if budget is None else budget
         bad = np.abs(val - half * (fv[:, len(w20) :] @ w11)) > budget
         if not bad.any():
             return edges, val

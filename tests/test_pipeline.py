@@ -104,10 +104,14 @@ class TestMajorization:
             assert row.t_j == pytest.approx(2.0 ** row.j - 1.0, abs=1e-9)
             assert row.tau_j == pytest.approx(2.0 * (2.0 ** row.j - 1.0), abs=1e-9)
 
-    def test_eps_of_piecewise_q_is_exact(self):
+    @pytest.mark.parametrize("pieces", [
+        [((0.0, 0.3), 0.5), ((0.3, 0.7), 2.0), ((0.7, math.inf), 1.0)],
+        # a negative piece strictly inside the level interval [log 2, 1.94]
+        [((0.0, 1.0), 1.0), ((1.0, 1.5), -0.1), ((1.5, math.inf), 1.0)],
+    ])
+    def test_eps_of_piecewise_q_is_exact(self, pieces):
         # eps_j = int q over [t_(j-1), t_j]: the sum of c_i times the overlap
-        # of the level interval with piece i; levels 1 and 2 straddle a jump
-        pieces = [((0.0, 0.3), 0.5), ((0.3, 0.7), 2.0), ((0.7, math.inf), 1.0)]
+        # of the level interval with piece i; level intervals straddle jumps
         tab = majorization_experiment(make_piecewise(pieces), make_power(1), 1, (1.0,), J=4,
                                       horizon=5.0)
         assert tab.levels_reachable
