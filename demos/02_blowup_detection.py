@@ -1,7 +1,10 @@
 # Detecting finite-time blow-up and estimating the blow-up time.
 #
 # The solver integrates until the state escapes a ladder of thresholds
-# (10, ..., 1e12 by default) and extrapolates the escape times t_M to
+# (10, ..., 1e12 by default).  Where the integral test's tail is exact, as
+# for the two examples below (q constant, h a power or powerlog, order 1),
+# it stops at the first escape past 1e6 and adds that tail, read from the
+# state there; elsewhere it extrapolates the escape times t_M to
 # M -> infinity.  The quadratic example w' = w^2, w(0) = 1 has the exact
 # blow-up time T = 1 (w = 1/(1-t)); the log-driven example has
 # T = int_1^inf ds / (s log^2(e+s)), computable by quadrature.
@@ -27,7 +30,7 @@ p = ProblemSpec(m=1, k=0, a=(1.0,), q=one, h=make_power(2))
 rep = detect_blowup(p, thresholds=(1e3, 1e6, 1e9), horizon=2.0, tol=1e-10)
 for M, tM in rep.escape_thresholds:
     print(f"  escaped {M:>10.0e} at t = {tM:.12f}")
-print(f"  extrapolated blow-up time: {rep.t_blow_estimate:.12f}"
+print(f"  blow-up time ({rep.t_blow_method}): {rep.t_blow_estimate:.12f}"
       f"  (error {abs(rep.t_blow_estimate - 1.0):.2e})")
 print(f"  bracketing interval: [{rep.t_blow_interval[0]:.9f}, {rep.t_blow_interval[1]:.9f}]")
 

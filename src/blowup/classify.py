@@ -224,8 +224,13 @@ def _panel_classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
 
         ratio = panel / prev_panel if prev_panel > 0.0 else 1.0
         if streak >= TAIL_STREAK and ratio < 0.9:
-            # sampled check that the integrand in s decays beyond the panel
-            f = blowup_integrand(h, n, 2.0 ** (j + 1 + np.arange(4)), scale=scale)
+            # sampled check that the integrand in s decays beyond the panel;
+            # where h has overflowed to inf the integrand is 0, decayed
+            s = 2.0 ** (j + 1 + np.arange(4))
+            with np.errstate(over="ignore"):
+                finite = h.eval_array(scale * s) != math.inf
+            f = np.zeros(len(s))
+            f[finite] = blowup_integrand(h, n, s[finite], scale=scale)
             if np.all(f[1:] <= f[:-1] * 1.0000001):
                 tail = panel * ratio / (1.0 - ratio)
                 return _verdict(Verdict.CONVERGES, Method.NUMERIC_HEURISTIC, cumulative + tail, j + 1,

@@ -332,6 +332,7 @@ def _run_detect_blowup(cfg: ExperimentConfig, out: Optional[Path]):
         ("horizon", rep.horizon),
         ("t_blow_estimate", rep.t_blow_estimate),
         ("t_blow_interval", rep.t_blow_interval),
+        ("t_blow_method", rep.t_blow_method),
         ("escapes", len(rep.escape_thresholds)),
     ]
     for M, tM in rep.escape_thresholds:
@@ -421,7 +422,8 @@ def _run_pipeline_cmd(cfg: ExperimentConfig, out: Optional[Path]):
             ("tower_iterations", rep.construction.tower_iterations),
         ]
     if rep.blowup is not None:
-        kv += [("t_blow_estimate", rep.blowup.t_blow_estimate)]
+        kv += [("t_blow_estimate", rep.blowup.t_blow_estimate),
+               ("t_blow_method", rep.blowup.t_blow_method)]
     if rep.majorization is not None:
         kv += [("majorization_passed", rep.majorization.passed)]
     if out is not None:

@@ -13,9 +13,12 @@ control (all three are load-bearing for blow-up time estimation).
 
 Everything in the intended regime (q, h >= 0, a >= 0) is monotone: w^(m)
 is nonnegative, so every lower derivative is nondecreasing.  Blow-up
-manifests as escape through a ladder of thresholds; the finite blow-up
-time is estimated by Richardson/Aitken extrapolation of the escape times,
-which needs no knowledge of the blow-up exponent.
+manifests as escape through a ladder of thresholds.  Where q is a positive
+constant past the escape and the reduced order is 1 or 2 with a power or
+powerlog h, the remaining time is the integral test's own tail, read from
+the state at the escape; elsewhere the finite blow-up time is estimated by
+Richardson/Aitken extrapolation of the escape times, which needs no
+knowledge of the blow-up exponent.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from .errors import (
     check_thresholds,
     check_tol,
 )
-from .functions import ScalarFn
+from .classify import Method, Verdict, classify, classify_scaled
+from .functions import Family, ScalarFn
+from .quadrature import integral
 
 __all__ = [
     "ProblemSpec",
@@ -51,6 +56,8 @@ __all__ = [
 ]
 
 ESCAPE_THRESHOLD = 1e12
+# Lowest escape level the blow-up time is finished from by the tail integral
+TAIL_FROM = 1e6
 MIN_STEP_FACTOR = 1e-13
 DEFAULT_THRESHOLDS = tuple(np.geomspace(10.0, 1e12, 12))
 # Internal multiplier on the user tolerance: the per-step estimate controls
@@ -266,12 +273,18 @@ class BlowupKind(str, Enum):
 
 @dataclass(frozen=True)
 class BlowupReport:
+    """``t_blow_method`` says where the blow-up time came from: "tail" (the
+    tail integral from the state at the last escape, see
+    :func:`detect_blowup`) or "extrapolated" (the escape ladder's
+    extrapolation, whose interval is heuristic); None without a blow-up."""
+
     kind: BlowupKind
     horizon: float
     escape_thresholds: tuple  # ((M, t_M), ...)
     t_blow_estimate: Optional[float] = None
     t_blow_interval: Optional[tuple] = None
     trajectory: Optional[Trajectory] = None
+    t_blow_method: Optional[str] = None
 
 
 def integrate(p: ProblemSpec, T: float, tol: float = 1e-9):
@@ -317,8 +330,14 @@ def _integrate_events(
     tol: float,
     thresholds: Sequence[float],
     escape_threshold: float,
+    tail_from: float = math.inf,
+    tail_after: float = 0.0,
 ):
-    """Core loop.  Returns (Trajectory | BlowupEvent, {M: t_M crossings})."""
+    """Core loop.  Returns (Trajectory | BlowupEvent, {M: t_M crossings}).
+
+    Besides the escape through ``escape_threshold``, the first threshold
+    M >= ``tail_from`` crossed at a time >= ``tail_after`` also ends the run
+    as an escape through M, with no crossing above it recorded."""
     tol = check_tol(tol)
     if not (T > 0.0):
         raise InvalidParameterError(f"T must be > 0, got {T!r}")
@@ -350,10 +369,15 @@ def _integrate_events(
     ts, ys, dys = [t], [y], [f]
 
     # initial escape check (data may already sit above thresholds)
+    level = escape_threshold
     while pending and max(y) >= pending[0]:
-        crossings[pending.pop(0)] = 0.0
-    if max(map(abs, y)) >= escape_threshold:
-        return finish("escape", 0.0, escape_threshold)
+        M = pending.pop(0)
+        crossings[M] = 0.0
+        if M >= tail_from and tail_after <= 0.0:
+            level = M
+            break
+    if level < escape_threshold or max(map(abs, y)) >= escape_threshold:
+        return finish("escape", 0.0, level)
 
     eff_tol = tol * TOL_SAFETY
     h = min(0.01 * (1.0 + max(map(abs, y))) / (1.0 + max(map(abs, f))), T / 10.0)
@@ -401,15 +425,18 @@ def _integrate_events(
             while pending and max(y_new) >= pending[0]:
                 M = pending.pop(0)
                 crossings[M] = _crossing_time(t, t_new, y, y_new, f, f_new, M)
+                if M >= tail_from and crossings[M] >= tail_after:
+                    level = M
+                    break
 
-            if max(map(abs, y_new)) >= escape_threshold:
-                t_star = _crossing_time(t, t_new, y, y_new, f, f_new, escape_threshold)
+            if level < escape_threshold or max(map(abs, y_new)) >= escape_threshold:
+                t_star = _crossing_time(t, t_new, y, y_new, f, f_new, level)
                 y_star = [_cubic_hermite((t_star - t) / (t_new - t), t_new - t, *c)
                           for c in zip(y, y_new, f, f_new)]
                 ts.append(t_star)
                 ys.append(y_star)
                 dys.append(y_star[1:] + [rhs(min(t_star, hi), y_star)])
-                return finish("escape", t_star, escape_threshold)
+                return finish("escape", t_star, level)
 
             ts.append(t_new)
             ys.append(y_new)
@@ -431,24 +458,67 @@ def detect_blowup(
     horizon: float = 50.0,
     tol: float = 1e-10,
 ) -> BlowupReport:
-    """Escape-time ladder + extrapolation estimate of the blow-up time.
+    """Escape-time ladder, finished by the integral test's tail where it is
+    exact and by extrapolation elsewhere.
 
-    Integrates until every threshold M has been escaped (recording t_M) or
-    the horizon is reached.  With the ladder escaped (or the step size
-    collapsed, which is escape to numerical infinity) the blow-up time is
-    estimated by Richardson/Aitken extrapolation of the t_M sequence and
-    bracketed by [t_last, estimate + margin]; otherwise the problem is
-    reported global up to the horizon.
+    Where :func:`_tail_rule` applies (reduced order n <= 2, no
+    ``f_override``, q constant or piecewise with a last value c > 0, h a
+    power s^lam with lam > 1 or, for n = 1, a convergent powerlog), the run
+    stops at the first threshold M >= TAIL_FROM crossed at or after q's last
+    breakpoint, and T* = t_M + (the tail from the state at t_M), with
+    ``t_blow_method`` "tail".  Its interval is T* +- 10 tol max(1, T*).  An
+    error of the integrated state that is a time shift moves t_M and the
+    tail by opposite amounts, so to first order it cancels; what is left is
+    the drift of the solution, held near tol relative over unit spans by the
+    step control at TOL_SAFETY * tol, and the tail's quadrature error, 1e-12
+    relative (QUAD_TOL).  The half-width is ten times that target: an error
+    estimate with a margin, not a proof.  On drawn power problems with n = 1
+    and 2 and tol from 1e-12 to 1e-4 the error stayed under 1% of it; the
+    tests check it against closed-form and mpmath blow-up times.  When the
+    tail cannot be taken or puts T* past the horizon, the run is repeated
+    with the full ladder, so the report is the one the ladder gives.
+
+    Otherwise integrates until every threshold M has been escaped (recording
+    t_M) or the horizon is reached.  With the ladder escaped (or the step
+    size collapsed, which is escape to numerical infinity) the blow-up time
+    is estimated by Richardson/Aitken extrapolation of the t_M sequence and
+    bracketed by the heuristic [t_last, estimate + margin] (``t_blow_method``
+    "extrapolated"); otherwise the problem is reported global up to the
+    horizon.
     """
     thresholds = check_thresholds(thresholds)
 
-    result, crossings = _integrate_events(p, horizon, tol, thresholds, thresholds[-1])
+    tail, after = _tail_rule(p), max(p.q.breakpoints, default=0.0)
+    result, crossings = _integrate_events(
+        p, horizon, tol, thresholds, thresholds[-1], TAIL_FROM if tail else math.inf, after
+    )
+    t_blow = math.nan
+    if (tail and isinstance(result, BlowupEvent) and result.reason == "escape"
+            and result.threshold >= TAIL_FROM and result.t_event >= after):
+        try:
+            t_blow = result.t_event + tail(result.trajectory.ys[-1])
+        except (NumericFailureError, OverflowError):
+            pass
+        if not t_blow <= horizon:
+            result, crossings = _integrate_events(p, horizon, tol, thresholds, thresholds[-1])
     traj = result.trajectory if isinstance(result, BlowupEvent) else result
     escapes = tuple((M, crossings[M]) for M in thresholds if M in crossings)
 
     times = [tM for _, tM in escapes]
     if any(b < a for a, b in zip(times, times[1:])):
         raise InternalConsistencyError(f"escape times not monotone: {times}")
+
+    if t_blow <= horizon:
+        half = 10.0 * tol * max(1.0, t_blow)
+        return BlowupReport(
+            kind=BlowupKind.BLOW_UP,
+            horizon=float(horizon),
+            escape_thresholds=escapes,
+            t_blow_estimate=float(t_blow),
+            t_blow_interval=(t_blow - half, t_blow + half),
+            trajectory=traj,
+            t_blow_method="tail",
+        )
 
     # A step-size collapse is escape to numerical infinity: very fast
     # blow-ups can exhaust the step floor between two thresholds.
@@ -478,7 +548,61 @@ def detect_blowup(
         t_blow_estimate=float(estimate),
         t_blow_interval=interval,
         trajectory=traj,
+        t_blow_method="extrapolated",
     )
+
+
+def _tail_rule(p: ProblemSpec) -> Optional[Callable[[Sequence[float]], float]]:
+    """T* - t as a function of the state y at a time t at or after q's last
+    breakpoint, where the integral test's tail gives it exactly; else None.
+
+    From there on q is a constant c > 0 and u = w^(k) solves u^(n) = c h(u).
+    With u_M = y[k]:
+    - n = 1: T* - t = (1/c) int_{u_M}^inf ds / h(s) = (u_M / c) I(u_M), where
+      I(alpha) = int_1^inf h(alpha s)^(-1) ds is :func:`classify_scaled`'s
+      estimate (closed form for a power, quadrature in log s for powerlog);
+    - n = 2, h = s^lam: the energy identity u'^2 = v^2 + kappa (u^(lam+1) -
+      u_M^(lam+1)), with v = y[k+1] and kappa = 2c/(lam+1), gives T* - t =
+      int_{u_M}^inf ds / u'.  With s = u_M x^(-beta), beta = 2/(lam-1), and
+      e = kappa u_M^(lam+1), this is the bounded integral
+      beta u_M / sqrt(e) * int_0^1 dx / sqrt(1 + (v^2/e - 1) x^(2 beta + 2)),
+      taken on :func:`blowup.quadrature.integral`; e enters through its
+      logarithm, so no power of u_M overflows.
+    The returned function gives nan for a state it cannot finish from
+    (u_M <= 0, or v <= 0 for n = 2).
+    """
+    q, h, n, k = p.q, p.h, p.n, p.k
+    if p.f_override is not None or n > 2 or q.family not in (Family.CONSTANT, Family.PIECEWISE):
+        return None
+    c = q.params[0] if q.family is Family.CONSTANT else q.params[1][-1]
+    if not c > 0.0:
+        return None
+    power = h.family is Family.POWER and h.params[0] > 1.0
+    if n == 1 and (power or h.family is Family.POWER_LOG):
+        verdict = classify(h, 1)
+        if verdict.verdict is not Verdict.CONVERGES or verdict.method is not Method.EXACT_FAMILY:
+            return None
+
+        def tail(y):
+            u = float(y[k])
+            return u / c * classify_scaled(h, 1, u).estimate if u > 0.0 else math.nan
+
+        return tail
+    if n == 2 and power:
+        lam = h.params[0]
+        beta = 2.0 / (lam - 1.0)
+
+        def tail(y):
+            u, v = float(y[k]), float(y[k + 1])
+            if not (u > 0.0 and v > 0.0):
+                return math.nan
+            half_log_e = 0.5 * (math.log(2.0 * c / (lam + 1.0)) + (lam + 1.0) * math.log(u))
+            r2 = math.exp(2.0 * (math.log(v) - half_log_e))  # v^2 / e
+            bounded = integral(lambda x: (1.0 + (r2 - 1.0) * x ** (2.0 * beta + 2.0)) ** -0.5, [0.0, 1.0])
+            return beta * math.exp(math.log(u) - half_log_e) * bounded
+
+        return tail
+    return None
 
 
 def aitken_blowup_estimate(times: Sequence[float], noise_floor: float = 1e-12) -> float:

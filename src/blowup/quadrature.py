@@ -26,19 +26,28 @@ def gauss_rules():
 
 def panels(f, edges: np.ndarray):
     """The panel edges after halving each panel until the two rules agree to
-    QUAD_TOL of |its first value|, and the panels' integrals of f (vectorized)."""
+    QUAD_TOL of |its first value|, and the panels' integrals of f (vectorized).
+
+    Each round evaluates f only on the halves of the panels the round before
+    split; the rules still run over every panel's values at once, so each
+    panel's sum, and with it each split and each result, is the one a full
+    evaluation gives bit for bit (a BLAS matrix-vector product may sum a row
+    differently with the rows around it)."""
     (x20, w20), (x11, w11) = gauss_rules()
     x, budget = np.concatenate([x20, x11]), None
+    fv, new = np.empty((len(edges) - 1, len(x))), slice(None)
     for _ in range(64):
         mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
-        fv = f(mid[:, None] + half[:, None] * x)
+        fv[new] = f(mid[new, None] + half[new, None] * x)
         val = half * (fv[:, : len(w20)] @ w20)
         budget = QUAD_TOL * np.abs(val) if budget is None else budget
         bad = np.abs(val - half * (fv[:, len(w20) :] @ w11)) > budget
         if not bad.any():
             return edges, val
         edges = np.insert(edges, np.flatnonzero(bad) + 1, mid[bad])
-        budget = np.repeat(budget, np.where(bad, 2, 1))
+        budget, fv = np.repeat(budget, bad + 1), np.repeat(fv, bad + 1, axis=0)
+        first = np.flatnonzero(bad) + np.arange(np.count_nonzero(bad))  # split panels' first halves
+        new = np.column_stack([first, first + 1]).ravel()
     raise NumericFailureError(f"integral not resolved to {QUAD_TOL} on [{edges[0]:.17g}, {edges[-1]:.17g}]")
 
 

@@ -160,6 +160,18 @@ class TestConstantAndCustom:
         )
         assert classify(h, 1).verdict is Verdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize("fn, exact", [
+        (lambda s: np.exp(s), math.exp(-1.0)),  # the decay check reaches h(1024) = inf
+        (lambda s: s ** 200.0, 1.0 / 199.0),    # and here h(64) = inf
+    ], ids=["exp", "s^200"])
+    def test_overflowing_h_has_decayed(self, fn, exact):
+        # where h overflows to inf the integrand is 0, so the sampled decay
+        # check passes instead of refusing the verdict
+        v = classify(make_custom(fn), 1)
+        assert v.verdict is Verdict.CONVERGES
+        assert v.method is Method.NUMERIC_HEURISTIC
+        assert v.estimate == pytest.approx(exact, rel=1e-12)
+
     def test_estimate_only_when_convergent(self):
         for h, n in [(make_power(0.5), 1), (make_constant(1.0), 1)]:
             v = classify(h, n)

@@ -103,6 +103,12 @@ class TestRunExperiment:
         t_est = [l for l in text.splitlines() if l.startswith("t_blow_estimate=")][0]
         assert abs(float(t_est.split("=")[1]) - 1.0) <= 1e-3
 
+    def test_detect_blowup_writes_the_method(self, tmp_path):
+        base = "run = detect-blowup\nm = 1\nk = 0\na = [1]\nh = power(2.0)\nhorizon = 2.0\n"
+        for q, method in (("constant(1.0)", "tail"), ("constant(0.0)", "none")):
+            assert run_experiment(parse_config(base + f"q = {q}\n"), tmp_path / q) == 0
+            assert f"t_blow_method={method}\n" in (tmp_path / q / "detect-blowup.txt").read_text()
+
     def test_pipeline_artifacts(self, tmp_path):
         cfg = parse_config(
             "run = pipeline\nm = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(2.0)\n"
@@ -288,4 +294,7 @@ class TestSurface:
         assert run_experiment(parse_config(base), tmp_path / "unset") == 0
         empty = (tmp_path / "empty" / "detect-blowup.txt").read_text()
         assert empty == (tmp_path / "unset" / "detect-blowup.txt").read_text()
-        assert "t_escape_10=" in empty and "t_escape_1e+11=" in empty
+        assert [line.split("=")[0] for line in empty.splitlines() if line.startswith("t_escape_")] == [
+            "t_escape_10", "t_escape_100", "t_escape_1000", "t_escape_10000", "t_escape_100000",
+            "t_escape_1e+06",
+        ]

@@ -4,6 +4,7 @@ import math
 import traceback
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -464,6 +465,16 @@ class TestDetectBlowup:
         assert rep.kind is BlowupKind.BLOW_UP
         assert abs(rep.t_blow_estimate - 1.0) <= 1e-3
 
+    def test_step_collapse_outside_the_tail(self):
+        # w' = w^2 with h a custom function: no tail, so the ladder runs on
+        # to 1e12 and the step floor gives out before its last threshold
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_custom(make_power(2).fn))
+        rep = detect_blowup(p, horizon=2.0, tol=1e-10)
+        assert rep.kind is BlowupKind.BLOW_UP
+        assert rep.t_blow_method == "extrapolated"
+        assert len(rep.escape_thresholds) < len(ode.DEFAULT_THRESHOLDS)  # collapsed
+        assert abs(rep.t_blow_estimate - 1.0) <= 1e-3
+
     def test_threshold_validation(self):
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))
         with pytest.raises(InvalidParameterError):
@@ -475,6 +486,119 @@ class TestDetectBlowup:
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))
         with pytest.raises(InvalidParameterError, match="at least one level"):
             detect_blowup(p, thresholds=(), horizon=1.0)
+
+
+def energy_blowup_time(lam, a0, a1, c):
+    """T* of w'' = c w^lam, w(0) = a0, w'(0) = a1 > 0, in mpmath: the energy
+    integral int_a0^inf ds / sqrt(a1^2 + kappa (s^(lam+1) - a0^(lam+1))),
+    kappa = 2c/(lam+1), taken in y = log(s/a0)."""
+    with mpmath.workdps(30):
+        lam, a0, a1, c = (mpmath.mpf(x) for x in (lam, a0, a1, c))
+        kappa = 2 * c / (lam + 1)
+        f = lambda y: a0 * mpmath.exp(y) / mpmath.sqrt(
+            a1 ** 2 + kappa * a0 ** (lam + 1) * mpmath.expm1((lam + 1) * y))
+        return float(mpmath.quad(f, [0, 1, 10, 100, 1000, mpmath.inf]))
+
+
+class TestTailOracle:
+    """Blow-up times finished by the tail integral against exact values.  The
+    exponents stop at 2.5 (n = 1), where w' = w^lam still crosses 1e6 more
+    than a step floor before T*."""
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(lam=st.floats(1.05, 2.5), a=st.floats(0.1, 10.0))
+    def test_first_order_power(self, lam, a):
+        with mpmath.workdps(30):  # w' = w^lam, w(0) = a: T* = a^(1-lam) / (lam - 1)
+            exact = float(mpmath.mpf(a) ** (1 - mpmath.mpf(lam)) / (mpmath.mpf(lam) - 1))
+        p = ProblemSpec(m=1, k=0, a=(a,), q=ONE, h=make_power(lam))
+        rep = detect_blowup(p, horizon=2.0 * exact + 1.0, tol=1e-10)
+        assert rep.t_blow_method == "tail"
+        lo, hi = rep.t_blow_interval
+        assert lo <= exact <= hi
+        assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-9)
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(lam=st.floats(1.1, 4.0), a0=st.floats(0.5, 2.0), a1=st.floats(0.1, 2.0),
+           c=st.floats(0.5, 2.0))
+    def test_second_order_power(self, lam, a0, a1, c):
+        exact = energy_blowup_time(lam, a0, a1, c)
+        p = ProblemSpec(m=2, k=0, a=(a0, a1), q=make_constant(c), h=make_power(lam))
+        rep = detect_blowup(p, horizon=2.0 * exact + 1.0, tol=1e-10)
+        assert rep.t_blow_method == "tail"
+        lo, hi = rep.t_blow_interval
+        assert lo <= exact <= hi
+        assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-9)
+
+
+def ladder_only(p, **kw):
+    """detect_blowup with the tail switched off: the full ladder and its
+    extrapolation, the report every problem got before the tail."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ode, "TAIL_FROM", math.inf)
+        return detect_blowup(p, **kw)
+
+
+def assert_same_report(rep, ref):
+    """Every field but t_blow_method equal, the trajectory bit for bit."""
+    for name in ("kind", "horizon", "escape_thresholds", "t_blow_estimate", "t_blow_interval"):
+        assert getattr(rep, name) == getattr(ref, name), name
+    for name in ("ts", "ys", "dys"):
+        assert getattr(rep.trajectory, name).tobytes() == getattr(ref.trajectory, name).tobytes()
+
+
+class TestTailScope:
+    def test_jump_after_the_first_stop_moves_it(self):
+        # w' = q w^1.1, w(0) = 1: int_1^inf ds/s^1.1 = 10, and 8 of it before
+        # the jump at t = 1 puts w(1) = 0.2^-10 ~ 9.8e6, past the 1e6 crossing;
+        # the rest at q = 2 takes 1, so T* = 2
+        q = make_piecewise([((0, 1.0), 8.0), ((1.0, math.inf), 2.0)])
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(1.1))
+        rep, ref = detect_blowup(p, horizon=5.0), ladder_only(p, horizon=5.0)
+        assert rep.t_blow_method == "tail"
+        assert [M for M, _ in rep.escape_thresholds][-2:] == [1e6, 1e7]
+        assert rep.escape_thresholds[-2][1] < 1.0 <= rep.escape_thresholds[-1][1]
+        assert rep.escape_thresholds == ref.escape_thresholds[:7]
+        lo, hi = rep.t_blow_interval
+        assert lo <= 2.0 <= hi
+        assert rep.t_blow_estimate == pytest.approx(2.0, rel=1e-9)
+
+    def test_blowup_past_the_horizon_keeps_the_ladder(self):
+        # w' = w^1.1, w(0) = 1 crosses 1e6 at t ~ 7.49, but T* = 10 > 8
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1.1))
+        rep = detect_blowup(p, horizon=8.0)
+        assert 1e6 in dict(rep.escape_thresholds)
+        assert rep.kind is BlowupKind.GLOBAL_UP_TO_HORIZON
+        assert rep.t_blow_method is None
+        assert_same_report(rep, ladder_only(p, horizon=8.0))
+
+    def test_divergent_tail_keeps_the_ladder(self):
+        # e^t escapes a short ladder although I(s, 1) diverges: no tail
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1))
+        kw = dict(thresholds=(1e3, 1e6), horizon=20.0)
+        rep = detect_blowup(p, **kw)
+        assert rep.t_blow_method == "extrapolated"
+        assert_same_report(rep, ladder_only(p, **kw))
+
+    @pytest.mark.parametrize("a", [(1e7, 0.0), (1e6, 1e300)], ids=["at-rest", "overflowing-speed"])
+    def test_state_the_tail_cannot_finish_from_keeps_the_ladder(self, a):
+        # w'' = w^2 from data past 1e6 stops at t = 0; with w' = 0 the energy
+        # integrand is singular at its end, and w'^2 / e overflows
+        p = ProblemSpec(m=2, k=0, a=a, q=ONE, h=make_power(2))
+        rep = detect_blowup(p, horizon=5.0)
+        assert rep.t_blow_method == "extrapolated"
+        assert_same_report(rep, ladder_only(p, horizon=5.0))
+
+    @pytest.mark.parametrize("p", [
+        ProblemSpec(m=3, k=0, a=(1.0, 1.0, 1.0), q=ONE, h=make_power(2)),
+        ProblemSpec(m=1, k=0, a=(1.0,), q=make_custom(lambda t: 1.0), h=make_power(2)),
+        ProblemSpec(m=2, k=0, a=(1.0, 0.5), q=ONE, h=make_custom(make_power(3).fn)),
+        ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2),
+                    f_override=lambda t, y: float(y[0]) ** 2),
+    ], ids=["n=3", "custom-q", "custom-h", "f_override"])
+    def test_out_of_scope_stays_extrapolated(self, p):
+        rep = detect_blowup(p, horizon=5.0)
+        assert rep.t_blow_method == "extrapolated"
+        assert_same_report(rep, ladder_only(p, horizon=5.0))
 
 
 class TestAitken:
