@@ -236,20 +236,42 @@ class Trajectory:
         )
 
         if self.m > 1:
-            # lower components: quintic Hermite (two-point Taylor) with exact
-            # second derivatives s = (y[2:], f) at both ends
-            d0, d1 = self.dys[i][:, :-1] * h, self.dys[i + 1][:, :-1] * h
-            s0, s1 = self.dys[i][:, 1:] * h * h, self.dys[i + 1][:, 1:] * h * h
-            t2, t3, t4, t5 = th * th, th ** 3, th ** 4, th ** 5
-            A0 = 1 - 10 * t3 + 15 * t4 - 6 * t5
-            B0 = th - 6 * t3 + 8 * t4 - 3 * t5
-            C0 = 0.5 * (t2 - 3 * t3 + 3 * t4 - t5)
-            A1 = 10 * t3 - 15 * t4 + 6 * t5
-            B1 = -4 * t3 + 7 * t4 - 3 * t5
-            C1 = 0.5 * (t3 - 2 * t4 + t5)
-            out[:, :-1] = (A0 * y0[:, :-1] + B0 * d0 + C0 * s0
-                           + A1 * y1[:, :-1] + B1 * d1 + C1 * s1)
+            # lower components: quintic Hermite with exact second derivatives
+            # s = (y[2:], f) at both ends
+            d0, d1 = self.dys[i], self.dys[i + 1]
+            out[:, :-1] = _quintic_hermite(th, h, y0[:, :-1], y1[:, :-1], d0[:, :-1], d1[:, :-1],
+                                           d0[:, 1:], d1[:, 1:])
         return out[0] if scalar else out
+
+    def crossing(self, level: float, lo: float) -> float:
+        """First time in [lo, t_end] at which w = component 0 reaches ``level``.
+
+        The first node at or after ``lo`` where w >= level ends the cell, so a
+        non-monotone w gets its first crossing at the nodes' resolution; the
+        cell is then bisected on floats, on the interpolant this trajectory's
+        dense output evaluates there (quintic Hermite for m > 1, cubic for
+        m = 1), until the midpoint no longer splits the bracket.  Raises
+        InvalidParameterError when no node in [lo, t_end] reaches the level.
+        """
+        w, i = self.ys[:, 0], int(np.searchsorted(self.ts, lo))
+        hit = w[i:] >= level
+        if not hit.any():
+            raise InvalidParameterError(f"w stays below {level!r} on [{lo!r}, {self.t_end!r}]")
+        i += int(np.argmax(hit))
+        if i == 0:
+            return float(self.ts[0])
+        t0, hi = float(self.ts[i - 1]), float(self.ts[i])
+        cell = (hi - t0, float(w[i - 1]), float(w[i]), float(self.dys[i - 1, 0]), float(self.dys[i, 0]))
+        if self.m > 1:
+            cell += (float(self.dys[i - 1, 1]), float(self.dys[i, 1]))
+        value = _quintic_hermite if self.m > 1 else _cubic_hermite
+        lo = max(float(lo), t0)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if value((mid - t0) / cell[0], *cell) < level:
+                lo = mid
+            else:
+                hi = mid
+        return hi
 
     def component(self, i: int):
         """Callable t -> w^(i)(t)."""
@@ -302,6 +324,21 @@ def _cubic_hermite(th, h, y0, y1, d0, d1):
     h01 = th * th * (3 - 2 * th)
     h11 = th * th * (th - 1)
     return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+
+
+def _quintic_hermite(th, h, y0, y1, d0, d1, s0, s1):
+    """Quintic Hermite (two-point Taylor) interpolant at th = (t - t0)/h of a
+    cell of width h, from the end values y0, y1, first derivatives d0, d1 and
+    second derivatives s0, s1."""
+    t2, t3, t4, t5 = th * th, th ** 3, th ** 4, th ** 5
+    A0 = 1 - 10 * t3 + 15 * t4 - 6 * t5
+    B0 = th - 6 * t3 + 8 * t4 - 3 * t5
+    C0 = 0.5 * (t2 - 3 * t3 + 3 * t4 - t5)
+    A1 = 10 * t3 - 15 * t4 + 6 * t5
+    B1 = -4 * t3 + 7 * t4 - 3 * t5
+    C1 = 0.5 * (t3 - 2 * t4 + t5)
+    return (A0 * y0 + B0 * (d0 * h) + C0 * (s0 * h * h)
+            + A1 * y1 + B1 * (d1 * h) + C1 * (s1 * h * h))
 
 
 def _crossing_time(t0, t1, y0, y1, d0, d1, level):

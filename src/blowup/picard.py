@@ -42,7 +42,7 @@ from .errors import (
     NumericFailureError,
     check_int,
 )
-from .functions import ScalarFn, make_constant, make_custom
+from .functions import Family, ScalarFn, make_constant, make_custom
 from .ode import ProblemSpec, Trajectory
 from .quadrature import QUAD_TOL, gauss_rules, panels
 from .volterra import integral_image, weighted_volterra
@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 GRID_MIN = 129        # nodes of the tower's first grid
+GRADE = 3             # t_j = t_1 (j/N)^GRADE on the first segment of a singular start
 BOUND_PIECES = 4      # blocks of the random data in verify_bound_preservation
 
 
@@ -262,7 +263,10 @@ def majorant_growth(h: ScalarFn, n: int, *, weight: float = 1.0) -> ScalarFn:
 
 @dataclass(frozen=True)
 class PicardTower:
-    """Iterates of the monotone Volterra map on a fixed uniform grid.
+    """Iterates of the monotone Volterra map on one fixed grid.
+
+    ``grid`` is uniform between q's breakpoints, except that a singular
+    start grades its first segment (see :func:`picard_solve`).
 
     ``iterates[0]`` is the seed polynomial; ``converged`` refers to the
     iteration sup-gap, separate from the recorded discretization gap of the
@@ -307,9 +311,13 @@ def picard_solve(
     use).  ``majorant_b`` (componentwise >= b, all > 0) seeds the
     quadrature majorant; it defaults to b and allows towers started from
     nonnegative data as long as a strictly positive dominating seed is
-    supplied.  The uniform grid (GRID_MIN nodes at first) is doubled until
-    two successive converged towers differ by < tol/4 (or the cap is
-    reached; the achieved gap is reported either way).
+    supplied.  The grid (GRID_MIN nodes at first, uniform between q's
+    breakpoints, with a node at each) is doubled until two successive
+    converged towers differ by < tol/4 (or the cap is reached; the achieved
+    gap is reported either way).  A singular start, b[0] = 0 with h a power
+    or powerlog of exponent 0 < lambda < 1, grades the first segment
+    [0, t_1] as t_j = t_1 (j/N)^GRADE: the solution behaves like a
+    fractional power of t there, which holds a uniform grid to O(h^1.5).
 
     Raises FiniteEscapeError if the quadrature majorant fails to exist on
     [0, T] (the divergence hypothesis fails numerically); that is checked
@@ -349,6 +357,7 @@ def picard_solve(
 
     edges = [0.0, *bps, float(T)]
     base_cells = [max(2, round((GRID_MIN - 1) * (hi - lo) / T)) for lo, hi in zip(edges, edges[1:])]
+    graded = b[0] == 0.0 and _singular_at_zero(h)
 
     # F is increasing, so the majorant escapes before some grid node exactly
     # when it escapes before T: one target settles escape for every grid
@@ -358,7 +367,7 @@ def picard_solve(
     prev_grid = prev_final = None
     mult = 1
     while True:
-        grid = _segmented_grid(edges, [c * mult for c in base_cells])
+        grid = _segmented_grid(edges, [c * mult for c in base_cells], graded)
         iterates = _run_tower(h, b, q, grid, tol, max_iter)
         final = iterates[-1]
         if prev_final is not None:
@@ -387,17 +396,31 @@ def picard_solve(
     )
 
 
-def _segmented_grid(edges: list, seg_cells: list) -> np.ndarray:
+def _segmented_grid(edges: list, seg_cells: list, graded: bool = False) -> np.ndarray:
     """Piecewise-uniform grid with nodes exactly at the q breakpoints.
 
     Per-segment cell counts sit on a doubling ladder, so successive
-    refinements contain the coarser nodes.
+    refinements contain the coarser nodes.  ``graded`` replaces the first
+    segment [0, t_1] by t_j = t_1 (j/N)^GRADE (Brunner, *Collocation Methods
+    for Volterra Integral and Related Functional Differential Equations*,
+    2004), which restores the kernel's order when the solution is not smooth
+    at 0; j^GRADE / N^GRADE is a ratio of exact integers, so node j of N
+    cells is node 2j of 2N cells bit for bit.
     """
     parts = []
     for i, c in enumerate(seg_cells):
-        seg = np.linspace(edges[i], edges[i + 1], c + 1)
+        if i == 0 and graded:
+            seg = edges[1] * (np.arange(c + 1) ** GRADE / c ** GRADE)
+        else:
+            seg = np.linspace(edges[i], edges[i + 1], c + 1)
         parts.append(seg if i == 0 else seg[1:])
     return np.concatenate(parts)
+
+
+def _singular_at_zero(h: ScalarFn) -> bool:
+    """h is a power or powerlog with 0 < lambda < 1: not C^1 at 0, so a tower
+    started at v(0) = 0 is not smooth there."""
+    return h.family in (Family.POWER, Family.POWER_LOG) and 0.0 < h.params[0] < 1.0
 
 
 def _sup_on_interval(q: ScalarFn, T: float) -> float:
@@ -535,8 +558,10 @@ def verify_bound_preservation(
     trajectory nodes) and an admissible right-hand side f = c(t) q h(u_k) with piecewise c in
     [0, 1], then checks 0 <= (operator image)^(i) <= v^(i) at all nodes.
     The check runs on the trajectory's own nodes (exact values, no dense
-    interpolation) and the image integrals are assembled block by block so
-    the quadrature never straddles a factor jump.  Violations are reported,
+    interpolation) and the image integrals are assembled block by block,
+    split at q's jumps too (each block sampling q's own branch, as in
+    :func:`apply_integral_operator`), so the quadrature never straddles a
+    jump of c or q.  Violations are reported,
     never raised; a trajectory with a repeated node (a restart at a jump of
     q) is refused with InvalidParameterError, since the operator needs a
     strictly increasing grid.
@@ -544,7 +569,7 @@ def verify_bound_preservation(
     rng = np.random.default_rng(seed)
     grid = v.ts
     V = v.ys
-    qvals = p.q.eval_array(grid)
+    q_blocks = _q_blocks(p.q, grid)
     worst = 0.0
     worst_trial = -1
 
@@ -555,10 +580,12 @@ def verify_bound_preservation(
 
         blocks = []
         for bi in range(len(cuts) - 1):
-            a_idx, b_idx = cuts[bi], cuts[bi + 1]
-            u_k = V[a_idx : b_idx + 1, p.k] * u_scales[bi, p.k]
-            f_block = c_scales[bi] * qvals[a_idx : b_idx + 1] * p.h.eval_array(u_k)
-            blocks.append((a_idx, b_idx, f_block))
+            for i0, i1, _, qv in q_blocks:
+                a_idx, b_idx = max(cuts[bi], i0), min(cuts[bi + 1], i1)
+                if a_idx < b_idx:
+                    u_k = V[a_idx : b_idx + 1, p.k] * u_scales[bi, p.k]
+                    f_block = c_scales[bi] * qv[a_idx - i0 : b_idx - i0 + 1] * p.h.eval_array(u_k)
+                    blocks.append((a_idx, b_idx, f_block))
         img = integral_image(p.a, blocks, grid)
 
         over = float(np.max(img - V))

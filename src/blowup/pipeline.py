@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .classify import IntegralVerdict, Verdict, classify
 from .errors import (
@@ -154,8 +153,10 @@ def majorization_experiment(
     """Tabulate the comparison margins w^(i)(tau_j) - u^(i)(t_j), j = 0..J.
 
     ``rho`` is the level factor (the construction's own value is 2; other
-    values are experimental knobs with no correctness claim).  Levels stop
-    early when u never reaches the next one within the horizon.
+    values are experimental knobs with no correctness claim).  Each t_j is
+    found by :meth:`Trajectory.crossing` on u's nodes and dense output,
+    from t_{j-1} on.  Levels stop early when u never reaches the next one
+    within the horizon.
 
     ``u`` is the reduced solution when the caller has already integrated it:
     the pipeline's direct cross-check for k = 0 is that very solve.  It must
@@ -183,12 +184,7 @@ def majorization_experiment(
         )
     else:
         traj = u
-    t_end = traj.t_end
     u_end = float(traj.ys[-1, 0])
-
-    def crossing(level, lo):
-        """The time in [lo, t_end] at which u reaches ``level``, by dense root finding."""
-        return brentq(lambda t: float(traj(t)[0]) - level, lo, t_end, xtol=1e-14, rtol=8.9e-16)
 
     # anchor level: first time u is meaningfully positive
     if a_reduced[0] > 0.0:
@@ -201,7 +197,7 @@ def majorization_experiment(
                 levels_reachable=False,
                 note="solution never exceeds the positivity threshold (stagnant)",
             )
-        t0 = crossing(thresh, 0.0)
+        t0 = traj.crossing(thresh, 0.0)
     u0 = float(traj(t0)[0])
 
     # levels u(t_j) = rho^j * u0
@@ -210,7 +206,7 @@ def majorization_experiment(
         level = rho ** j * u0
         if u_end < level:
             break
-        t_levels.append(crossing(level, t_levels[-1]))
+        t_levels.append(traj.crossing(level, t_levels[-1]))
 
     eps, taus = [0.0], [0.0]
     for lo, hi in zip(t_levels, t_levels[1:]):

@@ -198,7 +198,10 @@ def partial_volterra(phi, p: int, tau_grid, t_targets) -> np.ndarray:
     Y = _carry(phi, p, tau_grid)
     # Taylor-extend from the last node t_k <= t: exact, since y^(p) = 0 past
     # t_k.  Targets before the span extend from the first node, where Y = 0.
-    tiny = 1e-12 * max(1.0, float(np.max(np.abs(tau_grid))))
+    # A target within rounding of a node counts as that node; the slack stays
+    # below the narrowest cell, which a graded grid makes far smaller than
+    # 1e-12 near 0, so that it never moves a target past a whole cell.
+    tiny = min(1e-12 * max(1.0, float(np.max(np.abs(tau_grid)))), 1e-3 * float(np.min(np.diff(tau_grid))))
     k = np.maximum(np.searchsorted(tau_grid, t_targets + tiny, side="right") - 1, 0)
     dt = t_targets - tau_grid[k]
     out = np.zeros(len(t_targets))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import blowup.ode as ode
 from blowup.errors import InvalidParameterError, NumericFailureError
@@ -412,6 +413,61 @@ class TestDenseOutput:
         traj = integrate(cosh_problem(), 2.0, 1e-9)
         w1 = traj.component(1)
         assert w1(2.0) == pytest.approx(math.sinh(2.0), rel=1e-6)
+
+
+class TestCrossing:
+    """Trajectory.crossing against brentq on the dense output itself."""
+
+    @staticmethod
+    def oracle(traj, level, lo):
+        return brentq(lambda t: float(traj(t)[0]) - level, lo, traj.t_end,
+                      xtol=1e-300, rtol=8.9e-16, maxiter=400)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.0, 1.0),
+        a=st.lists(st.one_of(st.just(0.0), st.floats(0.1, 2.0)), min_size=1, max_size=3).filter(any),
+        factors=st.lists(st.floats(1.25, 4.0), min_size=1, max_size=6),
+    )
+    def test_matches_brentq(self, lam, a, factors):
+        # w^(n) = w^lam, n = 1..3; levels grow from w(0) (from 1e-8 for
+        # w(0) = 0, as the majorization's anchor does) and each is crossed
+        # from the previous crossing on, while w(t_end) reaches them
+        traj = integrate(ProblemSpec(m=len(a), k=0, a=tuple(a), q=ONE, h=make_power(lam)), 2.0, 1e-10)
+        lo, level = 0.0, a[0] or 1e-8
+        for f in factors:
+            level *= f
+            if level > traj.ys[-1, 0]:
+                break
+            t, want = traj.crossing(level, lo), self.oracle(traj, level, lo)
+            assert abs(t - want) <= 1e-14 * want
+            lo = t
+
+    def test_level_at_a_node(self):
+        traj = integrate(cosh_problem(), 2.0, 1e-9)
+        i = len(traj.ts) // 2
+        level = float(traj.ys[i, 0])
+        assert traj.crossing(level, 0.0) == traj.ts[i]
+        assert traj.crossing(level, 0.0) == pytest.approx(self.oracle(traj, level, 0.0), rel=1e-14)
+
+    def test_level_reached_only_at_t_end(self):
+        traj = integrate(cosh_problem(), 2.0, 1e-9)
+        assert traj.crossing(float(traj.ys[-1, 0]), 1.0) == traj.t_end
+        with pytest.raises(InvalidParameterError):
+            traj.crossing(np.nextafter(traj.ys[-1, 0], math.inf), 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_first_crossing_of_a_non_monotone_trajectory(self, m):
+        # w = sin on [0, 3 pi] crosses 1/2 at pi/6, 5 pi/6 and 13 pi/6
+        ts = np.linspace(0.0, 3.0 * math.pi, 301)
+        ys = np.column_stack([np.sin(ts), np.cos(ts)])[:, :m]
+        dys = np.column_stack([np.cos(ts), -np.sin(ts)])[:, :m]
+        traj = Trajectory(ts=ts, ys=ys, dys=dys, m=m, tol=1e-9)
+        t = traj.crossing(0.5, 0.0)
+        assert t == pytest.approx(math.pi / 6, abs=1e-6)
+        want = brentq(lambda s: float(traj(s)[0]) - 0.5, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16)
+        assert abs(t - want) <= 1e-14 * want
+        assert traj.crossing(0.5, 3.0) == pytest.approx(13 * math.pi / 6, abs=1e-6)
 
 
 class TestDetectBlowup:

@@ -100,6 +100,13 @@ class TestPartial:
         exact = (t - 0.5) + 3.0 * 0.5  # int (2-tau)*1 on [0,1] + int (2-tau)*3 on [1,2]
         assert total[-1] == pytest.approx(exact, rel=1e-13)
 
+    def test_cells_below_the_rounding_slack(self):
+        # a graded grid's first cells can be far narrower than 1e-12: a node
+        # target must still read its own node, not extend back from a later one
+        g = 0.5 * (np.arange(9) / 8192.0) ** 3
+        got = partial_volterra(np.ones(9), 2, g, g)
+        assert got[0] == 0.0 and np.allclose(got, g ** 2 / 2, rtol=1e-13, atol=0.0)
+
 
 class TestKernelContract:
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
