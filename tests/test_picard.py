@@ -311,9 +311,10 @@ class TestPicardTower:
     def test_tower_monotone_and_below_majorant(self, lam, b, T, singular):
         # power-law data, n = len(b) in {1, 2}: the paper's two invariants;
         # a singular start v(0) = 0 with 0 < lambda < 1 runs on a graded grid
+        majorant_b = None
         if singular:
-            lam, b = min(max(lam, 0.05), 0.95), [0.0, *b[1:]]
-        tw = picard_solve(make_power(lam), len(b), b, T, tol=1e-9, majorant_b=np.add(b, 1.0))
+            lam, b, majorant_b = min(max(lam, 0.05), 0.95), [0.0, *b[1:]], [1.0, *b[1:]]
+        tw = picard_solve(make_power(lam), len(b), b, T, tol=1e-9, majorant_b=majorant_b)
         assert tw.monotone_slack >= -1e-12
         assert tw.majorant_slack >= -1e-12 * (1.0 + float(np.max(tw.majorant)))
 
