@@ -35,7 +35,7 @@ from .errors import (
     check_int,
 )
 from .functions import Family, ScalarFn
-from .quadrature import integral
+from .quadrature import QUAD_TOL, integral, rest
 
 __all__ = [
     "Verdict",
@@ -189,8 +189,9 @@ def _powerlog_estimate(lam, sigma, shift, n, scale) -> float:
     return scale ** (-lam / n) * (_y_integral(fy, Y) + tail)
 
 
-def _declared_estimate(h: ScalarFn, n: int, scale: float) -> float:
-    """I for a custom h with declared exponent > 1, up to the last unit step of y < 710 with h finite."""
+def _declared_estimate(h: ScalarFn, n: int, scale: float) -> Optional[float]:
+    """I for a custom h with declared exponent > 1, up to the last unit step of y < 710
+    with h finite; None when the rest past it (as in the inversion) exceeds QUAD_TOL of I."""
     y_end = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for y in range(1, 710):
@@ -200,7 +201,9 @@ def _declared_estimate(h: ScalarFn, n: int, scale: float) -> float:
             except OverflowError:  # a float ** overflows where numpy gives inf
                 break
             y_end = float(y)
-    return _y_integral(_in_y(h, n, scale), y_end)
+    fy = _in_y(h, n, scale)
+    total = _y_integral(fy, y_end)
+    return total if rest(fy(np.arange(max(y_end - 1.0, 0.0), y_end + 1.0))) <= QUAD_TOL * total else None
 
 
 def _panel_classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:

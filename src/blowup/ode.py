@@ -250,7 +250,7 @@ class Trajectory:
         non-monotone w gets its first crossing at the nodes' resolution; the
         cell is then bisected on floats, on the interpolant this trajectory's
         dense output evaluates there (quintic Hermite for m > 1, cubic for
-        m = 1), until the midpoint no longer splits the bracket.  Raises
+        m = 1), by :func:`_bisect_level`.  Raises
         InvalidParameterError when no node in [lo, t_end] reaches the level.
         """
         w, i = self.ys[:, 0], int(np.searchsorted(self.ts, lo))
@@ -265,13 +265,7 @@ class Trajectory:
         if self.m > 1:
             cell += (float(self.dys[i - 1, 1]), float(self.dys[i, 1]))
         value = _quintic_hermite if self.m > 1 else _cubic_hermite
-        lo = max(float(lo), t0)
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if value((mid - t0) / cell[0], *cell) < level:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        return _bisect_level(lambda t: value((t - t0) / cell[0], *cell), level, max(float(lo), t0), hi)
 
     def component(self, i: int):
         """Callable t -> w^(i)(t)."""
@@ -343,13 +337,17 @@ def _quintic_hermite(th, h, y0, y1, d0, d1, s0, s1):
 
 def _crossing_time(t0, t1, y0, y1, d0, d1, level):
     """First time the max-component cubic Hermite interpolant of the cell
-    [t0, t1] reaches ``level``: bisection on floats until the midpoint no
-    longer splits the bracket."""
+    [t0, t1] reaches ``level``, by :func:`_bisect_level`."""
     w = t1 - t0
     cells = list(zip(y0, y1, d0, d1))
-    lo, hi = t0, t1
+    return _bisect_level(lambda t: max(_cubic_hermite((t - t0) / w, w, *c) for c in cells), level, t0, t1)
+
+
+def _bisect_level(value, level, lo, hi):
+    """Bisect [lo, hi] on floats, keeping value < level at lo and >= level at
+    hi, until the midpoint no longer splits the bracket; returns hi."""
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if max(_cubic_hermite((mid - t0) / w, w, *c) for c in cells) < level:
+        if value(mid) < level:
             lo = mid
         else:
             hi = mid

@@ -4,6 +4,7 @@ dichotomy integral I(h, n) (classify) and the integral of q (pipeline)."""
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -54,3 +55,11 @@ def panels(f, edges: np.ndarray):
 def integral(f, edges) -> float:
     """The integral of f from edges[0] to edges[-1] by :func:`panels`."""
     return float(np.sum(panels(f, np.asarray(edges, dtype=float))[1]))
+
+
+def rest(samples) -> float:
+    """The integral past the last nonzero of samples of f >= 0 at unit steps,
+    f2 / log(f1 / f2) from the last two if f keeps decaying by their ratio;
+    inf unless they decay (0 < f2 < f1)."""
+    f1, f2 = np.append([0.0, 0.0], np.trim_zeros(np.asarray(samples, dtype=float), "b"))[-2:]
+    return f2 / math.log(f1 / f2) if 0.0 < f2 < f1 else math.inf

@@ -133,6 +133,17 @@ class TestConstantAndCustom:
         oracle = brute_force_integral(h, 1)
         assert v.estimate == pytest.approx(oracle, rel=5e-3)
 
+    @pytest.mark.parametrize("lam, n", [(1.05, 3), (1.01, 2)])
+    def test_declared_estimate_refused_when_h_overflows_first(self, lam, n):
+        # I = n / (lam - 1) = 60 and 200, but e^(-(lam-1) y/n) has barely decayed
+        # where s^lam overflows (y ~ 700): the verdict stands without an estimate
+        h = make_custom(lambda s: s ** lam, nonnegative=True, nondecreasing=True,
+                        asymptotic_exponent=lam)
+        v = classify(h, n)
+        assert v.verdict is Verdict.CONVERGES
+        assert v.method is Method.EXACT_FAMILY
+        assert v.estimate is None
+
     def test_heuristic_convergent(self):
         h = make_custom(lambda s: s * s, nonnegative=True, nondecreasing=True, label="s^2")
         v = classify(h, 1)

@@ -364,6 +364,15 @@ class TestPicardTower:
         direct = traj(tw.grid)[:, 0]
         assert np.max(np.abs(tw.solution - direct)) <= 1e-6
 
+    def test_solution_is_the_final_iterate(self):
+        # the ladder converges at fourth order, where a second-order Richardson
+        # correction across the last doubling (gap ~ 15 e) turns an error e into -4 e
+        h, b = make_power(0.5), (1.0, 0.0, 1.0)
+        tw = picard_solve(h, 3, b, 5.0, tol=1e-8, majorant_b=[2.0, 1.0, 2.0])
+        assert np.array_equal(tw.solution, tw.iterates[-1])
+        direct = integrate(ProblemSpec(m=3, k=0, a=b, q=ONE, h=h), 5.0, 1e-13)
+        assert np.max(np.abs(tw.solution - direct(tw.grid)[:, 0])) <= 1.5e-10
+
     @pytest.mark.parametrize(
         "q,per_level",
         [(None, 1), (make_piecewise([((0, 1), 0.5), ((1, 2), 2.0), ((2, math.inf), 1.0)]), 3)],
