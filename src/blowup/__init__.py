@@ -44,6 +44,7 @@ from .ode import (
     BlowupKind,
     BlowupReport,
     ProblemSpec,
+    StepStats,
     Trajectory,
     detect_blowup,
     integrate,

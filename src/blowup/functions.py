@@ -141,6 +141,8 @@ def make_power_log(p: PowerFamilyParams) -> ScalarFn:
         raise InvalidParameterError(f"log shift must be > 1, got {shift}")
 
     def fn(s, _l=lam, _sg=sigma, _sh=shift):
+        if isinstance(s, float) and _sh + s > 0.0:  # the generated step's formula, for rhs
+            return s ** _l * math.log(_sh + s) ** _sg
         return s ** _l * np.log(_sh + s) ** _sg
 
     return ScalarFn(

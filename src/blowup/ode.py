@@ -9,7 +9,11 @@ y_i' = y_{i+1}, y_{m-1}' = f.  The integrator is an embedded Dormand-Prince
 5(4) pair with PI step-size control, written here rather than taken from a
 library so that threshold-escape events, forced restarts at the
 coefficient's jump points, and the Hermite dense output are fully under
-control (all three are load-bearing for blow-up time estimation).
+control (all three are load-bearing for blow-up time estimation).  The step
+is generated from the tableau per state size.  Between restarts a constant
+or piecewise q is one constant c, so for a power or powerlog h the step
+computes f = c h(y_k) in its own stage lines; any other problem calls
+:meth:`ProblemSpec.rhs` there.
 
 Everything in the intended regime (q, h >= 0, a >= 0) is monotone: w^(m)
 is nonnegative, so every lower derivative is nondecreasing.  Blow-up
@@ -47,6 +51,7 @@ from .quadrature import integral
 __all__ = [
     "ProblemSpec",
     "Trajectory",
+    "StepStats",
     "BlowupEvent",
     "BlowupKind",
     "BlowupReport",
@@ -79,40 +84,76 @@ _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
+# Top derivative of a stage for the families the step evaluates itself: how
+# the step unpacks its coefficients, and the stage line with {s} the stage's
+# component k.  c is q's value on the segment; the operations are those of
+# q.fn(t) * h.fn(s), in the same order.
+_INLINE = {
+    Family.POWER: ("c, lam = coef", "c * {s} ** lam"),
+    Family.POWER_LOG: ("c, lam, sigma, shift = coef",
+                       "c * ({s} ** lam * math.log(shift + {s}) ** sigma)"),
+}
+
+
 @functools.cache
-def _stepper(m: int):
+def _stepper(m: int, k: int = 0, family: Optional[Family] = None):
     """One Dormand-Prince step for an m-component state, generated from the
     tableau with every stage combination unrolled into scalar locals:
-    step(rhs, t, h, hi, y, f, tol) -> (y_new, f_new, err), with the stage
-    times clamped to hi when the step passes it and err the scaled RMS norm
-    of the embedded error.  The source is registered with linecache, so
-    tracebacks and profiles show its lines."""
+    step(arg, t, h, hi, y, f, tol) -> (y_new, f_new, err), with err the
+    scaled RMS norm of the embedded error.
+
+    For a power or powerlog ``family`` the step computes each stage's top
+    derivative c h(s_k) itself, from arg = (c, *h.params), with c q's value
+    on the whole step; any stage that overflows, is complex or is not finite
+    gives err = nan.  For any other family (None) arg is the right-hand side,
+    called as rhs(t_j, [stage]) at the stage times, which are clamped to hi
+    when the step passes it.  The source is registered with linecache under
+    a name that carries m and, for a family, k and the family, so tracebacks
+    and profiles show its lines."""
 
     def combo(weights, i):  # sum_j w_j * slope_j[i], left to right, no zero terms
-        return "".join(f" - {-w!r} * {k[i]}" if w < 0 else f" + {w!r} * {k[i]}"
-                       for w, k in zip(weights, slopes) if w).removeprefix(" + ")
+        return "".join(f" - {-w!r} * {sl[i]}" if w < 0 else f" + {w!r} * {sl[i]}"
+                       for w, sl in zip(weights, slopes) if w).removeprefix(" + ")
 
+    unpack, top = _INLINE.get(family, (None, None))
     idx, slopes = range(m), [[f"f{i}" for i in range(m)]]
-    src = [
-        "def step(rhs, t, h, hi, y, f, tol):",
-        f"    {''.join(f'y{i}, ' for i in idx)}= y",
-        f"    {''.join(f'f{i}, ' for i in idx)}= f",
-        "    t2, t3, t4, t5, t6 = " + ", ".join("t + h" if c == 1.0 else f"t + {c!r} * h" for c in _C),
-        "    if t6 > hi:",
-        "        t2, t3, t4, t5, t6 = min(t2, hi), min(t3, hi), min(t4, hi), min(t5, hi), hi",
+    body = [
+        f"{''.join(f'y{i}, ' for i in idx)}= y",
+        f"{''.join(f'f{i}, ' for i in idx)}= f",
     ]
+    if top is None:  # only rhs reads the stage times
+        body += [
+            "t2, t3, t4, t5, t6 = " + ", ".join("t + h" if c == 1.0 else f"t + {c!r} * h" for c in _C),
+            "if t6 > hi:",
+            "    t2, t3, t4, t5, t6 = min(t2, hi), min(t3, hi), min(t4, hi), min(t5, hi), hi",
+        ]
     # stages 2..7; the seventh stage's state is y_new, at the sixth's time
     for j, row in enumerate((*_A, _B), start=2):
         state = [f"s{j}_{i}" for i in idx]
-        src += [f"    {state[i]} = y{i} + h * ({combo(row, i)})" for i in idx]
-        arg = ("" if j < 7 else "y_new := ") + f"[{', '.join(state)}]"
-        src.append(f"    k{j} = rhs(t{min(j, 6)}, {arg})")
+        body += [f"{state[i]} = y{i} + h * ({combo(row, i)})" for i in idx]
+        if top is None:
+            arg = ("" if j < 7 else "y_new := ") + f"[{', '.join(state)}]"
+            body.append(f"k{j} = rhs(t{min(j, 6)}, {arg})")
+        else:
+            body.append(f"k{j} = {top.format(s=state[k])}")
         slopes.append(state[1:] + [f"k{j}"])
-    src += [f"    r{i} = h * ({combo(_E, i)}) / (tol + tol * max(abs(y{i}), abs(s7_{i})))"
-            for i in idx]
-    src.append(f"    return y_new, [{''.join(f's7_{i}, ' for i in idx[1:])}k7], "
-               f"math.sqrt(sum(({''.join(f'r{i} * r{i}, ' for i in idx)})) / {m})")
-    text, filename = "\n".join(src) + "\n", f"<blowup.ode Dormand-Prince step, m={m}>"
+    body += [f"r{i} = h * ({combo(_E, i)}) / (tol + tol * max(abs(y{i}), abs(s7_{i})))"
+             for i in idx]
+    y_new = "y_new" if top is None else f"[{', '.join(f's7_{i}' for i in idx)}]"
+    body.append(f"return {y_new}, [{''.join(f's7_{i}, ' for i in idx[1:])}k7], "
+                f"math.sqrt(sum(({''.join(f'r{i} * r{i}, ' for i in idx)})) / {m})")
+    if top is None:
+        src = ["def step(rhs, t, h, hi, y, f, tol):", *(f"    {line}" for line in body)]
+    else:
+        # a float ** that overflows raises, a fractional power of a negative
+        # stage is complex (math.sqrt and math.log refuse it), and math.log
+        # refuses a stage at or below -shift: each is a failed stage
+        src = ["def step(coef, t, h, hi, y, f, tol):", f"    {unpack}", "    try:",
+               *(f"        {line}" for line in body),
+               "    except (ArithmeticError, TypeError, ValueError):",
+               "        return y, f, math.nan"]
+    tag = "" if top is None else f", k={k}, h={family.value}"
+    text, filename = "\n".join(src) + "\n", f"<blowup.ode Dormand-Prince step, m={m}{tag}>"
     namespace = {"math": math}
     exec(compile(text, filename, "exec"), namespace)
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
@@ -157,12 +198,15 @@ class ProblemSpec:
         y = (w, ..., w^(m-1)) given as floats.
 
         q and h are evaluated through their ``.fn`` directly: calling the
-        ScalarFn only forwards to it, and this runs six times per step.  The
-        product q(t) h(y[k]) is taken as is when it is a Python float.  Any
-        other product (a numpy scalar from powerlog's ``np.log``, a complex
-        from a fractional power of a negative stage value) is recomputed as
-        float(q) * float(h), with a complex h read as nan, which then fails
-        the finiteness check so that the step is retried.
+        ScalarFn only forwards to it.  For a custom q or h, or with
+        ``f_override``, this runs six times per step; the integrator's step
+        for a power or powerlog h under a constant or piecewise q computes the
+        same product itself and calls this only at the start, at restarts
+        and at an escape.  The product q(t) h(y[k]) is taken as is when it is
+        a Python float.  Any other product (a numpy scalar from a custom h, a
+        complex from a fractional power of a negative stage value) is
+        recomputed as float(q) * float(h), with a complex h read as nan,
+        which then fails the finiteness check so that the step is retried.
         """
         try:
             qv, hv = self.q.fn(t), self.h.fn(y[self.k])
@@ -189,6 +233,21 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
+class StepStats:
+    """Counters of one forward integration.  ``evals`` counts evaluations of
+    the top derivative, inside the step or through ``ProblemSpec.rhs``: six
+    per attempted step (one cut short by a failing stage included) and one
+    per slope taken outside it (the start, each segment start, an escape).
+    ``rejected`` steps failed the error test; ``retries`` followed a failed
+    stage."""
+
+    evals: int
+    accepted: int
+    rejected: int
+    retries: int
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Accepted integration nodes with Hermite dense output.
 
@@ -200,7 +259,9 @@ class Trajectory:
     only for the top component.  A jump point of q where integration
     restarted appears twice in ``ts``: first with the left-limit derivative
     that closes the cell before it, then with the right-limit one that opens
-    the cell after it.  Values are immutable once returned and safe to share.
+    the cell after it.  ``stats`` holds the integrator's counters when the
+    trajectory comes from :func:`integrate`.  Values are immutable once
+    returned and safe to share.
     """
 
     ts: np.ndarray
@@ -208,6 +269,7 @@ class Trajectory:
     dys: np.ndarray
     m: int
     tol: float
+    stats: Optional[StepStats] = None
 
     def __post_init__(self):
         for name in ("ts", "ys", "dys"):
@@ -280,6 +342,11 @@ class BlowupEvent:
     reason: str  # "escape" | "step-collapse"
     threshold: Optional[float]
     trajectory: Trajectory
+
+    @property
+    def stats(self) -> StepStats:
+        """The integrator's counters up to the event."""
+        return self.trajectory.stats
 
 
 class BlowupKind(str, Enum):
@@ -381,11 +448,14 @@ def _integrate_events(
     crossings: dict[float, float] = {}
     pending = sorted(float(M) for M in thresholds)
 
+    evals = accepted = rejected = retries = 0
+
     def finish(reason=None, t_event=None, threshold=None):
         """The Trajectory, or with a reason the BlowupEvent, and the crossings."""
         if len(ts) > 1 and ts[-1] == ts[-2]:  # stopped right at a restart
             del ts[-1], ys[-1], dys[-1]
-        traj = Trajectory(ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), m=p.m, tol=tol)
+        traj = Trajectory(ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), m=p.m, tol=tol,
+                          stats=StepStats(evals, accepted, rejected, retries))
         if reason is None:
             return traj, crossings
         return BlowupEvent(float(t_event), reason, threshold, traj), crossings
@@ -398,9 +468,15 @@ def _integrate_events(
     # The state and slopes are lists of floats and the step works on scalar
     # locals: numpy's per-call overhead dominates on states of one to three
     # components.  A slope is (y[1:], f); only f calls the right-hand side.
-    rhs, step = p.rhs, _stepper(p.m)
+    # Within a segment q is one constant c when it is constant or piecewise,
+    # so for a power or powerlog h the step computes c h(y_k) itself.
+    inline = (p.f_override is None and p.h.family in _INLINE
+              and p.q.family in (Family.CONSTANT, Family.PIECEWISE))
+    rhs = arg = p.rhs
+    step = _stepper(p.m, p.k, p.h.family) if inline else _stepper(p.m)
     t = 0.0
     f = y[1:] + [rhs(t, y)]
+    evals += 1
     ts, ys, dys = [t], [y], [f]
 
     # initial escape check (data may already sit above thresholds)
@@ -428,6 +504,9 @@ def _integrate_events(
         # re-evaluate at the segment start: q may jump there, so a restart
         # inside the span repeats the node with the right-limit derivative
         f = y[1:] + [rhs(t, y)]
+        evals += 1
+        if inline:
+            arg = (p.q.fn(t), *p.h.params)
         if t > 0.0:
             ts.append(t)
             ys.append(y)
@@ -439,22 +518,25 @@ def _integrate_events(
                 return finish("step-collapse", t)
 
             try:
-                y_new, f_new, err = step(rhs, t, h, hi, y, f, eff_tol)
+                y_new, f_new, err = step(arg, t, h, hi, y, f, eff_tol)
             except NumericFailureError:
-                # retry with a smaller step before giving up
+                err = math.nan
+            evals += 6
+            if not math.isfinite(err):
+                # a stage overflowed or was complex or not finite: retry with
+                # a smaller step before giving up
+                retries += 1
                 h *= 0.25
                 if h < min_step:
-                    raise
-                continue
-
-            if not math.isfinite(err):
-                h *= 0.25
+                    raise NumericFailureError(f"no step with finite stages from t={t!r}, y={y!r}")
                 continue
             if err > 1.0:
+                rejected += 1
                 h *= max(0.2, 0.9 * err ** (-0.2))
                 continue
 
-            t_new = t + h  # accepted
+            accepted += 1
+            t_new = t + h
             # threshold crossings inside this step (components are monotone
             # in the intended regime; bisection is robust regardless)
             while pending and max(y_new) >= pending[0]:
@@ -471,6 +553,7 @@ def _integrate_events(
                 ts.append(t_star)
                 ys.append(y_star)
                 dys.append(y_star[1:] + [rhs(min(t_star, hi), y_star)])
+                evals += 1
                 return finish("escape", t_star, level)
 
             ts.append(t_new)

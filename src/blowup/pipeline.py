@@ -36,7 +36,7 @@ from .errors import (
     StageError,
     check_int,
 )
-from .functions import ScalarFn, make_constant, make_custom
+from .functions import Family, ScalarFn, make_constant, make_custom
 from .ode import (
     DEFAULT_THRESHOLDS,
     BlowupEvent,
@@ -213,15 +213,19 @@ def majorization_experiment(
         eps.append(integral(q.eval_array, [lo, *(bp for bp in q.breakpoints if lo < bp < hi), hi]))
         taus.append(taus[-1] + (hi - lo) + eps[-1])
 
-    # companion problem w^(n) = h(rho w), w^(i)(0) = b_i
-    h_rho = make_custom(
-        lambda s, _h=h.fn, _r=rho: _h(_r * s),
-        nondecreasing=h.nondecreasing,
-        nonnegative=h.nonnegative,
-        asymptotic_exponent=h.asymptotic_exponent,
-        label=f"scaled({h.spec_text}, {rho})",
-    )
-    pw = ProblemSpec(m=n, k=0, a=b, q=make_constant(1.0), h=h_rho)
+    # companion problem w^(n) = h(rho w), w^(i)(0) = b_i; for a power h that
+    # is rho^lam w^lam, which the integrator's step evaluates itself
+    if h.family is Family.POWER:
+        c_w, h_w = rho ** h.params[0], h
+    else:
+        c_w, h_w = 1.0, make_custom(
+            lambda s, _h=h.fn, _r=rho: _h(_r * s),
+            nondecreasing=h.nondecreasing,
+            nonnegative=h.nonnegative,
+            asymptotic_exponent=h.asymptotic_exponent,
+            label=f"scaled({h.spec_text}, {rho})",
+        )
+    pw = ProblemSpec(m=n, k=0, a=b, q=make_constant(c_w), h=h_w)
     w_end = max(taus[-1], 1e-12)
     wres = integrate(pw, w_end, tol)
     if isinstance(wres, BlowupEvent):

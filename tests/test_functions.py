@@ -65,6 +65,18 @@ class TestPowerLog:
         with pytest.raises(InvalidParameterError):
             make_power_log(PowerFamilyParams(1.0, 2.0, 1.0))
 
+    def test_float_path_is_math_log(self):
+        # a Python float takes math.log, the formula the integrator's step
+        # computes; arrays keep np.log, equal to within rounding
+        h = make_power_log(PowerFamilyParams(2.0, 2.5, 1.7))
+        xs = [0.0, 0.3, 2.0, 1e6, 1e100]
+        for x, v in zip(xs, h.eval_array(np.array(xs))):
+            assert type(h(x)) is float and h(x) == x ** 2.0 * math.log(1.7 + x) ** 2.5
+            assert h(x) == pytest.approx(v, rel=1e-14)
+        # at or below -shift, where math.log refuses, the array formula's nan
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(h(-2.0))
+
     def test_negative_sigma_drops_monotone_claim(self):
         h = make_power_log(PowerFamilyParams(1.0, -2.0, 1.001))
         assert not h.nondecreasing

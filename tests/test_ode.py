@@ -224,6 +224,19 @@ def _step_outcome(step, *args):
     return [v.hex() for v in y_new], [v.hex() for v in f_new], err.hex()
 
 
+def _loop_outcome(step, *args):
+    """A step's outcome as the integration loop reads it: the floats, or
+    NumericFailureError for a step that raised one or whose err is not
+    finite (a failed stage), which the loop retries alike."""
+    try:
+        y_new, f_new, err = step(*args)
+    except NumericFailureError:
+        return NumericFailureError
+    if not math.isfinite(err):
+        return NumericFailureError
+    return [v.hex() for v in y_new], [v.hex() for v in f_new], err.hex()
+
+
 # a q that varies between stage times, so each stage's time is seen
 _STEP_Q = {**_Q, "cosine": lambda x: make_custom(lambda t: 1.0 + x * math.cos(3.0 * t))}
 
@@ -240,14 +253,33 @@ class TestStepAgainstReference:
     )
     @example(m=2, k=0, h="power", q="constant", x=1.0, y=[1e6] * 4, f=[1e6] * 4,
              t=0.0, gap=3.0, dt=2.0, tol=1e-16)
+    @example(m=1, k=0, h="powerlog", q="piecewise", x=1.0, y=[1e6] * 4, f=[1e6] * 4,
+             t=0.0, gap=3.0, dt=2.0, tol=1e-9)
+    @example(m=1, k=0, h="power", q="constant", x=1 / 12, y=[1e-300] * 4, f=[-1e3] * 4,
+             t=0.0, gap=1.0, dt=1e-3, tol=1e-12)
+    @example(m=2, k=1, h="powerlog", q="constant", x=0.5, y=[1.0, -0.5, 0, 0], f=[-0.5, -1e3, 0, 0],
+             t=0.0, gap=1.0, dt=1.0, tol=1e-9)
     def test_same_floats_or_same_error(self, m, k, h, q, x, y, f, t, gap, dt, tol):
         # stage times clamped below hi (gap < dt), negative and overflowing
         # stage values, and every state size the step is generated for
-        p = ProblemSpec(m=m, k=min(k, m - 1), a=(0.0,) * m, q=_STEP_Q[q](x), h=_H[h](x))
+        k = min(k, m - 1)
+        p = ProblemSpec(m=m, k=k, a=(0.0,) * m, q=_STEP_Q[q](x), h=_H[h](x))
         args = (p.rhs, t, dt, t + gap, y[:m], f[:m], tol)
         with np.errstate(all="ignore"):
             got = _step_outcome(ode._stepper(m), *args)
             want = _step_outcome(reference_step, *args)
+        assert got == want
+
+        if h == "custom" or q == "cosine":
+            return
+        # the step generated for the family computes c h(s_k) itself, with c
+        # q's value on the segment: stage times stay below q's next jump, as
+        # in the integration loop
+        hi = min([t + gap] + [math.nextafter(b, -math.inf) for b in p.q.breakpoints if b > t])
+        args = (t, dt, hi, y[:m], f[:m], tol)
+        with np.errstate(all="ignore"):
+            got = _loop_outcome(ode._stepper(m, k, p.h.family), (p.q.fn(t), *p.h.params), *args)
+            want = _loop_outcome(reference_step, p.rhs, *args)
         assert got == want
 
     @pytest.mark.parametrize("p", [
@@ -259,7 +291,10 @@ class TestStepAgainstReference:
     ], ids=["m3-k1-powerlog", "piecewise-q"])
     def test_integrate_is_byte_identical(self, p, monkeypatch):
         new = integrate(p, 2.0, 1e-10)
-        monkeypatch.setattr(ode, "_stepper", lambda m: reference_step)
+        # every step, generated for the family or not, replaced by the
+        # reference driven by p.rhs
+        monkeypatch.setattr(ode, "_stepper",
+                            lambda m, k=0, family=None: lambda arg, *rest: reference_step(p.rhs, *rest))
         ref = integrate(p, 2.0, 1e-10)
         assert len(new.ts) > 10
         for name in ("ts", "ys", "dys"):
@@ -287,6 +322,43 @@ class TestStepAgainstReference:
         assert text == "".join(linecache.getlines(filename))
         assert text.startswith("def step(rhs, t, h, hi, y, f, tol):\n")
         assert text.splitlines()[frames[0].lineno - 1].strip() == frames[0].line
+
+
+# a jump in q from 1 to 1e4 drives stages of w^0.75 below 0: retried steps
+_RETRIED = ProblemSpec(m=1, k=0, a=(1e-9,), q=make_piecewise([((0, 2e-3), 1.0), ((2e-3, math.inf), 1e4)]),
+                       h=make_power(0.75))
+
+
+class TestStepStats:
+    @pytest.mark.parametrize("p, T", [
+        (_RETRIED, 0.1),
+        (ProblemSpec(m=2, k=0, a=(1.0, 1.0), q=ONE, h=make_power(2)), 5.0),
+        (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=make_piecewise([((0, 0.5), 0.5), ((0.5, math.inf), 2.0)]),
+                     h=make_power_log(PowerFamilyParams(1.5, 1.0))), 0.8),
+    ], ids=["retried", "escape", "powerlog-restart"])
+    def test_the_family_step_counts_what_rhs_would(self, p, T, monkeypatch):
+        # the step that computes c h(s_k) itself and the one that calls rhs
+        # take the same steps and count the same evaluations
+        new = integrate(p, T, 1e-8)
+        calls = []
+        rhs = ProblemSpec.rhs
+        monkeypatch.setattr(ProblemSpec, "rhs", lambda self, t, y: calls.append(t) or rhs(self, t, y))
+        monkeypatch.setattr(ode, "_INLINE", {})
+        ref = integrate(p, T, 1e-8)
+        assert new.stats == ref.stats
+        traj = getattr(new, "trajectory", new)
+        for name in ("ts", "ys", "dys"):
+            assert getattr(traj, name).tobytes() == getattr(getattr(ref, "trajectory", ref), name).tobytes()
+        s = new.stats
+        # through rhs every evaluation is a call, but a failing stage cuts its step short
+        assert s.evals == len(calls) if s.retries == 0 else s.evals > len(calls)
+        # six per attempt, one at the start and at each segment start, one at an escape
+        segments = 1 + sum(0.0 < b < traj.t_end for b in p.q.breakpoints)
+        escaped = isinstance(new, BlowupEvent) and new.reason == "escape"
+        assert s.evals == 6 * (s.accepted + s.rejected + s.retries) + 1 + segments + escaped
+        assert s.accepted == len(traj.ts) - 1 - (segments - 1)
+        assert new.stats is traj.stats
+        assert (s.retries > 0) == (p is _RETRIED)
 
 
 class TestIntegrate:
@@ -373,6 +445,16 @@ class TestIntegrate:
         traj = integrate(p, 0.1, 1e-8)
         Q = 0.1 + 5.0 * math.sqrt(math.pi) * (math.erf(98.0) + math.erf(2.0))
         assert traj(0.1)[0] == pytest.approx((1e-3 + Q / 2.0) ** 2, rel=1e-6)
+
+    def test_complex_stage_down_to_the_floor_is_a_numeric_failure(self):
+        # from 1e-300 a stage overshoots below 0, where w^0.25 is complex, on
+        # every retry down to the step floor: the failure is a
+        # NumericFailureError naming t and y, not the complex value's
+        # TypeError
+        q = make_piecewise([((0, 0.5), 1.0), ((0.5, math.inf), 0.0)])
+        p = ProblemSpec(m=1, k=0, a=(1e-300,), q=q, h=make_power(0.25))
+        with pytest.raises(NumericFailureError, match=r"t=[-+.e\d]+, y=\[[-+.e\d]+\]"):
+            integrate(p, 1.0, 1e-12)
 
     def test_stage_times_on_a_time_dependent_q(self):
         # w' = (cos 3t + 1.5) w: each stage must see q at its own time, or the

@@ -120,6 +120,21 @@ class TestMajorization:
                               for (lo, hi), c in pieces)
             assert row.eps_j == pytest.approx(exact, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("lam, n", [(0.5, 2), (1.0, 1), (0.75, 3)])
+    def test_power_companion_is_the_scaled_problem(self, lam, n):
+        # for h = s^lam the companion w^(n) = h(rho w) runs as
+        # w^(n) = rho^lam w^lam; the same function as a custom h runs h(rho w)
+        # itself, and the two agree to rounding
+        custom = make_custom(lambda s: s ** lam, nondecreasing=True, nonnegative=True,
+                             asymptotic_exponent=lam)
+        a = (1.0,) + (0.0,) * (n - 1)
+        tabs = [majorization_experiment(ONE, h, n, a, J=5, horizon=3.0)
+                for h in (make_power(lam), custom)]
+        assert len(tabs[0].rows) == len(tabs[1].rows) > 1
+        for row, ref in zip(tabs[0].rows, tabs[1].rows):
+            assert row.u_derivs == ref.u_derivs and row.tau_j == ref.tau_j
+            assert row.w_derivs == pytest.approx(ref.w_derivs, rel=1e-13)
+
     def test_levels_double(self):
         tab = majorization_experiment(ONE, make_power(1), 2, (1.0, 1.0), J=6, horizon=10.0)
         for row in tab.rows:
