@@ -54,6 +54,7 @@ from .picard import (
     ComparisonConstants,
     ComparisonReport,
     PicardTower,
+    TowerLevel,
     apply_integral_operator,
     comparison_constants,
     majorant_growth,

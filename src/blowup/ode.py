@@ -137,8 +137,10 @@ def _stepper(m: int, k: int = 0, family: Optional[Family] = None):
         else:
             body.append(f"k{j} = {top.format(s=state[k])}")
         slopes.append(state[1:] + [f"k{j}"])
-    body += [f"r{i} = h * ({combo(_E, i)}) / (tol + tol * max(abs(y{i}), abs(s7_{i})))"
-             for i in idx]
+    # the scale max(|y_i|, |y_new_i|) as the builtin max picks it, without its call
+    for i in idx:
+        body += [f"a{i}, b{i} = abs(y{i}), abs(s7_{i})",
+                 f"r{i} = h * ({combo(_E, i)}) / (tol + tol * (b{i} if b{i} > a{i} else a{i}))"]
     y_new = "y_new" if top is None else f"[{', '.join(f's7_{i}' for i in idx)}]"
     body.append(f"return {y_new}, [{''.join(f's7_{i}, ' for i in idx[1:])}k7], "
                 f"math.sqrt(sum(({''.join(f'r{i} * r{i}, ' for i in idx)})) / {m})")
@@ -512,8 +514,9 @@ def _integrate_events(
             ys.append(y)
             dys.append(f)
         while t < seg_end:
-            h = min(h, seg_end - t)
-            min_step = MIN_STEP_FACTOR * max(1.0, abs(t))
+            # min and max written as the builtins pick, without their calls
+            h = seg_end - t if seg_end - t < h else h
+            min_step = MIN_STEP_FACTOR * (abs(t) if abs(t) > 1.0 else 1.0)
             if h < min_step:
                 return finish("step-collapse", t)
 
@@ -532,7 +535,8 @@ def _integrate_events(
                 continue
             if err > 1.0:
                 rejected += 1
-                h *= max(0.2, 0.9 * err ** (-0.2))
+                fac = 0.9 * err ** (-0.2)
+                h *= fac if fac > 0.2 else 0.2
                 continue
 
             accepted += 1
@@ -563,8 +567,9 @@ def _integrate_events(
 
             # PI controller (Hairer-style exponents for a 5(4) pair)
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0.0 else 5.0
-            h *= min(5.0, max(0.2, fac))
-            err_prev = max(err, 1e-10)
+            fac = fac if fac > 0.2 else 0.2
+            h *= fac if fac < 5.0 else 5.0
+            err_prev = 1e-10 if 1e-10 > err else err
 
     return finish()
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .quadrature import QUAD_TOL, gauss_rules, panels, rest
 # the inversion tail's one integral, under the name perfbench/tracer.py counts as
 # picard.invert.quad_calls and tests/test_picard.py patches
 from .quadrature import integral as quad
-from .volterra import integral_image, weighted_volterra
+from .volterra import integral_image, partial_volterra, weighted_volterra
 
 __all__ = [
     "ComparisonConstants",
@@ -56,6 +56,7 @@ __all__ = [
     "ComparisonReport",
     "verify_comparison_bound",
     "majorant_growth",
+    "TowerLevel",
     "PicardTower",
     "picard_solve",
     "tower_trajectory",
@@ -262,6 +263,14 @@ def majorant_growth(h: ScalarFn, n: int, *, weight: float = 1.0) -> ScalarFn:
 # monotone Picard tower
 
 
+class TowerLevel(NamedTuple):
+    """One grid level of the tower's refinement ladder."""
+
+    nodes: int          # len(grid) on this level
+    iterations: int     # Picard steps taken on it
+    step_gap: float     # sup |v_j - v_{j-1}| of its last step, inf with none
+
+
 @dataclass(frozen=True)
 class PicardTower:
     """Iterates of the monotone Volterra map on one fixed grid.
@@ -277,7 +286,8 @@ class PicardTower:
     order, where a second-order Richardson correction overshoots.
     ``majorant`` is the quadrature majorant on ``grid``, inverted once for
     the returned grid only, and every diagnostic (gaps, slacks, iteration
-    count) is read from the returned iterates.
+    count) is read from the returned iterates.  ``levels`` holds one row per
+    grid level the ladder ran, coarsest first; the last is the returned grid.
     """
 
     grid: np.ndarray
@@ -291,6 +301,7 @@ class PicardTower:
     grid_converged: bool
     monotone_slack: float      # most negative value of v_j - v_{j-1} observed
     majorant_slack: float      # most negative value of u - v_j observed
+    levels: tuple              # TowerLevel rows, one per grid level
 
 
 def picard_solve(
@@ -365,12 +376,14 @@ def picard_solve(
     solve_autonomous_quadrature(g, n, u0_maj, [T])
 
     # every segment doubles its cells, so coarse node i is fine node 2i
-    prev_final = None
+    prev_final, levels = None, []
     mult = 1
     while True:
         grid = _segmented_grid(edges, [c * mult for c in base_cells], graded)
         iterates = _run_tower(h, b, q, grid, tol, max_iter)
         final = iterates[-1]
+        step_gap = float(np.max(np.abs(final - iterates[-2]))) if len(iterates) > 1 else math.inf
+        levels.append(TowerLevel(len(grid), len(iterates) - 1, step_gap))
         if prev_final is not None:
             disc_gap = float(np.max(np.abs(final[::2] - prev_final)))
             if disc_gap <= tol / 4.0 or len(grid) >= grid_cap:
@@ -380,19 +393,19 @@ def picard_solve(
 
     u_maj = solve_autonomous_quadrature(g, n, u0_maj, grid)
     pairs = list(zip(iterates[1:], iterates))
-    sup_gap = float(np.max(np.abs(final - iterates[-2]))) if pairs else math.inf
     return PicardTower(
         grid=grid,
         iterates=iterates,
-        converged=sup_gap <= tol,
+        converged=step_gap <= tol,
         iterations=len(pairs),
-        sup_gap=sup_gap,
+        sup_gap=step_gap,
         majorant=u_maj,
         solution=final,
         discretization_gap=disc_gap,
         grid_converged=disc_gap <= tol / 4.0,
         monotone_slack=min([0.0] + [float(np.min(v - w)) for v, w in pairs]),
         majorant_slack=min(float(np.min(u_maj - v)) for v in iterates),
+        levels=tuple(levels),
     )
 
 
@@ -454,13 +467,23 @@ def _q_blocks(q: ScalarFn, grid: np.ndarray):
 
 def _run_tower(h, b, q, grid, tol, max_iter) -> list:
     """Picard iterates on ``grid`` from the seed polynomial, until a step
-    moves the iterate by <= tol or max_iter steps are taken."""
+    moves the iterate by <= tol or max_iter steps are taken.
+
+    Each step is column 0 of :func:`integral_image`: the seed, built once,
+    plus the order-n image of each block of q h(v)."""
+    n, full = len(b), len(grid) - 1
     q_blocks = _q_blocks(q, grid)
-    iterates = [integral_image(b, (), grid)[:, 0]]
+    seed = integral_image(b, (), grid)[:, 0]
+    iterates = [seed]
     for _ in range(max_iter):
         h_vals = h.eval_array(iterates[-1])
-        blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, _, qv in q_blocks]
-        v_new = integral_image(b, blocks, grid)[:, 0]
+        v_new = seed.copy()
+        for i0, i1, _, qv in q_blocks:
+            f = qv * h_vals[i0 : i1 + 1]
+            if i0 == 0 and i1 == full:
+                v_new += weighted_volterra(f, n, grid)
+            else:
+                v_new += partial_volterra(f, n, grid[i0 : i1 + 1], grid) / math.factorial(n - 1)
         if not np.all(np.isfinite(v_new)):
             raise NumericFailureError("Picard iterate became non-finite")
         iterates.append(v_new)

@@ -20,11 +20,13 @@ grid.  The rule is exact for piecewise-cubic phi and O(h^4) for smooth phi,
 on uniform or non-uniform grids.
 
 The weights of the last few grids are cached by grid content; a Picard
-tower applies the kernel to one grid many times.  Results are the same,
-bit for bit, whether the weights come from the cache or a fresh build.
+tower applies the kernel to one grid many times, and a cached grid is not
+checked again.  Results are the same, bit for bit, whether the weights come
+from the cache or a fresh build.
 
 :func:`integral_image` writes the library's operator once: the seed
-polynomial plus the blockwise Volterra image, for every derivative order.
+polynomial plus the blockwise Volterra image, for every derivative order,
+from one carry per block (orders 1..p come out of one pass).
 """
 
 from __future__ import annotations
@@ -108,28 +110,15 @@ def _grid_weights(grid: np.ndarray, p: int) -> _Weights:
     return _Weights(p, idx, W, taylor)
 
 
-def _weights(grid: np.ndarray, p: int) -> _Weights:
-    """The grid's weights for orders up to at least p, from the cache or built."""
-    key = grid.tobytes()
-    entry = _WEIGHTS.pop(key, None)
-    if entry is None or entry.order < p:
-        entry = _grid_weights(grid, p)
-    _WEIGHTS[key] = entry  # most recently used last
-    for stale in list(_WEIGHTS)[:-_SLOTS]:
-        _WEIGHTS.pop(stale, None)
-    return entry
-
-
-def _carry(phi: np.ndarray, p: int, grid: np.ndarray) -> np.ndarray:
+def _carry(phi: np.ndarray, p: int, wts: _Weights) -> np.ndarray:
     """Y[r-1, i] = 1/(r-1)! int_{grid[0]}^{grid[i]} (grid[i]-tau)^(r-1) phi dtau, r = 1..p.
 
     Across cell j (width h), Y_r(t_{j+1}) = sum_{s<r} Y_{r-s}(t_j) h^s/s!
     + inc_r[j], the last term being the weighted stencil sum of
     :func:`_grid_weights`.
     """
-    wts = _weights(grid, p)
     stencil = phi[wts.idx]
-    Y = np.zeros((p, len(grid)))
+    Y = np.zeros((p, len(phi)))
     for r in range(1, p + 1):
         inc = np.einsum("sj,sj->j", wts.W[r - 1], stencil)
         for s in range(1, r):
@@ -139,16 +128,19 @@ def _carry(phi: np.ndarray, p: int, grid: np.ndarray) -> np.ndarray:
 
 
 def _checked(phi, p: int, grid):
-    """(phi, p, grid) as arrays, after the checks every kernel call makes: a
-    1-D finite strictly increasing grid of at least 2 nodes, an integer order in
-    [1, 12], and finite phi sampled on the grid (or a callable)."""
+    """(phi, p, grid, weights for orders >= p) after the checks every kernel
+    call makes: a 1-D finite strictly increasing grid of at least 2 nodes (not
+    checked again once its weights are cached), an integer order in [1, 12],
+    and finite phi sampled on the grid (or a callable)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise InvalidParameterError("grid must be 1-D with at least 2 nodes")
-    if not np.all(np.isfinite(grid)):
-        raise InvalidParameterError("grid must be finite")
-    if np.any(np.diff(grid) <= 0):
-        raise InvalidParameterError("grid must be strictly increasing")
+    key = grid.tobytes()
+    if key not in _WEIGHTS:
+        if not np.all(np.isfinite(grid)):
+            raise InvalidParameterError("grid must be finite")
+        if np.any(np.diff(grid) <= 0):
+            raise InvalidParameterError("grid must be strictly increasing")
     if not (isinstance(p, (int, np.integer)) and 1 <= p <= _MAX_ORDER):
         raise InvalidParameterError(f"kernel order must be an integer in [1, {_MAX_ORDER}]")
     if callable(phi):
@@ -158,7 +150,13 @@ def _checked(phi, p: int, grid):
         raise InvalidParameterError("phi must be sampled on the grid")
     if not np.all(np.isfinite(phi)):
         raise NumericFailureError("non-finite phi samples")
-    return phi, int(p), grid
+    p, entry = int(p), _WEIGHTS.pop(key, None)
+    if entry is None or entry.order < p:
+        entry = _grid_weights(grid, p)
+    _WEIGHTS[key] = entry  # most recently used last
+    for stale in list(_WEIGHTS)[:-_SLOTS]:
+        _WEIGHTS.pop(stale, None)
+    return phi, p, grid, entry
 
 
 def weighted_volterra(phi, p: int, grid) -> np.ndarray:
@@ -175,8 +173,22 @@ def weighted_volterra(phi, p: int, grid) -> np.ndarray:
         Array of the same length as the grid; entry i is the integral up to
         grid[i] (entry 0 is 0).
     """
-    phi, p, grid = _checked(phi, p, grid)
-    return _carry(phi, p, grid)[p - 1]
+    phi, p, _, wts = _checked(phi, p, grid)
+    return _carry(phi, p, wts)[p - 1]
+
+
+def _extend(Y: np.ndarray, tau_grid: np.ndarray, t_targets: np.ndarray) -> list:
+    """(r-1)! times row r-1 of Y Taylor-extended from the last node t_k <= t
+    to each target t, r = 1..len(Y): exact, since y^(r) = 0 past t_k (targets
+    before the span extend from the first node, where Y = 0).  A target within
+    rounding of a node counts as that node; the slack stays below the
+    narrowest cell, which is far below 1e-12 near 0 on a graded grid."""
+    tiny = min(1e-12 * max(1.0, float(np.max(np.abs(tau_grid)))), 1e-3 * float(np.min(np.diff(tau_grid))))
+    k = np.maximum(np.searchsorted(tau_grid, t_targets + tiny, side="right") - 1, 0)
+    dt, Yk = t_targets - tau_grid[k], Y[:, k]
+    powers = [dt ** s / math.factorial(s) for s in range(len(Y))]
+    return [sum(Yk[r - 1 - s] * powers[s] for s in range(r)) * math.factorial(r - 1)
+            for r in range(1, len(Y) + 1)]
 
 
 def partial_volterra(phi, p: int, tau_grid, t_targets) -> np.ndarray:
@@ -193,21 +205,8 @@ def partial_volterra(phi, p: int, tau_grid, t_targets) -> np.ndarray:
     block separately and sum.  ``phi`` and ``tau_grid`` are checked as in
     :func:`weighted_volterra`.
     """
-    phi, p, tau_grid = _checked(phi, p, tau_grid)
-    t_targets = np.asarray(t_targets, dtype=float)
-    Y = _carry(phi, p, tau_grid)
-    # Taylor-extend from the last node t_k <= t: exact, since y^(p) = 0 past
-    # t_k.  Targets before the span extend from the first node, where Y = 0.
-    # A target within rounding of a node counts as that node; the slack stays
-    # below the narrowest cell, which a graded grid makes far smaller than
-    # 1e-12 near 0, so that it never moves a target past a whole cell.
-    tiny = min(1e-12 * max(1.0, float(np.max(np.abs(tau_grid)))), 1e-3 * float(np.min(np.diff(tau_grid))))
-    k = np.maximum(np.searchsorted(tau_grid, t_targets + tiny, side="right") - 1, 0)
-    dt = t_targets - tau_grid[k]
-    out = np.zeros(len(t_targets))
-    for s in range(p):
-        out += Y[p - 1 - s, k] * (dt ** s / math.factorial(s))
-    return out * math.factorial(p - 1)
+    phi, p, tau_grid, wts = _checked(phi, p, tau_grid)
+    return _extend(_carry(phi, p, wts), tau_grid, np.asarray(t_targets, dtype=float))[-1]
 
 
 def integral_image(a, blocks, grid) -> np.ndarray:
@@ -221,7 +220,8 @@ def integral_image(a, blocks, grid) -> np.ndarray:
         sum_j a_{i+j} t^j / j!  +  1/(p-i-1)! int_0^t (t-tau)^(p-i-1) f dtau,
 
     the i-th derivative of the y with y^(p) = f and y^(j)(0) = a_j.  No
-    blocks gives the seed polynomial alone.
+    blocks gives the seed polynomial alone.  One carry per block gives every
+    column, each the same bit for bit as a carry of its order alone.
     """
     grid = np.asarray(grid, dtype=float)
     p = len(a)
@@ -229,11 +229,10 @@ def integral_image(a, blocks, grid) -> np.ndarray:
     for i in range(p):
         for j, aj in enumerate(a[i:]):
             out[:, i] += aj * grid ** j / math.factorial(j)
-        order = p - i
-        for i0, i1, f in blocks:
-            if i0 == 0 and i1 == len(grid) - 1:
-                out[:, i] += weighted_volterra(f, order, grid)
-            else:
-                sub = grid[i0 : i1 + 1]
-                out[:, i] += partial_volterra(f, order, sub, grid) / math.factorial(order - 1)
+    for i0, i1, f in blocks:
+        f, _, sub, wts = _checked(f, p, grid[i0 : i1 + 1])
+        Y = _carry(f, p, wts)
+        if len(sub) < len(grid):  # a sub-block: extend its rows to every node
+            Y = [e / math.factorial(r) for r, e in enumerate(_extend(Y, sub, grid))]
+        out += np.transpose(Y)[:, ::-1]
     return out

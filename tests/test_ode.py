@@ -138,19 +138,31 @@ class TestRhsAgainstReference:
         else:
             assert got is want
 
-    @pytest.mark.parametrize("p", [
-        ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=ONE,
-                    h=make_power_log(PowerFamilyParams(0.5, 1.0))),
-        ProblemSpec(m=1, k=0, a=(0.5,),
-                    q=make_piecewise([((0, 0.5), 0.5), ((0.5, math.inf), 2.0)]),
-                    h=make_power(0.5)),
-    ], ids=["m3-k1-powerlog", "piecewise-q"])
-    def test_integrate_is_byte_identical(self, p, monkeypatch):
+    @pytest.mark.parametrize("p, through_rhs", [
+        (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=ONE,
+                     h=make_power_log(PowerFamilyParams(0.5, 1.0))), False),
+        (ProblemSpec(m=1, k=0, a=(0.5,),
+                     q=make_piecewise([((0, 0.5), 0.5), ((0.5, math.inf), 2.0)]),
+                     h=make_power(0.5)), False),
+        (ProblemSpec(m=2, k=0, a=(0.5, 1.0),
+                     q=make_piecewise([((0, 0.5), 0.5), ((0.5, math.inf), 2.0)]),
+                     h=_H["custom"](0.5)), True),
+    ], ids=["m3-k1-powerlog", "piecewise-q", "custom-h"])
+    def test_integrate_is_byte_identical(self, p, through_rhs, monkeypatch):
         new = integrate(p, 2.0, 1e-10)
-        monkeypatch.setattr(ProblemSpec, "rhs", reference_rhs)
+        calls = []
+        monkeypatch.setattr(ProblemSpec, "rhs", lambda self, t, y: calls.append(t) or reference_rhs(self, t, y))
         ref = integrate(p, 2.0, 1e-10)
         for name in ("ts", "ys", "dys"):
             assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
+        # a custom h takes the step that calls rhs at every stage, so the
+        # reference is compared inside each step; a power or powerlog h takes
+        # the step that computes c h(s_k) itself and reaches rhs only at the
+        # start, at restarts and at an escape
+        if through_rhs:
+            assert len(calls) >= 6 * new.stats.accepted > 0
+        else:
+            assert len(calls) < new.stats.accepted
 
 
 def _exact(row):

@@ -274,6 +274,22 @@ class TestPicardTower:
         image = 1.0 + weighted_volterra(v, 1, tw.grid)
         assert np.max(np.abs(image - v)) <= 10.0 * 1e-10
 
+    @pytest.mark.parametrize("q", [None, make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])],
+                             ids=["constant-q", "piecewise-q"])
+    @pytest.mark.parametrize("max_iter", [60, 3])
+    def test_levels_end_at_the_returned_grid(self, q, max_iter):
+        tw = picard_solve(make_power(1), 2, [1.0, 1.0], 2.0, tol=1e-9, max_iter=max_iter, q=q)
+        last = tw.levels[-1]
+        assert (last.nodes, last.iterations, last.step_gap) == (len(tw.grid), tw.iterations, tw.sup_gap)
+        # the ladder doubles every segment, and each level stops at tol or max_iter
+        nodes = [lv.nodes for lv in tw.levels]
+        assert len(nodes) >= 2 and all(b - 1 == 2 * (a - 1) for a, b in zip(nodes, nodes[1:]))
+        for lv in tw.levels:
+            assert lv.step_gap <= 1e-9 or lv.iterations == max_iter
+        assert (max_iter == 3) == all(lv.iterations == 3 for lv in tw.levels)
+        again = picard_solve(make_power(1), 2, [1.0, 1.0], 2.0, tol=1e-9, max_iter=max_iter, q=q)
+        assert again.levels == tw.levels
+
     def test_refuses_escaping_majorant(self):
         # h = s^2 forces a finite-escape majorant: hypothesis fails
         with pytest.raises(FiniteEscapeError):
