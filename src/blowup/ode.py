@@ -20,9 +20,9 @@ is nonnegative, so every lower derivative is nondecreasing.  Blow-up
 manifests as escape through a ladder of thresholds.  Where q is a positive
 constant past the escape and the reduced order is 1 or 2 with a power or
 powerlog h, the remaining time is the integral test's own tail, read from
-the state at the escape; elsewhere the finite blow-up time is estimated by
-Richardson/Aitken extrapolation of the escape times, which needs no
-knowledge of the blow-up exponent.
+the accepted node before the first escape past q's last jump; elsewhere the
+finite blow-up time is estimated by Richardson/Aitken extrapolation of the
+escape times, which needs no knowledge of the blow-up exponent.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ __all__ = [
 ]
 
 ESCAPE_THRESHOLD = 1e12
-# Lowest escape level the blow-up time is finished from by the tail integral
-TAIL_FROM = 1e6
 MIN_STEP_FACTOR = 1e-13
 DEFAULT_THRESHOLDS = tuple(np.geomspace(10.0, 1e12, 12))
 # Internal multiplier on the user tolerance: the per-step estimate controls
@@ -359,7 +357,7 @@ class BlowupKind(str, Enum):
 @dataclass(frozen=True)
 class BlowupReport:
     """``t_blow_method`` says where the blow-up time came from: "tail" (the
-    tail integral from the state at the last escape, see
+    tail integral from the accepted node before the last escape, see
     :func:`detect_blowup`) or "extrapolated" (the escape ladder's
     extrapolation, whose interval is heuristic); None without a blow-up."""
 
@@ -434,14 +432,16 @@ def _integrate_events(
     tol: float,
     thresholds: Sequence[float],
     escape_threshold: float,
-    tail_from: float = math.inf,
-    tail_after: float = 0.0,
+    stop_after: float = math.inf,
 ):
     """Core loop.  Returns (Trajectory | BlowupEvent, {M: t_M crossings}).
 
     Besides the escape through ``escape_threshold``, the first threshold
-    M >= ``tail_from`` crossed at a time >= ``tail_after`` also ends the run
-    as an escape through M, with no crossing above it recorded."""
+    crossed by a step that starts at or after ``stop_after`` (or at t = 0,
+    for ``stop_after`` <= 0 and data already past it) also ends the run as
+    an escape through it, with no crossing above it recorded.  The
+    trajectory then ends at the crossing, after the accepted node that
+    starts the crossing step."""
     tol = check_tol(tol)
     if not (T > 0.0):
         raise InvalidParameterError(f"T must be > 0, got {T!r}")
@@ -486,7 +486,7 @@ def _integrate_events(
     while pending and max(y) >= pending[0]:
         M = pending.pop(0)
         crossings[M] = 0.0
-        if M >= tail_from and tail_after <= 0.0:
+        if stop_after <= 0.0:
             level = M
             break
     if level < escape_threshold or max(map(abs, y)) >= escape_threshold:
@@ -546,7 +546,7 @@ def _integrate_events(
             while pending and max(y_new) >= pending[0]:
                 M = pending.pop(0)
                 crossings[M] = _crossing_time(t, t_new, y, y_new, f, f_new, M)
-                if M >= tail_from and crossings[M] >= tail_after:
+                if t >= stop_after:
                     level = M
                     break
 
@@ -586,20 +586,29 @@ def detect_blowup(
 
     Where :func:`_tail_rule` applies (reduced order n <= 2, no
     ``f_override``, q constant or piecewise with a last value c > 0, h a
-    power s^lam with lam > 1 or, for n = 1, a convergent powerlog), the run
-    stops at the first threshold M >= TAIL_FROM crossed at or after q's last
-    breakpoint, and T* = t_M + (the tail from the state at t_M), with
-    ``t_blow_method`` "tail".  Its interval is T* +- 10 tol max(1, T*).  An
-    error of the integrated state that is a time shift moves t_M and the
-    tail by opposite amounts, so to first order it cancels; what is left is
-    the drift of the solution, held near tol relative over unit spans by the
-    step control at TOL_SAFETY * tol, and the tail's quadrature error, 1e-12
-    relative (QUAD_TOL).  The half-width is ten times that target: an error
-    estimate with a margin, not a proof.  On drawn power problems with n = 1
-    and 2 and tol from 1e-12 to 1e-4 the error stayed under 1% of it; the
-    tests check it against closed-form and mpmath blow-up times.  When the
-    tail cannot be taken or puts T* past the horizon, the run is repeated
-    with the full ladder, so the report is the one the ladder gives.
+    power s^lam with lam > 1 or, for n = 1, a convergent powerlog), the
+    integral test's tail gives T* - t exactly from any state at or after q's
+    last breakpoint.  So the run stops at the first threshold crossed by a
+    step that starts at or after that breakpoint: crossing a rung puts the
+    escaping solution past the state the tail needs (u = w^(k) > 0 and, for
+    n = 2, u' > 0).  With (t_k, y_k) the accepted node that starts the
+    crossing step (y(0) for an escape at t = 0), T* = t_k + tail(y_k), with
+    ``t_blow_method`` "tail"; the escape row and the trajectory still end
+    at the interpolated crossing.  No interpolation error enters T*: y_k is
+    a state the step itself computed and accepted, where the Hermite state
+    at the crossing would add the dense output's error, a sizeable share of
+    the interval at a low rung.  An error of y_k that is a time shift moves
+    the solution through y_k and its tail by opposite amounts, so to first
+    order it cancels; what is left is the drift of the solution, held near
+    tol relative over unit spans by the step control at TOL_SAFETY * tol,
+    and the tail's quadrature error, 1e-12 relative (QUAD_TOL).  The
+    interval is T* +- 10 tol max(1, T*): an error estimate with a margin,
+    not a proof.  On drawn power problems with n = 1 and 2 and tol from
+    1e-12 to 1e-4 the error stayed under 1% of its half-width; the tests
+    check it against closed-form and mpmath blow-up times from ladders that
+    start at 10, 1e3 and 1e6.  When the tail cannot be taken or puts T*
+    past the horizon, the run is repeated with the full ladder, so the
+    report is the one the ladder gives.
 
     Otherwise integrates until every threshold M has been escaped (recording
     t_M) or the horizon is reached.  With the ladder escaped (or the step
@@ -613,17 +622,20 @@ def detect_blowup(
 
     tail, after = _tail_rule(p), max(p.q.breakpoints, default=0.0)
     result, crossings = _integrate_events(
-        p, horizon, tol, thresholds, thresholds[-1], TAIL_FROM if tail else math.inf, after
+        p, horizon, tol, thresholds, thresholds[-1], after if tail else math.inf
     )
     t_blow = math.nan
-    if (tail and isinstance(result, BlowupEvent) and result.reason == "escape"
-            and result.threshold >= TAIL_FROM and result.t_event >= after):
-        try:
-            t_blow = result.t_event + tail(result.trajectory.ys[-1])
-        except (NumericFailureError, OverflowError):
-            pass
-        if not t_blow <= horizon:
-            result, crossings = _integrate_events(p, horizon, tol, thresholds, thresholds[-1])
+    if tail and isinstance(result, BlowupEvent) and result.reason == "escape":
+        # the node that starts the crossing step, or y(0) for an escape at 0
+        node = max(len(result.trajectory.ts) - 2, 0)
+        t_k, y_k = float(result.trajectory.ts[node]), result.trajectory.ys[node]
+        if t_k >= after:
+            try:
+                t_blow = t_k + tail(y_k)
+            except (NumericFailureError, OverflowError):
+                pass
+            if not t_blow <= horizon:
+                result, crossings = _integrate_events(p, horizon, tol, thresholds, thresholds[-1])
     traj = result.trajectory if isinstance(result, BlowupEvent) else result
     escapes = tuple((M, crossings[M]) for M in thresholds if M in crossings)
 

@@ -127,11 +127,10 @@ def _carry(phi: np.ndarray, p: int, wts: _Weights) -> np.ndarray:
     return Y
 
 
-def _checked(phi, p: int, grid):
-    """(phi, p, grid, weights for orders >= p) after the checks every kernel
-    call makes: a 1-D finite strictly increasing grid of at least 2 nodes (not
-    checked again once its weights are cached), an integer order in [1, 12],
-    and finite phi sampled on the grid (or a callable)."""
+def _checked_grid(grid):
+    """(grid, its cache key) after the grid checks: 1-D with at least 2
+    nodes, finite and strictly increasing (not checked again once its
+    weights are cached)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise InvalidParameterError("grid must be 1-D with at least 2 nodes")
@@ -141,6 +140,14 @@ def _checked(phi, p: int, grid):
             raise InvalidParameterError("grid must be finite")
         if np.any(np.diff(grid) <= 0):
             raise InvalidParameterError("grid must be strictly increasing")
+    return grid, key
+
+
+def _checked(phi, p: int, grid):
+    """(phi, p, grid, weights for orders >= p) after the checks every kernel
+    call makes: :func:`_checked_grid`, an integer order in [1, 12], and
+    finite phi sampled on the grid (or a callable)."""
+    grid, key = _checked_grid(grid)
     if not (isinstance(p, (int, np.integer)) and 1 <= p <= _MAX_ORDER):
         raise InvalidParameterError(f"kernel order must be an integer in [1, {_MAX_ORDER}]")
     if callable(phi):
@@ -221,9 +228,10 @@ def integral_image(a, blocks, grid) -> np.ndarray:
 
     the i-th derivative of the y with y^(p) = f and y^(j)(0) = a_j.  No
     blocks gives the seed polynomial alone.  One carry per block gives every
-    column, each the same bit for bit as a carry of its order alone.
+    column, each the same bit for bit as a carry of its order alone.  The
+    grid is checked as by the kernel before the seed is built on it.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid, _ = _checked_grid(grid)
     p = len(a)
     out = np.zeros((len(grid), p))
     for i in range(p):

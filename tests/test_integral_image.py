@@ -5,6 +5,7 @@ for a grid whose weights are cached, so a bad grid must be refused whatever
 the cache holds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,10 +84,12 @@ class TestChecksOnACachedGrid:
             lambda: weighted_volterra(np.ones(4), 2, bad),
             lambda: partial_volterra(np.ones(4), 2, bad, self.GOOD),
             lambda: integral_image([1.0, 0.0], [(0, 3, np.ones(4))], bad),
+            lambda: integral_image([1.0, 0.0], (), bad),
         ]
         for call in calls:
-            # integral_image builds the seed polynomial (inf * 0 on an inf node) first
-            with pytest.raises(InvalidParameterError), np.errstate(invalid="ignore"):
+            # refused before any arithmetic on the grid: no numpy warning
+            with pytest.raises(InvalidParameterError), warnings.catch_warnings():
+                warnings.simplefilter("error")
                 call()
         assert list(volterra._WEIGHTS) == [self.GOOD.tobytes()]
 

@@ -564,6 +564,14 @@ class TestCrossing:
         assert traj.crossing(0.5, 3.0) == pytest.approx(13 * math.pi / 6, abs=1e-6)
 
 
+def ladder_only(p, **kw):
+    """detect_blowup with the tail switched off: the full ladder and its
+    extrapolation, the report every problem got before the tail."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ode, "_tail_rule", lambda p: None)
+        return detect_blowup(p, **kw)
+
+
 class TestDetectBlowup:
     def test_quadratic_oracle(self):
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))
@@ -588,9 +596,11 @@ class TestDetectBlowup:
         assert rel <= 0.01
 
     def test_escape_times_monotone_in_threshold(self):
+        # on the full ladder: the tail stops at the first rung, one row
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))
-        rep = detect_blowup(p, thresholds=(1e2, 1e4, 1e6, 1e8), horizon=2.0, tol=1e-10)
+        rep = ladder_only(p, thresholds=(1e2, 1e4, 1e6, 1e8), horizon=2.0, tol=1e-10)
         times = [t for _, t in rep.escape_thresholds]
+        assert len(times) >= 3
         assert all(b > a for a, b in zip(times, times[1:]))
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -600,7 +610,7 @@ class TestDetectBlowup:
         # each crossing is interpolated between its own cell's end slopes;
         # w reaches M at t_M = (a^(1-lam) - M^(1-lam)) / (c (lam-1))
         p = ProblemSpec(m=1, k=0, a=(a,), q=make_constant(c), h=make_power(lam))
-        rep = detect_blowup(p, horizon=50.0, tol=1e-10)
+        rep = ladder_only(p, horizon=50.0, tol=1e-10)
         times = [t for _, t in rep.escape_thresholds]
         assert len(times) >= 3
         assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
@@ -680,12 +690,41 @@ class TestTailOracle:
         assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-9)
 
 
-def ladder_only(p, **kw):
-    """detect_blowup with the tail switched off: the full ladder and its
-    extrapolation, the report every problem got before the tail."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ode, "TAIL_FROM", math.inf)
-        return detect_blowup(p, **kw)
+class TestRungIndependence:
+    """The tail is exact from any state past q's last jump, so the ladder's
+    first rung does not matter: from ladders that start at 10, 1e3 and 1e6
+    T* stays within 5% of its half-width of the oracle, and the escape rows
+    are a bitwise prefix of the full ladder's on the same rungs."""
+
+    STARTS = (10.0, 1e3, 1e6)
+
+    def assert_rung_independent(self, p, exact, horizon):
+        ref = ladder_only(p, horizon=horizon)
+        for start in self.STARTS:
+            ladder = tuple(M for M in ode.DEFAULT_THRESHOLDS if M >= start)
+            rep = detect_blowup(p, thresholds=ladder, horizon=horizon)
+            assert rep.t_blow_method == "tail"
+            lo, hi = rep.t_blow_interval
+            assert abs(rep.t_blow_estimate - exact) <= 0.05 * 0.5 * (hi - lo), start
+            rows = [row for row in ref.escape_thresholds if row[0] >= start][:len(rep.escape_thresholds)]
+            assert np.array(rep.escape_thresholds).tobytes() == np.array(rows).tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(lam=st.floats(1.05, 2.5), a=st.floats(0.1, 5.0), c=st.floats(0.5, 2.0))
+    def test_first_order_power(self, lam, a, c):
+        with mpmath.workdps(30):  # w' = c w^lam: T* = a^(1-lam) / ((lam - 1) c)
+            lam_, a_, c_ = (mpmath.mpf(x) for x in (lam, a, c))
+            exact = float(a_ ** (1 - lam_) / ((lam_ - 1) * c_))
+        p = ProblemSpec(m=1, k=0, a=(a,), q=make_constant(c), h=make_power(lam))
+        self.assert_rung_independent(p, exact, 2.0 * exact + 1.0)
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(lam=st.floats(1.1, 4.0), a0=st.floats(0.5, 2.0), a1=st.floats(0.1, 2.0),
+           c=st.floats(0.5, 2.0))
+    def test_second_order_power(self, lam, a0, a1, c):
+        exact = energy_blowup_time(lam, a0, a1, c)
+        p = ProblemSpec(m=2, k=0, a=(a0, a1), q=make_constant(c), h=make_power(lam))
+        self.assert_rung_independent(p, exact, 2.0 * exact + 1.0)
 
 
 def assert_same_report(rep, ref):
@@ -711,6 +750,21 @@ class TestTailScope:
         lo, hi = rep.t_blow_interval
         assert lo <= 2.0 <= hi
         assert rep.t_blow_estimate == pytest.approx(2.0, rel=1e-9)
+
+    def test_collapse_before_1e6_takes_the_tail(self):
+        # w'' = c (w')^lam with lam near 3: the step floor gives out before
+        # w' reaches 1e6, so a stop at 1e6 fell back to the extrapolation;
+        # the first rung is far from the floor.  T* = a1^(1-lam) / ((lam-1) c)
+        lam, c, a = 2.97608, 0.563213, (1.77891, 0.863317)
+        p = ProblemSpec(m=2, k=1, a=a, q=make_constant(c), h=make_power(lam))
+        with mpmath.workdps(30):
+            lam_, c_, a1 = mpmath.mpf(lam), mpmath.mpf(c), mpmath.mpf(a[1])
+            exact = float(a1 ** (1 - lam_) / ((lam_ - 1) * c_))
+        rep = detect_blowup(p, horizon=5.0)
+        assert rep.t_blow_method == "tail"
+        lo, hi = rep.t_blow_interval
+        assert lo <= exact <= hi
+        assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-11)
 
     def test_blowup_past_the_horizon_keeps_the_ladder(self):
         # w' = w^1.1, w(0) = 1 crosses 1e6 at t ~ 7.49, but T* = 10 > 8
