@@ -3,11 +3,12 @@
 # The solver integrates until the state escapes a ladder of thresholds
 # (10, ..., 1e12 by default).  Where the integral test's tail is exact, as
 # for the two examples below (q constant, h a power or powerlog, order 1),
-# it stops at the first threshold escaped and adds that tail, read from the
-# last accepted integration node before the escape, to the node's time;
-# elsewhere it extrapolates the escape times t_M to
-# M -> infinity.  The quadratic example w' = w^2, w(0) = 1 has the exact
-# blow-up time T = 1 (w = 1/(1-t)); the log-driven example has
+# each threshold escaped asks that tail, read from the last accepted
+# integration node before the escape, for the remaining time; the first
+# blow-up time within the horizon ends the run.  Elsewhere the same run
+# goes on and extrapolates the escape times t_M to M -> infinity.  The
+# quadratic example w' = w^2, w(0) = 1 has the exact blow-up time T = 1
+# (w = 1/(1-t)); the log-driven example has
 # T = int_1^inf ds / (s log^2(e+s)), computable by quadrature.
 
 import math

@@ -20,9 +20,10 @@ is nonnegative, so every lower derivative is nondecreasing.  Blow-up
 manifests as escape through a ladder of thresholds.  Where q is a positive
 constant past the escape and the reduced order is 1 or 2 with a power or
 powerlog h, the remaining time is the integral test's own tail, read from
-the accepted node before the first escape past q's last jump; elsewhere the
-finite blow-up time is estimated by Richardson/Aitken extrapolation of the
-escape times, which needs no knowledge of the blow-up exponent.
+the accepted node before an escape past q's last jump, the first it can
+finish from; elsewhere the finite blow-up time is estimated by Richardson/
+Aitken extrapolation of the escape times, which needs no knowledge of the
+blow-up exponent.
 """
 
 from __future__ import annotations
@@ -373,8 +374,7 @@ class BlowupReport:
 def integrate(p: ProblemSpec, T: float, tol: float = 1e-9):
     """Integrate up to T; returns a Trajectory, or a BlowupEvent if the
     state escapes ESCAPE_THRESHOLD (or the step collapses) first."""
-    result, _ = _integrate_events(p, T, tol, (), ESCAPE_THRESHOLD)
-    return result
+    return _integrate_events(p, T, tol, (), ESCAPE_THRESHOLD)[0]
 
 
 def _cubic_hermite(th, h, y0, y1, d0, d1):
@@ -432,16 +432,16 @@ def _integrate_events(
     tol: float,
     thresholds: Sequence[float],
     escape_threshold: float,
-    stop_after: float = math.inf,
+    tail: Optional[Callable[[float, Sequence[float]], float]] = None,
 ):
-    """Core loop.  Returns (Trajectory | BlowupEvent, {M: t_M crossings}).
+    """Core loop.  Returns (Trajectory | BlowupEvent, {M: t_M crossings}, T*).
 
-    Besides the escape through ``escape_threshold``, the first threshold
-    crossed by a step that starts at or after ``stop_after`` (or at t = 0,
-    for ``stop_after`` <= 0 and data already past it) also ends the run as
-    an escape through it, with no crossing above it recorded.  The
-    trajectory then ends at the crossing, after the accepted node that
-    starts the crossing step."""
+    At each threshold crossed, ``tail`` (see :func:`_tail_rule`) gives T*
+    from the accepted node (t_k, y_k) that starts the crossing step, or
+    from y(0) for data already past it; T* is its last answer (nan without
+    one).  A T* <= T ends the run as an escape through that threshold, with
+    no crossing above it recorded and the trajectory ending at the crossing,
+    after (t_k, y_k).  Otherwise the run goes on."""
     tol = check_tol(tol)
     if not (T > 0.0):
         raise InvalidParameterError(f"T must be > 0, got {T!r}")
@@ -451,16 +451,17 @@ def _integrate_events(
     pending = sorted(float(M) for M in thresholds)
 
     evals = accepted = rejected = retries = 0
+    t_blow = math.nan
 
     def finish(reason=None, t_event=None, threshold=None):
-        """The Trajectory, or with a reason the BlowupEvent, and the crossings."""
+        """The Trajectory, or with a reason the BlowupEvent, the crossings and T*."""
         if len(ts) > 1 and ts[-1] == ts[-2]:  # stopped right at a restart
             del ts[-1], ys[-1], dys[-1]
         traj = Trajectory(ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), m=p.m, tol=tol,
                           stats=StepStats(evals, accepted, rejected, retries))
         if reason is None:
-            return traj, crossings
-        return BlowupEvent(float(t_event), reason, threshold, traj), crossings
+            return traj, crossings, t_blow
+        return BlowupEvent(float(t_event), reason, threshold, traj), crossings, t_blow
 
     # exact zero solution: all-zero data and h(0) = 0 (default right-hand side)
     if p.f_override is None and not any(y) and float(p.h(0.0)) == 0.0:
@@ -486,7 +487,7 @@ def _integrate_events(
     while pending and max(y) >= pending[0]:
         M = pending.pop(0)
         crossings[M] = 0.0
-        if stop_after <= 0.0:
+        if tail and (t_blow := tail(t, y)) <= T:
             level = M
             break
     if level < escape_threshold or max(map(abs, y)) >= escape_threshold:
@@ -546,12 +547,13 @@ def _integrate_events(
             while pending and max(y_new) >= pending[0]:
                 M = pending.pop(0)
                 crossings[M] = _crossing_time(t, t_new, y, y_new, f, f_new, M)
-                if t >= stop_after:
+                if tail and (t_blow := tail(t, y)) <= T:
                     level = M
                     break
 
             if level < escape_threshold or max(map(abs, y_new)) >= escape_threshold:
-                t_star = _crossing_time(t, t_new, y, y_new, f, f_new, level)
+                t_star = (crossings[level] if level in crossings
+                          else _crossing_time(t, t_new, y, y_new, f, f_new, level))
                 y_star = [_cubic_hermite((t_star - t) / (t_new - t), t_new - t, *c)
                           for c in zip(y, y_new, f, f_new)]
                 ts.append(t_star)
@@ -588,27 +590,27 @@ def detect_blowup(
     ``f_override``, q constant or piecewise with a last value c > 0, h a
     power s^lam with lam > 1 or, for n = 1, a convergent powerlog), the
     integral test's tail gives T* - t exactly from any state at or after q's
-    last breakpoint.  So the run stops at the first threshold crossed by a
-    step that starts at or after that breakpoint: crossing a rung puts the
-    escaping solution past the state the tail needs (u = w^(k) > 0 and, for
-    n = 2, u' > 0).  With (t_k, y_k) the accepted node that starts the
-    crossing step (y(0) for an escape at t = 0), T* = t_k + tail(y_k), with
-    ``t_blow_method`` "tail"; the escape row and the trajectory still end
-    at the interpolated crossing.  No interpolation error enters T*: y_k is
-    a state the step itself computed and accepted, where the Hermite state
-    at the crossing would add the dense output's error, a sizeable share of
-    the interval at a low rung.  An error of y_k that is a time shift moves
-    the solution through y_k and its tail by opposite amounts, so to first
-    order it cancels; what is left is the drift of the solution, held near
-    tol relative over unit spans by the step control at TOL_SAFETY * tol,
-    and the tail's quadrature error, 1e-12 relative (QUAD_TOL).  The
-    interval is T* +- 10 tol max(1, T*): an error estimate with a margin,
-    not a proof.  On drawn power problems with n = 1 and 2 and tol from
-    1e-12 to 1e-4 the error stayed under 1% of its half-width; the tests
-    check it against closed-form and mpmath blow-up times from ladders that
-    start at 10, 1e3 and 1e6.  When the tail cannot be taken or puts T*
-    past the horizon, the run is repeated with the full ladder, so the
-    report is the one the ladder gives.
+    last breakpoint.  So each threshold crossed by a step that starts at or
+    after that breakpoint asks for T* = t_k + tail(y_k), with (t_k, y_k) the
+    accepted node that starts the crossing step (y(0) for data already past
+    the threshold), and the first T* within the horizon ends the run, with
+    ``t_blow_method`` "tail"; the escape row and the trajectory end at the
+    interpolated crossing.  A node the tail cannot finish from (u = w^(k)
+    or, for n = 2, u' still 0) passes to the next rung.  No interpolation
+    error enters T*: y_k is a state the step itself computed and accepted,
+    where the Hermite state at the crossing would add the dense output's
+    error, a sizeable share of the interval at a low rung.  An error of y_k
+    that is a time shift moves the solution through y_k and its tail by
+    opposite amounts, so to first order it cancels; what is left is the
+    drift of the solution, held near tol relative over unit spans by the
+    step control at TOL_SAFETY * tol, and the tail's quadrature error, 1e-12
+    relative (QUAD_TOL).  The interval is T* +- 10 tol max(1, T*): an error
+    estimate with a margin, not a proof.  On drawn power problems with n = 1
+    and 2 and tol from 1e-12 to 1e-4 the error stayed under 1% of its
+    half-width; the tests check it against closed-form and mpmath blow-up
+    times from ladders that start at 10, 1e3 and 1e6.  When no rung gives a
+    T* within the horizon, the run goes through the full ladder, and the
+    report is the ladder's.
 
     Otherwise integrates until every threshold M has been escaped (recording
     t_M) or the horizon is reached.  With the ladder escaped (or the step
@@ -620,22 +622,7 @@ def detect_blowup(
     """
     thresholds = check_thresholds(thresholds)
 
-    tail, after = _tail_rule(p), max(p.q.breakpoints, default=0.0)
-    result, crossings = _integrate_events(
-        p, horizon, tol, thresholds, thresholds[-1], after if tail else math.inf
-    )
-    t_blow = math.nan
-    if tail and isinstance(result, BlowupEvent) and result.reason == "escape":
-        # the node that starts the crossing step, or y(0) for an escape at 0
-        node = max(len(result.trajectory.ts) - 2, 0)
-        t_k, y_k = float(result.trajectory.ts[node]), result.trajectory.ys[node]
-        if t_k >= after:
-            try:
-                t_blow = t_k + tail(y_k)
-            except (NumericFailureError, OverflowError):
-                pass
-            if not t_blow <= horizon:
-                result, crossings = _integrate_events(p, horizon, tol, thresholds, thresholds[-1])
+    result, crossings, t_blow = _integrate_events(p, horizon, tol, thresholds, thresholds[-1], _tail_rule(p))
     traj = result.trajectory if isinstance(result, BlowupEvent) else result
     escapes = tuple((M, crossings[M]) for M in thresholds if M in crossings)
 
@@ -673,7 +660,7 @@ def detect_blowup(
         )
     else:
         estimate = result.t_event if collapsed else times[-1]
-    estimate = max(estimate, times[-1])
+    estimate = max(times[-1], estimate)  # not a -0.0 estimate over t_last = 0.0
     margin = max(10.0 * tol * max(1.0, estimate), 0.5 * (estimate - times[-1]))
     interval = (times[-1], estimate + margin)
     return BlowupReport(
@@ -687,12 +674,12 @@ def detect_blowup(
     )
 
 
-def _tail_rule(p: ProblemSpec) -> Optional[Callable[[Sequence[float]], float]]:
-    """T* - t as a function of the state y at a time t at or after q's last
-    breakpoint, where the integral test's tail gives it exactly; else None.
+def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], float]]:
+    """T* as a function of a time t and the state y there, where the
+    integral test's tail gives T* - t exactly; else None.
 
-    From there on q is a constant c > 0 and u = w^(k) solves u^(n) = c h(u).
-    With u_M = y[k]:
+    The tail holds from q's last breakpoint on: there q is a constant c > 0
+    and u = w^(k) solves u^(n) = c h(u).  With u_M = y[k]:
     - n = 1: T* - t = (1/c) int_{u_M}^inf ds / h(s) = (u_M / c) I(u_M), where
       I(alpha) = int_1^inf h(alpha s)^(-1) ds is :func:`classify_scaled`'s
       estimate (closed form for a power, quadrature in log s for powerlog);
@@ -703,8 +690,9 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[Sequence[float]], float]]:
       beta u_M / sqrt(e) * int_0^1 dx / sqrt(1 + (v^2/e - 1) x^(2 beta + 2)),
       taken on :func:`blowup.quadrature.integral`; e enters through its
       logarithm, so no power of u_M overflows.
-    The returned function gives nan for a state it cannot finish from
-    (u_M <= 0, or v <= 0 for n = 2).
+    The returned function gives nan for a t before that breakpoint and for a
+    state it cannot finish from: u_M <= 0, v <= 0 for n = 2, or a tail that
+    fails numerically or overflows (v^2 / e past the float range).
     """
     q, h, n, k = p.q, p.h, p.n, p.k
     if p.f_override is not None or n > 2 or q.family not in (Family.CONSTANT, Family.PIECEWISE):
@@ -721,9 +709,7 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[Sequence[float]], float]]:
         def tail(y):
             u = float(y[k])
             return u / c * classify_scaled(h, 1, u).estimate if u > 0.0 else math.nan
-
-        return tail
-    if n == 2 and power:
+    elif n == 2 and power:
         lam = h.params[0]
         beta = 2.0 / (lam - 1.0)
 
@@ -735,9 +721,17 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[Sequence[float]], float]]:
             r2 = math.exp(2.0 * (math.log(v) - half_log_e))  # v^2 / e
             bounded = integral(lambda x: (1.0 + (r2 - 1.0) * x ** (2.0 * beta + 2.0)) ** -0.5, [0.0, 1.0])
             return beta * math.exp(math.log(u) - half_log_e) * bounded
+    else:
+        return None
+    after = max(q.breakpoints, default=0.0)
 
-        return tail
-    return None
+    def t_blow(t, y):
+        try:
+            return t + tail(y) if t >= after else math.nan
+        except (NumericFailureError, OverflowError):
+            return math.nan
+
+    return t_blow
 
 
 def aitken_blowup_estimate(times: Sequence[float], noise_floor: float = 1e-12) -> float:

@@ -40,6 +40,7 @@ from .errors import (
     InvalidParameterError,
     NumericFailureError,
     check_int,
+    check_tol,
 )
 from .functions import Family, ScalarFn, make_constant, make_custom
 from .ode import ProblemSpec, Trajectory
@@ -339,8 +340,7 @@ def picard_solve(
     n = check_int("n", n)
     if not (T > 0.0):
         raise InvalidParameterError(f"T must be > 0, got {T!r}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InvalidParameterError(f"tol must be > 0 and finite, got {tol!r}")
+    tol = check_tol(tol)
     b = np.asarray(b, dtype=float)
     if len(b) != n:
         raise InvalidParameterError(f"need {n} initial values, got {len(b)}")

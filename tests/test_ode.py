@@ -649,14 +649,17 @@ class TestDetectBlowup:
 
 
 def energy_blowup_time(lam, a0, a1, c):
-    """T* of w'' = c w^lam, w(0) = a0, w'(0) = a1 > 0, in mpmath: the energy
-    integral int_a0^inf ds / sqrt(a1^2 + kappa (s^(lam+1) - a0^(lam+1))),
-    kappa = 2c/(lam+1), taken in y = log(s/a0)."""
+    """T* of w'' = c w^lam, w(0) = a0, w'(0) = a1, not both 0, in mpmath: the
+    energy integral int_a0^inf ds / sqrt(a1^2 + kappa (s^(lam+1) - a0^(lam+1))),
+    kappa = 2c/(lam+1), taken in y = log(s/a0), or in s itself for a0 = 0."""
     with mpmath.workdps(30):
         lam, a0, a1, c = (mpmath.mpf(x) for x in (lam, a0, a1, c))
         kappa = 2 * c / (lam + 1)
-        f = lambda y: a0 * mpmath.exp(y) / mpmath.sqrt(
-            a1 ** 2 + kappa * a0 ** (lam + 1) * mpmath.expm1((lam + 1) * y))
+        if a0 == 0:
+            f = lambda s: 1 / mpmath.sqrt(a1 ** 2 + kappa * s ** (lam + 1))
+        else:
+            f = lambda y: a0 * mpmath.exp(y) / mpmath.sqrt(
+                a1 ** 2 + kappa * a0 ** (lam + 1) * mpmath.expm1((lam + 1) * y))
         return float(mpmath.quad(f, [0, 1, 10, 100, 1000, mpmath.inf]))
 
 
@@ -735,14 +738,44 @@ def assert_same_report(rep, ref):
         assert getattr(rep.trajectory, name).tobytes() == getattr(ref.trajectory, name).tobytes()
 
 
+# every problem TestTailScope runs, with its detect_blowup keywords
+TAIL_SCOPE = {
+    # w' = q w^1.1, w(0) = 1: int_1^inf ds/s^1.1 = 10, and 8 of it before
+    # the jump at t = 1 puts w(1) = 0.2^-10 ~ 9.8e6, past the 1e6 crossing;
+    # the rest at q = 2 takes 1, so T* = 2
+    "jump": (ProblemSpec(m=1, k=0, a=(1.0,), q=make_piecewise([((0, 1.0), 8.0), ((1.0, math.inf), 2.0)]),
+                         h=make_power(1.1)), dict(horizon=5.0)),
+    # w'' = c (w')^lam with lam near 3: the step floor gives out before w'
+    # reaches 1e6; the first rung is far from it
+    "collapse": (ProblemSpec(m=2, k=1, a=(1.77891, 0.863317), q=make_constant(0.563213),
+                             h=make_power(2.97608)), dict(horizon=5.0)),
+    # w' = w^1.1, w(0) = 1 crosses 1e6 at t ~ 7.49, but T* = 10 > 8
+    "past-the-horizon": (ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1.1)), dict(horizon=8.0)),
+    # e^t escapes a short ladder although I(s, 1) diverges: no tail
+    "divergent": (ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1)),
+                  dict(thresholds=(1e3, 1e6), horizon=20.0)),
+    # w'' = w^2 from data past rungs at t = 0, where the tail cannot finish
+    # from y(0): with w or w' = 0 the energy integrand is singular at its end
+    # or u = 0, and with w' = 1e300 w'^2 / e overflows
+    "at-rest": (ProblemSpec(m=2, k=0, a=(1e7, 0.0), q=ONE, h=make_power(2)), dict(horizon=5.0)),
+    "overflowing-speed": (ProblemSpec(m=2, k=0, a=(1e6, 1e300), q=ONE, h=make_power(2)), dict(horizon=5.0)),
+    "w-past-the-first-rung": (ProblemSpec(m=2, k=0, a=(20.0, 0.0), q=ONE, h=make_power(2)), dict(horizon=5.0)),
+    "speed-past-the-first-rung": (ProblemSpec(m=2, k=0, a=(0.0, 20.0), q=ONE, h=make_power(2)),
+                                  dict(horizon=5.0)),
+    "n=3": (ProblemSpec(m=3, k=0, a=(1.0, 1.0, 1.0), q=ONE, h=make_power(2)), dict(horizon=5.0)),
+    "custom-q": (ProblemSpec(m=1, k=0, a=(1.0,), q=make_custom(lambda t: 1.0), h=make_power(2)),
+                 dict(horizon=5.0)),
+    "custom-h": (ProblemSpec(m=2, k=0, a=(1.0, 0.5), q=ONE, h=make_custom(make_power(3).fn)),
+                 dict(horizon=5.0)),
+    "f_override": (ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2),
+                               f_override=lambda t, y: float(y[0]) ** 2), dict(horizon=5.0)),
+}
+
+
 class TestTailScope:
     def test_jump_after_the_first_stop_moves_it(self):
-        # w' = q w^1.1, w(0) = 1: int_1^inf ds/s^1.1 = 10, and 8 of it before
-        # the jump at t = 1 puts w(1) = 0.2^-10 ~ 9.8e6, past the 1e6 crossing;
-        # the rest at q = 2 takes 1, so T* = 2
-        q = make_piecewise([((0, 1.0), 8.0), ((1.0, math.inf), 2.0)])
-        p = ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(1.1))
-        rep, ref = detect_blowup(p, horizon=5.0), ladder_only(p, horizon=5.0)
+        p, kw = TAIL_SCOPE["jump"]
+        rep, ref = detect_blowup(p, **kw), ladder_only(p, **kw)
         assert rep.t_blow_method == "tail"
         assert [M for M, _ in rep.escape_thresholds][-2:] == [1e6, 1e7]
         assert rep.escape_thresholds[-2][1] < 1.0 <= rep.escape_thresholds[-1][1]
@@ -752,57 +785,79 @@ class TestTailScope:
         assert rep.t_blow_estimate == pytest.approx(2.0, rel=1e-9)
 
     def test_collapse_before_1e6_takes_the_tail(self):
-        # w'' = c (w')^lam with lam near 3: the step floor gives out before
-        # w' reaches 1e6, so a stop at 1e6 fell back to the extrapolation;
-        # the first rung is far from the floor.  T* = a1^(1-lam) / ((lam-1) c)
-        lam, c, a = 2.97608, 0.563213, (1.77891, 0.863317)
-        p = ProblemSpec(m=2, k=1, a=a, q=make_constant(c), h=make_power(lam))
+        # T* = a1^(1-lam) / ((lam-1) c)
+        p, kw = TAIL_SCOPE["collapse"]
         with mpmath.workdps(30):
-            lam_, c_, a1 = mpmath.mpf(lam), mpmath.mpf(c), mpmath.mpf(a[1])
+            lam_, c_, a1 = (mpmath.mpf(x) for x in (p.h.params[0], p.q.params[0], p.a[1]))
             exact = float(a1 ** (1 - lam_) / ((lam_ - 1) * c_))
-        rep = detect_blowup(p, horizon=5.0)
+        rep = detect_blowup(p, **kw)
         assert rep.t_blow_method == "tail"
         lo, hi = rep.t_blow_interval
         assert lo <= exact <= hi
         assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-11)
 
     def test_blowup_past_the_horizon_keeps_the_ladder(self):
-        # w' = w^1.1, w(0) = 1 crosses 1e6 at t ~ 7.49, but T* = 10 > 8
-        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1.1))
-        rep = detect_blowup(p, horizon=8.0)
+        p, kw = TAIL_SCOPE["past-the-horizon"]
+        rep = detect_blowup(p, **kw)
         assert 1e6 in dict(rep.escape_thresholds)
         assert rep.kind is BlowupKind.GLOBAL_UP_TO_HORIZON
         assert rep.t_blow_method is None
-        assert_same_report(rep, ladder_only(p, horizon=8.0))
+        assert_same_report(rep, ladder_only(p, **kw))
 
     def test_divergent_tail_keeps_the_ladder(self):
-        # e^t escapes a short ladder although I(s, 1) diverges: no tail
-        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1))
-        kw = dict(thresholds=(1e3, 1e6), horizon=20.0)
+        p, kw = TAIL_SCOPE["divergent"]
         rep = detect_blowup(p, **kw)
         assert rep.t_blow_method == "extrapolated"
         assert_same_report(rep, ladder_only(p, **kw))
 
-    @pytest.mark.parametrize("a", [(1e7, 0.0), (1e6, 1e300)], ids=["at-rest", "overflowing-speed"])
-    def test_state_the_tail_cannot_finish_from_keeps_the_ladder(self, a):
-        # w'' = w^2 from data past 1e6 stops at t = 0; with w' = 0 the energy
-        # integrand is singular at its end, and w'^2 / e overflows
-        p = ProblemSpec(m=2, k=0, a=a, q=ONE, h=make_power(2))
-        rep = detect_blowup(p, horizon=5.0)
-        assert rep.t_blow_method == "extrapolated"
-        assert_same_report(rep, ladder_only(p, horizon=5.0))
+    @pytest.mark.parametrize("name", ["at-rest", "overflowing-speed"])
+    def test_state_the_tail_cannot_finish_from_keeps_the_ladder(self, name):
+        # at rest the run goes on to the next rung, 1e8, and the tail finishes
+        # from the node before it; the overflowing speed is past every rung
+        # at t = 0, so the full ladder's extrapolation stands: every escape
+        # time is 0.0, and the estimate is 0.0, not the extrapolated -0.0
+        p, kw = TAIL_SCOPE[name]
+        rep = detect_blowup(p, **kw)
+        if name == "at-rest":
+            assert rep.t_blow_method == "tail"
+            assert [M for M, _ in rep.escape_thresholds][-2:] == [1e7, 1e8]
+            lo, hi = rep.t_blow_interval
+            assert lo <= energy_blowup_time(2, *p.a, 1) <= hi
+        else:
+            assert rep.t_blow_method == "extrapolated"
+            assert {t for _, t in rep.escape_thresholds} == {0.0}
+            assert math.copysign(1.0, rep.t_blow_estimate) == 1.0
+            assert_same_report(rep, ladder_only(p, **kw))
 
-    @pytest.mark.parametrize("p", [
-        ProblemSpec(m=3, k=0, a=(1.0, 1.0, 1.0), q=ONE, h=make_power(2)),
-        ProblemSpec(m=1, k=0, a=(1.0,), q=make_custom(lambda t: 1.0), h=make_power(2)),
-        ProblemSpec(m=2, k=0, a=(1.0, 0.5), q=ONE, h=make_custom(make_power(3).fn)),
-        ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2),
-                    f_override=lambda t, y: float(y[0]) ** 2),
-    ], ids=["n=3", "custom-q", "custom-h", "f_override"])
-    def test_out_of_scope_stays_extrapolated(self, p):
-        rep = detect_blowup(p, horizon=5.0)
+    @pytest.mark.parametrize("name", ["w-past-the-first-rung", "speed-past-the-first-rung"])
+    def test_data_past_the_first_rung_takes_the_tail_at_the_next(self, name):
+        # the largest component is past 10 at t = 0, where u or u' is 0
+        p, kw = TAIL_SCOPE[name]
+        exact = energy_blowup_time(2, *p.a, 1)
+        rep = detect_blowup(p, **kw)
+        assert rep.t_blow_method == "tail"
+        assert rep.escape_thresholds[0] == (10.0, 0.0)
+        assert [M for M, _ in rep.escape_thresholds] == [10.0, 100.0]
+        lo, hi = rep.t_blow_interval
+        assert lo <= exact <= hi
+        assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["n=3", "custom-q", "custom-h", "f_override"])
+    def test_out_of_scope_stays_extrapolated(self, name):
+        p, kw = TAIL_SCOPE[name]
+        rep = detect_blowup(p, **kw)
         assert rep.t_blow_method == "extrapolated"
-        assert_same_report(rep, ladder_only(p, horizon=5.0))
+        assert_same_report(rep, ladder_only(p, **kw))
+
+    @pytest.mark.parametrize("name", list(TAIL_SCOPE))
+    def test_one_integration_per_report(self, name, monkeypatch):
+        # the tail is asked at each rung inside the loop: a report whose tail
+        # cannot finish, or finishes past the horizon, runs no second pass
+        p, kw = TAIL_SCOPE[name]
+        calls, run = [], ode._integrate_events
+        monkeypatch.setattr(ode, "_integrate_events", lambda *args: calls.append(args) or run(*args))
+        detect_blowup(p, **kw)
+        assert len(calls) == 1
 
 
 class TestAitken:

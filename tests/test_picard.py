@@ -312,7 +312,7 @@ class TestPicardTower:
         assert len(tw.grid) > 129  # the ladder doubled at least once
         assert targets == [1, len(tw.grid)]  # len(tw.grid) + 1 targets in all
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, 1e-2, 1e-15])
     def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(InvalidParameterError, match="tol"):
             picard_solve(make_power(1), 1, [1.0], 1.0, tol=tol)
