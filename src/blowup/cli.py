@@ -18,8 +18,10 @@ default of the library function it is passed to.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -207,22 +209,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _fields(col) -> list[str]:
+    """One CSV column's fields, each value formatted once, as :func:`_fmt`
+    formats it: a float64 array by ``repr`` over its doubles, a list of
+    ``str`` as it is, anything else value by value."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return list(map(repr, col.tolist()))
+    if isinstance(col, list) and set(map(type, col)) <= {str}:
+        return col
+    return list(map(_fmt, col))
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """A header row, then one row per index of the equal-length columns."""
+    rows = zip(*map(_fields, columns), strict=True)
+    path.write_text("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
 
 
 def _trajectory_csv(path: Path, traj: Trajectory) -> None:
-    header = ["t"] + [f"w{i}" for i in range(traj.m)]
-    rows = [[t] + list(y) for t, y in zip(traj.ts, traj.ys)]
-    _write_csv(path, header, rows)
+    _write_csv(path, ["t"] + [f"w{i}" for i in range(traj.m)], [traj.ts, *traj.ys.T])
 
 
 def _majorization_csv(path: Path, table) -> None:
-    _write_csv(path, ["j", "t_j", "tau_j", "eps_j", "margin_min"],
-               [[r.j, r.t_j, r.tau_j, r.eps_j, r.margin_min] for r in table.rows])
+    header = ["j", "t_j", "tau_j", "eps_j", "margin_min"]
+    _write_csv(path, header, [[getattr(r, key) for r in table.rows] for key in header])
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +360,11 @@ def _run_construct(cfg: ExperimentConfig, out: Optional[Path]):
     T = cfg.T if cfg.T is not None else 1.0
     tower = picard_solve(parse_fn_spec(cfg.h), cfg.n, cfg.b, T, **_given(cfg, "tol", "max_iter", "q"))
     if out is not None:
-        rows = []
-        for j, it in enumerate(tower.iterates):
-            rows.extend([j, t, v] for t, v in zip(tower.grid, it))
-        _write_csv(out / "iterates.csv", ["j", "t", "v_j"], rows)
+        # the grid is formatted once and repeated for each iterate
+        grid, count = _fields(tower.grid), len(tower.iterates)
+        js = list(chain.from_iterable([str(j)] * len(grid) for j in range(count)))
+        _write_csv(out / "iterates.csv", ["j", "t", "v_j"],
+                   [js, grid * count, np.concatenate(tower.iterates)])
     kv = [
         ("converged", tower.converged),
         ("iterations", tower.iterations),
@@ -465,7 +476,9 @@ def _flag_type(key: str):
     return Path if key in ("config", "csv") else str
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="blowup",
         description="Blow-up vs. global existence for nonlinear Cauchy problems",

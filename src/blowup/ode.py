@@ -436,12 +436,13 @@ def _integrate_events(
 ):
     """Core loop.  Returns (Trajectory | BlowupEvent, {M: t_M crossings}, T*).
 
-    At each threshold crossed, ``tail`` (see :func:`_tail_rule`) gives T*
-    from the accepted node (t_k, y_k) that starts the crossing step, or
-    from y(0) for data already past it; T* is its last answer (nan without
-    one).  A T* <= T ends the run as an escape through that threshold, with
-    no crossing above it recorded and the trajectory ending at the crossing,
-    after (t_k, y_k).  Otherwise the run goes on."""
+    At the first threshold a step crosses, ``tail`` (see :func:`_tail_rule`)
+    gives T* from the accepted node (t_k, y_k) that starts the step, or from
+    y(0) for data already past it; T* is its last answer (nan without one).
+    A T* <= T ends the run as an escape through that threshold, with no
+    crossing above it recorded and the trajectory ending at the crossing,
+    after (t_k, y_k).  Otherwise the run goes on, and the step's other
+    crossings are recorded without asking again: the node is the same."""
     tol = check_tol(tol)
     if not (T > 0.0):
         raise InvalidParameterError(f"T must be > 0, got {T!r}")
@@ -484,12 +485,15 @@ def _integrate_events(
 
     # initial escape check (data may already sit above thresholds)
     level = escape_threshold
+    ask = tail  # once per node: its answer holds for every rung it crosses
     while pending and max(y) >= pending[0]:
         M = pending.pop(0)
         crossings[M] = 0.0
-        if tail and (t_blow := tail(t, y)) <= T:
-            level = M
-            break
+        if ask:
+            ask = None
+            if (t_blow := tail(t, y)) <= T:
+                level = M
+                break
     if level < escape_threshold or max(map(abs, y)) >= escape_threshold:
         return finish("escape", 0.0, level)
 
@@ -544,12 +548,15 @@ def _integrate_events(
             t_new = t + h
             # threshold crossings inside this step (components are monotone
             # in the intended regime; bisection is robust regardless)
+            ask = tail
             while pending and max(y_new) >= pending[0]:
                 M = pending.pop(0)
                 crossings[M] = _crossing_time(t, t_new, y, y_new, f, f_new, M)
-                if tail and (t_blow := tail(t, y)) <= T:
-                    level = M
-                    break
+                if ask:
+                    ask = None
+                    if (t_blow := tail(t, y)) <= T:
+                        level = M
+                        break
 
             if level < escape_threshold or max(map(abs, y_new)) >= escape_threshold:
                 t_star = (crossings[level] if level in crossings
@@ -590,16 +597,17 @@ def detect_blowup(
     ``f_override``, q constant or piecewise with a last value c > 0, h a
     power s^lam with lam > 1 or, for n = 1, a convergent powerlog), the
     integral test's tail gives T* - t exactly from any state at or after q's
-    last breakpoint.  So each threshold crossed by a step that starts at or
-    after that breakpoint asks for T* = t_k + tail(y_k), with (t_k, y_k) the
-    accepted node that starts the crossing step (y(0) for data already past
-    the threshold), and the first T* within the horizon ends the run, with
-    ``t_blow_method`` "tail"; the escape row and the trajectory end at the
-    interpolated crossing.  A node the tail cannot finish from (u = w^(k)
-    or, for n = 2, u' still 0) passes to the next rung.  No interpolation
-    error enters T*: y_k is a state the step itself computed and accepted,
-    where the Hermite state at the crossing would add the dense output's
-    error, a sizeable share of the interval at a low rung.  An error of y_k
+    last breakpoint.  So the first threshold crossed by each step that
+    starts at or after that breakpoint asks for T* = t_k + tail(y_k), once
+    per node, with (t_k, y_k) the accepted node that starts the crossing
+    step (y(0) for data already past the threshold), and the first T*
+    within the horizon ends the run, with ``t_blow_method`` "tail"; the
+    escape row and the trajectory end at the interpolated crossing.  A node
+    the tail cannot finish from (u = w^(k) or, for n = 2, u' still 0) passes
+    to the next rung.  No interpolation error enters T*: y_k is a state the
+    step itself computed and accepted, where the Hermite state at the
+    crossing would add the dense output's error, a sizeable share of the
+    interval at a low rung.  An error of y_k
     that is a time shift moves the solution through y_k and its tail by
     opposite amounts, so to first order it cancels; what is left is the
     drift of the solution, held near tol relative over unit spans by the

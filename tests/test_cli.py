@@ -1,6 +1,12 @@
-import pytest
+import math
 
-from blowup.cli import ExperimentConfig, emit_config, main, parse_config, run_experiment
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import blowup.cli as cli
+from blowup.cli import ExperimentConfig, _fmt, _write_csv, emit_config, main, parse_config, run_experiment
 from blowup.errors import ConfigError
 
 GOOD = """\
@@ -215,6 +221,26 @@ class TestMain:
         assert (out / "one" / "classify.txt").exists()
         assert (out / "two" / "classify.txt").exists()
 
+    def test_two_calls_in_one_process_agree(self, tmp_path, capsys):
+        # the argument tree is built once per process and reused
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("h = power(0.6)\nn = 1\nb = [1]\nT = 1.0\n")
+        runs = []
+        for name in ("a", "b"):
+            assert main(["construct", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            files = sorted(p.name for p in (tmp_path / name).iterdir())
+            runs.append((capsys.readouterr().out, files,
+                         [(tmp_path / name / f).read_bytes() for f in files]))
+        assert runs[0] == runs[1] and runs[0][1] == ["construct.txt", "iterates.csv"]
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["construct", "--bogus", "1"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "--bogus" in errors[0]
+        assert cli._parser() is cli._parser()
+
     def test_batch_propagates_failure(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("run = fly\n")
@@ -297,3 +323,106 @@ class TestSurface:
         assert [line.split("=")[0] for line in empty.splitlines() if line.startswith("t_escape_")] == [
             "t_escape_10",
         ]
+
+
+def reference_csv(header, rows) -> bytes:
+    """The per-cell writer: every value of every row through ``_fmt``."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def trajectory_rows(traj):
+    return ["t"] + [f"w{i}" for i in range(traj.m)], [[t] + list(y) for t, y in zip(traj.ts, traj.ys)]
+
+
+def majorization_rows(table):
+    header = ["j", "t_j", "tau_j", "eps_j", "margin_min"]
+    return header, [[r.j, r.t_j, r.tau_j, r.eps_j, r.margin_min] for r in table.rows]
+
+
+def expected_csvs(run, result) -> dict:
+    """Each CSV a run writes, as (header, rows), from the library's result."""
+    if run == "construct":
+        return {"iterates.csv": (["j", "t", "v_j"], [[j, t, v] for j, it in enumerate(result.iterates)
+                                                     for t, v in zip(result.grid, it)])}
+    if run == "integrate":
+        return {"trajectory.csv": trajectory_rows(getattr(result, "trajectory", result))}
+    if run == "majorize":
+        return {"majorization.csv": majorization_rows(result)}
+    out = {}
+    for name, traj in (("constructed.csv", result.constructed), ("direct.csv", result.direct),
+                       ("probe.csv", result.blowup and result.blowup.trajectory)):
+        if traj is not None:
+            out[name] = trajectory_rows(traj)
+    if result.majorization is not None:
+        out["majorization.csv"] = majorization_rows(result.majorization)
+    return out
+
+
+# doubles whose repr is easy to get wrong: signed zero, the infinities, nan,
+# the least subnormal, values near the largest finite double, and two whose
+# shortest repr is far shorter than 17 digits
+SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1, 1e16]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+def column(kind, n):
+    """A strategy for one column of n values, in every form a call site passes."""
+    return {
+        "float64": st.lists(FLOATS, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64)),
+        "float-list": st.lists(FLOATS, min_size=n, max_size=n),
+        "int-array": st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n).map(np.array),
+        "int-list": st.lists(st.integers(), min_size=n, max_size=n),
+        "bool-array": st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+        "str-list": st.lists(TEXT, min_size=n, max_size=n),
+    }[kind]
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(["float64", "float-list", "int-array", "int-list",
+                                           "bool-array", "str-list"]), min_size=1, max_size=5))
+    return [f"c{i}" for i in range(len(kinds))], [draw(column(kind, n)) for kind in kinds]
+
+
+class TestWriteCsv:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(tables())
+    def test_same_bytes_as_the_per_cell_writer(self, tmp_path_factory, table):
+        header, columns = table
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == reference_csv(header, zip(*columns))
+
+    def test_unequal_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
+
+    # each run type that writes CSVs, with constant and piecewise q
+    PIECEWISE = "piecewise((0,0.4):1.2, (0.4,inf):0.6)"
+    RUNS = {
+        "construct": ("picard_solve", "run = construct\nh = power(0.6)\nn = 1\nb = [1]\nT = 1.0\n"),
+        "integrate": ("integrate", "run = integrate\nm = 2\nk = 0\na = [1, 0.5]\nh = power(1.0)\nT = 2.0\n"),
+        "majorize": ("majorization_experiment",
+                     "run = majorize\nh = power(0.75)\nn = 2\na = [1, 1]\nJ = 4\nhorizon = 10.0\n"),
+        "pipeline": ("run_pipeline", "run = pipeline\nm = 2\nk = 0\na = [1, 1]\nh = power(0.5)\n"
+                                     "horizon = 2.0\n"),
+        "pipeline-blowup": ("run_pipeline", "run = pipeline\nm = 1\nk = 0\na = [1]\nh = power(2.0)\n"
+                                            "horizon = 5.0\n"),
+    }
+
+    @pytest.mark.parametrize("q", ["constant(1.0)", PIECEWISE], ids=["constant", "piecewise"])
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_artifacts_match_the_per_cell_writer(self, name, q, tmp_path, monkeypatch):
+        target, text = self.RUNS[name]
+        seen, call = [], getattr(cli, target)
+        monkeypatch.setattr(cli, target, lambda *args, **kw: seen.append(call(*args, **kw)) or seen[-1])
+        cfg = parse_config(text + f"q = {q}\n")
+        assert run_experiment(cfg, out_dir=tmp_path) == 0
+        (result,) = seen
+        expected = expected_csvs(cfg.run, result)
+        assert expected and sorted(expected) == sorted(p.name for p in tmp_path.glob("*.csv"))
+        for file, (header, rows) in expected.items():
+            assert (tmp_path / file).read_bytes() == reference_csv(header, rows), file

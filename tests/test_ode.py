@@ -859,6 +859,21 @@ class TestTailScope:
         detect_blowup(p, **kw)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", list(TAIL_SCOPE))
+    def test_tail_asked_once_per_node(self, name, monkeypatch):
+        # a step that crosses several rungs, or y(0) past several, asks the
+        # tail once: the node, and so the answer, is the same for each rung
+        p, kw = TAIL_SCOPE[name]
+        asks, rule = [], ode._tail_rule
+
+        def counted(p):
+            tail = rule(p)
+            return tail and (lambda t, y: asks.append((t, tuple(y))) or tail(t, y))
+
+        monkeypatch.setattr(ode, "_tail_rule", counted)
+        detect_blowup(p, **kw)
+        assert len(asks) == len(set(asks))
+
 
 class TestAitken:
     def test_geometric_sequence_exact(self):
