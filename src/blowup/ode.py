@@ -5,15 +5,16 @@ The Cauchy problem
     w^(m) = f(t, w, w', ..., w^(m-1)),    w^(i)(0) = a_i >= 0,
 
 with 0 <= f(t, x) <= q(t) h(x_k) is integrated as the first-order system
-y_i' = y_{i+1}, y_{m-1}' = f.  The integrator is an embedded Dormand-Prince
-5(4) pair with PI step-size control, written here rather than taken from a
-library so that threshold-escape events, forced restarts at the
-coefficient's jump points, and the Hermite dense output are fully under
-control (all three are load-bearing for blow-up time estimation).  The step
-is generated from the tableau per state size.  Between restarts a constant
-or piecewise q is one constant c, so for a power or powerlog h the step
-computes f = c h(y_k) in its own stage lines; any other problem calls
-:meth:`ProblemSpec.rhs` there.
+y_i' = y_{i+1}, y_{m-1}' = f.  The integrator is the eighth-order
+Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+Sec. II.10) with PI step-size control and its seventh-order continuous
+extension as dense output, written here rather than taken from a library so
+that threshold-escape events, forced restarts at the coefficient's jump
+points, and the dense output are fully under control (all three are
+load-bearing for blow-up time estimation).  The step is generated from the
+tableau per state size.  Between restarts a constant or piecewise q is one
+constant c, so for a power or powerlog h the step computes f = c h(y_k) in
+its own stage lines; any other problem calls :meth:`ProblemSpec.rhs` there.
 
 Everything in the intended regime (q, h >= 0, a >= 0) is monotone: w^(m)
 is nonnegative, so every lower derivative is nondecreasing.  Blow-up
@@ -65,22 +66,115 @@ ESCAPE_THRESHOLD = 1e12
 MIN_STEP_FACTOR = 1e-13
 DEFAULT_THRESHOLDS = tuple(np.geomspace(10.0, 1e12, 12))
 # Internal multiplier on the user tolerance: the per-step estimate controls
-# the embedded 4th-order error while the 5th-order solution is propagated,
-# so the margin buys global accuracy near the user tol on unit-scale spans.
+# the embedded 5th- and 3rd-order errors while the 8th-order solution is
+# propagated, so the margin buys global accuracy near the user tol on
+# unit-scale spans.
 TOL_SAFETY = 0.05
 
-# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
-# 1980): the nodes c_2..c_6 (the seventh stage reuses c_6 = 1), the rows of A
-# for stages 2..6, the 5th-order weights B, which are also the seventh
-# stage's row (FSAL), and the error row E = B - B* against the 4th-order B*.
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
-    (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+# Dormand-Prince 8(5,3) tableau, DOP853 (Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, 2nd ed., Sec. II.10; the digits are those
+# of Hairer's dop853.f).  _C holds the nodes c_2..c_12 (c_12 = 1), _A the rows
+# of stages 2..12, and _B the 8th-order weights, which are also the 13th
+# stage's row (FSAL: that stage's state is y_new and its slope opens the next
+# step).  _E5 and _E3 are the error rows against the embedded 5th- and
+# 3rd-order weights (E3 = B - BHH).  The continuous extension takes three more
+# stages, at the nodes _C_EXTRA with the rows _A_EXTRA, and its 4 highest
+# coefficients are the rows of _D applied to all 16 slopes.
+_C = (
+    0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
 )
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_A = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+     -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)
+_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+)
+_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+)
+_BHH = {  # the 3rd-order weights are B minus these, at their stages
+    0: 0.244094488188976377952755905512,
+    8: 0.733846688281611857341361741547,
+    11: 0.220588235294117647058823529412e-1,
+}
+_E3 = tuple(b - _BHH.get(j, 0.0) for j, b in enumerate(_B))
+_C_EXTRA = (0.1, 0.2, 0.777777777777777777777777777778)
+_A_EXTRA = (
+    (5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0, 2.53500210216624811088794765333e-1,
+     -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+     1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+     7.56789766054569976138603589584e-3, -8.298e-3),
+    (3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0, 2.83009096723667755288322961402e-2,
+     5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2, 0.0, 0.0,
+     -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+     -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1),
+    (-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0, -4.69762141536116384314449447206,
+     7.68342119606259904184240953878, 4.06898981839711007970213554331,
+     3.56727187455281109270669543021e-1, 0.0, 0.0, 0.0, -1.39902416515901462129418009734e-3,
+     2.9475147891527723389556272149, -9.15095847217987001081870187138),
+)
+_D = (
+    (-0.84289382761090128651353491142e+1, 0.0, 0.0, 0.0, 0.0, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1),
+    (0.10427508642579134603413151009e+2, 0.0, 0.0, 0.0, 0.0, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2),
+    (0.19985053242002433820987653617e+2, 0.0, 0.0, 0.0, 0.0, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2),
+    (-0.25693933462703749003312586129e+2, 0.0, 0.0, 0.0, 0.0, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3),
+)
 
 
 # Top derivative of a stage for the families the step evaluates itself: how
@@ -96,10 +190,14 @@ _INLINE = {
 
 @functools.cache
 def _stepper(m: int, k: int = 0, family: Optional[Family] = None):
-    """One Dormand-Prince step for an m-component state, generated from the
-    tableau with every stage combination unrolled into scalar locals:
-    step(arg, t, h, hi, y, f, tol) -> (y_new, f_new, err), with err the
-    scaled RMS norm of the embedded error.
+    """One DOP853 step for an m-component state, generated from the tableau
+    with every stage combination unrolled into scalar locals:
+    step(arg, t, h, hi, y, f, tol) -> (y_new, f_new, err, dense).  err is
+    Hairer's combined norm of the 5th- and 3rd-order error estimates on the
+    scale tol (1 + max(|y_i|, |y_new_i|)).  A step with err <= 1 takes the
+    three extra stages of the continuous extension too and returns as dense
+    its coefficients h D K, the 4 rows of D one after another, m floats each;
+    any other step returns dense = None.
 
     For a power or powerlog ``family`` the step computes each stage's top
     derivative c h(s_k) itself, from arg = (c, *h.params), with c q's value
@@ -114,35 +212,53 @@ def _stepper(m: int, k: int = 0, family: Optional[Family] = None):
         return "".join(f" - {-w!r} * {sl[i]}" if w < 0 else f" + {w!r} * {sl[i]}"
                        for w, sl in zip(weights, slopes) if w).removeprefix(" + ")
 
+    def listed(names):
+        return f"[{', '.join(names)}]"
+
     unpack, top = _INLINE.get(family, (None, None))
     idx, slopes = range(m), [[f"f{i}" for i in range(m)]]
+    # (stage, time, row): stages 2..12, the FSAL stage 13 at t + h, whose
+    # state is y_new, and the continuous extension's stages 14..16
+    stages = [*zip(range(2, 13), _C, _A), (13, None, _B), *zip(range(14, 17), _C_EXTRA, _A_EXTRA)]
+    times = [f"t{j}" for j, c, _ in stages if c is not None]
     body = [
         f"{''.join(f'y{i}, ' for i in idx)}= y",
         f"{''.join(f'f{i}, ' for i in idx)}= f",
     ]
     if top is None:  # only rhs reads the stage times
         body += [
-            "t2, t3, t4, t5, t6 = " + ", ".join("t + h" if c == 1.0 else f"t + {c!r} * h" for c in _C),
-            "if t6 > hi:",
-            "    t2, t3, t4, t5, t6 = min(t2, hi), min(t3, hi), min(t4, hi), min(t5, hi), hi",
+            f"{', '.join(times)} = "
+            + ", ".join("t + h" if c == 1.0 else f"t + {c!r} * h" for _, c, _ in stages if c is not None),
+            "if t12 > hi:",
+            f"    {', '.join(times)} = " + ", ".join("hi" if n == "t12" else f"min({n}, hi)" for n in times),
         ]
-    # stages 2..7; the seventh stage's state is y_new, at the sixth's time
-    for j, row in enumerate((*_A, _B), start=2):
+    for j, c, row in stages:
+        if j == 14:
+            # the error test, once y_new's slope is in: the scale
+            # max(|y_i|, |y_new_i|) as the builtin max picks it, without its call
+            for i in idx:
+                body += [f"a{i}, b{i} = abs(y{i}), abs(s13_{i})",
+                         f"d{i} = tol + tol * (b{i} if b{i} > a{i} else a{i})",
+                         f"e5_{i}, e3_{i} = ({combo(_E5, i)}) / d{i}, ({combo(_E3, i)}) / d{i}"]
+            body += [
+                f"e5 = {' + '.join(f'e5_{i} * e5_{i}' for i in idx)}",
+                f"e3 = {' + '.join(f'e3_{i} * e3_{i}' for i in idx)}",
+                "den = e5 + 0.01 * e3",
+                f"err = h * e5 / math.sqrt({'den' if m == 1 else f'den * {m}'}) if den else 0.0",
+                f"f_new = {listed([*(f's13_{i}' for i in idx[1:]), 'k13'])}",
+                "if not err <= 1.0:",
+                "    return y_new, f_new, err, None",
+            ]
         state = [f"s{j}_{i}" for i in idx]
         body += [f"{state[i]} = y{i} + h * ({combo(row, i)})" for i in idx]
+        if j == 13:
+            body.append(f"y_new = {listed(state)}")
         if top is None:
-            arg = ("" if j < 7 else "y_new := ") + f"[{', '.join(state)}]"
-            body.append(f"k{j} = rhs(t{min(j, 6)}, {arg})")
+            body.append(f"k{j} = rhs({'t12' if j == 13 else f't{j}'}, {'y_new' if j == 13 else listed(state)})")
         else:
             body.append(f"k{j} = {top.format(s=state[k])}")
         slopes.append(state[1:] + [f"k{j}"])
-    # the scale max(|y_i|, |y_new_i|) as the builtin max picks it, without its call
-    for i in idx:
-        body += [f"a{i}, b{i} = abs(y{i}), abs(s7_{i})",
-                 f"r{i} = h * ({combo(_E, i)}) / (tol + tol * (b{i} if b{i} > a{i} else a{i}))"]
-    y_new = "y_new" if top is None else f"[{', '.join(f's7_{i}' for i in idx)}]"
-    body.append(f"return {y_new}, [{''.join(f's7_{i}, ' for i in idx[1:])}k7], "
-                f"math.sqrt(sum(({''.join(f'r{i} * r{i}, ' for i in idx)})) / {m})")
+    body.append(f"return y_new, f_new, err, {listed(f'h * ({combo(row, i)})' for row in _D for i in idx)}")
     if top is None:
         src = ["def step(rhs, t, h, hi, y, f, tol):", *(f"    {line}" for line in body)]
     else:
@@ -152,9 +268,9 @@ def _stepper(m: int, k: int = 0, family: Optional[Family] = None):
         src = ["def step(coef, t, h, hi, y, f, tol):", f"    {unpack}", "    try:",
                *(f"        {line}" for line in body),
                "    except (ArithmeticError, TypeError, ValueError):",
-               "        return y, f, math.nan"]
+               "        return y, f, math.nan, None"]
     tag = "" if top is None else f", k={k}, h={family.value}"
-    text, filename = "\n".join(src) + "\n", f"<blowup.ode Dormand-Prince step, m={m}{tag}>"
+    text, filename = "\n".join(src) + "\n", f"<blowup.ode DOP853 step, m={m}{tag}>"
     namespace = {"math": math}
     exec(compile(text, filename, "exec"), namespace)
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
@@ -200,7 +316,8 @@ class ProblemSpec:
 
         q and h are evaluated through their ``.fn`` directly: calling the
         ScalarFn only forwards to it.  For a custom q or h, or with
-        ``f_override``, this runs six times per step; the integrator's step
+        ``f_override``, this runs twelve times per step attempted and three
+        more per step accepted; the integrator's step
         for a power or powerlog h under a constant or piecewise q computes the
         same product itself and calls this only at the start, at restarts
         and at an escape.  The product q(t) h(y[k]) is taken as is when it is
@@ -236,11 +353,12 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class StepStats:
     """Counters of one forward integration.  ``evals`` counts evaluations of
-    the top derivative, inside the step or through ``ProblemSpec.rhs``: six
-    per attempted step (one cut short by a failing stage included) and one
-    per slope taken outside it (the start, each segment start, an escape).
-    ``rejected`` steps failed the error test; ``retries`` followed a failed
-    stage."""
+    the top derivative, inside the step or through ``ProblemSpec.rhs``:
+    twelve per attempted step (one cut short by a failing stage included),
+    three more per accepted step (the extra stages of its continuous
+    extension), and one per slope taken outside the step (the start, each
+    segment start, an escape).  ``rejected`` steps failed the error test;
+    ``retries`` followed a failed stage."""
 
     evals: int
     accepted: int
@@ -250,19 +368,28 @@ class StepStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration nodes with Hermite dense output.
+    """Accepted integration nodes with dense output.
 
     ``ys[i]`` is the state (w, ..., w^(m-1)) at ``ts[i]``; ``dys[i]`` is its
-    time derivative (y[1:], f).  Because the state packs consecutive
-    derivatives of one function, every component except the top one also has
-    an exact second derivative at the nodes (component i+2, or f itself for
-    i = m-2), so dense output is quintic Hermite there and cubic Hermite
-    only for the top component.  A jump point of q where integration
+    time derivative (y[1:], f).  A jump point of q where integration
     restarted appears twice in ``ts``: first with the left-limit derivative
     that closes the cell before it, then with the right-limit one that opens
     the cell after it.  ``stats`` holds the integrator's counters when the
     trajectory comes from :func:`integrate`.  Values are immutable once
     returned and safe to share.
+
+    ``dense``, shape (cells, 4, m), holds for each cell [ts[i], ts[i+1]] the
+    coefficients h D K of the step that made it, so that the cell's dense
+    output is that step's seventh-order continuous extension (see
+    :func:`_continuous`).  Its value is ys[i] and ys[i+1], bitwise, at the
+    cell's ends.  A cell whose row is nan, and every cell when ``dense`` is
+    None (trajectories built on a grid, such as a Picard tower's or a lift),
+    uses Hermite interpolation of the end values and derivatives instead:
+    quintic on every component but the top one, whose second derivatives
+    the state holds exactly (component i+2, or f for i = m-2), and cubic on
+    the top one.  The integrator leaves nan on its zero-width restart cells
+    and on the last cell before an escape, which ends inside the step at the
+    crossing (the step's extension is not rescaled to it).
     """
 
     ts: np.ndarray
@@ -271,10 +398,12 @@ class Trajectory:
     m: int
     tol: float
     stats: Optional[StepStats] = None
+    dense: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("ts", "ys", "dys"):
-            getattr(self, name).setflags(write=False)
+        for name in ("ts", "ys", "dys", "dense"):
+            if getattr(self, name) is not None:
+                getattr(self, name).setflags(write=False)
 
     @property
     def t_end(self) -> float:
@@ -290,20 +419,17 @@ class Trajectory:
         i = np.clip(np.searchsorted(self.ts, tq, side="right") - 1, 0, len(self.ts) - 2)
         h = (self.ts[i + 1] - self.ts[i])[:, None]
         th = np.clip(((tq - self.ts[i])[:, None]) / h, 0.0, 1.0)
-        y0, y1 = self.ys[i], self.ys[i + 1]
-        out = np.empty((len(tq), self.m))
-
-        # top component: cubic Hermite
-        out[:, -1] = _cubic_hermite(
-            th[:, 0], h[:, 0], y0[:, -1], y1[:, -1], self.dys[i, -1], self.dys[i + 1, -1]
-        )
-
-        if self.m > 1:
-            # lower components: quintic Hermite with exact second derivatives
-            # s = (y[2:], f) at both ends
-            d0, d1 = self.dys[i], self.dys[i + 1]
-            out[:, :-1] = _quintic_hermite(th, h, y0[:, :-1], y1[:, :-1], d0[:, :-1], d1[:, :-1],
-                                           d0[:, 1:], d1[:, 1:])
+        y0, y1, d0, d1 = self.ys[i], self.ys[i + 1], self.dys[i], self.dys[i + 1]
+        if self.dense is None:
+            out = _hermite(th, h, y0, y1, d0, d1)
+        else:
+            rows = self.dense[i]
+            out = _continuous(th, y0, y1, _coefficients(h, y0, y1, d0, d1, rows.transpose(1, 0, 2)))
+            hermite = np.isnan(rows[:, 0, 0])
+            if hermite.any():
+                out[hermite] = _hermite(th, h, y0, y1, d0, d1)[hermite]
+        # the nodes themselves, bitwise
+        out = np.where(th == 0.0, y0, np.where(th == 1.0, y1, out))
         return out[0] if scalar else out
 
     def crossing(self, level: float, lo: float) -> float:
@@ -312,8 +438,7 @@ class Trajectory:
         The first node at or after ``lo`` where w >= level ends the cell, so a
         non-monotone w gets its first crossing at the nodes' resolution; the
         cell is then bisected on floats, on the interpolant this trajectory's
-        dense output evaluates there (quintic Hermite for m > 1, cubic for
-        m = 1), by :func:`_bisect_level`.  Raises
+        dense output evaluates there, by :func:`_bisect_level`.  Raises
         InvalidParameterError when no node in [lo, t_end] reaches the level.
         """
         w, i = self.ys[:, 0], int(np.searchsorted(self.ts, lo))
@@ -325,10 +450,16 @@ class Trajectory:
             return float(self.ts[0])
         t0, hi = float(self.ts[i - 1]), float(self.ts[i])
         cell = (hi - t0, float(w[i - 1]), float(w[i]), float(self.dys[i - 1, 0]), float(self.dys[i, 0]))
+        lo = max(float(lo), t0)
+        if self.dense is not None and not math.isnan(self.dense[i - 1, 0, 0]):
+            # bisect the residual w - level, taken from the nearer end: a
+            # level that a node's w equals is crossed at that node
+            below = (cell[1] - level, cell[2] - level, _coefficients(*cell, self.dense[i - 1, :, 0].tolist()))
+            return _bisect_level(lambda t: _continuous((t - t0) / cell[0], *below), 0.0, lo, hi)
         if self.m > 1:
             cell += (float(self.dys[i - 1, 1]), float(self.dys[i, 1]))
         value = _quintic_hermite if self.m > 1 else _cubic_hermite
-        return _bisect_level(lambda t: value((t - t0) / cell[0], *cell), level, max(float(lo), t0), hi)
+        return _bisect_level(lambda t: value((t - t0) / cell[0], *cell), level, lo, hi)
 
     def component(self, i: int):
         """Callable t -> w^(i)(t)."""
@@ -377,6 +508,63 @@ def integrate(p: ProblemSpec, T: float, tol: float = 1e-9):
     return _integrate_events(p, T, tol, (), ESCAPE_THRESHOLD)[0]
 
 
+def _coefficients(h, y0, y1, d0, d1, rows):
+    """The 7 coefficients F of a step's continuous extension (Hairer's
+    CONTD8) from the ends of its cell, of width h: the end values y0, y1,
+    the end derivatives d0, d1, and the 4 rows h D K the step computed.
+    Floats, or arrays with one row per cell."""
+    delta = y1 - y0
+    return (delta, h * d0 - delta, 2.0 * delta - h * (d1 + d0), *rows)
+
+
+def _continuous(th, y0, y1, F):
+    """The seventh-order continuous extension of a DOP853 step at
+    th = (t - t0)/h, from its end values and coefficients F (see
+    :func:`_coefficients`), with s = 1 - th and G = F1 + th (F2 + s (F3 +
+    th (F4 + s (F5 + th F6)))):
+
+        y0 + th (F0 + s G)  for th <= 1/2,    y1 + s (th G - F0)  past it.
+
+    The two forms agree up to the rounding of F0 = y1 - y0; each starts from
+    its nearer end, so y0 and y1 come back at th = 0 and 1, and a value near
+    a node is not absorbed into the node's rounding.  So with y0 - level and
+    y1 - level for the ends this is the residual P(th) - level, whose sign
+    is exact at and near the nodes."""
+    F0, F1, F2, F3, F4, F5, F6 = F
+    s = 1.0 - th
+    g = F1 + th * (F2 + s * (F3 + th * (F4 + s * (F5 + th * F6))))
+    if isinstance(th, float):
+        return y0 + th * (F0 + s * g) if th <= 0.5 else y1 + s * (th * g - F0)
+    return np.where(th <= 0.5, y0 + th * (F0 + s * g), y1 + s * (th * g - F0))
+
+
+def _step_cell(t0, t1, y0, y1, d0, d1, dense):
+    """The continuous extension of the accepted step [t0, t1] as a function
+    of t, one float per component."""
+    h, m = t1 - t0, len(y0)
+    cells = [(a, b, _coefficients(h, a, b, da, db, dense[i::m]))
+             for i, (a, b, da, db) in enumerate(zip(y0, y1, d0, d1))]
+    return lambda t: [_continuous((t - t0) / h, *cell) for cell in cells]
+
+
+def _crossing_time(cell, t0, t1, level):
+    """First time the largest component of a step's continuous extension
+    ``cell`` (see :func:`_step_cell`) reaches ``level`` in [t0, t1], by
+    :func:`_bisect_level`."""
+    return _bisect_level(lambda t: max(cell(t)), level, t0, t1)
+
+
+def _hermite(th, h, y0, y1, d0, d1):
+    """Hermite dense output of cells of widths h at th = (t - t0)/h, from
+    the end states and derivatives (one row per cell): quintic on the lower
+    components, whose second derivatives are the derivative's next
+    component, and cubic on the top one."""
+    out = np.empty(y0.shape)
+    out[:, -1] = _cubic_hermite(th[:, 0], h[:, 0], y0[:, -1], y1[:, -1], d0[:, -1], d1[:, -1])
+    out[:, :-1] = _quintic_hermite(th, h, y0[:, :-1], y1[:, :-1], d0[:, :-1], d1[:, :-1], d0[:, 1:], d1[:, 1:])
+    return out
+
+
 def _cubic_hermite(th, h, y0, y1, d0, d1):
     """Cubic Hermite interpolant at th = (t - t0)/h of a cell of width h, from
     the end values y0, y1 and end derivatives d0, d1."""
@@ -400,14 +588,6 @@ def _quintic_hermite(th, h, y0, y1, d0, d1, s0, s1):
     C1 = 0.5 * (t3 - 2 * t4 + t5)
     return (A0 * y0 + B0 * (d0 * h) + C0 * (s0 * h * h)
             + A1 * y1 + B1 * (d1 * h) + C1 * (s1 * h * h))
-
-
-def _crossing_time(t0, t1, y0, y1, d0, d1, level):
-    """First time the max-component cubic Hermite interpolant of the cell
-    [t0, t1] reaches ``level``, by :func:`_bisect_level`."""
-    w = t1 - t0
-    cells = list(zip(y0, y1, d0, d1))
-    return _bisect_level(lambda t: max(_cubic_hermite((t - t0) / w, w, *c) for c in cells), level, t0, t1)
 
 
 def _bisect_level(value, level, lo, hi):
@@ -457,16 +637,17 @@ def _integrate_events(
     def finish(reason=None, t_event=None, threshold=None):
         """The Trajectory, or with a reason the BlowupEvent, the crossings and T*."""
         if len(ts) > 1 and ts[-1] == ts[-2]:  # stopped right at a restart
-            del ts[-1], ys[-1], dys[-1]
+            del ts[-1], ys[-1], dys[-1], dense[-1]
         traj = Trajectory(ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), m=p.m, tol=tol,
-                          stats=StepStats(evals, accepted, rejected, retries))
+                          stats=StepStats(evals, accepted, rejected, retries),
+                          dense=np.array(dense, dtype=float).reshape(len(dense), 4, p.m))
         if reason is None:
             return traj, crossings, t_blow
         return BlowupEvent(float(t_event), reason, threshold, traj), crossings, t_blow
 
     # exact zero solution: all-zero data and h(0) = 0 (default right-hand side)
     if p.f_override is None and not any(y) and float(p.h(0.0)) == 0.0:
-        ts, ys, dys = [0.0, float(T)], [y, y], [y, y]
+        ts, ys, dys, dense = [0.0, float(T)], [y, y], [y, y], [[0.0] * (4 * p.m)]
         return finish()
 
     # The state and slopes are lists of floats and the step works on scalar
@@ -481,7 +662,10 @@ def _integrate_events(
     t = 0.0
     f = y[1:] + [rhs(t, y)]
     evals += 1
-    ts, ys, dys = [t], [y], [f]
+    # dense[i] is the continuous extension's h D K for the cell ending at
+    # ts[i+1]; a cell the integrator did not step across gets nan: Hermite
+    ts, ys, dys, dense = [t], [y], [f], []
+    hermite = [math.nan] * (4 * p.m)
 
     # initial escape check (data may already sit above thresholds)
     level = escape_threshold
@@ -518,6 +702,7 @@ def _integrate_events(
             ts.append(t)
             ys.append(y)
             dys.append(f)
+            dense.append(hermite)
         while t < seg_end:
             # min and max written as the builtins pick, without their calls
             h = seg_end - t if seg_end - t < h else h
@@ -526,10 +711,10 @@ def _integrate_events(
                 return finish("step-collapse", t)
 
             try:
-                y_new, f_new, err = step(arg, t, h, hi, y, f, eff_tol)
+                y_new, f_new, err, coef = step(arg, t, h, hi, y, f, eff_tol)
             except NumericFailureError:
                 err = math.nan
-            evals += 6
+            evals += 12
             if not math.isfinite(err):
                 # a stage overflowed or was complex or not finite: retry with
                 # a smaller step before giving up
@@ -540,18 +725,22 @@ def _integrate_events(
                 continue
             if err > 1.0:
                 rejected += 1
-                fac = 0.9 * err ** (-0.2)
+                fac = 0.9 * err ** -0.125
                 h *= fac if fac > 0.2 else 0.2
                 continue
 
             accepted += 1
+            evals += 3
             t_new = t + h
-            # threshold crossings inside this step (components are monotone
-            # in the intended regime; bisection is robust regardless)
+            # threshold crossings inside this step, on its continuous
+            # extension (components are monotone in the intended regime;
+            # bisection is robust regardless)
             ask = tail
+            cell = None
             while pending and max(y_new) >= pending[0]:
                 M = pending.pop(0)
-                crossings[M] = _crossing_time(t, t_new, y, y_new, f, f_new, M)
+                cell = cell or _step_cell(t, t_new, y, y_new, f, f_new, coef)
+                crossings[M] = _crossing_time(cell, t, t_new, M)
                 if ask:
                     ask = None
                     if (t_blow := tail(t, y)) <= T:
@@ -559,23 +748,26 @@ def _integrate_events(
                         break
 
             if level < escape_threshold or max(map(abs, y_new)) >= escape_threshold:
+                cell = cell or _step_cell(t, t_new, y, y_new, f, f_new, coef)
                 t_star = (crossings[level] if level in crossings
-                          else _crossing_time(t, t_new, y, y_new, f, f_new, level))
-                y_star = [_cubic_hermite((t_star - t) / (t_new - t), t_new - t, *c)
-                          for c in zip(y, y_new, f, f_new)]
+                          else _crossing_time(cell, t, t_new, level))
+                y_star = cell(t_star)
                 ts.append(t_star)
                 ys.append(y_star)
                 dys.append(y_star[1:] + [rhs(min(t_star, hi), y_star)])
+                dense.append(hermite)
                 evals += 1
                 return finish("escape", t_star, level)
 
             ts.append(t_new)
             ys.append(y_new)
             dys.append(f_new)
+            dense.append(coef)
             t, y, f = t_new, y_new, f_new
 
-            # PI controller (Hairer-style exponents for a 5(4) pair)
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0.0 else 5.0
+            # PI controller (Gustafsson's exponents 0.7/p and 0.4/p, for the
+            # order p = 8 of the error estimate)
+            fac = 0.9 * err ** -0.0875 * err_prev ** 0.05 if err > 0.0 else 5.0
             fac = fac if fac > 0.2 else 0.2
             h *= fac if fac < 5.0 else 5.0
             err_prev = 1e-10 if 1e-10 > err else err
@@ -605,7 +797,7 @@ def detect_blowup(
     escape row and the trajectory end at the interpolated crossing.  A node
     the tail cannot finish from (u = w^(k) or, for n = 2, u' still 0) passes
     to the next rung.  No interpolation error enters T*: y_k is a state the
-    step itself computed and accepted, where the Hermite state at the
+    step itself computed and accepted, where the interpolated state at the
     crossing would add the dense output's error, a sizeable share of the
     interval at a low rung.  An error of y_k
     that is a time shift moves the solution through y_k and its tail by

@@ -532,7 +532,10 @@ def apply_integral_operator(
     with f = f_override(t, u) (or q h(u_k)).  Column 0 is the operator
     image, column i its i-th derivative.  f is integrated block by block
     between q's jumps, each block sampling q's own branch at its ends, so on
-    a grid with nodes at the jumps the quadrature never straddles one.
+    a grid with nodes at the jumps the quadrature never straddles one.  The
+    quadrature is O(h^4) in the grid's spacing, so the image is as accurate
+    as the grid: an integrator trajectory's own nodes are its steps, too
+    wide for it; sample its dense output on a finer grid.
     """
     grid = np.asarray(grid, dtype=float)
     u_values = np.atleast_2d(np.asarray(u_values, dtype=float))

@@ -165,75 +165,98 @@ class TestRhsAgainstReference:
             assert len(calls) < new.stats.accepted
 
 
-def _exact(row):
-    return [Fraction(x).limit_denominator(10**6) for x in row]
+EPS = 2.0 ** -52
+
+
+def _floats(a):
+    return [float(x).hex() for x in a]
 
 
 class TestTableau:
-    """The Dormand-Prince coefficients, recovered as exact fractions: a one-digit
-    typo in any of them breaks a row sum or an order condition."""
+    """The DOP853 coefficients: bitwise those of scipy's transcription of
+    Hairer's dop853.f, and, as exact sums of the stored floats, within one
+    rounding of the row sums and the quadrature order conditions."""
+
+    def test_coefficients_match_scipy(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        # stages 2..12, then the FSAL stage 13 (state y_new, node 1), then
+        # the continuous extension's stages 14..16
+        assert _floats(ode._C) == _floats(ref.C[1:12]) and ref.C[12] == 1.0
+        assert _floats(ode._C_EXTRA) == _floats(ref.C[13:])
+        rows = [*ode._A, ode._B, *ode._A_EXTRA]
+        assert len(rows) == ref.N_STAGES_EXTENDED - 1
+        for s, row in enumerate(rows, start=1):
+            assert _floats(row) == _floats(ref.A[s, :s]) and not ref.A[s, s:].any(), s
+        assert _floats(ode._B) == _floats(ref.B)
+        for mine, theirs in ((ode._E5, ref.E5), (ode._E3, ref.E3)):
+            assert _floats(mine) == _floats(theirs[:-1]) and theirs[-1] == 0.0
+        assert [_floats(row) for row in ode._D] == [_floats(row) for row in ref.D]
 
     def test_rows_sum_to_their_nodes(self):
-        assert len(ode._A) == len(ode._C)
-        for row, c in zip(ode._A, _exact(ode._C)):
-            assert sum(_exact(row)) == c
+        nodes = [*ode._C, 1.0, *ode._C_EXTRA]
+        rows = [*ode._A, ode._B, *ode._A_EXTRA]
+        assert len(rows) == len(nodes)
+        for row, c in zip(rows, nodes):
+            assert abs(sum(map(Fraction, row)) - Fraction(c)) <= EPS * sum(map(abs, row))
 
     def test_quadrature_order_conditions(self):
-        c = [Fraction(0), *_exact(ode._C), Fraction(1)]  # c_1 .. c_7
-        b = _exact(ode._B) + [Fraction(0)]  # the FSAL row; b_7 = 0
-        e = _exact(ode._E)
-        b_star = [bi - ei for bi, ei in zip(b, e)]
-        for order, weights in ((5, b), (4, b_star)):
-            for k in range(1, order + 1):
-                assert sum(w * ci ** (k - 1) for w, ci in zip(weights, c)) == Fraction(1, k)
-        assert sum(e) == 0
+        # B is of order 8, B - E5 of order 5 and B - E3 of order 3; each
+        # fails the next condition by far more than a rounding
+        c = [Fraction(0), *map(Fraction, ode._C)]  # c_1 .. c_12
+        b = [Fraction(x) for x in ode._B]
+        for order, e in ((8, None), (5, ode._E5), (3, ode._E3)):
+            w = b if e is None else [bi - Fraction(ei) for bi, ei in zip(b, e)]
+            for k in range(1, order + 2):
+                scale = sum(abs(wi) * ci ** (k - 1) for wi, ci in zip(w, c))
+                miss = abs(sum(wi * ci ** (k - 1) for wi, ci in zip(w, c)) - Fraction(1, k))
+                assert (miss <= EPS * scale) == (k <= order), (order, k)
+
+
+def _dot(weights, slopes, i):
+    """sum_j w_j * slope_j[i] over the nonzero w_j, left to right."""
+    terms = [w * sl[i] for w, sl in zip(weights, slopes) if w]
+    acc = terms[0]
+    for x in terms[1:]:
+        acc = acc + x
+    return acc
 
 
 def reference_step(rhs, t, h, hi, y, f, tol):
-    """The Dormand-Prince step as list comprehensions over the state, with the
-    coefficients written out: the reference the generated step must reproduce
-    bit for bit."""
-    t2, t3, t4, t5, t6 = t + 1 / 5 * h, t + 3 / 10 * h, t + 4 / 5 * h, t + 8 / 9 * h, t + h
-    if t6 > hi:
-        t2, t3, t4, t5, t6 = min(t2, hi), min(t3, hi), min(t4, hi), min(t5, hi), hi
-    s = [v + h * (1 / 5 * a) for v, a in zip(y, f)]
-    k2 = s[1:]
-    k2.append(rhs(t2, s))
-    s = [v + h * (3 / 40 * a + 9 / 40 * b) for v, a, b in zip(y, f, k2)]
-    k3 = s[1:]
-    k3.append(rhs(t3, s))
-    s = [v + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
-         for v, a, b, c in zip(y, f, k2, k3)]
-    k4 = s[1:]
-    k4.append(rhs(t4, s))
-    s = [v + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
-                  - 212 / 729 * d) for v, a, b, c, d in zip(y, f, k2, k3, k4)]
-    k5 = s[1:]
-    k5.append(rhs(t5, s))
-    s = [v + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
-                  + 49 / 176 * d - 5103 / 18656 * e)
-         for v, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)]
-    k6 = s[1:]
-    k6.append(rhs(t6, s))
-    y_new = [v + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
-                      - 2187 / 6784 * e + 11 / 84 * g)
-             for v, a, c, d, e, g in zip(y, f, k3, k4, k5, k6)]
-    f_new = y_new[1:]
-    f_new.append(rhs(t6, y_new))
-    err = math.sqrt(sum([(r := (
-        h * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d - 17253 / 339200 * e
-             + 22 / 525 * g - 1 / 40 * k)
-        / (tol + tol * max(abs(v), abs(w)))
-    )) * r for v, w, a, c, d, e, g, k in zip(y, y_new, f, k3, k4, k5, k6, f_new)]) / len(y))
-    return y_new, f_new, err
+    """The DOP853 step as loops over the stages and list comprehensions over
+    the state, with scipy's coefficients: the reference the generated step
+    must reproduce bit for bit."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    A, C, E5, E3, D = (x.tolist() for x in (ref.A, ref.C, ref.E5, ref.E3, ref.D))
+    m = len(y)
+    times = [t + c * h for c in C]
+    if times[11] > hi:
+        times = [min(x, hi) for x in times]
+    slopes = [list(f)]
+    for s in range(1, 16):  # stages 2..16; the 13th's state is y_new
+        if s == 13:
+            scale = [tol + tol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+            e5 = sum([(r := _dot(E5, slopes, i) / scale[i]) * r for i in range(m)])
+            e3 = sum([(r := _dot(E3, slopes, i) / scale[i]) * r for i in range(m)])
+            den = e5 + 0.01 * e3
+            err = h * e5 / math.sqrt(den * m) if den else 0.0
+            f_new = slopes[12]
+            if not err <= 1.0:
+                return y_new, f_new, err, None
+        state = [y[i] + h * _dot(A[s][:s], slopes, i) for i in range(m)]
+        if s == 12:
+            y_new = state
+        slopes.append(state[1:] + [rhs(times[s], state)])
+    return y_new, f_new, err, [h * _dot(row, slopes, i) for row in D for i in range(m)]
 
 
 def _step_outcome(step, *args):
     try:
-        y_new, f_new, err = step(*args)
+        y_new, f_new, err, dense = step(*args)
     except Exception as exc:
         return type(exc)
-    return [v.hex() for v in y_new], [v.hex() for v in f_new], err.hex()
+    return [v.hex() for v in y_new], [v.hex() for v in f_new], err.hex(), dense and [v.hex() for v in dense]
 
 
 def _loop_outcome(step, *args):
@@ -241,12 +264,12 @@ def _loop_outcome(step, *args):
     NumericFailureError for a step that raised one or whose err is not
     finite (a failed stage), which the loop retries alike."""
     try:
-        y_new, f_new, err = step(*args)
+        y_new, f_new, err, dense = step(*args)
     except NumericFailureError:
         return NumericFailureError
     if not math.isfinite(err):
         return NumericFailureError
-    return [v.hex() for v in y_new], [v.hex() for v in f_new], err.hex()
+    return [v.hex() for v in y_new], [v.hex() for v in f_new], err.hex(), dense and [v.hex() for v in dense]
 
 
 # a q that varies between stage times, so each stage's time is seen
@@ -364,10 +387,11 @@ class TestStepStats:
         s = new.stats
         # through rhs every evaluation is a call, but a failing stage cuts its step short
         assert s.evals == len(calls) if s.retries == 0 else s.evals > len(calls)
-        # six per attempt, one at the start and at each segment start, one at an escape
+        # twelve per attempt, three per accepted step, one at the start and at
+        # each segment start, one at an escape
         segments = 1 + sum(0.0 < b < traj.t_end for b in p.q.breakpoints)
         escaped = isinstance(new, BlowupEvent) and new.reason == "escape"
-        assert s.evals == 6 * (s.accepted + s.rejected + s.retries) + 1 + segments + escaped
+        assert s.evals == 12 * (s.accepted + s.rejected + s.retries) + 3 * s.accepted + 1 + segments + escaped
         assert s.accepted == len(traj.ts) - 1 - (segments - 1)
         assert new.stats is traj.stats
         assert (s.retries > 0) == (p is _RETRIED)
@@ -417,9 +441,13 @@ class TestIntegrate:
 
         p = ProblemSpec(m=2, k=0, a=(1.0, 0.5), q=ONE, h=make_power(1))
         traj = integrate(p, 3.0, 1e-9)
-        f_nodes = traj.dys[:, -1]
-        running = weighted_volterra(f_nodes, 1, traj.ts)
-        drift = np.abs(traj.ys[:, -1] - p.a[-1] - running)
+        # the quadrature is 4th order in the grid's spacing: take it on the
+        # dense output sampled with each integrator cell split into 8
+        ts = np.append(traj.ts[:-1, None] + np.diff(traj.ts)[:, None] * np.arange(8) / 8, traj.t_end)
+        ys = traj(ts)
+        f_nodes = np.array([p.rhs(t, y) for t, y in zip(ts, ys.tolist())])
+        running = weighted_volterra(f_nodes, 1, ts)
+        drift = np.abs(ys[:, -1] - p.a[-1] - running)
         assert np.max(drift) <= 10.0 * max(traj.tol, 1e-9) * (1 + np.max(traj.ys))
 
     def test_piecewise_q_restarts(self):
@@ -507,6 +535,61 @@ class TestDenseOutput:
         traj = integrate(cosh_problem(), 2.0, 1e-9)
         w1 = traj.component(1)
         assert w1(2.0) == pytest.approx(math.sinh(2.0), rel=1e-6)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        power=st.booleans(),
+        lam=st.one_of(st.floats(0.0, 0.9), st.just(1.0), st.floats(1.1, 3.0)),
+        a=st.floats(0.1, 4.0), b=st.floats(0.0, 2.0), c=st.floats(0.25, 4.0),
+        span=st.floats(0.1, 0.8), tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]),
+        th=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=20),
+    )
+    def test_continuous_extension_meets_the_closed_form(self, power, lam, a, b, c, span, tol, th):
+        # w' = c w^lam, w(0) = a, up to a share of T* (of 5 without a blow-up),
+        # or w'' = c w, w(0) = a, w'(0) = b, up to 10 span: cosh and sinh
+        if power:
+            p = ProblemSpec(m=1, k=0, a=(a,), q=make_constant(c), h=make_power(lam))
+            T = span * (a ** (1.0 - lam) / ((lam - 1.0) * c) if lam > 1.0 else 5.0)
+            if lam == 1.0:
+                exact = lambda t: a * np.exp(c * t)  # noqa: E731
+            else:  # w^(1-lam) = a^(1-lam) + (1-lam) c t
+                exact = lambda t: a * np.exp(  # noqa: E731
+                    np.log1p((1.0 - lam) * c * t * a ** (lam - 1.0)) / (1.0 - lam))
+        else:
+            p = ProblemSpec(m=2, k=0, a=(a, b), q=make_constant(c), h=make_power(1))
+            T, r = 10.0 * span, math.sqrt(c)
+            exact = lambda t: a * np.cosh(r * t) + b / r * np.sinh(r * t)  # noqa: E731
+        traj = integrate(p, T, tol)
+        assert isinstance(traj, Trajectory) and not np.isnan(traj.dense).any()
+        ts = T * np.array(th)
+        w = exact(ts)
+        assert np.all(np.abs(traj(ts)[:, 0] - w) <= 10.0 * tol * (1.0 + np.abs(w)))
+        assert traj(traj.ts).tobytes() == traj.ys.tobytes()
+
+    @pytest.mark.parametrize("p, T", [
+        (cosh_problem(), 5.0),
+        (ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2)), 2.0),
+        (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=make_piecewise([((0, 0.5), 0.5), ((0.5, 0.7), 2.0),
+                                                                     ((0.7, math.inf), 1.0)]),
+                     h=make_power_log(PowerFamilyParams(1.5, 1.0))), 1.5),
+    ], ids=["cosh", "escape", "restarts"])
+    def test_each_cell_returns_its_ends_bitwise(self, p, T):
+        # every stepped cell's extension at th = 0 and 1; Hermite (a nan row)
+        # on the zero-width restart cells and on the cell that ends at an escape
+        res = integrate(p, T, 1e-9)
+        traj = getattr(res, "trajectory", res)
+        ts, ys, dys, dense = traj.ts, traj.ys, traj.dys, traj.dense
+        assert dense.shape == (len(ts) - 1, 4, p.m)
+        hermite = np.isnan(dense).all(axis=(1, 2))
+        escaped = isinstance(res, BlowupEvent)
+        assert hermite.tolist() == [bool(w == 0.0) for w in np.diff(ts)][:-1] + [escaped]
+        assert not np.isnan(dense[~hermite]).any()
+        h = np.diff(ts)[:, None]
+        F = ode._coefficients(h, ys[:-1], ys[1:], dys[:-1], dys[1:], dense.transpose(1, 0, 2))
+        for th, end in ((0.0, ys[:-1]), (1.0, ys[1:])):
+            got = ode._continuous(np.full_like(h, th), ys[:-1], ys[1:], F)
+            assert got[~hermite].tobytes() == end[~hermite].tobytes()
+        assert traj(ts).tobytes() == ys.tobytes()
 
 
 class TestCrossing:
