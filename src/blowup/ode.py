@@ -19,12 +19,12 @@ its own stage lines; any other problem calls :meth:`ProblemSpec.rhs` there.
 Everything in the intended regime (q, h >= 0, a >= 0) is monotone: w^(m)
 is nonnegative, so every lower derivative is nondecreasing.  Blow-up
 manifests as escape through a ladder of thresholds.  Where q is a positive
-constant past the escape and the reduced order is 1 or 2 with a power or
-powerlog h, the remaining time is the integral test's own tail, read from
-the accepted node before an escape past q's last jump, the first it can
-finish from; elsewhere the finite blow-up time is estimated by Richardson/
-Aitken extrapolation of the escape times, which needs no knowledge of the
-blow-up exponent.
+constant past the escape and the reduced order is 1 with a power or
+powerlog h, or 2 with a power h, the remaining time is the integral test's
+own tail, read from the accepted node before an escape past q's last jump,
+the first it can finish from; elsewhere the finite blow-up time is
+estimated by Richardson/Aitken extrapolation of the escape times, which
+needs no knowledge of the blow-up exponent.
 """
 
 from __future__ import annotations
@@ -379,17 +379,21 @@ class Trajectory:
     returned and safe to share.
 
     ``dense``, shape (cells, 4, m), holds for each cell [ts[i], ts[i+1]] the
-    coefficients h D K of the step that made it, so that the cell's dense
-    output is that step's seventh-order continuous extension (see
-    :func:`_continuous`).  Its value is ys[i] and ys[i+1], bitwise, at the
-    cell's ends.  A cell whose row is nan, and every cell when ``dense`` is
-    None (trajectories built on a grid, such as a Picard tower's or a lift),
-    uses Hermite interpolation of the end values and derivatives instead:
-    quintic on every component but the top one, whose second derivatives
-    the state holds exactly (component i+2, or f for i = m-2), and cubic on
-    the top one.  The integrator leaves nan on its zero-width restart cells
-    and on the last cell before an escape, which ends inside the step at the
-    crossing (the step's extension is not rescaled to it).
+    rows h D K of its continuous extension (see :func:`_coefficients` and
+    :func:`_continuous`), whose value is ys[i] and ys[i+1], bitwise, at the
+    cell's ends.  A stepped cell holds its step's rows, so its dense output
+    is that step's seventh-order continuous extension.  Any other cell holds
+    :func:`_hermite_rows`, which make the same formula the Hermite
+    interpolant of the end values and derivatives: quintic on every
+    component but the top one, whose second derivatives the state holds
+    exactly (component i+2, or f for i = m-2), and cubic on the top one.
+    Such cells are the integrator's zero-width restart cells, whose rows are
+    zero, and the last cell before an escape, which ends inside the step at
+    the crossing (the step's extension is not rescaled to it).  When
+    ``dense`` is None (trajectories built on a grid, such as a Picard
+    tower's or a lift) every cell is such a cell, and its rows are computed
+    when it is evaluated.  A trajectory of one node, from an escape at
+    t = 0, has no cell and evaluates to that node.
     """
 
     ts: np.ndarray
@@ -416,18 +420,15 @@ class Trajectory:
         tq = np.atleast_1d(t_arr)
         if np.any(tq < self.ts[0] - 1e-12) or np.any(tq > self.ts[-1] * (1 + 1e-12) + 1e-12):
             raise InvalidParameterError("dense output requested outside the grid span")
+        if len(self.ts) == 1:  # no cell: an escape at t = 0
+            out = np.repeat(self.ys, len(tq), axis=0)
+            return out[0] if scalar else out
         i = np.clip(np.searchsorted(self.ts, tq, side="right") - 1, 0, len(self.ts) - 2)
         h = (self.ts[i + 1] - self.ts[i])[:, None]
         th = np.clip(((tq - self.ts[i])[:, None]) / h, 0.0, 1.0)
         y0, y1, d0, d1 = self.ys[i], self.ys[i + 1], self.dys[i], self.dys[i + 1]
-        if self.dense is None:
-            out = _hermite(th, h, y0, y1, d0, d1)
-        else:
-            rows = self.dense[i]
-            out = _continuous(th, y0, y1, _coefficients(h, y0, y1, d0, d1, rows.transpose(1, 0, 2)))
-            hermite = np.isnan(rows[:, 0, 0])
-            if hermite.any():
-                out[hermite] = _hermite(th, h, y0, y1, d0, d1)[hermite]
+        rows = _hermite_rows(h, y0, y1, d0, d1) if self.dense is None else self.dense[i]
+        out = _continuous(th, y0, y1, _coefficients(h, y0, y1, d0, d1, rows.transpose(1, 0, 2)))
         # the nodes themselves, bitwise
         out = np.where(th == 0.0, y0, np.where(th == 1.0, y1, out))
         return out[0] if scalar else out
@@ -450,16 +451,14 @@ class Trajectory:
             return float(self.ts[0])
         t0, hi = float(self.ts[i - 1]), float(self.ts[i])
         cell = (hi - t0, float(w[i - 1]), float(w[i]), float(self.dys[i - 1, 0]), float(self.dys[i, 0]))
-        lo = max(float(lo), t0)
-        if self.dense is not None and not math.isnan(self.dense[i - 1, 0, 0]):
-            # bisect the residual w - level, taken from the nearer end: a
-            # level that a node's w equals is crossed at that node
-            below = (cell[1] - level, cell[2] - level, _coefficients(*cell, self.dense[i - 1, :, 0].tolist()))
-            return _bisect_level(lambda t: _continuous((t - t0) / cell[0], *below), 0.0, lo, hi)
-        if self.m > 1:
-            cell += (float(self.dys[i - 1, 1]), float(self.dys[i, 1]))
-        value = _quintic_hermite if self.m > 1 else _cubic_hermite
-        return _bisect_level(lambda t: value((t - t0) / cell[0], *cell), level, lo, hi)
+        if self.dense is None:
+            rows = _hermite_rows(cell[0], self.ys[i - 1], self.ys[i], self.dys[i - 1], self.dys[i])
+        else:
+            rows = self.dense[i - 1]
+        # bisect the residual w - level, taken from the nearer end: a level
+        # that a node's w equals is crossed at that node
+        below = (cell[1] - level, cell[2] - level, _coefficients(*cell, rows[:, 0].tolist()))
+        return _bisect_level(lambda t: _continuous((t - t0) / cell[0], *below), 0.0, max(float(lo), t0), hi)
 
     def component(self, i: int):
         """Callable t -> w^(i)(t)."""
@@ -554,40 +553,20 @@ def _crossing_time(cell, t0, t1, level):
     return _bisect_level(lambda t: max(cell(t)), level, t0, t1)
 
 
-def _hermite(th, h, y0, y1, d0, d1):
-    """Hermite dense output of cells of widths h at th = (t - t0)/h, from
-    the end states and derivatives (one row per cell): quintic on the lower
-    components, whose second derivatives are the derivative's next
-    component, and cubic on the top one."""
-    out = np.empty(y0.shape)
-    out[:, -1] = _cubic_hermite(th[:, 0], h[:, 0], y0[:, -1], y1[:, -1], d0[:, -1], d1[:, -1])
-    out[:, :-1] = _quintic_hermite(th, h, y0[:, :-1], y1[:, :-1], d0[:, :-1], d1[:, :-1], d0[:, 1:], d1[:, 1:])
-    return out
-
-
-def _cubic_hermite(th, h, y0, y1, d0, d1):
-    """Cubic Hermite interpolant at th = (t - t0)/h of a cell of width h, from
-    the end values y0, y1 and end derivatives d0, d1."""
-    h00 = (1 + 2 * th) * (1 - th) ** 2
-    h10 = th * (1 - th) ** 2
-    h01 = th * th * (3 - 2 * th)
-    h11 = th * th * (th - 1)
-    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-
-
-def _quintic_hermite(th, h, y0, y1, d0, d1, s0, s1):
-    """Quintic Hermite (two-point Taylor) interpolant at th = (t - t0)/h of a
-    cell of width h, from the end values y0, y1, first derivatives d0, d1 and
-    second derivatives s0, s1."""
-    t2, t3, t4, t5 = th * th, th ** 3, th ** 4, th ** 5
-    A0 = 1 - 10 * t3 + 15 * t4 - 6 * t5
-    B0 = th - 6 * t3 + 8 * t4 - 3 * t5
-    C0 = 0.5 * (t2 - 3 * t3 + 3 * t4 - t5)
-    A1 = 10 * t3 - 15 * t4 + 6 * t5
-    B1 = -4 * t3 + 7 * t4 - 3 * t5
-    C1 = 0.5 * (t3 - 2 * t4 + t5)
-    return (A0 * y0 + B0 * (d0 * h) + C0 * (s0 * h * h)
-            + A1 * y1 + B1 * (d1 * h) + C1 * (s1 * h * h))
+def _hermite_rows(h, y0, y1, d0, d1):
+    """The rows h D K (see :func:`_coefficients`) that make the continuous
+    extension of cells of widths h the Hermite interpolant of their end
+    values y0, y1 and end derivatives d0, d1 (arrays (..., m), one row per
+    cell): quintic on the lower components, whose second derivatives are the
+    derivative's next component, through F3 = h^2 s0/2 + h (2 d0 + d1) -
+    3 delta and F4 = h^2 (s1 - s0)/2 - 3 h (d0 + d1) + 6 delta, and cubic on
+    the top one, through zero rows; shape (..., 4, m)."""
+    delta, hd0, hd1 = (y1 - y0)[..., :-1], h * d0[..., :-1], h * d1[..., :-1]
+    hs0, hs1 = h * d0[..., 1:], h * d1[..., 1:]
+    rows = np.zeros((*y0.shape[:-1], 4, y0.shape[-1]))
+    rows[..., 0, :-1] = 0.5 * h * hs0 + (2.0 * hd0 + hd1) - 3.0 * delta
+    rows[..., 1, :-1] = 0.5 * h * (hs1 - hs0) - 3.0 * (hd0 + hd1) + 6.0 * delta
+    return rows
 
 
 def _bisect_level(value, level, lo, hi):
@@ -663,9 +642,9 @@ def _integrate_events(
     f = y[1:] + [rhs(t, y)]
     evals += 1
     # dense[i] is the continuous extension's h D K for the cell ending at
-    # ts[i+1]; a cell the integrator did not step across gets nan: Hermite
+    # ts[i+1]: the step's own, or for a cell the integrator did not step
+    # across its Hermite rows (zero on a restart's zero-width cell)
     ts, ys, dys, dense = [t], [y], [f], []
-    hermite = [math.nan] * (4 * p.m)
 
     # initial escape check (data may already sit above thresholds)
     level = escape_threshold
@@ -702,7 +681,7 @@ def _integrate_events(
             ts.append(t)
             ys.append(y)
             dys.append(f)
-            dense.append(hermite)
+            dense.append([0.0] * (4 * p.m))
         while t < seg_end:
             # min and max written as the builtins pick, without their calls
             h = seg_end - t if seg_end - t < h else h
@@ -755,7 +734,8 @@ def _integrate_events(
                 ts.append(t_star)
                 ys.append(y_star)
                 dys.append(y_star[1:] + [rhs(min(t_star, hi), y_star)])
-                dense.append(hermite)
+                # the step's extension ends at t_new, not at the crossing
+                dense.append(_hermite_rows(t_star - t, *np.array([y, y_star, f, dys[-1]])).ravel().tolist())
                 evals += 1
                 return finish("escape", t_star, level)
 
@@ -874,6 +854,10 @@ def detect_blowup(
     )
 
 
+# the n = 2 tail's panel edges in z, x = 1 - z^2, over x in [1/2, 1]
+_Z_EDGES = (0.0, *(4.0 ** -j for j in range(27, 0, -1)), math.sqrt(0.5))
+
+
 def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], float]]:
     """T* as a function of a time t and the state y there, where the
     integral test's tail gives T* - t exactly; else None.
@@ -887,9 +871,13 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
       u_M^(lam+1)), with v = y[k+1] and kappa = 2c/(lam+1), gives T* - t =
       int_{u_M}^inf ds / u'.  With s = u_M x^(-beta), beta = 2/(lam-1), and
       e = kappa u_M^(lam+1), this is the bounded integral
-      beta u_M / sqrt(e) * int_0^1 dx / sqrt(1 + (v^2/e - 1) x^(2 beta + 2)),
-      taken on :func:`blowup.quadrature.integral`; e enters through its
-      logarithm, so no power of u_M overflows.
+      beta u_M / sqrt(e) * int_0^1 dx / sqrt(1 + (v^2/e - 1) x^K), K =
+      2 beta + 2, taken on :func:`blowup.quadrature.integral`; e enters
+      through its logarithm, so no power of u_M overflows.  Past x = 1/2 it
+      is taken in z, x = 1 - z^2, where 1 - x^K = -expm1(K log1p(-z^2)) has
+      no cancellation however small v^2/e is, on panels with edges at the
+      powers 4^-j down to 4^-27, so that each scale at which v^2/e can take
+      over from 1 - x^K, z ~ sqrt(v^2 / (e K)), starts panels of its own.
     The returned function gives nan for a t before that breakpoint and for a
     state it cannot finish from: u_M <= 0, v <= 0 for n = 2, or a tail that
     fails numerically or overflows (v^2 / e past the float range).
@@ -912,6 +900,7 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
     elif n == 2 and power:
         lam = h.params[0]
         beta = 2.0 / (lam - 1.0)
+        K = 2.0 * beta + 2.0
 
         def tail(y):
             u, v = float(y[k]), float(y[k + 1])
@@ -919,8 +908,10 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
                 return math.nan
             half_log_e = 0.5 * (math.log(2.0 * c / (lam + 1.0)) + (lam + 1.0) * math.log(u))
             r2 = math.exp(2.0 * (math.log(v) - half_log_e))  # v^2 / e
-            bounded = integral(lambda x: (1.0 + (r2 - 1.0) * x ** (2.0 * beta + 2.0)) ** -0.5, [0.0, 1.0])
-            return beta * math.exp(math.log(u) - half_log_e) * bounded
+            near = integral(lambda x: (1.0 + (r2 - 1.0) * x ** K) ** -0.5, [0.0, 0.5])
+            far = integral(lambda z: 2.0 * z / np.sqrt(-np.expm1(K * np.log1p(-z * z)) + r2 * (1.0 - z * z) ** K),
+                           _Z_EDGES)
+            return beta * math.exp(math.log(u) - half_log_e) * (near + far)
     else:
         return None
     after = max(q.breakpoints, default=0.0)

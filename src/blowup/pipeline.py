@@ -87,10 +87,11 @@ def lift_solution(u: Trajectory, a_low: Sequence[float], k: int) -> Trajectory:
     Returns a trajectory with k + u.m components: component i < k is the
     i-th derivative of the lift, components k.. are u's own.  For k = 0 the
     input is returned unchanged.  The lift is taken on u's nodes by the
-    O(h^4) repeated-integration rule and has Hermite dense output, so its
-    accuracy is that of u's grid: an integrator trajectory's nodes are its
-    steps, far wider than the tower grids the pipeline lifts; sample its
-    dense output on a finer grid first.
+    O(h^4) repeated-integration rule, and its dense output is the Hermite
+    interpolant of the node values and derivatives, so its accuracy is that
+    of u's grid: an integrator trajectory's nodes are its steps, far wider
+    than the tower grids the pipeline lifts; sample its dense output on a
+    finer grid first.
     """
     k = check_int("k", k, 0)
     if k == 0:

@@ -247,6 +247,14 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["batch", "--configs", str(bad), "--out", str(out)]) == 2
 
+    def test_majorize_from_data_past_the_escape_threshold(self, tmp_path, capsys):
+        # u escapes at t = 0 with a one-node trajectory: the run reports the
+        # companion's escape and exits 2
+        cfg = tmp_path / "escaped.cfg"
+        cfg.write_text("h = power(2.0)\nn = 1\na = [1e13]\nq = constant(1.0)\n")
+        assert main(["majorize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "companion solution escaped at t=0.0" in capsys.readouterr().err
+
 
 # every flag of every subcommand, with a value and the config key it must set
 FLAGS = {

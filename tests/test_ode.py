@@ -510,6 +510,18 @@ class TestIntegrate:
             traj(1.5)
 
 
+def assert_cells_return_their_ends(traj):
+    """Every cell's extension, from its rows in ``traj.dense``, is finite and
+    returns the cell's end states bitwise at th = 0 and 1."""
+    ts, ys, dys, dense = traj.ts, traj.ys, traj.dys, traj.dense
+    assert np.isfinite(dense).all()
+    h = np.diff(ts)[:, None]
+    F = ode._coefficients(h, ys[:-1], ys[1:], dys[:-1], dys[1:], dense.transpose(1, 0, 2))
+    for th, end in ((0.0, ys[:-1]), (1.0, ys[1:])):
+        got = ode._continuous(np.full_like(h, th), ys[:-1], ys[1:], F)
+        assert got.tobytes() == end.tobytes()
+
+
 class TestDenseOutput:
     def test_quintic_on_lower_components(self):
         traj = integrate(cosh_problem(), 6.0, 1e-9)
@@ -520,7 +532,7 @@ class TestDenseOutput:
 
     def test_first_cell_after_a_jump(self):
         # w' = q(t) is piecewise linear; the cell after the jump must start
-        # from the right-limit slope, so cubic Hermite is exact there
+        # from the right-limit slope, so its extension is exact there
         q = make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])
         p = ProblemSpec(m=1, k=0, a=(0.0,), q=q, h=make_power(0))
         traj = integrate(p, 2.0, 1e-10)
@@ -574,22 +586,68 @@ class TestDenseOutput:
                      h=make_power_log(PowerFamilyParams(1.5, 1.0))), 1.5),
     ], ids=["cosh", "escape", "restarts"])
     def test_each_cell_returns_its_ends_bitwise(self, p, T):
-        # every stepped cell's extension at th = 0 and 1; Hermite (a nan row)
-        # on the zero-width restart cells and on the cell that ends at an escape
+        # every cell's extension at th = 0 and 1: a stepped cell's own rows,
+        # zero rows on the zero-width restart cells and Hermite rows on the
+        # cell that ends at an escape; no row is nan
         res = integrate(p, T, 1e-9)
         traj = getattr(res, "trajectory", res)
         ts, ys, dys, dense = traj.ts, traj.ys, traj.dys, traj.dense
         assert dense.shape == (len(ts) - 1, 4, p.m)
-        hermite = np.isnan(dense).all(axis=(1, 2))
-        escaped = isinstance(res, BlowupEvent)
-        assert hermite.tolist() == [bool(w == 0.0) for w in np.diff(ts)][:-1] + [escaped]
-        assert not np.isnan(dense[~hermite]).any()
-        h = np.diff(ts)[:, None]
-        F = ode._coefficients(h, ys[:-1], ys[1:], dys[:-1], dys[1:], dense.transpose(1, 0, 2))
-        for th, end in ((0.0, ys[:-1]), (1.0, ys[1:])):
-            got = ode._continuous(np.full_like(h, th), ys[:-1], ys[1:], F)
-            assert got[~hermite].tobytes() == end[~hermite].tobytes()
+        assert not np.isnan(dense).any()
+        restart = np.diff(ts) == 0.0
+        assert restart.any() == bool(p.q.breakpoints)
+        assert not dense[restart].any()
+        assert_cells_return_their_ends(traj)
         assert traj(ts).tobytes() == ys.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        coef=st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6),
+        nodes=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=12, unique=True),
+        th=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+    )
+    def test_grid_cells_reproduce_polynomials(self, coef, nodes, th):
+        # a grid-built trajectory of (w, w'): quintic on w, whose second
+        # derivative the state holds, so w of degree 5 comes back; cubic on
+        # w', so both components do for w of degree 4
+        ts = np.array(sorted(nodes))
+        t = ts[0] + (ts[-1] - ts[0]) * np.array(th)
+        for degree, exact in ((5, 1), (4, 2)):
+            w = np.polynomial.Polynomial(coef[:degree + 1])
+            ys = np.column_stack([w(ts), w.deriv()(ts)])
+            dys = np.column_stack([w.deriv()(ts), w.deriv(2)(ts)])
+            traj = Trajectory(ts=ts, ys=ys, dys=dys, m=2, tol=1e-9)
+            want = np.column_stack([w(t), w.deriv()(t)])
+            scale = 1.0 + np.abs(coef[:degree + 1]) @ (np.arange(degree + 1) + 1.0) * 2.0 ** degree
+            assert np.all(np.abs(traj(t) - want)[:, :exact] <= 1e-13 * scale)
+            assert traj(ts).tobytes() == ys.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 3), data=st.data(), lam=st.floats(0.5, 3.0), a=st.floats(0.1, 4.0),
+        c=st.floats(0.25, 4.0), jump=st.one_of(st.none(), st.floats(0.05, 2.0)),
+    )
+    def test_integrator_cells_have_finite_rows_and_return_their_ends(self, m, data, lam, a, c, jump):
+        # w^(m) = q w^(k)^lam to T = 30: escapes for lam >= 1 within the span
+        # (the escape cell ends at the crossing), restarts at q's jump
+        k = data.draw(st.integers(0, m - 1))
+        q = make_constant(c) if jump is None else make_piecewise([((0, jump), c), ((jump, math.inf), 2.0 * c)])
+        res = integrate(ProblemSpec(m=m, k=k, a=(a,) * m, q=q, h=make_power(lam)), 30.0, 1e-9)
+        traj = getattr(res, "trajectory", res)
+        assert_cells_return_their_ends(traj)
+        assert traj(traj.ts).tobytes() == traj.ys.tobytes()
+
+    def test_one_node_trajectory_evaluates_at_its_node(self):
+        # data past the escape threshold escapes at t = 0, with no cell
+        res = integrate(ProblemSpec(m=1, k=0, a=(1e13,), q=ONE, h=make_power(2)), 1.0)
+        assert isinstance(res, BlowupEvent) and res.t_event == 0.0
+        traj = res.trajectory
+        assert traj.ts.tolist() == [0.0] and traj.dense.shape == (0, 4, 1)
+        assert traj(0.0).tobytes() == traj.ys[0].tobytes()
+        assert traj(np.zeros(3)).tobytes() == np.repeat(traj.ys, 3, axis=0).tobytes()
+        assert traj.crossing(1e13, 0.0) == 0.0
+        with pytest.raises(InvalidParameterError):
+            traj(1.0)
 
 
 class TestCrossing:
@@ -734,16 +792,22 @@ class TestDetectBlowup:
 def energy_blowup_time(lam, a0, a1, c):
     """T* of w'' = c w^lam, w(0) = a0, w'(0) = a1, not both 0, in mpmath: the
     energy integral int_a0^inf ds / sqrt(a1^2 + kappa (s^(lam+1) - a0^(lam+1))),
-    kappa = 2c/(lam+1), taken in y = log(s/a0), or in s itself for a0 = 0."""
+    kappa = 2c/(lam+1), taken in y = log(s/a0), or in s itself for a0 = 0.
+    In y the integrand bends where a1^2 stops dominating, near
+    y_b = log(1 + a1^2 / e) / (lam + 1) with e = kappa a0^(lam+1), so
+    y_b 2^j, j = -8..2, are breakpoints too."""
     with mpmath.workdps(30):
         lam, a0, a1, c = (mpmath.mpf(x) for x in (lam, a0, a1, c))
         kappa = 2 * c / (lam + 1)
+        points = [0, 1, 10, 100, 1000]
         if a0 == 0:
             f = lambda s: 1 / mpmath.sqrt(a1 ** 2 + kappa * s ** (lam + 1))
         else:
-            f = lambda y: a0 * mpmath.exp(y) / mpmath.sqrt(
-                a1 ** 2 + kappa * a0 ** (lam + 1) * mpmath.expm1((lam + 1) * y))
-        return float(mpmath.quad(f, [0, 1, 10, 100, 1000, mpmath.inf]))
+            e = kappa * a0 ** (lam + 1)
+            f = lambda y: a0 * mpmath.exp(y) / mpmath.sqrt(a1 ** 2 + e * mpmath.expm1((lam + 1) * y))
+            y_b = mpmath.log1p(a1 ** 2 / e) / (lam + 1)
+            points += [y_b * 2 ** j for j in range(-8, 3) if y_b > 0]
+        return float(mpmath.quad(f, sorted(points) + [mpmath.inf]))
 
 
 class TestTailOracle:
@@ -774,6 +838,26 @@ class TestTailOracle:
         lo, hi = rep.t_blow_interval
         assert lo <= exact <= hi
         assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-9)
+
+    def test_second_order_speed_far_below_the_energy_scale(self):
+        # w'' = w^2 from (1e13, 1): v^2 / e ~ 1.5e-39, so 1 + (v^2/e - 1) x^K
+        # would round to 0 at x = 1
+        p = ProblemSpec(m=2, k=0, a=(1e13, 1.0), q=ONE, h=make_power(2))
+        rep = detect_blowup(p)
+        assert rep.t_blow_method == "tail"
+        assert rep.t_blow_estimate == pytest.approx(energy_blowup_time(2, 1e13, 1, 1), rel=1e-13)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(lam=st.floats(1.1, 4.0), log_u=st.floats(-2.0, 14.0), log_v=st.floats(-3.0, 12.0),
+           c=st.floats(0.25, 4.0))
+    @example(lam=2.5, log_u=3.0, log_v=0.0, c=1.5)
+    @example(lam=1.49, log_u=9.544, log_v=4.88, c=1.41)
+    def test_second_order_tail_on_every_scale(self, lam, log_u, log_v, c):
+        # the tail from (u, v) = (10^log_u, 10^log_v) is the energy integral
+        # from u, whatever v^2 / e, to a few units of the last place
+        u, v = 10.0 ** log_u, 10.0 ** log_v
+        tail = ode._tail_rule(ProblemSpec(m=2, k=0, a=(u, v), q=make_constant(c), h=make_power(lam)))
+        assert tail(0.0, (u, v)) == pytest.approx(energy_blowup_time(lam, u, v, c), rel=1e-13)
 
 
 class TestRungIndependence:
