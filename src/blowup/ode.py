@@ -438,8 +438,9 @@ class Trajectory:
 
         The first node at or after ``lo`` where w >= level ends the cell, so a
         non-monotone w gets its first crossing at the nodes' resolution; the
-        cell is then bisected on floats, on the interpolant this trajectory's
-        dense output evaluates there, by :func:`_bisect_level`.  Raises
+        crossing inside the cell is then found on floats, on the interpolant
+        this trajectory's dense output evaluates there, by safeguarded false
+        position (:func:`_find_level`).  Raises
         InvalidParameterError when no node in [lo, t_end] reaches the level.
         """
         w, i = self.ys[:, 0], int(np.searchsorted(self.ts, lo))
@@ -455,10 +456,10 @@ class Trajectory:
             rows = _hermite_rows(cell[0], self.ys[i - 1], self.ys[i], self.dys[i - 1], self.dys[i])
         else:
             rows = self.dense[i - 1]
-        # bisect the residual w - level, taken from the nearer end: a level
-        # that a node's w equals is crossed at that node
+        # find the root of the residual w - level, taken from the nearer end:
+        # a level that a node's w equals is crossed at that node
         below = (cell[1] - level, cell[2] - level, _coefficients(*cell, rows[:, 0].tolist()))
-        return _bisect_level(lambda t: _continuous((t - t0) / cell[0], *below), 0.0, max(float(lo), t0), hi)
+        return _find_level(lambda t: _continuous((t - t0) / cell[0], *below), 0.0, max(float(lo), t0), hi)
 
     def component(self, i: int):
         """Callable t -> w^(i)(t)."""
@@ -549,8 +550,8 @@ def _step_cell(t0, t1, y0, y1, d0, d1, dense):
 def _crossing_time(cell, t0, t1, level):
     """First time the largest component of a step's continuous extension
     ``cell`` (see :func:`_step_cell`) reaches ``level`` in [t0, t1], by
-    :func:`_bisect_level`."""
-    return _bisect_level(lambda t: max(cell(t)), level, t0, t1)
+    safeguarded false position on floats (:func:`_find_level`)."""
+    return _find_level(lambda t: max(cell(t)), level, t0, t1)
 
 
 def _hermite_rows(h, y0, y1, d0, d1):
@@ -569,14 +570,36 @@ def _hermite_rows(h, y0, y1, d0, d1):
     return rows
 
 
-def _bisect_level(value, level, lo, hi):
-    """Bisect [lo, hi] on floats, keeping value < level at lo and >= level at
-    hi, until the midpoint no longer splits the bracket; returns hi."""
+def _find_level(value, level, lo, hi):
+    """Shrink [lo, hi] on floats, keeping value < level at lo and >= level at
+    hi, until the midpoint no longer splits the bracket; returns hi.
+
+    Each point is the false-position point of the bracket, with the Illinois
+    rule (an end kept twice in a row has its residual halved, so both ends
+    close in).  A bisection step is taken instead when that point is not
+    strictly inside the bracket, or when the end residuals do not bracket the
+    level (a lo where value >= level after all), until they do.  Where value
+    is monotone the result is the first float at which it reaches the level,
+    the same as bisecting down to adjacent floats; on the integrator's cells
+    it takes about a third of the evaluations."""
+    r_lo, r_hi, kept = value(lo) - level, value(hi) - level, 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if value(mid) < level:
-            lo = mid
+        t = mid
+        if r_lo < 0.0 <= r_hi:
+            t = hi - r_hi * ((hi - lo) / (r_hi - r_lo))
+            if not lo < t < hi:
+                t = mid
+        r = value(t) - level
+        if r < 0.0:
+            lo, r_lo = t, r
+            if kept < 0:
+                r_hi *= 0.5
+            kept = -1
         else:
-            hi = mid
+            hi, r_hi = t, r
+            if kept > 0:
+                r_lo *= 0.5
+            kept = 1
     return hi
 
 
@@ -713,7 +736,7 @@ def _integrate_events(
             t_new = t + h
             # threshold crossings inside this step, on its continuous
             # extension (components are monotone in the intended regime;
-            # bisection is robust regardless)
+            # the bracket kept by _find_level makes it robust regardless)
             ask = tail
             cell = None
             while pending and max(y_new) >= pending[0]:

@@ -101,18 +101,24 @@ def solve_autonomous_quadrature(
 ) -> np.ndarray:
     """Invert F(U) = t for each finite target t >= 0.
 
-    F is tabulated once per call in the log abscissa y = log s, which keeps
-    the panels well-scaled over many decades: panels of width 0.125 (edges
-    also at log of g's breakpoints) by :func:`blowup.quadrature.panels`, a
-    running sum grown until F passes the largest target.  All targets are
-    then solved at once by bracketed Newton steps with the analytic
-    F' = g(U)^(-1/n) U^(1/n-1) / n.
+    F is tabulated in the log abscissa y = log s, which keeps the panels
+    well-scaled over many decades: panels of width 0.125 (edges also at log
+    of g's breakpoints) by :func:`blowup.quadrature.panels`, a running sum
+    grown until F passes the largest target.  All targets are then solved at
+    once by bracketed Newton steps with the analytic
+    F' = g(U)^(-1/n) U^(1/n-1) / n.  The last table built is kept, keyed by
+    the identity of g and by (n, u0, largest target), so a second call with
+    the same g up to the same largest target (a tower's escape check at T,
+    then its final grid, which ends at T) builds no table.
 
     If F stays below a target up to y = Y_CAP, the tail on the same panels up
     to y = 709 and :func:`blowup.quadrature.rest` past it decide:
     FiniteEscapeError when F is shown to converge to some t_max <
     max(t_targets), so the majorant itself reaches infinity at the finite
-    time t_max (carried on the exception), else BracketFailureError.
+    time t_max (carried on the exception), else BracketFailureError, whose
+    message says when F is still below the target at s = e^709 with a tail
+    that cannot be shown to converge: a majorant that diverges too slowly
+    to reach the target inside the float range.
     """
     n = check_int("n", n)
     if not (0.0 < u0 < math.inf):
@@ -126,6 +132,28 @@ def solve_autonomous_quadrature(
     live = np.flatnonzero(targets > 0.0)
     if not len(live):
         return out
+    f, E, C = _f_table(g, n, float(u0), targets)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(0, len(live), _SLICE):
+            idx = live[i : i + _SLICE]
+            out[idx] = np.maximum(u0, np.exp(_newton(f, n, E, C, targets[idx], *gauss_rules()[0])))
+    return out
+
+
+# the last F table: (g, n, u0, t_max, (f, E, C)), replaced whole
+_TABLE: Optional[tuple] = None
+
+
+def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
+    """(f, E, C): f is n times F's integrand in y, E the table's panel edges
+    and C the values of F there, grown until F passes every target (see
+    :func:`solve_autonomous_quadrature`, which raises what this raises).  The
+    table is built once for each g, n, u0 and largest target in a row."""
+    global _TABLE
+    t_max = float(targets.max())
+    memo = _TABLE
+    if memo is not None and memo[0] is g and memo[1:4] == (n, u0, t_max):
+        return memo[4]
 
     def f(y):  # n times F's integrand in y, e^(y/n) g(e^y)^(-1/n); 0 where g is inf
         s = np.exp(y)
@@ -135,7 +163,7 @@ def solve_autonomous_quadrature(
             raise NumericFailureError(f"g({float(s.flat[i])!r}) = {float(gv.flat[i])!r} not positive")
         return np.exp(y / n) * gv ** (-1.0 / n)
 
-    t_max, bps = float(targets.max()), np.log([bp for bp in g.breakpoints if bp > 0.0])
+    bps = np.log([bp for bp in g.breakpoints if bp > 0.0])
     # g may overflow to inf far out, where the integrand is 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lefts, cums, y, c_last = [], [[0.0]], math.log(u0), 0.0
@@ -153,19 +181,21 @@ def solve_autonomous_quadrature(
             t = float(targets[targets > c_last].min())
             total = c_last + quad(f, np.append(np.arange(y, 709.0, _PANEL), max(709.0, y))) / n
             samples = f(np.arange(math.log(u0), max(709.0, math.log(u0) + 1.0)))
-            if rest(samples) <= QUAD_TOL * n * total and total < t:
+            converges = rest(samples) <= QUAD_TOL * n * total
+            if converges and total < t:
                 raise FiniteEscapeError(f"majorant escapes at finite time ~{total!r} < target {t!r}",
                                         escape_time=total)
             why = ""
             if len(samples) and not samples.any():  # f is 0 only where g is inf
                 why = f": g overflows from s ~ {u0!r}, so F's tail cannot be shown to converge"
+            elif not converges and total < t:
+                why = (": F is still below t at s = e^709 and its tail cannot be shown to converge,"
+                       " so the majorant leaves the float range before t")
             raise BracketFailureError(f"could not bracket target t={t!r} below the overflow cap{why}")
 
-        E, C = np.append(np.concatenate(lefts), y), np.concatenate(cums)
-        for i in range(0, len(live), _SLICE):
-            idx = live[i : i + _SLICE]
-            out[idx] = np.maximum(u0, np.exp(_newton(f, n, E, C, targets[idx], *gauss_rules()[0])))
-    return out
+    table = (f, np.append(np.concatenate(lefts), y), np.concatenate(cums))
+    _TABLE = (g, n, u0, t_max, table)
+    return table
 
 
 def _newton(f, n: int, E: np.ndarray, C: np.ndarray, t: np.ndarray, x, w) -> np.ndarray:
@@ -335,7 +365,9 @@ def picard_solve(
     Raises FiniteEscapeError if the quadrature majorant fails to exist on
     [0, T] (the divergence hypothesis fails numerically); that is checked
     once, at T, before the first tower is built.  The majorant itself is
-    inverted once, on the grid the ladder stops at.
+    inverted once, on the grid the ladder stops at; that grid ends at T, so
+    the inversion reuses the F table the escape check built (see
+    :func:`solve_autonomous_quadrature`): one table per solve.
     """
     n = check_int("n", n)
     if not (T > 0.0):
@@ -372,7 +404,8 @@ def picard_solve(
     graded = b[0] == 0.0 and _singular_at_zero(h)
 
     # F is increasing, so the majorant escapes before some grid node exactly
-    # when it escapes before T: one target settles escape for every grid
+    # when it escapes before T: one target settles escape for every grid, and
+    # the F table it builds is kept for the final grid's inversion
     solve_autonomous_quadrature(g, n, u0_maj, [T])
 
     # every segment doubles its cells, so coarse node i is fine node 2i
@@ -484,10 +517,11 @@ def _run_tower(h, b, q, grid, tol, max_iter) -> list:
                 v_new += weighted_volterra(f, n, grid)
             else:
                 v_new += partial_volterra(f, n, grid[i0 : i1 + 1], grid) / math.factorial(n - 1)
-        if not np.all(np.isfinite(v_new)):
+        gap = abs(v_new - iterates[-1]).max()  # nan or inf when v_new is not finite
+        if not math.isfinite(gap):
             raise NumericFailureError("Picard iterate became non-finite")
         iterates.append(v_new)
-        if float(np.max(np.abs(v_new - iterates[-2]))) <= tol:
+        if gap <= tol:
             break
     return iterates
 

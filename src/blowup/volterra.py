@@ -19,10 +19,11 @@ gather, a weighted sum and a cumulative sum per order: O(N * p) on any
 grid.  The rule is exact for piecewise-cubic phi and O(h^4) for smooth phi,
 on uniform or non-uniform grids.
 
-The weights of the last few grids are cached by grid content; a Picard
-tower applies the kernel to one grid many times, and a cached grid is not
-checked again.  Results are the same, bit for bit, whether the weights come
-from the cache or a fresh build.
+The weights of recently used grids are cached by grid content, up to a
+fixed memory budget that holds a whole Picard grid ladder: a tower applies
+the kernel to one grid many times, and towers on the same interval climb
+the same ladder.  A cached grid is not checked again.  Results are the same,
+bit for bit, whether the weights come from the cache or a fresh build.
 
 :func:`integral_image` writes the library's operator once: the seed
 polynomial plus the blockwise Volterra image, for every derivative order,
@@ -51,17 +52,26 @@ class _Weights(NamedTuple):
     W: np.ndarray       # (order, w, cells): inc_r[j] = sum_s W[r-1, s, j] phi[lo_j + s]
     taylor: np.ndarray  # (order - 1, cells): h_j^s / s!, s = 1..order-1
 
+    @property
+    def nbytes(self) -> int:
+        return self.idx.nbytes + self.W.nbytes + self.taylor.nbytes
+
 
 # Weights are a function of the grid alone, and a Picard tower applies the
-# kernel to one grid 10-20 times, so they are kept for the last _SLOTS grids,
-# keyed by content (a grid array changed in place is a new key).  Four slots,
-# because the blocks of a piecewise coefficient are separate sub-grids that
-# alternate on every iteration.  An entry is built whole before it is
-# inserted, and entries are only ever inserted or popped whole, so callers on
-# other threads never see a partial one.  Results do not depend on what is
-# cached: an entry for order p holds the same arrays, bit for bit, as a
-# fresh build for any lower order.
-_SLOTS = 4
+# kernel to one grid 10-20 times, so they are kept by grid content (a grid
+# array changed in place is a new key), least recently used first out, while
+# the entries together stay within _CACHE_BYTES; the newest entry is always
+# kept.  An entry is O(order * N), 144 bytes a node at order 3, so a whole
+# grid ladder from 129 nodes up to the 16385-node cap takes ~4.7 MB at that
+# order: the budget holds one with the sub-grids of a piecewise coefficient's
+# blocks (which alternate on every iteration) and a second ladder, so towers
+# on the same grids (the uniform and the graded ladder of one T) build each
+# grid's weights once.  An entry is built whole before it is inserted, and
+# entries are only ever inserted or popped whole, so callers on other threads
+# never see a partial one.  Results do not depend on what is cached: an entry
+# for order p holds the same arrays, bit for bit, as a fresh build for any
+# lower order.
+_CACHE_BYTES = 16 << 20
 _WEIGHTS: dict = {}
 
 
@@ -117,13 +127,12 @@ def _carry(phi: np.ndarray, p: int, wts: _Weights) -> np.ndarray:
     + inc_r[j], the last term being the weighted stencil sum of
     :func:`_grid_weights`.
     """
-    stencil = phi[wts.idx]
+    inc = np.einsum("rsj,sj->rj", wts.W[:p], phi[wts.idx])  # every order in one pass
     Y = np.zeros((p, len(phi)))
-    for r in range(1, p + 1):
-        inc = np.einsum("sj,sj->j", wts.W[r - 1], stencil)
-        for s in range(1, r):
-            inc += Y[r - s - 1, :-1] * wts.taylor[s - 1]
-        np.cumsum(inc, out=Y[r - 1, 1:])
+    for r in range(p):
+        for s in range(1, r + 1):
+            inc[r] += Y[r - s, :-1] * wts.taylor[s - 1]
+        inc[r].cumsum(out=Y[r, 1:])
     return Y
 
 
@@ -155,14 +164,18 @@ def _checked(phi, p: int, grid, key):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.shape:
         raise InvalidParameterError("phi must be sampled on the grid")
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise NumericFailureError("non-finite phi samples")
     p, entry = int(p), _WEIGHTS.pop(key, None)
-    if entry is None or entry.order < p:
-        entry = _grid_weights(grid, p)
-    _WEIGHTS[key] = entry  # most recently used last
-    for stale in list(_WEIGHTS)[:-_SLOTS]:
-        _WEIGHTS.pop(stale, None)
+    if entry is not None and entry.order >= p:
+        _WEIGHTS[key] = entry  # most recently used last
+        return phi, p, grid, entry
+    _WEIGHTS[key] = entry = _grid_weights(grid, p)
+    kept = 0
+    for k, e in reversed(list(_WEIGHTS.items())):  # newest first
+        kept += e.nbytes
+        if kept > _CACHE_BYTES and e is not entry:
+            _WEIGHTS.pop(k, None)
     return phi, p, grid, entry
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -677,6 +677,71 @@ class TestCrossing:
             t, want = traj.crossing(level, lo), self.oracle(traj, level, lo)
             assert abs(t - want) <= 1e-14 * want
             lo = t
+
+    @staticmethod
+    def float_bisection(value, level, lo, hi):
+        """(hi, evaluations) of bisecting [lo, hi] on floats, value < level
+        kept at lo and >= level at hi, until the midpoint no longer splits it."""
+        evals = 0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            evals += 1
+            if value(mid) < level:
+                lo = mid
+            else:
+                hi = mid
+        return hi, evals
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        lo=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+        width=st.floats(1e-8, 10.0),
+        monotone=st.booleans(),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        scale=st.floats(-3.0, 3.0),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_find_level_on_drawn_cells(self, lo, width, monotone, coeffs, scale, frac):
+        # a monotone cell is a polynomial in th = (t - lo)/width with
+        # coefficients >= 0, nondecreasing in floats too; any other cell is a
+        # continuous extension with drawn coefficients, which may wiggle.
+        # Either way the result is a float at which the value has reached the
+        # level, one float after a point where it has not; on a monotone cell
+        # it is the first such float.  The false-position steps spend at most
+        # twice the evaluations of plain float bisection, ends included (about
+        # a third of them on the integrator's cells)
+        hi = lo + width
+        if monotone:
+            c = [abs(x) ** 3 * 10.0 ** scale for x in coeffs]
+
+            def value(t):
+                th, acc = (t - lo) / width, 0.0
+                for ck in reversed(c):
+                    acc = acc * th + ck
+                return acc
+        else:
+            y1 = 10.0 ** scale
+            F = [y1] + [8.0 * y1 * x for x in coeffs[2:]]
+
+            def value(t):
+                return ode._continuous((t - lo) / width, 0.0, y1, F)
+
+        a, b = value(lo), value(hi)
+        level = a + (b - a) * frac
+        assume(a < level <= b)
+        want, bisections = self.float_bisection(value, level, lo, hi)
+        evals = 0
+
+        def counted(t):
+            nonlocal evals
+            evals += 1
+            assert evals <= 2 * bisections + 2, "evaluation bound exceeded"
+            return value(t)
+
+        r = ode._find_level(counted, level, lo, hi)
+        assert lo < r <= hi
+        assert value(r) >= level and value(math.nextafter(r, lo)) < level
+        if monotone:
+            assert r == want
 
     def test_level_at_a_node(self):
         traj = integrate(cosh_problem(), 2.0, 1e-9)

@@ -119,10 +119,14 @@ class TestQuadratureInversion:
                 "could not bracket target t=1.0 below the overflow cap: g overflows from "
                 f"s ~ {u0!r}, so F's tail cannot be shown to converge"
             )
-        # a finite tail that merely fails to converge keeps the plain message
+        # a finite tail that fails to converge says that F stays below t in floats
         with pytest.raises(BracketFailureError) as exc:
             solve_autonomous_quadrature(make_power(1.0), 1, 1.0, [1e300])
-        assert str(exc.value) == "could not bracket target t=1e+300 below the overflow cap"
+        assert str(exc.value) == (
+            "could not bracket target t=1e+300 below the overflow cap: F is still below t at "
+            "s = e^709 and its tail cannot be shown to converge, so the majorant leaves the "
+            "float range before t"
+        )
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(
@@ -294,6 +298,42 @@ class TestPicardTower:
         # h = s^2 forces a finite-escape majorant: hypothesis fails
         with pytest.raises(FiniteEscapeError):
             picard_solve(make_power(2), 1, [1.0], 2.0, tol=1e-8)
+
+    def test_osgood_divergent_majorant_leaving_floats_is_named(self):
+        # I(h) diverges for h = s log s, but F grows like log log U: F is
+        # still below t = 1 when U leaves the float range
+        with pytest.raises(BracketFailureError) as exc:
+            picard_solve(parse_fn_spec("powerlog(1, 1)"), 1, [1.0], 1.0)
+        assert str(exc.value) == (
+            "could not bracket target t=1.0 below the overflow cap: F is still below t at "
+            "s = e^709 and its tail cannot be shown to converge, so the majorant leaves the "
+            "float range before t"
+        )
+
+    def test_one_f_table_per_solve(self, monkeypatch):
+        # the escape check at T builds F's table and the final grid, which
+        # ends at T, inverts on it: every panel of the table is summed once
+        import blowup.picard as picard
+
+        cuts, real = [], picard.panels
+        monkeypatch.setattr(picard, "panels", lambda f, c: cuts.append(c.tobytes()) or real(f, c))
+        tw = picard_solve(make_power(1), 2, [1.0, 1.0], 3.0, tol=1e-9)
+        assert len(tw.grid) > 129 and tw.grid[-1] == 3.0
+        assert cuts and len(set(cuts)) == len(cuts)
+
+    def test_second_solve_builds_no_kernel_weights(self, monkeypatch):
+        # every level of a repeated solve finds its weights cached
+        from blowup import volterra
+
+        builds, real = [], volterra._grid_weights
+        monkeypatch.setattr(volterra, "_grid_weights", lambda grid, p: builds.append(len(grid)) or real(grid, p))
+        monkeypatch.setattr(volterra, "_WEIGHTS", {})
+        first = picard_solve(make_power(0.5), 3, [0.0, 1.0, 1.0], 2.0, tol=1e-9, majorant_b=[1.0, 1.0, 1.0])
+        assert builds == [lv.nodes for lv in first.levels] and len(builds) >= 4
+        builds.clear()
+        again = picard_solve(make_power(0.5), 3, [0.0, 1.0, 1.0], 2.0, tol=1e-9, majorant_b=[1.0, 1.0, 1.0])
+        assert builds == [] and again.levels == first.levels
+        assert np.array_equal(again.solution, first.solution)
 
     def test_majorant_inverted_once_on_the_returned_grid(self, monkeypatch):
         # one target at T settles escape; the majorant is inverted on the

@@ -5,7 +5,7 @@ import pytest
 
 from blowup.classify import Verdict
 from blowup.errors import InvalidParameterError, NumericFailureError, StageError
-from blowup.functions import make_constant, make_custom, make_piecewise, make_power
+from blowup.functions import make_constant, make_custom, make_piecewise, make_power, parse_fn_spec
 from blowup.ode import ProblemSpec, Trajectory, integrate
 from blowup.pipeline import (
     lift_solution,
@@ -23,6 +23,10 @@ LOG_BORDER = make_custom(
     nondecreasing=True,
     asymptotic_exponent=1.0,
     label="log-border",
+)
+FLOAT_RANGE_NOTE = (
+    ": F is still below t at s = e^709 and its tail cannot be shown to converge, "
+    "so the majorant leaves the float range before t"
 )
 SMALL_NOTE = (
     "initial data are small; the convergent regime guarantees "
@@ -337,6 +341,14 @@ class TestPipeline:
             run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1)), horizon=1.0)
         assert exc.value.stage == "majorize"
 
+    def test_osgood_divergent_majorant_leaving_floats_is_named(self):
+        # a divergent test makes the construction's failure the pipeline's own
+        h = parse_fn_spec("powerlog(1, 1)")
+        with pytest.raises(StageError) as exc:
+            run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=h), horizon=1.0)
+        assert exc.value.stage == "construct"
+        assert str(exc.value.cause) == "could not bracket target t=1.0 below the overflow cap" + FLOAT_RANGE_NOTE
+
     @pytest.mark.parametrize("h, a, horizon, label, notes, present", [
         (make_power(1), (1.0,), 1.0, "GlobalConstructed", (), {"construction", "majorization"}),
         (make_power(2), (1.0,), 5.0, "BlowUpDetected", (), {"blowup"}),
@@ -346,7 +358,7 @@ class TestPipeline:
          {"construction", "blowup", "majorization"}),
         (LOG_BORDER, (1.0,), 3.0, "Inconclusive",
          (INCONCLUSIVE_NOTE, "construction probe failed: stage 'construct' failed: "
-          "could not bracket target t=3.0 below the overflow cap"), {"blowup"}),
+          "could not bracket target t=3.0 below the overflow cap" + FLOAT_RANGE_NOTE), {"blowup"}),
     ])
     def test_one_row_per_label(self, h, a, horizon, label, notes, present):
         rep = run_pipeline(ProblemSpec(m=1, k=0, a=a, q=ONE, h=h), horizon=horizon)

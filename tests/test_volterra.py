@@ -132,6 +132,29 @@ class TestKernelContract:
         err = np.max(np.abs(warm - exact))
         assert err <= 1e-11 * max(scale, 1e-300)
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        cells=st.integers(1, 300),
+        grading=st.sampled_from([1, 2, 3]),
+        p=st.integers(1, 6),
+        seed=st.integers(0, 2 ** 32 - 1),
+        scale=st.floats(-30.0, 30.0),
+    )
+    def test_fused_carry_equals_one_order_at_a_time(self, cells, grading, p, seed, scale):
+        # the stencil sums of every order in one pass give the bits of one
+        # stencil sum per order, on uniform and graded grids
+        g = 2.0 * (np.arange(cells + 1) / cells) ** grading
+        phi = np.random.default_rng(seed).standard_normal(cells + 1) * 10.0 ** scale
+        wts = volterra._grid_weights(g, p)
+        stencil = phi[wts.idx]
+        want = np.zeros((p, cells + 1))
+        for r in range(1, p + 1):
+            inc = np.einsum("sj,sj->j", wts.W[r - 1], stencil)
+            for s in range(1, r):
+                inc += want[r - s - 1, :-1] * wts.taylor[s - 1]
+            np.cumsum(inc, out=want[r - 1, 1:])
+        assert np.array_equal(volterra._carry(phi, p, wts), want)
+
     def test_partial_targets_off_the_nodes(self):
         # targets before the span, between nodes, on a node and past the end:
         # the span integral runs up to the last node t_k <= t, kernel (t - tau)^(p-1)
@@ -223,15 +246,27 @@ class TestWeightCache:
             assert np.array_equal(weighted_volterra(phi, p, g), want[p])
         assert len(volterra._WEIGHTS) == 1
 
-    def test_more_grids_than_slots(self):
-        grids = [np.linspace(0.0, 1.0 + k, 33 + 8 * k) for k in range(volterra._SLOTS + 2)]
+    def test_more_grids_than_slots(self, monkeypatch):
+        # a budget of four entries of these equal-sized grids keeps the four
+        # most recently used
+        grids = [np.linspace(0.0, 1.0 + k, 65) for k in range(6)]
+        monkeypatch.setattr(volterra, "_CACHE_BYTES", 4 * volterra._grid_weights(grids[0], 2).nbytes)
         want = [cold(weighted_volterra, np.cos(g), 2, g) for g in grids]
         volterra._WEIGHTS.clear()
         for order in (range(len(grids)), reversed(range(len(grids))), range(len(grids))):
             for k in order:
                 g = grids[k]
                 assert np.array_equal(weighted_volterra(np.cos(g), 2, g), want[k])
-        assert len(volterra._WEIGHTS) == volterra._SLOTS
+        assert list(volterra._WEIGHTS) == [g.tobytes() for g in grids[2:]]
+
+    def test_an_entry_over_the_budget_is_kept_alone(self, monkeypatch):
+        g, small = np.linspace(0.0, 1.0, 257), np.linspace(0.0, 1.0, 9)
+        monkeypatch.setattr(volterra, "_CACHE_BYTES", volterra._grid_weights(g, 3).nbytes - 1)
+        volterra._WEIGHTS.clear()
+        weighted_volterra(np.ones(9), 1, small)
+        want = cold(weighted_volterra, np.cos(g), 3, g)
+        assert np.array_equal(weighted_volterra(np.cos(g), 3, g), want)
+        assert list(volterra._WEIGHTS) == [g.tobytes()]
 
     def test_sub_grids_alternating_with_the_full_grid(self):
         # the access pattern of a piecewise-q tower plus a full-span operator
@@ -255,10 +290,11 @@ class TestWeightCache:
         assert np.array_equal(after, cold(weighted_volterra, phi, 2, g.copy()))
         assert after[-1] == pytest.approx(8.0, rel=1e-14) and before[-1] == pytest.approx(2.0, rel=1e-14)
 
-    def test_threads_sharing_the_cache(self):
-        # more threads than cores and grids than slots, switching often: every
-        # result still equals its cold value
-        grids = [np.linspace(0.0, 1.0 + k, 65 + 16 * k) for k in range(volterra._SLOTS + 2)]
+    def test_threads_sharing_the_cache(self, monkeypatch):
+        # more threads than cores and grids than the budget holds, switching
+        # often: every result still equals its cold value
+        grids = [np.linspace(0.0, 1.0 + k, 65 + 16 * k) for k in range(6)]
+        monkeypatch.setattr(volterra, "_CACHE_BYTES", 4 * volterra._grid_weights(grids[3], 3).nbytes)
         want = {(k, p): cold(weighted_volterra, np.cos(g), p, g) for k, g in enumerate(grids) for p in (1, 3)}
         errors = []
 
@@ -284,4 +320,4 @@ class TestWeightCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert len(volterra._WEIGHTS) <= volterra._SLOTS
+        assert sum(w.nbytes for w in volterra._WEIGHTS.values()) <= volterra._CACHE_BYTES
