@@ -465,6 +465,18 @@ class Trajectory:
         """Callable t -> w^(i)(t)."""
         return lambda t: self(t)[..., i]
 
+    def reduced(self, k: int) -> "Trajectory":
+        """Components k.. as a trajectory of their own, u = w^(k) with its
+        m - k - 1 derivatives, on views of this one's arrays (same ``tol``
+        and ``stats``).  Every formula of the dense output acts on each
+        component with its own and its next component's values, so the
+        result evaluates, bitwise, to this trajectory's columns k.., and its
+        ``crossing`` is this one's crossing of w^(k)."""
+        k = check_int("k", k, 0, self.m - 1, f"must be an integer in [0, {self.m - 1}]")
+        dense = None if self.dense is None else self.dense[:, :, k:]
+        return Trajectory(ts=self.ts, ys=self.ys[:, k:], dys=self.dys[:, k:], m=self.m - k,
+                          tol=self.tol, stats=self.stats, dense=dense)
+
 
 @dataclass(frozen=True)
 class BlowupEvent:

@@ -28,8 +28,9 @@ whose iterates increase in j and stay below the quadrature majorant
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -109,7 +110,8 @@ def solve_autonomous_quadrature(
     F' = g(U)^(-1/n) U^(1/n-1) / n.  The last table built is kept, keyed by
     the identity of g and by (n, u0, largest target), so a second call with
     the same g up to the same largest target (a tower's escape check at T,
-    then its final grid, which ends at T) builds no table.
+    then its majorant read on its final grid, which ends at T, before
+    another solve) builds no table.
 
     If F stays below a target up to y = Y_CAP, the tail on the same panels up
     to y = 709 and :func:`blowup.quadrature.rest` past it decide:
@@ -315,10 +317,13 @@ class PicardTower:
     tol/4 (false when the ladder stopped at its grid cap).  ``solution`` is
     the final iterate, not extrapolated: the ladder converges at fourth
     order, where a second-order Richardson correction overshoots.
-    ``majorant`` is the quadrature majorant on ``grid``, inverted once for
-    the returned grid only, and every diagnostic (gaps, slacks, iteration
-    count) is read from the returned iterates.  ``levels`` holds one row per
-    grid level the ladder ran, coarsest first; the last is the returned grid.
+    ``majorant`` is the quadrature majorant on ``grid`` and
+    ``majorant_slack`` the most negative u - v_j over the iterates; both are
+    diagnostics the tower does not use, so the majorant is inverted on the
+    returned grid only when one of them is first read, and kept from then on.
+    Every other diagnostic (gaps, slacks, iteration count) is read from the
+    returned iterates.  ``levels`` holds one row per grid level the ladder
+    ran, coarsest first; the last is the returned grid.
     """
 
     grid: np.ndarray
@@ -326,13 +331,23 @@ class PicardTower:
     converged: bool
     iterations: int
     sup_gap: float
-    majorant: np.ndarray
     solution: np.ndarray
     discretization_gap: float
     grid_converged: bool
     monotone_slack: float      # most negative value of v_j - v_{j-1} observed
-    majorant_slack: float      # most negative value of u - v_j observed
     levels: tuple              # TowerLevel rows, one per grid level
+    # (g, n, u0) of the quadrature majorant, inverted on first read
+    _majorant_data: tuple = field(repr=False, compare=False, kw_only=True)
+
+    @functools.cached_property
+    def majorant(self) -> np.ndarray:
+        """The quadrature majorant on ``grid``."""
+        return solve_autonomous_quadrature(*self._majorant_data, self.grid)
+
+    @functools.cached_property
+    def majorant_slack(self) -> float:
+        """Most negative value of u - v_j observed."""
+        return min(float(np.min(self.majorant - v)) for v in self.iterates)
 
 
 def picard_solve(
@@ -365,9 +380,10 @@ def picard_solve(
     Raises FiniteEscapeError if the quadrature majorant fails to exist on
     [0, T] (the divergence hypothesis fails numerically); that is checked
     once, at T, before the first tower is built.  The majorant itself is
-    inverted once, on the grid the ladder stops at; that grid ends at T, so
-    the inversion reuses the F table the escape check built (see
-    :func:`solve_autonomous_quadrature`): one table per solve.
+    inverted on the grid the ladder stops at, and only when the tower's
+    ``majorant`` or ``majorant_slack`` is first read; the values are those
+    of an inversion on that grid whenever it runs, since F's table depends
+    only on g, n, u0 and T.
     """
     n = check_int("n", n)
     if not (T > 0.0):
@@ -404,8 +420,7 @@ def picard_solve(
     graded = b[0] == 0.0 and _singular_at_zero(h)
 
     # F is increasing, so the majorant escapes before some grid node exactly
-    # when it escapes before T: one target settles escape for every grid, and
-    # the F table it builds is kept for the final grid's inversion
+    # when it escapes before T: one target settles escape for every grid
     solve_autonomous_quadrature(g, n, u0_maj, [T])
 
     # every segment doubles its cells, so coarse node i is fine node 2i
@@ -424,7 +439,6 @@ def picard_solve(
         prev_final = final
         mult *= 2
 
-    u_maj = solve_autonomous_quadrature(g, n, u0_maj, grid)
     pairs = list(zip(iterates[1:], iterates))
     return PicardTower(
         grid=grid,
@@ -432,13 +446,12 @@ def picard_solve(
         converged=step_gap <= tol,
         iterations=len(pairs),
         sup_gap=step_gap,
-        majorant=u_maj,
         solution=final,
         discretization_gap=disc_gap,
         grid_converged=disc_gap <= tol / 4.0,
         monotone_slack=min([0.0] + [float(np.min(v - w)) for v, w in pairs]),
-        majorant_slack=min(float(np.min(u_maj - v)) for v in iterates),
         levels=tuple(levels),
+        _majorant_data=(g, n, u0_maj),
     )
 
 

@@ -164,10 +164,13 @@ def majorization_experiment(
     within the horizon.
 
     ``u`` is the reduced solution when the caller has already integrated it:
-    the pipeline's direct cross-check for k = 0 is that very solve.  It must
-    be what this function would have integrated itself: order n, initial
-    values a_reduced, accuracy ``tol`` and span [0, horizon]; anything else
-    raises InvalidParameterError.  Left out, u is integrated here.
+    components k.. of the pipeline's direct cross-check
+    (:meth:`Trajectory.reduced`) are that solution, from the same data at
+    the same tol, with a step control that covered the k lower components
+    too.  It must be what this function would have integrated itself:
+    order n, initial values a_reduced, accuracy ``tol`` and span
+    [0, horizon]; anything else raises InvalidParameterError.  Left out, u
+    is integrated here.
     """
     check_int("n", n)
     if not (rho > 1.0):
@@ -368,11 +371,11 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
             construction, constructed, direct = _construct_and_check(p, red, horizon, opts, notes)
             with _stage("majorize"):
                 tol = max(opts.tol, 1e-12)
-                # for k = 0 the direct cross-check has integrated the reduced problem
+                # components k.. of the direct cross-check solve the reduced problem
                 table = majorization_experiment(
                     red.q, red.h, red.n, red.a_reduced, J=opts.majorize_levels,
                     horizon=float(horizon), rho=opts.rho, tol=tol,
-                    u=direct if p.k == 0 and tol == opts.tol else None,
+                    u=direct.reduced(p.k) if tol == opts.tol else None,
                 )
         except StageError as e:
             if verdict is Verdict.DIVERGES:

@@ -33,6 +33,7 @@ from one carry per block (orders 1..p come out of one pass).
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -68,11 +69,19 @@ class _Weights(NamedTuple):
 # on the same grids (the uniform and the graded ladder of one T) build each
 # grid's weights once.  An entry is built whole before it is inserted, and
 # entries are only ever inserted or popped whole, so callers on other threads
-# never see a partial one.  Results do not depend on what is cached: an entry
-# for order p holds the same arrays, bit for bit, as a fresh build for any
-# lower order.
+# never see a partial one.  The bookkeeping (a hit's move to the newest end,
+# an insertion at that end and its evictions) runs under _LOCK: a hit pops
+# its entry and puts it back, and an eviction between the two would miss it,
+# leaving the cache over budget.  Entries are built outside the lock.
+# Results do not depend on what is cached: an entry for order p holds the
+# same arrays, bit for bit, as a fresh build for any lower order.
 _CACHE_BYTES = 16 << 20
 _WEIGHTS: dict = {}
+_LOCK = threading.Lock()
+# the key of the last grid looked up: a bytes object caches its hash, so a
+# tower step on the same grid reuses it after one memcmp instead of hashing
+# a fresh copy of the grid
+_LAST_KEY = b""
 
 
 def _grid_weights(grid: np.ndarray, p: int) -> _Weights:
@@ -140,10 +149,15 @@ def _checked_grid(grid):
     """(grid, its cache key) after the grid checks: 1-D with at least 2
     nodes, finite and strictly increasing (not checked again once its
     weights are cached)."""
+    global _LAST_KEY
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise InvalidParameterError("grid must be 1-D with at least 2 nodes")
-    key = grid.tobytes()
+    key, last = grid.tobytes(), _LAST_KEY  # read once: another thread may rebind it
+    if key == last:
+        key = last
+    else:
+        _LAST_KEY = key
     if key not in _WEIGHTS:
         if not np.all(np.isfinite(grid)):
             raise InvalidParameterError("grid must be finite")
@@ -166,16 +180,21 @@ def _checked(phi, p: int, grid, key):
         raise InvalidParameterError("phi must be sampled on the grid")
     if not np.isfinite(phi).all():
         raise NumericFailureError("non-finite phi samples")
-    p, entry = int(p), _WEIGHTS.pop(key, None)
-    if entry is not None and entry.order >= p:
-        _WEIGHTS[key] = entry  # most recently used last
-        return phi, p, grid, entry
-    _WEIGHTS[key] = entry = _grid_weights(grid, p)
-    kept = 0
-    for k, e in reversed(list(_WEIGHTS.items())):  # newest first
-        kept += e.nbytes
-        if kept > _CACHE_BYTES and e is not entry:
-            _WEIGHTS.pop(k, None)
+    p = int(p)
+    with _LOCK:
+        entry = _WEIGHTS.pop(key, None)
+        if entry is not None and entry.order >= p:
+            _WEIGHTS[key] = entry  # most recently used last
+            return phi, p, grid, entry
+    entry = _grid_weights(grid, p)
+    with _LOCK:
+        _WEIGHTS.pop(key, None)  # another thread's entry for this grid: ours is the newest
+        _WEIGHTS[key] = entry
+        kept = 0
+        for k, e in reversed(list(_WEIGHTS.items())):  # newest first
+            kept += e.nbytes
+            if kept > _CACHE_BYTES and e is not entry:
+                _WEIGHTS.pop(k, None)
     return phi, p, grid, entry
 
 

@@ -637,6 +637,42 @@ class TestDenseOutput:
         assert_cells_return_their_ends(traj)
         assert traj(traj.ts).tobytes() == traj.ys.tobytes()
 
+    @pytest.mark.parametrize("p, T, grid_built", [
+        (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=make_piecewise([((0, 0.5), 0.5), ((0.5, 0.7), 2.0),
+                                                                     ((0.7, math.inf), 1.0)]),
+                     h=make_power_log(PowerFamilyParams(1.5, 1.0))), 1.5, False),
+        (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=ONE, h=make_power(2)), 10.0, False),
+        (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=ONE, h=make_power(2)), 10.0, True),
+    ], ids=["restarts", "escape", "grid-built"])
+    def test_reduced_is_the_columns_bitwise(self, p, T, grid_built):
+        # components k.. of a trajectory, through its restart cells, its
+        # escape cell or Hermite rows of its own: the same dense output, and
+        # the crossing of w^(k) on it
+        res = integrate(p, T, 1e-9)
+        traj = getattr(res, "trajectory", res)
+        assert isinstance(res, BlowupEvent) == (T == 10.0)
+        assert (np.diff(traj.ts) == 0.0).any() == bool(p.q.breakpoints)
+        if grid_built:
+            traj = Trajectory(ts=traj.ts, ys=traj.ys, dys=traj.dys, m=traj.m, tol=traj.tol)
+        th = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 0.95])
+        t = (traj.ts[:-1, None] + np.diff(traj.ts)[:, None] * th).ravel()
+        full = traj(t)
+        for k in range(p.m):
+            r = traj.reduced(k)
+            assert (r.m, r.tol, r.stats, r.ts is traj.ts) == (p.m - k, traj.tol, traj.stats, True)
+            assert r(t).tobytes() == full[:, k:].tobytes()
+            assert r(t[5]).tobytes() == traj(t[5])[k:].tobytes()
+            w = traj.ys[:, k]
+            for level in (w[len(w) // 3], 0.5 * (w[len(w) // 2] + w[len(w) // 2 + 1]), w[-1]):
+                got = r.crossing(level, 0.0)
+                if k == 0:
+                    assert got == traj.crossing(level, 0.0)
+                want = brentq(lambda s: float(traj(s)[k]) - level, 0.0, traj.t_end,
+                              xtol=1e-300, rtol=8.9e-16, maxiter=400)
+                assert abs(got - want) <= 1e-14 * want
+        with pytest.raises(InvalidParameterError, match=r"k must be an integer in \[0, 2\], got 3"):
+            traj.reduced(p.m)
+
     def test_one_node_trajectory_evaluates_at_its_node(self):
         # data past the escape threshold escapes at t = 0, with no cell
         res = integrate(ProblemSpec(m=1, k=0, a=(1e13,), q=ONE, h=make_power(2)), 1.0)

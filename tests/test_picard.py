@@ -319,6 +319,7 @@ class TestPicardTower:
         monkeypatch.setattr(picard, "panels", lambda f, c: cuts.append(c.tobytes()) or real(f, c))
         tw = picard_solve(make_power(1), 2, [1.0, 1.0], 3.0, tol=1e-9)
         assert len(tw.grid) > 129 and tw.grid[-1] == 3.0
+        assert np.all(tw.majorant > 0.0)  # the inversion on the final grid
         assert cuts and len(set(cuts)) == len(cuts)
 
     def test_second_solve_builds_no_kernel_weights(self, monkeypatch):
@@ -337,7 +338,8 @@ class TestPicardTower:
 
     def test_majorant_inverted_once_on_the_returned_grid(self, monkeypatch):
         # one target at T settles escape; the majorant is inverted on the
-        # grid the ladder stops at, never on the coarser levels before it
+        # grid the ladder stops at, never on the coarser levels before it,
+        # and only when it is first read
         import blowup.picard as picard
 
         targets = []
@@ -350,7 +352,35 @@ class TestPicardTower:
         monkeypatch.setattr(picard, "solve_autonomous_quadrature", counted)
         tw = picard_solve(make_power(1), 1, [1.0], 1.0, tol=1e-10)
         assert len(tw.grid) > 129  # the ladder doubled at least once
+        assert targets == [1]  # the escape check alone
+        majorant = tw.majorant
         assert targets == [1, len(tw.grid)]  # len(tw.grid) + 1 targets in all
+        assert tw.majorant is majorant and tw.majorant_slack <= 0.0
+        assert targets == [1, len(tw.grid)]
+
+    @pytest.mark.parametrize("h, n, b, majorant_b, q", [
+        (make_power(1), 2, [1.0, 1.0], None, None),
+        (make_power(0.5), 2, [0.0, 1.0], [1.0, 1.0], None),
+        (make_power(1), 2, [1.0, 1.0], None, make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])),
+    ], ids=["plain", "graded", "piecewise-q"])
+    def test_majorant_read_later_is_the_eager_inversion(self, h, n, b, majorant_b, q):
+        # the majorant read first after another solve has replaced F's memo
+        # is, bit for bit, an inversion on the tower's grid from a fresh g
+        import blowup.picard as picard
+
+        T = 3.0
+        tw = picard_solve(h, n, b, T, tol=1e-9, majorant_b=majorant_b, q=q)
+        memo = picard._TABLE
+        picard_solve(make_power(0.5), 1, [2.0], 1.0, tol=1e-9)
+        assert picard._TABLE is not memo
+        weight = 1.0 if q is None else 2.0  # sup of q on [0, T]
+        u0 = sum(bi * T ** i / math.factorial(i) for i, bi in enumerate(majorant_b or b))
+        eager = solve_autonomous_quadrature(majorant_growth(h, n, weight=weight), n, u0, tw.grid)
+        assert tw.majorant.tobytes() == eager.tobytes()
+        assert tw.majorant_slack == min(float(np.min(eager - v)) for v in tw.iterates)
+        # read while the tower's own table is still the memo: the same bits
+        again = picard_solve(h, n, b, T, tol=1e-9, majorant_b=majorant_b, q=q)
+        assert again.majorant.tobytes() == eager.tobytes()
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, 1e-2, 1e-15])
     def test_tol_must_be_positive_and_finite(self, tol):

@@ -288,23 +288,51 @@ class TestPipeline:
             run_pipeline(p, horizon=1e6)
         assert exc.value.stage == "construct"
 
-    @pytest.mark.parametrize("k, solves", [(0, 2), (1, 3)])
-    def test_one_solve_per_problem(self, k, solves, monkeypatch):
-        # for k = 0 the majorization reuses the direct cross-check's solve;
-        # the companion is the other one
+    @pytest.mark.parametrize("k, m", [(0, 2), (1, 3)])
+    def test_one_solve_per_problem(self, k, m, monkeypatch):
+        # both problems reduce to u'' = u^0.5 from (1, 1); the majorization
+        # reuses components k.. of the direct cross-check's solve, and the
+        # companion from b = (2, 2) is the only other solve
         import blowup.pipeline as pipeline
 
         calls = []
         monkeypatch.setattr(pipeline, "integrate",
                             lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
-        p = ProblemSpec(m=2, k=k, a=(1.0, 1.0), q=ONE, h=make_power(0.5))
+        p = ProblemSpec(m=m, k=k, a=(1.0,) * m, q=ONE, h=make_power(0.5))
         rep = run_pipeline(p, horizon=5.0)
         assert rep.label == "GlobalConstructed" and rep.passed
-        assert len(calls) == solves
+        assert [(c[0].m, c[0].a) for c in calls] == [(m, p.a), (2, (2.0, 2.0))]
         red = reduce_problem(p)
         alone = majorization_experiment(red.q, red.h, red.n, red.a_reduced,
                                         J=6, horizon=5.0, tol=1e-10)
-        assert repr(rep.majorization) == repr(alone)
+        assert alone.passed and rep.majorization.passed
+        if k == 0:
+            assert repr(rep.majorization) == repr(alone)
+            return
+        # the direct solve's step control also covered w, so its components
+        # 1.. are the standalone solve to within their tolerance
+        got, want = rep.majorization, alone
+        assert (len(got.rows), got.levels_reachable, got.note) == (len(want.rows), want.levels_reachable, want.note)
+
+        def numbers(table):
+            return [table.rho, table.t0, table.u0] + [
+                x for r in table.rows
+                for x in (r.t_j, r.tau_j, r.eps_j, *r.u_derivs, *r.w_derivs, r.margin_min, r.margin_min_rel)]
+
+        assert np.allclose(numbers(got), numbers(want), rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("m, k", [(1, 0), (2, 1), (3, 1), (3, 2)])
+    def test_majorant_inverted_only_at_T(self, m, k, monkeypatch):
+        # the tower's escape check is the pipeline's one inversion: the
+        # majorant on the tower's grid is never read
+        import blowup.picard as picard
+
+        targets, real = [], picard.solve_autonomous_quadrature
+        monkeypatch.setattr(picard, "solve_autonomous_quadrature",
+                            lambda g, n, u0, t, **kw: targets.append(len(t)) or real(g, n, u0, t, **kw))
+        rep = run_pipeline(ProblemSpec(m=m, k=k, a=(1.0,) * m, q=ONE, h=make_power(0.5)), horizon=5.0)
+        assert rep.label == "GlobalConstructed" and rep.passed
+        assert targets == [1]
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     @pytest.mark.parametrize("m", [1, 2, 3])

@@ -290,6 +290,52 @@ class TestWeightCache:
         assert np.array_equal(after, cold(weighted_volterra, phi, 2, g.copy()))
         assert after[-1] == pytest.approx(8.0, rel=1e-14) and before[-1] == pytest.approx(2.0, rel=1e-14)
 
+    def test_repeated_grid_keeps_its_key_and_a_changed_one_is_checked(self):
+        # equal bytes reuse the last key object (whose hash is cached), from
+        # another array too; a grid changed in place right after a warm call
+        # is a new key and goes through the grid checks again
+        g = np.linspace(0.0, 2.0, 17)
+        phi = np.ones_like(g)
+        want = cold(weighted_volterra, phi, 2, g)
+        key = volterra._LAST_KEY
+        assert key == g.tobytes()
+        assert np.array_equal(weighted_volterra(phi, 2, g.copy()), want)
+        assert volterra._LAST_KEY is key
+        g[3] = g[2]  # same array object, a repeated node
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            weighted_volterra(phi, 2, g)
+
+    def test_an_entry_built_while_another_thread_caches_its_grid(self, monkeypatch):
+        # a thread misses on g at order 3 and builds; meanwhile g is cached
+        # at order 1 and h at order 3, which fill the budget.  The thread's
+        # entry goes in newest, so h is evicted instead of staying beside it
+        # over the budget
+        g, h = np.linspace(0.0, 1.0, 129), np.linspace(0.0, 2.0, 129)
+        want = cold(weighted_volterra, np.cos(g), 3, g)
+        real = volterra._grid_weights
+        monkeypatch.setattr(volterra, "_CACHE_BYTES", real(h, 3).nbytes + real(g, 1).nbytes)
+        volterra._WEIGHTS.clear()
+        started, resume, got = threading.Event(), threading.Event(), []
+
+        def paused(grid, p):
+            if threading.current_thread() is worker:
+                started.set()
+                resume.wait(timeout=60)
+            return real(grid, p)
+
+        monkeypatch.setattr(volterra, "_grid_weights", paused)
+        worker = threading.Thread(target=lambda: got.append(weighted_volterra(np.cos(g), 3, g)))
+        worker.start()
+        assert started.wait(timeout=60)
+        weighted_volterra(np.cos(g), 1, g)
+        weighted_volterra(np.cos(h), 3, h)
+        resume.set()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(got) == 1 and np.array_equal(got[0], want)
+        assert list(volterra._WEIGHTS) == [g.tobytes()]
+        assert sum(w.nbytes for w in volterra._WEIGHTS.values()) <= volterra._CACHE_BYTES
+
     def test_threads_sharing_the_cache(self, monkeypatch):
         # more threads than cores and grids than the budget holds, switching
         # often: every result still equals its cold value
