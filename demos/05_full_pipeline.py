@@ -16,7 +16,7 @@ print("=== global side: w''' = w', mixed data ===")
 p = ProblemSpec(m=3, k=1, a=(5.0, 1.0, 1.0), q=one, h=make_power(1))
 rep = run_pipeline(p, horizon=5.0)
 print(f"label:        {rep.label}")
-print(f"reduced:      n = {rep.reduced.n}, data {rep.reduced.a_reduced}")
+print(f"reduced:      n = {rep.reduced.n}, data {rep.reduced.a}")
 print(f"test:         {rep.classification.verdict.value} ({rep.classification.method.value})")
 print(f"tower:        {rep.construction.tower_iterations} iterations, "
       f"sup gap {rep.construction.tower_sup_gap:.2e}")

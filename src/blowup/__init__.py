@@ -60,7 +60,6 @@ from .picard import (
     majorant_growth,
     picard_solve,
     solve_autonomous_quadrature,
-    tower_trajectory,
     verify_bound_preservation,
     verify_comparison_bound,
 )
@@ -69,7 +68,6 @@ from .pipeline import (
     MajorizationTable,
     PipelineOptions,
     PipelineReport,
-    ReducedProblem,
     lift_solution,
     majorization_experiment,
     reduce_problem,

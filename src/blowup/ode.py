@@ -517,7 +517,7 @@ class BlowupReport:
 def integrate(p: ProblemSpec, T: float, tol: float = 1e-9):
     """Integrate up to T; returns a Trajectory, or a BlowupEvent if the
     state escapes ESCAPE_THRESHOLD (or the step collapses) first."""
-    return _integrate_events(p, T, tol, (), ESCAPE_THRESHOLD)[0]
+    return _integrate_events(p, T, tol, ())[0]
 
 
 def _coefficients(h, y0, y1, d0, d1, rows):
@@ -625,12 +625,12 @@ def _integrate_events(
     T: float,
     tol: float,
     thresholds: Sequence[float],
-    escape_threshold: float,
     tail: Optional[Callable[[float, Sequence[float]], float]] = None,
 ):
     """Core loop.  Returns (Trajectory | BlowupEvent, {M: t_M crossings}, T*).
 
-    At the first threshold a step crosses, ``tail`` (see :func:`_tail_rule`)
+    The state escapes at the ladder's top, or at ESCAPE_THRESHOLD without
+    one.  At the first threshold a step crosses, ``tail`` (:func:`_tail_rule`)
     gives T* from the accepted node (t_k, y_k) that starts the step, or from
     y(0) for data already past it; T* is its last answer (nan without one).
     A T* <= T ends the run as an escape through that threshold, with no
@@ -644,6 +644,7 @@ def _integrate_events(
     y = list(p.a)
     crossings: dict[float, float] = {}
     pending = sorted(float(M) for M in thresholds)
+    escape = pending[-1] if pending else ESCAPE_THRESHOLD
 
     evals = accepted = rejected = retries = 0
     t_blow = math.nan
@@ -658,6 +659,21 @@ def _integrate_events(
         if reason is None:
             return traj, crossings, t_blow
         return BlowupEvent(float(t_event), reason, threshold, traj), crossings, t_blow
+
+    def climb(t, y, t_end, y_end, cell=None):
+        """Record each rung y_end reaches where ``cell`` on [t, t_end] crosses
+        it (at t without one), asking the tail once, from the node (t, y):
+        the rung whose T* <= T ends the run, else the escape level."""
+        nonlocal t_blow
+        ask = tail
+        while pending and max(y_end) >= pending[0]:
+            M = pending.pop(0)
+            crossings[M] = _crossing_time(cell, t, t_end, M) if cell else t
+            if ask:
+                ask = None
+                if (t_blow := tail(t, y)) <= T:
+                    return M
+        return escape
 
     # exact zero solution: all-zero data and h(0) = 0 (default right-hand side)
     if p.f_override is None and not any(y) and float(p.h(0.0)) == 0.0:
@@ -682,17 +698,8 @@ def _integrate_events(
     ts, ys, dys, dense = [t], [y], [f], []
 
     # initial escape check (data may already sit above thresholds)
-    level = escape_threshold
-    ask = tail  # once per node: its answer holds for every rung it crosses
-    while pending and max(y) >= pending[0]:
-        M = pending.pop(0)
-        crossings[M] = 0.0
-        if ask:
-            ask = None
-            if (t_blow := tail(t, y)) <= T:
-                level = M
-                break
-    if level < escape_threshold or max(map(abs, y)) >= escape_threshold:
+    level = climb(t, y, t, y)
+    if level < escape or max(map(abs, y)) >= escape:
         return finish("escape", 0.0, level)
 
     eff_tol = tol * TOL_SAFETY
@@ -749,19 +756,12 @@ def _integrate_events(
             # threshold crossings inside this step, on its continuous
             # extension (components are monotone in the intended regime;
             # the bracket kept by _find_level makes it robust regardless)
-            ask = tail
             cell = None
-            while pending and max(y_new) >= pending[0]:
-                M = pending.pop(0)
-                cell = cell or _step_cell(t, t_new, y, y_new, f, f_new, coef)
-                crossings[M] = _crossing_time(cell, t, t_new, M)
-                if ask:
-                    ask = None
-                    if (t_blow := tail(t, y)) <= T:
-                        level = M
-                        break
+            if pending and max(y_new) >= pending[0]:
+                cell = _step_cell(t, t_new, y, y_new, f, f_new, coef)
+                level = climb(t, y, t_new, y_new, cell)
 
-            if level < escape_threshold or max(map(abs, y_new)) >= escape_threshold:
+            if level < escape or max(map(abs, y_new)) >= escape:
                 cell = cell or _step_cell(t, t_new, y, y_new, f, f_new, coef)
                 t_star = (crossings[level] if level in crossings
                           else _crossing_time(cell, t, t_new, level))
@@ -837,7 +837,7 @@ def detect_blowup(
     """
     thresholds = check_thresholds(thresholds)
 
-    result, crossings, t_blow = _integrate_events(p, horizon, tol, thresholds, thresholds[-1], _tail_rule(p))
+    result, crossings, t_blow = _integrate_events(p, horizon, tol, thresholds, _tail_rule(p))
     traj = result.trajectory if isinstance(result, BlowupEvent) else result
     escapes = tuple((M, crossings[M]) for M in thresholds if M in crossings)
 

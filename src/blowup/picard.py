@@ -61,7 +61,6 @@ __all__ = [
     "TowerLevel",
     "PicardTower",
     "picard_solve",
-    "tower_trajectory",
     "apply_integral_operator",
     "BoundPreservationReport",
     "verify_bound_preservation",
@@ -321,6 +320,8 @@ class PicardTower:
     ``majorant_slack`` the most negative u - v_j over the iterates; both are
     diagnostics the tower does not use, so the majorant is inverted on the
     returned grid only when one of them is first read, and kept from then on.
+    ``trajectory`` is the solution's full derivative state, built on first
+    read from the h, q and initial values the tower was built from.
     Every other diagnostic (gaps, slacks, iteration count) is read from the
     returned iterates.  ``levels`` holds one row per grid level the ladder
     ran, coarsest first; the last is the returned grid.
@@ -336,18 +337,39 @@ class PicardTower:
     grid_converged: bool
     monotone_slack: float      # most negative value of v_j - v_{j-1} observed
     levels: tuple              # TowerLevel rows, one per grid level
-    # (g, n, u0) of the quadrature majorant, inverted on first read
-    _majorant_data: tuple = field(repr=False, compare=False, kw_only=True)
+    # (g, n, u0) of the quadrature majorant and (h, q, b) of the tower
+    _built_from: tuple = field(repr=False, compare=False, kw_only=True)
 
     @functools.cached_property
     def majorant(self) -> np.ndarray:
         """The quadrature majorant on ``grid``."""
-        return solve_autonomous_quadrature(*self._majorant_data, self.grid)
+        return solve_autonomous_quadrature(*self._built_from[:3], self.grid)
 
     @functools.cached_property
     def majorant_slack(self) -> float:
         """Most negative value of u - v_j observed."""
         return min(float(np.min(self.majorant - v)) for v in self.iterates)
+
+    @functools.cached_property
+    def trajectory(self) -> Trajectory:
+        """Full derivative state of the solution of v^(n) = q(t) h(v).
+
+        One extra application of the integral operator to the solution
+        yields all n components with mutually consistent integral
+        relations; blocks keep the quadrature away from q's jump points.
+        The trajectory's ``tol`` is the larger of the iteration and
+        discretization gaps, the error actually achieved.
+        """
+        *_, h, q, b = self._built_from
+        grid = self.grid
+        h_vals = h.eval_array(self.solution)
+        blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, _, qv in _q_blocks(q, grid)]
+        ys = integral_image(b, blocks, grid)
+        dys = np.empty_like(ys)
+        dys[:, :-1] = ys[:, 1:]
+        dys[:, -1] = q.eval_array(grid) * h_vals
+        tol = max(self.sup_gap, self.discretization_gap)
+        return Trajectory(ts=grid.copy(), ys=ys, dys=dys, m=len(b), tol=tol)
 
 
 def picard_solve(
@@ -389,7 +411,7 @@ def picard_solve(
     if not (T > 0.0):
         raise InvalidParameterError(f"T must be > 0, got {T!r}")
     tol = check_tol(tol)
-    b = np.asarray(b, dtype=float)
+    b = np.array(b, dtype=float)  # a copy: the tower's trajectory reads it later
     if len(b) != n:
         raise InvalidParameterError(f"need {n} initial values, got {len(b)}")
     if majorant_b is None:
@@ -451,7 +473,7 @@ def picard_solve(
         grid_converged=disc_gap <= tol / 4.0,
         monotone_slack=min([0.0] + [float(np.min(v - w)) for v, w in pairs]),
         levels=tuple(levels),
-        _majorant_data=(g, n, u0_maj),
+        _built_from=(g, n, u0_maj, h, q, b),
     )
 
 
@@ -537,27 +559,6 @@ def _run_tower(h, b, q, grid, tol, max_iter) -> list:
         if gap <= tol:
             break
     return iterates
-
-
-def tower_trajectory(tower: PicardTower, h: ScalarFn, q: ScalarFn, b: Sequence[float]) -> Trajectory:
-    """Full derivative state of a tower's solution of v^(n) = q(t) h(v).
-
-    ``h``, ``q`` and the initial values ``b`` are the ones the tower was
-    built from.  One extra application of the integral operator to the
-    tower's solution yields all n components with mutually consistent
-    integral relations; blocks keep the quadrature away from q's jump points.
-    The trajectory's ``tol`` is the larger of the tower's iteration and
-    discretization gaps, the error actually achieved.
-    """
-    grid = tower.grid
-    h_vals = h.eval_array(tower.solution)
-    blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, _, qv in _q_blocks(q, grid)]
-    ys = integral_image(b, blocks, grid)
-    dys = np.empty_like(ys)
-    dys[:, :-1] = ys[:, 1:]
-    dys[:, -1] = q.eval_array(grid) * h_vals
-    tol = max(tower.sup_gap, tower.discretization_gap)
-    return Trajectory(ts=grid.copy(), ys=ys, dys=dys, m=len(b), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,12 +47,11 @@ from .ode import (
     detect_blowup,
     integrate,
 )
-from .picard import picard_solve, tower_trajectory
+from .picard import picard_solve
 from .quadrature import integral
 from .volterra import integral_image
 
 __all__ = [
-    "ReducedProblem",
     "reduce_problem",
     "lift_solution",
     "MajorizationRow",
@@ -67,18 +66,11 @@ PICARD_TOL = 1e-8          # tower sup-gap tolerance
 CONSISTENCY_TOL = 1e-5     # constructed vs direct sup-norm gate (criterion 11)
 
 
-@dataclass(frozen=True)
-class ReducedProblem:
-    """u^(n) = q(t) h(u) with u^(i)(0) = a_reduced[i], n = m - k."""
-
-    n: int
-    a_reduced: tuple
-    q: ScalarFn
-    h: ScalarFn
-
-
-def reduce_problem(p: ProblemSpec) -> ReducedProblem:
-    return ReducedProblem(n=p.n, a_reduced=tuple(p.a[p.k :]), q=p.q, h=p.h)
+def reduce_problem(p: ProblemSpec) -> ProblemSpec:
+    """The dominating problem of u = w^(k): u^(n) = q(t) h(u), n = m - k,
+    with u^(i)(0) = a_{k+i}, as the order-n problem with k = 0 (and no
+    ``f_override``)."""
+    return ProblemSpec(m=p.n, k=0, a=p.a[p.k :], q=p.q, h=p.h)
 
 
 def lift_solution(u: Trajectory, a_low: Sequence[float], k: int) -> Trajectory:
@@ -164,13 +156,13 @@ def majorization_experiment(
     within the horizon.
 
     ``u`` is the reduced solution when the caller has already integrated it:
-    components k.. of the pipeline's direct cross-check
-    (:meth:`Trajectory.reduced`) are that solution, from the same data at
-    the same tol, with a step control that covered the k lower components
-    too.  It must be what this function would have integrated itself:
-    order n, initial values a_reduced, accuracy ``tol`` and span
-    [0, horizon]; anything else raises InvalidParameterError.  Left out, u
-    is integrated here.
+    :func:`run_pipeline` always passes components k.. of its direct
+    cross-check (:meth:`Trajectory.reduced`), which are that solution, from
+    the same data at the same tol, with a step control that covered the k
+    lower components too.  It must be what this function would have
+    integrated itself: order n, initial values a_reduced, accuracy ``tol``
+    and span [0, horizon]; anything else raises InvalidParameterError.  Left
+    out, u is integrated here.
     """
     check_int("n", n)
     if not (rho > 1.0):
@@ -298,7 +290,7 @@ class PipelineReport:
     label: str  # GlobalConstructed | BlowUpDetected | BlowUpNotObserved | Inconclusive
     horizon: float
     classification: IntegralVerdict
-    reduced: ReducedProblem
+    reduced: ProblemSpec
     construction: Optional[ConstructionReport] = None
     constructed: Optional[Trajectory] = None
     direct: Optional[Trajectory] = None
@@ -331,12 +323,16 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
 
     One flow: reduce, classify, detect blow-up unless the test diverges,
     then construct, lift, cross-check and majorize unless it converges.
-    Divergent test: a global solution of the dominating problem is built by
-    the monotone tower on the reduced data, lifted, and cross-checked
-    against direct integration; a failing stage raises.  Convergent test:
-    the escape ladder runs up to the horizon.  Inconclusive: both probes
-    run, no verdict is claimed, and a failing construction stage becomes a
-    note that keeps whatever the stages before it finished.
+    The reduced problem (:func:`reduce_problem`) is the report's
+    ``reduced``.  Divergent test: a global solution of the dominating
+    problem is built by the monotone tower on the reduced data, lifted by
+    k integrations of the tower's ``trajectory``, and cross-checked against
+    one direct integration at ``opts.tol``, whose components k.. the
+    majorization reads as its reduced solution; a failing stage raises.
+    Convergent test: the escape ladder runs up to the horizon.
+    Inconclusive: both probes run, no verdict is claimed, and a failing
+    construction stage becomes a note that keeps whatever the stages before
+    it finished.
     """
     opts = opts or PipelineOptions()
     notes: list[str] = []
@@ -370,12 +366,11 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
         try:
             construction, constructed, direct = _construct_and_check(p, red, horizon, opts, notes)
             with _stage("majorize"):
-                tol = max(opts.tol, 1e-12)
                 # components k.. of the direct cross-check solve the reduced problem
                 table = majorization_experiment(
-                    red.q, red.h, red.n, red.a_reduced, J=opts.majorize_levels,
-                    horizon=float(horizon), rho=opts.rho, tol=tol,
-                    u=direct.reduced(p.k) if tol == opts.tol else None,
+                    red.q, red.h, red.n, red.a, J=opts.majorize_levels,
+                    horizon=float(horizon), rho=opts.rho, tol=opts.tol,
+                    u=direct.reduced(p.k),
                 )
         except StageError as e:
             if verdict is Verdict.DIVERGES:
@@ -393,7 +388,7 @@ def _construct_and_check(p, red, horizon, opts, notes):
     """Tower on the reduced data, its lift, and the direct cross-check:
     (construction report, lifted trajectory, direct trajectory)."""
     with _stage("construct"):
-        a_red = np.asarray(red.a_reduced)
+        a_red = np.asarray(red.a)
         tower = picard_solve(
             red.h,
             red.n,
@@ -413,14 +408,13 @@ def _construct_and_check(p, red, horizon, opts, notes):
                 f"tower grid stopped at its cap of {len(tower.grid)} nodes "
                 f"(discretization gap {tower.discretization_gap:.3e} > tol/4)"
             )
-        u_traj = tower_trajectory(tower, red.h, red.q, red.a_reduced)
+        u_traj = tower.trajectory
 
     with _stage("lift"):
         lifted = lift_solution(u_traj, p.a[: p.k], p.k)
 
     with _stage("cross-check"):
-        majorant_problem = ProblemSpec(m=p.m, k=p.k, a=p.a, q=p.q, h=p.h)
-        direct = integrate(majorant_problem, float(horizon), opts.tol)
+        direct = integrate(replace(p, f_override=None), float(horizon), opts.tol)
         if isinstance(direct, BlowupEvent):
             raise NumericFailureError(
                 f"direct integration escaped at t={direct.t_event!r} in the divergent regime"

@@ -26,7 +26,6 @@ from blowup.picard import (
     majorant_growth,
     picard_solve,
     solve_autonomous_quadrature,
-    tower_trajectory,
     verify_bound_preservation,
     verify_comparison_bound,
 )
@@ -382,6 +381,32 @@ class TestPicardTower:
         again = picard_solve(h, n, b, T, tol=1e-9, majorant_b=majorant_b, q=q)
         assert again.majorant.tobytes() == eager.tobytes()
 
+    @pytest.mark.parametrize("h, n, b, majorant_b, q", [
+        (make_power(1), 2, [1.0, 1.0], None, None),
+        (make_power(0.5), 2, [0.0, 1.0], [1.0, 1.0], None),
+        (make_power(1), 2, [1.0, 1.0], None, make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])),
+    ], ids=["plain", "graded", "piecewise-q"])
+    def test_trajectory_is_the_operator_image_of_the_solution(self, h, n, b, majorant_b, q):
+        # the tower's trajectory comes from the h, q and b it was built from:
+        # one application of the operator to its solution, kept once read
+        tw = picard_solve(h, n, b, 3.0, tol=1e-9, majorant_b=majorant_b, q=q)
+        traj = tw.trajectory
+        assert tw.trajectory is traj
+        u = np.zeros((len(tw.grid), n))
+        u[:, 0] = tw.solution
+        p = ProblemSpec(m=n, k=0, a=b, q=ONE if q is None else q, h=h)
+        image = apply_integral_operator(p, tw.grid, u)
+        assert traj.ys.tobytes() == image.tobytes()
+        assert np.array_equal(traj.ts, tw.grid) and traj.ts is not tw.grid
+        assert traj.m == n and traj.tol == max(tw.sup_gap, tw.discretization_gap)
+
+    def test_trajectory_keeps_the_data_it_was_built_from(self):
+        # the caller's array may change after the solve; the tower's may not
+        b = np.array([1.0, 1.0])
+        tw = picard_solve(make_power(1), 2, b, 1.0, tol=1e-9)
+        b[:] = 5.0
+        assert np.array_equal(tw.trajectory.ys[0], [1.0, 1.0])
+
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, 1e-2, 1e-15])
     def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(InvalidParameterError, match="tol"):
@@ -417,7 +442,7 @@ class TestPicardTower:
         assert len(capped.grid) == 257 and capped.converged
         assert not capped.grid_converged
         assert capped.discretization_gap > 1e-13 / 4
-        traj = tower_trajectory(capped, make_power(1), ONE, [1.0])
+        traj = capped.trajectory
         assert traj.tol == capped.discretization_gap > capped.sup_gap
         free = picard_solve(make_power(1), 1, [1.0], 1.0, tol=1e-10)
         assert free.grid_converged and free.discretization_gap <= 1e-10 / 4
@@ -563,7 +588,7 @@ class TestIntegralOperator:
         q = parse_fn_spec("piecewise((0,0.5):1, (0.5,inf):3)")
         h = make_power(1)
         tw = picard_solve(h, 1, [1.0], 1.0, q=q)
-        traj = tower_trajectory(tw, h, q, [1.0])
+        traj = tw.trajectory
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=h)
         img = apply_integral_operator(p, traj.ts, traj.ys)
         assert np.max(np.abs(img - traj.ys)) <= 1e-10
@@ -631,7 +656,7 @@ class TestBoundPreservation:
         q = make_piecewise(list(zip(zip([0.0, *bps], [*bps, math.inf]), vals)))
         a = tuple(a)
         tw = picard_solve(h, len(a), a, T, tol=1e-10, q=q, majorant_b=np.add(a, 1.0))
-        v = tower_trajectory(tw, h, q, a)
+        v = tw.trajectory
         rep = verify_bound_preservation(ProblemSpec(m=len(a), k=0, a=a, q=q, h=h), v, 10, seed=seed)
         assert rep.passed, rep
 

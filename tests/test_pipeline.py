@@ -8,6 +8,7 @@ from blowup.errors import InvalidParameterError, NumericFailureError, StageError
 from blowup.functions import make_constant, make_custom, make_piecewise, make_power, parse_fn_spec
 from blowup.ode import ProblemSpec, Trajectory, integrate
 from blowup.pipeline import (
+    PipelineOptions,
     lift_solution,
     majorization_experiment,
     reduce_problem,
@@ -47,17 +48,25 @@ class TestReduce:
         p = ProblemSpec(m=3, k=1, a=(5.0, 1.0, 2.0), q=ONE, h=make_power(1))
         r = reduce_problem(p)
         assert r.n == 2
-        assert r.a_reduced == (1.0, 2.0)
+        assert r.a == (1.0, 2.0)
 
     def test_identity_reduction(self):
         p = ProblemSpec(m=2, k=0, a=(1.0, 0.0), q=ONE, h=make_power(1))
         r = reduce_problem(p)
-        assert r.n == 2 and r.a_reduced == (1.0, 0.0)
+        assert r.n == 2 and r.a == (1.0, 0.0)
 
     def test_top_derivative(self):
         p = ProblemSpec(m=4, k=3, a=(0.0, 0.0, 0.0, 1.0), q=ONE, h=make_power(1))
         r = reduce_problem(p)
-        assert r.n == 1 and r.a_reduced == (1.0,)
+        assert r.n == 1 and r.a == (1.0,)
+
+    def test_reduced_problem_is_a_problem_spec_without_f_override(self):
+        p = ProblemSpec(m=3, k=1, a=(5.0, 1.0, 2.0), q=ONE, h=make_power(1),
+                        f_override=lambda t, y: 0.5 * y[1])
+        r = reduce_problem(p)
+        assert isinstance(r, ProblemSpec)
+        assert (r.m, r.k, r.n, r.a) == (2, 0, 2, (1.0, 2.0))
+        assert r.q is p.q and r.h is p.h and r.f_override is None
 
 
 class TestLift:
@@ -303,7 +312,7 @@ class TestPipeline:
         assert rep.label == "GlobalConstructed" and rep.passed
         assert [(c[0].m, c[0].a) for c in calls] == [(m, p.a), (2, (2.0, 2.0))]
         red = reduce_problem(p)
-        alone = majorization_experiment(red.q, red.h, red.n, red.a_reduced,
+        alone = majorization_experiment(red.q, red.h, red.n, red.a,
                                         J=6, horizon=5.0, tol=1e-10)
         assert alone.passed and rep.majorization.passed
         if k == 0:
@@ -320,6 +329,25 @@ class TestPipeline:
                 for x in (r.t_j, r.tau_j, r.eps_j, *r.u_derivs, *r.w_derivs, r.margin_min, r.margin_min_rel)]
 
         assert np.allclose(numbers(got), numbers(want), rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("k, m", [(0, 2), (1, 3)])
+    def test_one_solve_per_problem_below_1e_12(self, k, m, monkeypatch):
+        # at a tol below 1e-12 the majorization still reads the direct
+        # solve: the companion is the only other integration
+        import blowup.pipeline as pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "integrate",
+                            lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
+        p = ProblemSpec(m=m, k=k, a=(1.0,) * m, q=ONE, h=make_power(0.5))
+        rep = run_pipeline(p, horizon=5.0, opts=PipelineOptions(tol=5e-13))
+        assert [(c[0].m, c[0].a, c[2]) for c in calls] == [(m, p.a, 5e-13), (2, (2.0, 2.0), 5e-13)]
+        assert rep.label == "GlobalConstructed" and rep.passed
+        assert rep.construction.consistent and rep.majorization.passed
+        if k == 0:  # the table is the standalone experiment's at that tol
+            red = reduce_problem(p)
+            alone = majorization_experiment(red.q, red.h, red.n, red.a, J=6, horizon=5.0, tol=5e-13)
+            assert repr(rep.majorization) == repr(alone)
 
     @pytest.mark.parametrize("m, k", [(1, 0), (2, 1), (3, 1), (3, 2)])
     def test_majorant_inverted_only_at_T(self, m, k, monkeypatch):
