@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .classify import classify, classify_scaled
-from .errors import BlowupError, ConfigError, InvalidParameterError, check_thresholds, check_tol
+from .errors import (BlowupError, ConfigError, InvalidParameterError, check_int, check_thresholds,
+                     check_tol)
 from .functions import parse_fn_spec
 from .ode import (
     BlowupEvent,
@@ -380,14 +381,15 @@ def _run_construct(cfg: ExperimentConfig, out: Optional[Path]):
 
 
 def _run_majorize(cfg: ExperimentConfig, out: Optional[Path]):
+    """The reduced problem of order n from a, solved on [0, horizon] at tol
+    (50 and 1e-12 when unset); an escape hands on its trajectory."""
     _need(cfg, "h", "n", "a")
-    table = majorization_experiment(
-        parse_fn_spec(cfg.q if cfg.q is not None else "constant(1.0)"),
-        parse_fn_spec(cfg.h),
-        cfg.n,
-        cfg.a,
-        **_given(cfg, "b", "J", "horizon", "rho"),
-    )
+    q = parse_fn_spec(cfg.q if cfg.q is not None else "constant(1.0)")
+    p = ProblemSpec(m=check_int("n", cfg.n), k=0, a=cfg.a, q=q, h=parse_fn_spec(cfg.h))
+    res = integrate(p, cfg.horizon if cfg.horizon is not None else 50.0,
+                    cfg.tol if cfg.tol is not None else 1e-12)
+    u = res.trajectory if isinstance(res, BlowupEvent) else res
+    table = majorization_experiment(p, u, **_given(cfg, "b", "J", "rho"))
     if out is not None:
         _majorization_csv(out / "majorization.csv", table)
     kv = [
@@ -452,17 +454,17 @@ def _run_pipeline_cmd(cfg: ExperimentConfig, out: Optional[Path]):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# run -> (handler, help, flags beyond the common ones); each flag sets the
-# config key of its name, except integrate's --csv
+# run -> (handler, help, flags beyond --config and --out); each flag sets
+# the config key of its name, except integrate's --csv
 _COMMANDS = {
     "classify": (_run_classify, "integral test for the nonlinearity", ("h", "n", "alpha")),
-    "integrate": (_run_integrate, "integrate the problem up to T", ("T", "csv")),
-    "detect-blowup": (_run_detect_blowup, "escape ladder and blow-up time", ("horizon",)),
-    "construct": (_run_construct, "monotone tower construction", ("T",)),
-    "majorize": (_run_majorize, "level-doubling comparison experiment", ("J", "horizon")),
+    "integrate": (_run_integrate, "integrate the problem up to T", ("T", "tol", "csv")),
+    "detect-blowup": (_run_detect_blowup, "escape ladder and blow-up time", ("horizon", "tol")),
+    "construct": (_run_construct, "monotone tower construction", ("T", "tol")),
+    "majorize": (_run_majorize, "level-doubling comparison experiment", ("J", "horizon", "tol")),
     "verify-lemma22": (_run_verify_comparison, "check the comparison inequality",
                        ("n", "g", "u0", "T", "grid_size")),
-    "pipeline": (_run_pipeline_cmd, "full classification pipeline", ("horizon",)),
+    "pipeline": (_run_pipeline_cmd, "full classification pipeline", ("horizon", "tol")),
 }
 RUNS = tuple(_COMMANDS)
 _FLAG_HELP = {"config": "config file path", "out": "output directory"}
@@ -486,7 +488,7 @@ def _parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (_handler, help_text, keys) in _COMMANDS.items():
         s = subs.add_parser(command, help=help_text)
-        for key in ("config", "out", "tol") + keys:
+        for key in ("config", "out") + keys:
             s.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(key),
                            help=_FLAG_HELP.get(key))
     s = subs.add_parser("batch", help="run several configs sequentially")

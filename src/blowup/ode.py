@@ -399,7 +399,6 @@ class Trajectory:
     ts: np.ndarray
     ys: np.ndarray
     dys: np.ndarray
-    m: int
     tol: float
     stats: Optional[StepStats] = None
     dense: Optional[np.ndarray] = None
@@ -408,6 +407,10 @@ class Trajectory:
         for name in ("ts", "ys", "dys", "dense"):
             if getattr(self, name) is not None:
                 getattr(self, name).setflags(write=False)
+
+    @property
+    def m(self) -> int:
+        return self.ys.shape[1]
 
     @property
     def t_end(self) -> float:
@@ -474,8 +477,8 @@ class Trajectory:
         ``crossing`` is this one's crossing of w^(k)."""
         k = check_int("k", k, 0, self.m - 1, f"must be an integer in [0, {self.m - 1}]")
         dense = None if self.dense is None else self.dense[:, :, k:]
-        return Trajectory(ts=self.ts, ys=self.ys[:, k:], dys=self.dys[:, k:], m=self.m - k,
-                          tol=self.tol, stats=self.stats, dense=dense)
+        return Trajectory(ts=self.ts, ys=self.ys[:, k:], dys=self.dys[:, k:], tol=self.tol,
+                          stats=self.stats, dense=dense)
 
 
 @dataclass(frozen=True)
@@ -653,7 +656,7 @@ def _integrate_events(
         """The Trajectory, or with a reason the BlowupEvent, the crossings and T*."""
         if len(ts) > 1 and ts[-1] == ts[-2]:  # stopped right at a restart
             del ts[-1], ys[-1], dys[-1], dense[-1]
-        traj = Trajectory(ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), m=p.m, tol=tol,
+        traj = Trajectory(ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), tol=tol,
                           stats=StepStats(evals, accepted, rejected, retries),
                           dense=np.array(dense, dtype=float).reshape(len(dense), 4, p.m))
         if reason is None:

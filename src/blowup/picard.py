@@ -369,7 +369,7 @@ class PicardTower:
         dys[:, :-1] = ys[:, 1:]
         dys[:, -1] = q.eval_array(grid) * h_vals
         tol = max(self.sup_gap, self.discretization_gap)
-        return Trajectory(ts=grid.copy(), ys=ys, dys=dys, m=len(b), tol=tol)
+        return Trajectory(ts=grid.copy(), ys=ys, dys=dys, tol=tol)
 
 
 def picard_solve(

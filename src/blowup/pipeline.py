@@ -36,7 +36,7 @@ from .errors import (
     StageError,
     check_int,
 )
-from .functions import Family, ScalarFn, make_constant, make_custom
+from .functions import Family, make_constant, make_custom
 from .ode import (
     DEFAULT_THRESHOLDS,
     BlowupEvent,
@@ -93,15 +93,14 @@ def lift_solution(u: Trajectory, a_low: Sequence[float], k: int) -> Trajectory:
         raise InvalidParameterError(f"need {k} low-order values, got {len(a_low)}")
 
     grid = u.ts
-    m_new = k + u.m
-    ys = np.empty((len(grid), m_new))
+    ys = np.empty((len(grid), k + u.m))
     ys[:, k:] = u.ys
     ys[:, :k] = integral_image(a_low, [(0, len(grid) - 1, u.ys[:, 0])], grid)
 
     dys = np.empty_like(ys)
     dys[:, :-1] = ys[:, 1:]
     dys[:, -1] = u.dys[:, -1]
-    return Trajectory(ts=grid.copy(), ys=ys, dys=dys, m=m_new, tol=u.tol)
+    return Trajectory(ts=grid.copy(), ys=ys, dys=dys, tol=u.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -135,70 +134,52 @@ class MajorizationTable:
 
 
 def majorization_experiment(
-    q: ScalarFn,
-    h: ScalarFn,
-    n: int,
-    a_reduced: Sequence[float],
+    p: ProblemSpec,
+    u: Trajectory,
     b: Optional[Sequence[float]] = None,
     J: int = 8,
-    horizon: float = 50.0,
     *,
     rho: float = 2.0,
-    tol: float = 1e-12,
-    u: Optional[Trajectory] = None,
 ) -> MajorizationTable:
     """Tabulate the comparison margins w^(i)(tau_j) - u^(i)(t_j), j = 0..J.
+
+    ``p`` is the reduced problem u^(n) = q(t) h(u) (:func:`reduce_problem`:
+    k = 0, no ``f_override``) and ``u`` its solve: order p.m, from p.a at
+    t = 0; anything else raises InvalidParameterError.  :func:`run_pipeline`
+    passes components k.. of its direct cross-check
+    (:meth:`Trajectory.reduced`).  The levels are read on u's span, and the
+    companion is integrated at u's ``tol``.
 
     ``rho`` is the level factor (the construction's own value is 2; other
     values are experimental knobs with no correctness claim).  Each t_j is
     found by :meth:`Trajectory.crossing` on u's nodes and dense output,
     from t_{j-1} on.  Levels stop early when u never reaches the next one
-    within the horizon.
-
-    ``u`` is the reduced solution when the caller has already integrated it:
-    :func:`run_pipeline` always passes components k.. of its direct
-    cross-check (:meth:`Trajectory.reduced`), which are that solution, from
-    the same data at the same tol, with a step control that covered the k
-    lower components too.  It must be what this function would have
-    integrated itself: order n, initial values a_reduced, accuracy ``tol``
-    and span [0, horizon]; anything else raises InvalidParameterError.  Left
-    out, u is integrated here.
+    within its span.
     """
-    check_int("n", n)
+    if p.k != 0 or p.f_override is not None:
+        raise InvalidParameterError("p must be a reduced problem: k = 0 and no f_override")
+    if (u.m, tuple(u.ys[0]), u.ts[0]) != (p.m, p.a, 0.0):
+        raise InvalidParameterError(f"u must be the order-{p.m} solve from {p.a} at t = 0")
     if not (rho > 1.0):
         raise InvalidParameterError(f"rho must be > 1, got {rho!r}")
-    a_reduced = tuple(float(x) for x in a_reduced)
-    if b is None:
-        b = tuple(x + 1.0 for x in a_reduced)
-    b = tuple(float(x) for x in b)
-    if any(bi <= ai for bi, ai in zip(b, a_reduced)):
-        raise InvalidParameterError("need b_i > a_reduced_i componentwise")
-
-    pu = ProblemSpec(m=n, k=0, a=a_reduced, q=q, h=h)
-    if u is None:
-        res = integrate(pu, horizon, tol)
-        traj = res.trajectory if isinstance(res, BlowupEvent) else res
-    elif (u.m, tuple(u.ys[0]), u.tol, u.ts[0], u.t_end) != (n, pu.a, tol, 0.0, horizon):
-        raise InvalidParameterError(
-            f"u must be the order-{n} solve from {pu.a} at tol {tol!r} on [0, {horizon!r}]"
-        )
-    else:
-        traj = u
-    u_end = float(traj.ys[-1, 0])
+    b = tuple(x + 1.0 for x in p.a) if b is None else tuple(float(x) for x in b)
+    if any(bi <= ai for bi, ai in zip(b, p.a)):
+        raise InvalidParameterError("need b_i > a_i componentwise")
+    q, h, u_end = p.q, p.h, float(u.ys[-1, 0])
 
     # anchor level: first time u is meaningfully positive
-    if a_reduced[0] > 0.0:
+    if p.a[0] > 0.0:
         t0 = 0.0
     else:
-        thresh = 1e-8 * (1.0 + max(abs(x) for x in a_reduced) if a_reduced else 1.0)
+        thresh = 1e-8 * (1.0 + max(p.a))
         if u_end < thresh:
             return MajorizationTable(
                 rho=float(rho), t0=math.nan, u0=0.0, rows=(),
                 levels_reachable=False,
                 note="solution never exceeds the positivity threshold (stagnant)",
             )
-        t0 = traj.crossing(thresh, 0.0)
-    u0 = float(traj(t0)[0])
+        t0 = u.crossing(thresh, 0.0)
+    u0 = float(u(t0)[0])
 
     # levels u(t_j) = rho^j * u0
     t_levels = [t0]
@@ -206,7 +187,7 @@ def majorization_experiment(
         level = rho ** j * u0
         if u_end < level:
             break
-        t_levels.append(traj.crossing(level, t_levels[-1]))
+        t_levels.append(u.crossing(level, t_levels[-1]))
 
     eps, taus = [0.0], [0.0]
     for lo, hi in zip(t_levels, t_levels[1:]):
@@ -225,9 +206,7 @@ def majorization_experiment(
             asymptotic_exponent=h.asymptotic_exponent,
             label=f"scaled({h.spec_text}, {rho})",
         )
-    pw = ProblemSpec(m=n, k=0, a=b, q=make_constant(c_w), h=h_w)
-    w_end = max(taus[-1], 1e-12)
-    wres = integrate(pw, w_end, tol)
+    wres = integrate(replace(p, a=b, q=make_constant(c_w), h=h_w), max(taus[-1], 1e-12), u.tol)
     if isinstance(wres, BlowupEvent):
         raise NumericFailureError(
             f"companion solution escaped at t={wres.t_event!r} before tau_J={taus[-1]!r}"
@@ -235,7 +214,7 @@ def majorization_experiment(
 
     # one dense call per trajectory; at tau_0 = 0 the companion returns b exactly
     rows = []
-    for j, (u_d, w_d) in enumerate(zip(traj(np.array(t_levels)), wres(np.array(taus)))):
+    for j, (u_d, w_d) in enumerate(zip(u(np.array(t_levels)), wres(np.array(taus)))):
         margins = w_d - u_d
         rel = margins / (1.0 + np.abs(u_d))
         rows.append(
@@ -367,11 +346,8 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
             construction, constructed, direct = _construct_and_check(p, red, horizon, opts, notes)
             with _stage("majorize"):
                 # components k.. of the direct cross-check solve the reduced problem
-                table = majorization_experiment(
-                    red.q, red.h, red.n, red.a, J=opts.majorize_levels,
-                    horizon=float(horizon), rho=opts.rho, tol=opts.tol,
-                    u=direct.reduced(p.k),
-                )
+                table = majorization_experiment(red, direct.reduced(p.k),
+                                                J=opts.majorize_levels, rho=opts.rho)
         except StageError as e:
             if verdict is Verdict.DIVERGES:
                 raise

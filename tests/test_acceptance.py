@@ -28,7 +28,9 @@ from blowup.picard import (
     verify_bound_preservation,
     verify_comparison_bound,
 )
-from blowup.pipeline import majorization_experiment, run_pipeline
+from blowup.pipeline import run_pipeline
+
+from helpers import majorize
 
 ONE = make_constant(1.0)
 LN2 = math.log(2.0)
@@ -158,11 +160,11 @@ def test_09_majorization_margins():
     details = []
     for h, n in [(make_power(1), 1), (make_power(1), 2), (make_constant(1.0), 1)]:
         a = tuple([1.0] * n)
-        tab = majorization_experiment(ONE, h, n, a, J=8, horizon=300.0)
+        tab = majorize(ONE, h, n, a, J=8, horizon=300.0)
         ok &= tab.levels_reachable and tab.passed
         details.append(f"{h.spec_text}/n={n}: min_rel={min(r.margin_min_rel for r in tab.rows):.1e}")
     # closed-form check for the exponential case
-    tab = majorization_experiment(ONE, make_power(1), 1, (1.0,), (2.0,), J=8, horizon=10.0)
+    tab = majorize(ONE, make_power(1), 1, (1.0,), (2.0,), J=8, horizon=10.0)
     t_err = max(abs(r.t_j - r.j * LN2) for r in tab.rows)
     tau_err = max(abs(r.tau_j - 2 * r.j * LN2) for r in tab.rows)
     ok &= t_err <= 1e-8 and tau_err <= 1e-8

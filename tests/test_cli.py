@@ -256,20 +256,21 @@ class TestMain:
         assert "companion solution escaped at t=0.0" in capsys.readouterr().err
 
 
-# every flag of every subcommand, with a value and the config key it must set
+# every flag of every subcommand, with a value and the config key it must set;
+# --tol only where a solve reads it
+TOL = ("--tol", "1e-8", "tol", 1e-8)
 FLAGS = {
     "classify": [("--h", "power(2.0)", "h", "power(2.0)"), ("--n", "3", "n", 3),
                  ("--alpha", "2.5", "alpha", 2.5)],
-    "integrate": [("--T", "4.5", "T", 4.5)],
-    "detect-blowup": [("--horizon", "7.5", "horizon", 7.5)],
-    "construct": [("--T", "1.5", "T", 1.5)],
-    "majorize": [("--J", "4", "J", 4), ("--horizon", "9.0", "horizon", 9.0)],
+    "integrate": [("--T", "4.5", "T", 4.5), TOL],
+    "detect-blowup": [("--horizon", "7.5", "horizon", 7.5), TOL],
+    "construct": [("--T", "1.5", "T", 1.5), TOL],
+    "majorize": [("--J", "4", "J", 4), ("--horizon", "9.0", "horizon", 9.0), TOL],
     "verify-lemma22": [("--n", "2", "n", 2), ("--g", "power(1.0)", "g", "power(1.0)"),
                        ("--u0", "1.5", "u0", 1.5), ("--T", "2.5", "T", 2.5),
                        ("--grid-size", "50", "grid_size", 50)],
-    "pipeline": [("--horizon", "3.5", "horizon", 3.5)],
+    "pipeline": [("--horizon", "3.5", "horizon", 3.5), TOL],
 }
-COMMON = [("--tol", "1e-8", "tol", 1e-8)]
 
 PROBLEM = "m = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(1.0)\n"
 
@@ -284,13 +285,13 @@ class TestSurface:
         cfg_file = tmp_path / "base.cfg"
         cfg_file.write_text("alpha = 9.0\nhorizon = 1.0\n")
         argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "o")]
-        for flag, raw, _key, _val in FLAGS[command] + COMMON:
+        for flag, raw, _key, _val in FLAGS[command]:
             argv += [flag, raw]
         assert main(argv) == 0
         (cfg,) = seen
         assert cfg.run == command
         assert cfg.out == str(tmp_path / "o")
-        for _flag, _raw, key, val in FLAGS[command] + COMMON:
+        for _flag, _raw, key, val in FLAGS[command]:
             assert getattr(cfg, key) == val
         # keys without a flag keep the config file's value
         if "alpha" not in [key for *_, key, _v in FLAGS[command]]:
@@ -321,6 +322,19 @@ class TestSurface:
         cfg_file.write_text(text)
         assert main(command.split() + ["--config", str(cfg_file)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_tol_reaches_the_majorize_solve_and_is_no_classify_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("h = power(0.75)\nn = 2\na = [1, 1]\nJ = 4\nhorizon = 10.0\n")
+        tables = []
+        for name, extra in (("default", []), ("loose", ["--tol", "1e-6"])):
+            assert main(["majorize", "--config", str(cfg), "--out", str(tmp_path / name), *extra]) == 0
+            tables.append((tmp_path / name / "majorization.csv").read_bytes())
+        assert tables[0] != tables[1]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--h", "power(2.0)", "--n", "1", "--tol", "1e-6"])
+        assert exc.value.code == 2 and "--tol" in capsys.readouterr().err
 
     def test_empty_thresholds_run_the_default_ladder(self, tmp_path):
         base = "run = detect-blowup\nm = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(2.0)\n"

@@ -616,7 +616,7 @@ class TestDenseOutput:
             w = np.polynomial.Polynomial(coef[:degree + 1])
             ys = np.column_stack([w(ts), w.deriv()(ts)])
             dys = np.column_stack([w.deriv()(ts), w.deriv(2)(ts)])
-            traj = Trajectory(ts=ts, ys=ys, dys=dys, m=2, tol=1e-9)
+            traj = Trajectory(ts=ts, ys=ys, dys=dys, tol=1e-9)
             want = np.column_stack([w(t), w.deriv()(t)])
             scale = 1.0 + np.abs(coef[:degree + 1]) @ (np.arange(degree + 1) + 1.0) * 2.0 ** degree
             assert np.all(np.abs(traj(t) - want)[:, :exact] <= 1e-13 * scale)
@@ -653,7 +653,7 @@ class TestDenseOutput:
         assert isinstance(res, BlowupEvent) == (T == 10.0)
         assert (np.diff(traj.ts) == 0.0).any() == bool(p.q.breakpoints)
         if grid_built:
-            traj = Trajectory(ts=traj.ts, ys=traj.ys, dys=traj.dys, m=traj.m, tol=traj.tol)
+            traj = Trajectory(ts=traj.ts, ys=traj.ys, dys=traj.dys, tol=traj.tol)
         th = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 0.95])
         t = (traj.ts[:-1, None] + np.diff(traj.ts)[:, None] * th).ravel()
         full = traj(t)
@@ -798,7 +798,7 @@ class TestCrossing:
         ts = np.linspace(0.0, 3.0 * math.pi, 301)
         ys = np.column_stack([np.sin(ts), np.cos(ts)])[:, :m]
         dys = np.column_stack([np.cos(ts), -np.sin(ts)])[:, :m]
-        traj = Trajectory(ts=ts, ys=ys, dys=dys, m=m, tol=1e-9)
+        traj = Trajectory(ts=ts, ys=ys, dys=dys, tol=1e-9)
         t = traj.crossing(0.5, 0.0)
         assert t == pytest.approx(math.pi / 6, abs=1e-6)
         want = brentq(lambda s: float(traj(s)[0]) - 0.5, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16)

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from blowup.classify import Verdict
+from blowup.cli import parse_config, run_experiment
 from blowup.errors import InvalidParameterError, NumericFailureError, StageError
 from blowup.functions import make_constant, make_custom, make_piecewise, make_power, parse_fn_spec
 from blowup.ode import ProblemSpec, Trajectory, integrate
@@ -14,6 +16,8 @@ from blowup.pipeline import (
     reduce_problem,
     run_pipeline,
 )
+
+from helpers import majorize
 
 ONE = make_constant(1.0)
 LN2 = math.log(2.0)
@@ -40,7 +44,7 @@ def constant_trajectory(value=1.0, T=2.0, n_nodes=513):
     ts = np.linspace(0.0, T, n_nodes)
     ys = np.full((n_nodes, 1), value)
     dys = np.zeros((n_nodes, 1))
-    return Trajectory(ts=ts, ys=ys, dys=dys, m=1, tol=1e-12)
+    return Trajectory(ts=ts, ys=ys, dys=dys, tol=1e-12)
 
 
 class TestReduce:
@@ -98,7 +102,7 @@ class TestLift:
         grid = np.append(u.ts[:-1, None] + np.diff(u.ts)[:, None] * np.arange(8) / 8, u.t_end)
         ys = u(grid)
         dys = np.array([[*y[1:], p.rhs(t, y)] for t, y in zip(grid, ys.tolist())])
-        v = lift_solution(Trajectory(ts=grid, ys=ys, dys=dys, m=1, tol=u.tol), [0.5, 0.25], 2)
+        v = lift_solution(Trajectory(ts=grid, ys=ys, dys=dys, tol=u.tol), [0.5, 0.25], 2)
         ts = np.linspace(0.05, 1.95, 1025)
         hstep = 1e-3
         vals = lambda t: v(t)[..., 0]
@@ -109,7 +113,7 @@ class TestLift:
 
 class TestMajorization:
     def test_exponential_closed_form(self):
-        tab = majorization_experiment(ONE, make_power(1), 1, (1.0,), (2.0,), J=5, horizon=10.0)
+        tab = majorize(ONE, make_power(1), 1, (1.0,), (2.0,), J=5, horizon=10.0)
         assert tab.passed and tab.levels_reachable
         for row in tab.rows:
             assert row.t_j == pytest.approx(row.j * LN2, abs=1e-8)
@@ -117,7 +121,7 @@ class TestMajorization:
             assert row.eps_j == pytest.approx(LN2 if row.j else 0.0, abs=1e-8)
 
     def test_constant_growth_closed_form(self):
-        tab = majorization_experiment(ONE, make_constant(1.0), 1, (1.0,), (2.0,), J=3, horizon=10.0)
+        tab = majorize(ONE, make_constant(1.0), 1, (1.0,), (2.0,), J=3, horizon=10.0)
         for row in tab.rows:
             assert row.t_j == pytest.approx(2.0 ** row.j - 1.0, abs=1e-9)
             assert row.tau_j == pytest.approx(2.0 * (2.0 ** row.j - 1.0), abs=1e-9)
@@ -130,8 +134,7 @@ class TestMajorization:
     def test_eps_of_piecewise_q_is_exact(self, pieces):
         # eps_j = int q over [t_(j-1), t_j]: the sum of c_i times the overlap
         # of the level interval with piece i; level intervals straddle jumps
-        tab = majorization_experiment(make_piecewise(pieces), make_power(1), 1, (1.0,), J=4,
-                                      horizon=5.0)
+        tab = majorize(make_piecewise(pieces), make_power(1), 1, (1.0,), J=4, horizon=5.0)
         assert tab.levels_reachable
         for prev, row in zip(tab.rows, tab.rows[1:]):
             exact = math.fsum(c * max(0.0, min(hi, row.t_j) - max(lo, prev.t_j))
@@ -146,7 +149,7 @@ class TestMajorization:
         custom = make_custom(lambda s: s ** lam, nondecreasing=True, nonnegative=True,
                              asymptotic_exponent=lam)
         a = (1.0,) + (0.0,) * (n - 1)
-        tabs = [majorization_experiment(ONE, h, n, a, J=5, horizon=3.0)
+        tabs = [majorize(ONE, h, n, a, J=5, horizon=3.0)
                 for h in (make_power(lam), custom)]
         assert len(tabs[0].rows) == len(tabs[1].rows) > 1
         for row, ref in zip(tabs[0].rows, tabs[1].rows):
@@ -154,17 +157,17 @@ class TestMajorization:
             assert row.w_derivs == pytest.approx(ref.w_derivs, rel=1e-13)
 
     def test_levels_double(self):
-        tab = majorization_experiment(ONE, make_power(1), 2, (1.0, 1.0), J=6, horizon=10.0)
+        tab = majorize(ONE, make_power(1), 2, (1.0, 1.0), J=6, horizon=10.0)
         for row in tab.rows:
             assert row.u_derivs[0] == pytest.approx(2.0 ** row.j * tab.u0, rel=1e-9)
 
     def test_zero_level_row(self):
-        tab = majorization_experiment(ONE, make_power(1), 1, (1.0,), (2.0,), J=0, horizon=5.0)
+        tab = majorize(ONE, make_power(1), 1, (1.0,), (2.0,), J=0, horizon=5.0)
         assert len(tab.rows) == 1
         assert tab.rows[0].margin_min == pytest.approx(1.0)  # b - a
 
     def test_reparameterization_inequalities(self):
-        tab = majorization_experiment(ONE, make_power(1), 1, (1.0,), J=6, horizon=10.0)
+        tab = majorize(ONE, make_power(1), 1, (1.0,), J=6, horizon=10.0)
         rows = tab.rows
         for prev, cur in zip(rows, rows[1:]):
             assert cur.tau_j - prev.tau_j >= cur.t_j - prev.t_j - 1e-12
@@ -175,43 +178,44 @@ class TestMajorization:
 
     def test_stagnant_solution_reported(self):
         # zero data with h(0) = 0: u stays at 0, levels unreachable
-        tab = majorization_experiment(ONE, make_power(1), 1, (0.0,), (1.0,), J=3, horizon=5.0)
+        tab = majorize(ONE, make_power(1), 1, (0.0,), (1.0,), J=3, horizon=5.0)
         assert not tab.levels_reachable
         assert tab.rows == ()
 
     def test_early_stop_when_horizon_short(self):
-        tab = majorization_experiment(ONE, make_power(1), 1, (1.0,), (2.0,), J=50, horizon=3.0)
+        tab = majorize(ONE, make_power(1), 1, (1.0,), (2.0,), J=50, horizon=3.0)
         assert not tab.levels_reachable
         assert 0 < len(tab.rows) < 51
         assert tab.passed
 
     def test_rho_knob(self):
-        tab = majorization_experiment(ONE, make_power(1), 1, (1.0,), (2.0,), J=4, horizon=10.0, rho=3.0)
+        tab = majorize(ONE, make_power(1), 1, (1.0,), (2.0,), J=4, horizon=10.0, rho=3.0)
         for row in tab.rows:
             assert row.u_derivs[0] == pytest.approx(3.0 ** row.j, rel=1e-8)
 
     def test_b_must_dominate(self):
         with pytest.raises(InvalidParameterError):
-            majorization_experiment(ONE, make_power(1), 1, (1.0,), (1.0,), J=2, horizon=5.0)
+            majorize(ONE, make_power(1), 1, (1.0,), (1.0,), J=2, horizon=5.0)
 
-    def test_order_checked_by_its_own_name(self):
-        with pytest.raises(InvalidParameterError, match=r"^n must be an integer >= 1, got 0$"):
-            majorization_experiment(ONE, make_power(1), 0, (), J=2, horizon=5.0)
+    def test_order_checked_by_its_own_name(self, capsys):
+        # the reduced problem's order is its m; the CLI's key for it is n
+        with pytest.raises(InvalidParameterError, match=r"^m must be an integer >= 1, got 0$"):
+            majorize(ONE, make_power(1), 0, (), J=2, horizon=5.0)
+        assert run_experiment(parse_config("run = majorize\nh = power(1.0)\nn = 0\na = []\n")) == 2
+        assert capsys.readouterr().err == "error: n must be an integer >= 1, got 0\n"
 
     def test_given_solution_must_be_the_reduced_solve(self):
         h = make_power(1)
-        u = integrate(ProblemSpec(m=2, k=0, a=(1.0, 1.0), q=ONE, h=h), 5.0, 1e-10)
-        given = majorization_experiment(ONE, h, 2, (1.0, 1.0), J=4, horizon=5.0, tol=1e-10, u=u)
-        own = majorization_experiment(ONE, h, 2, (1.0, 1.0), J=4, horizon=5.0, tol=1e-10)
-        assert repr(given) == repr(own)
-        for n, a, horizon, tol in [
-            (1, (1.0,), 5.0, 1e-10),           # order
-            (2, (1.0, 0.5), 5.0, 1e-10),       # data
-            (2, (1.0, 1.0), 4.0, 1e-10),       # span
-            (2, (1.0, 1.0), 5.0, 1e-12),       # tol
-        ]:
+        p = ProblemSpec(m=2, k=0, a=(1.0, 1.0), q=ONE, h=h)
+        u = integrate(p, 5.0, 1e-10)
+        for n, a in [(1, (1.0,)),           # order
+                     (2, (1.0, 0.5))]:      # data
             with pytest.raises(InvalidParameterError, match="u must be the order"):
-                majorization_experiment(ONE, h, n, a, J=4, horizon=horizon, tol=tol, u=u)
+                majorization_experiment(ProblemSpec(m=n, k=0, a=a, q=ONE, h=h), u, J=4)
+        driven = replace(p, f_override=lambda t, y: 0.0)
+        for other in (ProblemSpec(m=3, k=1, a=(0.0, 1.0, 1.0), q=ONE, h=h), driven):
+            with pytest.raises(InvalidParameterError, match="reduced problem"):
+                majorization_experiment(other, u, J=4)
 
 
 class TestPipeline:
@@ -312,8 +316,7 @@ class TestPipeline:
         assert rep.label == "GlobalConstructed" and rep.passed
         assert [(c[0].m, c[0].a) for c in calls] == [(m, p.a), (2, (2.0, 2.0))]
         red = reduce_problem(p)
-        alone = majorization_experiment(red.q, red.h, red.n, red.a,
-                                        J=6, horizon=5.0, tol=1e-10)
+        alone = majorize(red.q, red.h, red.n, red.a, J=6, horizon=5.0, tol=1e-10)
         assert alone.passed and rep.majorization.passed
         if k == 0:
             assert repr(rep.majorization) == repr(alone)
@@ -346,7 +349,7 @@ class TestPipeline:
         assert rep.construction.consistent and rep.majorization.passed
         if k == 0:  # the table is the standalone experiment's at that tol
             red = reduce_problem(p)
-            alone = majorization_experiment(red.q, red.h, red.n, red.a, J=6, horizon=5.0, tol=5e-13)
+            alone = majorize(red.q, red.h, red.n, red.a, J=6, horizon=5.0, tol=5e-13)
             assert repr(rep.majorization) == repr(alone)
 
     @pytest.mark.parametrize("m, k", [(1, 0), (2, 1), (3, 1), (3, 2)])
