@@ -158,6 +158,8 @@ def _semantic_errors(values: dict) -> list[str]:
     run = values.get("run")
     if run is not None and run not in RUNS:
         errors.append(f"run must be one of {', '.join(RUNS)}; got {run!r}")
+    elif run is not None and values.get("tol") is not None and "tol" not in _COMMANDS[run][2]:
+        errors.append(f"run {run} reads no tol; remove the tol key")
     a = values.get("a")
     if all(values.get(key) is not None for key in _PROBLEM_KEYS):
         try:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -179,17 +180,17 @@ _D = (
 
 # Top derivative of a stage for the families the step evaluates itself: how
 # the step unpacks its coefficients, and the stage line with {s} the stage's
-# component k.  c is q's value on the segment; the operations are those of
+# component kk.  c is q's value on the segment; the operations are those of
 # q.fn(t) * h.fn(s), in the same order.
 _INLINE = {
-    Family.POWER: ("c, lam = coef", "c * {s} ** lam"),
-    Family.POWER_LOG: ("c, lam, sigma, shift = coef",
+    Family.POWER: ("kk, c, lam = coef", "c * {s} ** lam"),
+    Family.POWER_LOG: ("kk, c, lam, sigma, shift = coef",
                        "c * ({s} ** lam * math.log(shift + {s}) ** sigma)"),
 }
 
 
 @functools.cache
-def _stepper(m: int, k: int = 0, family: Optional[Family] = None):
+def _stepper(m: int, family: Optional[Family] = None):
     """One DOP853 step for an m-component state, generated from the tableau
     with every stage combination unrolled into scalar locals:
     step(arg, t, h, hi, y, f, tol) -> (y_new, f_new, err, dense).  err is
@@ -200,13 +201,14 @@ def _stepper(m: int, k: int = 0, family: Optional[Family] = None):
     any other step returns dense = None.
 
     For a power or powerlog ``family`` the step computes each stage's top
-    derivative c h(s_k) itself, from arg = (c, *h.params), with c q's value
-    on the whole step; any stage that overflows, is complex or is not finite
-    gives err = nan.  For any other family (None) arg is the right-hand side,
-    called as rhs(t_j, [stage]) at the stage times, which are clamped to hi
-    when the step passes it.  The source is registered with linecache under
-    a name that carries m and, for a family, k and the family, so tracebacks
-    and profiles show its lines."""
+    derivative c h(s_k) itself, from arg = (k, c, *h.params), with c q's
+    value on the whole step; any stage that overflows, is complex or is not
+    finite gives err = nan.  k is read at run time, so one step serves every
+    k < m, and the cache holds one step per (m, family).  For any other
+    family (None) arg is the right-hand side, called as rhs(t_j, [stage]) at
+    the stage times, which are clamped to hi when the step passes it.  The
+    source is registered with linecache under a name that carries m and, for
+    a family, the family, so tracebacks and profiles show its lines."""
 
     def combo(weights, i):  # sum_j w_j * slope_j[i], left to right, no zero terms
         return "".join(f" - {-w!r} * {sl[i]}" if w < 0 else f" + {w!r} * {sl[i]}"
@@ -255,8 +257,11 @@ def _stepper(m: int, k: int = 0, family: Optional[Family] = None):
             body.append(f"y_new = {listed(state)}")
         if top is None:
             body.append(f"k{j} = rhs({'t12' if j == 13 else f't{j}'}, {'y_new' if j == 13 else listed(state)})")
-        else:
-            body.append(f"k{j} = {top.format(s=state[k])}")
+        elif m == 1:
+            body.append(f"k{j} = {top.format(s=state[0])}")
+        else:  # component kk of the stage, picked at run time
+            pick = "".join(f"{s} if kk == {i} else " for i, s in enumerate(state[:-1])) + state[-1]
+            body += [f"x{j} = {pick}", f"k{j} = {top.format(s=f'x{j}')}"]
         slopes.append(state[1:] + [f"k{j}"])
     body.append(f"return y_new, f_new, err, {listed(f'h * ({combo(row, i)})' for row in _D for i in idx)}")
     if top is None:
@@ -269,7 +274,7 @@ def _stepper(m: int, k: int = 0, family: Optional[Family] = None):
                *(f"        {line}" for line in body),
                "    except (ArithmeticError, TypeError, ValueError):",
                "        return y, f, math.nan, None"]
-    tag = "" if top is None else f", k={k}, h={family.value}"
+    tag = "" if top is None else f", h={family.value}"
     text, filename = "\n".join(src) + "\n", f"<blowup.ode DOP853 step, m={m}{tag}>"
     namespace = {"math": math}
     exec(compile(text, filename, "exec"), namespace)
@@ -585,6 +590,13 @@ def _hermite_rows(h, y0, y1, d0, d1):
     return rows
 
 
+def _float_mid(lo, hi):
+    """The float halfway between 0 <= lo < hi in float order, which for
+    floats >= 0 is the order of their bit patterns."""
+    a, b = (struct.unpack("<q", struct.pack("<d", abs(x)))[0] for x in (lo, hi))
+    return struct.unpack("<d", struct.pack("<q", (a + b) // 2))[0]
+
+
 def _find_level(value, level, lo, hi):
     """Shrink [lo, hi] on floats, keeping value < level at lo and >= level at
     hi, until the midpoint no longer splits the bracket; returns hi.
@@ -593,17 +605,19 @@ def _find_level(value, level, lo, hi):
     rule (an end kept twice in a row has its residual halved, so both ends
     close in).  A bisection step is taken instead when that point is not
     strictly inside the bracket, or when the end residuals do not bracket the
-    level (a lo where value >= level after all), until they do.  Where value
-    is monotone the result is the first float at which it reaches the level,
-    the same as bisecting down to adjacent floats; on the integrator's cells
-    it takes about a third of the evaluations."""
+    level (a lo where value >= level after all), until they do.  Bisection
+    halves the width of a bracket with hi <= 2 lo, and the count of floats
+    in a wider one with lo >= 0 (:func:`_float_mid`): on a crossing many
+    binades below hi, where the false-position point rounds to an end, that
+    takes at most 63 steps, where halving the width takes up to ~1075.
+    Where value is monotone the result is the first float at which it
+    reaches the level, the same as bisecting down to adjacent floats; on the
+    integrator's cells it takes about a third of the evaluations."""
     r_lo, r_hi, kept = value(lo) - level, value(hi) - level, 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        t = mid
-        if r_lo < 0.0 <= r_hi:
-            t = hi - r_hi * ((hi - lo) / (r_hi - r_lo))
-            if not lo < t < hi:
-                t = mid
+        t = hi - r_hi * ((hi - lo) / (r_hi - r_lo)) if r_lo < 0.0 <= r_hi else lo
+        if not lo < t < hi:
+            t = _float_mid(lo, hi) if 0.0 <= 2.0 * lo < hi else mid
         r = value(t) - level
         if r < 0.0:
             lo, r_lo = t, r
@@ -691,7 +705,7 @@ def _integrate_events(
     inline = (p.f_override is None and p.h.family in _INLINE
               and p.q.family in (Family.CONSTANT, Family.PIECEWISE))
     rhs = arg = p.rhs
-    step = _stepper(p.m, p.k, p.h.family) if inline else _stepper(p.m)
+    step = _stepper(p.m, p.h.family) if inline else _stepper(p.m)
     t = 0.0
     f = y[1:] + [rhs(t, y)]
     evals += 1
@@ -721,7 +735,7 @@ def _integrate_events(
         f = y[1:] + [rhs(t, y)]
         evals += 1
         if inline:
-            arg = (p.q.fn(t), *p.h.params)
+            arg = (p.k, p.q.fn(t), *p.h.params)
         if t > 0.0:
             ts.append(t)
             ys.append(y)

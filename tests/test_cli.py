@@ -336,6 +336,21 @@ class TestSurface:
             main(["classify", "--h", "power(2.0)", "--n", "1", "--tol", "1e-6"])
         assert exc.value.code == 2 and "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,text", [
+        ("classify", "h = power(2.0)\nn = 1\n"),
+        ("verify-lemma22", "g = power(1.0)\nn = 2\nu0 = 1.0\nT = 1.0\ngrid_size = 50\n"),
+    ], ids=["classify", "verify-lemma22"])
+    def test_tol_key_refused_where_no_solve_reads_it(self, command, text, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        cfg.write_text(text + "tol = 1e-6\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"config error: run {command} reads no tol" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="reads no tol"):
+            parse_config(f"run = {command}\n" + text + "tol = 1e-6\n")
+
     def test_empty_thresholds_run_the_default_ladder(self, tmp_path):
         base = "run = detect-blowup\nm = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(2.0)\n"
         assert run_experiment(parse_config(base + "thresholds = []\n"), tmp_path / "empty") == 0

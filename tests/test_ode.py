@@ -313,7 +313,7 @@ class TestStepAgainstReference:
         hi = min([t + gap] + [math.nextafter(b, -math.inf) for b in p.q.breakpoints if b > t])
         args = (t, dt, hi, y[:m], f[:m], tol)
         with np.errstate(all="ignore"):
-            got = _loop_outcome(ode._stepper(m, k, p.h.family), (p.q.fn(t), *p.h.params), *args)
+            got = _loop_outcome(ode._stepper(m, p.h.family), (k, p.q.fn(t), *p.h.params), *args)
             want = _loop_outcome(reference_step, p.rhs, *args)
         assert got == want
 
@@ -329,11 +329,22 @@ class TestStepAgainstReference:
         # every step, generated for the family or not, replaced by the
         # reference driven by p.rhs
         monkeypatch.setattr(ode, "_stepper",
-                            lambda m, k=0, family=None: lambda arg, *rest: reference_step(p.rhs, *rest))
+                            lambda m, family=None: lambda arg, *rest: reference_step(p.rhs, *rest))
         ref = integrate(p, 2.0, 1e-10)
         assert len(new.ts) > 10
         for name in ("ts", "ys", "dys"):
             assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_one_step_per_state_size(self):
+        # the step generated for a family reads k at run time, so every k < m
+        # integrates with the one step of its (m, family)
+        hs = (make_power(0.5), make_power_log(PowerFamilyParams(0.5, 1.0)))
+        ode._stepper.cache_clear()
+        for m in (1, 2, 3, 4):
+            for k in range(m):
+                for h in hs:
+                    integrate(ProblemSpec(m=m, k=k, a=(1.0,) * m, q=ONE, h=h), 0.5, 1e-9)
+            assert ode._stepper.cache_info().currsize == len(hs) * m
 
     def test_traceback_shows_the_calling_stage(self):
         calls = []
@@ -736,6 +747,10 @@ class TestCrossing:
         scale=st.floats(-3.0, 3.0),
         frac=st.floats(0.0, 1.0),
     )
+    # a crossing ~720 binades below the cell's end, where false position
+    # rounds to an end of the bracket
+    @example(lo=0.0, width=3.314453125, monotone=False, coeffs=[0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
+             scale=0.037109375, frac=1.5404097476205583e-217)
     def test_find_level_on_drawn_cells(self, lo, width, monotone, coeffs, scale, frac):
         # a monotone cell is a polynomial in th = (t - lo)/width with
         # coefficients >= 0, nondecreasing in floats too; any other cell is a
