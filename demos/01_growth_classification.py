@@ -9,7 +9,6 @@
 import math
 
 from blowup import (
-    PowerFamilyParams,
     classify,
     classify_scaled,
     make_constant,
@@ -29,7 +28,7 @@ for n in (1, 2, 3):
 print()
 print("the borderline lam = 1 is decided by the log power:")
 for sigma in (0.5, 1.0, 2.0, 3.0):
-    h = make_power_log(PowerFamilyParams(1.0, sigma, math.e))
+    h = make_power_log(1.0, sigma, math.e)
     v = classify(h, 1)
     print(f"  s * log(e+s)^{sigma}: {v.verdict.value}"
           + (f", integral = {v.estimate:.6f}" if v.estimate else ""))

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from blowup import (
-    PowerFamilyParams,
     ProblemSpec,
     detect_blowup,
     make_constant,
@@ -38,7 +37,7 @@ print(f"  bracketing interval: [{rep.t_blow_interval[0]:.9f}, {rep.t_blow_interv
 
 print()
 print("log-driven blow-up, T from separation of variables:")
-h = make_power_log(PowerFamilyParams(1.0, 2.0, math.e))
+h = make_power_log(1.0, 2.0, math.e)
 # int_1^inf ds/h(s) on the dyadic panels [2^j, 2^(j+1)], j < 200, with the
 # tail past 2^200 in closed form (s log(e+s)^2 ~ s log(s)^2 there)
 T_exact = integral(lambda s: 1.0 / (s * np.log(np.e + s) ** 2), 2.0 ** np.arange(201))

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .functions import (
     Family,
-    PowerFamilyParams,
     ScalarFn,
     ValidationReport,
     make_constant,
@@ -37,6 +36,7 @@ from .functions import (
     make_power,
     make_power_log,
     parse_fn_spec,
+    scaled,
     validate_fn,
 )
 from .ode import (

@@ -34,7 +34,7 @@ from .errors import (
     SingularIntegrandError,
     check_int,
 )
-from .functions import Family, ScalarFn
+from .functions import Family, ScalarFn, scaled
 from .quadrature import QUAD_TOL, integral, rest
 
 __all__ = [
@@ -78,18 +78,19 @@ class IntegralVerdict:
         return f"{self.verdict.value} ({self.method.value}{est})"
 
 
-def blowup_integrand(h: ScalarFn, n: int, s, *, scale: float = 1.0):
-    """The dichotomy integrand h(scale*s)^(-1/n) * s^(1/n - 1) at s > 0: a
-    float for a scalar s, elementwise for an array."""
+def blowup_integrand(h: ScalarFn, n: int, s):
+    """The dichotomy integrand h(s)^(-1/n) * s^(1/n - 1) at s > 0: a float
+    for a scalar s, elementwise for an array."""
     check_int("n", n)
     s = np.asarray(s, dtype=float)
-    hv = h.eval_array(scale * s)
+    hv = h.eval_array(s)
     bad = np.flatnonzero(~(hv > 0.0) | np.isinf(hv))  # nan counts as <= 0
     if len(bad):
         at, value = float(s.flat[bad[0]]), float(hv.flat[bad[0]])
         if value > 0.0:
-            raise NumericFailureError(f"h({scale * at!r}) is not finite")
-        raise SingularIntegrandError(f"h({scale * at!r}) = {value!r} <= 0: integrand singular", where=at)
+            raise NumericFailureError(f"{h.spec_text} is not finite at s = {at!r}")
+        raise SingularIntegrandError(
+            f"{h.spec_text} = {value!r} <= 0 at s = {at!r}: integrand singular", where=at)
     out = hv ** (-1.0 / n) * s ** (1.0 / n - 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -117,7 +118,12 @@ def _classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
     if exact is not None:
         verdict, est = exact
         return _verdict(verdict, Method.EXACT_FAMILY, est, cumulative=0.0 if est is None else est)
-    return _panel_classify(h, n, scale)
+    return _panel_classify(_at_scale(h, scale), n)
+
+
+def _at_scale(h: ScalarFn, scale: float) -> ScalarFn:
+    """s -> h(scale*s) for the numeric path: h itself at scale 1, where scale*s is s."""
+    return h if scale == 1.0 else scaled(h, scale, label=f"scaled({h.spec_text}, {scale!r})")
 
 
 def _verdict(verdict, method, estimate=None, panels_used=0, *,
@@ -154,14 +160,14 @@ def _exact_verdict(h: ScalarFn, n: int, scale: float) -> Optional[tuple]:
     if lam is not None and lam != 1.0:
         if lam < 1.0:
             return Verdict.DIVERGES, None
-        return Verdict.CONVERGES, _declared_estimate(h, n, scale)
+        return Verdict.CONVERGES, _declared_estimate(_at_scale(h, scale), n)
 
     return None
 
 
-def _in_y(h: ScalarFn, n: int, scale: float):
+def _in_y(h: ScalarFn, n: int):
     """The dichotomy integrand as a function of y = log s: blowup_integrand(e^y) e^y."""
-    return lambda y: blowup_integrand(h, n, np.exp(y), scale=scale) * np.exp(y)
+    return lambda y: blowup_integrand(h, n, np.exp(y)) * np.exp(y)
 
 
 def _y_integral(fy, y_end: float) -> float:
@@ -189,29 +195,29 @@ def _powerlog_estimate(lam, sigma, shift, n, scale) -> float:
     return scale ** (-lam / n) * (_y_integral(fy, Y) + tail)
 
 
-def _declared_estimate(h: ScalarFn, n: int, scale: float) -> Optional[float]:
+def _declared_estimate(h: ScalarFn, n: int) -> Optional[float]:
     """I for a custom h with declared exponent > 1, up to the last unit step of y < 710
     with h finite; None when the rest past it (as in the inversion) exceeds QUAD_TOL of I."""
     y_end = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for y in range(1, 710):
             try:
-                if not math.isfinite(h(scale * math.exp(y))):
+                if not math.isfinite(h(math.exp(y))):
                     break
             except OverflowError:  # a float ** overflows where numpy gives inf
                 break
             y_end = float(y)
-    fy = _in_y(h, n, scale)
+    fy = _in_y(h, n)
     total = _y_integral(fy, y_end)
     return total if rest(fy(np.arange(max(y_end - 1.0, 0.0), y_end + 1.0))) <= QUAD_TOL * total else None
 
 
-def _panel_classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
+def _panel_classify(h: ScalarFn, n: int) -> IntegralVerdict:
     cumulative = prev_panel = 0.0
     streak = 0
     for j in range(J_MAX):
         # the dyadic panel [2^j, 2^(j+1)] of s is [j log 2, (j+1) log 2] in y
-        panel = integral(_in_y(h, n, scale), np.array([j, j + 1.0]) * math.log(2.0))
+        panel = integral(_in_y(h, n), np.array([j, j + 1.0]) * math.log(2.0))
         if not math.isfinite(panel):
             raise NumericFailureError(f"quadrature failed on panel [{2.0 ** j}, {2.0 ** (j + 1)}]")
         cumulative += panel
@@ -231,9 +237,9 @@ def _panel_classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
             # where h has overflowed to inf the integrand is 0, decayed
             s = 2.0 ** (j + 1 + np.arange(4))
             with np.errstate(over="ignore"):
-                finite = h.eval_array(scale * s) != math.inf
+                finite = h.eval_array(s) != math.inf
             f = np.zeros(len(s))
-            f[finite] = blowup_integrand(h, n, s[finite], scale=scale)
+            f[finite] = blowup_integrand(h, n, s[finite])
             if np.all(f[1:] <= f[:-1] * 1.0000001):
                 tail = panel * ratio / (1.0 - ratio)
                 return _verdict(Verdict.CONVERGES, Method.NUMERIC_HEURISTIC, cumulative + tail, j + 1,

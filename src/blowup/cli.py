@@ -301,7 +301,6 @@ def _run_classify(cfg: ExperimentConfig, out: Optional[Path]):
     _need(cfg, "h", "n")
     h = parse_fn_spec(cfg.h)
     verdict = classify(h, cfg.n) if cfg.alpha is None else classify_scaled(h, cfg.n, cfg.alpha)
-    print(f"{h.spec_text} with n={cfg.n}: {verdict}")
     kv = [
         ("verdict", verdict.verdict.value),
         ("estimate", verdict.estimate),

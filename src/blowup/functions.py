@@ -11,7 +11,8 @@ Functions are built through the family constructors (:func:`make_power`,
 :func:`make_power_log`, :func:`make_constant`, :func:`make_piecewise`) or
 parsed from the line-oriented config syntax, e.g. ``power(2.0)``,
 ``powerlog(1.0, 2.0, 2.718281828459045)``, ``constant(1.0)``,
-``piecewise((0,1):0.5, (1,inf):2.0)``.
+``piecewise((0,1):0.5, (1,inf):2.0)``.  :func:`scaled` reads one function
+at another scale, weight * h(factor * s), keeping its declarations.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +30,6 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "Family",
-    "PowerFamilyParams",
     "ScalarFn",
     "ValidationReport",
     "make_power",
@@ -37,6 +37,7 @@ __all__ = [
     "make_constant",
     "make_piecewise",
     "make_custom",
+    "scaled",
     "validate_fn",
     "parse_fn_spec",
 ]
@@ -51,21 +52,6 @@ class Family(str, Enum):
     CONSTANT = "Constant"
     PIECEWISE = "Piecewise"
     CUSTOM = "Custom"
-
-
-@dataclass(frozen=True)
-class PowerFamilyParams:
-    """Parameters for the power / power-log families: s^lam * log(shift+s)^sigma."""
-
-    lam: float
-    sigma: float = 0.0
-    shift: float = math.e
-
-    def __post_init__(self):
-        if not (self.lam >= 0.0):
-            raise InvalidParameterError(f"power exponent must be >= 0, got {self.lam}")
-        if not (self.shift > 1.0):
-            raise InvalidParameterError(f"log shift must be > 1, got {self.shift}")
 
 
 @dataclass(frozen=True)
@@ -129,16 +115,18 @@ def make_power(lam: float) -> ScalarFn:
     )
 
 
-def make_power_log(p: PowerFamilyParams) -> ScalarFn:
-    """h(s) = s**lam * log(shift+s)**sigma.
+def make_power_log(lam: float, sigma: float = 0.0, shift: float = math.e) -> ScalarFn:
+    """h(s) = s**lam * log(shift+s)**sigma, lam >= 0, shift > 1.
 
     The asymptotic exponent is lam; the log factor only matters on the
     borderline lam = 1.  The monotonicity claim is made only for sigma >= 0
     (for sigma < 0 the function can have a decreasing stretch).
     """
-    lam, sigma, shift = float(p.lam), float(p.sigma), float(p.shift)
+    if not (lam >= 0.0):
+        raise InvalidParameterError(f"power exponent must be >= 0, got {lam}")
     if not (shift > 1.0):
         raise InvalidParameterError(f"log shift must be > 1, got {shift}")
+    lam, sigma, shift = float(lam), float(sigma), float(shift)
 
     def fn(s, _l=lam, _sg=sigma, _sh=shift):
         if isinstance(s, float) and _sh + s > 0.0:  # the generated step's formula, for rhs
@@ -247,6 +235,25 @@ def make_custom(
     )
 
 
+def scaled(h: ScalarFn, factor: float, *, weight: float = 1.0, label: str) -> ScalarFn:
+    """g(s) = weight * h(factor * s), factor > 0, with h's declarations and
+    its breakpoints moved to bp / factor."""
+    if not (factor > 0.0):
+        raise InvalidParameterError(f"scale factor must be > 0, got {factor}")
+
+    def fn(s, _w=float(weight), _f=float(factor), _h=h):
+        return _w * _h(_f * s)
+
+    return ScalarFn(
+        fn=fn,
+        nondecreasing=h.nondecreasing,
+        nonnegative=h.nonnegative,
+        asymptotic_exponent=h.asymptotic_exponent,
+        spec_text=label,
+        breakpoints=tuple(bp * (1.0 / factor) for bp in h.breakpoints),
+    )
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -333,6 +340,14 @@ _PIECE_RE = re.compile(
 )
 
 
+# name -> (constructor, argument counts, usage) of the families that take reals
+_FAMILIES = {
+    "power": (make_power, (1,), "power() takes exactly one argument"),
+    "powerlog": (make_power_log, (2, 3), "powerlog() takes (lam, sigma[, shift])"),
+    "constant": (make_constant, (1,), "constant() takes exactly one argument"),
+}
+
+
 def _parse_real(tok: str) -> float:
     t = tok.strip().lower()
     if t in ("inf", "+inf", "infinity"):
@@ -362,16 +377,9 @@ def parse_fn_spec(text: str) -> ScalarFn:
         return make_piecewise(pieces)
 
     args = [_parse_real(a) for a in body.split(",")] if body else []
-    if name == "power":
-        if len(args) != 1:
-            raise InvalidParameterError("power() takes exactly one argument")
-        return make_power(args[0])
-    if name == "powerlog":
-        if len(args) not in (2, 3):
-            raise InvalidParameterError("powerlog() takes (lam, sigma[, shift])")
-        return make_power_log(PowerFamilyParams(*args))
-    if name == "constant":
-        if len(args) != 1:
-            raise InvalidParameterError("constant() takes exactly one argument")
-        return make_constant(args[0])
-    raise InvalidParameterError(f"unknown function family {name!r}")
+    if name not in _FAMILIES:
+        raise InvalidParameterError(f"unknown function family {name!r}")
+    make, counts, usage = _FAMILIES[name]
+    if len(args) not in counts:
+        raise InvalidParameterError(usage)
+    return make(*args)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ from .errors import (
     check_int,
     check_tol,
 )
-from .functions import Family, ScalarFn, make_constant, make_custom
+from .functions import Family, ScalarFn, make_constant, scaled
 from .ode import ProblemSpec, Trajectory
 from .quadrature import QUAD_TOL, gauss_rules, panels, rest
 # the inversion tail's one integral, under the name perfbench/tracer.py counts as
@@ -276,19 +276,7 @@ def majorant_growth(h: ScalarFn, n: int, *, weight: float = 1.0) -> ScalarFn:
     """
     consts = comparison_constants(n)
     c = float(weight) / (consts.alpha * math.factorial(n - 1))
-    inv_beta = 1.0 / consts.beta
-
-    def fn(s, _c=c, _ib=inv_beta, _h=h):
-        return _c * _h(s * _ib)
-
-    g = make_custom(
-        fn,
-        nondecreasing=h.nondecreasing,
-        nonnegative=h.nonnegative,
-        asymptotic_exponent=h.asymptotic_exponent,
-        label=f"majorant_growth({h.spec_text}, n={n})",
-    )
-    return replace(g, breakpoints=tuple(bp * consts.beta for bp in h.breakpoints))
+    return scaled(h, 1.0 / consts.beta, weight=c, label=f"majorant_growth({h.spec_text}, n={n})")
 
 
 # ---------------------------------------------------------------------------

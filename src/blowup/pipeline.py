@@ -36,7 +36,7 @@ from .errors import (
     StageError,
     check_int,
 )
-from .functions import Family, make_constant, make_custom
+from .functions import Family, make_constant, scaled
 from .ode import (
     DEFAULT_THRESHOLDS,
     BlowupEvent,
@@ -199,13 +199,7 @@ def majorization_experiment(
     if h.family is Family.POWER:
         c_w, h_w = rho ** h.params[0], h
     else:
-        c_w, h_w = 1.0, make_custom(
-            lambda s, _h=h.fn, _r=rho: _h(_r * s),
-            nondecreasing=h.nondecreasing,
-            nonnegative=h.nonnegative,
-            asymptotic_exponent=h.asymptotic_exponent,
-            label=f"scaled({h.spec_text}, {rho})",
-        )
+        c_w, h_w = 1.0, scaled(h, rho, label=f"scaled({h.spec_text}, {rho})")
     wres = integrate(replace(p, a=b, q=make_constant(c_w), h=h_w), max(taus[-1], 1e-12), u.tol)
     if isinstance(wres, BlowupEvent):
         raise NumericFailureError(

@@ -16,7 +16,6 @@ from scipy.integrate import quad
 from blowup.classify import Method, Verdict, classify, classify_scaled
 from blowup.cli import parse_config, run_experiment
 from blowup.functions import (
-    PowerFamilyParams,
     make_constant,
     make_power,
     make_power_log,
@@ -72,7 +71,7 @@ def test_02_quadratic_blowup_time():
 
 
 def test_03_osgood_blowup_oracle():
-    h = make_power_log(PowerFamilyParams(1.0, 2.0, math.e))
+    h = make_power_log(1.0, 2.0, math.e)
     p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=h)
     rep = detect_blowup(p, horizon=3.0, tol=1e-10)
     rel = abs(rep.t_blow_estimate - OSGOOD_INTEGRAL) / OSGOOD_INTEGRAL
@@ -139,10 +138,10 @@ def test_08_scaling_invariance():
         (make_power(1.0), 1), (make_power(1.0), 2),
         (make_power(2.0), 1), (make_power(2.0), 2),
         (make_power(3.0), 1), (make_power(3.0), 3),
-        (make_power_log(PowerFamilyParams(1.0, 2.0, math.e)), 1),
-        (make_power_log(PowerFamilyParams(1.0, 0.5, math.e)), 1),
-        (make_power_log(PowerFamilyParams(1.0, 3.0, math.e)), 2),
-        (make_power_log(PowerFamilyParams(1.5, 1.0, 2.0)), 1),
+        (make_power_log(1.0, 2.0, math.e), 1),
+        (make_power_log(1.0, 0.5, math.e), 1),
+        (make_power_log(1.0, 3.0, math.e), 2),
+        (make_power_log(1.5, 1.0, 2.0), 1),
         (make_constant(2.0), 1), (make_constant(2.0), 2),
     ]
     ok = True

@@ -15,9 +15,8 @@ from blowup.classify import (
     classify,
     classify_scaled,
 )
-from blowup.errors import InvalidParameterError, SingularIntegrandError
+from blowup.errors import InvalidParameterError, NumericFailureError, SingularIntegrandError
 from blowup.functions import (
-    PowerFamilyParams,
     make_constant,
     make_custom,
     make_power,
@@ -54,6 +53,17 @@ class TestIntegrand:
             blowup_integrand(zero, 1, 3.0)
         assert exc.value.where == 3.0
 
+    def test_errors_name_the_function_and_the_point(self):
+        pole = make_custom(lambda s: np.inf * s, label="pole")
+        with pytest.raises(NumericFailureError, match=r"^pole is not finite at s = 1\.0$"):
+            blowup_integrand(pole, 1, [1.0, 2.0])
+        # the numeric path of the scaled test integrates h(2 s) in s
+        zero = make_custom(lambda s: 0.0 * s, label="zero")
+        with pytest.raises(SingularIntegrandError) as exc:
+            classify_scaled(zero, 1, 2.0)
+        assert str(exc.value) == f"scaled(zero, 2.0) = 0.0 <= 0 at s = {exc.value.where!r}: integrand singular"
+        assert 1.0 < exc.value.where < 2.0
+
     def test_bad_n(self):
         with pytest.raises(InvalidParameterError):
             blowup_integrand(make_power(1), 0, 1.0)
@@ -84,7 +94,7 @@ class TestPowerThreshold:
 class TestPowerLogBorderline:
     def test_log_saves_convergence(self):
         # lam = 1 alone diverges; sigma > n tips it convergent
-        h = make_power_log(PowerFamilyParams(1.0, 2.0, math.e))
+        h = make_power_log(1.0, 2.0, math.e)
         v = classify(h, 1)
         assert v.verdict is Verdict.CONVERGES
         assert v.method is Method.EXACT_FAMILY
@@ -104,11 +114,11 @@ class TestPowerLogBorderline:
         ],
     )
     def test_borderline_matrix(self, lam, sigma, n, diverges):
-        v = classify(make_power_log(PowerFamilyParams(lam, sigma)), n)
+        v = classify(make_power_log(lam, sigma), n)
         assert (v.verdict is Verdict.DIVERGES) == diverges
 
     def test_supercritical_estimate(self):
-        h = make_power_log(PowerFamilyParams(2.0, 1.0, math.e))
+        h = make_power_log(2.0, 1.0, math.e)
         v = classify(h, 1)
         oracle = brute_force_integral(h, 1)
         assert v.estimate == pytest.approx(oracle, rel=5e-3)
@@ -211,9 +221,9 @@ class TestScaled:
             make_power(1.0),
             make_power(2.0),
             make_power(3.0),
-            make_power_log(PowerFamilyParams(1.0, 2.0 * n, math.e)),
-            make_power_log(PowerFamilyParams(1.0, 0.5, math.e)),
-            make_power_log(PowerFamilyParams(1.5, 1.0, 2.0)),
+            make_power_log(1.0, 2.0 * n, math.e),
+            make_power_log(1.0, 0.5, math.e),
+            make_power_log(1.5, 1.0, 2.0),
             make_constant(2.0),
         ]
         for h in instances:
@@ -257,7 +267,7 @@ class TestAgainstClosedForm:
     def test_verdicts(self, lam, sigma, kind, n):
         # I(s^lam log(e+s)^sigma, n) converges iff lam > 1, or lam = 1 and sigma > n
         if kind == "powerlog":
-            h = make_power_log(PowerFamilyParams(lam, sigma))
+            h = make_power_log(lam, sigma)
         else:
             h = make_custom(lambda s: s ** lam * math.log(math.e + s) ** sigma,
                             asymptotic_exponent=lam if kind == "declared" else None)
@@ -286,7 +296,7 @@ class TestEstimateOracles:
     ])
     @pytest.mark.parametrize("alpha", [None, 30.0])
     def test_powerlog(self, lam, sigma, shift, n, alpha):
-        h = make_power_log(PowerFamilyParams(lam, sigma, shift))
+        h = make_power_log(lam, sigma, shift)
         v = classify(h, n) if alpha is None else classify_scaled(h, n, alpha)
         oracle = mp_integral(lambda s: s ** lam * mpmath.log(shift + s) ** sigma, n, alpha or 1.0)
         assert v.method is Method.EXACT_FAMILY

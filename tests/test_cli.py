@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,23 @@ class TestMain:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] and "--bogus" in errors[0]
         assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("command,cfg_text,flags", [
+        ("classify", "h = power(2.0)\nn = 1\n", []),
+        ("classify", "h = powerlog(1.0, 2.0, 2.718281828459045)\nn = 1\n", ["--alpha", "2.0"]),
+        ("detect-blowup", GOOD, []),
+        ("construct", "h = power(0.6)\nn = 1\nb = [1]\nT = 1.0\n", []),
+        ("pipeline", "m = 2\nk = 1\na = [1, 1]\nq = constant(1.0)\nh = power(1.0)\n", ["--horizon", "2.0"]),
+    ], ids=["classify", "classify-scaled", "detect-blowup", "construct", "pipeline"])
+    def test_stdout_is_the_report(self, command, cfg_text, flags, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+        stdout = capsys.readouterr().out
+        for line in stdout.splitlines():
+            assert line == "" or line.startswith("# ") or re.match(r"[^\s=#]+=", line), line
+        assert stdout == (out / f"{command}.txt").read_text()
 
     def test_batch_propagates_failure(self, tmp_path):
         bad = tmp_path / "bad.cfg"

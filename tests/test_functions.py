@@ -6,13 +6,13 @@ import pytest
 from blowup.errors import InvalidParameterError
 from blowup.functions import (
     Family,
-    PowerFamilyParams,
     make_constant,
     make_custom,
     make_piecewise,
     make_power,
     make_power_log,
     parse_fn_spec,
+    scaled,
     validate_fn,
 )
 
@@ -48,27 +48,31 @@ class TestPower:
 
 class TestPowerLog:
     def test_zero_at_origin(self):
-        h = make_power_log(PowerFamilyParams(1.0, 2.0, math.e))
+        h = make_power_log(1.0, 2.0, math.e)
         assert h(0.0) == 0.0
 
     def test_sigma_zero_reduces_to_power(self):
-        h = make_power_log(PowerFamilyParams(1.0, 0.0, math.e))
+        h = make_power_log(1.0, 0.0, math.e)
         assert h(5.0) == pytest.approx(5.0, abs=0)
 
     def test_constructed_log_value(self):
         # at s = e^2 - e the log factor is exactly 2
-        h = make_power_log(PowerFamilyParams(1.0, 2.0, math.e))
+        h = make_power_log(1.0, 2.0, math.e)
         s = math.e ** 2 - math.e
         assert float(h(s)) == pytest.approx(s * 4.0, rel=1e-14)
 
     def test_bad_shift(self):
         with pytest.raises(InvalidParameterError):
-            make_power_log(PowerFamilyParams(1.0, 2.0, 1.0))
+            make_power_log(1.0, 2.0, 1.0)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(InvalidParameterError, match="power exponent must be >= 0, got -1.0"):
+            make_power_log(-1.0, 1.0)
 
     def test_float_path_is_math_log(self):
         # a Python float takes math.log, the formula the integrator's step
         # computes; arrays keep np.log, equal to within rounding
-        h = make_power_log(PowerFamilyParams(2.0, 2.5, 1.7))
+        h = make_power_log(2.0, 2.5, 1.7)
         xs = [0.0, 0.3, 2.0, 1e6, 1e100]
         for x, v in zip(xs, h.eval_array(np.array(xs))):
             assert type(h(x)) is float and h(x) == x ** 2.0 * math.log(1.7 + x) ** 2.5
@@ -78,7 +82,7 @@ class TestPowerLog:
             assert np.isnan(h(-2.0))
 
     def test_negative_sigma_drops_monotone_claim(self):
-        h = make_power_log(PowerFamilyParams(1.0, -2.0, 1.001))
+        h = make_power_log(1.0, -2.0, 1.001)
         assert not h.nondecreasing
         assert h.nonnegative
 
@@ -115,6 +119,47 @@ class TestConstantPiecewise:
             make_piecewise([((0, 1), 1.0), ((2, math.inf), 1.0)])  # gap
         with pytest.raises(InvalidParameterError):
             make_piecewise([((1, math.inf), 1.0)])  # must start at 0
+
+
+class TestScaled:
+    XS = [0.0, 1e-300, 0.3, 1.0, 2.5, 7.0, 1e6, 1e100]
+
+    @pytest.mark.parametrize("h", [
+        make_power(1.5),
+        make_power_log(1.0, 2.0, 1.7),
+        make_piecewise([((0, 1), 0.5), ((1, 3), 2.0), ((3, math.inf), 7.0)]),
+        make_custom(lambda s: s * math.log(math.e + s), label="scalar only"),
+    ], ids=["power", "powerlog", "piecewise", "scalar-only"])
+    @pytest.mark.parametrize("factor,weight", [(0.3, 1.0), (3.0, 0.25), (1.0 / 17.0, 17.0)])
+    def test_values_are_weight_times_h_at_factor_s(self, h, factor, weight):
+        g = scaled(h, factor, weight=weight, label="g")
+        for x in self.XS:
+            assert g(x) == weight * h(factor * x)
+        # the scalar-only h makes both eval_arrays fall back to one call per element
+        xs = np.array(self.XS)
+        assert np.array_equal(g.eval_array(xs), weight * h.eval_array(factor * xs))
+
+    def test_declarations_carried(self):
+        h = make_custom(np.exp, nondecreasing=True, nonnegative=True, asymptotic_exponent=3.0)
+        g = scaled(h, 2.0, weight=5.0, label="g")
+        assert (g.nondecreasing, g.nonnegative, g.asymptotic_exponent) == (True, True, 3.0)
+        assert g.spec_text == "g" and g.family is Family.CUSTOM
+        bare = scaled(make_custom(np.sin), 2.0, label="g")
+        assert (bare.nondecreasing, bare.nonnegative, bare.asymptotic_exponent) == (False, False, None)
+
+    @pytest.mark.parametrize("factor", [0.3, 3.0, 1.0 / 17.0, 17.0])
+    def test_breakpoints_move_to_bp_over_factor(self, factor):
+        h = make_piecewise([((0, 0.1), 0.5), ((0.1, 1), 1.0), ((1, 7.5), 2.0), ((7.5, math.inf), 3.0)])
+        g = scaled(h, factor, label="g")
+        assert g.breakpoints == tuple(bp * (1.0 / factor) for bp in h.breakpoints)
+        # each moved breakpoint is where g jumps
+        for bp, lo, hi in zip(g.breakpoints, (0.5, 1.0, 2.0), (1.0, 2.0, 3.0)):
+            assert g(bp * (1 - 1e-9)) == lo and g(bp * (1 + 1e-9)) == hi
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan])
+    def test_factor_must_be_positive(self, factor):
+        with pytest.raises(InvalidParameterError, match="scale factor must be > 0"):
+            scaled(make_power(1.0), factor, label="g")
 
 
 class TestValidate:
@@ -179,3 +224,20 @@ class TestParser:
     def test_parse_errors(self, bad):
         with pytest.raises(InvalidParameterError):
             parse_fn_spec(bad)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("power()", "power() takes exactly one argument"),
+        ("power(1, 2)", "power() takes exactly one argument"),
+        ("powerlog(1)", "powerlog() takes (lam, sigma[, shift])"),
+        ("powerlog(1, 2, 3, 4)", "powerlog() takes (lam, sigma[, shift])"),
+        ("constant()", "constant() takes exactly one argument"),
+        ("power(-1)", "power exponent must be >= 0, got -1.0"),
+        ("powerlog(-1, 2)", "power exponent must be >= 0, got -1.0"),
+        ("powerlog(1, 2, 0.5)", "log shift must be > 1, got 0.5"),
+        ("mystery(1)", "unknown function family 'mystery'"),
+        ("mystery(x)", "expected a real number, got 'x'"),
+    ])
+    def test_parse_error_messages(self, bad, message):
+        with pytest.raises(InvalidParameterError) as exc:
+            parse_fn_spec(bad)
+        assert str(exc.value) == message

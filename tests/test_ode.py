@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 import blowup.ode as ode
 from blowup.errors import InvalidParameterError, NumericFailureError
 from blowup.functions import (
-    PowerFamilyParams,
     make_constant,
     make_custom,
     make_piecewise,
@@ -103,7 +102,7 @@ def _outcome(rhs, p, t, y):
 
 _H = {
     "power": lambda x: make_power(3.0 * x),
-    "powerlog": lambda x: make_power_log(PowerFamilyParams(3.0 * x, 2.0 * x - 0.5)),
+    "powerlog": lambda x: make_power_log(3.0 * x, 2.0 * x - 0.5),
     "custom": lambda x: make_custom(lambda s: s * s / (1.0 + s * s) + x * abs(s) ** 0.75),
 }
 _Q = {
@@ -140,7 +139,7 @@ class TestRhsAgainstReference:
 
     @pytest.mark.parametrize("p, through_rhs", [
         (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=ONE,
-                     h=make_power_log(PowerFamilyParams(0.5, 1.0))), False),
+                     h=make_power_log(0.5, 1.0)), False),
         (ProblemSpec(m=1, k=0, a=(0.5,),
                      q=make_piecewise([((0, 0.5), 0.5), ((0.5, math.inf), 2.0)]),
                      h=make_power(0.5)), False),
@@ -319,7 +318,7 @@ class TestStepAgainstReference:
 
     @pytest.mark.parametrize("p", [
         ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=ONE,
-                    h=make_power_log(PowerFamilyParams(0.5, 1.0))),
+                    h=make_power_log(0.5, 1.0)),
         ProblemSpec(m=1, k=0, a=(0.5,),
                     q=make_piecewise([((0, 0.5), 0.5), ((0.5, math.inf), 2.0)]),
                     h=make_power(0.5)),
@@ -338,7 +337,7 @@ class TestStepAgainstReference:
     def test_one_step_per_state_size(self):
         # the step generated for a family reads k at run time, so every k < m
         # integrates with the one step of its (m, family)
-        hs = (make_power(0.5), make_power_log(PowerFamilyParams(0.5, 1.0)))
+        hs = (make_power(0.5), make_power_log(0.5, 1.0))
         ode._stepper.cache_clear()
         for m in (1, 2, 3, 4):
             for k in range(m):
@@ -380,7 +379,7 @@ class TestStepStats:
         (_RETRIED, 0.1),
         (ProblemSpec(m=2, k=0, a=(1.0, 1.0), q=ONE, h=make_power(2)), 5.0),
         (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=make_piecewise([((0, 0.5), 0.5), ((0.5, math.inf), 2.0)]),
-                     h=make_power_log(PowerFamilyParams(1.5, 1.0))), 0.8),
+                     h=make_power_log(1.5, 1.0)), 0.8),
     ], ids=["retried", "escape", "powerlog-restart"])
     def test_the_family_step_counts_what_rhs_would(self, p, T, monkeypatch):
         # the step that computes c h(s_k) itself and the one that calls rhs
@@ -594,7 +593,7 @@ class TestDenseOutput:
         (ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2)), 2.0),
         (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=make_piecewise([((0, 0.5), 0.5), ((0.5, 0.7), 2.0),
                                                                      ((0.7, math.inf), 1.0)]),
-                     h=make_power_log(PowerFamilyParams(1.5, 1.0))), 1.5),
+                     h=make_power_log(1.5, 1.0)), 1.5),
     ], ids=["cosh", "escape", "restarts"])
     def test_each_cell_returns_its_ends_bitwise(self, p, T):
         # every cell's extension at th = 0 and 1: a stepped cell's own rows,
@@ -651,7 +650,7 @@ class TestDenseOutput:
     @pytest.mark.parametrize("p, T, grid_built", [
         (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=make_piecewise([((0, 0.5), 0.5), ((0.5, 0.7), 2.0),
                                                                      ((0.7, math.inf), 1.0)]),
-                     h=make_power_log(PowerFamilyParams(1.5, 1.0))), 1.5, False),
+                     h=make_power_log(1.5, 1.0)), 1.5, False),
         (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=ONE, h=make_power(2)), 10.0, False),
         (ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=ONE, h=make_power(2)), 10.0, True),
     ], ids=["restarts", "escape", "grid-built"])
@@ -845,7 +844,7 @@ class TestDetectBlowup:
         assert len(rep.escape_thresholds) == 2  # e^t crosses 1e9 only past t ~ 20.7
 
     def test_osgood_oracle(self):
-        h = make_power_log(PowerFamilyParams(1.0, 2.0, math.e))
+        h = make_power_log(1.0, 2.0, math.e)
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=h)
         rep = detect_blowup(p, horizon=3.0, tol=1e-10)
         assert rep.kind is BlowupKind.BLOW_UP

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from blowup.errors import BracketFailureError, FiniteEscapeError, InvalidParameterError
 from blowup.functions import (
-    PowerFamilyParams,
     make_constant,
     make_custom,
     make_piecewise,
@@ -650,7 +649,7 @@ class TestBoundPreservation:
         # are 0 or >= 0.1: a start just above 0 with lambda < 1 (a = [1e-300])
         # crawls away from 0 so slowly that the iteration stops on a small
         # step long before the fixed point (see CHANGES.md)
-        h = make_power(lam) if sigma is None else make_power_log(PowerFamilyParams(0.9 * lam, sigma))
+        h = make_power(lam) if sigma is None else make_power_log(0.9 * lam, sigma)
         bps = sorted({round(f * T, 6) for f, _ in jumps})
         vals = [q0, *(c for _, c in jumps)][: len(bps) + 1]
         q = make_piecewise(list(zip(zip([0.0, *bps], [*bps, math.inf]), vals)))

@@ -1,0 +1,203 @@
+"""Print one sha256 per group of the library's outputs, to show that a change
+keeps every number of the tree it is compared with.
+
+Run from the root of a checkout:
+
+    python3 tools/digest.py
+
+It imports ``src/blowup`` and ``perfbench/workloads.py`` from that checkout
+and writes nothing there (the CLI artifacts go to a temporary directory).
+Two checkouts print the same lines exactly when every hashed value is the
+same bit for bit.  The groups:
+
+- global-construct seeds 1 and 4, rounds 0-3: every pipeline report, field
+  by field (construction, majorization, the constructed and direct
+  trajectories with ts/ys/dys/dense), and each case's Picard tower: grid,
+  iterates, levels and the inverted ``majorant``;
+- blowup-ladder seeds 2 and 5, rounds 0-15: every report with its
+  trajectory;
+- cli-batch seed 3, rounds 0-2: every artifact, byte for byte;
+- classify: ``classify`` and ``classify_scaled`` (alpha in {0.3, 2, 17}) on
+  custom h with a declared exponent 2, without one, and with a callable
+  that does not broadcast, for n = 1-3;
+- powerlog-pipeline: divergent-regime pipelines with a powerlog h, whose
+  majorization companion reads h at rho s;
+- piecewise-majorant: ``majorant_growth`` of a seven-piece piecewise h for
+  n = 1-7 (breakpoints, values on a grid) and the majorant of its tower.
+
+A report field that is an exception is hashed by its type and ``where``,
+not its message.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import blowup  # noqa: E402
+import blowup.pipeline  # noqa: E402
+from workloads import WORKLOADS, _problem, run_cli_cases  # noqa: E402
+
+
+def feed(hasher, x) -> None:
+    """Hash x by value: arrays by dtype, shape and bytes, dataclasses field by
+    field, functions by their spec text, everything else by repr."""
+    if isinstance(x, np.ndarray):
+        hasher.update(f"{x.dtype}{x.shape}".encode())
+        hasher.update(np.ascontiguousarray(x).tobytes())
+    elif isinstance(x, blowup.ScalarFn):
+        hasher.update(f"fn:{x.spec_text}".encode())
+    elif dataclasses.is_dataclass(x):
+        hasher.update(type(x).__name__.encode())
+        for f in dataclasses.fields(x):
+            hasher.update(f.name.encode())
+            feed(hasher, getattr(x, f.name))
+    elif isinstance(x, (list, tuple)):
+        hasher.update(f"[{len(x)}".encode())
+        for v in x:
+            feed(hasher, v)
+        hasher.update(b"]")
+    elif isinstance(x, dict):
+        for key in sorted(x):
+            hasher.update(repr(key).encode())
+            feed(hasher, x[key])
+    elif isinstance(x, BaseException):
+        hasher.update(f"raised:{type(x).__name__}:{getattr(x, 'where', None)!r}".encode())
+    elif callable(x):
+        hasher.update(b"<callable>")
+    else:
+        hasher.update(repr(x).encode())
+
+
+class Group:
+    def __init__(self, name: str):
+        self.name, self.items, self.hasher = name, 0, hashlib.sha256()
+
+    def add(self, x) -> None:
+        feed(self.hasher, x)
+        self.items += 1
+
+    def line(self) -> str:
+        return f"{self.name} items={self.items} sha256={self.hasher.hexdigest()}"
+
+
+def _tower(tower) -> tuple:
+    return tower, tower.majorant
+
+
+def pipelines(group: Group, problems, horizon) -> None:
+    """Every report of run_pipeline over problems, and the towers it built."""
+    towers = []
+    solve = blowup.pipeline.picard_solve
+
+    def recording(*args, **kwargs):
+        towers.append(solve(*args, **kwargs))
+        return towers[-1]
+
+    blowup.pipeline.picard_solve = recording
+    try:
+        for p, T in zip(problems, horizon):
+            towers.clear()
+            try:
+                group.add(blowup.run_pipeline(p, horizon=T))
+            except blowup.BlowupError as e:
+                group.add(e)
+            for tower in towers:
+                group.add(_tower(tower))
+    finally:
+        blowup.pipeline.picard_solve = solve
+
+
+def workload_group(name: str, seeds, rounds) -> Group:
+    group = Group(f"{name} seeds={','.join(map(str, seeds))} rounds=0-{rounds - 1}")
+    make = WORKLOADS[name].make_round
+    for seed in seeds:
+        for r in range(rounds):
+            cases = make(seed, r)
+            pipelines(group, [_problem(c, blowup) for c in cases], [c.horizon for c in cases])
+    return group
+
+
+def cli_group(seed: int, rounds: int) -> Group:
+    group = Group(f"cli-batch seeds={seed} rounds=0-{rounds - 1}")
+    make = WORKLOADS["cli-batch"].make_round
+    for r in range(rounds):
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            run_cli_cases(make(seed, r), blowup, work)
+            for path in sorted((work / "out").rglob("*")):
+                if path.is_file():
+                    group.add((str(path.relative_to(work)), path.read_bytes()))
+    return group
+
+
+def classify_group() -> Group:
+    group = Group("classify custom-h alpha=None,0.3,2,17 n=1-3")
+    declared = blowup.make_custom(lambda s: 3.0 * s ** 2 * np.log(np.e + s), nondecreasing=True,
+                                  nonnegative=True, asymptotic_exponent=2.0, label="declared")
+    undeclared = blowup.make_custom(lambda s: s ** 1.5 + s, nondecreasing=True, nonnegative=True,
+                                    label="undeclared")
+    scalar_only = blowup.make_custom(lambda s: s * math.log(math.e + s) ** 2.5, nondecreasing=True,
+                                     nonnegative=True, label="scalar-only")
+    for h in (declared, undeclared, scalar_only):
+        for n in (1, 2, 3):
+            for alpha in (None, 0.3, 2.0, 17.0):
+                try:
+                    v = blowup.classify(h, n) if alpha is None else blowup.classify_scaled(h, n, alpha)
+                except blowup.BlowupError as e:
+                    v = e
+                group.add((h.spec_text, n, alpha, v))
+    return group
+
+
+def powerlog_group() -> Group:
+    group = Group("powerlog-pipeline")
+    spec = blowup.parse_fn_spec  # the same text at any version of make_power_log
+    one, jump = spec("constant(1.0)"), spec("piecewise((0,0.5):1.0, (0.5,inf):0.5)")
+    problems = [
+        blowup.ProblemSpec(m=1, k=0, a=(1.0,), q=one, h=spec("powerlog(1.0, 0.5)")),
+        blowup.ProblemSpec(m=2, k=0, a=(1.0, 0.5), q=one, h=spec("powerlog(0.5, 1.0)")),
+        blowup.ProblemSpec(m=3, k=1, a=(1.0, 0.0, 1.0), q=one, h=spec("powerlog(0.8, 1.0, 2.0)")),
+        blowup.ProblemSpec(m=2, k=1, a=(0.5, 1.0), q=jump, h=spec("powerlog(0.9, 0.5)")),
+    ]
+    pipelines(group, problems, [2.0, 2.0, 2.0, 1.5])
+    return group
+
+
+def piecewise_group() -> Group:
+    group = Group("piecewise-majorant n=1-7")
+    edges = (0.0, 0.1, 0.35, 1.0, 2.5, 7.0, 30.0, math.inf)
+    vals = (0.5, 0.7, 1.0, 1.6, 2.4, 3.9, 6.0)
+    h = blowup.make_piecewise([((lo, hi), v) for lo, hi, v in zip(edges, edges[1:], vals)])
+    grid = np.geomspace(1e-3, 1e3, 257)
+    for n in range(1, 8):
+        g = blowup.majorant_growth(h, n, weight=1.5)
+        group.add((g.breakpoints, g.eval_array(grid), [g(float(s)) for s in grid[::16]]))
+        group.add(_tower(blowup.picard_solve(h, n, [1.0] * n, 0.5, tol=1e-8)))
+    return group
+
+
+def main() -> None:
+    groups = [
+        lambda: workload_group("global-construct", (1, 4), 4),
+        lambda: workload_group("blowup-ladder", (2, 5), 16),
+        lambda: cli_group(3, 3),
+        classify_group,
+        powerlog_group,
+        piecewise_group,
+    ]
+    for make in groups:
+        print(make().line(), flush=True)
+
+
+if __name__ == "__main__":
+    main()
