@@ -42,22 +42,19 @@ for alpha in (0.5, 2.0, 10.0):
 
 print()
 print("functions without a declared exponent go through dyadic panels:")
-fast = make_custom(lambda s: s ** 3, nonnegative=True, nondecreasing=True,
-                   label="cubed (undeclared)")
+fast = make_custom(lambda s: s ** 3, label="cubed (undeclared)")
 v = classify(fast, 1)
 print(f"  s^3 (undeclared), n=1: {v.verdict.value} after {v.panels_used} panels,"
       f" estimate {v.estimate:.6f} (exact 0.5)")
 
-sqrtish = make_custom(lambda s: s ** 0.5, nonnegative=True, nondecreasing=True,
-                      label="sqrt (undeclared)")
+sqrtish = make_custom(lambda s: s ** 0.5, label="sqrt (undeclared)")
 v = classify(sqrtish, 1)
 print(f"  sqrt (undeclared), n=1: {v.verdict.value} after {v.panels_used} panels"
       f" (cumulative passed the divergence cap)")
 
 # s^2/(1+s) grows only like s at infinity: a true log-divergence that no
 # finite panel sum can certify -- the honest verdict is Inconclusive
-mystery = make_custom(lambda s: s * s / (1.0 + s), nonnegative=True,
-                      nondecreasing=True, label="s^2/(1+s)")
+mystery = make_custom(lambda s: s * s / (1.0 + s), label="s^2/(1+s)")
 v = classify(mystery, 1)
 print(f"  s^2/(1+s), n=1: {v.verdict.value} after {v.panels_used} panels "
       f"(cumulative only {v.evidence['cumulative']:.3g}: too slow to prove)")

@@ -29,7 +29,6 @@ from .errors import (
 from .functions import (
     Family,
     ScalarFn,
-    ValidationReport,
     make_constant,
     make_custom,
     make_piecewise,
@@ -37,7 +36,6 @@ from .functions import (
     make_power_log,
     parse_fn_spec,
     scaled,
-    validate_fn,
 )
 from .ode import (
     BlowupEvent,

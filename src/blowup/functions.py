@@ -2,17 +2,17 @@
 
 Every one-variable function the library manipulates (the nonlinearity h,
 the time coefficient q, derived majorant growth functions g) is wrapped in
-a :class:`ScalarFn`: a plain callable plus declared structure, such as
-monotonicity, sign and asymptotic power, that the classifier and the
-constructive solvers rely on.  The declarations are *claims*: they are
-checkable by sampling (:func:`validate_fn`) but never proven.
+a :class:`ScalarFn`: a plain callable plus its family, its parameters, its
+jump points and one declaration, the asymptotic power, which the classifier
+reads for its exact verdict on custom and piecewise h.  The declaration is a
+*claim*, never checked.
 
 Functions are built through the family constructors (:func:`make_power`,
 :func:`make_power_log`, :func:`make_constant`, :func:`make_piecewise`) or
 parsed from the line-oriented config syntax, e.g. ``power(2.0)``,
 ``powerlog(1.0, 2.0, 2.718281828459045)``, ``constant(1.0)``,
 ``piecewise((0,1):0.5, (1,inf):2.0)``.  :func:`scaled` reads one function
-at another scale, weight * h(factor * s), keeping its declarations.
+at another scale, weight * h(factor * s), keeping its asymptotic power.
 """
 
 from __future__ import annotations
@@ -31,20 +31,14 @@ from .errors import InvalidParameterError
 __all__ = [
     "Family",
     "ScalarFn",
-    "ValidationReport",
     "make_power",
     "make_power_log",
     "make_constant",
     "make_piecewise",
     "make_custom",
     "scaled",
-    "validate_fn",
     "parse_fn_spec",
 ]
-
-# Relative slack used by the monotonicity claim: f(s1) <= f(s2) + SLACK*(1+|f(s2)|).
-MONOTONE_SLACK = 1e-12
-
 
 class Family(str, Enum):
     POWER = "Power"
@@ -56,15 +50,13 @@ class Family(str, Enum):
 
 @dataclass(frozen=True)
 class ScalarFn:
-    """An evaluable function [0, inf) -> R with declared structure.
+    """An evaluable function [0, inf) -> R with its declared asymptotic power.
 
     Instances are immutable and safe to share across threads; ``fn`` must be
     a pure function of its argument.
     """
 
     fn: Callable[[float], float]
-    nondecreasing: bool = False
-    nonnegative: bool = False
     asymptotic_exponent: Optional[float] = None
     family: Family = Family.CUSTOM
     params: tuple = ()
@@ -96,7 +88,7 @@ def _fmt(x: float) -> str:
 
 
 def make_power(lam: float) -> ScalarFn:
-    """h(s) = s**lam, lam >= 0. Nondecreasing and nonnegative on [0, inf)."""
+    """h(s) = s**lam, lam >= 0."""
     if not (lam >= 0.0):
         raise InvalidParameterError(f"power exponent must be >= 0, got {lam}")
     lam = float(lam)
@@ -106,8 +98,6 @@ def make_power(lam: float) -> ScalarFn:
 
     return ScalarFn(
         fn=fn,
-        nondecreasing=True,
-        nonnegative=True,
         asymptotic_exponent=lam,
         family=Family.POWER,
         params=(lam,),
@@ -119,8 +109,8 @@ def make_power_log(lam: float, sigma: float = 0.0, shift: float = math.e) -> Sca
     """h(s) = s**lam * log(shift+s)**sigma, lam >= 0, shift > 1.
 
     The asymptotic exponent is lam; the log factor only matters on the
-    borderline lam = 1.  The monotonicity claim is made only for sigma >= 0
-    (for sigma < 0 the function can have a decreasing stretch).
+    borderline lam = 1.  For sigma < 0 the function can have a decreasing
+    stretch.
     """
     if not (lam >= 0.0):
         raise InvalidParameterError(f"power exponent must be >= 0, got {lam}")
@@ -135,8 +125,6 @@ def make_power_log(lam: float, sigma: float = 0.0, shift: float = math.e) -> Sca
 
     return ScalarFn(
         fn=fn,
-        nondecreasing=sigma >= 0.0,
-        nonnegative=True,
         asymptotic_exponent=lam,
         family=Family.POWER_LOG,
         params=(lam, sigma, shift),
@@ -158,8 +146,6 @@ def make_constant(c: float) -> ScalarFn:
 
     return ScalarFn(
         fn=fn,
-        nondecreasing=True,
-        nonnegative=c >= 0.0,
         asymptotic_exponent=0.0 if c > 0.0 else None,
         family=Family.CONSTANT,
         params=(c,),
@@ -206,8 +192,6 @@ def make_piecewise(pieces: Sequence[tuple[tuple[float, float], float]]) -> Scala
     )
     return ScalarFn(
         fn=fn,
-        nondecreasing=all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1)),
-        nonnegative=all(v >= 0.0 for v in vals),
         asymptotic_exponent=0.0 if vals[-1] > 0.0 else None,
         family=Family.PIECEWISE,
         params=(tuple(los), tuple(vals)),
@@ -219,16 +203,12 @@ def make_piecewise(pieces: Sequence[tuple[tuple[float, float], float]]) -> Scala
 def make_custom(
     fn: Callable[[float], float],
     *,
-    nondecreasing: bool = False,
-    nonnegative: bool = False,
     asymptotic_exponent: Optional[float] = None,
     label: str = "custom",
 ) -> ScalarFn:
-    """Wrap an arbitrary callable with declared metadata."""
+    """Wrap an arbitrary callable with its declared asymptotic exponent."""
     return ScalarFn(
         fn=fn,
-        nondecreasing=nondecreasing,
-        nonnegative=nonnegative,
         asymptotic_exponent=asymptotic_exponent,
         family=Family.CUSTOM,
         spec_text=label,
@@ -236,8 +216,8 @@ def make_custom(
 
 
 def scaled(h: ScalarFn, factor: float, *, weight: float = 1.0, label: str) -> ScalarFn:
-    """g(s) = weight * h(factor * s), factor > 0, with h's declarations and
-    its breakpoints moved to bp / factor."""
+    """g(s) = weight * h(factor * s), factor > 0, with h's asymptotic exponent
+    and its breakpoints moved to bp / factor."""
     if not (factor > 0.0):
         raise InvalidParameterError(f"scale factor must be > 0, got {factor}")
 
@@ -246,88 +226,9 @@ def scaled(h: ScalarFn, factor: float, *, weight: float = 1.0, label: str) -> Sc
 
     return ScalarFn(
         fn=fn,
-        nondecreasing=h.nondecreasing,
-        nonnegative=h.nonnegative,
         asymptotic_exponent=h.asymptotic_exponent,
         spec_text=label,
         breakpoints=tuple(bp * (1.0 / factor) for bp in h.breakpoints),
-    )
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Sampled check of a ScalarFn's claims on a geometric grid.
-
-    ``monotonicity_violation`` and ``nonnegativity_violation`` are the worst
-    observed magnitudes (0.0 when the corresponding claim holds on the grid
-    or is not made); ``nonfinite_points`` lists abscissas where evaluation
-    was not finite (a defect, not an exception).
-    """
-
-    lo: float
-    hi: float
-    samples: int
-    monotonicity_violation: float
-    nonnegativity_violation: float
-    min_value: float
-    nonfinite_points: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.monotonicity_violation == 0.0
-            and self.nonnegativity_violation == 0.0
-            and not self.nonfinite_points
-        )
-
-
-def _geometric_grid(lo: float, hi: float, samples: int) -> np.ndarray:
-    # Geometric spacing covers both the s->0 and s->inf scales; a zero left
-    # endpoint is kept and the geometric part anchored 18 decades below hi.
-    if lo > 0.0:
-        return np.geomspace(lo, hi, samples)
-    return np.concatenate(([0.0], np.geomspace(hi * 1e-18, hi, samples - 1)))
-
-
-def validate_fn(fn: ScalarFn, lo: float, hi: float, samples: int) -> ValidationReport:
-    """Check the declared claims of ``fn`` on a deterministic geometric grid."""
-    if not (lo < hi):
-        raise InvalidParameterError(f"need lo < hi, got [{lo}, {hi}]")
-    if lo < 0.0:
-        raise InvalidParameterError("functions live on [0, inf); lo must be >= 0")
-    if samples < 2:
-        raise InvalidParameterError("need at least 2 samples")
-
-    grid = _geometric_grid(float(lo), float(hi), int(samples))
-    vals = fn.eval_array(grid)
-    finite = np.isfinite(vals)
-    bad = tuple(float(s) for s in grid[~finite])
-    vals_f = vals[finite]
-
-    mono_viol = 0.0
-    if fn.nondecreasing and len(vals_f) >= 2:
-        run_max = np.maximum.accumulate(vals_f)
-        # prior maximum must not exceed the current value beyond the slack
-        excess = run_max[:-1] - vals_f[1:] - MONOTONE_SLACK * (1.0 + np.abs(vals_f[1:]))
-        mono_viol = float(max(0.0, np.max(excess, initial=0.0)))
-
-    min_value = float(np.min(vals_f)) if len(vals_f) else math.nan
-    nonneg_viol = 0.0
-    if fn.nonnegative and len(vals_f):
-        nonneg_viol = float(max(0.0, -min_value))
-
-    return ValidationReport(
-        lo=float(lo),
-        hi=float(hi),
-        samples=int(samples),
-        monotonicity_violation=mono_viol,
-        nonnegativity_violation=nonneg_viol,
-        min_value=min_value,
-        nonfinite_points=bad,
     )
 
 

@@ -655,8 +655,8 @@ def _integrate_events(
     after (t_k, y_k).  Otherwise the run goes on, and the step's other
     crossings are recorded without asking again: the node is the same."""
     tol = check_tol(tol)
-    if not (T > 0.0):
-        raise InvalidParameterError(f"T must be > 0, got {T!r}")
+    if not (0.0 < T < math.inf):
+        raise InvalidParameterError(f"T must be > 0 and finite, got {T!r}")
 
     y = list(p.a)
     crossings: dict[float, float] = {}

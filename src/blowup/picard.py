@@ -396,8 +396,8 @@ def picard_solve(
     only on g, n, u0 and T.
     """
     n = check_int("n", n)
-    if not (T > 0.0):
-        raise InvalidParameterError(f"T must be > 0, got {T!r}")
+    if not (0.0 < T < math.inf):
+        raise InvalidParameterError(f"T must be > 0 and finite, got {T!r}")
     tol = check_tol(tol)
     b = np.array(b, dtype=float)  # a copy: the tower's trajectory reads it later
     if len(b) != n:
@@ -628,6 +628,7 @@ def verify_bound_preservation(
     q) is refused with InvalidParameterError, since the operator needs a
     strictly increasing grid.
     """
+    trials = check_int("trials", trials, 0)
     rng = np.random.default_rng(seed)
     grid = v.ts
     V = v.ys
@@ -635,7 +636,7 @@ def verify_bound_preservation(
     worst = 0.0
     worst_trial = -1
 
-    for trial in range(int(trials)):
+    for trial in range(trials):
         cuts = _block_cuts(rng, len(grid))
         u_scales = rng.uniform(0.0, 1.0, (len(cuts) - 1, p.m))
         c_scales = rng.uniform(0.0, 1.0, len(cuts) - 1)
@@ -656,7 +657,7 @@ def verify_bound_preservation(
         if viol > worst:
             worst, worst_trial = viol, trial
     return BoundPreservationReport(
-        trials=int(trials), seed=int(seed), worst_violation=worst, worst_trial=worst_trial
+        trials=trials, seed=int(seed), worst_violation=worst, worst_trial=worst_trial
     )
 
 

@@ -162,6 +162,7 @@ def majorization_experiment(
         raise InvalidParameterError(f"u must be the order-{p.m} solve from {p.a} at t = 0")
     if not (rho > 1.0):
         raise InvalidParameterError(f"rho must be > 1, got {rho!r}")
+    J = check_int("J", J, 0)
     b = tuple(x + 1.0 for x in p.a) if b is None else tuple(float(x) for x in b)
     if any(bi <= ai for bi, ai in zip(b, p.a)):
         raise InvalidParameterError("need b_i > a_i componentwise")

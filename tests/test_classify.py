@@ -135,8 +135,7 @@ class TestConstantAndCustom:
             classify(make_constant(0.0), 1)
 
     def test_declared_exponent_used(self):
-        h = make_custom(lambda s: 3.0 * s ** 2, nonnegative=True, nondecreasing=True,
-                        asymptotic_exponent=2.0, label="3s^2")
+        h = make_custom(lambda s: 3.0 * s ** 2, asymptotic_exponent=2.0, label="3s^2")
         v = classify(h, 1)
         assert v.verdict is Verdict.CONVERGES
         assert v.method is Method.EXACT_FAMILY
@@ -147,15 +146,14 @@ class TestConstantAndCustom:
     def test_declared_estimate_refused_when_h_overflows_first(self, lam, n):
         # I = n / (lam - 1) = 60 and 200, but e^(-(lam-1) y/n) has barely decayed
         # where s^lam overflows (y ~ 700): the verdict stands without an estimate
-        h = make_custom(lambda s: s ** lam, nonnegative=True, nondecreasing=True,
-                        asymptotic_exponent=lam)
+        h = make_custom(lambda s: s ** lam, asymptotic_exponent=lam)
         v = classify(h, n)
         assert v.verdict is Verdict.CONVERGES
         assert v.method is Method.EXACT_FAMILY
         assert v.estimate is None
 
     def test_heuristic_convergent(self):
-        h = make_custom(lambda s: s * s, nonnegative=True, nondecreasing=True, label="s^2")
+        h = make_custom(lambda s: s * s, label="s^2")
         v = classify(h, 1)
         assert v.verdict is Verdict.CONVERGES
         assert v.method is Method.NUMERIC_HEURISTIC
@@ -164,7 +162,7 @@ class TestConstantAndCustom:
         assert v.evidence["last_panel"] / max(v.evidence["cumulative"], 1.0) < 1e-10
 
     def test_heuristic_divergent_hits_cap(self):
-        h = make_custom(lambda s: np.sqrt(s), nonnegative=True, nondecreasing=True, label="sqrt")
+        h = make_custom(lambda s: np.sqrt(s), label="sqrt")
         v = classify(h, 1)
         assert v.verdict is Verdict.DIVERGES
         assert v.method is Method.NUMERIC_HEURISTIC
@@ -174,8 +172,6 @@ class TestConstantAndCustom:
     def test_heuristic_inconclusive_on_borderline(self):
         h = make_custom(
             lambda s: s * np.log(np.e + s) ** 1.05,
-            nonnegative=True,
-            nondecreasing=True,
             asymptotic_exponent=1.0,
             label="log-border",
         )
@@ -243,7 +239,6 @@ class TestScaled:
         # its exponent is declared
         sigma = sigma if log_power else 0.0
         h = make_custom(lambda s: s ** lam * math.log(math.e + s) ** sigma,
-                        nonnegative=True, nondecreasing=True,
                         asymptotic_exponent=lam if declared else None)
         plain, scaled = classify(h, n).verdict, classify_scaled(h, n, 10.0 ** log_alpha).verdict
         if Verdict.INCONCLUSIVE not in (plain, scaled):
@@ -313,7 +308,7 @@ class TestEstimateOracles:
 
 
 def test_determinism():
-    h = make_custom(lambda s: s * s, nonnegative=True, nondecreasing=True, label="s^2")
+    h = make_custom(lambda s: s * s, label="s^2")
     a = classify(h, 1)
     b = classify(h, 1)
     assert a == b

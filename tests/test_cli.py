@@ -259,6 +259,18 @@ class TestMain:
             assert line == "" or line.startswith("# ") or re.match(r"[^\s=#]+=", line), line
         assert stdout == (out / f"{command}.txt").read_text()
 
+    @pytest.mark.parametrize("command,cfg_text", [
+        ("integrate", "m = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(2.0)\n"),
+        ("construct", "h = power(0.5)\nn = 1\nb = [1]\n"),
+    ], ids=["integrate", "construct"])
+    def test_infinite_horizon_exits_2(self, command, cfg_text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        assert main([command, "--config", str(cfg), "--T", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: T must be > 0 and finite, got inf\n"
+        assert captured.out == ""
+
     def test_batch_propagates_failure(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("run = fly\n")

@@ -26,8 +26,7 @@ from blowup.errors import FiniteEscapeError
 from blowup.picard import solve_autonomous_quadrature
 
 one = make_constant(1.0)
-border = make_custom(lambda s: s * np.log(np.e + s) ** 1.05, nonnegative=True,
-                     nondecreasing=True, asymptotic_exponent=1.0)
+border = make_custom(lambda s: s * np.log(np.e + s) ** 1.05, asymptotic_exponent=1.0)
 for h, a, label in [(make_power(1), (1.0, 1.0), "GlobalConstructed"),
                     (make_power(2), (1.0,), "BlowUpDetected"),
                     (border, (1.0,), "Inconclusive")]:

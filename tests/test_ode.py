@@ -420,6 +420,15 @@ class TestIntegrate:
         assert ev.t_event < 1.0 + 1e-9
         assert ev.trajectory.t_end == pytest.approx(ev.t_event)
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        # u' = u^2 from 1 escapes at t = 1, so an infinite horizon would
+        # still end; the check does not depend on that
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))
+        for run in (lambda: integrate(p, T, 1e-9), lambda: detect_blowup(p, horizon=T, tol=1e-9)):
+            with pytest.raises(InvalidParameterError, match=f"^T must be > 0 and finite, got {T}$"):
+                run()
+
     def test_zero_data_zero_solution(self):
         p = ProblemSpec(m=1, k=0, a=(0.0,), q=ONE, h=make_power(1))
         traj = integrate(p, 5.0, 1e-9)

@@ -157,7 +157,7 @@ class TestQuadratureInversion:
     def test_scalar_only_g_with_a_kink_or_jump(self, fn):
         # neither g broadcasts, so eval_array loops over scalars; g declares no
         # breakpoint, and its kink or jump at s = 2 falls inside a table panel
-        g = make_custom(fn, nondecreasing=True, nonnegative=True)
+        g = make_custom(fn)
         with pytest.raises(ValueError):
             g(np.array([1.0, 3.0]))
         targets = np.linspace(0.0, 4.0, 41)
@@ -230,7 +230,6 @@ class TestMajorantGrowth:
     def test_metadata_inherited(self):
         h = make_power(2)
         g = majorant_growth(h, 2)
-        assert g.nondecreasing and g.nonnegative
         assert g.asymptotic_exponent == 2.0
 
     def test_breakpoints_inherited(self):
@@ -254,6 +253,11 @@ class TestPicardTower:
         g = tw.grid
         assert np.max(np.abs(tw.iterates[1] - (1 + g))) <= 1e-12
         assert np.max(np.abs(tw.iterates[2] - (1 + g + g ** 2 / 2))) <= 1e-10
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        with pytest.raises(InvalidParameterError, match=f"^T must be > 0 and finite, got {T}$"):
+            picard_solve(make_power(0.5), 1, [1.0], T)
 
     def test_monotone_and_bounded(self):
         tw = picard_solve(make_power(1), 1, [1.0], 1.0, tol=1e-10)
@@ -546,7 +550,7 @@ class TestGradedMesh:
         assert np.max(np.abs(tw.solution - direct(tw.grid)[:, 0])) <= 1e-8
 
     @pytest.mark.parametrize(
-        "h", [make_power(1.0), make_power(0.0), make_custom(np.sqrt, nondecreasing=True, nonnegative=True)]
+        "h", [make_power(1.0), make_power(0.0), make_custom(np.sqrt)]
     )
     def test_smooth_or_custom_h_keeps_the_uniform_grid(self, h):
         tw = picard_solve(h, 2, [0.0, 1.0], 1.0, tol=1e-8, majorant_b=[1.0, 2.0])
@@ -599,6 +603,13 @@ class TestBoundPreservation:
         traj = integrate(p, 2.0, 1e-10)
         rep = verify_bound_preservation(p, traj, 0, seed=0)
         assert rep.passed and rep.worst_violation == 0.0
+
+    def test_negative_trial_count_refused(self):
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1))
+        traj = integrate(p, 2.0, 1e-10)
+        for trials in (-1, -3):
+            with pytest.raises(InvalidParameterError, match=f"^trials must be an integer >= 0, got {trials}$"):
+                verify_bound_preservation(p, traj, trials, seed=0)
 
     @pytest.mark.parametrize("m,a", [(1, (1.0,)), (2, (1.0, 0.0))])
     def test_hundred_trials(self, m, a):

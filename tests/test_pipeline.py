@@ -24,8 +24,6 @@ LN2 = math.log(2.0)
 # I(h, 1) is on the border of the dichotomy and no exponent decides it
 LOG_BORDER = make_custom(
     lambda s: s * np.log(np.e + s) ** 1.05,
-    nonnegative=True,
-    nondecreasing=True,
     asymptotic_exponent=1.0,
     label="log-border",
 )
@@ -146,8 +144,7 @@ class TestMajorization:
         # for h = s^lam the companion w^(n) = h(rho w) runs as
         # w^(n) = rho^lam w^lam; the same function as a custom h runs h(rho w)
         # itself, and the two agree to rounding
-        custom = make_custom(lambda s: s ** lam, nondecreasing=True, nonnegative=True,
-                             asymptotic_exponent=lam)
+        custom = make_custom(lambda s: s ** lam, asymptotic_exponent=lam)
         a = (1.0,) + (0.0,) * (n - 1)
         tabs = [majorize(ONE, h, n, a, J=5, horizon=3.0)
                 for h in (make_power(lam), custom)]
@@ -196,6 +193,14 @@ class TestMajorization:
     def test_b_must_dominate(self):
         with pytest.raises(InvalidParameterError):
             majorize(ONE, make_power(1), 1, (1.0,), (1.0,), J=2, horizon=5.0)
+
+    def test_negative_level_count_refused(self, capsys):
+        # J = 0 is the one-row table; a negative count has no meaning
+        with pytest.raises(InvalidParameterError, match=r"^J must be an integer >= 0, got -1$"):
+            majorize(ONE, make_power(1), 1, (1.0,), (2.0,), J=-1, horizon=5.0)
+        cfg = "run = majorize\nh = power(1.0)\nn = 1\na = [1]\nJ = -1\nhorizon = 5.0\n"
+        assert run_experiment(parse_config(cfg)) == 2
+        assert capsys.readouterr().err == "error: J must be an integer >= 0, got -1\n"
 
     def test_order_checked_by_its_own_name(self, capsys):
         # the reduced problem's order is its m; the CLI's key for it is n
@@ -273,8 +278,6 @@ class TestPipeline:
     def test_inconclusive_reports_probes(self):
         h = make_custom(
             lambda s: s * np.log(np.e + s) ** 1.05,
-            nonnegative=True,
-            nondecreasing=True,
             asymptotic_exponent=1.0,
             label="log-border",
         )

@@ -142,12 +142,10 @@ def cli_group(seed: int, rounds: int) -> Group:
 
 def classify_group() -> Group:
     group = Group("classify custom-h alpha=None,0.3,2,17 n=1-3")
-    declared = blowup.make_custom(lambda s: 3.0 * s ** 2 * np.log(np.e + s), nondecreasing=True,
-                                  nonnegative=True, asymptotic_exponent=2.0, label="declared")
-    undeclared = blowup.make_custom(lambda s: s ** 1.5 + s, nondecreasing=True, nonnegative=True,
-                                    label="undeclared")
-    scalar_only = blowup.make_custom(lambda s: s * math.log(math.e + s) ** 2.5, nondecreasing=True,
-                                     nonnegative=True, label="scalar-only")
+    declared = blowup.make_custom(lambda s: 3.0 * s ** 2 * np.log(np.e + s), asymptotic_exponent=2.0,
+                                  label="declared")
+    undeclared = blowup.make_custom(lambda s: s ** 1.5 + s, label="undeclared")
+    scalar_only = blowup.make_custom(lambda s: s * math.log(math.e + s) ** 2.5, label="scalar-only")
     for h in (declared, undeclared, scalar_only):
         for n in (1, 2, 3):
             for alpha in (None, 0.3, 2.0, 17.0):
