@@ -88,9 +88,10 @@ def comparison_constants(n: int) -> ComparisonConstants:
 # ---------------------------------------------------------------------------
 # quadrature inversion
 
-# F's table in y = log s: panels of width _PANEL, _CHUNK per g.eval_array call, up to
-# Y_CAP (e^660 ~ 5e286; quad takes the tail on); targets are solved _SLICE at a time
-_PANEL, _CHUNK, _SLICE, Y_CAP = 0.125, 64, 1024, 660.0
+# F's table in y = log s: starting panels of width _PANEL (quadrature.panels halves
+# each until its rules agree), _CHUNK per g.eval_array call, up to Y_CAP (e^660 ~
+# 5e286; quad takes the tail on); targets are solved _SLICE at a time
+_PANEL, _CHUNK, _SLICE, Y_CAP = 1.0, 64, 1024, 660.0
 
 
 def solve_autonomous_quadrature(
@@ -102,9 +103,10 @@ def solve_autonomous_quadrature(
     """Invert F(U) = t for each finite target t >= 0.
 
     F is tabulated in the log abscissa y = log s, which keeps the panels
-    well-scaled over many decades: panels of width 0.125 (edges also at log
-    of g's breakpoints) by :func:`blowup.quadrature.panels`, a running sum
-    grown until F passes the largest target.  All targets are then solved at
+    well-scaled over many decades: unit panels in y (edges also at log of
+    g's breakpoints), each halved by :func:`blowup.quadrature.panels` until
+    its two rules agree, a running sum grown until F passes the largest
+    target.  All targets are then solved at
     once by bracketed Newton steps with the analytic
     F' = g(U)^(-1/n) U^(1/n-1) / n.  The last table built is kept, keyed by
     the identity of g and by (n, u0, largest target), so a second call with
@@ -312,7 +314,8 @@ class PicardTower:
     read from the h, q and initial values the tower was built from.
     Every other diagnostic (gaps, slacks, iteration count) is read from the
     returned iterates.  ``levels`` holds one row per grid level the ladder
-    ran, coarsest first; the last is the returned grid.
+    ran, coarsest first, and none for the levels it skipped (see
+    :func:`picard_solve`); the last is the returned grid.
     """
 
     grid: np.ndarray
@@ -324,7 +327,7 @@ class PicardTower:
     discretization_gap: float
     grid_converged: bool
     monotone_slack: float      # most negative value of v_j - v_{j-1} observed
-    levels: tuple              # TowerLevel rows, one per grid level
+    levels: tuple              # TowerLevel rows, one per grid level run
     # (g, n, u0) of the quadrature majorant and (h, q, b) of the tower
     _built_from: tuple = field(repr=False, compare=False, kw_only=True)
 
@@ -379,9 +382,18 @@ def picard_solve(
     quadrature majorant; it defaults to b and allows towers started from
     nonnegative data as long as a strictly positive dominating seed is
     supplied.  The grid (GRID_MIN nodes at first, uniform between q's
-    breakpoints, with a node at each) is doubled until two successive
-    converged towers differ by < tol/4 (or the cap is reached; the achieved
-    gap is reported either way); the solution is that grid's final iterate.
+    breakpoints, with a node at each) is doubled until a tower differs from
+    its parent's, one doubling coarser, by <= tol/4 (or the ladder reaches
+    the first level of at least ``grid_cap`` nodes; the achieved gap is
+    reported either way); the solution is that grid's final iterate.  Each
+    level runs Picard from the seed on its own grid, so its iterates do not
+    depend on which levels ran before it.  The ladder converges at fourth
+    order, so a doubling divides the gap by about 16: when a gap misses
+    tol/4 by more than 16^2, the levels the prediction rules out are
+    skipped, and the level one doubling below the first predicted to pass
+    (never past the cap level) runs next as a parent.  The returned level is
+    the one the full ladder returns, or, when the gaps fall faster than
+    predicted, a later level of the same ladder that also passes.
     A singular start, b[0] = 0 with h a power
     or powerlog of exponent 0 < lambda < 1, grades the first segment
     [0, t_1] as t_j = t_1 (j/N)^GRADE: the solution behaves like a
@@ -434,19 +446,27 @@ def picard_solve(
     solve_autonomous_quadrature(g, n, u0_maj, [T])
 
     # every segment doubles its cells, so coarse node i is fine node 2i
-    prev_final, levels = None, []
-    mult = 1
+    parent, levels, mult = None, [], 1
     while True:
         grid = _segmented_grid(edges, [c * mult for c in base_cells], graded)
         iterates = _run_tower(h, b, q, grid, tol, max_iter)
         final = iterates[-1]
         step_gap = float(np.max(np.abs(final - iterates[-2]))) if len(iterates) > 1 else math.inf
         levels.append(TowerLevel(len(grid), len(iterates) - 1, step_gap))
-        if prev_final is not None:
-            disc_gap = float(np.max(np.abs(final[::2] - prev_final)))
+        if parent is not None:
+            disc_gap = float(np.max(np.abs(final[::2] - parent)))
             if disc_gap <= tol / 4.0 or len(grid) >= grid_cap:
                 break
-        prev_final = final
+            # a doubling divides a fourth-order gap by ~16, so the k-th doubling
+            # is the first expected to pass: from k = 3 on, the next level run is
+            # its parent, k - 1 doublings up, which stays below the cap level
+            k = math.ceil(math.log(disc_gap / (tol / 4.0), 16))
+            while k >= 3 and 1 + sum(base_cells) * (mult << (k - 1)) >= grid_cap:
+                k -= 1
+            if k >= 3:
+                parent, mult = None, mult << (k - 1)
+                continue
+        parent = final
         mult *= 2
 
     pairs = list(zip(iterates[1:], iterates))
@@ -629,7 +649,7 @@ def verify_bound_preservation(
     strictly increasing grid.
     """
     trials = check_int("trials", trials, 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     grid = v.ts
     V = v.ys
     q_blocks = _q_blocks(p.q, grid)

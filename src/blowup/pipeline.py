@@ -160,8 +160,8 @@ def majorization_experiment(
         raise InvalidParameterError("p must be a reduced problem: k = 0 and no f_override")
     if (u.m, tuple(u.ys[0]), u.ts[0]) != (p.m, p.a, 0.0):
         raise InvalidParameterError(f"u must be the order-{p.m} solve from {p.a} at t = 0")
-    if not (rho > 1.0):
-        raise InvalidParameterError(f"rho must be > 1, got {rho!r}")
+    if not (1.0 < rho < math.inf):
+        raise InvalidParameterError(f"rho must be > 1 and finite, got {rho!r}")
     J = check_int("J", J, 0)
     b = tuple(x + 1.0 for x in p.a) if b is None else tuple(float(x) for x in b)
     if any(bi <= ai for bi, ai in zip(b, p.a)):
@@ -190,9 +190,16 @@ def majorization_experiment(
             break
         t_levels.append(u.crossing(level, t_levels[-1]))
 
+    # eps_j = int q over [t_{j-1}, t_j]: a constant or piecewise q sums its
+    # value times each piece's length, a custom q takes the quadrature
     eps, taus = [0.0], [0.0]
     for lo, hi in zip(t_levels, t_levels[1:]):
-        eps.append(integral(q.eval_array, [lo, *(bp for bp in q.breakpoints if lo < bp < hi), hi]))
+        cuts = [lo, *(bp for bp in q.breakpoints if lo < bp < hi), hi]
+        if q.family in (Family.CONSTANT, Family.PIECEWISE):
+            values = q.eval_array(cuts[:-1])  # the piece starting at each cut
+            eps.append(math.fsum(c * (b - a) for a, b, c in zip(cuts, cuts[1:], values)))
+        else:
+            eps.append(integral(q.eval_array, cuts))
         taus.append(taus[-1] + (hi - lo) + eps[-1])
 
     # companion problem w^(n) = h(rho w), w^(i)(0) = b_i; for a power h that

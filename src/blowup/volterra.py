@@ -46,35 +46,41 @@ _MAX_ORDER = 12
 
 
 class _Weights(NamedTuple):
-    """One grid's weights for kernel orders 1..order (read-only arrays)."""
+    """One grid's weights for kernel orders 1..order and the stencil basis
+    they are built from (read-only arrays)."""
 
     order: int
     idx: np.ndarray     # (w, cells): stencil node indices lo_j + s
     W: np.ndarray       # (order, w, cells): inc_r[j] = sum_s W[r-1, s, j] phi[lo_j + s]
     taylor: np.ndarray  # (order - 1, cells): h_j^s / s!, s = 1..order-1
+    e: np.ndarray       # (w - 1, w, cells): e_1..e_{w-1} of each node's other nodes
+    denom: np.ndarray   # (w, cells): D_s
 
     @property
     def nbytes(self) -> int:
-        return self.idx.nbytes + self.W.nbytes + self.taylor.nbytes
+        return sum(a.nbytes for a in (self.idx, self.W, self.taylor, self.e, self.denom))
 
 
 # Weights are a function of the grid alone, and a Picard tower applies the
 # kernel to one grid 10-20 times, so they are kept by grid content (a grid
 # array changed in place is a new key), least recently used first out, while
 # the entries together stay within _CACHE_BYTES; the newest entry is always
-# kept.  An entry is O(order * N), 144 bytes a node at order 3, so a whole
-# grid ladder from 129 nodes up to the 16385-node cap takes ~4.7 MB at that
+# kept.  An entry is O(order * N), 272 bytes a node at order 3 (144 of
+# weights, 128 of the stencil basis a higher order is built from), so a whole
+# grid ladder from 129 nodes up to the 16385-node cap takes ~8.9 MB at that
 # order: the budget holds one with the sub-grids of a piecewise coefficient's
-# blocks (which alternate on every iteration) and a second ladder, so towers
-# on the same grids (the uniform and the graded ladder of one T) build each
-# grid's weights once.  An entry is built whole before it is inserted, and
+# blocks (which alternate on every iteration), and towers on the same grids
+# (the uniform and the graded ladder of one T: 2.7 MB for a global-construct
+# round) build each grid's weights once.  A caller asking for a higher order
+# than a grid's entry holds gets that entry with the new orders' rows added.
+# An entry is built whole before it is inserted, and
 # entries are only ever inserted or popped whole, so callers on other threads
 # never see a partial one.  The bookkeeping (a hit's move to the newest end,
 # an insertion at that end and its evictions) runs under _LOCK: a hit pops
 # its entry and puts it back, and an eviction between the two would miss it,
 # leaving the cache over budget.  Entries are built outside the lock.
 # Results do not depend on what is cached: an entry for order p holds the
-# same arrays, bit for bit, as a fresh build for any lower order.
+# same rows, bit for bit, as a fresh build for any lower order.
 _CACHE_BYTES = 16 << 20
 _WEIGHTS: dict = {}
 _LOCK = threading.Lock()
@@ -100,33 +106,46 @@ def _grid_weights(grid: np.ndarray, p: int) -> _Weights:
 
         W_r[s, j] = h_j^r / D_s * sum_i (-1)^i e_i (w-1-i)! / (w-1-i+r)!.
 
-    Each order is computed on its own, so the order-r weights do not depend
-    on p.
+    The rows are those of :func:`_raised` from order 0, so the order-r
+    weights do not depend on p, nor on whether they were built with the
+    entry or added to it later.
     """
     n = len(grid)
     w = min(4, n)
     lo = np.clip(np.arange(n - 1) - 1, 0, n - w)
     idx = lo + np.arange(w)[:, None]
-    h = np.diff(grid)
-    xi = (grid[idx] - grid[:-1]) / h
+    xi = (grid[idx] - grid[:-1]) / np.diff(grid)
     others = xi[[[k for k in range(w) if k != s] for s in range(w)]]  # (s, k != s, cell)
     e, denom = [1.0, others[:, 0]], xi - others[:, 0]
     for m in range(1, w - 1):
         x = others[:, m]
         e = [1.0] + [e[i] + x * e[i - 1] for i in range(1, m + 1)] + [x * e[m]]
         denom = denom * (xi - x)
-    W = np.empty((p, w, n - 1))
-    for r in range(1, p + 1):
+    e = np.array(e[1:])
+    for a in (idx, e, denom):
+        a.setflags(write=False)
+    return _raised(_Weights(0, idx, np.empty((0, w, n - 1)), np.empty((0, n - 1)), e, denom), grid, p)
+
+
+def _raised(wts: _Weights, grid: np.ndarray, p: int) -> _Weights:
+    """``wts`` with the rows of orders wts.order + 1..p added, each computed
+    on its own from the kept stencil basis (see :func:`_grid_weights`); the
+    rows it has, its indices and its basis are kept as they are."""
+    h = np.diff(grid)
+    w = len(wts.idx)
+    W = np.empty((p, w, len(h)))
+    W[: wts.order] = wts.W
+    for r in range(wts.order + 1, p + 1):
         acc = W[r - 1]
         acc[...] = math.factorial(w - 1) / math.factorial(w - 1 + r)
         for i in range(1, w):
-            acc += (-1) ** i * (math.factorial(w - 1 - i) / math.factorial(w - 1 - i + r)) * e[i]
-        acc /= denom
+            acc += (-1) ** i * (math.factorial(w - 1 - i) / math.factorial(w - 1 - i + r)) * wts.e[i - 1]
+        acc /= wts.denom
         acc *= h ** r
-    taylor = np.array([h ** s / math.factorial(s) for s in range(1, p)]).reshape(p - 1, n - 1)
-    for a in (idx, W, taylor):
+    taylor = np.array([h ** s / math.factorial(s) for s in range(1, p)]).reshape(p - 1, len(h))
+    for a in (W, taylor):
         a.setflags(write=False)
-    return _Weights(p, idx, W, taylor)
+    return wts._replace(order=p, W=W, taylor=taylor)
 
 
 def _carry(phi: np.ndarray, p: int, wts: _Weights) -> np.ndarray:
@@ -186,7 +205,8 @@ def _checked(phi, p: int, grid, key):
         if entry is not None and entry.order >= p:
             _WEIGHTS[key] = entry  # most recently used last
             return phi, p, grid, entry
-    entry = _grid_weights(grid, p)
+    # a grid cached at a lower order keeps its rows and gains the new ones
+    entry = _grid_weights(grid, p) if entry is None else _raised(entry, grid, p)
     with _LOCK:
         _WEIGHTS.pop(key, None)  # another thread's entry for this grid: ours is the newest
         _WEIGHTS[key] = entry

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -19,6 +20,8 @@ from blowup.functions import (
 from blowup.ode import ProblemSpec, integrate
 from blowup.picard import (
     GRADE,
+    GRID_MIN,
+    _run_tower,
     _segmented_grid,
     apply_integral_operator,
     comparison_constants,
@@ -519,6 +522,114 @@ class TestPicardTower:
             assert len(levels) < len(builds) <= per_level * len(levels)
 
 
+def every_level(h, b, T, tol, q, max_iter=60):
+    """The tower's doubling ladder with no level skipped, built as picard_solve
+    builds each level: (grid, iterates, gap to the level before) per level."""
+    edges = [0.0, *(bp for bp in q.breakpoints if 0.0 < bp < T), T]
+    cells = [max(2, round((GRID_MIN - 1) * (hi - lo) / T)) for lo, hi in zip(edges, edges[1:])]
+    graded = b[0] == 0.0 and 0.0 < h.params[0] < 1.0  # a power h
+    parent, mult = None, 1
+    while True:
+        grid = _segmented_grid(edges, [c * mult for c in cells], graded)
+        iterates = _run_tower(h, np.array(b, dtype=float), q, grid, tol, max_iter)
+        gap = math.inf if parent is None else float(np.max(np.abs(iterates[-1][::2] - parent)))
+        yield grid, iterates, gap
+        parent, mult = iterates[-1], 2 * mult
+
+
+class TestGridLadder:
+    """A level whose gap misses tol/4 by 16^k skips to the level k - 1
+    doublings up; every level that runs is the one the full ladder runs."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(
+        lam=st.floats(0.3, 1.0),
+        b=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=3),
+        T=st.floats(0.5, 5.0),
+        log_tol=st.floats(-11.0, -7.0),
+        q_vals=st.lists(st.floats(0.25, 2.0), min_size=1, max_size=2),
+        cut=st.floats(0.1, 0.9),
+    )
+    def test_returned_level_is_the_full_ladders_or_a_later_one(self, lam, b, T, log_tol, q_vals, cut):
+        # power h, n = len(b) <= 3, data with zeros (singular starts), constant
+        # q or q with one jump: the skipping ladder returns the level the full
+        # ladder returns, with the same numbers bit for bit, or a later level
+        # of the same ladder that passes; never a coarser one
+        h, tol = make_power(lam), 10.0 ** log_tol
+        if len(q_vals) == 1:
+            q = make_constant(q_vals[0])
+        else:
+            q = make_piecewise([((0.0, cut * T), q_vals[0]), ((cut * T, math.inf), q_vals[1])])
+        tw = picard_solve(h, len(b), b, T, tol=tol, q=q, majorant_b=np.add(b, 1.0))
+        ladder, levels = every_level(h, b, T, tol, q), []
+
+        def level(i):  # (grid, iterates, gap) of the full ladder's level i
+            while len(levels) <= i:
+                levels.append(next(ladder))
+            return levels[i]
+
+        def misses(i, doublings=0):  # level i's gap, over 16 per doubling, misses tol/4
+            return level(i)[2] / 16.0 ** doublings > tol / 4.0
+
+        def capped(i):
+            return len(level(i)[0]) >= 16385
+
+        final = next(i for i in itertools.count(1) if not misses(i) or capped(i))
+        cells = level(0)[0].size - 1  # level i has cells * 2^i + 1 nodes
+        rows = [int(math.log2((lv.nodes - 1) // cells)) for lv in tw.levels]
+        assert [level(i)[0].size for i in rows] == [lv.nodes for lv in tw.levels]
+        grid, iterates, gap = level(rows[-1])
+        assert np.array_equal(tw.grid, grid) and rows[-1] >= final
+        if rows[-1] > final:  # landed late: it still passes
+            assert not misses(rows[-1]) and tw.grid_converged
+        assert len(tw.iterates) == len(iterates)
+        assert all(v.tobytes() == w.tobytes() for v, w in zip(tw.iterates, iterates))
+        pairs = list(zip(iterates[1:], iterates))
+        step_gap = float(np.max(np.abs(iterates[-1] - iterates[-2]))) if pairs else math.inf
+        assert tw.solution.tobytes() == iterates[-1].tobytes()
+        assert (tw.discretization_gap, tw.sup_gap, tw.iterations) == (gap, step_gap, len(pairs))
+        assert tw.monotone_slack == min([0.0] + [float(np.min(v - w)) for v, w in pairs])
+        assert (tw.converged, tw.grid_converged) == (step_gap <= tol, gap <= tol / 4.0)
+        for lv, i in zip(tw.levels, rows):
+            assert lv.iterations == len(level(i)[1]) - 1
+        # the rows follow the rule on the full ladder's gaps: a level i compared
+        # with its parent that misses tol/4 is followed by level j = i + k - 1
+        # when level i + k is the first it predicts to pass, k >= 3, or by the
+        # last level below the cap level when that comes first; else by its
+        # child.  A level a skip lands on runs uncompared, and its child next
+        assert rows[:2] == [0, 1]
+        for t in range(1, len(rows) - 1):
+            i, j = rows[t], rows[t + 1]
+            if rows[t - 1] != i - 1:  # landed on by a skip
+                assert j == i + 1
+            elif j > i + 1:
+                assert misses(i, j - i) and not capped(j) and (not misses(i, j - i + 1) or capped(j + 1))
+            else:
+                assert j == i + 1 and (not misses(i, 2) or capped(i + 2))
+
+    @pytest.mark.parametrize("cap", [1025, 2049, 4097])
+    def test_a_prediction_past_the_cap_stops_at_the_cap_level(self, cap):
+        # e^t on [0, 5] to 1e-10 needs 8193 nodes: the jump from 257 nodes is
+        # clipped so that the ladder stops at the cap level, as without skipping
+        h, one = make_power(1), make_constant(1.0)
+        tw = picard_solve(h, 1, [1.0], 5.0, grid_cap=cap)
+        assert len(tw.grid) == cap and tw.levels[-1].nodes == cap
+        assert tw.converged and not tw.grid_converged
+        full = {len(g): (its, gap) for g, its, gap in itertools.islice(every_level(h, [1.0], 5.0, 1e-10, one), 7)}
+        its, gap = full[cap]
+        assert tw.discretization_gap == gap > 1e-10 / 4.0
+        assert tw.solution.tobytes() == its[-1].tobytes()
+
+    def test_levels_skipped_stay_on_the_doubling_ladder(self):
+        # the gap of 257 nodes misses tol/4 by more than 16^4: the ladder runs
+        # 4097 nodes next, as the parent of the 8193 it returns
+        tw = picard_solve(make_power(1), 1, [1.0], 5.0)
+        nodes = [lv.nodes for lv in tw.levels]
+        assert nodes == [129, 257, 4097, 8193] and tw.grid_converged
+        assert all((b - 1) % (a - 1) == 0 and b > a for a, b in zip(nodes, nodes[1:]))
+        assert len(tw.grid) == nodes[-1] and tw.levels[-1].iterations == tw.iterations
+
+
 class TestGradedMesh:
     """A singular start (v(0) = 0, h = s^lambda with 0 < lambda < 1) grades
     the tower's first segment; every other tower keeps the uniform ladder."""
@@ -610,6 +721,13 @@ class TestBoundPreservation:
         for trials in (-1, -3):
             with pytest.raises(InvalidParameterError, match=f"^trials must be an integer >= 0, got {trials}$"):
                 verify_bound_preservation(p, traj, trials, seed=0)
+
+    def test_negative_seed_refused(self):
+        # named here rather than by numpy's bare "expected non-negative integer"
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1))
+        traj = integrate(p, 2.0, 1e-10)
+        with pytest.raises(InvalidParameterError, match=r"^seed must be an integer >= 0, got -1$"):
+            verify_bound_preservation(p, traj, 3, seed=-1)
 
     @pytest.mark.parametrize("m,a", [(1, (1.0,)), (2, (1.0, 0.0))])
     def test_hundred_trials(self, m, a):

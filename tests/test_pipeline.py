@@ -190,6 +190,25 @@ class TestMajorization:
         for row in tab.rows:
             assert row.u_derivs[0] == pytest.approx(3.0 ** row.j, rel=1e-8)
 
+    @pytest.mark.parametrize("rho", [1.0, math.inf, math.nan])
+    def test_rho_must_be_above_1_and_finite(self, rho):
+        # an infinite rho would only fail later, inside the companion solve
+        with pytest.raises(InvalidParameterError, match=f"^rho must be > 1 and finite, got {rho!r}$"):
+            majorize(ONE, make_power(1), 1, (1.0,), (2.0,), J=2, horizon=5.0, rho=rho)
+
+    def test_eps_of_constant_q_is_its_value_times_the_length(self):
+        tab = majorize(make_constant(1.5), make_power(1), 1, (1.0,), J=4, horizon=5.0)
+        assert tab.levels_reachable
+        for prev, row in zip(tab.rows, tab.rows[1:]):
+            assert row.eps_j == 1.5 * (row.t_j - prev.t_j)
+
+    def test_eps_of_custom_q_by_quadrature(self):
+        # a custom q is integrated on the shared rule: int (1 + t) over each level interval
+        tab = majorize(make_custom(lambda t: 1.0 + t), make_power(1), 1, (1.0,), J=3, horizon=5.0)
+        for prev, row in zip(tab.rows, tab.rows[1:]):
+            exact = (row.t_j - prev.t_j) + (row.t_j ** 2 - prev.t_j ** 2) / 2.0
+            assert row.eps_j == pytest.approx(exact, rel=1e-14)
+
     def test_b_must_dominate(self):
         with pytest.raises(InvalidParameterError):
             majorize(ONE, make_power(1), 1, (1.0,), (1.0,), J=2, horizon=5.0)
