@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 GRID_MIN = 129        # nodes of the tower's first grid
-GRADE = 3             # t_j = t_1 (j/N)^GRADE on the first segment of a singular start
+GRADE = 4             # t_j = t_1 (j/N)^GRADE on the first segment of a singular start
 BOUND_PIECES = 4      # blocks of the random data in verify_bound_preservation
 
 
@@ -304,7 +304,7 @@ class PicardTower:
     iteration sup-gap, separate from the recorded discretization gap of the
     grid-refinement ladder; ``grid_converged`` says whether that gap met
     tol/4 (false when the ladder stopped at its grid cap).  ``solution`` is
-    the final iterate, not extrapolated: the ladder converges at fourth
+    the final iterate, not extrapolated: the ladder converges at sixth
     order, where a second-order Richardson correction overshoots.
     ``majorant`` is the quadrature majorant on ``grid`` and
     ``majorant_slack`` the most negative u - v_j over the iterates; both are
@@ -387,9 +387,9 @@ def picard_solve(
     the first level of at least ``grid_cap`` nodes; the achieved gap is
     reported either way); the solution is that grid's final iterate.  Each
     level runs Picard from the seed on its own grid, so its iterates do not
-    depend on which levels ran before it.  The ladder converges at fourth
-    order, so a doubling divides the gap by about 16: when a gap misses
-    tol/4 by more than 16^2, the levels the prediction rules out are
+    depend on which levels ran before it.  The ladder converges at sixth
+    order, so a doubling divides the gap by about 64: when a gap misses
+    tol/4 by more than 64^2, the levels the prediction rules out are
     skipped, and the level one doubling below the first predicted to pass
     (never past the cap level) runs next as a parent.  The returned level is
     the one the full ladder returns, or, when the gaps fall faster than
@@ -397,7 +397,8 @@ def picard_solve(
     A singular start, b[0] = 0 with h a power
     or powerlog of exponent 0 < lambda < 1, grades the first segment
     [0, t_1] as t_j = t_1 (j/N)^GRADE: the solution behaves like a
-    fractional power of t there, which holds a uniform grid to O(h^1.5).
+    fractional power of t there, which holds a uniform grid to O(h^1.5);
+    the kernel's 4-node fallback takes the first, most unequal cells.
 
     Raises FiniteEscapeError if the quadrature majorant fails to exist on
     [0, T] (the divergence hypothesis fails numerically); that is checked
@@ -457,10 +458,10 @@ def picard_solve(
             disc_gap = float(np.max(np.abs(final[::2] - parent)))
             if disc_gap <= tol / 4.0 or len(grid) >= grid_cap:
                 break
-            # a doubling divides a fourth-order gap by ~16, so the k-th doubling
+            # a doubling divides a sixth-order gap by ~64, so the k-th doubling
             # is the first expected to pass: from k = 3 on, the next level run is
             # its parent, k - 1 doublings up, which stays below the cap level
-            k = math.ceil(math.log(disc_gap / (tol / 4.0), 16))
+            k = math.ceil(math.log(disc_gap / (tol / 4.0), 64))
             while k >= 3 and 1 + sum(base_cells) * (mult << (k - 1)) >= grid_cap:
                 k -= 1
             if k >= 3:
@@ -589,7 +590,7 @@ def apply_integral_operator(
     image, column i its i-th derivative.  f is integrated block by block
     between q's jumps, each block sampling q's own branch at its ends, so on
     a grid with nodes at the jumps the quadrature never straddles one.  The
-    quadrature is O(h^4) in the grid's spacing, so the image is as accurate
+    quadrature is O(h^6) in the grid's spacing, so the image is as accurate
     as the grid: an integrator trajectory's own nodes are its steps, too
     wide for it; sample its dense output on a finer grid.
     """

@@ -79,11 +79,12 @@ def lift_solution(u: Trajectory, a_low: Sequence[float], k: int) -> Trajectory:
     Returns a trajectory with k + u.m components: component i < k is the
     i-th derivative of the lift, components k.. are u's own.  For k = 0 the
     input is returned unchanged.  The lift is taken on u's nodes by the
-    O(h^4) repeated-integration rule, and its dense output is the Hermite
-    interpolant of the node values and derivatives, so its accuracy is that
-    of u's grid: an integrator trajectory's nodes are its steps, far wider
-    than the tower grids the pipeline lifts; sample its dense output on a
-    finer grid first.
+    O(h^6) repeated-integration rule, which needs u smooth over the span
+    (lift a kink's two sides one at a time), and its dense output is the
+    Hermite interpolant of the node values and derivatives, so its accuracy
+    is that of u's grid: an integrator trajectory's nodes are its steps, far
+    wider than the tower grids the pipeline lifts; sample its dense output
+    on a finer grid first.
     """
     k = check_int("k", k, 0)
     if k == 0:
@@ -101,6 +102,26 @@ def lift_solution(u: Trajectory, a_low: Sequence[float], k: int) -> Trajectory:
     dys[:, :-1] = ys[:, 1:]
     dys[:, -1] = u.dys[:, -1]
     return Trajectory(ts=grid.copy(), ys=ys, dys=dys, tol=u.tol)
+
+
+def _lift_blockwise(u: Trajectory, a_low: Sequence[float], k: int, q) -> Trajectory:
+    """:func:`lift_solution` of each block of u between q's jumps, each from
+    the values the block before ends with, joined with each shared node kept
+    once.  u's grid has a node at every jump (a tower's grid does), where
+    u^(n-1) has a kink that a lift across it would smooth over."""
+    ts = u.ts
+    cuts = np.searchsorted(ts, [bp for bp in q.breakpoints if ts[0] < bp < ts[-1]])
+    if k == 0 or not len(cuts):
+        return lift_solution(u, a_low, k)
+    ys, dys = [], []
+    for i0, i1 in zip([0, *cuts], [*cuts, len(ts) - 1]):
+        part = slice(i0, i1 + 1)
+        block = lift_solution(Trajectory(ts=ts[part] - ts[i0], ys=u.ys[part], dys=u.dys[part], tol=u.tol),
+                              a_low, k)
+        a_low = block.ys[-1, :k]
+        ys.append(block.ys[1:] if ys else block.ys)
+        dys.append(block.dys[1:] if dys else block.dys)
+    return Trajectory(ts=ts.copy(), ys=np.concatenate(ys), dys=np.concatenate(dys), tol=u.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +328,8 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
     The reduced problem (:func:`reduce_problem`) is the report's
     ``reduced``.  Divergent test: a global solution of the dominating
     problem is built by the monotone tower on the reduced data, lifted by
-    k integrations of the tower's ``trajectory``, and cross-checked against
+    k integrations of the tower's ``trajectory`` (block by block between
+    q's jumps, where u can have a kink), and cross-checked against
     one direct integration at ``opts.tol``, whose components k.. the
     majorization reads as its reduced solution; a failing stage raises.
     Convergent test: the escape ladder runs up to the horizon.
@@ -389,7 +411,7 @@ def _construct_and_check(p, red, horizon, opts, notes):
         u_traj = tower.trajectory
 
     with _stage("lift"):
-        lifted = lift_solution(u_traj, p.a[: p.k], p.k)
+        lifted = _lift_blockwise(u_traj, p.a[: p.k], p.k, red.q)
 
     with _stage("cross-check"):
         direct = integrate(replace(p, f_override=None), float(horizon), opts.tol)

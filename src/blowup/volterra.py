@@ -7,20 +7,23 @@
 the Cauchy formula for p-fold repeated integration.  For p = 1 this is the
 running integral.
 
-On each grid cell phi is replaced by its cubic interpolant through a 4-node
-stencil (the cell's endpoints plus one neighbour on each side, one-sided at
-the boundary).  The repeated integrals of that piecewise cubic are carried
-from node to node exactly: across a cell of width h, the r-fold integral
-Y_r (r = 1..p) at the right end is the Taylor shift of the lower orders at
-the left end plus a closed-form Beta moment of the cell's cubic.  That
-moment is linear in the four stencil samples, with weights that depend on
-the grid alone (built from each cell's Lagrange basis), so a call is a
-gather, a weighted sum and a cumulative sum per order: O(N * p) on any
-grid.  The rule is exact for piecewise-cubic phi and O(h^4) for smooth phi,
-on uniform or non-uniform grids.
+On each grid cell phi is replaced by its quintic interpolant through a
+6-node stencil (the cell's endpoints plus two neighbours on each side,
+one-sided at the boundary), or by the cubic through the centred 4 nodes
+where the stencil's cells differ in width by more than 2x.  The repeated
+integrals of that piecewise polynomial are carried from node to node
+exactly: across a cell of width h, the r-fold integral Y_r (r = 1..p) at
+the right end is the Taylor shift of the lower orders at the left end plus
+a closed-form Beta moment of the cell's interpolant.  That moment is linear
+in the stencil samples, with weights that depend on the grid alone (built
+from each cell's Lagrange basis), so a call is a gather, a weighted sum and
+a cumulative sum per order: O(N * p) on any grid.  The rule is exact for
+piecewise-cubic phi on any grid, exact for piecewise-quintic phi where each
+stencil's cells are within 2x of each other in width, and O(h^6) for
+smooth phi on uniform grids.
 
 The weights of recently used grids are cached by grid content, up to a
-fixed memory budget that holds a whole Picard grid ladder: a tower applies
+fixed memory budget that holds about one Picard grid ladder: a tower applies
 the kernel to one grid many times, and towers on the same interval climb
 the same ladder.  A cached grid is not checked again.  Results are the same,
 bit for bit, whether the weights come from the cache or a fresh build.
@@ -43,6 +46,8 @@ from .errors import InvalidParameterError, NumericFailureError
 __all__ = ["weighted_volterra", "partial_volterra", "integral_image"]
 
 _MAX_ORDER = 12
+_WIDTH = 6     # stencil nodes per cell
+_RATIO = 2.0   # widest over narrowest cell a 6-node stencil may span
 
 
 class _Weights(NamedTuple):
@@ -55,24 +60,26 @@ class _Weights(NamedTuple):
     taylor: np.ndarray  # (order - 1, cells): h_j^s / s!, s = 1..order-1
     e: np.ndarray       # (w - 1, w, cells): e_1..e_{w-1} of each node's other nodes
     denom: np.ndarray   # (w, cells): D_s
+    narrow: np.ndarray  # cells on the 4-node fallback stencil
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.idx, self.W, self.taylor, self.e, self.denom))
+        return sum(a.nbytes for a in (self.idx, self.W, self.taylor, self.e, self.denom, self.narrow))
 
 
 # Weights are a function of the grid alone, and a Picard tower applies the
 # kernel to one grid 10-20 times, so they are kept by grid content (a grid
 # array changed in place is a new key), least recently used first out, while
 # the entries together stay within _CACHE_BYTES; the newest entry is always
-# kept.  An entry is O(order * N), 272 bytes a node at order 3 (144 of
-# weights, 128 of the stencil basis a higher order is built from), so a whole
-# grid ladder from 129 nodes up to the 16385-node cap takes ~8.9 MB at that
-# order: the budget holds one with the sub-grids of a piecewise coefficient's
-# blocks (which alternate on every iteration), and towers on the same grids
-# (the uniform and the graded ladder of one T: 2.7 MB for a global-construct
-# round) build each grid's weights once.  A caller asking for a higher order
-# than a grid's entry holds gets that entry with the new orders' rows added.
+# kept.  An entry is O(order * N), 496 bytes a node at order 3 (208 of
+# weights and stencil indices, 288 of the stencil basis a higher order is
+# built from), so a whole grid ladder from 129 nodes up to the 16385-node
+# cap takes ~16.3 MB at that order, about the budget.  Towers on the same
+# grids (the uniform and the graded ladder of one T, 129 to 513 nodes: 0.9
+# MB for a global-construct round) build each grid's weights once; a ladder
+# that climbs to the cap evicts its own coarsest levels, which it does not
+# read again.  A caller asking for a higher order than a grid's entry holds
+# gets that entry with the new orders' rows added.
 # An entry is built whole before it is inserted, and
 # entries are only ever inserted or popped whole, so callers on other threads
 # never see a partial one.  The bookkeeping (a hit's move to the newest end,
@@ -94,53 +101,90 @@ def _grid_weights(grid: np.ndarray, p: int) -> _Weights:
     """Build the weights of orders 1..p for a checked grid.
 
     Cell j (width h_j, x = (t - t_j)/h_j) interpolates phi through its
-    stencil nodes xi_0..xi_{w-1}: w = 4 nodes, the cell's ends plus one
-    neighbour on each side, one-sided at the boundary (w = len(grid) below 4).
-    The Lagrange basis function of node s is
+    stencil nodes xi_0..xi_{w-1}: w = 6 nodes, the cell's ends plus two
+    neighbours on each side, one-sided at the boundary (w = len(grid) below
+    6).  A cell whose stencil spans cells wider than _RATIO times the
+    narrowest of them (the first cells of a graded start, or where a short
+    segment meets a long one) takes the centred 4-node stencil instead, in
+    the middle slots, with zero weight on the others: a quintic through
+    cells of very different widths overshoots.  The Lagrange basis function
+    of node s is
 
-        L_s(x) = prod_{k != s} (x - xi_k) / D_s = sum_i (-1)^i e_i x^(w-1-i) / D_s,
+        L_s(x) = prod_{k != s} (x - xi_k) / D_s = sum_i (-1)^i e_i x^(v-1-i) / D_s,
 
-    with e_i the elementary symmetric functions of the other nodes and
-    D_s = prod_{k != s} (xi_s - xi_k).  The Beta moment
-    int_0^1 (1-x)^(r-1) x^d dx / (r-1)! = d!/(d+r)! then gives
+    with v the stencil's node count, e_i the elementary symmetric functions
+    of the other nodes and D_s = prod_{k != s} (xi_s - xi_k).  The Beta
+    moment int_0^1 (1-x)^(r-1) x^d dx / (r-1)! = d!/(d+r)! then gives
 
-        W_r[s, j] = h_j^r / D_s * sum_i (-1)^i e_i (w-1-i)! / (w-1-i+r)!.
+        W_r[s, j] = h_j^r / D_s * sum_i (-1)^i e_i (v-1-i)! / (v-1-i+r)!.
 
     The rows are those of :func:`_raised` from order 0, so the order-r
     weights do not depend on p, nor on whether they were built with the
     entry or added to it later.
     """
-    n = len(grid)
-    w = min(4, n)
-    lo = np.clip(np.arange(n - 1) - 1, 0, n - w)
+    n, h = len(grid), np.diff(grid)
+    w = min(_WIDTH, n)
+    s0 = (w - 4) // 2  # a fallback cell's 4 nodes fill slots s0..s0+3; the others repeat its ends
+    lo = np.clip(np.arange(n - 1) - (w - 1) // 2, 0, n - w)
     idx = lo + np.arange(w)[:, None]
-    xi = (grid[idx] - grid[:-1]) / np.diff(grid)
-    others = xi[[[k for k in range(w) if k != s] for s in range(w)]]  # (s, k != s, cell)
+    narrow = np.empty(0, dtype=np.intp)
+    if w > 4:
+        widest = narrowest = h[: n - w + 1]  # over the w - 1 cells from each lo on
+        for s in range(1, w - 1):
+            span = h[s : n - w + 1 + s]
+            widest, narrowest = np.maximum(widest, span), np.minimum(narrowest, span)
+        narrow = np.flatnonzero((widest > _RATIO * narrowest)[lo])
+        idx[:, narrow] = np.clip(narrow - 1, 0, n - 4) + np.clip(np.arange(w) - s0, 0, 3)[:, None]
+    xi = (grid[idx] - grid[:-1]) / h
+    e, denom = _basis(xi)
+    if len(narrow):
+        mid = slice(s0, s0 + 4)
+        e[:, :, narrow], denom[:, narrow] = 0.0, 1.0
+        e[:3, mid, narrow], denom[mid, narrow] = _basis(xi[mid, narrow])
+    for a in (idx, narrow, e, denom):
+        a.setflags(write=False)
+    empty = _Weights(0, idx, np.empty((0, w, n - 1)), np.empty((0, n - 1)), e, denom, narrow)
+    return _raised(empty, grid, p)
+
+
+def _basis(xi: np.ndarray) -> tuple:
+    """(e, denom) of the Lagrange basis through the nodes xi (v, cells): e[i-1, s]
+    is e_i of the nodes other than s, denom[s] is D_s (see :func:`_grid_weights`)."""
+    v = len(xi)
+    others = xi[[[k for k in range(v) if k != s] for s in range(v)]]  # (s, k != s, cell)
     e, denom = [1.0, others[:, 0]], xi - others[:, 0]
-    for m in range(1, w - 1):
+    for m in range(1, v - 1):
         x = others[:, m]
         e = [1.0] + [e[i] + x * e[i - 1] for i in range(1, m + 1)] + [x * e[m]]
         denom = denom * (xi - x)
-    e = np.array(e[1:])
-    for a in (idx, e, denom):
-        a.setflags(write=False)
-    return _raised(_Weights(0, idx, np.empty((0, w, n - 1)), np.empty((0, n - 1)), e, denom), grid, p)
+    return np.array(e[1:]), denom
+
+
+def _moments(e: np.ndarray, denom: np.ndarray, r: int) -> np.ndarray:
+    """W_r / h^r of each slot and cell for the basis (e, denom) of v nodes."""
+    v = len(denom)
+    acc = np.full(denom.shape, math.factorial(v - 1) / math.factorial(v - 1 + r))
+    for i in range(1, v):
+        acc += (-1) ** i * (math.factorial(v - 1 - i) / math.factorial(v - 1 - i + r)) * e[i - 1]
+    return acc / denom
 
 
 def _raised(wts: _Weights, grid: np.ndarray, p: int) -> _Weights:
     """``wts`` with the rows of orders wts.order + 1..p added, each computed
-    on its own from the kept stencil basis (see :func:`_grid_weights`); the
-    rows it has, its indices and its basis are kept as they are."""
+    on its own from the kept stencil basis (see :func:`_grid_weights`), with
+    the 4-node factorials in a fallback cell's middle slots and zeros in its
+    others; the rows it has, its indices and its basis are kept as they are."""
     h = np.diff(grid)
-    w = len(wts.idx)
+    w, narrow = len(wts.idx), wts.narrow
+    mid = slice((w - 4) // 2, (w - 4) // 2 + 4)
     W = np.empty((p, w, len(h)))
     W[: wts.order] = wts.W
     for r in range(wts.order + 1, p + 1):
         acc = W[r - 1]
-        acc[...] = math.factorial(w - 1) / math.factorial(w - 1 + r)
-        for i in range(1, w):
-            acc += (-1) ** i * (math.factorial(w - 1 - i) / math.factorial(w - 1 - i + r)) * wts.e[i - 1]
-        acc /= wts.denom
+        acc[...] = _moments(wts.e, wts.denom, r)
+        if len(narrow):
+            acc[:, narrow] = 0.0
+            acc[mid, narrow] = _moments(wts.e[:3, mid, narrow], wts.denom[mid, narrow], r)
         acc *= h ** r
     taylor = np.array([h ** s / math.factorial(s) for s in range(1, p)]).reshape(p - 1, len(h))
     for a in (W, taylor):

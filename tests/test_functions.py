@@ -120,6 +120,38 @@ class TestConstantPiecewise:
             make_piecewise([((1, math.inf), 1.0)])  # must start at 0
 
 
+class TestEvalArray:
+    @staticmethod
+    def counted(body):
+        """(fn, calls): fn runs body and records each argument's type."""
+        calls = []
+
+        def fn(s):
+            calls.append(type(s))
+            return body(s)
+
+        return fn, calls
+
+    def test_a_callable_that_does_not_broadcast_is_tried_once(self):
+        # math.log raises TypeError on an array: the first call falls back to
+        # the loop and remembers it, the second goes straight to the loop
+        fn, calls = self.counted(lambda s: s * math.log(math.e + s))
+        h = make_custom(fn, label="math.log")
+        xs = np.array([0.0, 0.5, 2.0, 1e6])
+        first = h.eval_array(xs)
+        second = h.eval_array(xs)
+        assert calls.count(np.ndarray) == 1 and len(calls) == 1 + 2 * len(xs)
+        assert first.tolist() == second.tolist() == [x * math.log(math.e + x) for x in xs.tolist()]
+        assert h == make_custom(fn, label="math.log")  # the memo is not a field
+
+    def test_a_shape_mismatch_tries_the_array_call_every_time(self):
+        fn, calls = self.counted(lambda s: 2.0)  # broadcasts to nothing
+        h = make_custom(fn, label="flat")
+        for _ in range(2):
+            assert h.eval_array(np.arange(3.0)).tolist() == [2.0, 2.0, 2.0]
+        assert calls.count(np.ndarray) == 2
+
+
 class TestScaled:
     XS = [0.0, 1e-300, 0.3, 1.0, 2.5, 7.0, 1e6, 1e100]
 

@@ -60,6 +60,47 @@ class TestAccuracy:
         assert errs[0] / errs[1] > 8.0
         assert errs[1] / errs[2] > 8.0
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_sixth_order_convergence(self, p):
+        # the p-fold integral of cos over [0, 1]: sin 1, 1 - cos 1, 1 - sin 1
+        exact = [math.sin(1.0), 1.0 - math.cos(1.0), 1.0 - math.sin(1.0)][p - 1]
+        errs = []
+        for n in (17, 33, 65):
+            g = np.linspace(0, 1, n)
+            errs.append(abs(weighted_volterra(np.cos(g), p, g)[-1] - exact))
+        assert errs[0] / errs[1] >= 40.0
+        assert errs[1] / errs[2] >= 40.0
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 33])
+    def test_quintic_phi_exact_on_uniform_grids(self, n):
+        # from 6 nodes on, every cell integrates the quintic through its
+        # stencil; 5 nodes give one quartic stencil, exact for a quartic
+        g = np.linspace(0.0, 2.0, n)
+        coeffs = [0.3, -1.0, 0.5, 2.0, -0.7, 0.25][: min(n, 6)]
+        phi = sum(c * g ** d for d, c in enumerate(coeffs))
+        for p in (1, 2, 3, 4):
+            terms = [c * math.factorial(d) / math.factorial(d + p) * g ** (d + p) for d, c in enumerate(coeffs)]
+            err = np.max(np.abs(cold(weighted_volterra, phi, p, g) - sum(terms)))
+            assert err <= 1e-13 * np.max(sum(np.abs(t) for t in terms))
+
+    def test_fallback_cells_on_a_graded_grid(self):
+        # t_j = (j/N)^4: the first cells' stencils span cells far more than 2x
+        # apart and take the centred 4 nodes, with zero weight on the outer
+        # two slots; later cells keep all six; cubics stay exact everywhere
+        g = 0.5 * (np.arange(65) / 64.0) ** 4
+        wts = volterra._grid_weights(g, 3)
+        assert 5 <= len(wts.narrow) < 32 and wts.narrow[0] == 0
+        assert np.array_equal(wts.narrow, np.arange(len(wts.narrow)))
+        assert np.all(wts.W[:, [0, 5]][:, :, wts.narrow] == 0.0)
+        wide = np.setdiff1d(np.arange(64), wts.narrow)
+        assert np.all(wts.W[:, [0, 5]][:, :, wide] != 0.0)
+        coeffs = [0.5, -1.0, 2.0, 0.75]
+        phi = sum(c * g ** d for d, c in enumerate(coeffs))
+        for p in (1, 2, 3):
+            terms = [c * math.factorial(d) / math.factorial(d + p) * g ** (d + p) for d, c in enumerate(coeffs)]
+            err = np.max(np.abs(weighted_volterra(phi, p, g) - sum(terms)))
+            assert err <= 1e-13 * np.max(sum(np.abs(t) for t in terms))
+
     def test_nonuniform_grid(self):
         rng = np.random.default_rng(0)
         g = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 120))))
@@ -116,8 +157,9 @@ class TestKernelContract:
         p=st.integers(1, 4),
     )
     def test_random_cubic_on_random_grid_is_exact(self, steps, coeffs, p):
-        # the piecewise-cubic rule reproduces any cubic phi, on any grid
-        # (spacing ratio <= 20), from freshly built and from cached weights
+        # the rule reproduces any cubic phi on any grid (spacing ratio <= 20),
+        # on 6-node and 4-node fallback cells alike, from freshly built and
+        # from cached weights
         g = np.concatenate(([0.0], np.cumsum(steps)))
         phi = sum(c * g ** d for d, c in enumerate(coeffs))
         terms = [
@@ -131,6 +173,22 @@ class TestKernelContract:
         assert np.array_equal(first, warm)
         err = np.max(np.abs(warm - exact))
         assert err <= 1e-11 * max(scale, 1e-300)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.floats(0.5, 1.0), min_size=5, max_size=40),
+        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+        p=st.integers(1, 4),
+    )
+    def test_random_quintic_on_a_grid_within_2x_is_exact(self, steps, coeffs, p):
+        # neighbouring spans within 2x of each other: no cell falls back, and
+        # every cell's stencil reproduces a quintic
+        g = np.concatenate(([0.0], np.cumsum(steps)))
+        phi = sum(c * g ** d for d, c in enumerate(coeffs))
+        terms = [c * math.factorial(d) / math.factorial(d + p) * g ** (d + p) for d, c in enumerate(coeffs)]
+        assert len(cold(volterra._grid_weights, g, p).narrow) == 0
+        err = np.max(np.abs(weighted_volterra(phi, p, g) - sum(terms)))
+        assert err <= 1e-11 * max(np.max(sum(np.abs(t) for t in terms)), 1e-300)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -192,7 +250,7 @@ class TestValidation:
             weighted_volterra(np.ones(4), 1, np.linspace(0, 1, 5))
 
     def test_tiny_grids(self):
-        # width degrades gracefully below 4 nodes
+        # width degrades gracefully below 6 nodes
         g = np.array([0.0, 1.0])
         assert weighted_volterra(np.array([0.0, 2.0]), 1, g)[-1] == pytest.approx(1.0)
         g3 = np.array([0.0, 0.5, 1.0])

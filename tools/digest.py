@@ -23,7 +23,10 @@ same bit for bit.  The groups:
 - powerlog-pipeline: divergent-regime pipelines with a powerlog h, whose
   majorization companion reads h at rho s;
 - piecewise-majorant: ``majorant_growth`` of a seven-piece piecewise h for
-  n = 1-7 (breakpoints, values on a grid) and the majorant of its tower.
+  n = 1-7 (breakpoints, values on a grid) and the majorant of its tower;
+- piecewise-lift: divergent-regime pipelines with a power h and a q with
+  one or two jumps inside the horizon, m = 2-3 and k >= 1, drawn from a
+  fixed seed, so that the lift runs across q's jumps.
 
 A report field that is an exception is hashed by its type and ``where``,
 not its message.
@@ -184,6 +187,26 @@ def piecewise_group() -> Group:
     return group
 
 
+def piecewise_lift_group() -> Group:
+    group = Group("piecewise-lift")
+    rng = np.random.default_rng(19)
+    spec = blowup.parse_fn_spec
+    problems, horizons = [], []
+    for _ in range(12):
+        m = int(rng.integers(2, 4))
+        k = int(rng.integers(1, m))
+        horizon = float(rng.uniform(0.5, 5.0))
+        cuts = np.sort(rng.uniform(0.05, 0.95, int(rng.integers(1, 3)))) * horizon
+        edges = ["0", *map(repr, cuts.tolist()), "inf"]
+        pieces = ", ".join(f"({lo},{hi}):{rng.uniform(0.25, 2.0)!r}" for lo, hi in zip(edges, edges[1:]))
+        data = tuple(float(x) for x in rng.uniform(0.1, 2.0, m))
+        h = spec(f"power({rng.uniform(0.2, 1.0)!r})")
+        problems.append(blowup.ProblemSpec(m=m, k=k, a=data, q=spec(f"piecewise({pieces})"), h=h))
+        horizons.append(horizon)
+    pipelines(group, problems, horizons)
+    return group
+
+
 def main() -> None:
     groups = [
         lambda: workload_group("global-construct", (1, 4), 4),
@@ -192,6 +215,7 @@ def main() -> None:
         classify_group,
         powerlog_group,
         piecewise_group,
+        piecewise_lift_group,
     ]
     for make in groups:
         print(make().line(), flush=True)
