@@ -244,9 +244,13 @@ class ComparisonReport:
 def verify_comparison_bound(
     g: ScalarFn, n: int, u0: float, T: float, grid_size: int = 200
 ) -> ComparisonReport:
-    """Evaluate both sides of the comparison inequality on a uniform grid."""
+    """Evaluate both sides of the comparison inequality on a uniform grid of
+    ``grid_size`` nodes (an integer >= 2) on [0, T], 0 < T < inf."""
     consts = comparison_constants(n)
-    grid = np.linspace(0.0, float(T), int(grid_size))
+    if not (0.0 < T < math.inf):
+        raise InvalidParameterError(f"T must be > 0 and finite, got {T!r}")
+    grid_size = check_int("grid_size", grid_size, 2)
+    grid = np.linspace(0.0, float(T), grid_size)
     u = solve_autonomous_quadrature(g, n, u0, grid)
     phi = g.eval_array(consts.beta * u)
     rhs = consts.alpha * math.factorial(n - 1) * weighted_volterra(phi, n, grid)
@@ -258,7 +262,7 @@ def verify_comparison_bound(
         n=int(n),
         u0=float(u0),
         T=float(T),
-        grid_size=int(grid_size),
+        grid_size=grid_size,
         min_slack=float(np.min(slack)),
         min_slack_rel=float(rel[i]),
         t_at_min=float(grid[i]),
@@ -313,9 +317,9 @@ class PicardTower:
     ``trajectory`` is the solution's full derivative state, built on first
     read from the h, q and initial values the tower was built from.
     Every other diagnostic (gaps, slacks, iteration count) is read from the
-    returned iterates.  ``levels`` holds one row per grid level the ladder
-    ran, coarsest first, and none for the levels it skipped (see
-    :func:`picard_solve`); the last is the returned grid.
+    returned iterates.  ``levels`` holds one row per grid level of the
+    doubling ladder, coarsest first (see :func:`picard_solve`); the last is
+    the returned grid.
     """
 
     grid: np.ndarray
@@ -387,16 +391,9 @@ def picard_solve(
     the first level of at least ``grid_cap`` nodes; the achieved gap is
     reported either way); the solution is that grid's final iterate.  Each
     level runs Picard from the seed on its own grid, so its iterates do not
-    depend on which levels ran before it.  The ladder converges at sixth
-    order, so a doubling divides the gap by about 64: when a gap misses
-    tol/4 by more than 64^2, the levels the prediction rules out are
-    skipped, and the level one doubling below the first predicted to pass
-    (never past the cap level) runs next as a parent.  The returned level is
-    the one the full ladder returns, or, when the gaps fall faster than
-    predicted, a later level of the same ladder that also passes.
-    A singular start, b[0] = 0 with h a power
-    or powerlog of exponent 0 < lambda < 1, grades the first segment
-    [0, t_1] as t_j = t_1 (j/N)^GRADE: the solution behaves like a
+    depend on which levels ran before it.  A singular start, b[0] = 0 with
+    h a power or powerlog of exponent 0 < lambda < 1, grades the first
+    segment [0, t_1] as t_j = t_1 (j/N)^GRADE: the solution behaves like a
     fractional power of t there, which holds a uniform grid to O(h^1.5);
     the kernel's 4-node fallback takes the first, most unequal cells.
 
@@ -458,15 +455,6 @@ def picard_solve(
             disc_gap = float(np.max(np.abs(final[::2] - parent)))
             if disc_gap <= tol / 4.0 or len(grid) >= grid_cap:
                 break
-            # a doubling divides a sixth-order gap by ~64, so the k-th doubling
-            # is the first expected to pass: from k = 3 on, the next level run is
-            # its parent, k - 1 doublings up, which stays below the cap level
-            k = math.ceil(math.log(disc_gap / (tol / 4.0), 64))
-            while k >= 3 and 1 + sum(base_cells) * (mult << (k - 1)) >= grid_cap:
-                k -= 1
-            if k >= 3:
-                parent, mult = None, mult << (k - 1)
-                continue
         parent = final
         mult *= 2
 

@@ -61,10 +61,7 @@ class _Weights(NamedTuple):
     e: np.ndarray       # (w - 1, w, cells): e_1..e_{w-1} of each node's other nodes
     denom: np.ndarray   # (w, cells): D_s
     narrow: np.ndarray  # cells on the 4-node fallback stencil
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.idx, self.W, self.taylor, self.e, self.denom, self.narrow))
+    nbytes: int         # of the six arrays, which the cache's eviction walk reads
 
 
 # Weights are a function of the grid alone, and a Picard tower applies the
@@ -143,7 +140,7 @@ def _grid_weights(grid: np.ndarray, p: int) -> _Weights:
         e[:3, mid, narrow], denom[mid, narrow] = _basis(xi[mid, narrow])
     for a in (idx, narrow, e, denom):
         a.setflags(write=False)
-    empty = _Weights(0, idx, np.empty((0, w, n - 1)), np.empty((0, n - 1)), e, denom, narrow)
+    empty = _Weights(0, idx, np.empty((0, w, n - 1)), np.empty((0, n - 1)), e, denom, narrow, 0)
     return _raised(empty, grid, p)
 
 
@@ -173,7 +170,8 @@ def _raised(wts: _Weights, grid: np.ndarray, p: int) -> _Weights:
     """``wts`` with the rows of orders wts.order + 1..p added, each computed
     on its own from the kept stencil basis (see :func:`_grid_weights`), with
     the 4-node factorials in a fallback cell's middle slots and zeros in its
-    others; the rows it has, its indices and its basis are kept as they are."""
+    others; the rows it has, its indices and its basis are kept as they are,
+    and ``nbytes`` is counted again with the new rows."""
     h = np.diff(grid)
     w, narrow = len(wts.idx), wts.narrow
     mid = slice((w - 4) // 2, (w - 4) // 2 + 4)
@@ -189,7 +187,8 @@ def _raised(wts: _Weights, grid: np.ndarray, p: int) -> _Weights:
     taylor = np.array([h ** s / math.factorial(s) for s in range(1, p)]).reshape(p - 1, len(h))
     for a in (W, taylor):
         a.setflags(write=False)
-    return wts._replace(order=p, W=W, taylor=taylor)
+    nbytes = sum(a.nbytes for a in (wts.idx, W, taylor, wts.e, wts.denom, narrow))
+    return wts._replace(order=p, W=W, taylor=taylor, nbytes=nbytes)
 
 
 def _carry(phi: np.ndarray, p: int, wts: _Weights) -> np.ndarray:

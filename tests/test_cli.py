@@ -271,6 +271,18 @@ class TestMain:
         assert captured.err == "error: T must be > 0 and finite, got inf\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--T", "-1", "T must be > 0 and finite, got -1.0"),
+        ("--T", "inf", "T must be > 0 and finite, got inf"),
+        ("--grid-size", "1", "grid_size must be an integer >= 2, got 1"),
+    ], ids=["T-negative", "T-inf", "grid-size-1"])
+    def test_comparison_inputs_named(self, flag, value, message, capsys):
+        argv = ["verify-lemma22", "--g", "power(1.0)", "--n", "1", "--u0", "1", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_batch_propagates_failure(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("run = fly\n")

@@ -208,6 +208,20 @@ class TestComparisonBound:
         rep = verify_comparison_bound(g, n, 1.0, T, 200)
         assert rep.min_slack_rel >= -1e-9
 
+    @pytest.mark.parametrize("T", [-1.0, 0.0, math.inf, math.nan])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        with pytest.raises(InvalidParameterError, match=f"^T must be > 0 and finite, got {T}$"):
+            verify_comparison_bound(ONE, 1, 1.0, T)
+
+    @pytest.mark.parametrize("grid_size", [1, 0, 2.7, 200.0])
+    def test_grid_size_must_be_an_integer_from_2(self, grid_size):
+        with pytest.raises(InvalidParameterError, match=rf"^grid_size must be an integer >= 2, got {grid_size}$"):
+            verify_comparison_bound(ONE, 1, 1.0, 1.0, grid_size)
+
+    def test_two_nodes_are_enough(self):
+        rep = verify_comparison_bound(ONE, 1, 1.0, 1.0, np.int64(2))
+        assert rep.passed and rep.grid_size == 2 and type(rep.grid_size) is int
+
     def test_quadratic_case_values(self):
         # n=2, g=1: u = (1+t)^2, LHS = 2t+t^2, RHS = t^2/16
         rep = verify_comparison_bound(ONE, 2, 1.0, 2.0, 200)
@@ -523,8 +537,8 @@ class TestPicardTower:
 
 
 def every_level(h, b, T, tol, q, max_iter=60):
-    """The tower's doubling ladder with no level skipped, built as picard_solve
-    builds each level: (grid, iterates, gap to the level before) per level."""
+    """The tower's doubling ladder, past any stop, built as picard_solve builds
+    each level: (grid, iterates, gap to the level before) per level."""
     edges = [0.0, *(bp for bp in q.breakpoints if 0.0 < bp < T), T]
     cells = [max(2, round((GRID_MIN - 1) * (hi - lo) / T)) for lo, hi in zip(edges, edges[1:])]
     graded = b[0] == 0.0 and 0.0 < h.params[0] < 1.0  # a power h
@@ -538,8 +552,8 @@ def every_level(h, b, T, tol, q, max_iter=60):
 
 
 class TestGridLadder:
-    """A level whose gap misses tol/4 by 64^k skips to the level k - 1
-    doublings up; every level that runs is the one the full ladder runs."""
+    """Each level is the next doubling, and the ladder stops at the first
+    level whose gap meets tol/4, or at the cap level."""
 
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(
@@ -552,67 +566,36 @@ class TestGridLadder:
     )
     def test_returned_level_is_the_full_ladders_or_a_later_one(self, lam, b, T, log_tol, q_vals, cut):
         # power h, n = len(b) <= 3, data with zeros (singular starts), constant
-        # q or q with one jump: the skipping ladder returns the level the full
-        # ladder returns, with the same numbers bit for bit, or a later level
-        # of the same ladder that passes; never a coarser one
+        # q or q with one jump: the tower is the full ladder's first level that
+        # passes, or its cap level, with the same numbers bit for bit, after
+        # one row of levels for each level of the ladder up to it
         h, tol = make_power(lam), 10.0 ** log_tol
         if len(q_vals) == 1:
             q = make_constant(q_vals[0])
         else:
             q = make_piecewise([((0.0, cut * T), q_vals[0]), ((cut * T, math.inf), q_vals[1])])
         tw = picard_solve(h, len(b), b, T, tol=tol, q=q, majorant_b=np.add(b, 1.0))
-        ladder, levels = every_level(h, b, T, tol, q), []
-
-        def level(i):  # (grid, iterates, gap) of the full ladder's level i
-            while len(levels) <= i:
-                levels.append(next(ladder))
-            return levels[i]
-
-        def misses(i, doublings=0):  # level i's gap, over 64 per doubling, misses tol/4
-            return level(i)[2] / 64.0 ** doublings > tol / 4.0
-
-        def capped(i):
-            return len(level(i)[0]) >= 16385
-
-        final = next(i for i in itertools.count(1) if not misses(i) or capped(i))
-        cells = level(0)[0].size - 1  # level i has cells * 2^i + 1 nodes
-        rows = [int(math.log2((lv.nodes - 1) // cells)) for lv in tw.levels]
-        assert [level(i)[0].size for i in rows] == [lv.nodes for lv in tw.levels]
-        grid, iterates, gap = level(rows[-1])
-        assert np.array_equal(tw.grid, grid) and rows[-1] >= final
-        if rows[-1] > final:  # landed late: it still passes
-            assert not misses(rows[-1]) and tw.grid_converged
+        rows = []
+        for grid, iterates, gap in every_level(h, b, T, tol, q):
+            last = float(np.max(np.abs(iterates[-1] - iterates[-2]))) if len(iterates) > 1 else math.inf
+            rows.append((len(grid), len(iterates) - 1, last))
+            if gap <= tol / 4.0 or len(grid) >= 16385:
+                break
+        assert [tuple(lv) for lv in tw.levels] == rows
+        assert np.array_equal(tw.grid, grid)
         assert len(tw.iterates) == len(iterates)
         assert all(v.tobytes() == w.tobytes() for v, w in zip(tw.iterates, iterates))
-        pairs = list(zip(iterates[1:], iterates))
-        step_gap = float(np.max(np.abs(iterates[-1] - iterates[-2]))) if pairs else math.inf
+        pairs, step_gap = list(zip(iterates[1:], iterates)), rows[-1][2]
         assert tw.solution.tobytes() == iterates[-1].tobytes()
         assert (tw.discretization_gap, tw.sup_gap, tw.iterations) == (gap, step_gap, len(pairs))
         assert tw.monotone_slack == min([0.0] + [float(np.min(v - w)) for v, w in pairs])
         assert (tw.converged, tw.grid_converged) == (step_gap <= tol, gap <= tol / 4.0)
-        for lv, i in zip(tw.levels, rows):
-            assert lv.iterations == len(level(i)[1]) - 1
-        # the rows follow the rule on the full ladder's gaps: a level i compared
-        # with its parent that misses tol/4 is followed by level j = i + k - 1
-        # when level i + k is the first it predicts to pass, k >= 3, or by the
-        # last level below the cap level when that comes first; else by its
-        # child.  A level a skip lands on runs uncompared, and its child next
-        assert rows[:2] == [0, 1]
-        for t in range(1, len(rows) - 1):
-            i, j = rows[t], rows[t + 1]
-            if rows[t - 1] != i - 1:  # landed on by a skip
-                assert j == i + 1
-            elif j > i + 1:
-                assert misses(i, j - i) and not capped(j) and (not misses(i, j - i + 1) or capped(j + 1))
-            else:
-                assert j == i + 1 and (not misses(i, 2) or capped(i + 2))
 
     @pytest.mark.parametrize("cap", [1025, 2049, 4097])
     def test_a_prediction_past_the_cap_stops_at_the_cap_level(self, cap):
         # u'' = sqrt(u) from (1e-30, 1) on [0, 5] is not smooth near 0, and
-        # b[0] > 0 keeps the uniform ladder, whose gap falls only as h^1.5: the
-        # gap of 257 nodes predicts a pass past 4097, so the jump from there is
-        # clipped and the ladder stops at the cap level, as without skipping
+        # b[0] > 0 keeps the uniform ladder, whose gap falls only as h^1.5: no
+        # level passes, and the ladder stops at the cap level
         h, one, b = make_power(0.5), make_constant(1.0), [1e-30, 1.0]
         tw = picard_solve(h, 2, b, 5.0, grid_cap=cap)
         assert len(tw.grid) == cap and tw.levels[-1].nodes == cap
@@ -624,11 +607,11 @@ class TestGridLadder:
 
     def test_levels_skipped_stay_on_the_doubling_ladder(self):
         # e^(t - 20) on [0, 20]: the gap of 257 nodes misses tol/4 by more than
-        # 64^2, so the ladder runs 1025 nodes next, as the parent of the 2049
+        # 64^2, and the ladder still runs every doubling up to the 2049 nodes
         # it returns
         tw = picard_solve(make_power(1), 1, [math.exp(-20.0)], 20.0)
         nodes = [lv.nodes for lv in tw.levels]
-        assert nodes == [129, 257, 1025, 2049] and tw.grid_converged
+        assert nodes == [129, 257, 513, 1025, 2049] and tw.grid_converged
         assert all((b - 1) % (a - 1) == 0 and b > a for a, b in zip(nodes, nodes[1:]))
         assert len(tw.grid) == nodes[-1] and tw.levels[-1].iterations == tw.iterations
 

@@ -304,6 +304,20 @@ class TestWeightCache:
             assert np.array_equal(weighted_volterra(phi, p, g), want[p])
         assert len(volterra._WEIGHTS) == 1
 
+    def test_an_entry_counts_its_bytes(self):
+        # the eviction walk reads each entry's stored count: it is the bytes of
+        # the entry's arrays after a build and after a raise from order 1 to 3
+        # (a grid with fallback cells, so that every array holds some)
+        g = np.concatenate([np.linspace(0.0, 0.01, 9), np.linspace(0.02, 1.0, 50)])
+        cold(weighted_volterra, np.cos(g), 1, g)
+        built = volterra._WEIGHTS[g.tobytes()]
+        weighted_volterra(np.cos(g), 3, g)
+        raised = volterra._WEIGHTS[g.tobytes()]
+        assert (built.order, raised.order) == (1, 3) and len(built.narrow)
+        for wts in (built, raised, volterra._grid_weights(g, 3)):
+            assert wts.nbytes == sum(a.nbytes for a in wts if isinstance(a, np.ndarray))
+        assert raised.nbytes > built.nbytes
+
     def test_more_grids_than_slots(self, monkeypatch):
         # a budget of four entries of these equal-sized grids keeps the four
         # most recently used

@@ -26,7 +26,11 @@ same bit for bit.  The groups:
   n = 1-7 (breakpoints, values on a grid) and the majorant of its tower;
 - piecewise-lift: divergent-regime pipelines with a power h and a q with
   one or two jumps inside the horizon, m = 2-3 and k >= 1, drawn from a
-  fixed seed, so that the lift runs across q's jumps.
+  fixed seed, so that the lift runs across q's jumps;
+- ladder: 300 Picard towers drawn from a fixed seed (power h, n = 1-3,
+  data with zeros, tol 1e-11 to 1e-7, constant q or q with one jump), each
+  tower's grid, iterates and levels.  A few of them have a level whose gap
+  misses tol/4 by more than 64^2, which no tower of the other groups has.
 
 A report field that is an exception is hashed by its type and ``where``,
 not its message.
@@ -207,6 +211,24 @@ def piecewise_lift_group() -> Group:
     return group
 
 
+def ladder_group() -> Group:
+    group = Group("ladder draws=300")
+    rng = np.random.default_rng(34)
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        b = [0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 2.0)) for _ in range(n)]
+        T, tol = float(rng.uniform(0.5, 5.0)), 10.0 ** float(rng.uniform(-11.0, -7.0))
+        h = blowup.make_power(float(rng.uniform(0.3, 1.0)))
+        qv, cut = rng.uniform(0.25, 2.0, int(rng.integers(1, 3))).tolist(), float(rng.uniform(0.1, 0.9)) * T
+        if len(qv) == 1:
+            q = blowup.make_constant(qv[0])
+        else:
+            q = blowup.make_piecewise([((0.0, cut), qv[0]), ((cut, math.inf), qv[1])])
+        tower = blowup.picard_solve(h, n, b, T, tol=tol, q=q, majorant_b=np.add(b, 1.0))
+        group.add((tower.grid, tower.iterates, tower.levels))
+    return group
+
+
 def main() -> None:
     groups = [
         lambda: workload_group("global-construct", (1, 4), 4),
@@ -216,6 +238,7 @@ def main() -> None:
         powerlog_group,
         piecewise_group,
         piecewise_lift_group,
+        ladder_group,
     ]
     for make in groups:
         print(make().line(), flush=True)
