@@ -376,12 +376,13 @@ class Trajectory:
     """Accepted integration nodes with dense output.
 
     ``ys[i]`` is the state (w, ..., w^(m-1)) at ``ts[i]``; ``dys[i]`` is its
-    time derivative (y[1:], f).  A jump point of q where integration
-    restarted appears twice in ``ts``: first with the left-limit derivative
-    that closes the cell before it, then with the right-limit one that opens
-    the cell after it.  ``stats`` holds the integrator's counters when the
-    trajectory comes from :func:`integrate`.  Values are immutable once
-    returned and safe to share.
+    time derivative (y[1:], f).  Every producer (:func:`integrate`'s
+    restarts, a Picard tower's ``trajectory``, a lift) marks a jump point of
+    q inside the span by a repeated node in ``ts``: first with the
+    left-limit derivative that closes the cell before it, then with the
+    right-limit one that opens the cell after it.  ``stats`` holds the
+    integrator's counters when the trajectory comes from :func:`integrate`.
+    Values are immutable once returned and safe to share.
 
     ``dense``, shape (cells, 4, m), holds for each cell [ts[i], ts[i+1]] the
     rows h D K of its continuous extension (see :func:`_coefficients` and
@@ -420,6 +421,11 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.ts[-1])
+
+    @property
+    def distinct(self) -> np.ndarray:
+        """Mask of ``ts``, False at the second copy of a repeated node."""
+        return np.append(True, self.ts[1:] != self.ts[:-1])
 
     def __call__(self, t):
         """Dense state at time(s) t within the grid span; shape (..., m)."""
@@ -742,8 +748,10 @@ def _integrate_events(
             dys.append(f)
             dense.append([0.0] * (4 * p.m))
         while t < seg_end:
-            # min and max written as the builtins pick, without their calls
-            h = seg_end - t if seg_end - t < h else h
+            # min and max written as the builtins pick, without their calls; a
+            # step that ends the segment ends on seg_end, which t + h can miss
+            last = seg_end - t <= h
+            h = seg_end - t if last else h
             min_step = MIN_STEP_FACTOR * (abs(t) if abs(t) > 1.0 else 1.0)
             if h < min_step:
                 return finish("step-collapse", t)
@@ -769,7 +777,7 @@ def _integrate_events(
 
             accepted += 1
             evals += 3
-            t_new = t + h
+            t_new = seg_end if last else t + h
             # threshold crossings inside this step, on its continuous
             # extension (components are monotone in the intended regime;
             # the bracket kept by _find_level makes it robust regardless)

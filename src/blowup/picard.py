@@ -352,6 +352,9 @@ class PicardTower:
         One extra application of the integral operator to the solution
         yields all n components with mutually consistent integral
         relations; blocks keep the quadrature away from q's jump points.
+        Each block keeps its own rows, so a jump of q inside the grid is a
+        repeated node, as in an integrator's trajectory: the first copy's
+        top derivative takes q's left limit, the second its right value.
         The trajectory's ``tol`` is the larger of the iteration and
         discretization gaps, the error actually achieved.
         """
@@ -359,12 +362,13 @@ class PicardTower:
         grid = self.grid
         h_vals = h.eval_array(self.solution)
         blocks = [(i0, i1, qv * h_vals[i0 : i1 + 1]) for i0, i1, _, qv in _q_blocks(q, grid)]
-        ys = integral_image(b, blocks, grid)
+        image = integral_image(b, blocks, grid)
+        ts, ys = (np.concatenate([x[i0 : i1 + 1] for i0, i1, _ in blocks]) for x in (grid, image))
         dys = np.empty_like(ys)
         dys[:, :-1] = ys[:, 1:]
-        dys[:, -1] = q.eval_array(grid) * h_vals
+        dys[:, -1] = np.concatenate([f for *_, f in blocks])
         tol = max(self.sup_gap, self.discretization_gap)
-        return Trajectory(ts=grid.copy(), ys=ys, dys=dys, tol=tol)
+        return Trajectory(ts=ts, ys=ys, dys=dys, tol=tol)
 
 
 def picard_solve(
@@ -629,18 +633,15 @@ def verify_bound_preservation(
     trajectory nodes) and an admissible right-hand side f = c(t) q h(u_k) with piecewise c in
     [0, 1], then checks 0 <= (operator image)^(i) <= v^(i) at all nodes.
     The check runs on the trajectory's own nodes (exact values, no dense
-    interpolation) and the image integrals are assembled block by block,
+    interpolation), reading a repeated node (a jump of q) once, at its first
+    copy, and the image integrals are assembled block by block,
     split at q's jumps too (each block sampling q's own branch, as in
     :func:`apply_integral_operator`), so the quadrature never straddles a
-    jump of c or q.  Violations are reported,
-    never raised; a trajectory with a repeated node (a restart at a jump of
-    q) is refused with InvalidParameterError, since the operator needs a
-    strictly increasing grid.
+    jump of c or q.  Violations are reported, never raised.
     """
     trials = check_int("trials", trials, 0)
     rng = np.random.default_rng(check_int("seed", seed, 0))
-    grid = v.ts
-    V = v.ys
+    grid, V = v.ts[v.distinct], v.ys[v.distinct]
     q_blocks = _q_blocks(p.q, grid)
     worst = 0.0
     worst_trial = -1

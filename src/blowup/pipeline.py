@@ -76,15 +76,17 @@ def reduce_problem(p: ProblemSpec) -> ProblemSpec:
 def lift_solution(u: Trajectory, a_low: Sequence[float], k: int) -> Trajectory:
     """k-fold repeated integration of u with the low-order data a_low.
 
-    Returns a trajectory with k + u.m components: component i < k is the
-    i-th derivative of the lift, components k.. are u's own.  For k = 0 the
-    input is returned unchanged.  The lift is taken on u's nodes by the
-    O(h^6) repeated-integration rule, which needs u smooth over the span
-    (lift a kink's two sides one at a time), and its dense output is the
-    Hermite interpolant of the node values and derivatives, so its accuracy
-    is that of u's grid: an integrator trajectory's nodes are its steps, far
-    wider than the tower grids the pipeline lifts; sample its dense output
-    on a finer grid first.
+    Returns a trajectory on u's nodes with k + u.m components: component
+    i < k is the i-th derivative of the lift, components k.. are u's own.
+    For k = 0 the input is returned unchanged.  The lift is taken by the
+    O(h^6) repeated-integration rule, which needs u smooth over each block:
+    a repeated node of u (a jump of q, where u's top derivative jumps; see
+    :class:`Trajectory`) ends one block and starts the next, and the lift
+    keeps it twice, as u does.  Its dense output is the Hermite interpolant
+    of the node values and derivatives, so its accuracy is that of u's
+    grid: an integrator trajectory's nodes are its steps, far wider than
+    the tower grids the pipeline lifts; sample its dense output on a finer
+    grid first.
     """
     k = check_int("k", k, 0)
     if k == 0:
@@ -93,35 +95,22 @@ def lift_solution(u: Trajectory, a_low: Sequence[float], k: int) -> Trajectory:
     if len(a_low) != k:
         raise InvalidParameterError(f"need {k} low-order values, got {len(a_low)}")
 
-    grid = u.ts
-    ys = np.empty((len(grid), k + u.m))
+    ts = u.ts
+    ys = np.empty((len(ts), k + u.m))
     ys[:, k:] = u.ys
-    ys[:, :k] = integral_image(a_low, [(0, len(grid) - 1, u.ys[:, 0])], grid)
+    first = u.distinct
+    if first.all():
+        ys[:, :k] = integral_image(a_low, [(0, len(ts) - 1, u.ys[:, 0])], ts)
+    else:  # one block between repeated nodes, on the distinct nodes: ts[i] is grid[at[i]]
+        grid, at, w = ts[first], np.cumsum(first) - 1, u.ys[first, 0]
+        edges = [0, *at[~first], len(grid) - 1]
+        blocks = [(i0, i1, w[i0 : i1 + 1]) for i0, i1 in zip(edges, edges[1:])]
+        ys[:, :k] = integral_image(a_low, blocks, grid)[at]
 
     dys = np.empty_like(ys)
     dys[:, :-1] = ys[:, 1:]
     dys[:, -1] = u.dys[:, -1]
-    return Trajectory(ts=grid.copy(), ys=ys, dys=dys, tol=u.tol)
-
-
-def _lift_blockwise(u: Trajectory, a_low: Sequence[float], k: int, q) -> Trajectory:
-    """:func:`lift_solution` of each block of u between q's jumps, each from
-    the values the block before ends with, joined with each shared node kept
-    once.  u's grid has a node at every jump (a tower's grid does), where
-    u^(n-1) has a kink that a lift across it would smooth over."""
-    ts = u.ts
-    cuts = np.searchsorted(ts, [bp for bp in q.breakpoints if ts[0] < bp < ts[-1]])
-    if k == 0 or not len(cuts):
-        return lift_solution(u, a_low, k)
-    ys, dys = [], []
-    for i0, i1 in zip([0, *cuts], [*cuts, len(ts) - 1]):
-        part = slice(i0, i1 + 1)
-        block = lift_solution(Trajectory(ts=ts[part] - ts[i0], ys=u.ys[part], dys=u.dys[part], tol=u.tol),
-                              a_low, k)
-        a_low = block.ys[-1, :k]
-        ys.append(block.ys[1:] if ys else block.ys)
-        dys.append(block.dys[1:] if dys else block.dys)
-    return Trajectory(ts=ts.copy(), ys=np.concatenate(ys), dys=np.concatenate(dys), tol=u.tol)
+    return Trajectory(ts=ts.copy(), ys=ys, dys=dys, tol=u.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +317,9 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
     The reduced problem (:func:`reduce_problem`) is the report's
     ``reduced``.  Divergent test: a global solution of the dominating
     problem is built by the monotone tower on the reduced data, lifted by
-    k integrations of the tower's ``trajectory`` (block by block between
-    q's jumps, where u can have a kink), and cross-checked against
+    k integrations of the tower's ``trajectory`` (:func:`lift_solution`,
+    block by block between the repeated nodes at q's jumps, where u can
+    have a kink), and cross-checked at every node against
     one direct integration at ``opts.tol``, whose components k.. the
     majorization reads as its reduced solution; a failing stage raises.
     Convergent test: the escape ladder runs up to the horizon.
@@ -411,7 +401,7 @@ def _construct_and_check(p, red, horizon, opts, notes):
         u_traj = tower.trajectory
 
     with _stage("lift"):
-        lifted = _lift_blockwise(u_traj, p.a[: p.k], p.k, red.q)
+        lifted = lift_solution(u_traj, p.a[: p.k], p.k)
 
     with _stage("cross-check"):
         direct = integrate(replace(p, f_override=None), float(horizon), opts.tol)

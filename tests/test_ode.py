@@ -475,7 +475,21 @@ class TestIntegrate:
         p = ProblemSpec(m=1, k=0, a=(0.0,), q=q, h=make_power(0))
         traj = integrate(p, 2.0, 1e-10)
         assert traj(2.0)[0] == pytest.approx(2.5, rel=1e-10)
-        assert 1.0 in traj.ts  # forced node at the jump
+        # forced node at the jump, repeated: left-limit slope, then right
+        assert traj.ts[~traj.distinct].tolist() == [1.0]
+        assert traj.dys[traj.ts == 1.0, 0].tolist() == [0.5, 2.0]
+
+    def test_step_onto_a_jump_lands_on_it(self):
+        # w'' = q w' with w'(0) = 0 stays at w = 1.75, so steps grow until one
+        # ends the segment at the second jump; there t + (jump - t) rounds an
+        # ulp short of the jump, and the sliver left collapsed the step
+        horizon = 2.38466765651207
+        cuts = [0.125 * horizon, 0.828125 * horizon]
+        q = make_piecewise(list(zip(zip([0.0, *cuts], [*cuts, math.inf]), [1.0, 1.0, 1.0])))
+        traj = integrate(ProblemSpec(m=2, k=1, a=(1.75, 0.0), q=q, h=make_power(1)), horizon, 1e-10)
+        assert isinstance(traj, Trajectory)
+        assert traj.ts.tolist().count(cuts[1]) == 2 and traj.t_end == horizon
+        assert np.all(traj.ys == [1.75, 0.0])
 
     def test_retry_starts_from_the_accepted_slope(self):
         # h climbs from 1 to 21 across w = 2, so steps are rejected there; a

@@ -17,7 +17,7 @@ from blowup.functions import (
     make_power_log,
     parse_fn_spec,
 )
-from blowup.ode import ProblemSpec, integrate
+from blowup.ode import ProblemSpec, Trajectory, integrate
 from blowup.picard import (
     GRADE,
     GRID_MIN,
@@ -416,9 +416,19 @@ class TestPicardTower:
         u[:, 0] = tw.solution
         p = ProblemSpec(m=n, k=0, a=b, q=ONE if q is None else q, h=h)
         image = apply_integral_operator(p, tw.grid, u)
-        assert traj.ys.tobytes() == image.tobytes()
-        assert np.array_equal(traj.ts, tw.grid) and traj.ts is not tw.grid
+        first = traj.distinct
+        assert traj.ys[first].tobytes() == image.tobytes()
+        assert np.array_equal(traj.ts[first], tw.grid) and traj.ts is not tw.grid
         assert traj.m == n and traj.tol == max(tw.sup_gap, tw.discretization_gap)
+        # the jump of q at t = 1 is a repeated node: the same state, with q's
+        # left value in the first copy's top derivative and its right value
+        # in the second's
+        again = np.flatnonzero(~first)
+        assert traj.ts[again].tolist() == ([] if q is None else [1.0])
+        for i in again:
+            assert np.array_equal(traj.ys[i - 1], traj.ys[i])
+            hv = h.eval_array(tw.solution)[np.searchsorted(tw.grid, traj.ts[i])]
+            assert (traj.dys[i - 1, -1], traj.dys[i, -1]) == (0.5 * hv, 2.0 * hv)
 
     def test_trajectory_keeps_the_data_it_was_built_from(self):
         # the caller's array may change after the solve; the tower's may not
@@ -684,14 +694,19 @@ class TestIntegralOperator:
 
     def test_fixed_point_across_a_jump_of_q(self):
         # the tower's grid has a node at the jump; the operator must not
-        # run its quadrature stencil across it
+        # run its quadrature stencil across it.  The trajectory repeats that
+        # node, and the operator takes the grid, which it keeps strict
         q = parse_fn_spec("piecewise((0,0.5):1, (0.5,inf):3)")
         h = make_power(1)
         tw = picard_solve(h, 1, [1.0], 1.0, q=q)
         traj = tw.trajectory
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=h)
-        img = apply_integral_operator(p, traj.ts, traj.ys)
-        assert np.max(np.abs(img - traj.ys)) <= 1e-10
+        first = traj.distinct
+        assert np.count_nonzero(~first) == 1 and np.array_equal(traj.ts[first], tw.grid)
+        img = apply_integral_operator(p, tw.grid, traj.ys[first])
+        assert np.max(np.abs(img - traj.ys[first])) <= 1e-10
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            apply_integral_operator(p, traj.ts, traj.ys)
 
 
 class TestBoundPreservation:
@@ -722,19 +737,27 @@ class TestBoundPreservation:
         rep = verify_bound_preservation(p, traj, 100, seed=0)
         assert rep.worst_violation <= 1e-9
 
-    def test_refuses_a_repeated_jump_node(self):
-        # integration restarts at q's jump and repeats the node there; the
-        # operator needs a strictly increasing grid, so the check must raise
-        # rather than report a NaN violation as a pass
+    def test_repeated_node_checked_once(self):
+        # a jump of q is a repeated node in every trajectory: the check reads
+        # it once, at its first copy, so a tower's trajectory gets the report
+        # of its distinct nodes, and an integrator's restart is checked too
         from blowup.functions import make_piecewise
 
         q = make_piecewise([((0, 1), 0.5), ((1, math.inf), 1.0)])
+        p = ProblemSpec(m=2, k=0, a=(1.0, 0.5), q=q, h=make_power(0.5))
+        v = picard_solve(p.h, 2, p.a, 2.0, tol=1e-10, q=q).trajectory
+        first = v.distinct
+        assert np.count_nonzero(~first) == 1
+        distinct = Trajectory(ts=v.ts[first], ys=v.ys[first], dys=v.dys[first], tol=v.tol)
+        for seed in range(3):
+            rep = verify_bound_preservation(p, v, 5, seed=seed)
+            assert rep == verify_bound_preservation(p, distinct, 5, seed=seed) and rep.passed
+
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(1))
         traj = integrate(p, 2.0, 1e-10)
         assert np.any(np.diff(traj.ts) == 0.0)
         for seed in range(5):
-            with pytest.raises(InvalidParameterError):
-                verify_bound_preservation(p, traj, 3, seed=seed)
+            assert math.isfinite(verify_bound_preservation(p, traj, 3, seed=seed).worst_violation)
 
     def test_short_trajectory(self):
         # q = 0: the integrator needs only four steps, too few nodes for

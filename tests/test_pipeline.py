@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blowup.classify import Verdict
@@ -92,6 +92,32 @@ class TestLift:
         u = integrate(p, 2.0, 1e-10)
         v = lift_solution(u, [0.5], 1)
         assert np.allclose(v.ys[:, 1], u.ys[:, 0])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_across_an_integrator_restart(self, k):
+        # the integrator restarts at each jump of q and repeats the node: the
+        # lift keeps it twice and starts a new block there, which is the same
+        # as lifting each block on its own grid from the values the block
+        # before ends with
+        q = make_piecewise([((0.0, 0.7), 2.0), ((0.7, 1.3), 0.5), ((1.3, math.inf), 1.5)])
+        u = integrate(ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(0.5)), 2.0, 1e-10)
+        a_low = [0.5, 0.25][:k]
+        v = lift_solution(u, a_low, k)
+        assert v.ts.tobytes() == u.ts.tobytes() and v.ys[:, k:].tobytes() == u.ys.tobytes()
+        assert v.dys[:, -1].tobytes() == u.dys[:, -1].tobytes()
+
+        # the reference: each block between repeated nodes lifted on its own
+        # grid, shifted to start at 0, from the block before's end values
+        again = np.flatnonzero(~u.distinct)
+        assert u.ts[again].tolist() == [0.7, 1.3]
+        low, start = [], a_low
+        for i0, i1 in zip([0, *again], [*(again - 1), len(u.ts) - 1]):
+            part = slice(i0, i1 + 1)
+            block = lift_solution(Trajectory(ts=u.ts[part] - u.ts[i0], ys=u.ys[part], dys=u.dys[part],
+                                             tol=u.tol), start, k)
+            low.append(block.ys[:, :k])
+            start = block.ys[-1, :k]
+        np.testing.assert_allclose(v.ys[:, :k], np.concatenate(low), rtol=1e-14, atol=0.0)
 
     def test_differentiation_round_trip(self):
         # finite differences of the lift recover u to 1e-6 relative
@@ -460,10 +486,15 @@ class TestDrawnCriterion11:
         # w'' = q(t) (w')^0.5 with q = 2 on [0, 1) and 0.5 after: u = w' has a
         # kink at t = 1, and a lift of u in one block across it missed the gate
         q = make_piecewise([((0.0, 1.0), 2.0), ((1.0, math.inf), 0.5)])
-        rep = run_pipeline(ProblemSpec(m=2, k=1, a=(1.0, 1.0), q=q, h=make_power(0.5)), horizon=3.0)
+        p = ProblemSpec(m=2, k=1, a=(1.0, 1.0), q=q, h=make_power(0.5))
+        rep = run_pipeline(p, horizon=3.0)
         assert rep.label == "GlobalConstructed" and rep.passed
         assert rep.construction.consistency_sup <= 1e-7
-        assert np.count_nonzero(rep.constructed.ts == 1.0) == 1  # the jump's node, kept once
+        assert np.count_nonzero(rep.constructed.ts == 1.0) == 2  # the jump's node, repeated
+        # between nodes too: the Hermite cell that closes on the jump takes
+        # the derivative from its own side
+        ts = np.linspace(0.0, 3.0, 3001)
+        assert np.max(np.abs(rep.constructed(ts) - integrate(p, 3.0, 1e-13)(ts))) <= 1e-8
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
@@ -479,11 +510,19 @@ class TestDrawnCriterion11:
         # inside the horizon: the pipeline constructs, its lift meets the gate
         # against the direct solve, and the majorization passes.  Data just
         # above 0 with lambda < 1 stay out: the direct solve's first stage can
-        # fall below 0 there (ROADMAP, small item "A stage below 0")
+        # fall below 0 there (ROADMAP, small item "A stage below 0").  Two
+        # cuts that scale to the same time would make an empty piece, which
+        # is no q at all
         m, k = mk
         edges = [0.0, *sorted(c * horizon for c in cuts[: len(q_vals) - 1]), math.inf]
+        assume(len(set(edges)) == len(edges))
         q = make_piecewise(list(zip(zip(edges, edges[1:]), q_vals)))
         rep = run_pipeline(ProblemSpec(m=m, k=k, a=tuple(data[:m]), q=q, h=make_power(lam)), horizon=horizon)
         assert rep.label == "GlobalConstructed"
         assert rep.passed, rep.construction
         assert rep.majorization is not None and rep.majorization.passed
+        # the gate reads the nodes; the dense output must agree between them
+        ts = np.linspace(0.0, horizon, 1001)
+        direct = rep.direct(ts)
+        err = np.max(np.abs(rep.constructed(ts) - direct) / (1.0 + np.abs(direct)), axis=0)
+        assert np.all(err <= 1e-8), err

@@ -32,6 +32,11 @@ same bit for bit.  The groups:
   tower's grid, iterates and levels.  A few of them have a level whose gap
   misses tol/4 by more than 64^2, which no tower of the other groups has.
 
+Every group that runs pipelines (global-construct, blowup-ladder,
+powerlog-pipeline, piecewise-lift) also hashes each constructed
+trajectory's dense output at 1001 points across its horizon, so the
+values between nodes are compared too.
+
 A report field that is an exception is hashed by its type and ``where``,
 not its message.
 """
@@ -102,7 +107,9 @@ def _tower(tower) -> tuple:
 
 
 def pipelines(group: Group, problems, horizon) -> None:
-    """Every report of run_pipeline over problems, and the towers it built."""
+    """Every report of run_pipeline over problems, each constructed
+    trajectory's dense output at 1001 points across its horizon, and the
+    towers it built."""
     towers = []
     solve = blowup.pipeline.picard_solve
 
@@ -115,9 +122,12 @@ def pipelines(group: Group, problems, horizon) -> None:
         for p, T in zip(problems, horizon):
             towers.clear()
             try:
-                group.add(blowup.run_pipeline(p, horizon=T))
+                rep = blowup.run_pipeline(p, horizon=T)
             except blowup.BlowupError as e:
-                group.add(e)
+                rep = e
+            group.add(rep)
+            if getattr(rep, "constructed", None) is not None:
+                group.add(rep.constructed(np.linspace(0.0, T, 1001)))
             for tower in towers:
                 group.add(_tower(tower))
     finally:
