@@ -349,11 +349,12 @@ def _run_detect_blowup(cfg: ExperimentConfig, out: Optional[Path]):
     ]
     for M, tM in rep.escape_thresholds:
         kv.append((f"t_escape_{M:g}", tM))
-    summary = (
-        f"blow-up near t = {rep.t_blow_estimate}"
-        if rep.kind is BlowupKind.BLOW_UP
-        else f"global up to horizon {rep.horizon}"
-    )
+    if rep.kind is BlowupKind.BLOW_UP:
+        summary = f"blow-up near t = {rep.t_blow_estimate}"
+    elif rep.t_blow_estimate is None:
+        summary = f"global up to horizon {rep.horizon}"
+    else:
+        summary = f"global up to horizon {rep.horizon}; blow-up at t = {rep.t_blow_estimate} (tail)"
     return kv, [summary], 0
 
 

@@ -11,10 +11,14 @@ Sec. II.10) with PI step-size control and its seventh-order continuous
 extension as dense output, written here rather than taken from a library so
 that threshold-escape events, forced restarts at the coefficient's jump
 points, and the dense output are fully under control (all three are
-load-bearing for blow-up time estimation).  The step is generated from the
-tableau per state size.  Between restarts a constant or piecewise q is one
-constant c, so for a power or powerlog h the step computes f = c h(y_k) in
-its own stage lines; any other problem calls :meth:`ProblemSpec.rhs` there.
+load-bearing for blow-up time estimation).  The step and its continuous
+extension are generated from the tableau per state size.  The step stops at
+its error test; the extension's three extra stages are taken for a cell
+only when something first reads that cell, which on the escape ladder is
+the one step that crosses a rung.  Between restarts a constant or
+piecewise q is one constant c, so for a power or powerlog h the step
+computes f = c h(y_k) in its own stage lines; any other problem calls
+:meth:`ProblemSpec.rhs` there.
 
 Everything in the intended regime (q, h >= 0, a >= 0) is monotone: w^(m)
 is nonnegative, so every lower derivative is nondecreasing.  Blow-up
@@ -33,7 +37,7 @@ import functools
 import linecache
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -47,7 +51,7 @@ from .errors import (
     check_thresholds,
     check_tol,
 )
-from .classify import Method, Verdict, classify, classify_scaled
+from .classify import Verdict, classify_scaled
 from .functions import Family, ScalarFn
 from .quadrature import integral
 
@@ -191,22 +195,32 @@ _INLINE = {
 
 @functools.cache
 def _stepper(m: int, family: Optional[Family] = None):
-    """One DOP853 step for an m-component state, generated from the tableau
-    with every stage combination unrolled into scalar locals:
-    step(arg, t, h, hi, y, f, tol) -> (y_new, f_new, err, dense).  err is
-    Hairer's combined norm of the 5th- and 3rd-order error estimates on the
-    scale tol (1 + max(|y_i|, |y_new_i|)).  A step with err <= 1 takes the
-    three extra stages of the continuous extension too and returns as dense
-    its coefficients h D K, the 4 rows of D one after another, m floats each;
-    any other step returns dense = None.
+    """One DOP853 step for an m-component state and its continuous
+    extension, generated from the tableau with every stage combination
+    unrolled into scalar locals; returns (step, extend).
 
-    For a power or powerlog ``family`` the step computes each stage's top
-    derivative c h(s_k) itself, from arg = (k, c, *h.params), with c q's
+    step(arg, t, h, hi, y, f, tol) -> (y_new, f_new, err, K) takes stages
+    2..13 and stops at the error test.  err is Hairer's combined norm of the
+    5th- and 3rd-order error estimates on the scale tol (1 + max(|y_i|,
+    |y_new_i|)).  K holds the slopes of stages 6..12, m floats each, the only
+    ones besides f and f_new that the extension reads.
+
+    extend(arg, t, h, hi, y, f, f_new, K) -> dense takes the three extra
+    stages of the accepted step's continuous extension and returns its
+    coefficients h D K, the 4 rows of D one after another, m floats each.
+    It is the rest of the step, split off so that a cell nobody reads never
+    pays for it (Hairer's dop853.f skips these stages too when no dense
+    output is asked for): the two together compute, bit for bit, the
+    uncut step.
+
+    For a power or powerlog ``family`` both compute each stage's top
+    derivative c h(s_k) themselves, from arg = (k, c, *h.params), with c q's
     value on the whole step; any stage that overflows, is complex or is not
-    finite gives err = nan.  k is read at run time, so one step serves every
-    k < m, and the cache holds one step per (m, family).  For any other
+    finite gives the step err = nan and makes extend raise
+    NumericFailureError.  k is read at run time, so one pair serves every
+    k < m, and the cache holds one pair per (m, family).  For any other
     family (None) arg is the right-hand side, called as rhs(t_j, [stage]) at
-    the stage times, which are clamped to hi when the step passes it.  The
+    the stage times, which are clamped to hi when the step passes it.  Each
     source is registered with linecache under a name that carries m and, for
     a family, the family, so tracebacks and profiles show its lines."""
 
@@ -217,69 +231,90 @@ def _stepper(m: int, family: Optional[Family] = None):
     def listed(names):
         return f"[{', '.join(names)}]"
 
-    unpack, top = _INLINE.get(family, (None, None))
-    idx, slopes = range(m), [[f"f{i}" for i in range(m)]]
-    # (stage, time, row): stages 2..12, the FSAL stage 13 at t + h, whose
-    # state is y_new, and the continuous extension's stages 14..16
-    stages = [*zip(range(2, 13), _C, _A), (13, None, _B), *zip(range(14, 17), _C_EXTRA, _A_EXTRA)]
-    times = [f"t{j}" for j, c, _ in stages if c is not None]
-    body = [
-        f"{''.join(f'y{i}, ' for i in idx)}= y",
-        f"{''.join(f'f{i}, ' for i in idx)}= f",
-    ]
-    if top is None:  # only rhs reads the stage times
-        body += [
-            f"{', '.join(times)} = "
-            + ", ".join("t + h" if c == 1.0 else f"t + {c!r} * h" for _, c, _ in stages if c is not None),
-            "if t12 > hi:",
-            f"    {', '.join(times)} = " + ", ".join("hi" if n == "t12" else f"min({n}, hi)" for n in times),
-        ]
-    for j, c, row in stages:
-        if j == 14:
-            # the error test, once y_new's slope is in: the scale
-            # max(|y_i|, |y_new_i|) as the builtin max picks it, without its call
-            for i in idx:
-                body += [f"a{i}, b{i} = abs(y{i}), abs(s13_{i})",
-                         f"d{i} = tol + tol * (b{i} if b{i} > a{i} else a{i})",
-                         f"e5_{i}, e3_{i} = ({combo(_E5, i)}) / d{i}, ({combo(_E3, i)}) / d{i}"]
-            body += [
-                f"e5 = {' + '.join(f'e5_{i} * e5_{i}' for i in idx)}",
-                f"e3 = {' + '.join(f'e3_{i} * e3_{i}' for i in idx)}",
-                "den = e5 + 0.01 * e3",
-                f"err = h * e5 / math.sqrt({'den' if m == 1 else f'den * {m}'}) if den else 0.0",
-                f"f_new = {listed([*(f's13_{i}' for i in idx[1:]), 'k13'])}",
-                "if not err <= 1.0:",
-                "    return y_new, f_new, err, None",
-            ]
+    def unpacked(names, source):
+        return f"{''.join(f'{n}, ' for n in names)}= {source}"
+
+    def stage(j, row):
+        """Stage j's state from the slopes before it, and its slope's top
+        derivative at the stage time t{j} (t12 for the FSAL stage 13)."""
         state = [f"s{j}_{i}" for i in idx]
-        body += [f"{state[i]} = y{i} + h * ({combo(row, i)})" for i in idx]
+        lines = [f"{state[i]} = y{i} + h * ({combo(row, i)})" for i in idx]
         if j == 13:
-            body.append(f"y_new = {listed(state)}")
+            lines.append(f"y_new = {listed(state)}")
         if top is None:
-            body.append(f"k{j} = rhs({'t12' if j == 13 else f't{j}'}, {'y_new' if j == 13 else listed(state)})")
+            lines.append(f"k{j} = rhs({'t12' if j == 13 else f't{j}'}, {'y_new' if j == 13 else listed(state)})")
         elif m == 1:
-            body.append(f"k{j} = {top.format(s=state[0])}")
+            lines.append(f"k{j} = {top.format(s=state[0])}")
         else:  # component kk of the stage, picked at run time
             pick = "".join(f"{s} if kk == {i} else " for i, s in enumerate(state[:-1])) + state[-1]
-            body += [f"x{j} = {pick}", f"k{j} = {top.format(s=f'x{j}')}"]
-        slopes.append(state[1:] + [f"k{j}"])
-    body.append(f"return y_new, f_new, err, {listed(f'h * ({combo(row, i)})' for row in _D for i in idx)}")
-    if top is None:
-        src = ["def step(rhs, t, h, hi, y, f, tol):", *(f"    {line}" for line in body)]
-    else:
-        # a float ** that overflows raises, a fractional power of a negative
-        # stage is complex (math.sqrt and math.log refuse it), and math.log
-        # refuses a stage at or below -shift: each is a failed stage
-        src = ["def step(coef, t, h, hi, y, f, tol):", f"    {unpack}", "    try:",
-               *(f"        {line}" for line in body),
-               "    except (ArithmeticError, TypeError, ValueError):",
-               "        return y, f, math.nan, None"]
-    tag = "" if top is None else f", h={family.value}"
-    text, filename = "\n".join(src) + "\n", f"<blowup.ode DOP853 step, m={m}{tag}>"
-    namespace = {"math": math}
-    exec(compile(text, filename, "exec"), namespace)
-    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
-    return namespace["step"]
+            lines += [f"x{j} = {pick}", f"k{j} = {top.format(s=f'x{j}')}"]
+        return lines
+
+    def clocked(names, nodes):
+        """The stage times t + c h, each clamped to hi when t + h passes it."""
+        last = "t12" if "t12" in names else None
+        return [f"{', '.join(names)} = " + ", ".join("t + h" if c == 1.0 else f"t + {c!r} * h" for c in nodes),
+                f"if {last or 't + h'} > hi:",
+                f"    {', '.join(names)} = " + ", ".join("hi" if n == last else f"min({n}, hi)" for n in names)]
+
+    unpack, top = _INLINE.get(family, (None, None))
+    idx = range(m)
+    # slope j of stage j: (stage j's components 1.., k{j}); slope 1 is f and
+    # slope 13, the FSAL stage's, is f_new
+    slopes = [[f"f{i}" for i in idx], *([f"s{j}_{i}" for i in idx[1:]] + [f"k{j}"] for j in range(2, 17))]
+    kept = [n for j in range(2, 13) if any(row[j - 1] for row in (*_A_EXTRA, *_D)) for n in slopes[j - 1]]
+    head = [unpacked((f"y{i}" for i in idx), "y"), unpacked((f"f{i}" for i in idx), "f")]
+
+    step = head + (clocked([f"t{j}" for j in range(2, 13)], _C) if top is None else [])
+    for j, row in zip(range(2, 14), (*_A, _B)):
+        step += stage(j, row)
+    # the error test, once y_new's slope is in: the scale max(|y_i|, |y_new_i|)
+    # as the builtin max picks it, without its call
+    for i in idx:
+        step += [f"a{i}, b{i} = abs(y{i}), abs(s13_{i})",
+                 f"d{i} = tol + tol * (b{i} if b{i} > a{i} else a{i})",
+                 f"e5_{i}, e3_{i} = ({combo(_E5, i)}) / d{i}, ({combo(_E3, i)}) / d{i}"]
+    step += [
+        f"e5 = {' + '.join(f'e5_{i} * e5_{i}' for i in idx)}",
+        f"e3 = {' + '.join(f'e3_{i} * e3_{i}' for i in idx)}",
+        "den = e5 + 0.01 * e3",
+        f"err = h * e5 / math.sqrt({'den' if m == 1 else f'den * {m}'}) if den else 0.0",
+        f"f_new = {listed(slopes[12])}",
+        f"return y_new, f_new, err, ({''.join(f'{n}, ' for n in kept)})",
+    ]
+
+    extend = head + [unpacked(slopes[12], "f_new"), unpacked(kept, "K")]
+    extend += clocked([f"t{j}" for j in range(14, 17)], _C_EXTRA) if top is None else []
+    for j, row in zip(range(14, 17), _A_EXTRA):
+        extend += stage(j, row)
+    if top is not None:  # rhs refuses a top derivative that is not finite
+        extend.append(f"if not ({' and '.join(f'math.isfinite(k{j})' for j in range(14, 17))}):")
+        extend.append("    raise ValueError")
+    extend.append(f"return {listed(f'h * ({combo(row, i)})' for row in _D for i in idx)}")
+
+    pair = []
+    for name, body, args, failed in (
+            ("step", step, "t, h, hi, y, f, tol", "return y, f, math.nan, None"),
+            ("extension", extend, "t, h, hi, y, f, f_new, K",
+             "raise NumericFailureError('a stage of the continuous extension failed') from None")):
+        if top is None:
+            src = [f"def {name}(rhs, {args}):", *(f"    {line}" for line in body)]
+        else:
+            # a float ** that overflows raises, a fractional power of a
+            # negative stage is complex (math.sqrt, math.log and math.isfinite
+            # refuse it), and math.log refuses a stage at or below -shift:
+            # each is a failed stage
+            src = [f"def {name}(coef, {args}):", f"    {unpack}", "    try:",
+                   *(f"        {line}" for line in body),
+                   "    except (ArithmeticError, TypeError, ValueError):",
+                   f"        {failed}"]
+        tag = "" if top is None else f", h={family.value}"
+        text, filename = "\n".join(src) + "\n", f"<blowup.ode DOP853 {name}, m={m}{tag}>"
+        namespace = {"math": math, "NumericFailureError": NumericFailureError}
+        exec(compile(text, filename, "exec"), namespace)
+        linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+        pair.append(namespace[name])
+    return tuple(pair)
 
 
 @dataclass(frozen=True)
@@ -322,14 +357,16 @@ class ProblemSpec:
         q and h are evaluated through their ``.fn`` directly: calling the
         ScalarFn only forwards to it.  For a custom q or h, or with
         ``f_override``, this runs twelve times per step attempted and three
-        more per step accepted; the integrator's step
-        for a power or powerlog h under a constant or piecewise q computes the
-        same product itself and calls this only at the start, at restarts
-        and at an escape.  The product q(t) h(y[k]) is taken as is when it is
-        a Python float.  Any other product (a numpy scalar from a custom h, a
-        complex from a fractional power of a negative stage value) is
-        recomputed as float(q) * float(h), with a complex h read as nan,
-        which then fails the finiteness check so that the step is retried.
+        more per stepped cell whose continuous extension is built (when the
+        step crosses a rung, or when the trajectory is read there); the
+        integrator's step and extension for a power or powerlog h under a
+        constant or piecewise q compute the same product themselves and call
+        this only at the start, at restarts and at an escape.  The product
+        q(t) h(y[k]) is taken as is when it is a Python float.  Any other
+        product (a numpy scalar from a custom h, a complex from a fractional
+        power of a negative stage value) is recomputed as float(q) *
+        float(h), with a complex h read as nan, which then fails the
+        finiteness check so that the step is retried.
         """
         try:
             qv, hv = self.q.fn(t), self.h.fn(y[self.k])
@@ -357,18 +394,25 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class StepStats:
-    """Counters of one forward integration.  ``evals`` counts evaluations of
-    the top derivative, inside the step or through ``ProblemSpec.rhs``:
-    twelve per attempted step (one cut short by a failing stage included),
-    three more per accepted step (the extra stages of its continuous
-    extension), and one per slope taken outside the step (the start, each
-    segment start, an escape).  ``rejected`` steps failed the error test;
-    ``retries`` followed a failed stage."""
+    """Counters of one forward integration.  ``evals`` counts the
+    evaluations of the top derivative the integration made, inside the step
+    or through ``ProblemSpec.rhs``: twelve per attempted step (one cut short
+    by a failing stage included), one per slope taken outside the step (the
+    start, each segment start, an escape), and three per cell whose
+    continuous extension the integration itself built, the step that crosses
+    a rung or the escape level.  Every other cell's extension is built when
+    the trajectory is first read there (see :class:`Trajectory`), and those
+    three evaluations per cell are not counted here.  ``rejected`` steps
+    failed the error test; ``retries`` followed a failed stage."""
 
     evals: int
     accepted: int
     rejected: int
     retries: int
+
+
+# the recipe of a cell whose rows are the Hermite rows of its ends
+_HERMITE = ()
 
 
 @dataclass(frozen=True)
@@ -400,6 +444,16 @@ class Trajectory:
     tower's or a lift) every cell is such a cell, and its rows are computed
     when it is evaluated.  A trajectory of one node, from an escape at
     t = 0, has no cell and evaluates to that node.
+
+    An integrator trajectory builds a cell's rows the first time anything
+    reads that cell: a stepped cell keeps its step's slopes
+    (:func:`_stepper`) until then, and the escape cell its recipe.  A call
+    and :meth:`crossing` build the cells they read, ``dense`` and
+    :meth:`reduced` every cell.  The rows are the same bits whenever and
+    however often they are built: a cell is written before it counts as
+    built, and two readers may both build it.  A stepped cell whose
+    extension has a stage that is not finite (which a step that passes its
+    error test can still have) is read with the Hermite rows of its ends.
     """
 
     ts: np.ndarray
@@ -407,12 +461,16 @@ class Trajectory:
     dys: np.ndarray
     tol: float
     stats: Optional[StepStats] = None
-    dense: Optional[np.ndarray] = None
+    # an integrator trajectory's rows, (cells, 4, m), and the cells not built
+    # yet, each with its recipe: (segment, t, h, y, f, f_new, K) for a stepped
+    # cell, with segment = (extend, arg, hi), its rows when the integration
+    # built them, or _HERMITE
+    _rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _todo: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("ts", "ys", "dys", "dense"):
-            if getattr(self, name) is not None:
-                getattr(self, name).setflags(write=False)
+        for name in ("ts", "ys", "dys"):
+            getattr(self, name).setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -426,6 +484,53 @@ class Trajectory:
     def distinct(self) -> np.ndarray:
         """Mask of ``ts``, False at the second copy of a repeated node."""
         return np.append(True, self.ts[1:] != self.ts[:-1])
+
+    @property
+    def dense(self) -> Optional[np.ndarray]:
+        """Every cell's rows, read-only; None for a trajectory built on a grid."""
+        if self._rows is None:
+            return None
+        if self._todo:
+            self._build(list(self._todo))
+        rows = self._rows.view()
+        rows.setflags(write=False)
+        return rows
+
+    def _cells(self, i):
+        """The rows of cell(s) i, an int or an int array, built first where
+        they are not yet."""
+        if self._todo:
+            self._build(dict.fromkeys(np.atleast_1d(i).tolist()))
+        return self._rows[i]
+
+    def _build(self, cells) -> None:
+        """Build the rows of those ``cells`` (ints) not built yet: each
+        stepped cell's extension on floats, one array over all of them, and
+        one :func:`_hermite_rows` call over the cells that take those rows."""
+        todo, built, stepped, hermite = self._todo, [], [], []
+        for c in cells:
+            recipe = todo.get(c)
+            if recipe is None:  # built
+                continue
+            if recipe.__class__ is tuple and recipe:  # a step's: its extension
+                (extend, arg, hi), t, h, y, f, f_new, K = recipe
+                try:
+                    recipe = extend(arg, t, h, hi, y, f, f_new, K)
+                except NumericFailureError:
+                    recipe = _HERMITE
+            if recipe:
+                built.append(c)
+                stepped.append(recipe)
+            else:
+                hermite.append(c)
+        if stepped:
+            self._rows[built] = np.array(stepped).reshape(len(built), 4, self.m)
+        if hermite:
+            ts, ys, dys = self.ts, self.ys, self.dys
+            i = np.array(hermite)
+            self._rows[i] = _hermite_rows((ts[i + 1] - ts[i])[:, None], ys[i], ys[i + 1], dys[i], dys[i + 1])
+        for c in (*built, *hermite):  # written: built
+            todo.pop(c, None)
 
     def __call__(self, t):
         """Dense state at time(s) t within the grid span; shape (..., m)."""
@@ -441,7 +546,7 @@ class Trajectory:
         h = (self.ts[i + 1] - self.ts[i])[:, None]
         th = np.clip(((tq - self.ts[i])[:, None]) / h, 0.0, 1.0)
         y0, y1, d0, d1 = self.ys[i], self.ys[i + 1], self.dys[i], self.dys[i + 1]
-        rows = _hermite_rows(h, y0, y1, d0, d1) if self.dense is None else self.dense[i]
+        rows = _hermite_rows(h, y0, y1, d0, d1) if self._rows is None else self._cells(i)
         out = _continuous(th, y0, y1, _coefficients(h, y0, y1, d0, d1, rows.transpose(1, 0, 2)))
         # the nodes themselves, bitwise
         out = np.where(th == 0.0, y0, np.where(th == 1.0, y1, out))
@@ -466,10 +571,10 @@ class Trajectory:
             return float(self.ts[0])
         t0, hi = float(self.ts[i - 1]), float(self.ts[i])
         cell = (hi - t0, float(w[i - 1]), float(w[i]), float(self.dys[i - 1, 0]), float(self.dys[i, 0]))
-        if self.dense is None:
+        if self._rows is None:
             rows = _hermite_rows(cell[0], self.ys[i - 1], self.ys[i], self.dys[i - 1], self.dys[i])
         else:
-            rows = self.dense[i - 1]
+            rows = self._cells(i - 1)
         # find the root of the residual w - level, taken from the nearer end:
         # a level that a node's w equals is crossed at that node
         below = (cell[1] - level, cell[2] - level, _coefficients(*cell, rows[:, 0].tolist()))
@@ -487,9 +592,9 @@ class Trajectory:
         result evaluates, bitwise, to this trajectory's columns k.., and its
         ``crossing`` is this one's crossing of w^(k)."""
         k = check_int("k", k, 0, self.m - 1, f"must be an integer in [0, {self.m - 1}]")
-        dense = None if self.dense is None else self.dense[:, :, k:]
+        dense = self.dense
         return Trajectory(ts=self.ts, ys=self.ys[:, k:], dys=self.dys[:, k:], tol=self.tol,
-                          stats=self.stats, dense=dense)
+                          stats=self.stats, _rows=None if dense is None else dense[:, :, k:])
 
 
 @dataclass(frozen=True)
@@ -517,7 +622,9 @@ class BlowupReport:
     """``t_blow_method`` says where the blow-up time came from: "tail" (the
     tail integral from the accepted node before the last escape, see
     :func:`detect_blowup`) or "extrapolated" (the escape ladder's
-    extrapolation, whose interval is heuristic); None without a blow-up."""
+    extrapolation, whose interval is heuristic); None without a blow-up
+    time.  ``kind`` describes [0, horizon]: a GLOBAL_UP_TO_HORIZON report
+    with method "tail" carries the tail's T*, past the horizon."""
 
     kind: BlowupKind
     horizon: float
@@ -655,7 +762,8 @@ def _integrate_events(
     The state escapes at the ladder's top, or at ESCAPE_THRESHOLD without
     one.  At the first threshold a step crosses, ``tail`` (:func:`_tail_rule`)
     gives T* from the accepted node (t_k, y_k) that starts the step, or from
-    y(0) for data already past it; T* is its last answer (nan without one).
+    y(0) for data already past it; T* is its last answer that is not nan
+    (nan without one).
     A T* <= T ends the run as an escape through that threshold, with no
     crossing above it recorded and the trajectory ending at the crossing,
     after (t_k, y_k).  Otherwise the run goes on, and the step's other
@@ -675,10 +783,11 @@ def _integrate_events(
     def finish(reason=None, t_event=None, threshold=None):
         """The Trajectory, or with a reason the BlowupEvent, the crossings and T*."""
         if len(ts) > 1 and ts[-1] == ts[-2]:  # stopped right at a restart
-            del ts[-1], ys[-1], dys[-1], dense[-1]
+            del ts[-1], ys[-1], dys[-1], cells[-1]
         traj = Trajectory(ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), tol=tol,
                           stats=StepStats(evals, accepted, rejected, retries),
-                          dense=np.array(dense, dtype=float).reshape(len(dense), 4, p.m))
+                          _rows=np.zeros((len(cells), 4, p.m)),
+                          _todo={i: c for i, c in enumerate(cells) if c is not None})
         if reason is None:
             return traj, crossings, t_blow
         return BlowupEvent(float(t_event), reason, threshold, traj), crossings, t_blow
@@ -694,13 +803,15 @@ def _integrate_events(
             crossings[M] = _crossing_time(cell, t, t_end, M) if cell else t
             if ask:
                 ask = None
-                if (t_blow := tail(t, y)) <= T:
+                answer = tail(t, y)
+                t_blow = t_blow if math.isnan(answer) else answer
+                if answer <= T:
                     return M
         return escape
 
     # exact zero solution: all-zero data and h(0) = 0 (default right-hand side)
     if p.f_override is None and not any(y) and float(p.h(0.0)) == 0.0:
-        ts, ys, dys, dense = [0.0, float(T)], [y, y], [y, y], [[0.0] * (4 * p.m)]
+        ts, ys, dys, cells = [0.0, float(T)], [y, y], [y, y], [None]
         return finish()
 
     # The state and slopes are lists of floats and the step works on scalar
@@ -711,14 +822,15 @@ def _integrate_events(
     inline = (p.f_override is None and p.h.family in _INLINE
               and p.q.family in (Family.CONSTANT, Family.PIECEWISE))
     rhs = arg = p.rhs
-    step = _stepper(p.m, p.h.family) if inline else _stepper(p.m)
+    step, extend = _stepper(p.m, p.h.family) if inline else _stepper(p.m)
     t = 0.0
     f = y[1:] + [rhs(t, y)]
     evals += 1
-    # dense[i] is the continuous extension's h D K for the cell ending at
-    # ts[i+1]: the step's own, or for a cell the integrator did not step
-    # across its Hermite rows (zero on a restart's zero-width cell)
-    ts, ys, dys, dense = [t], [y], [f], []
+    # cells[i] is what gives the cell ending at ts[i+1] its rows h D K (see
+    # Trajectory): the recipe of a step's continuous extension, its rows
+    # when a crossing read them, _HERMITE for the escape cell, or None for a
+    # restart's zero-width cell, whose rows are zero
+    ts, ys, dys, cells = [t], [y], [f], []
 
     # initial escape check (data may already sit above thresholds)
     level = climb(t, y, t, y)
@@ -742,11 +854,12 @@ def _integrate_events(
         evals += 1
         if inline:
             arg = (p.k, p.q.fn(t), *p.h.params)
+        segment = (extend, arg, hi)
         if t > 0.0:
             ts.append(t)
             ys.append(y)
             dys.append(f)
-            dense.append([0.0] * (4 * p.m))
+            cells.append(None)
         while t < seg_end:
             # min and max written as the builtins pick, without their calls; a
             # step that ends the segment ends on seg_end, which t + h can miss
@@ -756,8 +869,14 @@ def _integrate_events(
             if h < min_step:
                 return finish("step-collapse", t)
 
+            coef = None
             try:
-                y_new, f_new, err, coef = step(arg, t, h, hi, y, f, eff_tol)
+                y_new, f_new, err, K = step(arg, t, h, hi, y, f, eff_tol)
+                # a step that reaches a rung or the escape level is read
+                # inside: its continuous extension now, whose failed stage
+                # fails the step like any other
+                if err <= 1.0 and (pending and max(y_new) >= pending[0] or max(map(abs, y_new)) >= escape):
+                    coef = extend(arg, t, h, hi, y, f, f_new, K)
             except NumericFailureError:
                 err = math.nan
             evals += 12
@@ -776,33 +895,31 @@ def _integrate_events(
                 continue
 
             accepted += 1
-            evals += 3
             t_new = seg_end if last else t + h
-            # threshold crossings inside this step, on its continuous
-            # extension (components are monotone in the intended regime;
-            # the bracket kept by _find_level makes it robust regardless)
-            cell = None
-            if pending and max(y_new) >= pending[0]:
+            if coef is not None:
+                # threshold crossings inside this step, on its continuous
+                # extension (components are monotone in the intended regime;
+                # the bracket kept by _find_level makes it robust regardless)
+                evals += 3
                 cell = _step_cell(t, t_new, y, y_new, f, f_new, coef)
-                level = climb(t, y, t_new, y_new, cell)
-
-            if level < escape or max(map(abs, y_new)) >= escape:
-                cell = cell or _step_cell(t, t_new, y, y_new, f, f_new, coef)
-                t_star = (crossings[level] if level in crossings
-                          else _crossing_time(cell, t, t_new, level))
-                y_star = cell(t_star)
-                ts.append(t_star)
-                ys.append(y_star)
-                dys.append(y_star[1:] + [rhs(min(t_star, hi), y_star)])
-                # the step's extension ends at t_new, not at the crossing
-                dense.append(_hermite_rows(t_star - t, *np.array([y, y_star, f, dys[-1]])).ravel().tolist())
-                evals += 1
-                return finish("escape", t_star, level)
+                if pending and max(y_new) >= pending[0]:
+                    level = climb(t, y, t_new, y_new, cell)
+                if level < escape or max(map(abs, y_new)) >= escape:
+                    t_star = (crossings[level] if level in crossings
+                              else _crossing_time(cell, t, t_new, level))
+                    y_star = cell(t_star)
+                    ts.append(t_star)
+                    ys.append(y_star)
+                    dys.append(y_star[1:] + [rhs(min(t_star, hi), y_star)])
+                    # the step's extension ends at t_new, not at the crossing
+                    cells.append(_HERMITE)
+                    evals += 1
+                    return finish("escape", t_star, level)
 
             ts.append(t_new)
             ys.append(y_new)
             dys.append(f_new)
-            dense.append(coef)
+            cells.append((segment, t, h, y, f, f_new, K) if coef is None else coef)
             t, y, f = t_new, y_new, f_new
 
             # PI controller (Gustafsson's exponents 0.7/p and 0.4/p, for the
@@ -848,9 +965,20 @@ def detect_blowup(
     estimate with a margin, not a proof.  On drawn power problems with n = 1
     and 2 and tol from 1e-12 to 1e-4 the error stayed under 1% of its
     half-width; the tests check it against closed-form and mpmath blow-up
-    times from ladders that start at 10, 1e3 and 1e6.  When no rung gives a
-    T* within the horizon, the run goes through the full ladder, and the
-    report is the ladder's.
+    times from ladders that start at 10, 1e3 and 1e6.
+
+    A T* past the horizon is final too.  The run then goes on through the
+    ladder, asking again at each later crossing step, and may still escape
+    its top rung before the horizon; the report is GLOBAL_UP_TO_HORIZON,
+    since ``kind`` describes [0, horizon] and the solution exists there, and
+    carries the last T* the tail gave as ``t_blow_estimate``, with the same
+    interval and ``t_blow_method`` "tail".  Only when no rung gives a T* is
+    the report the ladder's.
+
+    Of the trajectory's continuous extension only the cells of steps that
+    cross a rung are built during the run, to find the crossings; every
+    other cell's is built when the report's trajectory is read (see
+    :class:`Trajectory`).
 
     Otherwise integrates until every threshold M has been escaped (recording
     t_M) or the horizon is reached.  With the ladder escaped (or the step
@@ -870,10 +998,10 @@ def detect_blowup(
     if any(b < a for a, b in zip(times, times[1:])):
         raise InternalConsistencyError(f"escape times not monotone: {times}")
 
-    if t_blow <= horizon:
+    if not math.isnan(t_blow):
         half = 10.0 * tol * max(1.0, t_blow)
         return BlowupReport(
-            kind=BlowupKind.BLOW_UP,
+            kind=BlowupKind.BLOW_UP if t_blow <= horizon else BlowupKind.GLOBAL_UP_TO_HORIZON,
             horizon=float(horizon),
             escape_thresholds=escapes,
             t_blow_estimate=float(t_blow),
@@ -926,7 +1054,8 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
     and u = w^(k) solves u^(n) = c h(u).  With u_M = y[k]:
     - n = 1: T* - t = (1/c) int_{u_M}^inf ds / h(s) = (u_M / c) I(u_M), where
       I(alpha) = int_1^inf h(alpha s)^(-1) ds is :func:`classify_scaled`'s
-      estimate (closed form for a power, quadrature in log s for powerlog);
+      estimate (closed form for a power, quadrature in log s for powerlog),
+      taken with that call's verdict, so no verdict is asked up front;
     - n = 2, h = s^lam: the energy identity u'^2 = v^2 + kappa (u^(lam+1) -
       u_M^(lam+1)), with v = y[k+1] and kappa = 2c/(lam+1), gives T* - t =
       int_{u_M}^inf ds / u'.  With s = u_M x^(-beta), beta = 2/(lam-1), and
@@ -938,9 +1067,10 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
       no cancellation however small v^2/e is, on panels with edges at the
       powers 4^-j down to 4^-27, so that each scale at which v^2/e can take
       over from 1 - x^K, z ~ sqrt(v^2 / (e K)), starts panels of its own.
-    The returned function gives nan for a t before that breakpoint and for a
-    state it cannot finish from: u_M <= 0, v <= 0 for n = 2, or a tail that
-    fails numerically or overflows (v^2 / e past the float range).
+    The returned function gives nan for a t before that breakpoint, for a
+    powerlog h whose integral diverges (n = 1) and for a state it cannot
+    finish from: u_M <= 0, v <= 0 for n = 2, or a tail that fails
+    numerically or overflows (v^2 / e past the float range).
     """
     q, h, n, k = p.q, p.h, p.n, p.k
     if p.f_override is not None or n > 2 or q.family not in (Family.CONSTANT, Family.PIECEWISE):
@@ -950,13 +1080,13 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
         return None
     power = h.family is Family.POWER and h.params[0] > 1.0
     if n == 1 and (power or h.family is Family.POWER_LOG):
-        verdict = classify(h, 1)
-        if verdict.verdict is not Verdict.CONVERGES or verdict.method is not Method.EXACT_FAMILY:
-            return None
 
-        def tail(y):
+        def tail(y):  # the family's exact verdict at scale u: no tail where I diverges
             u = float(y[k])
-            return u / c * classify_scaled(h, 1, u).estimate if u > 0.0 else math.nan
+            if not u > 0.0:
+                return math.nan
+            scaled = classify_scaled(h, 1, u)
+            return u / c * scaled.estimate if scaled.verdict is Verdict.CONVERGES else math.nan
     elif n == 2 and power:
         lam = h.params[0]
         beta = 2.0 / (lam - 1.0)

@@ -322,7 +322,9 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
     have a kink), and cross-checked at every node against
     one direct integration at ``opts.tol``, whose components k.. the
     majorization reads as its reduced solution; a failing stage raises.
-    Convergent test: the escape ladder runs up to the horizon.
+    Convergent test: the escape ladder runs up to the horizon; a blow-up
+    time that the integral test's tail puts past the horizon labels the case
+    BlowUpNotObserved, with a note that gives it.
     Inconclusive: both probes run, no verdict is claimed, and a failing
     construction stage becomes a note that keeps whatever the stages before
     it finished.
@@ -353,7 +355,9 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
             label = "BlowUpDetected"
         else:
             label = "BlowUpNotObserved"
-            notes.append("no escape within the horizon despite convergent test")
+            notes.append("no escape within the horizon despite convergent test" if blow.t_blow_estimate is None
+                         else f"the integral test's tail puts the blow-up at T* = {blow.t_blow_estimate!r}, "
+                              "past the horizon")
     else:
         label = "GlobalConstructed" if verdict is Verdict.DIVERGES else "Inconclusive"
         try:

@@ -116,6 +116,16 @@ class TestRunExperiment:
             assert run_experiment(parse_config(base + f"q = {q}\n"), tmp_path / q) == 0
             assert f"t_blow_method={method}\n" in (tmp_path / q / "detect-blowup.txt").read_text()
 
+    def test_detect_blowup_past_the_horizon(self, tmp_path, capsys):
+        # w' = w^1.1 from 1: the tail's T* = 10 lies past the horizon 8
+        cfg = tmp_path / "past.cfg"
+        cfg.write_text("run = detect-blowup\nm = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(1.1)\n"
+                       "horizon = 8.0\n")
+        assert main(["detect-blowup", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "detect-blowup.txt").read_text()
+        assert "kind=GlobalUpToHorizon\n" in text and "t_blow_method=tail\n" in text
+        assert "# global up to horizon 8.0; blow-up at t = 10.0000000000" in capsys.readouterr().out
+
     def test_pipeline_artifacts(self, tmp_path):
         cfg = parse_config(
             "run = pipeline\nm = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(2.0)\n"

@@ -1,6 +1,8 @@
 import inspect
 import linecache
 import math
+import sys
+import threading
 import traceback
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from blowup.ode import (
     detect_blowup,
     integrate,
 )
+from blowup.pipeline import run_pipeline
 
 ONE = make_constant(1.0)
 
@@ -250,6 +253,29 @@ def reference_step(rhs, t, h, hi, y, f, tol):
     return y_new, f_new, err, [h * _dot(row, slopes, i) for row in D for i in range(m)]
 
 
+def _uncut(pair):
+    """A generated (step, extend) pair as one step with the reference's
+    outcome (y_new, f_new, err, dense): the step, then for a step that passes
+    its error test the extension from its slopes."""
+    step, extend = pair
+
+    def uncut(arg, t, h, hi, y, f, tol):
+        y_new, f_new, err, K = step(arg, t, h, hi, y, f, tol)
+        return y_new, f_new, err, extend(arg, t, h, hi, y, f, f_new, K) if err <= 1.0 else None
+
+    return uncut
+
+
+def _reference_rows(run, p):
+    """``run()`` with every step replaced by ``reference_step`` driven by
+    p.rhs, whose extension returns the rows the reference computed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ode, "_stepper", lambda m, family=None: (
+            lambda arg, *rest: reference_step(p.rhs, *rest),
+            lambda arg, t, h, hi, y, f, f_new, dense: dense))
+        return run()
+
+
 def _step_outcome(step, *args):
     try:
         y_new, f_new, err, dense = step(*args)
@@ -293,6 +319,9 @@ class TestStepAgainstReference:
              t=0.0, gap=1.0, dt=1e-3, tol=1e-12)
     @example(m=2, k=1, h="powerlog", q="constant", x=0.5, y=[1.0, -0.5, 0, 0], f=[-0.5, -1e3, 0, 0],
              t=0.0, gap=1.0, dt=1.0, tol=1e-9)
+    # an accepted step whose extension stage times are clamped to hi
+    @example(m=2, k=0, h="power", q="cosine", x=1.0, y=[1.0] * 4, f=[1.0] * 4,
+             t=0.0, gap=5e-4, dt=1e-3, tol=1e-3)
     def test_same_floats_or_same_error(self, m, k, h, q, x, y, f, t, gap, dt, tol):
         # stage times clamped below hi (gap < dt), negative and overflowing
         # stage values, and every state size the step is generated for
@@ -300,7 +329,7 @@ class TestStepAgainstReference:
         p = ProblemSpec(m=m, k=k, a=(0.0,) * m, q=_STEP_Q[q](x), h=_H[h](x))
         args = (p.rhs, t, dt, t + gap, y[:m], f[:m], tol)
         with np.errstate(all="ignore"):
-            got = _step_outcome(ode._stepper(m), *args)
+            got = _step_outcome(_uncut(ode._stepper(m)), *args)
             want = _step_outcome(reference_step, *args)
         assert got == want
 
@@ -312,7 +341,7 @@ class TestStepAgainstReference:
         hi = min([t + gap] + [math.nextafter(b, -math.inf) for b in p.q.breakpoints if b > t])
         args = (t, dt, hi, y[:m], f[:m], tol)
         with np.errstate(all="ignore"):
-            got = _loop_outcome(ode._stepper(m, p.h.family), (k, p.q.fn(t), *p.h.params), *args)
+            got = _loop_outcome(_uncut(ode._stepper(m, p.h.family)), (k, p.q.fn(t), *p.h.params), *args)
             want = _loop_outcome(reference_step, p.rhs, *args)
         assert got == want
 
@@ -323,15 +352,13 @@ class TestStepAgainstReference:
                     q=make_piecewise([((0, 0.5), 0.5), ((0.5, math.inf), 2.0)]),
                     h=make_power(0.5)),
     ], ids=["m3-k1-powerlog", "piecewise-q"])
-    def test_integrate_is_byte_identical(self, p, monkeypatch):
+    def test_integrate_is_byte_identical(self, p):
         new = integrate(p, 2.0, 1e-10)
         # every step, generated for the family or not, replaced by the
         # reference driven by p.rhs
-        monkeypatch.setattr(ode, "_stepper",
-                            lambda m, family=None: lambda arg, *rest: reference_step(p.rhs, *rest))
-        ref = integrate(p, 2.0, 1e-10)
+        ref = _reference_rows(lambda: integrate(p, 2.0, 1e-10), p)
         assert len(new.ts) > 10
-        for name in ("ts", "ys", "dys"):
+        for name in ("ts", "ys", "dys", "dense"):
             assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_one_step_per_state_size(self):
@@ -357,7 +384,7 @@ class TestStepAgainstReference:
         p = ProblemSpec(m=2, k=0, a=(1.0, 0.0), q=ONE, h=make_power(1), f_override=override)
         with pytest.raises(RuntimeError) as exc:
             integrate(p, 1.0, 1e-9)
-        step = ode._stepper(2)
+        step, _ = ode._stepper(2)
         filename = step.__code__.co_filename
         frames = [fr for fr in traceback.extract_tb(exc.value.__traceback__)
                   if fr.filename == filename]
@@ -397,11 +424,12 @@ class TestStepStats:
         s = new.stats
         # through rhs every evaluation is a call, but a failing stage cuts its step short
         assert s.evals == len(calls) if s.retries == 0 else s.evals > len(calls)
-        # twelve per attempt, three per accepted step, one at the start and at
-        # each segment start, one at an escape
+        # twelve per attempt, one at the start, at each segment start and at
+        # an escape, and three for the escape step's extension, which the
+        # integration reads to find the crossing; no other cell is built
         segments = 1 + sum(0.0 < b < traj.t_end for b in p.q.breakpoints)
         escaped = isinstance(new, BlowupEvent) and new.reason == "escape"
-        assert s.evals == 12 * (s.accepted + s.rejected + s.retries) + 3 * s.accepted + 1 + segments + escaped
+        assert s.evals == 12 * (s.accepted + s.rejected + s.retries) + 1 + segments + 4 * escaped
         assert s.accepted == len(traj.ts) - 1 - (segments - 1)
         assert new.stats is traj.stats
         assert (s.retries > 0) == (p is _RETRIED)
@@ -717,6 +745,113 @@ class TestDenseOutput:
         assert traj.crossing(1e13, 0.0) == 0.0
         with pytest.raises(InvalidParameterError):
             traj(1.0)
+
+
+class TestLazyRows:
+    """An integrator trajectory builds a cell's rows when it is first read:
+    the rows are the reference step's, bit for bit, whatever reads them
+    first and in whatever order."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 3), data=st.data(), h=st.sampled_from(sorted(_H)),
+        q=st.sampled_from(sorted(_STEP_Q)), x=st.floats(0.1, 1.0),
+        a=st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3), T=st.floats(0.5, 3.0),
+        tol=st.sampled_from([1e-6, 1e-9]), ladder=st.booleans(),
+        reads=st.lists(st.sampled_from(["scalar", "array", "crossing", "reduced"]), max_size=6),
+    )
+    def test_rows_are_the_reference_in_any_order(self, m, data, h, q, x, a, T, tol, ladder, reads):
+        # power, powerlog and custom h; constant, piecewise and custom q (a q
+        # that varies between the extension's stage times); with a ladder the
+        # crossing step's rows are built by the integration itself
+        k = data.draw(st.integers(0, m - 1))
+        p = ProblemSpec(m=m, k=k, a=tuple(a[:m]), q=_STEP_Q[q](x), h=_H[h](x))
+
+        def run():
+            if ladder:
+                return detect_blowup(p, thresholds=(10.0, 1e3, 1e6), horizon=T, tol=tol).trajectory
+            res = integrate(p, T, tol)
+            return getattr(res, "trajectory", res)
+
+        want = run().dense
+        ref = _reference_rows(run, p)
+        lazy = run()
+        for name in ("ts", "ys", "dys"):
+            assert getattr(lazy, name).tobytes() == getattr(ref, name).tobytes()
+        assert want.tobytes() == ref.dense.tobytes()
+        cells = len(lazy.ts) - 1
+        if cells == 0:
+            return
+        full = Trajectory(ts=lazy.ts, ys=lazy.ys, dys=lazy.dys, tol=tol, _rows=want.copy())
+        mids = 0.5 * (lazy.ts[:-1] + lazy.ts[1:])
+        for read in reads:
+            c = data.draw(st.integers(0, cells - 1))
+            if read == "scalar":
+                assert lazy(mids[c]).tobytes() == full(mids[c]).tobytes()
+            elif read == "array":
+                picked = data.draw(st.lists(st.integers(0, cells - 1), min_size=1, max_size=8))
+                assert lazy(mids[picked]).tobytes() == full(mids[picked]).tobytes()
+            elif read == "crossing":
+                level = float(lazy.ys[c + 1, 0])
+                assert lazy.crossing(level, 0.0) == full.crossing(level, 0.0)
+            else:
+                j = data.draw(st.integers(0, m - 1))
+                assert lazy.reduced(j).dense.tobytes() == want[:, :, j:].tobytes()
+        assert lazy.dense.tobytes() == want.tobytes()
+
+    def test_reading_a_cell_takes_its_three_extra_stages(self, monkeypatch):
+        # a custom q takes the step that calls rhs: each stepped cell's first
+        # read calls it three times, at the cell's extra stage times, and a
+        # cell already built not at all; the integration's count stays
+        p = ProblemSpec(m=2, k=0, a=(1.0, 0.5), q=make_custom(lambda t: 1.0 + 0.5 * math.cos(t)),
+                        h=make_power(1.5))
+        calls = []
+        rhs = ProblemSpec.rhs
+        monkeypatch.setattr(ProblemSpec, "rhs", lambda self, t, y: calls.append(t) or rhs(self, t, y))
+        traj = integrate(p, 1.0, 1e-9)
+        s = traj.stats
+        assert s.evals == len(calls) == 12 * (s.accepted + s.rejected + s.retries) + 2
+        del calls[:]
+        t0, t1 = traj.ts[2], traj.ts[3]
+        traj(0.5 * (t0 + t1))
+        assert len(calls) == 3 and all(t0 < t < t1 for t in calls)
+        traj(np.array([0.25, 0.75]) * (t1 - t0) + t0)
+        assert len(calls) == 3
+        assert traj.dense.shape == (len(traj.ts) - 1, 4, 2)
+        assert len(calls) == 3 * (len(traj.ts) - 1)
+        assert traj.stats is s
+
+
+    def test_threads_share_a_trajectory(self):
+        # readers of one trajectory in threads, each cell read first by
+        # several at once: a cell counted as built before its rows are
+        # written would be read as zeros
+        p = ProblemSpec(m=2, k=0, a=(1.0, 0.5), q=make_piecewise([((0, 0.7), 1.0), ((0.7, math.inf), 2.0)]),
+                        h=make_power(1.5))
+        want = integrate(p, 1.2, 1e-12)
+        mids = 0.5 * (want.ts[:-1] + want.ts[1:])
+        expected, wrong = want(mids), []
+
+        def reader(traj, seed):
+            for j in np.random.default_rng(seed).permutation(len(mids)):
+                if traj(mids[j]).tobytes() != expected[j].tobytes():
+                    wrong.append(j)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                traj = integrate(p, 1.2, 1e-12)
+                threads = [threading.Thread(target=reader, args=(traj, seed)) for seed in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert traj.dense.tobytes() == want.dense.tobytes()
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(mids) > 20 and wrong == []
 
 
 class TestCrossing:
@@ -1035,6 +1170,50 @@ class TestRungIndependence:
         self.assert_rung_independent(p, exact, 2.0 * exact + 1.0)
 
 
+class TestTailAroundTheHorizon:
+    """A tail T* is final, inside the horizon or past it: power problems
+    with n <= 2 whose T* lies between 0.3 and 3 horizons report BLOW_UP
+    within the horizon and GLOBAL_UP_TO_HORIZON past it, both with the
+    tail's T* and an interval that holds the exact one.  A run that crosses
+    no rung before the horizon has no T* to report."""
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(
+        form=st.sampled_from(["m=1", "m=2 k=1", "m=2 k=0"]), lam=st.floats(1.1, 3.0),
+        a0=st.floats(0.1, 2.0), a1=st.floats(0.1, 2.0), c=st.floats(0.5, 2.0),
+        share=st.floats(0.3, 3.0), from_data=st.booleans(),
+    )
+    def test_verdict_and_interval(self, form, lam, a0, a1, c, share, from_data):
+        # share = T* / horizon; data from 20 to 400 are past the first rung,
+        # so the tail is asked from y(0), and data below 2 ask it from the
+        # node before the step that crosses 10
+        if from_data:
+            a0, a1 = 200.0 * a0, 200.0 * a1
+        if form == "m=2 k=0":
+            p = ProblemSpec(m=2, k=0, a=(a0, a1), q=make_constant(c), h=make_power(lam))
+            exact = energy_blowup_time(lam, a0, a1, c)
+        else:
+            p = ProblemSpec(m=form.count("m=2") + 1, k=form.count("k=1"), a=(a0, a1)[:form.count("m=2") + 1],
+                            q=make_constant(c), h=make_power(lam))
+            with mpmath.workdps(30):  # u' = c u^lam from u0: T* = u0^(1-lam) / ((lam - 1) c)
+                lam_, u0, c_ = (mpmath.mpf(v) for v in (lam, p.a[-1], c))
+                exact = float(u0 ** (1 - lam_) / ((lam_ - 1) * c_))
+        horizon = exact / share
+        rep = detect_blowup(p, horizon=horizon, tol=1e-10)
+        if rep.t_blow_method is None:
+            assert rep.escape_thresholds == () and exact > horizon and not from_data
+            assert rep.kind is BlowupKind.GLOBAL_UP_TO_HORIZON
+            return
+        assert rep.t_blow_method == "tail"
+        lo, hi = rep.t_blow_interval
+        assert lo <= exact <= hi
+        assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-9)
+        assert rep.kind is (BlowupKind.BLOW_UP if rep.t_blow_estimate <= horizon
+                            else BlowupKind.GLOBAL_UP_TO_HORIZON)
+        if not lo <= horizon <= hi:
+            assert (rep.kind is BlowupKind.BLOW_UP) == (exact < horizon)
+
+
 def assert_same_report(rep, ref):
     """Every field but t_blow_method equal, the trajectory bit for bit."""
     for name in ("kind", "horizon", "escape_thresholds", "t_blow_estimate", "t_blow_interval"):
@@ -1077,6 +1256,27 @@ TAIL_SCOPE = {
 }
 
 
+def powerlog_blowup_time(sigma):
+    """T* of w' = w log(e + w)^sigma, w(0) = 1, sigma > 1, in mpmath: with
+    z = log(e + s) the integral int_1^inf ds / (s log(e + s)^sigma) is
+    int_z0^inf z^-sigma dz / (1 - e^(1-z)), whose z^-sigma part is closed."""
+    with mpmath.workdps(30):
+        sigma, z0 = mpmath.mpf(sigma), mpmath.log(mpmath.e + 1)
+        rest = mpmath.quad(lambda z: z ** -sigma * mpmath.exp(1 - z) / -mpmath.expm1(1 - z),
+                           [z0, z0 + 10, z0 + 100, mpmath.inf])
+        return float(z0 ** (1 - sigma) / (sigma - 1) + rest)
+
+
+# problems w' = h(w), w(0) = 1, whose T* lies past the horizon although the
+# solution escapes the default ladder's top rung before it: (h, horizon, T*)
+PAST_THE_HORIZON = {
+    "powerlog-1.2": (make_power_log(1.0, 1.2), 5.0, powerlog_blowup_time(1.2)),
+    "powerlog-1.01": (make_power_log(1.0, 1.01), 50.0, powerlog_blowup_time(1.01)),
+    "power-1.05": (make_power(1.05), 15.0, 20.0),
+    "power-1.01": (make_power(1.01), 50.0, 100.0),
+}
+
+
 class TestTailScope:
     def test_jump_after_the_first_stop_moves_it(self):
         p, kw = TAIL_SCOPE["jump"]
@@ -1102,12 +1302,39 @@ class TestTailScope:
         assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-11)
 
     def test_blowup_past_the_horizon_keeps_the_ladder(self):
+        # the tail's T* = 10 is final: the run goes on through the ladder as
+        # without the tail, and the report, global on [0, 8], carries T*
         p, kw = TAIL_SCOPE["past-the-horizon"]
-        rep = detect_blowup(p, **kw)
+        rep, ref = detect_blowup(p, **kw), ladder_only(p, **kw)
         assert 1e6 in dict(rep.escape_thresholds)
         assert rep.kind is BlowupKind.GLOBAL_UP_TO_HORIZON
-        assert rep.t_blow_method is None
-        assert_same_report(rep, ladder_only(p, **kw))
+        assert rep.t_blow_method == "tail"
+        lo, hi = rep.t_blow_interval
+        assert lo <= 10.0 <= hi
+        assert rep.t_blow_estimate == pytest.approx(10.0, rel=1e-9)
+        assert (ref.kind, ref.t_blow_method) == (BlowupKind.GLOBAL_UP_TO_HORIZON, None)
+        assert rep.escape_thresholds == ref.escape_thresholds
+        for name in ("ts", "ys", "dys"):
+            assert getattr(rep.trajectory, name).tobytes() == getattr(ref.trajectory, name).tobytes()
+
+    @pytest.mark.parametrize("name", list(PAST_THE_HORIZON))
+    def test_tail_past_the_horizon_is_final(self, name):
+        # each escapes its top rung before the horizon, where the ladder's
+        # extrapolation gave an interval that misses T* or a blow-up inside
+        # the horizon; the solution exists on [0, horizon]
+        h, horizon, exact = PAST_THE_HORIZON[name]
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=h)
+        rep = detect_blowup(p, horizon=horizon)
+        assert rep.kind is BlowupKind.GLOBAL_UP_TO_HORIZON
+        assert rep.t_blow_method == "tail"
+        assert rep.escape_thresholds[-1][0] == ode.DEFAULT_THRESHOLDS[-1]
+        lo, hi = rep.t_blow_interval
+        assert lo <= exact <= hi
+        assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-9)
+        assert ladder_only(p, horizon=horizon).kind is BlowupKind.BLOW_UP
+        report = run_pipeline(p, horizon=horizon)
+        assert report.label == "BlowUpNotObserved"
+        assert f"T* = {rep.t_blow_estimate!r}, past the horizon" in " ".join(report.notes)
 
     def test_divergent_tail_keeps_the_ladder(self):
         p, kw = TAIL_SCOPE["divergent"]

@@ -12,8 +12,8 @@ same bit for bit.  The groups:
 
 - global-construct seeds 1 and 4, rounds 0-3: every pipeline report, field
   by field (construction, majorization, the constructed and direct
-  trajectories with ts/ys/dys/dense), and each case's Picard tower: grid,
-  iterates, levels and the inverted ``majorant``;
+  trajectories with ts/ys/dys/tol/stats/dense), and each case's Picard
+  tower: grid, iterates, levels and the inverted ``majorant``;
 - blowup-ladder seeds 2 and 5, rounds 0-15: every report with its
   trajectory;
 - cli-batch seed 3, rounds 0-2: every artifact, byte for byte;
@@ -68,6 +68,13 @@ def feed(hasher, x) -> None:
         hasher.update(np.ascontiguousarray(x).tobytes())
     elif isinstance(x, blowup.ScalarFn):
         hasher.update(f"fn:{x.spec_text}".encode())
+    elif isinstance(x, blowup.Trajectory):
+        # by its public values, ``dense`` read through the attribute, so
+        # that its private fields (the rows not built yet) stay out
+        hasher.update(b"Trajectory")
+        for name in ("ts", "ys", "dys", "tol", "stats", "dense"):
+            hasher.update(name.encode())
+            feed(hasher, getattr(x, name))
     elif dataclasses.is_dataclass(x):
         hasher.update(type(x).__name__.encode())
         for f in dataclasses.fields(x):
