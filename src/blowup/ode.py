@@ -438,22 +438,23 @@ class Trajectory:
     component but the top one, whose second derivatives the state holds
     exactly (component i+2, or f for i = m-2), and cubic on the top one.
     Such cells are the integrator's zero-width restart cells, whose rows are
-    zero, and the last cell before an escape, which ends inside the step at
-    the crossing (the step's extension is not rescaled to it).  When
-    ``dense`` is None (trajectories built on a grid, such as a Picard
-    tower's or a lift) every cell is such a cell, and its rows are computed
-    when it is evaluated.  A trajectory of one node, from an escape at
-    t = 0, has no cell and evaluates to that node.
+    zero, the last cell before an escape, which ends inside the step at the
+    crossing (the step's extension is not rescaled to it), and every cell of
+    a trajectory built on a grid (a Picard tower's or a lift).  A trajectory
+    of one node, from an escape at t = 0, has no cell and evaluates to that
+    node.
 
-    An integrator trajectory builds a cell's rows the first time anything
-    reads that cell: a stepped cell keeps its step's slopes
-    (:func:`_stepper`) until then, and the escape cell its recipe.  A call
-    and :meth:`crossing` build the cells they read, ``dense`` and
-    :meth:`reduced` every cell.  The rows are the same bits whenever and
-    however often they are built: a cell is written before it counts as
-    built, and two readers may both build it.  A stepped cell whose
-    extension has a stage that is not finite (which a step that passes its
-    error test can still have) is read with the Hermite rows of its ends.
+    A grid trajectory builds every cell's rows in one :func:`_hermite_rows`
+    call at its first read and keeps them.  An integrator trajectory builds
+    a cell's rows the first time anything reads that cell: a stepped cell
+    keeps its step's slopes (:func:`_stepper`) until then, and the escape
+    cell its recipe; a call and :meth:`crossing` build the cells they read,
+    ``dense`` and :meth:`reduced` every cell.  The rows are the same bits
+    whenever and however often they are built: the rows and each cell are
+    written before they count as built, and two readers may both build
+    them.  A stepped cell whose extension has a stage that is not finite
+    (which a step that passes its error test can still have) is read with
+    the Hermite rows of its ends.
     """
 
     ts: np.ndarray
@@ -461,10 +462,10 @@ class Trajectory:
     dys: np.ndarray
     tol: float
     stats: Optional[StepStats] = None
-    # an integrator trajectory's rows, (cells, 4, m), and the cells not built
-    # yet, each with its recipe: (segment, t, h, y, f, f_new, K) for a stepped
-    # cell, with segment = (extend, arg, hi), its rows when the integration
-    # built them, or _HERMITE
+    # the rows, (cells, 4, m), None until a grid trajectory's first read, and
+    # an integrator trajectory's cells not built yet, each with its recipe:
+    # (segment, t, h, y, f, f_new, K) for a stepped cell, with segment =
+    # (extend, arg, hi), its rows when the integration built them, or _HERMITE
     _rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _todo: Optional[dict] = field(default=None, repr=False, compare=False)
 
@@ -486,20 +487,22 @@ class Trajectory:
         return np.append(True, self.ts[1:] != self.ts[:-1])
 
     @property
-    def dense(self) -> Optional[np.ndarray]:
-        """Every cell's rows, read-only; None for a trajectory built on a grid."""
-        if self._rows is None:
-            return None
+    def dense(self) -> np.ndarray:
+        """Every cell's rows, (cells, 4, m), read-only."""
         if self._todo:
             self._build(list(self._todo))
-        rows = self._rows.view()
+        rows = self._cells(slice(None))
         rows.setflags(write=False)
         return rows
 
     def _cells(self, i):
-        """The rows of cell(s) i, an int or an int array, built first where
-        they are not yet."""
-        if self._todo:
+        """The rows of cell(s) i, an int, an int array or a slice, built
+        first where they are not yet (a grid trajectory's all at once)."""
+        if self._rows is None:
+            ts, ys, dys = self.ts, self.ys, self.dys
+            rows = _hermite_rows((ts[1:] - ts[:-1])[:, None], ys[:-1], ys[1:], dys[:-1], dys[1:])
+            object.__setattr__(self, "_rows", rows)
+        elif self._todo:
             self._build(dict.fromkeys(np.atleast_1d(i).tolist()))
         return self._rows[i]
 
@@ -546,8 +549,7 @@ class Trajectory:
         h = (self.ts[i + 1] - self.ts[i])[:, None]
         th = np.clip(((tq - self.ts[i])[:, None]) / h, 0.0, 1.0)
         y0, y1, d0, d1 = self.ys[i], self.ys[i + 1], self.dys[i], self.dys[i + 1]
-        rows = _hermite_rows(h, y0, y1, d0, d1) if self._rows is None else self._cells(i)
-        out = _continuous(th, y0, y1, _coefficients(h, y0, y1, d0, d1, rows.transpose(1, 0, 2)))
+        out = _continuous(th, y0, y1, _coefficients(h, y0, y1, d0, d1, self._cells(i).transpose(1, 0, 2)))
         # the nodes themselves, bitwise
         out = np.where(th == 0.0, y0, np.where(th == 1.0, y1, out))
         return out[0] if scalar else out
@@ -571,30 +573,21 @@ class Trajectory:
             return float(self.ts[0])
         t0, hi = float(self.ts[i - 1]), float(self.ts[i])
         cell = (hi - t0, float(w[i - 1]), float(w[i]), float(self.dys[i - 1, 0]), float(self.dys[i, 0]))
-        if self._rows is None:
-            rows = _hermite_rows(cell[0], self.ys[i - 1], self.ys[i], self.dys[i - 1], self.dys[i])
-        else:
-            rows = self._cells(i - 1)
         # find the root of the residual w - level, taken from the nearer end:
         # a level that a node's w equals is crossed at that node
-        below = (cell[1] - level, cell[2] - level, _coefficients(*cell, rows[:, 0].tolist()))
+        below = (cell[1] - level, cell[2] - level, _coefficients(*cell, self._cells(i - 1)[:, 0].tolist()))
         return _find_level(lambda t: _continuous((t - t0) / cell[0], *below), 0.0, max(float(lo), t0), hi)
-
-    def component(self, i: int):
-        """Callable t -> w^(i)(t)."""
-        return lambda t: self(t)[..., i]
 
     def reduced(self, k: int) -> "Trajectory":
         """Components k.. as a trajectory of their own, u = w^(k) with its
-        m - k - 1 derivatives, on views of this one's arrays (same ``tol``
-        and ``stats``).  Every formula of the dense output acts on each
-        component with its own and its next component's values, so the
-        result evaluates, bitwise, to this trajectory's columns k.., and its
-        ``crossing`` is this one's crossing of w^(k)."""
+        m - k - 1 derivatives, on views of this one's arrays and ``dense``
+        (same ``tol`` and ``stats``).  Every formula of the dense output acts
+        on each component with its own and its next component's values, so
+        the result evaluates, bitwise, to this trajectory's columns k.., and
+        its ``crossing`` is this one's crossing of w^(k)."""
         k = check_int("k", k, 0, self.m - 1, f"must be an integer in [0, {self.m - 1}]")
-        dense = self.dense
         return Trajectory(ts=self.ts, ys=self.ys[:, k:], dys=self.dys[:, k:], tol=self.tol,
-                          stats=self.stats, _rows=None if dense is None else dense[:, :, k:])
+                          stats=self.stats, _rows=self.dense[:, :, k:])
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ from blowup.ode import (
     detect_blowup,
     integrate,
 )
-from blowup.pipeline import run_pipeline
+from blowup.picard import picard_solve
+from blowup.pipeline import lift_solution, run_pipeline
 
 ONE = make_constant(1.0)
 
@@ -606,8 +607,7 @@ class TestDenseOutput:
 
     def test_component_callable(self):
         traj = integrate(cosh_problem(), 2.0, 1e-9)
-        w1 = traj.component(1)
-        assert w1(2.0) == pytest.approx(math.sinh(2.0), rel=1e-6)
+        assert traj(2.0)[1] == pytest.approx(math.sinh(2.0), rel=1e-6)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -828,30 +828,106 @@ class TestLazyRows:
         # written would be read as zeros
         p = ProblemSpec(m=2, k=0, a=(1.0, 0.5), q=make_piecewise([((0, 0.7), 1.0), ((0.7, math.inf), 2.0)]),
                         h=make_power(1.5))
-        want = integrate(p, 1.2, 1e-12)
-        mids = 0.5 * (want.ts[:-1] + want.ts[1:])
-        expected, wrong = want(mids), []
+        read_in_threads(lambda: integrate(p, 1.2, 1e-12))
 
-        def reader(traj, seed):
-            for j in np.random.default_rng(seed).permutation(len(mids)):
-                if traj(mids[j]).tobytes() != expected[j].tobytes():
-                    wrong.append(j)
 
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                traj = integrate(p, 1.2, 1e-12)
-                threads = [threading.Thread(target=reader, args=(traj, seed)) for seed in range(8)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60.0)
-                assert not any(thread.is_alive() for thread in threads)
-                assert traj.dense.tobytes() == want.dense.tobytes()
-        finally:
-            sys.setswitchinterval(switch)
-        assert len(mids) > 20 and wrong == []
+def read_in_threads(make):
+    """Twenty trajectories from ``make()``, each read at the midpoints of up
+    to 32 cells spread over its span by eight threads at once, in shuffled
+    orders, with the switch interval shortened: every value is that of a
+    trajectory read alone, bitwise, and so are the rows."""
+    want = make()
+    cells = np.unique(np.linspace(0, len(want.ts) - 2, 32).astype(int))
+    mids = 0.5 * (want.ts[cells] + want.ts[cells + 1])
+    expected, wrong = want(mids), []
+
+    def reader(traj, seed):
+        for j in np.random.default_rng(seed).permutation(len(mids)):
+            if traj(mids[j]).tobytes() != expected[j].tobytes():
+                wrong.append(j)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            traj = make()
+            threads = [threading.Thread(target=reader, args=(traj, seed)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert traj.dense.tobytes() == want.dense.tobytes()
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(mids) > 20 and wrong == []
+
+
+class TestGridStore:
+    """A grid trajectory (a Picard tower's, or a lift of one) builds every
+    cell's Hermite rows in one call at its first read and keeps them: the
+    rows are each cell's, bit for bit, whatever reads them first."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3), data=st.data(), lam=st.floats(0.3, 1.0), singular=st.booleans(),
+        b=st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3), T=st.floats(0.5, 3.0),
+        q_vals=st.lists(st.floats(0.25, 2.0), min_size=1, max_size=2), cut=st.floats(0.1, 0.9),
+        reads=st.lists(st.sampled_from(["scalar", "array", "crossing", "reduced", "dense"]), max_size=6),
+    )
+    def test_rows_are_each_cells_hermite_rows_in_any_order(self, n, data, lam, singular, b, T, q_vals,
+                                                           cut, reads):
+        # m = n + k <= 3 components: the tower's trajectory (k = 0) or its
+        # lift; constant q or q with one jump (a repeated node); a singular
+        # start (b[0] = 0, lambda < 1) grades the first segment
+        k = data.draw(st.integers(0, 3 - n))
+        b = [0.0 if singular else b[0], *b[1:n]]
+        edges = [0.0, cut * T, math.inf] if len(q_vals) == 2 else [0.0, math.inf]
+        q = make_piecewise(list(zip(zip(edges, edges[1:]), q_vals)))
+
+        def build():
+            tower = picard_solve(make_power(lam), n, b, T, tol=1e-8, q=q, majorant_b=np.add(b, 1.0))
+            return lift_solution(tower.trajectory, [1.0] * k, k)
+
+        lazy = build()
+        ts, ys, dys, m = lazy.ts, lazy.ys, lazy.dys, lazy.m
+        assert (m, np.count_nonzero(~lazy.distinct)) == (n + k, len(q_vals) - 1)
+        assert lazy._rows is None  # nothing is built before the first read
+        want = np.array([ode._hermite_rows(float(ts[i + 1] - ts[i]), ys[i], ys[i + 1], dys[i], dys[i + 1])
+                         for i in range(len(ts) - 1)])
+        full = Trajectory(ts=ts, ys=ys, dys=dys, tol=lazy.tol, _rows=want.copy())
+        mids = 0.5 * (ts[:-1] + ts[1:])
+        builds = []
+        hermite = ode._hermite_rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ode, "_hermite_rows", lambda *args: builds.append(args) or hermite(*args))
+            for read in reads:
+                c = data.draw(st.integers(0, len(mids) - 1))
+                if read == "scalar":
+                    assert lazy(mids[c]).tobytes() == full(mids[c]).tobytes()
+                elif read == "array":
+                    picked = data.draw(st.lists(st.integers(0, len(mids) - 1), min_size=1, max_size=8))
+                    assert lazy(mids[picked]).tobytes() == full(mids[picked]).tobytes()
+                elif read == "crossing":
+                    for level in (float(ys[c + 1, 0]), 0.5 * float(ys[c, 0] + ys[c + 1, 0])):
+                        assert lazy.crossing(level, 0.0) == full.crossing(level, 0.0)
+                elif read == "reduced":
+                    j = data.draw(st.integers(0, m - 1))
+                    r = lazy.reduced(j)
+                    assert r.dense.tobytes() == want[:, :, j:].tobytes()
+                    assert r(mids).tobytes() == full(mids)[:, j:].tobytes()
+                else:
+                    assert lazy.dense.tobytes() == want.tobytes()
+            assert lazy.dense.tobytes() == want.tobytes()
+            assert len(builds) == 1  # one build, at the first read that reads a cell, and kept
+        assert lazy.dense.shape == (len(ts) - 1, 4, m) and not lazy.dense.flags.writeable
+
+    def test_threads_share_a_grid_trajectory(self):
+        # the first read by several threads at once: each reader builds a
+        # whole store or reads one, never one half written
+        q = make_piecewise([((0, 0.7), 1.0), ((0.7, math.inf), 2.0)])
+        u = picard_solve(make_power(0.5), 2, [1.0, 0.5], 1.2, tol=1e-8, q=q).trajectory
+        read_in_threads(lambda: Trajectory(ts=u.ts, ys=u.ys, dys=u.dys, tol=u.tol))
 
 
 class TestCrossing:

@@ -13,7 +13,9 @@ side to warm both sides up.  Then each repetition runs every case once per
 side, the two sides in a random order per case, and sums each side's case
 times.  The ratio CHANGE/PARENT of those sums, one per repetition, is the
 result: below 1 the change is faster.  Interleaving case by case takes the
-machine's speed swings out of each ratio.
+machine's speed swings out of each ratio.  Which side is loaded first is
+drawn per run and recorded as ``loaded_first`` in the JSON line, so that a
+bias that follows the load order can be told from the change.
 
 The tool times warm, in-process work only.  Cold costs (imports, step
 generation, the first kernel-weight builds) stay with perfbench's ``setup_s``
@@ -156,9 +158,13 @@ def main(argv=None) -> int:
     ap.add_argument("--reps", type=int, default=15, help="timed repetitions")
     args = ap.parse_args(argv)
     seed = WORKLOADS[args.workload].default_seed if args.seed is None else args.seed
-    parent, change = load("ab_parent", args.parent), load("ab_change", args.change)
-    report(compare(parent, change, args.workload, cases(args.workload, seed, args.rounds),
-                   args.reps, seed))
+    roots = {"parent": args.parent, "change": args.change}
+    order = list(roots)
+    random.shuffle(order)  # the load order, drawn per run
+    sides = {key: load(f"ab_{key}", roots[key]) for key in order}
+    rec = compare(sides["parent"], sides["change"], args.workload, cases(args.workload, seed, args.rounds),
+                  args.reps, seed)
+    report({**rec, "loaded_first": order[0]})
     return 0
 
 
