@@ -150,12 +150,6 @@ def _exact_verdict(h: ScalarFn, n: int, scale: float) -> Optional[tuple]:
             return Verdict.DIVERGES, None
         return Verdict.CONVERGES, _powerlog_estimate(lam, sigma, shift, n, scale)
 
-    if h.family is Family.CONSTANT:
-        (c,) = h.params
-        if c <= 0.0:
-            raise SingularIntegrandError(f"constant h = {c} is not positive", where=1.0)
-        return Verdict.DIVERGES, None  # exponent 0 <= 1
-
     lam = h.asymptotic_exponent
     if lam is not None and lam != 1.0:
         if lam < 1.0:

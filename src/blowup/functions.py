@@ -4,12 +4,14 @@ Every one-variable function the library manipulates (the nonlinearity h,
 the time coefficient q, derived majorant growth functions g) is wrapped in
 a :class:`ScalarFn`: a plain callable plus its family, its parameters, its
 jump points and one declaration, the asymptotic power, which the classifier
-reads for its exact verdict on custom and piecewise h.  The declaration is a
-*claim*, never checked.
+reads for its exact verdict on custom and step-function h.  The declaration
+is a *claim*, never checked.  The jumps are read through
+:meth:`ScalarFn.cuts` alone.
 
 Functions are built through the family constructors (:func:`make_power`,
-:func:`make_power_log`, :func:`make_constant`, :func:`make_piecewise`) or
-parsed from the line-oriented config syntax, e.g. ``power(2.0)``,
+:func:`make_power_log`, :func:`make_piecewise` for step functions and
+:func:`make_constant` for their one-piece case) or parsed from the
+line-oriented config syntax, e.g. ``power(2.0)``,
 ``powerlog(1.0, 2.0, 2.718281828459045)``, ``constant(1.0)``,
 ``piecewise((0,1):0.5, (1,inf):2.0)``.  :func:`scaled` reads one function
 at another scale, weight * h(factor * s), keeping its asymptotic power.
@@ -43,7 +45,6 @@ __all__ = [
 class Family(str, Enum):
     POWER = "Power"
     POWER_LOG = "PowerLog"
-    CONSTANT = "Constant"
     PIECEWISE = "Piecewise"
     CUSTOM = "Custom"
 
@@ -61,11 +62,22 @@ class ScalarFn:
     family: Family = Family.CUSTOM
     params: tuple = ()
     spec_text: str = "custom"
-    # Interior jump points (piecewise family); integrators restart there.
+    # Interior jump points, strictly increasing; integrators restart there.
+    # Read them through :meth:`cuts`.
     breakpoints: tuple = ()
+
+    def __post_init__(self):
+        bps = self.breakpoints
+        if not all(b > a for a, b in zip(bps, bps[1:])):
+            raise InvalidParameterError(f"breakpoints must be strictly increasing, got {bps!r}")
 
     def __call__(self, s):
         return self.fn(s)
+
+    def cuts(self, lo: float, hi: float) -> list:
+        """[lo, the jumps strictly inside (lo, hi), hi]: the edges of the
+        pieces of [lo, hi] on which a step function is one constant."""
+        return [lo, *(b for b in self.breakpoints if lo < b < hi), hi]
 
     def eval_array(self, s) -> np.ndarray:
         """Evaluate on an array, falling back to a scalar loop for callables
@@ -135,7 +147,8 @@ def make_power_log(lam: float, sigma: float = 0.0, shift: float = math.e) -> Sca
 
 
 def make_constant(c: float) -> ScalarFn:
-    """The constant function s -> c."""
+    """The constant function s -> c: the one-piece step function, with its
+    own spec text and an evaluation that searches no edges."""
     c = float(c)
 
     def fn(s, _c=c):
@@ -149,8 +162,8 @@ def make_constant(c: float) -> ScalarFn:
     return ScalarFn(
         fn=fn,
         asymptotic_exponent=0.0 if c > 0.0 else None,
-        family=Family.CONSTANT,
-        params=(c,),
+        family=Family.PIECEWISE,
+        params=((0.0,), (c,)),
         spec_text=f"constant({_fmt(c)})",
     )
 
@@ -160,7 +173,7 @@ def make_piecewise(pieces: Sequence[tuple[tuple[float, float], float]]) -> Scala
 
     Pieces must start at 0, be contiguous, and end at inf; each piece is
     right-open, so the value at an interior breakpoint comes from the piece
-    starting there.
+    starting there.  The params are (the pieces' left ends, their values).
     """
     if not pieces:
         raise InvalidParameterError("piecewise needs at least one piece")
@@ -184,7 +197,7 @@ def make_piecewise(pieces: Sequence[tuple[tuple[float, float], float]]) -> Scala
         if isinstance(s, float):  # the integrator's path: no array round trip
             return vals[max(0, bisect_right(los, s) - 1)]
         arr = np.asarray(s, dtype=float)
-        idx = np.clip(np.searchsorted(_e, arr, side="right") - 1, 0, len(_v) - 1)
+        idx = np.maximum(np.searchsorted(_e, arr, side="right") - 1, 0)
         out = _v[idx]
         return float(out) if arr.shape == () else out
 

@@ -15,10 +15,10 @@ load-bearing for blow-up time estimation).  The step and its continuous
 extension are generated from the tableau per state size.  The step stops at
 its error test; the extension's three extra stages are taken for a cell
 only when something first reads that cell, which on the escape ladder is
-the one step that crosses a rung.  Between restarts a constant or
-piecewise q is one constant c, so for a power or powerlog h the step
-computes f = c h(y_k) in its own stage lines; any other problem calls
-:meth:`ProblemSpec.rhs` there.
+the one step that crosses a rung.  Between restarts a step-function q (a
+constant is its one piece) is one constant c, so for a power or powerlog h
+the step computes f = c h(y_k) in its own stage lines; any other problem
+calls :meth:`ProblemSpec.rhs` there.
 
 Everything in the intended regime (q, h >= 0, a >= 0) is monotone: w^(m)
 is nonnegative, so every lower derivative is nondecreasing.  Blow-up
@@ -360,7 +360,7 @@ class ProblemSpec:
         more per stepped cell whose continuous extension is built (when the
         step crosses a rung, or when the trajectory is read there); the
         integrator's step and extension for a power or powerlog h under a
-        constant or piecewise q compute the same product themselves and call
+        step-function q compute the same product themselves and call
         this only at the start, at restarts and at an escape.  The product
         q(t) h(y[k]) is taken as is when it is a Python float.  Any other
         product (a numpy scalar from a custom h, a complex from a fractional
@@ -596,7 +596,6 @@ class BlowupEvent:
 
     t_event: float
     reason: str  # "escape" | "step-collapse"
-    threshold: Optional[float]
     trajectory: Trajectory
 
     @property
@@ -738,11 +737,6 @@ def _find_level(value, level, lo, hi):
     return hi
 
 
-def _segment_stops(p: ProblemSpec, T: float) -> list[float]:
-    stops = [b for b in p.q.breakpoints if 0.0 < b < T]
-    return sorted(set(stops)) + [T]
-
-
 def _integrate_events(
     p: ProblemSpec,
     T: float,
@@ -773,7 +767,7 @@ def _integrate_events(
     evals = accepted = rejected = retries = 0
     t_blow = math.nan
 
-    def finish(reason=None, t_event=None, threshold=None):
+    def finish(reason=None, t_event=None):
         """The Trajectory, or with a reason the BlowupEvent, the crossings and T*."""
         if len(ts) > 1 and ts[-1] == ts[-2]:  # stopped right at a restart
             del ts[-1], ys[-1], dys[-1], cells[-1]
@@ -783,7 +777,7 @@ def _integrate_events(
                           _todo={i: c for i, c in enumerate(cells) if c is not None})
         if reason is None:
             return traj, crossings, t_blow
-        return BlowupEvent(float(t_event), reason, threshold, traj), crossings, t_blow
+        return BlowupEvent(float(t_event), reason, traj), crossings, t_blow
 
     def climb(t, y, t_end, y_end, cell=None):
         """Record each rung y_end reaches where ``cell`` on [t, t_end] crosses
@@ -810,10 +804,9 @@ def _integrate_events(
     # The state and slopes are lists of floats and the step works on scalar
     # locals: numpy's per-call overhead dominates on states of one to three
     # components.  A slope is (y[1:], f); only f calls the right-hand side.
-    # Within a segment q is one constant c when it is constant or piecewise,
-    # so for a power or powerlog h the step computes c h(y_k) itself.
-    inline = (p.f_override is None and p.h.family in _INLINE
-              and p.q.family in (Family.CONSTANT, Family.PIECEWISE))
+    # Within a segment a step-function q is one constant c, so for a power
+    # or powerlog h the step computes c h(y_k) itself.
+    inline = p.f_override is None and p.h.family in _INLINE and p.q.family is Family.PIECEWISE
     rhs = arg = p.rhs
     step, extend = _stepper(p.m, p.h.family) if inline else _stepper(p.m)
     t = 0.0
@@ -828,15 +821,13 @@ def _integrate_events(
     # initial escape check (data may already sit above thresholds)
     level = climb(t, y, t, y)
     if level < escape or max(map(abs, y)) >= escape:
-        return finish("escape", 0.0, level)
+        return finish("escape", 0.0)
 
     eff_tol = tol * TOL_SAFETY
     h = min(0.01 * (1.0 + max(map(abs, y))) / (1.0 + max(map(abs, f))), T / 10.0)
     err_prev = 1.0
 
-    for seg_end in _segment_stops(p, T):
-        if t >= seg_end:
-            continue
+    for seg_end in p.q.cuts(0.0, T)[1:]:
         # within a segment stay on its own branch of q: the step clamps its
         # stage times to hi, so they never see the jump's right limit
         hi = math.nextafter(seg_end, -math.inf)
@@ -907,7 +898,7 @@ def _integrate_events(
                     # the step's extension ends at t_new, not at the crossing
                     cells.append(_HERMITE)
                     evals += 1
-                    return finish("escape", t_star, level)
+                    return finish("escape", t_star)
 
             ts.append(t_new)
             ys.append(y_new)
@@ -936,23 +927,22 @@ def detect_blowup(
     exact and by extrapolation elsewhere.
 
     Where :func:`_tail_rule` applies (reduced order n <= 2, no
-    ``f_override``, q constant or piecewise with a last value c > 0, h a
-    power s^lam with lam > 1 or, for n = 1, a convergent powerlog), the
-    integral test's tail gives T* - t exactly from any state at or after q's
-    last breakpoint.  So the first threshold crossed by each step that
-    starts at or after that breakpoint asks for T* = t_k + tail(y_k), once
-    per node, with (t_k, y_k) the accepted node that starts the crossing
-    step (y(0) for data already past the threshold), and the first T*
-    within the horizon ends the run, with ``t_blow_method`` "tail"; the
-    escape row and the trajectory end at the interpolated crossing.  A node
-    the tail cannot finish from (u = w^(k) or, for n = 2, u' still 0) passes
-    to the next rung.  No interpolation error enters T*: y_k is a state the
-    step itself computed and accepted, where the interpolated state at the
-    crossing would add the dense output's error, a sizeable share of the
-    interval at a low rung.  An error of y_k
-    that is a time shift moves the solution through y_k and its tail by
-    opposite amounts, so to first order it cancels; what is left is the
-    drift of the solution, held near tol relative over unit spans by the
+    ``f_override``, a step-function q (a constant is its one piece) with a
+    last value c > 0, h a power s^lam with lam > 1 or, for n = 1, a
+    convergent powerlog), the integral test's tail gives T* - t exactly from
+    any state on q's last piece.  So the first threshold crossed by each
+    step that starts on that piece asks for T* = t_k + tail(y_k), once per
+    node, with (t_k, y_k) the accepted node that starts the crossing step
+    (y(0) for data already past the threshold), and the first T* within the
+    horizon ends the run, with ``t_blow_method`` "tail"; the escape row and
+    the trajectory end at the interpolated crossing.  A node the tail cannot
+    finish from (u = w^(k) or, for n = 2, u' still 0) passes to the next
+    rung.  No interpolation error enters T*: y_k is a state the step itself
+    computed and accepted, where the interpolated state at the crossing
+    would add the dense output's error, a sizeable share of the interval at
+    a low rung.  An error of y_k that is a time shift moves the solution
+    through y_k and its tail by opposite amounts, so to first order it
+    cancels; what is left is the drift of the solution, held near tol relative over unit spans by the
     step control at TOL_SAFETY * tol, and the tail's quadrature error, 1e-12
     relative (QUAD_TOL).  The interval is T* +- 10 tol max(1, T*): an error
     estimate with a margin, not a proof.  On drawn power problems with n = 1
@@ -1043,8 +1033,9 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
     """T* as a function of a time t and the state y there, where the
     integral test's tail gives T* - t exactly; else None.
 
-    The tail holds from q's last breakpoint on: there q is a constant c > 0
-    and u = w^(k) solves u^(n) = c h(u).  With u_M = y[k]:
+    The tail holds on the last piece of a step-function q (a constant is its
+    one piece), read from q's params: there q is its value c > 0 and u =
+    w^(k) solves u^(n) = c h(u).  With u_M = y[k]:
     - n = 1: T* - t = (1/c) int_{u_M}^inf ds / h(s) = (u_M / c) I(u_M), where
       I(alpha) = int_1^inf h(alpha s)^(-1) ds is :func:`classify_scaled`'s
       estimate (closed form for a power, quadrature in log s for powerlog),
@@ -1060,15 +1051,15 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
       no cancellation however small v^2/e is, on panels with edges at the
       powers 4^-j down to 4^-27, so that each scale at which v^2/e can take
       over from 1 - x^K, z ~ sqrt(v^2 / (e K)), starts panels of its own.
-    The returned function gives nan for a t before that breakpoint, for a
+    The returned function gives nan for a t before that piece, for a
     powerlog h whose integral diverges (n = 1) and for a state it cannot
     finish from: u_M <= 0, v <= 0 for n = 2, or a tail that fails
     numerically or overflows (v^2 / e past the float range).
     """
     q, h, n, k = p.q, p.h, p.n, p.k
-    if p.f_override is not None or n > 2 or q.family not in (Family.CONSTANT, Family.PIECEWISE):
+    if p.f_override is not None or n > 2 or q.family is not Family.PIECEWISE:
         return None
-    c = q.params[0] if q.family is Family.CONSTANT else q.params[1][-1]
+    after, c = q.params[0][-1], q.params[1][-1]
     if not c > 0.0:
         return None
     power = h.family is Family.POWER and h.params[0] > 1.0
@@ -1097,7 +1088,6 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
             return beta * math.exp(math.log(u) - half_log_e) * (near + far)
     else:
         return None
-    after = max(q.breakpoints, default=0.0)
 
     def t_blow(t, y):
         try:

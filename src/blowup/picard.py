@@ -166,7 +166,7 @@ def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
             raise NumericFailureError(f"g({float(s.flat[i])!r}) = {float(gv.flat[i])!r} not positive")
         return np.exp(y / n) * gv ** (-1.0 / n)
 
-    bps = np.log([bp for bp in g.breakpoints if bp > 0.0])
+    bps = np.log(g.cuts(0.0, math.inf)[1:-1])
     # g may overflow to inf far out, where the integrand is 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lefts, cums, y, c_last = [], [[0.0]], math.log(u0), 0.0
@@ -437,9 +437,7 @@ def picard_solve(
         q_sup = 1.0  # q == 0: the tower is the bare polynomial; any majorant works
     g = majorant_growth(h, n, weight=q_sup)
     u0_maj = sum(bi * T ** i / math.factorial(i) for i, bi in enumerate(mb))
-    bps = tuple(bp for bp in q.breakpoints if 0.0 < bp < T)
-
-    edges = [0.0, *bps, float(T)]
+    edges = q.cuts(0.0, float(T))
     base_cells = [max(2, round((GRID_MIN - 1) * (hi - lo) / T)) for lo, hi in zip(edges, edges[1:])]
     graded = b[0] == 0.0 and _singular_at_zero(h)
 
@@ -506,10 +504,9 @@ def _singular_at_zero(h: ScalarFn) -> bool:
 
 
 def _sup_on_interval(q: ScalarFn, T: float) -> float:
-    probes = np.linspace(0.0, T, 257)
-    if q.breakpoints:
-        inside = [bp for bp in q.breakpoints if 0.0 <= bp <= T]
-        probes = np.unique(np.concatenate([probes, inside]))
+    probes, cuts = np.linspace(0.0, T, 257), q.cuts(0.0, T)
+    if len(cuts) > 2:
+        probes = np.unique(np.concatenate([probes, cuts]))
     return float(np.max(q.eval_array(probes)))
 
 
@@ -521,8 +518,7 @@ def _q_blocks(q: ScalarFn, grid: np.ndarray):
     q's left limit, so each block sees only its own branch of a piecewise
     coefficient.
     """
-    bps = [bp for bp in q.breakpoints if grid[0] < bp < grid[-1]]
-    edges = [float(grid[0]), *bps, float(grid[-1])]
+    edges = q.cuts(float(grid[0]), float(grid[-1]))
     blocks = []
     for i in range(len(edges) - 1):
         i0 = int(np.searchsorted(grid, edges[i]))

@@ -164,7 +164,10 @@ def majorization_experiment(
     values are experimental knobs with no correctness claim).  Each t_j is
     found by :meth:`Trajectory.crossing` on u's nodes and dense output,
     from t_{j-1} on.  Levels stop early when u never reaches the next one
-    within its span.
+    within its span.  The time shifts eps_j = int q over [t_{j-1}, t_j] are
+    exact sums over the pieces of a step-function q (a constant is its one
+    piece), which :meth:`ScalarFn.cuts` bounds; any other q takes the
+    quadrature on the same cuts.
     """
     if p.k != 0 or p.f_override is not None:
         raise InvalidParameterError("p must be a reduced problem: k = 0 and no f_override")
@@ -200,12 +203,11 @@ def majorization_experiment(
             break
         t_levels.append(u.crossing(level, t_levels[-1]))
 
-    # eps_j = int q over [t_{j-1}, t_j]: a constant or piecewise q sums its
-    # value times each piece's length, a custom q takes the quadrature
+    # eps_j = int q over [t_{j-1}, t_j], piece by piece
     eps, taus = [0.0], [0.0]
     for lo, hi in zip(t_levels, t_levels[1:]):
-        cuts = [lo, *(bp for bp in q.breakpoints if lo < bp < hi), hi]
-        if q.family in (Family.CONSTANT, Family.PIECEWISE):
+        cuts = q.cuts(lo, hi)
+        if q.family is Family.PIECEWISE:
             values = q.eval_array(cuts[:-1])  # the piece starting at each cut
             eps.append(math.fsum(c * (b - a) for a, b, c in zip(cuts, cuts[1:], values)))
         else:

@@ -219,6 +219,17 @@ class TestMain:
         ]) == 0
         assert csv.read_text().splitlines()[0] == "t,w0"
 
+    def test_integrate_reports_an_escape(self, tmp_path, capsys):
+        # w' = w^2 from 1 blows up at t = 1, before T = 2
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("m = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(2.0)\n")
+        assert main(["integrate", "--config", str(cfg), "--T", "2.0", "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "reached_T=false" in lines and "event=escape" in lines
+        t_event = float(next(line for line in lines if line.startswith("t_event=")).split("=")[1])
+        assert 1.0 <= t_event <= 1.0 + 1e-6
+        assert "# escaped before T" in lines
+
     def test_verify_cmd(self, capsys):
         assert main(["verify-lemma22", "--n", "2", "--g", "constant(1.0)", "--u0", "1", "--T", "2"]) == 0
 

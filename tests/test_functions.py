@@ -6,6 +6,7 @@ import pytest
 from blowup.errors import InvalidParameterError
 from blowup.functions import (
     Family,
+    ScalarFn,
     make_constant,
     make_custom,
     make_piecewise,
@@ -88,9 +89,13 @@ class TestPowerLog:
 
 class TestConstantPiecewise:
     def test_constant(self):
+        # the one-piece step function, with its own spec text
         q = make_constant(2.5)
         assert q(17.0) == 2.5
         assert np.all(q.eval_array(np.arange(4.0)) == 2.5)
+        assert (q.family, q.params, q.breakpoints) == (Family.PIECEWISE, ((0.0,), (2.5,)), ())
+        assert q.spec_text == "constant(2.5)" and q.asymptotic_exponent == 0.0
+        assert make_constant(0.0).asymptotic_exponent is None
 
     def test_piecewise_values(self):
         q = make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])
@@ -118,6 +123,22 @@ class TestConstantPiecewise:
             make_piecewise([((0, 1), 1.0), ((2, math.inf), 1.0)])  # gap
         with pytest.raises(InvalidParameterError):
             make_piecewise([((1, math.inf), 1.0)])  # must start at 0
+
+    def test_cuts_are_the_jumps_inside(self):
+        q = make_piecewise([((0, 1), 0.5), ((1, 3), 2.0), ((3, math.inf), 7.0)])
+        assert q.cuts(0.0, 5.0) == [0.0, 1.0, 3.0, 5.0]
+        assert q.cuts(0.5, 2.0) == [0.5, 1.0, 2.0]
+        # an interval that ends or starts exactly at a jump keeps it once
+        assert q.cuts(0.5, 3.0) == [0.5, 1.0, 3.0]
+        assert q.cuts(1.0, 2.0) == [1.0, 2.0]
+        assert q.cuts(0.0, math.inf) == [0.0, 1.0, 3.0, math.inf]
+        assert make_constant(1.0).cuts(0.0, 4.0) == [0.0, 4.0]
+        assert make_custom(np.exp).cuts(0.25, 4.0) == [0.25, 4.0]
+
+    @pytest.mark.parametrize("bps", [(2.0, 1.0), (1.0, 1.0), (1.0, math.nan)])
+    def test_breakpoints_must_increase_strictly(self, bps):
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            ScalarFn(fn=abs, breakpoints=bps)
 
 
 class TestEvalArray:

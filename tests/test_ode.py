@@ -821,6 +821,30 @@ class TestLazyRows:
         assert len(calls) == 3 * (len(traj.ts) - 1)
         assert traj.stats is s
 
+    def test_a_failed_extension_reads_the_hermite_rows(self, monkeypatch):
+        # q turns non-finite at one stepped cell's first extra stage time,
+        # t + 0.1 h, after the integration and before the first read: that
+        # cell reads the Hermite rows of its ends, every other cell its
+        # extension, as an integration that q never fails reads them
+        poison = []
+        q = make_custom(lambda t: math.nan if t in poison else 1.0 + 0.5 * math.cos(t))
+        p = ProblemSpec(m=2, k=0, a=(1.0, 0.5), q=q, h=make_power(1.5))
+        calls = []
+        rhs = ProblemSpec.rhs
+        monkeypatch.setattr(ProblemSpec, "rhs", lambda self, t, y: calls.append(t) or rhs(self, t, y))
+        ref, traj = integrate(p, 1.0, 1e-9), integrate(p, 1.0, 1e-9)
+        c = (len(ref.ts) - 1) // 2
+        del calls[:]
+        ref(0.5 * (ref.ts[c] + ref.ts[c + 1]))
+        poison.append(calls[0])
+        got = traj.dense
+        i = np.array([c])
+        hermite = ode._hermite_rows((traj.ts[i + 1] - traj.ts[i])[:, None], traj.ys[i], traj.ys[i + 1],
+                                    traj.dys[i], traj.dys[i + 1])
+        assert got[c].tobytes() == hermite[0].tobytes() != ref.dense[c].tobytes()
+        others = np.arange(len(got)) != c
+        assert got[others].tobytes() == ref.dense[others].tobytes()
+
 
     def test_threads_share_a_trajectory(self):
         # readers of one trajectory in threads, each cell read first by
@@ -1369,7 +1393,7 @@ class TestTailScope:
         # T* = a1^(1-lam) / ((lam-1) c)
         p, kw = TAIL_SCOPE["collapse"]
         with mpmath.workdps(30):
-            lam_, c_, a1 = (mpmath.mpf(x) for x in (p.h.params[0], p.q.params[0], p.a[1]))
+            lam_, c_, a1 = (mpmath.mpf(x) for x in (p.h.params[0], p.q(0.0), p.a[1]))
             exact = float(a1 ** (1 - lam_) / ((lam_ - 1) * c_))
         rep = detect_blowup(p, **kw)
         assert rep.t_blow_method == "tail"

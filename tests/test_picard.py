@@ -677,6 +677,14 @@ class TestIntegralOperator:
         want = 2.0 + grid + 0.25 * grid ** 2
         assert np.max(np.abs(img[:, 0] - want)) <= 1e-13
 
+    def test_f_override_replaces_q_h(self):
+        # f = u/2 + t on u = t^2 from 1: 1 + t^3/6 + t^2/2, where q h(u) = u
+        # would give 1 + t^3/3; the quadrature is exact on this cubic
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1), f_override=lambda t, y: 0.5 * y[0] + t)
+        grid = np.linspace(0, 2, 65)
+        img = apply_integral_operator(p, grid, grid ** 2)
+        assert np.max(np.abs(img[:, 0] - (1.0 + grid ** 3 / 6.0 + grid ** 2 / 2.0))) <= 1e-13
+
     def test_unit_case(self):
         p = ProblemSpec(m=1, k=0, a=(0.0,), q=ONE, h=make_constant(1.0))
         grid = np.linspace(0, 2, 65)

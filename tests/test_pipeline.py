@@ -1,16 +1,17 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blowup.classify import Verdict
+from blowup.classify import Verdict, classify, classify_scaled
 from blowup.cli import parse_config, run_experiment
-from blowup.errors import InvalidParameterError, NumericFailureError, StageError
+from blowup.errors import InvalidParameterError, NumericFailureError, SingularIntegrandError, StageError
 from blowup.functions import make_constant, make_custom, make_piecewise, make_power, parse_fn_spec
-from blowup.ode import ProblemSpec, Trajectory, integrate
+from blowup.ode import BlowupEvent, BlowupReport, ProblemSpec, Trajectory, detect_blowup, integrate
+from blowup.picard import PicardTower, picard_solve
 from blowup.pipeline import (
     PipelineOptions,
     lift_solution,
@@ -526,3 +527,59 @@ class TestDrawnCriterion11:
         direct = rep.direct(ts)
         err = np.max(np.abs(rep.constructed(ts) - direct) / (1.0 + np.abs(direct)), axis=0)
         assert np.all(err <= 1e-8), err
+
+
+def _bits(x):
+    """x as nested tuples of bytes and plain values: two results give the
+    same bits exactly when these are equal."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, Trajectory):
+        return tuple(_bits(getattr(x, f)) for f in ("ts", "ys", "dys", "dense")) + (x.tol, x.stats)
+    if isinstance(x, (BlowupEvent, BlowupReport, PicardTower)):
+        return type(x).__name__, tuple(_bits(getattr(x, f.name)) for f in fields(x) if f.name[0] != "_")
+    if isinstance(x, (list, tuple)):
+        return tuple(_bits(v) for v in x)
+    return repr(x)
+
+
+class TestConstantIsOnePiece:
+    """make_constant(c) is the one-piece step function, with its own spec
+    text and evaluation: every solver reads the same bits from it as from
+    make_piecewise's one piece."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        c=st.floats(0.1, 4.0),
+        mk=st.sampled_from([(m, k) for m in (1, 2, 3) for k in range(m)]),
+        lam=st.floats(0.3, 3.0),
+        mu=st.floats(0.3, 1.0),
+        a=st.lists(st.one_of(st.just(0.0), st.floats(0.1, 2.0)), min_size=3, max_size=3),
+        T=st.floats(0.5, 3.0),
+    )
+    def test_every_solver_reads_the_same_bits(self, c, mk, lam, mu, a, T):
+        one, piece = make_constant(c), make_piecewise([((0.0, math.inf), c)])
+        assert (one.family, one.params, one.breakpoints) == (piece.family, piece.params, piece.breakpoints)
+        m, k = mk
+        got = []
+        for q in (one, piece):
+            p = ProblemSpec(m=m, k=k, a=tuple(a[:m]), q=q, h=make_power(lam))
+            b = a[k:m]
+            got.append(_bits((
+                integrate(p, T, 1e-9),
+                detect_blowup(p, thresholds=(10.0, 1e3, 1e6), horizon=T, tol=1e-9),
+                picard_solve(make_power(mu), m - k, b, min(T, 1.0), tol=1e-8, q=q, majorant_b=np.add(b, 1.0)),
+                [classify(q, n) for n in (1, 2, 3)],
+                [classify_scaled(q, n, alpha) for n in (1, 2, 3) for alpha in (0.3, 2.0, 17.0)],
+            )))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("c", [0.0, -1.5])
+    def test_a_nonpositive_constant_is_singular_where_its_piece_is(self, c):
+        # the numeric path refuses it at its first quadrature node
+        where = []
+        for h in (make_constant(c), make_piecewise([((0.0, math.inf), c)])):
+            with pytest.raises(SingularIntegrandError) as err:
+                classify(h, 1)
+            where.append(err.value.where)
+        assert where[0] == where[1] > 1.0

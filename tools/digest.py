@@ -20,6 +20,8 @@ same bit for bit.  The groups:
 - classify: ``classify`` and ``classify_scaled`` (alpha in {0.3, 2, 17}) on
   custom h with a declared exponent 2, without one, and with a callable
   that does not broadcast, for n = 1-3;
+- classify step-h: the same on step-function h, ``constant(2.5)``, a
+  one-piece and a three-piece ``piecewise``;
 - powerlog-pipeline: divergent-regime pipelines with a powerlog h, whose
   majorization companion reads h at rho s;
 - piecewise-majorant: ``majorant_growth`` of a seven-piece piecewise h for
@@ -164,13 +166,8 @@ def cli_group(seed: int, rounds: int) -> Group:
     return group
 
 
-def classify_group() -> Group:
-    group = Group("classify custom-h alpha=None,0.3,2,17 n=1-3")
-    declared = blowup.make_custom(lambda s: 3.0 * s ** 2 * np.log(np.e + s), asymptotic_exponent=2.0,
-                                  label="declared")
-    undeclared = blowup.make_custom(lambda s: s ** 1.5 + s, label="undeclared")
-    scalar_only = blowup.make_custom(lambda s: s * math.log(math.e + s) ** 2.5, label="scalar-only")
-    for h in (declared, undeclared, scalar_only):
+def _add_verdicts(group: Group, functions) -> None:
+    for h in functions:
         for n in (1, 2, 3):
             for alpha in (None, 0.3, 2.0, 17.0):
                 try:
@@ -178,6 +175,23 @@ def classify_group() -> Group:
                 except blowup.BlowupError as e:
                     v = e
                 group.add((h.spec_text, n, alpha, v))
+
+
+def classify_group() -> Group:
+    group = Group("classify custom-h alpha=None,0.3,2,17 n=1-3")
+    declared = blowup.make_custom(lambda s: 3.0 * s ** 2 * np.log(np.e + s), asymptotic_exponent=2.0,
+                                  label="declared")
+    undeclared = blowup.make_custom(lambda s: s ** 1.5 + s, label="undeclared")
+    scalar_only = blowup.make_custom(lambda s: s * math.log(math.e + s) ** 2.5, label="scalar-only")
+    _add_verdicts(group, (declared, undeclared, scalar_only))
+    return group
+
+
+def classify_step_group() -> Group:
+    group = Group("classify step-h alpha=None,0.3,2,17 n=1-3")
+    spec = blowup.parse_fn_spec  # the same text at any version of make_constant
+    _add_verdicts(group, [spec(text) for text in (
+        "constant(2.5)", "piecewise((0,inf):0.75)", "piecewise((0,0.5):3.0, (0.5,4):0.25, (4,inf):1.5)")])
     return group
 
 
@@ -252,6 +266,7 @@ def main() -> None:
         lambda: workload_group("blowup-ladder", (2, 5), 16),
         lambda: cli_group(3, 3),
         classify_group,
+        classify_step_group,
         powerlog_group,
         piecewise_group,
         piecewise_lift_group,
