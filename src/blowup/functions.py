@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -148,24 +148,8 @@ def make_power_log(lam: float, sigma: float = 0.0, shift: float = math.e) -> Sca
 
 def make_constant(c: float) -> ScalarFn:
     """The constant function s -> c: the one-piece step function, with its
-    own spec text and an evaluation that searches no edges."""
-    c = float(c)
-
-    def fn(s, _c=c):
-        if isinstance(s, float):
-            return _c
-        arr = np.asarray(s, dtype=float)
-        if arr.shape == ():
-            return _c
-        return np.full(arr.shape, _c)
-
-    return ScalarFn(
-        fn=fn,
-        asymptotic_exponent=0.0 if c > 0.0 else None,
-        family=Family.PIECEWISE,
-        params=((0.0,), (c,)),
-        spec_text=f"constant({_fmt(c)})",
-    )
+    own spec text."""
+    return replace(make_piecewise([((0.0, math.inf), c)]), spec_text=f"constant({_fmt(c)})")
 
 
 def make_piecewise(pieces: Sequence[tuple[tuple[float, float], float]]) -> ScalarFn:
@@ -190,15 +174,16 @@ def make_piecewise(pieces: Sequence[tuple[tuple[float, float], float]]) -> Scala
         if i + 1 < len(pieces) and his[i] != los[i + 1]:
             raise InvalidParameterError("piecewise intervals must be contiguous")
 
-    edges = np.array(los, dtype=float)
-    values = np.array(vals, dtype=float)
+    # piece i holds the s with exactly i interior breakpoints at or below it;
+    # s < 0 falls in the first piece, inf and nan in the last
+    inner = los[1:]
+    edges, values = np.array(inner, dtype=float), np.array(vals, dtype=float)
 
     def fn(s, _e=edges, _v=values):
         if isinstance(s, float):  # the integrator's path: no array round trip
-            return vals[max(0, bisect_right(los, s) - 1)]
+            return vals[bisect_right(inner, s)]
         arr = np.asarray(s, dtype=float)
-        idx = np.maximum(np.searchsorted(_e, arr, side="right") - 1, 0)
-        out = _v[idx]
+        out = _v[np.searchsorted(_e, arr, side="right")]
         return float(out) if arr.shape == () else out
 
     body = ", ".join(

@@ -108,11 +108,8 @@ def solve_autonomous_quadrature(
     its two rules agree, a running sum grown until F passes the largest
     target.  All targets are then solved at
     once by bracketed Newton steps with the analytic
-    F' = g(U)^(-1/n) U^(1/n-1) / n.  The last table built is kept, keyed by
-    the identity of g and by (n, u0, largest target), so a second call with
-    the same g up to the same largest target (a tower's escape check at T,
-    then its majorant read on its final grid, which ends at T, before
-    another solve) builds no table.
+    F' = g(U)^(-1/n) U^(1/n-1) / n.  Each call builds its own table, which
+    depends only on g, n, u0 and the largest target.
 
     If F stays below a target up to y = Y_CAP, the tail on the same panels up
     to y = 709 and :func:`blowup.quadrature.rest` past it decide:
@@ -143,20 +140,11 @@ def solve_autonomous_quadrature(
     return out
 
 
-# the last F table: (g, n, u0, t_max, (f, E, C)), replaced whole
-_TABLE: Optional[tuple] = None
-
-
 def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
     """(f, E, C): f is n times F's integrand in y, E the table's panel edges
     and C the values of F there, grown until F passes every target (see
-    :func:`solve_autonomous_quadrature`, which raises what this raises).  The
-    table is built once for each g, n, u0 and largest target in a row."""
-    global _TABLE
+    :func:`solve_autonomous_quadrature`, which raises what this raises)."""
     t_max = float(targets.max())
-    memo = _TABLE
-    if memo is not None and memo[0] is g and memo[1:4] == (n, u0, t_max):
-        return memo[4]
 
     def f(y):  # n times F's integrand in y, e^(y/n) g(e^y)^(-1/n); 0 where g is inf
         s = np.exp(y)
@@ -196,9 +184,7 @@ def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
                        " so the majorant leaves the float range before t")
             raise BracketFailureError(f"could not bracket target t={t!r} below the overflow cap{why}")
 
-    table = (f, np.append(np.concatenate(lefts), y), np.concatenate(cums))
-    _TABLE = (g, n, u0, t_max, table)
-    return table
+    return f, np.append(np.concatenate(lefts), y), np.concatenate(cums)
 
 
 def _newton(f, n: int, E: np.ndarray, C: np.ndarray, t: np.ndarray, x, w) -> np.ndarray:
@@ -313,7 +299,8 @@ class PicardTower:
     ``majorant`` is the quadrature majorant on ``grid`` and
     ``majorant_slack`` the most negative u - v_j over the iterates; both are
     diagnostics the tower does not use, so the majorant is inverted on the
-    returned grid only when one of them is first read, and kept from then on.
+    returned grid, from a table of F of its own, only when one of them is
+    first read, and kept from then on.
     ``trajectory`` is the solution's full derivative state, built on first
     read from the h, q and initial values the tower was built from.
     Every other diagnostic (gaps, slacks, iteration count) is read from the
@@ -405,9 +392,9 @@ def picard_solve(
     [0, T] (the divergence hypothesis fails numerically); that is checked
     once, at T, before the first tower is built.  The majorant itself is
     inverted on the grid the ladder stops at, and only when the tower's
-    ``majorant`` or ``majorant_slack`` is first read; the values are those
-    of an inversion on that grid whenever it runs, since F's table depends
-    only on g, n, u0 and T.
+    ``majorant`` or ``majorant_slack`` is first read, which builds F's
+    table a second time; the values are those of an inversion on that grid
+    whenever it runs, since F's table depends only on g, n, u0 and T.
     """
     n = check_int("n", n)
     if not (0.0 < T < math.inf):

@@ -98,14 +98,12 @@ def lift_solution(u: Trajectory, a_low: Sequence[float], k: int) -> Trajectory:
     ts = u.ts
     ys = np.empty((len(ts), k + u.m))
     ys[:, k:] = u.ys
+    # one block between repeated nodes, on the distinct nodes: ts[i] is grid[at[i]]
     first = u.distinct
-    if first.all():
-        ys[:, :k] = integral_image(a_low, [(0, len(ts) - 1, u.ys[:, 0])], ts)
-    else:  # one block between repeated nodes, on the distinct nodes: ts[i] is grid[at[i]]
-        grid, at, w = ts[first], np.cumsum(first) - 1, u.ys[first, 0]
-        edges = [0, *at[~first], len(grid) - 1]
-        blocks = [(i0, i1, w[i0 : i1 + 1]) for i0, i1 in zip(edges, edges[1:])]
-        ys[:, :k] = integral_image(a_low, blocks, grid)[at]
+    grid, at, w = ts[first], np.cumsum(first) - 1, u.ys[first, 0]
+    edges = [0, *at[~first], len(grid) - 1]
+    blocks = [(i0, i1, w[i0 : i1 + 1]) for i0, i1 in zip(edges, edges[1:])]
+    ys[:, :k] = integral_image(a_low, blocks, grid)[at]
 
     dys = np.empty_like(ys)
     dys[:, :-1] = ys[:, 1:]

@@ -65,17 +65,17 @@ class _Weights(NamedTuple):
 
 
 # Weights are a function of the grid alone, and a Picard tower applies the
-# kernel to one grid 10-20 times, so they are kept by grid content (a grid
-# array changed in place is a new key), least recently used first out, while
-# the entries together stay within _CACHE_BYTES; the newest entry is always
-# kept.  An entry is O(order * N), 496 bytes a node at order 3 (208 of
-# weights and stencil indices, 288 of the stencil basis a higher order is
-# built from), so a whole grid ladder from 129 nodes up to the 16385-node
-# cap takes ~16.3 MB at that order, about the budget.  Towers on the same
-# grids (the uniform and the graded ladder of one T, 129 to 513 nodes: 0.9
-# MB for a global-construct round) build each grid's weights once; a ladder
-# that climbs to the cap evicts its own coarsest levels, which it does not
-# read again.  A caller asking for a higher order than a grid's entry holds
+# kernel to one grid 10-20 times, so they are kept by grid content (its bytes,
+# hashed at every lookup: a grid array changed in place is a new key), least
+# recently used first out, while the entries together stay within
+# _CACHE_BYTES; the newest entry is always kept.  An entry is O(order * N),
+# 496 bytes a node at order 3 (208 of weights and stencil indices, 288 of the
+# stencil basis a higher order is built from), so a whole grid ladder from
+# 129 nodes up to the 16385-node cap takes ~16.3 MB at that order, about the
+# budget.  Towers on the same grids (the uniform and the graded ladder of
+# one T, 129 to 513 nodes: 0.9 MB for a global-construct round) build each
+# grid's weights once; a ladder that climbs to the cap evicts its own
+# coarsest levels, which it does not read again.  A caller asking for a higher order than a grid's entry holds
 # gets that entry with the new orders' rows added.
 # An entry is built whole before it is inserted, and
 # entries are only ever inserted or popped whole, so callers on other threads
@@ -88,10 +88,6 @@ class _Weights(NamedTuple):
 _CACHE_BYTES = 16 << 20
 _WEIGHTS: dict = {}
 _LOCK = threading.Lock()
-# the key of the last grid looked up: a bytes object caches its hash, so a
-# tower step on the same grid reuses it after one memcmp instead of hashing
-# a fresh copy of the grid
-_LAST_KEY = b""
 
 
 def _grid_weights(grid: np.ndarray, p: int) -> _Weights:
@@ -208,18 +204,13 @@ def _carry(phi: np.ndarray, p: int, wts: _Weights) -> np.ndarray:
 
 
 def _checked_grid(grid):
-    """(grid, its cache key) after the grid checks: 1-D with at least 2
-    nodes, finite and strictly increasing (not checked again once its
-    weights are cached)."""
-    global _LAST_KEY
+    """(grid, its cache key: the grid's bytes) after the grid checks: 1-D
+    with at least 2 nodes, finite and strictly increasing (not checked again
+    once its weights are cached)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise InvalidParameterError("grid must be 1-D with at least 2 nodes")
-    key, last = grid.tobytes(), _LAST_KEY  # read once: another thread may rebind it
-    if key == last:
-        key = last
-    else:
-        _LAST_KEY = key
+    key = grid.tobytes()
     if key not in _WEIGHTS:
         if not np.all(np.isfinite(grid)):
             raise InvalidParameterError("grid must be finite")

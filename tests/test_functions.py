@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup.errors import InvalidParameterError
 from blowup.functions import (
@@ -115,6 +117,28 @@ class TestConstantPiecewise:
         xs = [0.0, 0.5, 1.0, 2.0, 3.0, 1e9, math.nan, np.float64(1.0)]
         for x, v in zip(xs, fn.eval_array(np.array(xs))):
             assert type(fn(x)) is float and fn(x) == v
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        bps=st.lists(st.floats(0.0, 1e300, exclude_min=True), unique=True, max_size=6),
+        values=st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7, unique=True),
+        extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+    )
+    def test_piece_index_is_the_edge_search(self, bps, values, extra):
+        # the reference: one less than the count of left ends at or below s,
+        # never below 0, at each edge, one float either side of it, 0, -0.0,
+        # negative s, +-inf, nan and drawn points, on the scalar path, the
+        # 0-d path and the array path
+        los = [0.0, *sorted(bps)]
+        his = [*los[1:], math.inf]
+        q = make_piecewise([((lo, hi), v) for lo, hi, v in zip(los, his, values)])
+        xs = [0.0, -0.0, -1.0, -1e300, math.inf, -math.inf, math.nan, *extra]
+        for b in los:
+            xs += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+        want = [values[max(0, int(np.searchsorted(los, x, "right")) - 1)] for x in xs]
+        assert [q(x) for x in xs] == want
+        assert [q(np.array(x)) for x in xs] == want
+        assert q(np.array(xs)).tolist() == want
 
     def test_piecewise_validation(self):
         with pytest.raises(InvalidParameterError):

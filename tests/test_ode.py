@@ -1016,7 +1016,7 @@ class TestCrossing:
         # level, one float after a point where it has not; on a monotone cell
         # it is the first such float.  The false-position steps spend at most
         # twice the evaluations of plain float bisection, ends included (about
-        # a third of them on the integrator's cells)
+        # a fifth of them on the integrator's cells)
         hi = lo + width
         if monotone:
             c = [abs(x) ** 3 * 10.0 ** scale for x in coeffs]
@@ -1050,6 +1050,53 @@ class TestCrossing:
         assert value(r) >= level and value(math.nextafter(r, lo)) < level
         if monotone:
             assert r == want
+
+    # integrator steps that cross the escape level 10 from a node a hair
+    # below it, so that every false-position point rounds onto lo: the step's
+    # (t0, width, crossing), its continuous extension, one (y0, y1, F) per
+    # component, and the crossing it must give.  Each was traced from
+    # w' = c w^lam (m = 1) or w'' = c w^lam (m = 2, two components)
+    LADDER_STEPS = [
+        pytest.param(
+            0.04796700793449856, 0.010107846101036183, 0.058074854035534744,
+            [(1.6371916001316247, 1.732954779699954,
+              [0.09576317956832936, -0.008722334204571386, -0.00021333119199326567,
+               1.055305287451382e-05, 2.2783276933485873e-07, -7.84435614917163e-09,
+               -8.488156710190408e-11]),
+             (8.611215930052118, 10.358175611138462,
+              [1.7469596810863433, -0.061228422665804416, -0.004221265344454661,
+               0.00011038079077698962, 4.697895124372474e-06, -9.87964444264817e-08,
+               -2.8142814177066687e-09])],
+            0.05606206306978503, id="m2"),
+        pytest.param(
+            1.795025380707192, 0.004424272152631525, 1.7994496528598236,
+            [(9.997922248168615, 10.637028115225315,
+              [0.6391058670566991, -0.051789143570519, -0.005016463646478231,
+               0.0004598936304571204, 4.7613762747546594e-05, -4.524536754366743e-06,
+               -4.063827121005698e-07])],
+            1.7950410280139177, id="m1-late"),
+        pytest.param(
+            0.7682028343416086, 0.0025611382232200164, 0.7707639725648286,
+            [(9.998585382905324, 10.6865342112573,
+              [0.6879488283519759, -0.055901536803489305, -0.005336209028227401,
+               0.0004795422710757233, 4.835185768099845e-05, -4.475727737482595e-06,
+               -3.883450996697155e-07])],
+            0.7682085655189866, id="m1-early"),
+    ]
+
+    @pytest.mark.parametrize("t0, width, t1, comps, want", LADDER_STEPS)
+    def test_find_level_near_an_end_tries_the_next_float(self, t0, width, t1, comps, want):
+        # bisecting toward a crossing false position already found took 23-35
+        # evaluations here; the float next to lo settles it in under 10
+        evals = 0
+
+        def value(t):
+            nonlocal evals
+            evals += 1
+            return max(ode._continuous((t - t0) / width, *c) for c in comps)
+
+        assert ode._find_level(value, 10.0, t0, t1) == want
+        assert evals <= 10
 
     def test_level_at_a_node(self):
         traj = integrate(cosh_problem(), 2.0, 1e-9)

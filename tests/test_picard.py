@@ -329,17 +329,20 @@ class TestPicardTower:
             "float range before t"
         )
 
-    def test_one_f_table_per_solve(self, monkeypatch):
-        # the escape check at T builds F's table and the final grid, which
-        # ends at T, inverts on it: every panel of the table is summed once
+    def test_one_f_table_per_inversion(self, monkeypatch):
+        # an inversion sums every panel of F's table once; the escape check
+        # at T is the solve's one inversion, and the majorant on the final
+        # grid, which ends at T, is a second one on the same panels
         import blowup.picard as picard
 
         cuts, real = [], picard.panels
         monkeypatch.setattr(picard, "panels", lambda f, c: cuts.append(c.tobytes()) or real(f, c))
         tw = picard_solve(make_power(1), 2, [1.0, 1.0], 3.0, tol=1e-9)
         assert len(tw.grid) > 129 and tw.grid[-1] == 3.0
+        escape = list(cuts)
+        assert escape and len(set(escape)) == len(escape)
         assert np.all(tw.majorant > 0.0)  # the inversion on the final grid
-        assert cuts and len(set(cuts)) == len(cuts)
+        assert cuts == escape + escape
 
     def test_second_solve_builds_no_kernel_weights(self, monkeypatch):
         # every level of a repeated solve finds its weights cached
@@ -383,21 +386,17 @@ class TestPicardTower:
         (make_power(1), 2, [1.0, 1.0], None, make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])),
     ], ids=["plain", "graded", "piecewise-q"])
     def test_majorant_read_later_is_the_eager_inversion(self, h, n, b, majorant_b, q):
-        # the majorant read first after another solve has replaced F's memo
-        # is, bit for bit, an inversion on the tower's grid from a fresh g
-        import blowup.picard as picard
-
+        # the majorant read first after another solve is, bit for bit, an
+        # inversion on the tower's grid from a fresh g
         T = 3.0
         tw = picard_solve(h, n, b, T, tol=1e-9, majorant_b=majorant_b, q=q)
-        memo = picard._TABLE
         picard_solve(make_power(0.5), 1, [2.0], 1.0, tol=1e-9)
-        assert picard._TABLE is not memo
         weight = 1.0 if q is None else 2.0  # sup of q on [0, T]
         u0 = sum(bi * T ** i / math.factorial(i) for i, bi in enumerate(majorant_b or b))
         eager = solve_autonomous_quadrature(majorant_growth(h, n, weight=weight), n, u0, tw.grid)
         assert tw.majorant.tobytes() == eager.tobytes()
         assert tw.majorant_slack == min(float(np.min(eager - v)) for v in tw.iterates)
-        # read while the tower's own table is still the memo: the same bits
+        # read right after its own solve: the same bits
         again = picard_solve(h, n, b, T, tol=1e-9, majorant_b=majorant_b, q=q)
         assert again.majorant.tobytes() == eager.tobytes()
 
