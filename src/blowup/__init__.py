@@ -64,7 +64,6 @@ from .picard import (
 from .pipeline import (
     MajorizationRow,
     MajorizationTable,
-    PipelineOptions,
     PipelineReport,
     lift_solution,
     majorization_experiment,

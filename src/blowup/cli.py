@@ -40,7 +40,7 @@ from .ode import (
     integrate,
 )
 from .picard import picard_solve, verify_comparison_bound
-from .pipeline import PipelineOptions, majorization_experiment, run_pipeline
+from .pipeline import majorization_experiment, run_pipeline
 
 __all__ = ["ExperimentConfig", "parse_config", "emit_config", "run_experiment", "main"]
 
@@ -421,8 +421,7 @@ def _run_verify_comparison(cfg: ExperimentConfig, out: Optional[Path]):
 
 
 def _run_pipeline_cmd(cfg: ExperimentConfig, out: Optional[Path]):
-    opts = PipelineOptions(**_given(cfg, "tol", "thresholds", "rho", majorize_levels="J"))
-    rep = run_pipeline(cfg.problem(), opts=opts, **_given(cfg, "horizon"))
+    rep = run_pipeline(cfg.problem(), **_given(cfg, "horizon", "tol", "thresholds", "rho", majorize_levels="J"))
     kv = [
         ("label", rep.label),
         ("verdict", rep.classification.verdict.value),

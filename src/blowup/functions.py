@@ -81,16 +81,16 @@ class ScalarFn:
 
     def eval_array(self, s) -> np.ndarray:
         """Evaluate on an array, falling back to a scalar loop for callables
-        that do not broadcast.  A callable whose array call raised TypeError
-        or ValueError once goes straight to the loop from then on."""
+        that do not broadcast: each call tries ``fn`` on the whole array once,
+        and loops over the elements where that raises TypeError or ValueError
+        or returns another shape."""
         arr = np.asarray(s, dtype=float)
-        if "_scalar_only" not in self.__dict__:
-            try:
-                out = np.asarray(self.fn(arr), dtype=float)
-                if out.shape == arr.shape:
-                    return out
-            except (TypeError, ValueError):
-                object.__setattr__(self, "_scalar_only", True)  # not a field: eq and hash ignore it
+        try:
+            out = np.asarray(self.fn(arr), dtype=float)
+            if out.shape == arr.shape:
+                return out
+        except (TypeError, ValueError):
+            pass
         return np.array([float(self.fn(x)) for x in arr.ravel()]).reshape(arr.shape)
 
     def __repr__(self):  # pragma: no cover - cosmetic

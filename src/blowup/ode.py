@@ -398,11 +398,12 @@ class StepStats:
     evaluations of the top derivative the integration made, inside the step
     or through ``ProblemSpec.rhs``: twelve per attempted step (one cut short
     by a failing stage included), one per slope taken outside the step (the
-    start, each segment start, an escape), and three per cell whose
-    continuous extension the integration itself built, the step that crosses
-    a rung or the escape level.  Every other cell's extension is built when
-    the trajectory is first read there (see :class:`Trajectory`), and those
-    three evaluations per cell are not counted here.  ``rejected`` steps
+    start, each segment start, an escape), and three per step that crosses a
+    rung or the escape level, whose continuous extension the integration
+    builds to find the crossing.  Every cell's extension, a crossing step's
+    again, is built when the trajectory is first read there (see
+    :class:`Trajectory`), and those three evaluations per cell are not
+    counted here.  ``rejected`` steps
     failed the error test; ``retries`` followed a failed stage."""
 
     evals: int
@@ -446,9 +447,11 @@ class Trajectory:
 
     A grid trajectory builds every cell's rows in one :func:`_hermite_rows`
     call at its first read and keeps them.  An integrator trajectory builds
-    a cell's rows the first time anything reads that cell: a stepped cell
-    keeps its step's slopes (:func:`_stepper`) until then, and the escape
-    cell its recipe; a call and :meth:`crossing` build the cells they read,
+    a cell's rows the first time anything reads that cell: every stepped
+    cell keeps its step's slopes (:func:`_stepper`) until then, a step that
+    crossed a rung too (the integration built its extension to find the
+    crossing, and does not keep it), and the escape cell the mark that it
+    takes Hermite rows; a call and :meth:`crossing` build the cells they read,
     ``dense`` and :meth:`reduced` every cell.  The rows are the same bits
     whenever and however often they are built: the rows and each cell are
     written before they count as built, and two readers may both build
@@ -465,7 +468,7 @@ class Trajectory:
     # the rows, (cells, 4, m), None until a grid trajectory's first read, and
     # an integrator trajectory's cells not built yet, each with its recipe:
     # (segment, t, h, y, f, f_new, K) for a stepped cell, with segment =
-    # (extend, arg, hi), its rows when the integration built them, or _HERMITE
+    # (extend, arg, hi), or _HERMITE
     _rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _todo: Optional[dict] = field(default=None, repr=False, compare=False)
 
@@ -515,17 +518,17 @@ class Trajectory:
             recipe = todo.get(c)
             if recipe is None:  # built
                 continue
-            if recipe.__class__ is tuple and recipe:  # a step's: its extension
+            if recipe:  # a step's: its extension, unless a stage is not finite
                 (extend, arg, hi), t, h, y, f, f_new, K = recipe
                 try:
-                    recipe = extend(arg, t, h, hi, y, f, f_new, K)
+                    rows = extend(arg, t, h, hi, y, f, f_new, K)
                 except NumericFailureError:
-                    recipe = _HERMITE
-            if recipe:
-                built.append(c)
-                stepped.append(recipe)
-            else:
-                hermite.append(c)
+                    pass
+                else:
+                    built.append(c)
+                    stepped.append(rows)
+                    continue
+            hermite.append(c)
         if stepped:
             self._rows[built] = np.array(stepped).reshape(len(built), 4, self.m)
         if hermite:
@@ -709,13 +712,16 @@ def _find_level(value, level, lo, hi):
     Each point is the false-position point of the bracket, with the Illinois
     rule (an end kept twice in a row has its residual halved, so both ends
     close in).  Where that point rounds onto an end (an end whose residual
-    is 0, or a lo a float or so below the crossing), the float next to that
-    end is tried instead, at most once per end in a call: every later point
-    would round onto that end too.  A bisection step is taken when the point
-    is still not strictly inside the bracket, or when the end residuals do
-    not bracket the level (a lo where value >= level after all), until they
-    do.  Bisection halves the width of a bracket with hi <= 2 lo, and the
-    count of floats in a wider one with lo >= 0 (:func:`_float_mid`): on a
+    is 0, or a lo a float or so below the crossing), the point k ulps of
+    that end inside is tried instead, with k = 1, 2 and 4 at the first three
+    such points at that end in a call: a crossing a few floats from an end,
+    where the residuals are rounding noise, takes two or three points, and
+    a farther one is left to bisection, which a longer gallop would only put
+    off.  A bisection step is taken when the point is still not strictly
+    inside the bracket, or when the end residuals do not bracket the level
+    (a lo where value >= level after all), until they do.  Bisection halves
+    the width of a bracket with hi <= 2 lo, and the count of floats in a
+    wider one with lo >= 0 (:func:`_float_mid`): on a
     crossing many binades below hi, where the false-position point rounds to
     an end, that takes at most 63 steps, where halving the width takes up to
     ~1075.  Where value is monotone the result is the first float at which
@@ -723,15 +729,15 @@ def _find_level(value, level, lo, hi):
     the integrator's cells it takes about a fifth of the evaluations, 9 to
     10 a crossing, ends included."""
     r_lo, r_hi, kept = value(lo) - level, value(hi) - level, 0
-    next_lo = next_hi = True  # the float next to that end not tried yet
+    k_lo = k_hi = 1  # the next try at that end lies k floats from it
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # so a float lies strictly inside
         t = lo
         if r_lo < 0.0 <= r_hi:
             t = hi - r_hi * ((hi - lo) / (r_hi - r_lo))
-            if t <= lo and next_lo:
-                t, next_lo = math.nextafter(lo, hi), False
-            elif t >= hi and next_hi:
-                t, next_hi = math.nextafter(hi, lo), False
+            if t <= lo and k_lo <= 4:
+                t, k_lo = lo + k_lo * math.ulp(lo), 2 * k_lo
+            elif t >= hi and k_hi <= 4:
+                t, k_hi = hi - k_hi * math.ulp(hi), 2 * k_hi
         if not lo < t < hi:
             t = _float_mid(lo, hi) if 0.0 <= 2.0 * lo < hi else mid
         r = value(t) - level
@@ -807,11 +813,6 @@ def _integrate_events(
                     return M
         return escape
 
-    # exact zero solution: all-zero data and h(0) = 0 (default right-hand side)
-    if p.f_override is None and not any(y) and float(p.h(0.0)) == 0.0:
-        ts, ys, dys, cells = [0.0, float(T)], [y, y], [y, y], [None]
-        return finish()
-
     # The state and slopes are lists of floats and the step works on scalar
     # locals: numpy's per-call overhead dominates on states of one to three
     # components.  A slope is (y[1:], f); only f calls the right-hand side.
@@ -824,9 +825,9 @@ def _integrate_events(
     f = y[1:] + [rhs(t, y)]
     evals += 1
     # cells[i] is what gives the cell ending at ts[i+1] its rows h D K (see
-    # Trajectory): the recipe of a step's continuous extension, its rows
-    # when a crossing read them, _HERMITE for the escape cell, or None for a
-    # restart's zero-width cell, whose rows are zero
+    # Trajectory): the recipe of a step's continuous extension, _HERMITE for
+    # the escape cell, or None for a restart's zero-width cell, whose rows
+    # are zero
     ts, ys, dys, cells = [t], [y], [f], []
 
     # initial escape check (data may already sit above thresholds)
@@ -914,7 +915,7 @@ def _integrate_events(
             ts.append(t_new)
             ys.append(y_new)
             dys.append(f_new)
-            cells.append((segment, t, h, y, f, f_new, K) if coef is None else coef)
+            cells.append((segment, t, h, y, f, f_new, K))
             t, y, f = t_new, y_new, f_new
 
             # PI controller (Gustafsson's exponents 0.7/p and 0.4/p, for the
@@ -969,9 +970,9 @@ def detect_blowup(
     interval and ``t_blow_method`` "tail".  Only when no rung gives a T* is
     the report the ladder's.
 
-    Of the trajectory's continuous extension only the cells of steps that
-    cross a rung are built during the run, to find the crossings; every
-    other cell's is built when the report's trajectory is read (see
+    Of the trajectory's continuous extension only the steps that cross a
+    rung are built during the run, to find the crossings, and not kept;
+    every cell's is built when the report's trajectory is read (see
     :class:`Trajectory`).
 
     Otherwise integrates until every threshold M has been escaped (recording

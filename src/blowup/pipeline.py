@@ -57,7 +57,6 @@ __all__ = [
     "MajorizationRow",
     "MajorizationTable",
     "majorization_experiment",
-    "PipelineOptions",
     "PipelineReport",
     "run_pipeline",
 ]
@@ -255,14 +254,6 @@ def majorization_experiment(
 
 
 @dataclass(frozen=True)
-class PipelineOptions:
-    tol: float = 1e-10                 # direct-integration tolerance
-    thresholds: tuple = DEFAULT_THRESHOLDS
-    majorize_levels: int = 6
-    rho: float = 2.0
-
-
-@dataclass(frozen=True)
 class ConstructionReport:
     tower_iterations: int
     tower_converged: bool
@@ -309,7 +300,9 @@ def _stage(name):
         raise StageError(name, exc) from exc
 
 
-def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | None = None) -> PipelineReport:
+def run_pipeline(p: ProblemSpec, horizon: float = 5.0, *, tol: float = 1e-10,
+                 thresholds: tuple = DEFAULT_THRESHOLDS, majorize_levels: int = 6,
+                 rho: float = 2.0) -> PipelineReport:
     """Classify, then construct (global regime) or probe blow-up.
 
     One flow: reduce, classify, detect blow-up unless the test diverges,
@@ -320,7 +313,7 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
     k integrations of the tower's ``trajectory`` (:func:`lift_solution`,
     block by block between the repeated nodes at q's jumps, where u can
     have a kink), and cross-checked at every node against
-    one direct integration at ``opts.tol``, whose components k.. the
+    one direct integration at ``tol``, whose components k.. the
     majorization reads as its reduced solution; a failing stage raises.
     Convergent test: the escape ladder runs up to the horizon; a blow-up
     time that the integral test's tail puts past the horizon labels the case
@@ -328,8 +321,11 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
     Inconclusive: both probes run, no verdict is claimed, and a failing
     construction stage becomes a note that keeps whatever the stages before
     it finished.
+
+    ``tol`` is the tolerance of the direct integrations (the escape ladder
+    and the cross-check), ``thresholds`` the escape ladder's rungs, and
+    ``majorize_levels`` and ``rho`` the majorization's J and level ratio.
     """
-    opts = opts or PipelineOptions()
     notes: list[str] = []
     construction = constructed = direct = blow = table = None
 
@@ -343,7 +339,7 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
 
     if verdict is not Verdict.DIVERGES:
         with _stage("detect-blowup"):
-            blow = detect_blowup(p, thresholds=opts.thresholds, horizon=horizon, tol=opts.tol)
+            blow = detect_blowup(p, thresholds=thresholds, horizon=horizon, tol=tol)
 
     if verdict is Verdict.CONVERGES:
         if max(p.a, default=0.0) < 1.0:
@@ -361,11 +357,10 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
     else:
         label = "GlobalConstructed" if verdict is Verdict.DIVERGES else "Inconclusive"
         try:
-            construction, constructed, direct = _construct_and_check(p, red, horizon, opts, notes)
+            construction, constructed, direct = _construct_and_check(p, red, horizon, tol, notes)
             with _stage("majorize"):
                 # components k.. of the direct cross-check solve the reduced problem
-                table = majorization_experiment(red, direct.reduced(p.k),
-                                                J=opts.majorize_levels, rho=opts.rho)
+                table = majorization_experiment(red, direct.reduced(p.k), J=majorize_levels, rho=rho)
         except StageError as e:
             if verdict is Verdict.DIVERGES:
                 raise
@@ -378,7 +373,7 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, opts: PipelineOptions | N
     )
 
 
-def _construct_and_check(p, red, horizon, opts, notes):
+def _construct_and_check(p, red, horizon, tol, notes):
     """Tower on the reduced data, its lift, and the direct cross-check:
     (construction report, lifted trajectory, direct trajectory)."""
     with _stage("construct"):
@@ -408,7 +403,7 @@ def _construct_and_check(p, red, horizon, opts, notes):
         lifted = lift_solution(u_traj, p.a[: p.k], p.k)
 
     with _stage("cross-check"):
-        direct = integrate(replace(p, f_override=None), float(horizon), opts.tol)
+        direct = integrate(replace(p, f_override=None), float(horizon), tol)
         if isinstance(direct, BlowupEvent):
             raise NumericFailureError(
                 f"direct integration escaped at t={direct.t_event!r} in the divergent regime"
@@ -423,7 +418,7 @@ def _construct_and_check(p, red, horizon, opts, notes):
             consistency_tol=CONSISTENCY_TOL,
         )
         if p.f_override is not None:
-            wres = integrate(p, float(horizon), opts.tol)
+            wres = integrate(p, float(horizon), tol)
             if isinstance(wres, BlowupEvent):
                 raise NumericFailureError("driven solution escaped under a global majorant")
             sandwich = float(np.min(lifted.ys - wres(lifted.ts)))

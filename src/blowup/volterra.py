@@ -219,11 +219,11 @@ def _checked_grid(grid):
     return grid, key
 
 
-def _checked(phi, p: int, grid, key):
+def _checked(phi, p: int, grid):
     """(phi, p, grid, weights for orders >= p) after the checks every kernel
-    call makes past :func:`_checked_grid`, whose grid and key it takes: an
-    integer order in [1, 12], and finite phi sampled on the grid (or a
-    callable)."""
+    call makes: the grid's (:func:`_checked_grid`), an integer order in
+    [1, 12], and finite phi sampled on the grid (or a callable)."""
+    grid, key = _checked_grid(grid)
     if not (isinstance(p, (int, np.integer)) and 1 <= p <= _MAX_ORDER):
         raise InvalidParameterError(f"kernel order must be an integer in [1, {_MAX_ORDER}]")
     if callable(phi):
@@ -266,7 +266,7 @@ def weighted_volterra(phi, p: int, grid) -> np.ndarray:
         Array of the same length as the grid; entry i is the integral up to
         grid[i] (entry 0 is 0).
     """
-    phi, p, _, wts = _checked(phi, p, *_checked_grid(grid))
+    phi, p, _, wts = _checked(phi, p, grid)
     return _carry(phi, p, wts)[p - 1]
 
 
@@ -298,7 +298,7 @@ def partial_volterra(phi, p: int, tau_grid, t_targets) -> np.ndarray:
     block separately and sum.  ``phi`` and ``tau_grid`` are checked as in
     :func:`weighted_volterra`.
     """
-    phi, p, tau_grid, wts = _checked(phi, p, *_checked_grid(tau_grid))
+    phi, p, tau_grid, wts = _checked(phi, p, tau_grid)
     return _extend(_carry(phi, p, wts), tau_grid, np.asarray(t_targets, dtype=float))[-1]
 
 
@@ -315,18 +315,17 @@ def integral_image(a, blocks, grid) -> np.ndarray:
     the i-th derivative of the y with y^(p) = f and y^(j)(0) = a_j.  No
     blocks gives the seed polynomial alone.  One carry per block gives every
     column, each the same bit for bit as a carry of its order alone.  The
-    grid is checked as by the kernel before the seed is built on it.
+    grid is checked as by the kernel before the seed is built on it, and each
+    block's slice is checked by its own kernel call, a full-span one too.
     """
-    grid, key = _checked_grid(grid)
+    grid, _ = _checked_grid(grid)
     p = len(a)
     out = np.zeros((len(grid), p))
     for i in range(p):
         for j, aj in enumerate(a[i:]):
             out[:, i] += aj * grid ** j / math.factorial(j)
     for i0, i1, f in blocks:
-        sub = grid[i0 : i1 + 1]  # a full-span block reuses the checked grid and its key
-        sub, sub_key = (grid, key) if len(sub) == len(grid) else _checked_grid(sub)
-        f, _, _, wts = _checked(f, p, sub, sub_key)
+        f, _, sub, wts = _checked(f, p, grid[i0 : i1 + 1])
         Y = _carry(f, p, wts)
         if len(sub) < len(grid):  # a sub-block: extend its rows to every node
             Y = [e / math.factorial(r) for r, e in enumerate(_extend(Y, sub, grid))]

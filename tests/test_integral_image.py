@@ -112,12 +112,12 @@ class TestChecksOnACachedGrid:
             weighted_volterra(np.ones((2, 2)), 1, self.GOOD.reshape(2, 2))
 
     def test_each_grid_checked_once_per_image(self, monkeypatch):
-        # a full-span block reuses the image's checked grid and cache key; a
-        # sub-block is a grid of its own
+        # the image checks its grid before the seed, and each block's kernel
+        # call checks that block's slice, a full-span one too
         seen, check = [], volterra._checked_grid
         monkeypatch.setattr(volterra, "_checked_grid", lambda g: seen.append(len(g)) or check(g))
         integral_image([1.0, 0.0], [(0, 3, np.ones(4))], self.GOOD)
-        assert seen == [4]
+        assert seen == [4, 4]
         seen.clear()
         integral_image([1.0, 0.0], [(0, 2, np.ones(3)), (2, 3, np.ones(2))], self.GOOD)
         assert seen == [4, 3, 2]

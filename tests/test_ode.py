@@ -463,6 +463,18 @@ class TestIntegrate:
         traj = integrate(p, 5.0, 1e-9)
         assert np.all(traj.ys == 0.0)
         assert traj.t_end == 5.0
+        # zero data step like any other: the error estimate is 0, so the step
+        # grows 5x a step, the state stays exactly 0, and a jump of q inside
+        # the horizon is a repeated node, as on every other trajectory
+        q = make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])
+        p = ProblemSpec(m=2, k=0, a=(0.0, 0.0), q=q, h=make_power(0.5))
+        rep = detect_blowup(p, horizon=3.0, tol=1e-9)
+        assert rep.kind is BlowupKind.GLOBAL_UP_TO_HORIZON and rep.escape_thresholds == ()
+        for traj in (integrate(p, 3.0, 1e-9), rep.trajectory):
+            assert traj.ts[:4] == pytest.approx([0.0, 0.01, 0.06, 0.31], abs=1e-15)
+            assert traj.ts[4:].tolist() == [1.0, 1.0, 3.0]
+            assert not traj.ys.any() and not traj.dys.any() and not traj.dense.any()
+            assert not traj(np.linspace(0.0, 3.0, 7)).any()
 
     def test_initial_vector_stored(self):
         traj = integrate(cosh_problem(), 1.0, 1e-9)
@@ -997,7 +1009,7 @@ class TestCrossing:
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
-        lo=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+        lo=st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3)),
         width=st.floats(1e-8, 10.0),
         monotone=st.booleans(),
         coeffs=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
@@ -1008,6 +1020,14 @@ class TestCrossing:
     # rounds to an end of the bracket
     @example(lo=0.0, width=3.314453125, monotone=False, coeffs=[0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
              scale=0.037109375, frac=1.5404097476205583e-217)
+    # levels an ulp or less above value(lo), where the residual is -level
+    # or exactly 0 over long runs of floats and false position rounds onto
+    # an end again and again: tries from an end that went on doubling past
+    # 4 floats took 109 and 146 evaluations here, over the bound
+    @example(lo=0.0, width=0.03125, monotone=False, coeffs=[0.0, 0.0, -0.625, 0.0, 0.5, 0.0, 1.0, 0.0],
+             scale=0.0, frac=3.584011551935908e-44)
+    @example(lo=0.0, width=1.0, monotone=True, coeffs=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+             scale=0.0, frac=2.220446049250313e-16)
     def test_find_level_on_drawn_cells(self, lo, width, monotone, coeffs, scale, frac):
         # a monotone cell is a polynomial in th = (t - lo)/width with
         # coefficients >= 0, nondecreasing in floats too; any other cell is a
@@ -1097,6 +1117,52 @@ class TestCrossing:
 
         assert ode._find_level(value, 10.0, t0, t1) == want
         assert evals <= 10
+
+    def test_find_level_gallops_from_an_end(self):
+        # a Picard tower's first cell, read by Trajectory.crossing for a
+        # level 1.65e-7 above the cell's start: false position lands 34367
+        # floats below the crossing, then one float above it, where the
+        # residual is 0 exactly; trying the floats 1 and 2 below that end
+        # finds it, where trying one float and then bisecting took 28
+        # evaluations
+        width = 6.239399092893971e-06
+        below = (-1.6524320000000003e-07, 6.4830861356917295e-06,
+                 (6.648329335691729e-06, -2.6249487507939723e-14, -1.391268387117544e-14,
+                  -4.364707463484655e-14, 2.311082481946401e-13, 1.1967505385675785e-13,
+                  -9.60082524805952e-13))
+        evals = 0
+
+        def cell(t):
+            return ode._continuous(t / width, *below)
+
+        def value(t):
+            nonlocal evals
+            evals += 1
+            return cell(t)
+
+        lo = 7.753965126040375e-08
+        want, _ = self.float_bisection(cell, 0.0, lo, width)
+        assert ode._find_level(value, 0.0, lo, width) == want == 1.550793025255425e-07
+        assert evals <= 10
+
+    @pytest.mark.parametrize("lo, hi, steps", [(-1.0, 1.0, 3), (-1e-323, 1e-323, 3), (-3.0, -2.5, 6)])
+    def test_find_level_gallops_on_negative_floats(self, lo, hi, steps):
+        # the crossing lies `steps` floats above lo, and the residual below it
+        # is tiny beside the one at hi, so every false-position point rounds
+        # onto lo; the tries 1, 2 and 4 ulps up from lo step below 0 and
+        # across it as they do above it
+        c = lo
+        for _ in range(steps):
+            c = math.nextafter(c, hi)
+        evals = 0
+
+        def value(t):
+            nonlocal evals
+            evals += 1
+            return -1e-300 if t < c else 1.0
+
+        assert ode._find_level(value, 0.0, lo, hi) == c
+        assert evals <= 7
 
     def test_level_at_a_node(self):
         traj = integrate(cosh_problem(), 2.0, 1e-9)

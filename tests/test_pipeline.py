@@ -13,7 +13,6 @@ from blowup.functions import make_constant, make_custom, make_piecewise, make_po
 from blowup.ode import BlowupEvent, BlowupReport, ProblemSpec, Trajectory, detect_blowup, integrate
 from blowup.picard import PicardTower, picard_solve
 from blowup.pipeline import (
-    PipelineOptions,
     lift_solution,
     majorization_experiment,
     reduce_problem,
@@ -394,7 +393,7 @@ class TestPipeline:
         monkeypatch.setattr(pipeline, "integrate",
                             lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
         p = ProblemSpec(m=m, k=k, a=(1.0,) * m, q=ONE, h=make_power(0.5))
-        rep = run_pipeline(p, horizon=5.0, opts=PipelineOptions(tol=5e-13))
+        rep = run_pipeline(p, horizon=5.0, tol=5e-13)
         assert [(c[0].m, c[0].a, c[2]) for c in calls] == [(m, p.a, 5e-13), (2, (2.0, 2.0), 5e-13)]
         assert rep.label == "GlobalConstructed" and rep.passed
         assert rep.construction.consistent and rep.majorization.passed

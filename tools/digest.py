@@ -32,10 +32,14 @@ same bit for bit.  The groups:
 - ladder: 300 Picard towers drawn from a fixed seed (power h, n = 1-3,
   data with zeros, tol 1e-11 to 1e-7, constant q or q with one jump), each
   tower's grid, iterates and levels.  A few of them have a level whose gap
-  misses tol/4 by more than 64^2, which no tower of the other groups has.
+  misses tol/4 by more than 64^2, which no tower of the other groups has;
+- zero-data: ``integrate``, ``detect_blowup`` and ``run_pipeline`` on
+  all-zero data, h = s^lam with lam in {0.5, 1, 2}, m = 1-3 and every k,
+  with a constant q and with a q that jumps inside the horizon, whose
+  trajectories carry the solution 0 across the jump.
 
 Every group that runs pipelines (global-construct, blowup-ladder,
-powerlog-pipeline, piecewise-lift) also hashes each constructed
+powerlog-pipeline, piecewise-lift, zero-data) also hashes each constructed
 trajectory's dense output at 1001 points across its horizon, so the
 values between nodes are compared too.
 
@@ -260,6 +264,22 @@ def ladder_group() -> Group:
     return group
 
 
+def zero_data_group() -> Group:
+    group = Group("zero-data lam=0.5,1,2 m=1-3")
+    spec = blowup.parse_fn_spec
+    problems = [
+        blowup.ProblemSpec(m=m, k=k, a=(0.0,) * m, q=spec(q), h=blowup.make_power(lam))
+        for lam in (0.5, 1.0, 2.0)
+        for m in (1, 2, 3)
+        for k in range(m)
+        for q in ("constant(1.0)", "piecewise((0,1):0.5, (1,inf):2.0)")
+    ]
+    for p in problems:
+        group.add((blowup.integrate(p, 3.0, 1e-9), blowup.detect_blowup(p, horizon=3.0)))
+    pipelines(group, problems, [3.0] * len(problems))
+    return group
+
+
 def main() -> None:
     groups = [
         lambda: workload_group("global-construct", (1, 4), 4),
@@ -271,6 +291,7 @@ def main() -> None:
         piecewise_group,
         piecewise_lift_group,
         ladder_group,
+        zero_data_group,
     ]
     for make in groups:
         print(make().line(), flush=True)
