@@ -1046,8 +1046,9 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
     integral test's tail gives T* - t exactly; else None.
 
     The tail holds on the last piece of a step-function q (a constant is its
-    one piece), read from q's params: there q is its value c > 0 and u =
-    w^(k) solves u^(n) = c h(u).  With u_M = y[k]:
+    one piece), which starts at q's last cut and whose value q's params
+    give: there q is its value c > 0 and u = w^(k) solves u^(n) = c h(u).
+    With u_M = y[k]:
     - n = 1: T* - t = (1/c) int_{u_M}^inf ds / h(s) = (u_M / c) I(u_M), where
       I(alpha) = int_1^inf h(alpha s)^(-1) ds is :func:`classify_scaled`'s
       estimate (closed form for a power, quadrature in log s for powerlog),
@@ -1071,7 +1072,7 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
     q, h, n, k = p.q, p.h, p.n, p.k
     if p.f_override is not None or n > 2 or q.family is not Family.PIECEWISE:
         return None
-    after, c = q.params[0][-1], q.params[1][-1]
+    after, c = q.cuts(0.0, math.inf)[-2], q.params[1][-1]
     if not c > 0.0:
         return None
     power = h.family is Family.POWER and h.params[0] > 1.0

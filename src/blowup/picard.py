@@ -46,8 +46,8 @@ from .errors import (
 from .functions import Family, ScalarFn, make_constant, scaled
 from .ode import ProblemSpec, Trajectory
 from .quadrature import QUAD_TOL, gauss_rules, panels, rest
-# the inversion tail's one integral, under the name perfbench/tracer.py counts as
-# picard.invert.quad_calls and tests/test_picard.py patches
+# unused here: kept only because perfbench/tracer.py patches this name to count
+# picard.invert.quad_calls
 from .quadrature import integral as quad
 from .volterra import integral_image, partial_volterra, weighted_volterra
 
@@ -89,9 +89,9 @@ def comparison_constants(n: int) -> ComparisonConstants:
 # quadrature inversion
 
 # F's table in y = log s: starting panels of width _PANEL (quadrature.panels halves
-# each until its rules agree), _CHUNK per g.eval_array call, up to Y_CAP (e^660 ~
-# 5e286; quad takes the tail on); targets are solved _SLICE at a time
-_PANEL, _CHUNK, _SLICE, Y_CAP = 1.0, 64, 1024, 660.0
+# each until its rules agree), _CHUNK per g.eval_array call, up to y = 709 (e^709 ~
+# 8e307, the float range); targets are solved _SLICE at a time
+_PANEL, _CHUNK, _SLICE = 1.0, 64, 1024
 
 
 def solve_autonomous_quadrature(
@@ -106,19 +106,19 @@ def solve_autonomous_quadrature(
     well-scaled over many decades: unit panels in y (edges also at log of
     g's breakpoints), each halved by :func:`blowup.quadrature.panels` until
     its two rules agree, a running sum grown until F passes the largest
-    target.  All targets are then solved at
-    once by bracketed Newton steps with the analytic
+    target or reaching y = 709, the end of the float range.  All targets
+    are then solved at once by bracketed Newton steps with the analytic
     F' = g(U)^(-1/n) U^(1/n-1) / n.  Each call builds its own table, which
     depends only on g, n, u0 and the largest target.
 
-    If F stays below a target up to y = Y_CAP, the tail on the same panels up
-    to y = 709 and :func:`blowup.quadrature.rest` past it decide:
-    FiniteEscapeError when F is shown to converge to some t_max <
-    max(t_targets), so the majorant itself reaches infinity at the finite
-    time t_max (carried on the exception), else BracketFailureError, whose
-    message says when F is still below the target at s = e^709 with a tail
-    that cannot be shown to converge: a majorant that diverges too slowly
-    to reach the target inside the float range.
+    If F stays below a target up to y = 709, the table's last value and
+    :func:`blowup.quadrature.rest` past it decide: FiniteEscapeError when F
+    is shown to converge to some t_max < max(t_targets), so the majorant
+    itself reaches infinity at the finite time t_max (carried on the
+    exception), else BracketFailureError, whose message says when F is
+    still below the target at s = e^709 with a tail that cannot be shown
+    to converge: a majorant that diverges too slowly to reach the target
+    inside the float range.
     """
     n = check_int("n", n)
     if not (0.0 < u0 < math.inf):
@@ -142,8 +142,8 @@ def solve_autonomous_quadrature(
 
 def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
     """(f, E, C): f is n times F's integrand in y, E the table's panel edges
-    and C the values of F there, grown until F passes every target (see
-    :func:`solve_autonomous_quadrature`, which raises what this raises)."""
+    and C the values of F there, grown until F passes every target or y = 709
+    (see :func:`solve_autonomous_quadrature`, which raises what this raises)."""
     t_max = float(targets.max())
 
     def f(y):  # n times F's integrand in y, e^(y/n) g(e^y)^(-1/n); 0 where g is inf
@@ -158,8 +158,8 @@ def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
     # g may overflow to inf far out, where the integrand is 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lefts, cums, y, c_last = [], [[0.0]], math.log(u0), 0.0
-        while c_last <= t_max and y < Y_CAP:
-            z = min(y + _PANEL * _CHUNK, Y_CAP)
+        while c_last <= t_max and y < 709.0:
+            z = min(y + _PANEL * _CHUNK, 709.0)
             cuts = np.union1d(np.append(np.arange(y, z, _PANEL), z), bps[(bps > y) & (bps < z)])
             edges, val = panels(f, cuts)
             lefts.append(edges[:-1])
@@ -167,19 +167,16 @@ def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
             y, c_last = z, float(cums[-1][-1])
 
         if t_max > c_last:
-            # quad sums the tail to e^709 ~ 8e307; the rest past the last unit step of y
-            # where g is finite, extrapolated from its decay, must be within QUAD_TOL
+            # F's rest past e^709, extrapolated from the decay of f at the last unit
+            # steps of y where g is finite, must be within QUAD_TOL of F there
             t = float(targets[targets > c_last].min())
-            total = c_last + quad(f, np.append(np.arange(y, 709.0, _PANEL), max(709.0, y))) / n
             samples = f(np.arange(math.log(u0), max(709.0, math.log(u0) + 1.0)))
-            converges = rest(samples) <= QUAD_TOL * n * total
-            if converges and total < t:
-                raise FiniteEscapeError(f"majorant escapes at finite time ~{total!r} < target {t!r}",
-                                        escape_time=total)
-            why = ""
-            if len(samples) and not samples.any():  # f is 0 only where g is inf
+            if rest(samples) <= QUAD_TOL * n * c_last:
+                raise FiniteEscapeError(f"majorant escapes at finite time ~{c_last!r} < target {t!r}",
+                                        escape_time=c_last)
+            if not samples.any():  # f is 0 only where g is inf
                 why = f": g overflows from s ~ {u0!r}, so F's tail cannot be shown to converge"
-            elif not converges and total < t:
+            else:
                 why = (": F is still below t at s = e^709 and its tail cannot be shown to converge,"
                        " so the majorant leaves the float range before t")
             raise BracketFailureError(f"could not bracket target t={t!r} below the overflow cap{why}")

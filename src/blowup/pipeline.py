@@ -294,8 +294,6 @@ def _stage(name):
     """Relabel a failure inside the block as a StageError of this stage."""
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 

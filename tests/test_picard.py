@@ -111,7 +111,7 @@ class TestQuadratureInversion:
             solve_autonomous_quadrature(make_power(lam), 1, 1.0, [t])
 
     def test_overflow_from_the_start_is_named(self):
-        # u0 lies past Y_CAP and g = s^2 is inf at every unit step of y from
+        # u0 lies past e^660 and g = s^2 is inf at every unit step of y from
         # log(u0) (past 709 for 1e308), so no tail sample can show that F converges
         for u0 in (1e307, 1e308):
             with pytest.raises(BracketFailureError) as exc:
@@ -170,16 +170,23 @@ class TestQuadratureInversion:
                         points=[2.0] if U > 2.0 else None, epsabs=1e-14, epsrel=1e-13)
             assert abs(F - t) <= 1e-13
 
-    def test_quad_not_called_below_the_cap(self, monkeypatch):
-        # the table does the work; quad is kept for the tail past Y_CAP
-        import blowup.picard as picard
+    def test_targets_up_to_the_float_range(self):
+        # F's table runs on to s = e^709: g = s, n = 1 gives F = log U, and
+        # g = s^0.99 gives F = 100 (U^0.01 - 1), so t = 1e5 at U = 1001^100 ~ e^690.9
+        u = solve_autonomous_quadrature(make_power(1.0), 1, 1.0, [700.0])
+        assert u[0] == pytest.approx(math.exp(700.0), rel=1e-13)
+        u = solve_autonomous_quadrature(make_power(0.99), 1, 1.0, [1e5])
+        assert u[0] == pytest.approx(float(mpmath.mpf(1001) ** 100), rel=1e-11)
 
-        calls = []
-        real = picard.quad
-        monkeypatch.setattr(picard, "quad", lambda *a, **kw: calls.append(a) or real(*a, **kw))
-        u = solve_autonomous_quadrature(make_power(1), 2, 1.0, np.linspace(0.0, 5.0, 2049))
-        assert u[-1] == pytest.approx(math.exp(10.0), rel=1e-13)  # F = log(U) / 2
-        assert len(calls) <= 1
+    @pytest.mark.parametrize("lam", [0.99, 0.999, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_targets_between_e660_and_e709(self, lam, n):
+        # F(U) = (U^a - 1) / (n a), a = (1 - lam) / n, log(U) / n at a = 0
+        ys = np.linspace(661.0, 708.5, 6)
+        a = (1.0 - lam) / n
+        targets = np.expm1(a * ys) / (n * a) if a else ys / n
+        u = solve_autonomous_quadrature(make_power(lam), n, 1.0, targets)
+        assert np.max(np.abs(np.log(u) - ys)) <= 1e-11
 
 
 class TestComparisonBound:
@@ -736,6 +743,15 @@ class TestBoundPreservation:
         traj = integrate(p, 2.0, 1e-10)
         with pytest.raises(InvalidParameterError, match=r"^seed must be an integer >= 0, got -1$"):
             verify_bound_preservation(p, traj, 3, seed=-1)
+
+    def test_half_a_solution_is_refused(self):
+        # v/2 starts at a/2 < a, so the operator's image leaves the box [0, v/2]
+        p = ProblemSpec(m=2, k=0, a=(1.0, 1.0), q=ONE, h=make_power(0.5))
+        v = picard_solve(p.h, 2, p.a, 2.0).trajectory
+        half = Trajectory(ts=v.ts, ys=v.ys / 2.0, dys=v.dys / 2.0, tol=v.tol)
+        rep = verify_bound_preservation(p, half, 20, seed=0)
+        assert not rep.passed and rep.worst_violation > 1.0
+        assert 0 <= rep.worst_trial < 20
 
     @pytest.mark.parametrize("m,a", [(1, (1.0,)), (2, (1.0, 0.0))])
     def test_hundred_trials(self, m, a):

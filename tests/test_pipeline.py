@@ -282,6 +282,19 @@ class TestPipeline:
         assert rep.construction.consistency_sup <= 1e-5
         assert rep.majorization is not None and rep.majorization.passed
 
+    def test_passed_reads_both_gates(self):
+        # a consistency sup past its tol, or a majorization row below -1e-7
+        # relative, fails the report
+        p = ProblemSpec(m=2, k=0, a=(1.0, 1.0), q=ONE, h=make_power(1))
+        rep = run_pipeline(p, horizon=2.0)
+        assert rep.passed
+        con = rep.construction
+        assert not replace(rep, construction=replace(con, consistency_sup=2.0 * con.consistency_tol)).passed
+        tab = rep.majorization
+        for rel, passed in [(-1e-7, True), (math.nextafter(-1e-7, -1.0), False), (-0.5, False)]:
+            rows = (*tab.rows[:-1], replace(tab.rows[-1], margin_min_rel=rel))
+            assert replace(rep, majorization=replace(tab, rows=rows)).passed is passed
+
     def test_blowup_quadratic(self):
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))
         rep = run_pipeline(p, horizon=5.0)

@@ -36,7 +36,11 @@ same bit for bit.  The groups:
 - zero-data: ``integrate``, ``detect_blowup`` and ``run_pipeline`` on
   all-zero data, h = s^lam with lam in {0.5, 1, 2}, m = 1-3 and every k,
   with a constant q and with a q that jumps inside the horizon, whose
-  trajectories carry the solution 0 across the jump.
+  trajectories carry the solution 0 across the jump;
+- inversion-reach: ``solve_autonomous_quadrature`` of power g with lam in
+  {0.99, 0.999, 1}, n = 1-3 and u0 = 1 at targets between F(e^660) and
+  F(e^709), the end of the float range, and the escape time of power(2)
+  from 1.
 
 Every group that runs pipelines (global-construct, blowup-ladder,
 powerlog-pipeline, piecewise-lift, zero-data) also hashes each constructed
@@ -280,6 +284,25 @@ def zero_data_group() -> Group:
     return group
 
 
+def inversion_reach_group() -> Group:
+    group = Group("inversion-reach lam=0.99,0.999,1 n=1-3")
+    ys = np.linspace(661.0, 708.5, 6)  # log U of the targets
+    for lam in (0.99, 0.999, 1.0):
+        for n in (1, 2, 3):
+            a = (1.0 - lam) / n  # F(U) = (U^a - 1) / (n a), log(U) / n at a = 0
+            targets = np.expm1(a * ys) / (n * a) if a else ys / n
+            try:
+                u = blowup.solve_autonomous_quadrature(blowup.make_power(lam), n, 1.0, targets)
+            except blowup.BlowupError as e:
+                u = e
+            group.add((lam, n, targets, u))
+    try:
+        blowup.solve_autonomous_quadrature(blowup.make_power(2.0), 1, 1.0, [1.5])
+    except blowup.FiniteEscapeError as e:
+        group.add(e.escape_time)
+    return group
+
+
 def main() -> None:
     groups = [
         lambda: workload_group("global-construct", (1, 4), 4),
@@ -292,6 +315,7 @@ def main() -> None:
         piecewise_lift_group,
         ladder_group,
         zero_data_group,
+        inversion_reach_group,
     ]
     for make in groups:
         print(make().line(), flush=True)
