@@ -69,7 +69,7 @@ __all__ = [
 
 ESCAPE_THRESHOLD = 1e12
 MIN_STEP_FACTOR = 1e-13
-DEFAULT_THRESHOLDS = tuple(np.geomspace(10.0, 1e12, 12))
+DEFAULT_THRESHOLDS = tuple(np.geomspace(10.0, ESCAPE_THRESHOLD, 12))
 # Internal multiplier on the user tolerance: the per-step estimate controls
 # the embedded 5th- and 3rd-order errors while the 8th-order solution is
 # propagated, so the margin buys global accuracy near the user tol on
@@ -398,13 +398,13 @@ class StepStats:
     evaluations of the top derivative the integration made, inside the step
     or through ``ProblemSpec.rhs``: twelve per attempted step (one cut short
     by a failing stage included), one per slope taken outside the step (the
-    start, each segment start, an escape), and three per step that crosses a
-    rung or the escape level, whose continuous extension the integration
-    builds to find the crossing.  Every cell's extension, a crossing step's
-    again, is built when the trajectory is first read there (see
-    :class:`Trajectory`), and those three evaluations per cell are not
-    counted here.  ``rejected`` steps
-    failed the error test; ``retries`` followed a failed stage."""
+    start, each restart at a jump of q, an escape), and three per step that
+    crosses a rung (the escape level is the last rung), whose continuous
+    extension the integration builds to find the crossing.  Every cell's
+    extension, a crossing step's again, is built when the trajectory is
+    first read there (see :class:`Trajectory`), and those three evaluations
+    per cell are not counted here.  ``rejected`` steps failed the error
+    test; ``retries`` followed a failed stage."""
 
     evals: int
     accepted: int
@@ -632,8 +632,10 @@ class BlowupReport:
 
 def integrate(p: ProblemSpec, T: float, tol: float = 1e-9):
     """Integrate up to T; returns a Trajectory, or a BlowupEvent if the
-    state escapes ESCAPE_THRESHOLD (or the step collapses) first."""
-    return _integrate_events(p, T, tol, ())[0]
+    largest component of the state reaches ESCAPE_THRESHOLD (or the step
+    collapses) first.  This is the one-rung ladder: :func:`detect_blowup`'s
+    run with thresholds (ESCAPE_THRESHOLD,) and no tail."""
+    return _integrate_events(p, T, tol, (ESCAPE_THRESHOLD,))[0]
 
 
 def _coefficients(h, y0, y1, d0, d1, rows):
@@ -664,22 +666,6 @@ def _continuous(th, y0, y1, F):
     if isinstance(th, float):
         return y0 + th * (F0 + s * g) if th <= 0.5 else y1 + s * (th * g - F0)
     return np.where(th <= 0.5, y0 + th * (F0 + s * g), y1 + s * (th * g - F0))
-
-
-def _step_cell(t0, t1, y0, y1, d0, d1, dense):
-    """The continuous extension of the accepted step [t0, t1] as a function
-    of t, one float per component."""
-    h, m = t1 - t0, len(y0)
-    cells = [(a, b, _coefficients(h, a, b, da, db, dense[i::m]))
-             for i, (a, b, da, db) in enumerate(zip(y0, y1, d0, d1))]
-    return lambda t: [_continuous((t - t0) / h, *cell) for cell in cells]
-
-
-def _crossing_time(cell, t0, t1, level):
-    """First time the largest component of a step's continuous extension
-    ``cell`` (see :func:`_step_cell`) reaches ``level`` in [t0, t1], by
-    safeguarded false position on floats (:func:`_find_level`)."""
-    return _find_level(lambda t: max(cell(t)), level, t0, t1)
 
 
 def _hermite_rows(h, y0, y1, d0, d1):
@@ -763,23 +749,24 @@ def _integrate_events(
 ):
     """Core loop.  Returns (Trajectory | BlowupEvent, {M: t_M crossings}, T*).
 
-    The state escapes at the ladder's top, or at ESCAPE_THRESHOLD without
-    one.  At the first threshold a step crosses, ``tail`` (:func:`_tail_rule`)
-    gives T* from the accepted node (t_k, y_k) that starts the step, or from
-    y(0) for data already past it; T* is its last answer that is not nan
-    (nan without one).
-    A T* <= T ends the run as an escape through that threshold, with no
-    crossing above it recorded and the trajectory ending at the crossing,
-    after (t_k, y_k).  Otherwise the run goes on, and the step's other
-    crossings are recorded without asking again: the node is the same."""
+    ``thresholds`` is the ladder, increasing; its last rung is the escape.
+    A step whose largest component reaches the next rung records each rung
+    it crosses at the first time the largest component of its continuous
+    extension reaches it.  At the first rung a step crosses, ``tail``
+    (:func:`_tail_rule`) gives T* from the accepted node (t_k, y_k) that
+    starts the step, or from y(0) for data already past it; T* is its last
+    answer that is not nan (nan without one).  A T* <= T ends the run as an
+    escape through that rung, with no crossing above it recorded, and so
+    does the last rung; the trajectory then ends at the crossing, after
+    (t_k, y_k).  Otherwise the run goes on, and the step's other crossings
+    are recorded without asking again: the node is the same."""
     tol = check_tol(tol)
     if not (0.0 < T < math.inf):
         raise InvalidParameterError(f"T must be > 0 and finite, got {T!r}")
 
     y = list(p.a)
     crossings: dict[float, float] = {}
-    pending = sorted(float(M) for M in thresholds)
-    escape = pending[-1] if pending else ESCAPE_THRESHOLD
+    pending = list(thresholds)
 
     evals = accepted = rejected = retries = 0
     t_blow = math.nan
@@ -797,21 +784,23 @@ def _integrate_events(
         return BlowupEvent(float(t_event), reason, traj), crossings, t_blow
 
     def climb(t, y, t_end, y_end, cell=None):
-        """Record each rung y_end reaches where ``cell`` on [t, t_end] crosses
-        it (at t without one), asking the tail once, from the node (t, y):
-        the rung whose T* <= T ends the run, else the escape level."""
+        """Record each rung y_end reaches, where the largest component of
+        ``cell``, the step's continuous extension on [t, t_end], reaches it
+        (at t without one), asking the tail once, from the node (t, y).
+        Returns the rung the run stops at: the first whose T* <= T, or else
+        the last rung; None while rungs are left."""
         nonlocal t_blow
         ask = tail
         while pending and max(y_end) >= pending[0]:
             M = pending.pop(0)
-            crossings[M] = _crossing_time(cell, t, t_end, M) if cell else t
+            crossings[M] = _find_level(lambda s: max(cell(s)), M, t, t_end) if cell else t
             if ask:
                 ask = None
                 answer = tail(t, y)
                 t_blow = t_blow if math.isnan(answer) else answer
                 if answer <= T:
                     return M
-        return escape
+        return None if pending else M
 
     # The state and slopes are lists of floats and the step works on scalar
     # locals: numpy's per-call overhead dominates on states of one to three
@@ -830,9 +819,8 @@ def _integrate_events(
     # are zero
     ts, ys, dys, cells = [t], [y], [f], []
 
-    # initial escape check (data may already sit above thresholds)
-    level = climb(t, y, t, y)
-    if level < escape or max(map(abs, y)) >= escape:
+    # data may already sit past rungs, the last one too
+    if climb(t, y, t, y) is not None:
         return finish("escape", 0.0)
 
     eff_tol = tol * TOL_SAFETY
@@ -844,18 +832,18 @@ def _integrate_events(
         # stage times to hi, so they never see the jump's right limit
         hi = math.nextafter(seg_end, -math.inf)
 
-        # re-evaluate at the segment start: q may jump there, so a restart
-        # inside the span repeats the node with the right-limit derivative
-        f = y[1:] + [rhs(t, y)]
-        evals += 1
-        if inline:
-            arg = (p.k, p.q.fn(t), *p.h.params)
-        segment = (extend, arg, hi)
         if t > 0.0:
+            # a restart: q may jump here, so the node repeats with the
+            # right-limit derivative
+            f = y[1:] + [rhs(t, y)]
+            evals += 1
             ts.append(t)
             ys.append(y)
             dys.append(f)
             cells.append(None)
+        if inline:
+            arg = (p.k, p.q.fn(t), *p.h.params)
+        segment = (extend, arg, hi)
         while t < seg_end:
             # min and max written as the builtins pick, without their calls; a
             # step that ends the segment ends on seg_end, which t + h can miss
@@ -868,10 +856,10 @@ def _integrate_events(
             coef = None
             try:
                 y_new, f_new, err, K = step(arg, t, h, hi, y, f, eff_tol)
-                # a step that reaches a rung or the escape level is read
-                # inside: its continuous extension now, whose failed stage
-                # fails the step like any other
-                if err <= 1.0 and (pending and max(y_new) >= pending[0] or max(map(abs, y_new)) >= escape):
+                # a step that reaches the next rung is read inside: its
+                # continuous extension now, whose failed stage fails the step
+                # like any other
+                if err <= 1.0 and max(y_new) >= pending[0]:
                     coef = extend(arg, t, h, hi, y, f, f_new, K)
             except NumericFailureError:
                 err = math.nan
@@ -893,16 +881,21 @@ def _integrate_events(
             accepted += 1
             t_new = seg_end if last else t + h
             if coef is not None:
-                # threshold crossings inside this step, on its continuous
-                # extension (components are monotone in the intended regime;
-                # the bracket kept by _find_level makes it robust regardless)
+                # rung crossings inside this step, on its continuous
+                # extension as a function of time, one float per component
+                # (components are monotone in the intended regime; the
+                # bracket kept by _find_level makes it robust regardless)
                 evals += 3
-                cell = _step_cell(t, t_new, y, y_new, f, f_new, coef)
-                if pending and max(y_new) >= pending[0]:
-                    level = climb(t, y, t_new, y_new, cell)
-                if level < escape or max(map(abs, y_new)) >= escape:
-                    t_star = (crossings[level] if level in crossings
-                              else _crossing_time(cell, t, t_new, level))
+                width = t_new - t
+                ext = [(a, b, _coefficients(width, a, b, da, db, coef[i::p.m]))
+                       for i, (a, b, da, db) in enumerate(zip(y, y_new, f, f_new))]
+
+                def cell(s):
+                    return [_continuous((s - t) / width, *c) for c in ext]
+
+                level = climb(t, y, t_new, y_new, cell)
+                if level is not None:
+                    t_star = crossings[level]
                     y_star = cell(t_star)
                     ts.append(t_star)
                     ys.append(y_star)
@@ -987,7 +980,7 @@ def detect_blowup(
 
     result, crossings, t_blow = _integrate_events(p, horizon, tol, thresholds, _tail_rule(p))
     traj = result.trajectory if isinstance(result, BlowupEvent) else result
-    escapes = tuple((M, crossings[M]) for M in thresholds if M in crossings)
+    escapes = tuple(crossings.items())
 
     times = [tM for _, tM in escapes]
     if any(b < a for a, b in zip(times, times[1:])):

@@ -1,6 +1,7 @@
 import inspect
 import linecache
 import math
+import re
 import sys
 import threading
 import traceback
@@ -113,6 +114,21 @@ _Q = {
     "constant": lambda x: make_constant(10.0 * x),
     "piecewise": lambda x: make_piecewise([((0, 1.0 + x), 0.5), ((1.0 + x, math.inf), 2.0 + x)]),
 }
+
+
+@st.composite
+def in_class_problems(draw):
+    """Problems of the intended class, q, h >= 0 and a >= 0: m <= 3, k < m,
+    a power, powerlog or custom h, a constant q or a q with one jump, and
+    data in [0, 2]."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(0, m - 1))
+    h = _H[draw(st.sampled_from(sorted(_H)))](draw(st.floats(0.1, 1.0)))
+    c, cut = draw(st.floats(0.25, 2.0)), draw(st.none() | st.floats(0.1, 2.5))
+    q = make_constant(c) if cut is None else make_piecewise(
+        [((0, cut), c), ((cut, math.inf), draw(st.floats(0.25, 2.0)))])
+    a = draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m))
+    return ProblemSpec(m=m, k=k, a=tuple(a), q=q, h=h)
 
 
 class TestRhsAgainstReference:
@@ -378,8 +394,8 @@ class TestStepAgainstReference:
 
         def override(t, y):
             calls.append(t)
-            if len(calls) == 4:  # the initial slope, the segment start, stages 2 and 3
-                raise RuntimeError("fourth call")
+            if len(calls) == 3:  # the initial slope, stages 2 and 3
+                raise RuntimeError("third call")
             return 0.5 * float(y[0])
 
         p = ProblemSpec(m=2, k=0, a=(1.0, 0.0), q=ONE, h=make_power(1), f_override=override)
@@ -425,12 +441,12 @@ class TestStepStats:
         s = new.stats
         # through rhs every evaluation is a call, but a failing stage cuts its step short
         assert s.evals == len(calls) if s.retries == 0 else s.evals > len(calls)
-        # twelve per attempt, one at the start, at each segment start and at
-        # an escape, and three for the escape step's extension, which the
+        # twelve per attempt, one at the start, at each restart and at an
+        # escape, and three for the escape step's extension, which the
         # integration reads to find the crossing; no other cell is built
         segments = 1 + sum(0.0 < b < traj.t_end for b in p.q.breakpoints)
         escaped = isinstance(new, BlowupEvent) and new.reason == "escape"
-        assert s.evals == 12 * (s.accepted + s.rejected + s.retries) + 1 + segments + 4 * escaped
+        assert s.evals == 12 * (s.accepted + s.rejected + s.retries) + segments + 4 * escaped
         assert s.accepted == len(traj.ts) - 1 - (segments - 1)
         assert new.stats is traj.stats
         assert (s.retries > 0) == (p is _RETRIED)
@@ -487,13 +503,18 @@ class TestIntegrate:
         with pytest.raises(InvalidParameterError):
             integrate(cosh_problem(), 1.0, 0.5)
 
-    def test_monotone_components(self):
-        # q, h >= 0 and a >= 0: every derivative is nondecreasing
-        p = ProblemSpec(m=3, k=1, a=(0.5, 0.0, 1.0), q=ONE, h=make_power(0.5))
-        traj = integrate(p, 4.0, 1e-9)
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(p=in_class_problems(), T=st.floats(0.5, 3.0), tol=st.sampled_from([1e-6, 1e-9]))
+    @example(p=ProblemSpec(m=3, k=1, a=(0.5, 0.0, 1.0), q=ONE, h=make_power(0.5)), T=4.0, tol=1e-9)
+    def test_monotone_components(self, p, T, tol):
+        # q, h >= 0 and a >= 0: every derivative is nondecreasing from >= 0,
+        # so the escape test reads the largest component, not its size
+        res = integrate(p, T, tol)
+        traj = getattr(res, "trajectory", res)
         for i in range(p.m):
             diffs = np.diff(traj.ys[:, i])
             assert np.min(diffs, initial=0.0) >= -10.0 * traj.tol
+        assert traj.ys.min() >= -10.0 * traj.tol
 
     def test_self_consistency_running_integral(self):
         # w^(m-1)(t) - a_{m-1} equals the running integral of f
@@ -822,7 +843,7 @@ class TestLazyRows:
         monkeypatch.setattr(ProblemSpec, "rhs", lambda self, t, y: calls.append(t) or rhs(self, t, y))
         traj = integrate(p, 1.0, 1e-9)
         s = traj.stats
-        assert s.evals == len(calls) == 12 * (s.accepted + s.rejected + s.retries) + 2
+        assert s.evals == len(calls) == 12 * (s.accepted + s.rejected + s.retries) + 1
         del calls[:]
         t0, t1 = traj.ts[2], traj.ts[3]
         traj(0.5 * (t0 + t1))
@@ -1261,6 +1282,28 @@ class TestDetectBlowup:
         assert rep.t_blow_method == "extrapolated"
         assert len(rep.escape_thresholds) < len(ode.DEFAULT_THRESHOLDS)  # collapsed
         assert abs(rep.t_blow_estimate - 1.0) <= 1e-3
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(p=in_class_problems(), T=st.floats(0.5, 3.0), tol=st.sampled_from([1e-6, 1e-9]))
+    def test_integrate_is_the_one_rung_ladder(self, p, T, tol):
+        # integrate's escape level is the last rung of a ladder of one, so
+        # the ladder's run, asking the tail where there is one, is the same
+        def ladder():
+            return detect_blowup(p, thresholds=(ode.ESCAPE_THRESHOLD,), horizon=T, tol=tol)
+
+        try:
+            res = integrate(p, T, tol)
+        except NumericFailureError as exc:  # so does a step that fails down to the floor
+            with pytest.raises(NumericFailureError, match=f"^{re.escape(str(exc))}$"):
+                ladder()
+            return
+        rep = ladder()
+        traj = getattr(res, "trajectory", res)
+        for name in ("ts", "ys", "dys", "dense"):
+            assert getattr(rep.trajectory, name).tobytes() == getattr(traj, name).tobytes()
+        assert rep.trajectory.stats == traj.stats
+        escaped = isinstance(res, BlowupEvent) and res.reason == "escape"
+        assert rep.escape_thresholds == (((ode.ESCAPE_THRESHOLD, res.t_event),) if escaped else ())
 
     def test_threshold_validation(self):
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))

@@ -37,6 +37,13 @@ same bit for bit.  The groups:
   all-zero data, h = s^lam with lam in {0.5, 1, 2}, m = 1-3 and every k,
   with a constant q and with a q that jumps inside the horizon, whose
   trajectories carry the solution 0 across the jump;
+- escape: ``integrate``, and ``detect_blowup`` with the default ladder, the
+  one-rung ladder (1e12,) and the short ladder (10, 1e3, 1e6), each with its
+  dense output at 101 points, on n = 1 and n = 3 power h, n = 2 powerlog h,
+  a custom h and an ``f_override``, each under a constant q and under a q
+  that jumps before the blow-up, and on data already past 1e12 at t = 0:
+  the escape at ``integrate``'s own level and at a ladder's top rung, which
+  the workloads, whose ladders all end on the tail, do not reach;
 - inversion-reach: ``solve_autonomous_quadrature`` of power g with lam in
   {0.99, 0.999, 1}, n = 1-3 and u0 = 1 at targets between F(e^660) and
   F(e^709), the end of the float range, and the escape time of power(2)
@@ -284,6 +291,38 @@ def zero_data_group() -> Group:
     return group
 
 
+def escape_group() -> Group:
+    group = Group("escape n=1-3 ladders=default,1e12,short")
+    spec = blowup.parse_fn_spec
+    square = spec("power(2.0)")
+    problems = [
+        blowup.ProblemSpec(m=1, k=0, a=(2e12,), q=spec("constant(1.0)"), h=square),
+        blowup.ProblemSpec(m=2, k=1, a=(1.0, 5e12), q=spec("constant(1.0)"), h=square),
+    ]
+    for q in ("constant(1.0)", "piecewise((0,0.25):0.5, (0.25,inf):2.0)"):
+        q = spec(q)
+        problems += [
+            blowup.ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=square),
+            blowup.ProblemSpec(m=3, k=0, a=(1.0, 1.0, 1.0), q=q, h=square),
+            blowup.ProblemSpec(m=2, k=0, a=(1.0, 1.0), q=q, h=spec("powerlog(1.5, 1.0)")),
+            blowup.ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=blowup.make_custom(lambda s: s * s + s, label="s^2+s")),
+            blowup.ProblemSpec(m=2, k=1, a=(0.5, 1.0), q=q, h=square,
+                               f_override=lambda t, y: 0.5 * float(y[1]) ** 2),
+        ]
+    ladders = (blowup.ode.DEFAULT_THRESHOLDS, (1e12,), (10.0, 1e3, 1e6))
+    for p in problems:
+        for ladder in (None, *ladders):
+            try:
+                res = (blowup.integrate(p, 4.0, 1e-9) if ladder is None
+                       else blowup.detect_blowup(p, thresholds=ladder, horizon=4.0, tol=1e-9))
+            except blowup.BlowupError as e:
+                group.add(e)
+                continue
+            traj = getattr(res, "trajectory", res)
+            group.add((res, traj(np.linspace(0.0, traj.t_end, 101))))
+    return group
+
+
 def inversion_reach_group() -> Group:
     group = Group("inversion-reach lam=0.99,0.999,1 n=1-3")
     ys = np.linspace(661.0, 708.5, 6)  # log U of the targets
@@ -315,6 +354,7 @@ def main() -> None:
         piecewise_lift_group,
         ladder_group,
         zero_data_group,
+        escape_group,
         inversion_reach_group,
     ]
     for make in groups:
