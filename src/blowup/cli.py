@@ -243,28 +243,17 @@ def _majorization_csv(path: Path, table) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
-    """Dispatch one experiment; returns the exit status (0 pass / 1 verdict
-    failure / 2 numeric or config error).  Artifacts land in out_dir."""
-    return _guarded(cfg, out_dir)
-
-
-def _config_errors(e: ConfigError, prefix: str = "") -> int:
-    for msg in e.errors:
-        print(f"{prefix}config error: {msg}", file=sys.stderr)
-    return 2
-
-
-def _guarded(cfg: ExperimentConfig, out_dir, **extra) -> int:
     """Run cfg's handler and write its report, ``<run>.txt`` in the output
-    directory (if any) and on stdout; returns the handler's status.  Config
-    and numeric errors map to exit 2."""
+    directory (out_dir, else cfg's ``out``, if any) and on stdout; its
+    artifacts land in that directory.  Returns the exit status (0 pass /
+    1 verdict failure / 2 numeric or config error)."""
     out = Path(out_dir) if out_dir is not None else (Path(cfg.out) if cfg.out else None)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     try:
         if cfg.run is None:
             raise ConfigError(["missing 'run' key"])
-        kv, summary, status = _COMMANDS[cfg.run][0](cfg, out, **extra)
+        kv, summary, status = _COMMANDS[cfg.run][0](cfg, out)
     except ConfigError as e:
         return _config_errors(e)
     except BlowupError as e:
@@ -276,6 +265,12 @@ def _guarded(cfg: ExperimentConfig, out_dir, **extra) -> int:
         (out / f"{cfg.run}.txt").write_text(text)
     print(text, end="")
     return status
+
+
+def _config_errors(e: ConfigError, prefix: str = "") -> int:
+    for msg in e.errors:
+        print(f"{prefix}config error: {msg}", file=sys.stderr)
+    return 2
 
 
 def _need(cfg: ExperimentConfig, *keys: str) -> None:
@@ -314,16 +309,11 @@ def _run_classify(cfg: ExperimentConfig, out: Optional[Path]):
     return kv, [f"{h.spec_text}, n={cfg.n}: {verdict}"], 0
 
 
-def _run_integrate(cfg: ExperimentConfig, out: Optional[Path], csv_path: Optional[Path] = None):
-    """``csv_path`` (the --csv flag) also gets the trajectory CSV."""
+def _run_integrate(cfg: ExperimentConfig, out: Optional[Path]):
     T = cfg.T if cfg.T is not None else 5.0
     result = integrate(cfg.problem(), T, **_given(cfg, "tol"))
     escaped = isinstance(result, BlowupEvent)
     traj = result.trajectory if escaped else result
-    if csv_path is not None:
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        _trajectory_csv(csv_path, traj)
-        print(f"wrote {csv_path} ({len(traj.ts)} rows)")
     if out is not None:
         _trajectory_csv(out / "trajectory.csv", traj)
     kv = [
@@ -456,10 +446,10 @@ def _run_pipeline_cmd(cfg: ExperimentConfig, out: Optional[Path]):
 # argument parsing
 
 # run -> (handler, help, flags beyond --config and --out); each flag sets
-# the config key of its name, except integrate's --csv
+# the config key of its name
 _COMMANDS = {
     "classify": (_run_classify, "integral test for the nonlinearity", ("h", "n", "alpha")),
-    "integrate": (_run_integrate, "integrate the problem up to T", ("T", "tol", "csv")),
+    "integrate": (_run_integrate, "integrate the problem up to T", ("T", "tol")),
     "detect-blowup": (_run_detect_blowup, "escape ladder and blow-up time", ("horizon", "tol")),
     "construct": (_run_construct, "monotone tower construction", ("T", "tol")),
     "majorize": (_run_majorize, "level-doubling comparison experiment", ("J", "horizon", "tol")),
@@ -476,7 +466,7 @@ def _flag_type(key: str):
         return int
     if key in _REAL_KEYS:
         return float
-    return Path if key in ("config", "csv") else str
+    return Path if key == "config" else str
 
 
 @functools.cache
@@ -526,8 +516,6 @@ def main(argv=None) -> int:
     errors = _semantic_errors(asdict(cfg))  # flags get the config file's checks
     if errors:
         return _config_errors(ConfigError(errors))
-    if getattr(args, "csv", None) is not None:
-        return _guarded(cfg, None, csv_path=args.csv)
     return run_experiment(cfg)
 
 

@@ -317,8 +317,9 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, *, tol: float = 1e-10,
     time that the integral test's tail puts past the horizon labels the case
     BlowUpNotObserved, with a note that gives it.
     Inconclusive: both probes run, no verdict is claimed, and a failing
-    construction stage becomes a note that keeps whatever the stages before
-    it finished.
+    construction stage becomes a note; the report keeps what the stages
+    before it finished: ``constructed`` once the lift has run, and
+    ``construction`` and ``direct`` only once the whole cross-check has.
 
     ``tol`` is the tolerance of the direct integrations (the escape ladder
     and the cross-check), ``thresholds`` the escape ladder's rungs, and
@@ -355,7 +356,54 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, *, tol: float = 1e-10,
     else:
         label = "GlobalConstructed" if verdict is Verdict.DIVERGES else "Inconclusive"
         try:
-            construction, constructed, direct = _construct_and_check(p, red, horizon, tol, notes)
+            with _stage("construct"):
+                a_red = np.asarray(red.a)
+                tower = picard_solve(
+                    red.h,
+                    red.n,
+                    a_red,
+                    float(horizon),
+                    tol=PICARD_TOL,
+                    q=red.q,
+                    majorant_b=a_red + 1.0,
+                )
+                if not tower.converged:
+                    notes.append(
+                        f"tower not converged after {tower.iterations} iterations "
+                        f"(sup gap {tower.sup_gap:.3e})"
+                    )
+                if not tower.grid_converged:
+                    notes.append(
+                        f"tower grid stopped at its cap of {len(tower.grid)} nodes "
+                        f"(discretization gap {tower.discretization_gap:.3e} > tol/4)"
+                    )
+
+            with _stage("lift"):
+                constructed = lift_solution(tower.trajectory, p.a[: p.k], p.k)
+
+            with _stage("cross-check"):
+                solve = integrate(replace(p, f_override=None), float(horizon), tol)
+                if isinstance(solve, BlowupEvent):
+                    raise NumericFailureError(
+                        f"direct integration escaped at t={solve.t_event!r} in the divergent regime"
+                    )
+                sup = float(np.max(np.abs(constructed.ys - solve(constructed.ts))))
+                if p.f_override is not None:
+                    wres = integrate(p, float(horizon), tol)
+                    if isinstance(wres, BlowupEvent):
+                        raise NumericFailureError("driven solution escaped under a global majorant")
+                    sandwich = float(np.min(constructed.ys - wres(constructed.ts)))
+                    notes.append(f"sandwich slack min(v - w) = {sandwich:.3e}")
+                construction = ConstructionReport(
+                    tower_iterations=tower.iterations,
+                    tower_converged=tower.converged,
+                    tower_sup_gap=tower.sup_gap,
+                    discretization_gap=tower.discretization_gap,
+                    consistency_sup=sup,
+                    consistency_tol=CONSISTENCY_TOL,
+                )
+                direct = solve
+
             with _stage("majorize"):
                 # components k.. of the direct cross-check solve the reduced problem
                 table = majorization_experiment(red, direct.reduced(p.k), J=majorize_levels, rho=rho)
@@ -369,57 +417,3 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, *, tol: float = 1e-10,
         construction=construction, constructed=constructed, direct=direct,
         blowup=blow, majorization=table, notes=tuple(notes),
     )
-
-
-def _construct_and_check(p, red, horizon, tol, notes):
-    """Tower on the reduced data, its lift, and the direct cross-check:
-    (construction report, lifted trajectory, direct trajectory)."""
-    with _stage("construct"):
-        a_red = np.asarray(red.a)
-        tower = picard_solve(
-            red.h,
-            red.n,
-            a_red,
-            float(horizon),
-            tol=PICARD_TOL,
-            q=red.q,
-            majorant_b=a_red + 1.0,
-        )
-        if not tower.converged:
-            notes.append(
-                f"tower not converged after {tower.iterations} iterations "
-                f"(sup gap {tower.sup_gap:.3e})"
-            )
-        if not tower.grid_converged:
-            notes.append(
-                f"tower grid stopped at its cap of {len(tower.grid)} nodes "
-                f"(discretization gap {tower.discretization_gap:.3e} > tol/4)"
-            )
-        u_traj = tower.trajectory
-
-    with _stage("lift"):
-        lifted = lift_solution(u_traj, p.a[: p.k], p.k)
-
-    with _stage("cross-check"):
-        direct = integrate(replace(p, f_override=None), float(horizon), tol)
-        if isinstance(direct, BlowupEvent):
-            raise NumericFailureError(
-                f"direct integration escaped at t={direct.t_event!r} in the divergent regime"
-            )
-        sup = float(np.max(np.abs(lifted.ys - direct(lifted.ts))))
-        construction = ConstructionReport(
-            tower_iterations=tower.iterations,
-            tower_converged=tower.converged,
-            tower_sup_gap=tower.sup_gap,
-            discretization_gap=tower.discretization_gap,
-            consistency_sup=sup,
-            consistency_tol=CONSISTENCY_TOL,
-        )
-        if p.f_override is not None:
-            wres = integrate(p, float(horizon), tol)
-            if isinstance(wres, BlowupEvent):
-                raise NumericFailureError("driven solution escaped under a global majorant")
-            sandwich = float(np.min(lifted.ys - wres(lifted.ts)))
-            notes.append(f"sandwich slack min(v - w) = {sandwich:.3e}")
-
-    return construction, lifted, direct

@@ -1,5 +1,7 @@
 import math
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,18 @@ class TestParseConfig:
     def test_comments_and_blanks(self):
         cfg = parse_config("\n# hi\nm = 1  # trailing\nk = 0\na = [0]\n")
         assert cfg.m == 1 and cfg.a == (0.0,)
+
+    @pytest.mark.parametrize("text,message", [
+        ("tol = abc\n", "line 1: tol must be a real number"),
+        ("a = 1\n", "line 1: a must be a [..] list"),
+        ("a = [1, x]\n", "line 1: a must list real numbers"),
+        ("m 1\n", "line 1: expected 'key = value'"),
+        ("m = 1\nm = 2\n", "line 2: duplicate key 'm'"),
+    ], ids=["real", "list", "list-entry", "no-equals", "duplicate"])
+    def test_line_errors_named(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.errors == [message]
 
     def test_round_trip(self):
         cfg = parse_config(GOOD)
@@ -209,16 +223,6 @@ class TestMain:
         assert main(["classify", "--h", "power(2.0)", "--n", "1", "--alpha", "2.0"]) == 0
         assert "estimate=0.25" in capsys.readouterr().out
 
-    def test_integrate_csv_flag(self, tmp_path, capsys):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("m = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(1.0)\n")
-        csv = tmp_path / "out.csv"
-        assert main([
-            "integrate", "--config", str(cfg), "--T", "2.0", "--tol", "1e-9",
-            "--csv", str(csv),
-        ]) == 0
-        assert csv.read_text().splitlines()[0] == "t,w0"
-
     def test_integrate_reports_an_escape(self, tmp_path, capsys):
         # w' = w^2 from 1 blows up at t = 1, before T = 2
         cfg = tmp_path / "p.cfg"
@@ -266,10 +270,11 @@ class TestMain:
     @pytest.mark.parametrize("command,cfg_text,flags", [
         ("classify", "h = power(2.0)\nn = 1\n", []),
         ("classify", "h = powerlog(1.0, 2.0, 2.718281828459045)\nn = 1\n", ["--alpha", "2.0"]),
+        ("integrate", "m = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(1.0)\n", ["--T", "2.0"]),
         ("detect-blowup", GOOD, []),
         ("construct", "h = power(0.6)\nn = 1\nb = [1]\nT = 1.0\n", []),
         ("pipeline", "m = 2\nk = 1\na = [1, 1]\nq = constant(1.0)\nh = power(1.0)\n", ["--horizon", "2.0"]),
-    ], ids=["classify", "classify-scaled", "detect-blowup", "construct", "pipeline"])
+    ], ids=["classify", "classify-scaled", "integrate", "detect-blowup", "construct", "pipeline"])
     def test_stdout_is_the_report(self, command, cfg_text, flags, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(cfg_text)
@@ -279,6 +284,13 @@ class TestMain:
         for line in stdout.splitlines():
             assert line == "" or line.startswith("# ") or re.match(r"[^\s=#]+=", line), line
         assert stdout == (out / f"{command}.txt").read_text()
+
+    def test_integrate_has_no_csv_flag(self, tmp_path, capsys):
+        # the trajectory CSV is an --out artifact, as every run's CSVs are
+        with pytest.raises(SystemExit) as exc:
+            main(["integrate", "--csv", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,cfg_text", [
         ("integrate", "m = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(2.0)\n"),
@@ -413,6 +425,16 @@ class TestSurface:
         assert f"config error: run {command} reads no tol" in capsys.readouterr().err
         with pytest.raises(ConfigError, match="reads no tol"):
             parse_config(f"run = {command}\n" + text + "tol = 1e-6\n")
+
+    def test_readme_command_lines_parse(self):
+        # every example in README's "Command line" block is a valid invocation
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("blowup ")]
+        assert len(lines) == 7
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            assert cli._parser().parse_args(argv).command == argv[0]
 
     def test_empty_thresholds_run_the_default_ladder(self, tmp_path):
         base = "run = detect-blowup\nm = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(2.0)\n"

@@ -541,6 +541,19 @@ class TestIntegrate:
         assert traj.ts[~traj.distinct].tolist() == [1.0]
         assert traj.dys[traj.ts == 1.0, 0].tolist() == [0.5, 2.0]
 
+    def test_collapse_at_a_restart_ends_on_one_copy_of_the_node(self):
+        # two jumps of q an ulp apart leave a piece narrower than the least
+        # step: the run restarts at the first jump, collapses there, and
+        # drops the restart's second copy of that node
+        q = make_piecewise([((0, 0.05), 1.0), ((0.05, 0.05000000000000001), 1.0),
+                            ((0.05000000000000001, math.inf), 1.0)])
+        ev = integrate(ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(1)), 1.0, 1e-9)
+        assert isinstance(ev, BlowupEvent)
+        assert (ev.reason, ev.t_event) == ("step-collapse", 0.05)
+        traj = ev.trajectory
+        assert traj.ts[-2:].tolist() == [0.01, 0.05]
+        assert traj(traj.t_end).tolist() == traj.ys[-1].tolist()
+
     def test_step_onto_a_jump_lands_on_it(self):
         # w'' = q w' with w'(0) = 0 stays at w = 1.75, so steps grow until one
         # ends the segment at the second jump; there t + (jump - t) rounds an
@@ -1283,6 +1296,15 @@ class TestDetectBlowup:
         assert len(rep.escape_thresholds) < len(ode.DEFAULT_THRESHOLDS)  # collapsed
         assert abs(rep.t_blow_estimate - 1.0) <= 1e-3
 
+    def test_first_order_tail_refuses_a_state_at_zero(self):
+        # w'' = w'^2 from w' = 0: w stays at 20, past the first rung at t = 0,
+        # and the tail from u = w' = 0 gives no T*
+        p = ProblemSpec(m=2, k=1, a=(20.0, 0.0), q=ONE, h=make_power(2))
+        rep = detect_blowup(p, horizon=1.0)
+        assert rep.kind is BlowupKind.GLOBAL_UP_TO_HORIZON
+        assert rep.escape_thresholds == ((10.0, 0.0),)
+        assert rep.t_blow_estimate is None
+
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(p=in_class_problems(), T=st.floats(0.5, 3.0), tol=st.sampled_from([1e-6, 1e-9]))
     def test_integrate_is_the_one_rung_ladder(self, p, T, tol):
@@ -1676,3 +1698,15 @@ class TestAitken:
 
     def test_short_input(self):
         assert aitken_blowup_estimate([1.5]) == 1.5
+
+    def test_empty_input_refused(self):
+        with pytest.raises(InvalidParameterError, match="at least one escape time"):
+            aitken_blowup_estimate([])
+
+    def test_stage_moving_the_deepest_entry_back_is_not_taken(self):
+        # the one stage is (2.0, 0.5): its deepest entry lies behind 2.5
+        assert aitken_blowup_estimate([0.0, 1.0, 1.5, 2.5]) == 2.5
+
+    def test_stage_that_is_not_finite_stops(self):
+        # a nan time makes the first stage's last two entries nan
+        assert aitken_blowup_estimate([0.0, 1.0, 1.5, math.nan, 1.875]) == 1.875

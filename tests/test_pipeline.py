@@ -463,6 +463,22 @@ class TestPipeline:
             run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1)), horizon=1.0)
         assert exc.value.stage == "majorize"
 
+    def test_inconclusive_keeps_the_lift_when_the_cross_check_fails(self):
+        # h(s) = s declares no exponent, so the test is inconclusive; the tower
+        # and its lift reach the horizon, the direct solve escapes before it
+        h = make_custom(lambda s: s)
+        rep = run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=h), horizon=30.0)
+        assert rep.label == "Inconclusive"
+        assert rep.constructed is not None and rep.constructed.t_end == 30.0
+        assert rep.direct is None and rep.construction is None and rep.majorization is None
+        assert rep.notes == (
+            INCONCLUSIVE_NOTE,
+            "tower not converged after 60 iterations (sup gap 5.094e+06)",
+            "tower grid stopped at its cap of 16385 nodes (discretization gap 4.102e-02 > tol/4)",
+            "construction probe failed: stage 'cross-check' failed: "
+            "direct integration escaped at t=27.63102111592997 in the divergent regime",
+        )
+
     def test_osgood_divergent_majorant_leaving_floats_is_named(self):
         # a divergent test makes the construction's failure the pipeline's own
         h = parse_fn_spec("powerlog(1, 1)")
