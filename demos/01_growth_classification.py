@@ -41,7 +41,7 @@ for alpha in (0.5, 2.0, 10.0):
     print(f"  alpha={alpha:4}: {classify_scaled(h, 1, alpha)}")
 
 print()
-print("functions without a declared exponent go through dyadic panels:")
+print("functions without a declared exponent are integrated out to the float range:")
 fast = make_custom(lambda s: s ** 3, label="cubed (undeclared)")
 v = classify(fast, 1)
 print(f"  s^3 (undeclared), n=1: {v.verdict.value} after {v.panels_used} panels,"
@@ -57,4 +57,4 @@ print(f"  sqrt (undeclared), n=1: {v.verdict.value} after {v.panels_used} panels
 mystery = make_custom(lambda s: s * s / (1.0 + s), label="s^2/(1+s)")
 v = classify(mystery, 1)
 print(f"  s^2/(1+s), n=1: {v.verdict.value} after {v.panels_used} panels "
-      f"(cumulative only {v.evidence['cumulative']:.3g}: too slow to prove)")
+      f"(cumulative only {v.evidence['cumulative']:.3g} and the integrand has not decayed: too slow to prove)")

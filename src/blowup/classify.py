@@ -12,9 +12,12 @@ functions h(s) = s^lam the test reduces to the exact threshold: divergent
 iff lam <= 1, for every n.
 
 Verdicts are exact for the built-in families (and for any function with a
-declared asymptotic exponent != 1); everything else goes through a dyadic
-panel quadrature with honest Inconclusive as the fallback — a numeric
-routine cannot prove divergence, it can only exceed a cap.  Every piece of
+declared asymptotic exponent != 1); any other h is integrated out to the
+float range, the last unit step of y = log s below 710 where h is finite,
+and is Diverges once the running integral passes DIVERGE_CAP, Converges
+where the rest past that step is within QUAD_TOL of the integral, and
+honest Inconclusive otherwise — a numeric routine cannot prove divergence,
+it can only exceed a cap.  Every piece of
 I = int_0^inf h(e^y)^(-1/n) e^(y/n) dy is computed in y = log s by
 :mod:`blowup.quadrature`.
 """
@@ -58,19 +61,19 @@ class Method(str, Enum):
     NUMERIC_HEURISTIC = "NumericHeuristic"
 
 
-# Caps and thresholds of the numeric heuristic
-DIVERGE_CAP = 1e9      # cumulative integral beyond this -> Diverges
-TAIL_EPS = 1e-10       # relative panel contribution for convergence
-TAIL_STREAK = 4        # consecutive small panels required
-J_MAX = 256            # dyadic panels [2^j, 2^(j+1)], j < J_MAX
+DIVERGE_CAP = 1e9      # the numeric path's running integral beyond this -> Diverges
 
 
 @dataclass(frozen=True)
 class IntegralVerdict:
     verdict: Verdict
     estimate: Optional[float]     # value of the integral, when convergent
-    panels_used: int
+    panels_used: int              # doubling panels in y the numeric path ran; 0 when exact
     method: Method
+    # cumulative: the integral over those panels (when exact, the estimate or 0.0);
+    # last_panel: the last one's integral; cap_hit: cumulative passed DIVERGE_CAP;
+    # tail_bound: quadrature.rest past them, inf where the integrand does not
+    # decay there (None when exact or past the cap)
     evidence: dict = field(default_factory=dict)
 
     def __str__(self):
@@ -118,7 +121,7 @@ def _classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
     if exact is not None:
         verdict, est = exact
         return _verdict(verdict, Method.EXACT_FAMILY, est, cumulative=0.0 if est is None else est)
-    return _panel_classify(_at_scale(h, scale), n)
+    return _numeric_verdict(_at_scale(h, scale), n)
 
 
 def _at_scale(h: ScalarFn, scale: float) -> ScalarFn:
@@ -154,7 +157,9 @@ def _exact_verdict(h: ScalarFn, n: int, scale: float) -> Optional[tuple]:
     if lam is not None and lam != 1.0:
         if lam < 1.0:
             return Verdict.DIVERGES, None
-        return Verdict.CONVERGES, _declared_estimate(_at_scale(h, scale), n)
+        # the estimate only where the rest past the table is within QUAD_TOL of I
+        total, _, _, tail = _custom_integral(_at_scale(h, scale), n)
+        return Verdict.CONVERGES, total if tail <= QUAD_TOL * total else None
 
     return None
 
@@ -189,56 +194,33 @@ def _powerlog_estimate(lam, sigma, shift, n, scale) -> float:
     return scale ** (-lam / n) * (_y_integral(fy, Y) + tail)
 
 
-def _declared_estimate(h: ScalarFn, n: int) -> Optional[float]:
-    """I for a custom h with declared exponent > 1, up to the last unit step of y < 710
-    with h finite; None when the rest past it (as in the inversion) exceeds QUAD_TOL of I."""
-    y_end = 0.0
+def _custom_integral(h: ScalarFn, n: int) -> tuple:
+    """(total, last panel, panels run, rest) of I for a custom h, in y = log s from 0 to
+    y_end, the last unit step of y < 710 with h finite, on :func:`_y_integral`'s panels
+    run one by one.  The rest past y_end is quadrature.rest of the last two unit steps,
+    or inf where the running total passes DIVERGE_CAP: the table stops there, before a
+    growing integrand can overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for y in range(1, 710):
-            try:
-                if not math.isfinite(h(math.exp(y))):
-                    break
-            except OverflowError:  # a float ** overflows where numpy gives inf
-                break
-            y_end = float(y)
+        finite = np.isfinite(h.eval_array(np.exp(np.arange(1.0, 710.0))))
+    y_end = float(np.argmin(np.append(finite, False)))
     fy = _in_y(h, n)
-    total = _y_integral(fy, y_end)
-    return total if rest(fy(np.arange(max(y_end - 1.0, 0.0), y_end + 1.0))) <= QUAD_TOL * total else None
+    lo = total = 0.0
+    for j, hi in enumerate(y_end / 2.0 ** np.arange(10, -1, -1)):
+        panel, lo = integral(fy, [lo, hi]), hi
+        total += panel
+        if total >= DIVERGE_CAP:
+            return total, panel, j + 1, math.inf
+    return total, panel, j + 1, rest(fy(np.arange(max(y_end - 1.0, 0.0), y_end + 1.0)))
 
 
-def _panel_classify(h: ScalarFn, n: int) -> IntegralVerdict:
-    cumulative = prev_panel = 0.0
-    streak = 0
-    for j in range(J_MAX):
-        # the dyadic panel [2^j, 2^(j+1)] of s is [j log 2, (j+1) log 2] in y
-        panel = integral(_in_y(h, n), np.array([j, j + 1.0]) * math.log(2.0))
-        if not math.isfinite(panel):
-            raise NumericFailureError(f"quadrature failed on panel [{2.0 ** j}, {2.0 ** (j + 1)}]")
-        cumulative += panel
-
-        if cumulative >= DIVERGE_CAP:
-            return _verdict(Verdict.DIVERGES, Method.NUMERIC_HEURISTIC, None, j + 1,
-                            cumulative=cumulative, last_panel=panel, cap_hit=True)
-
-        if panel / max(cumulative, 1.0) < TAIL_EPS:
-            streak += 1
-        else:
-            streak = 0
-
-        ratio = panel / prev_panel if prev_panel > 0.0 else 1.0
-        if streak >= TAIL_STREAK and ratio < 0.9:
-            # sampled check that the integrand in s decays beyond the panel;
-            # where h has overflowed to inf the integrand is 0, decayed
-            s = 2.0 ** (j + 1 + np.arange(4))
-            with np.errstate(over="ignore"):
-                finite = h.eval_array(s) != math.inf
-            f = np.zeros(len(s))
-            f[finite] = blowup_integrand(h, n, s[finite])
-            if np.all(f[1:] <= f[:-1] * 1.0000001):
-                tail = panel * ratio / (1.0 - ratio)
-                return _verdict(Verdict.CONVERGES, Method.NUMERIC_HEURISTIC, cumulative + tail, j + 1,
-                                cumulative=cumulative, last_panel=panel, tail_bound=tail)
-        prev_panel = panel
-
-    return _verdict(Verdict.INCONCLUSIVE, Method.NUMERIC_HEURISTIC, None, J_MAX,
-                    cumulative=cumulative, last_panel=panel)
+def _numeric_verdict(h: ScalarFn, n: int) -> IntegralVerdict:
+    """Diverges once the running integral passes DIVERGE_CAP, Converges with I where
+    the rest is within QUAD_TOL of I, else Inconclusive."""
+    total, panel, used, tail = _custom_integral(h, n)
+    if total >= DIVERGE_CAP:
+        return _verdict(Verdict.DIVERGES, Method.NUMERIC_HEURISTIC, None, used,
+                        cumulative=total, last_panel=panel, cap_hit=True)
+    verdict, estimate = ((Verdict.CONVERGES, total) if tail <= QUAD_TOL * total
+                         else (Verdict.INCONCLUSIVE, None))
+    return _verdict(verdict, Method.NUMERIC_HEURISTIC, estimate, used,
+                    cumulative=total, last_panel=panel, tail_bound=tail)

@@ -83,7 +83,8 @@ class ScalarFn:
         """Evaluate on an array, falling back to a scalar loop for callables
         that do not broadcast: each call tries ``fn`` on the whole array once,
         and loops over the elements where that raises TypeError or ValueError
-        or returns another shape."""
+        or returns another shape.  In the loop an OverflowError (``math.exp``,
+        a float ``**``) reads as inf, the value numpy gives."""
         arr = np.asarray(s, dtype=float)
         try:
             out = np.asarray(self.fn(arr), dtype=float)
@@ -91,7 +92,13 @@ class ScalarFn:
                 return out
         except (TypeError, ValueError):
             pass
-        return np.array([float(self.fn(x)) for x in arr.ravel()]).reshape(arr.shape)
+        return np.array([self._scalar(x) for x in arr.ravel()]).reshape(arr.shape)
+
+    def _scalar(self, x: float) -> float:
+        try:
+            return float(self.fn(x))
+        except OverflowError:
+            return math.inf
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"ScalarFn({self.spec_text})"

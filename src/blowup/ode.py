@@ -705,7 +705,10 @@ def _find_level(value, level, lo, hi):
     a farther one is left to bisection, which a longer gallop would only put
     off.  A bisection step is taken when the point is still not strictly
     inside the bracket, or when the end residuals do not bracket the level
-    (a lo where value >= level after all), until they do.  Bisection halves
+    (a lo where value >= level after all), until they do, and after two
+    plain false-position points in a row (no ulp try between) that each move
+    the end the point before moved and leave more than half the bracket,
+    which bounds a walk up from lo by Illinois halvings.  Bisection halves
     the width of a bracket with hi <= 2 lo, and the count of floats in a
     wider one with lo >= 0 (:func:`_float_mid`): on a
     crossing many binades below hi, where the false-position point rounds to
@@ -714,29 +717,32 @@ def _find_level(value, level, lo, hi):
     it reaches the level, the same as bisecting down to adjacent floats; on
     the integrator's cells it takes about a fifth of the evaluations, 9 to
     10 a crossing, ends included."""
-    r_lo, r_hi, kept = value(lo) - level, value(hi) - level, 0
+    r_lo, r_hi, kept, slow = value(lo) - level, value(hi) - level, 0, 0
     k_lo = k_hi = 1  # the next try at that end lies k floats from it
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # so a float lies strictly inside
-        t = lo
-        if r_lo < 0.0 <= r_hi:
+        t, plain, width = lo, False, hi - lo
+        if r_lo < 0.0 <= r_hi and slow < 2:
             t = hi - r_hi * ((hi - lo) / (r_hi - r_lo))
             if t <= lo and k_lo <= 4:
                 t, k_lo = lo + k_lo * math.ulp(lo), 2 * k_lo
             elif t >= hi and k_hi <= 4:
                 t, k_hi = hi - k_hi * math.ulp(hi), 2 * k_hi
+            else:
+                plain = lo < t < hi
         if not lo < t < hi:
             t = _float_mid(lo, hi) if 0.0 <= 2.0 * lo < hi else mid
         r = value(t) - level
-        if r < 0.0:
+        side = -1 if r < 0.0 else 1
+        if side < 0:
             lo, r_lo = t, r
             if kept < 0:
                 r_hi *= 0.5
-            kept = -1
         else:
             hi, r_hi = t, r
             if kept > 0:
                 r_lo *= 0.5
-            kept = 1
+        slow = slow + 1 if plain and side == kept and hi - lo > 0.5 * width else 0
+        kept = side
     return hi
 
 

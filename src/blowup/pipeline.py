@@ -385,7 +385,8 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, *, tol: float = 1e-10,
                 solve = integrate(replace(p, f_override=None), float(horizon), tol)
                 if isinstance(solve, BlowupEvent):
                     raise NumericFailureError(
-                        f"direct integration escaped at t={solve.t_event!r} in the divergent regime"
+                        f"direct integration escaped at t={solve.t_event!r}; "
+                        f"the integral test gave {verdict.value}"
                     )
                 sup = float(np.max(np.abs(constructed.ys - solve(constructed.ts))))
                 if p.f_override is not None:

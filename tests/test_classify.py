@@ -178,12 +178,13 @@ class TestConstantAndCustom:
         assert classify(h, 1).verdict is Verdict.INCONCLUSIVE
 
     @pytest.mark.parametrize("fn, exact", [
-        (lambda s: np.exp(s), math.exp(-1.0)),  # the decay check reaches h(1024) = inf
-        (lambda s: s ** 200.0, 1.0 / 199.0),    # and here h(64) = inf
-    ], ids=["exp", "s^200"])
+        (lambda s: np.exp(s), math.exp(-1.0)),    # h(e^7) = inf
+        (lambda s: math.exp(s), math.exp(-1.0)),  # the same, where math.exp raises OverflowError
+        (lambda s: s ** 200.0, 1.0 / 199.0),      # and here h(e^4) = inf
+    ], ids=["exp", "math-exp", "s^200"])
     def test_overflowing_h_has_decayed(self, fn, exact):
-        # where h overflows to inf the integrand is 0, so the sampled decay
-        # check passes instead of refusing the verdict
+        # the integral stops at the last unit step of y = log s where h is
+        # finite, and the rest past it is far below QUAD_TOL of I
         v = classify(make_custom(fn), 1)
         assert v.verdict is Verdict.CONVERGES
         assert v.method is Method.NUMERIC_HEURISTIC
@@ -270,8 +271,9 @@ class TestAgainstClosedForm:
         if v.verdict is not Verdict.INCONCLUSIVE:
             assert (v.verdict is Verdict.CONVERGES) == (lam > 1.0 or (lam == 1.0 and sigma > n))
         elif kind != "undeclared":
-            # an undeclared h goes through the dyadic panel heuristic, which
-            # may stop short near lam = 1; the other kinds are settled exactly
+            # an undeclared h is integrated out to the float range, where a
+            # rest near lam = 1 may still be too large to settle; the other
+            # kinds are settled exactly
             assert lam == 1.0
 
 
@@ -300,10 +302,23 @@ class TestEstimateOracles:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("alpha", [None, 0.01])
     def test_declared_exponent(self, n, alpha):
-        h = make_custom(lambda s: 3.0 * s ** 2 * np.log(np.e + s), asymptotic_exponent=2.0)
-        v = classify(h, n) if alpha is None else classify_scaled(h, n, alpha)
+        # and its undeclared twin, which the numeric path settles to the same accuracy
         oracle = mp_integral(lambda s: 3 * s ** 2 * mpmath.log(mpmath.e + s), n, alpha or 1.0)
-        assert v.method is Method.EXACT_FAMILY
+        for declared, method in [(2.0, Method.EXACT_FAMILY), (None, Method.NUMERIC_HEURISTIC)]:
+            h = make_custom(lambda s: 3.0 * s ** 2 * np.log(np.e + s), asymptotic_exponent=declared)
+            v = classify(h, n) if alpha is None else classify_scaled(h, n, alpha)
+            assert v.method is method
+            assert v.estimate == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("n, oracle", [
+        (2, math.sqrt(2.0 * math.pi) * math.erfc(math.sqrt(0.5))),  # int_1^inf e^(-s/2) s^(-1/2) ds
+        (3, 1.0916277113053613),                                     # mpmath
+    ], ids=["n2", "n3"])
+    def test_exponential_h(self, n, oracle):
+        # h = e^s overflows at s ~ 709.8, where the integrand is long decayed
+        v = classify(make_custom(lambda s: np.exp(s)), n)
+        assert v.verdict is Verdict.CONVERGES
+        assert v.method is Method.NUMERIC_HEURISTIC
         assert v.estimate == pytest.approx(oracle, rel=1e-12)
 
 

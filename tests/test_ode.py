@@ -1179,6 +1179,25 @@ class TestCrossing:
         assert ode._find_level(value, 0.0, lo, width) == want == 1.550793025255425e-07
         assert evals <= 10
 
+    def test_find_level_bisects_a_walk_up_from_lo(self):
+        # the last @example of test_find_level_on_drawn_cells: the level an ulp
+        # above value(lo), where each Illinois halving of r_hi doubles the
+        # false-position point's offset from lo; walking up that way to the
+        # crossing takes 104 evaluations, a bisection step after two such
+        # points 74
+        evals = 0
+
+        def value(t):
+            nonlocal evals
+            evals += 1
+            return t * t * t * t * t * t * t + 1.0
+
+        level = 1.0 + 2.0 ** -52
+        want, _ = self.float_bisection(value, level, 0.0, 1.0)
+        evals = 0
+        assert ode._find_level(value, level, 0.0, 1.0) == want
+        assert evals < 80
+
     @pytest.mark.parametrize("lo, hi, steps", [(-1.0, 1.0, 3), (-1e-323, 1e-323, 3), (-3.0, -2.5, 6)])
     def test_find_level_gallops_on_negative_floats(self, lo, hi, steps):
         # the crossing lies `steps` floats above lo, and the residual below it

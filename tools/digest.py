@@ -19,7 +19,9 @@ same bit for bit.  The groups:
 - cli-batch seed 3, rounds 0-2: every artifact, byte for byte;
 - classify: ``classify`` and ``classify_scaled`` (alpha in {0.3, 2, 17}) on
   custom h with a declared exponent 2, without one, and with a callable
-  that does not broadcast, for n = 1-3;
+  that does not broadcast, and on h = e^s, which overflows inside the float
+  range, through ``np.exp`` and through a scalar-only ``math.exp``, for
+  n = 1-3;
 - classify step-h: the same on step-function h, ``constant(2.5)``, a
   one-piece and a three-piece ``piecewise``;
 - powerlog-pipeline: divergent-regime pipelines with a powerlog h, whose
@@ -187,7 +189,7 @@ def _add_verdicts(group: Group, functions) -> None:
             for alpha in (None, 0.3, 2.0, 17.0):
                 try:
                     v = blowup.classify(h, n) if alpha is None else blowup.classify_scaled(h, n, alpha)
-                except blowup.BlowupError as e:
+                except (blowup.BlowupError, OverflowError) as e:  # where eval_array lets math.exp's through
                     v = e
                 group.add((h.spec_text, n, alpha, v))
 
@@ -198,7 +200,9 @@ def classify_group() -> Group:
                                   label="declared")
     undeclared = blowup.make_custom(lambda s: s ** 1.5 + s, label="undeclared")
     scalar_only = blowup.make_custom(lambda s: s * math.log(math.e + s) ** 2.5, label="scalar-only")
-    _add_verdicts(group, (declared, undeclared, scalar_only))
+    exp = blowup.make_custom(lambda s: np.exp(s), label="exp")
+    math_exp = blowup.make_custom(lambda s: math.exp(s), label="math-exp")
+    _add_verdicts(group, (declared, undeclared, scalar_only, exp, math_exp))
     return group
 
 
