@@ -61,8 +61,9 @@ class NumericFailureError(BlowupError, ArithmeticError):
 class FiniteEscapeError(BlowupError, ArithmeticError):
     """The quadrature majorant itself escapes to infinity in finite time.
 
-    ``escape_time`` is the (estimated) finite limit of the inverted
-    integral; requests for times at or beyond it have no solution.
+    ``escape_time`` is the finite limit F(inf) = u0^(1/n) I(g, n; u0) / n of
+    the inverted integral, from the integral test; requests for times at or
+    beyond it have no solution.
     """
 
     def __init__(self, message: str, escape_time: float):

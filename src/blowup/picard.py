@@ -35,6 +35,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .classify import Method, Verdict, classify, classify_scaled
 from .errors import (
     BracketFailureError,
     FiniteEscapeError,
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .functions import Family, ScalarFn, make_constant, scaled
 from .ode import ProblemSpec, Trajectory
-from .quadrature import QUAD_TOL, gauss_rules, panels, rest
+from .quadrature import gauss_rules, panels
 # unused here: kept only because perfbench/tracer.py patches this name to count
 # picard.invert.quad_calls
 from .quadrature import integral as quad
@@ -111,14 +112,10 @@ def solve_autonomous_quadrature(
     F' = g(U)^(-1/n) U^(1/n-1) / n.  Each call builds its own table, which
     depends only on g, n, u0 and the largest target.
 
-    If F stays below a target up to y = 709, the table's last value and
-    :func:`blowup.quadrature.rest` past it decide: FiniteEscapeError when F
-    is shown to converge to some t_max < max(t_targets), so the majorant
-    itself reaches infinity at the finite time t_max (carried on the
-    exception), else BracketFailureError, whose message says when F is
-    still below the target at s = e^709 with a tail that cannot be shown
-    to converge: a majorant that diverges too slowly to reach the target
-    inside the float range.
+    Where F stays below a target at y = 709 the integral test decides, with
+    F(inf) = u0^(1/n) I(g, n; u0) / n (:func:`blowup.classify.classify_scaled`):
+    FiniteEscapeError carrying F(inf), the majorant's own escape time, where I
+    converges and F(inf) < max(t_targets), else BracketFailureError naming the verdict.
     """
     n = check_int("n", n)
     if not (0.0 < u0 < math.inf):
@@ -166,20 +163,15 @@ def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
             cums.append(c_last + np.cumsum(val) / n)
             y, c_last = z, float(cums[-1][-1])
 
-        if t_max > c_last:
-            # F's rest past e^709, extrapolated from the decay of f at the last unit
-            # steps of y where g is finite, must be within QUAD_TOL of F there
+        if t_max > c_last:  # past e^709 the integral test decides: F(inf) = u0^(1/n) I / n
+            test = classify_scaled(g, n, u0)
+            escape = math.inf if test.estimate is None else u0 ** (1.0 / n) * test.estimate / n
+            if t_max > escape:
+                msg = f"majorant escapes at finite time ~{escape!r} < target {t_max!r}"
+                raise FiniteEscapeError(msg, escape_time=escape)
             t = float(targets[targets > c_last].min())
-            samples = f(np.arange(math.log(u0), max(709.0, math.log(u0) + 1.0)))
-            if rest(samples) <= QUAD_TOL * n * c_last:
-                raise FiniteEscapeError(f"majorant escapes at finite time ~{c_last!r} < target {t!r}",
-                                        escape_time=c_last)
-            if not samples.any():  # f is 0 only where g is inf
-                why = f": g overflows from s ~ {u0!r}, so F's tail cannot be shown to converge"
-            else:
-                why = (": F is still below t at s = e^709 and its tail cannot be shown to converge,"
-                       " so the majorant leaves the float range before t")
-            raise BracketFailureError(f"could not bracket target t={t!r} below the overflow cap{why}")
+            why = f"F is still below t at s = e^709, where the integral test gives {test}"
+            raise BracketFailureError(f"could not bracket target t={t!r} below the overflow cap: {why}")
 
     return f, np.append(np.concatenate(lefts), y), np.concatenate(cums)
 
@@ -387,7 +379,9 @@ def picard_solve(
 
     Raises FiniteEscapeError if the quadrature majorant fails to exist on
     [0, T] (the divergence hypothesis fails numerically); that is checked
-    once, at T, before the first tower is built.  The majorant itself is
+    once, at T, before the first tower is built; where the majorant only
+    leaves the float range, an exact Diverges from ``classify(h, n)`` lets
+    the tower go on, as the majorant exists on [0, T].  The majorant itself is
     inverted on the grid the ladder stops at, and only when the tower's
     ``majorant`` or ``majorant_slack`` is first read, which builds F's
     table a second time; the values are those of an inversion on that grid
@@ -427,7 +421,12 @@ def picard_solve(
 
     # F is increasing, so the majorant escapes before some grid node exactly
     # when it escapes before T: one target settles escape for every grid
-    solve_autonomous_quadrature(g, n, u0_maj, [T])
+    try:
+        solve_autonomous_quadrature(g, n, u0_maj, [T])
+    except BracketFailureError:
+        test = classify(h, n)
+        if not (test.verdict is Verdict.DIVERGES and test.method is Method.EXACT_FAMILY):
+            raise
 
     # every segment doubles its cells, so coarse node i is fine node 2i
     parent, levels, mult = None, [], 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from blowup.classify import classify
 from blowup.errors import BracketFailureError, FiniteEscapeError, InvalidParameterError
 from blowup.functions import (
     make_constant,
@@ -111,23 +112,64 @@ class TestQuadratureInversion:
             solve_autonomous_quadrature(make_power(lam), 1, 1.0, [t])
 
     def test_overflow_from_the_start_is_named(self):
-        # u0 lies past e^660 and g = s^2 is inf at every unit step of y from
-        # log(u0) (past 709 for 1e308), so no tail sample can show that F converges
+        # u0 lies past e^660 (past e^709 for 1e308), so F's table cannot reach
+        # t; the integral test at scale u0 gives F(inf) = u0 * u0^-2 = 1/u0,
+        # whose u0^-2 underflows to 0, so the escape time reads 0.0
         for u0 in (1e307, 1e308):
-            with pytest.raises(BracketFailureError) as exc:
+            with pytest.raises(FiniteEscapeError) as exc:
                 solve_autonomous_quadrature(make_power(2), 1, u0, [1.0])
-            assert str(exc.value) == (
-                "could not bracket target t=1.0 below the overflow cap: g overflows from "
-                f"s ~ {u0!r}, so F's tail cannot be shown to converge"
-            )
-        # a finite tail that fails to converge says that F stays below t in floats
+            assert 0.0 <= exc.value.escape_time < 1e-300
+            assert str(exc.value) == f"majorant escapes at finite time ~{exc.value.escape_time!r} < target 1.0"
+        # a diverging F that stays below t in floats names the integral test's verdict
         with pytest.raises(BracketFailureError) as exc:
             solve_autonomous_quadrature(make_power(1.0), 1, 1.0, [1e300])
         assert str(exc.value) == (
             "could not bracket target t=1e+300 below the overflow cap: F is still below t at "
-            "s = e^709 and its tail cannot be shown to converge, so the majorant leaves the "
-            "float range before t"
+            "s = e^709, where the integral test gives Diverges (ExactFamily)"
         )
+
+    @pytest.mark.parametrize("g, n, t", [
+        (make_power(2), 1, 1.5),
+        (make_power_log(1.0, 1.5), 1, 1e300),
+        (make_power_log(1.0, 3.0), 2, 1e300),
+    ], ids=["s^2", "powerlog(1,1.5)", "powerlog(1,3)"])
+    def test_escape_time_is_the_integral_test(self, g, n, t):
+        # from u0 = 1, F(inf) = I(g, n) / n; a powerlog with lam = 1 and sigma > n
+        # has an F whose tail decays only like y^(1 - sigma/n) in y = log s
+        with pytest.raises(FiniteEscapeError) as exc:
+            solve_autonomous_quadrature(g, n, 1.0, [t])
+        assert exc.value.escape_time == classify(g, n).estimate / n
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["power", "borderline", "powerlog"]),
+        r=st.floats(0.0, 1.0),
+        sigma=st.floats(0.0, 2.0),
+        n=st.integers(1, 3),
+        u0=st.floats(0.5, 2.0),
+    )
+    def test_escape_time_matches_mpmath(self, kind, r, sigma, n, u0):
+        # F(inf) = 1/n int_{log u0}^inf e^(y/n) g(e^y)^(-1/n) dy: closed form for a
+        # power, in 30 digits for a powerlog; for lam = 1 (sigma > n) the integral
+        # runs to y = 1000, where log(e + e^y) = y to 400 digits, and the rest
+        # is Y^(1-p)/(p-1) with p = sigma/n (mpmath.quad out to inf falls short there)
+        lam = {"power": 1.1 + 1.9 * r, "borderline": 1.0, "powerlog": 1.1 + 0.9 * r}[kind]
+        if kind == "borderline":
+            sigma = n + 0.2 + 0.9 * sigma  # in [n + 0.2, n + 2]
+        g = make_power(lam) if kind == "power" else make_power_log(lam, sigma)
+        with pytest.raises(FiniteEscapeError) as exc:
+            solve_autonomous_quadrature(g, n, u0, [1e300])
+        with mpmath.workdps(30):
+            lam, sigma, y0 = mpmath.mpf(lam), mpmath.mpf(sigma), mpmath.log(u0)
+            if kind == "power":
+                oracle = mpmath.mpf(u0) ** ((1 - lam) / n) / (lam - 1)
+            else:
+                a, p = (lam - 1) / n, sigma / n
+                f = lambda y: mpmath.exp(-a * y) * mpmath.log(mpmath.e + mpmath.exp(y)) ** -p
+                ends = [y0, 1, 10, 100, 1000]
+                rest = 1000 ** (1 - p) / (p - 1) if kind == "borderline" else mpmath.quad(f, [1000, mpmath.inf])
+                oracle = (mpmath.quad(f, ends) + rest) / n
+        assert exc.value.escape_time == pytest.approx(float(oracle), rel=1e-12)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(
@@ -327,14 +369,15 @@ class TestPicardTower:
 
     def test_osgood_divergent_majorant_leaving_floats_is_named(self):
         # I(h) diverges for h = s log s, but F grows like log log U: F is
-        # still below t = 1 when U leaves the float range
+        # still below t = 1 when U leaves the float range.  The exact Diverges
+        # says the majorant exists on [0, T], so the tower is built, and only
+        # reading the majorant names where it leaves the floats
+        tw = picard_solve(parse_fn_spec("powerlog(1, 1)"), 1, [1.0], 1.0)
+        assert tw.converged and tw.grid_converged
         with pytest.raises(BracketFailureError) as exc:
-            picard_solve(parse_fn_spec("powerlog(1, 1)"), 1, [1.0], 1.0)
-        assert str(exc.value) == (
-            "could not bracket target t=1.0 below the overflow cap: F is still below t at "
-            "s = e^709 and its tail cannot be shown to converge, so the majorant leaves the "
-            "float range before t"
-        )
+            tw.majorant
+        assert str(exc.value).startswith("could not bracket target t=")
+        assert "F is still below t at s = e^709, where the integral test gives " in str(exc.value)
 
     def test_one_f_table_per_inversion(self, monkeypatch):
         # an inversion sums every panel of F's table once; the escape check

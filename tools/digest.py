@@ -48,8 +48,10 @@ same bit for bit.  The groups:
   the workloads, whose ladders all end on the tail, do not reach;
 - inversion-reach: ``solve_autonomous_quadrature`` of power g with lam in
   {0.99, 0.999, 1}, n = 1-3 and u0 = 1 at targets between F(e^660) and
-  F(e^709), the end of the float range, and the escape time of power(2)
-  from 1.
+  F(e^709), the end of the float range, the escape time of power(2) from
+  1, and the target 1e300 past the float range for powerlog(1, sigma) g
+  with sigma in {1.5, 3} and n = 1-3, and the target 1 for power(2) from
+  1e307: each escape time, or the type of the error raised.
 
 Every group that runs pipelines (global-construct, blowup-ladder,
 powerlog-pipeline, piecewise-lift, zero-data) also hashes each constructed
@@ -327,6 +329,17 @@ def escape_group() -> Group:
     return group
 
 
+def _escape(g, n: int, u0: float, targets):
+    """An inversion's values, the escape time it raises, or the other error it
+    raises (hashed by its type)."""
+    try:
+        return blowup.solve_autonomous_quadrature(g, n, u0, targets)
+    except blowup.FiniteEscapeError as e:
+        return e.escape_time
+    except blowup.BlowupError as e:
+        return e
+
+
 def inversion_reach_group() -> Group:
     group = Group("inversion-reach lam=0.99,0.999,1 n=1-3")
     ys = np.linspace(661.0, 708.5, 6)  # log U of the targets
@@ -334,15 +347,14 @@ def inversion_reach_group() -> Group:
         for n in (1, 2, 3):
             a = (1.0 - lam) / n  # F(U) = (U^a - 1) / (n a), log(U) / n at a = 0
             targets = np.expm1(a * ys) / (n * a) if a else ys / n
-            try:
-                u = blowup.solve_autonomous_quadrature(blowup.make_power(lam), n, 1.0, targets)
-            except blowup.BlowupError as e:
-                u = e
-            group.add((lam, n, targets, u))
-    try:
-        blowup.solve_autonomous_quadrature(blowup.make_power(2.0), 1, 1.0, [1.5])
-    except blowup.FiniteEscapeError as e:
-        group.add(e.escape_time)
+            group.add((lam, n, targets, _escape(blowup.make_power(lam), n, 1.0, targets)))
+    group.add(_escape(blowup.make_power(2.0), 1, 1.0, [1.5]))
+    # past the float range: lam = 1 powerlog g (convergent where sigma > n) and
+    # a start at 1e307, where g = s^2 is inf from the first unit step
+    for sigma in (1.5, 3.0):
+        for n in (1, 2, 3):
+            group.add((sigma, n, _escape(blowup.make_power_log(1.0, sigma), n, 1.0, [1e300])))
+    group.add(_escape(blowup.make_power(2.0), 1, 1e307, [1.0]))
     return group
 
 
