@@ -13,6 +13,7 @@ from .classify import (
     Verdict,
     blowup_integrand,
     classify,
+    classify_from,
     classify_scaled,
 )
 from .errors import (

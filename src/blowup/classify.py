@@ -47,6 +47,7 @@ __all__ = [
     "blowup_integrand",
     "classify",
     "classify_scaled",
+    "classify_from",
 ]
 
 
@@ -100,7 +101,7 @@ def blowup_integrand(h: ScalarFn, n: int, s):
 
 def classify(h: ScalarFn, n: int) -> IntegralVerdict:
     """Decide convergence of I(h, n); see module docstring."""
-    return _classify(h, n, 1.0)
+    return _classify(h, n, 1.0, 0.0)
 
 
 def classify_scaled(h: ScalarFn, n: int, alpha: float) -> IntegralVerdict:
@@ -111,17 +112,34 @@ def classify_scaled(h: ScalarFn, n: int, alpha: float) -> IntegralVerdict:
     """
     if not (alpha > 0.0):
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
-    return _classify(h, n, float(alpha))
+    return _classify(h, n, float(alpha), 0.0)
 
 
-def _classify(h: ScalarFn, n: int, scale: float) -> IntegralVerdict:
+def classify_from(h: ScalarFn, n: int, u0: float) -> IntegralVerdict:
+    """Decide convergence of int_u0^inf h(U)^(-1/n) U^(1/n-1) dU.
+
+    That is u0^(1/n) times :func:`classify_scaled`'s integral at alpha = u0,
+    n times the time F(inf) that u' = n u^(1-1/n) h(u)^(1/n) takes from u0 to
+    infinity.  The closed forms raise u0 to one power, (1 - lam)/n, so the
+    estimate is a float wherever the integral is, even where the scaled
+    integral alone under- or overflows (u0 = 1e300, h = s^2).
+    """
+    n = check_int("n", n)
+    if not (u0 > 0.0):
+        raise InvalidParameterError(f"u0 must be > 0, got {u0}")
+    return _classify(h, n, float(u0), 1.0 / n)
+
+
+def _classify(h: ScalarFn, n: int, scale: float, lift: float) -> IntegralVerdict:
+    """The verdict at scale, with its estimate times scale^lift; a numeric
+    verdict's evidence stays the integral at scale, as its panels ran it."""
     n = check_int("n", n)
 
-    exact = _exact_verdict(h, n, scale)
+    exact = _exact_verdict(h, n, scale, lift)
     if exact is not None:
         verdict, est = exact
         return _verdict(verdict, Method.EXACT_FAMILY, est, cumulative=0.0 if est is None else est)
-    return _numeric_verdict(_at_scale(h, scale), n)
+    return _numeric_verdict(_at_scale(h, scale), n, scale ** lift)
 
 
 def _at_scale(h: ScalarFn, scale: float) -> ScalarFn:
@@ -138,20 +156,21 @@ def _verdict(verdict, method, estimate=None, panels_used=0, *,
     )
 
 
-def _exact_verdict(h: ScalarFn, n: int, scale: float) -> Optional[tuple]:
-    """(verdict, estimate) for the families decided in closed form, else None."""
+def _exact_verdict(h: ScalarFn, n: int, scale: float, lift: float) -> Optional[tuple]:
+    """(verdict, estimate times scale^lift) for the families decided in closed
+    form, else None."""
     if h.family is Family.POWER:
         (lam,) = h.params
         if lam <= 1.0:
             return Verdict.DIVERGES, None
         # integrand scale^(-lam/n) * s^((1-lam)/n - 1): exact antiderivative
-        return Verdict.CONVERGES, scale ** (-lam / n) * n / (lam - 1.0)
+        return Verdict.CONVERGES, _power(scale, lift - lam / n) * n / (lam - 1.0)
 
     if h.family is Family.POWER_LOG:
         lam, sigma, shift = h.params
         if lam < 1.0 or (lam == 1.0 and sigma <= n):
             return Verdict.DIVERGES, None
-        return Verdict.CONVERGES, _powerlog_estimate(lam, sigma, shift, n, scale)
+        return Verdict.CONVERGES, _powerlog_estimate(lam, sigma, shift, n, scale, lift)
 
     lam = h.asymptotic_exponent
     if lam is not None and lam != 1.0:
@@ -159,9 +178,17 @@ def _exact_verdict(h: ScalarFn, n: int, scale: float) -> Optional[tuple]:
             return Verdict.DIVERGES, None
         # the estimate only where the rest past the table is within QUAD_TOL of I
         total, _, _, tail = _custom_integral(_at_scale(h, scale), n)
-        return Verdict.CONVERGES, total if tail <= QUAD_TOL * total else None
+        return Verdict.CONVERGES, scale ** lift * total if tail <= QUAD_TOL * total else None
 
     return None
+
+
+def _power(scale: float, e: float) -> float:
+    """scale^e, inf where that overflows: a convergent integral past the float range."""
+    try:
+        return scale ** e
+    except OverflowError:
+        return math.inf
 
 
 def _in_y(h: ScalarFn, n: int):
@@ -174,8 +201,8 @@ def _y_integral(fy, y_end: float) -> float:
     return integral(fy, np.append(0.0, y_end / 2.0 ** np.arange(10, -1, -1)))
 
 
-def _powerlog_estimate(lam, sigma, shift, n, scale) -> float:
-    """I for h = s^lam log(shift+s)^sigma in the convergent cases.
+def _powerlog_estimate(lam, sigma, shift, n, scale, lift) -> float:
+    """I times scale^lift for h = s^lam log(shift+s)^sigma in the convergent cases.
 
     In y = log s, with a = (lam - 1)/n and p = sigma/n,
         I = scale^(-lam/n) int_0^inf e^(-a y) log(shift + scale e^y)^(-p) dy.
@@ -191,7 +218,7 @@ def _powerlog_estimate(lam, sigma, shift, n, scale) -> float:
 
     Y = 746.0 / a if lam > 1.0 else 700.0
     tail = 0.0 if lam > 1.0 else (Y + log_scale) ** (1.0 - p) / (p - 1.0)
-    return scale ** (-lam / n) * (_y_integral(fy, Y) + tail)
+    return _power(scale, lift - lam / n) * (_y_integral(fy, Y) + tail)
 
 
 def _custom_integral(h: ScalarFn, n: int) -> tuple:
@@ -213,14 +240,14 @@ def _custom_integral(h: ScalarFn, n: int) -> tuple:
     return total, panel, j + 1, rest(fy(np.arange(max(y_end - 1.0, 0.0), y_end + 1.0)))
 
 
-def _numeric_verdict(h: ScalarFn, n: int) -> IntegralVerdict:
-    """Diverges once the running integral passes DIVERGE_CAP, Converges with I where
-    the rest is within QUAD_TOL of I, else Inconclusive."""
+def _numeric_verdict(h: ScalarFn, n: int, weight: float) -> IntegralVerdict:
+    """Diverges once the running integral passes DIVERGE_CAP, Converges with weight
+    times I where the rest is within QUAD_TOL of I, else Inconclusive."""
     total, panel, used, tail = _custom_integral(h, n)
     if total >= DIVERGE_CAP:
         return _verdict(Verdict.DIVERGES, Method.NUMERIC_HEURISTIC, None, used,
                         cumulative=total, last_panel=panel, cap_hit=True)
-    verdict, estimate = ((Verdict.CONVERGES, total) if tail <= QUAD_TOL * total
+    verdict, estimate = ((Verdict.CONVERGES, weight * total) if tail <= QUAD_TOL * total
                          else (Verdict.INCONCLUSIVE, None))
     return _verdict(verdict, Method.NUMERIC_HEURISTIC, estimate, used,
                     cumulative=total, last_panel=panel, tail_bound=tail)

@@ -352,12 +352,7 @@ def _run_construct(cfg: ExperimentConfig, out: Optional[Path]):
     _need(cfg, "h", "n", "b")
     T = cfg.T if cfg.T is not None else 1.0
     tower = picard_solve(parse_fn_spec(cfg.h), cfg.n, cfg.b, T, **_given(cfg, "tol", "max_iter", "q"))
-    if out is not None:
-        # the grid is formatted once and repeated for each iterate
-        grid, count = _fields(tower.grid), len(tower.iterates)
-        js = list(chain.from_iterable([str(j)] * len(grid) for j in range(count)))
-        _write_csv(out / "iterates.csv", ["j", "t", "v_j"],
-                   [js, grid * count, np.concatenate(tower.iterates)])
+    # majorant_slack inverts the majorant, which can still fail: read it before writing
     kv = [
         ("converged", tower.converged),
         ("iterations", tower.iterations),
@@ -368,6 +363,12 @@ def _run_construct(cfg: ExperimentConfig, out: Optional[Path]):
         ("majorant_slack", tower.majorant_slack),
         ("v_end", float(tower.solution[-1])),
     ]
+    if out is not None:
+        # the grid is formatted once and repeated for each iterate
+        grid, count = _fields(tower.grid), len(tower.iterates)
+        js = list(chain.from_iterable([str(j)] * len(grid) for j in range(count)))
+        _write_csv(out / "iterates.csv", ["j", "t", "v_j"],
+                   [js, grid * count, np.concatenate(tower.iterates)])
     state = "converged" if tower.converged else "did not converge"
     return kv, [f"tower {state} in {tower.iterations} iterations"], 0 if tower.converged else 1
 

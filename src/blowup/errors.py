@@ -62,8 +62,9 @@ class FiniteEscapeError(BlowupError, ArithmeticError):
     """The quadrature majorant itself escapes to infinity in finite time.
 
     ``escape_time`` is the finite limit F(inf) = u0^(1/n) I(g, n; u0) / n of
-    the inverted integral, from the integral test; requests for times at or
-    beyond it have no solution.
+    the inverted integral, from the integral test taken from u0
+    (:func:`blowup.classify.classify_from`); requests for times at or beyond
+    it have no solution.
     """
 
     def __init__(self, message: str, escape_time: float):

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .classify import Method, Verdict, classify, classify_scaled
+from .classify import Method, Verdict, classify, classify_from
 from .errors import (
     BracketFailureError,
     FiniteEscapeError,
@@ -113,7 +113,7 @@ def solve_autonomous_quadrature(
     depends only on g, n, u0 and the largest target.
 
     Where F stays below a target at y = 709 the integral test decides, with
-    F(inf) = u0^(1/n) I(g, n; u0) / n (:func:`blowup.classify.classify_scaled`):
+    F(inf) = u0^(1/n) I(g, n; u0) / n (:func:`blowup.classify.classify_from`):
     FiniteEscapeError carrying F(inf), the majorant's own escape time, where I
     converges and F(inf) < max(t_targets), else BracketFailureError naming the verdict.
     """
@@ -163,9 +163,9 @@ def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
             cums.append(c_last + np.cumsum(val) / n)
             y, c_last = z, float(cums[-1][-1])
 
-        if t_max > c_last:  # past e^709 the integral test decides: F(inf) = u0^(1/n) I / n
-            test = classify_scaled(g, n, u0)
-            escape = math.inf if test.estimate is None else u0 ** (1.0 / n) * test.estimate / n
+        if t_max > c_last:  # past e^709 the integral test from u0 decides F(inf)
+            test = classify_from(g, n, u0)
+            escape = math.inf if test.estimate is None else test.estimate / n
             if t_max > escape:
                 msg = f"majorant escapes at finite time ~{escape!r} < target {t_max!r}"
                 raise FiniteEscapeError(msg, escape_time=escape)

@@ -13,6 +13,7 @@ from blowup.classify import (
     Verdict,
     blowup_integrand,
     classify,
+    classify_from,
     classify_scaled,
 )
 from blowup.errors import InvalidParameterError, NumericFailureError, SingularIntegrandError
@@ -254,6 +255,36 @@ class TestScaled:
     def test_alpha_validation(self):
         with pytest.raises(InvalidParameterError):
             classify_scaled(make_power(2), 1, 0.0)
+        with pytest.raises(InvalidParameterError):
+            classify_from(make_power(2), 1, 0.0)
+
+    @pytest.mark.parametrize("h", [
+        make_power(2.0), make_power_log(1.0, 3.0), make_power_log(1.5, 1.0, 2.0),
+        make_custom(lambda s: s ** 2, asymptotic_exponent=2.0),
+        make_custom(lambda s: s ** 2), make_custom(lambda s: s * math.log(math.e + s) ** 4),
+        make_power(1.0),
+    ], ids=["power", "borderline", "powerlog", "declared", "numeric", "inconclusive", "divergent"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_from_is_the_scaled_integral_lifted(self, h, n):
+        # int_u0^inf = u0^(1/n) int_1^inf by U = u0 s; the verdict is the scaled one
+        for u0 in (0.5, 3.0):
+            scaled, lifted = classify_scaled(h, n, u0), classify_from(h, n, u0)
+            assert lifted.verdict is scaled.verdict and lifted.method is scaled.method
+            if scaled.estimate is None:
+                assert lifted.estimate is None
+            else:
+                lift = u0 ** (1.0 / n) * scaled.estimate
+                assert lifted.estimate == pytest.approx(lift, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("lam, n, u0", [(2.0, 1, 1e300), (1.6, 1, 1e-200), (3.0, 2, 1e250)])
+    def test_from_stays_in_floats_where_the_scaled_integral_leaves_them(self, lam, n, u0):
+        # int_u0^inf U^(-lam/n + 1/n - 1) dU = n u0^((1-lam)/n) / (lam - 1) is a
+        # float although u0^(-lam/n) under- or overflows: the scaled estimate
+        # reads 0.0 or inf there, and no OverflowError escapes
+        exact = n * u0 ** ((1.0 - lam) / n) / (lam - 1.0)
+        assert classify_from(make_power(lam), n, u0).estimate == pytest.approx(exact, rel=1e-14, abs=0.0)
+        assert classify_scaled(make_power(lam), n, u0).estimate in (0.0, math.inf)
+        assert classify_from(make_power_log(lam, 1.0), n, u0).estimate > 0.0
 
 
 class TestAgainstClosedForm:

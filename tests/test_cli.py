@@ -182,6 +182,14 @@ class TestRunExperiment:
         text = (tmp_path / "construct.txt").read_text()
         assert "converged=true" in text
 
+    def test_construct_whose_majorant_leaves_floats_writes_nothing(self, tmp_path, capsys):
+        # the tower is built (the test diverges exactly), but majorant_slack
+        # inverts a majorant that leaves the float range before T
+        cfg = parse_config("run = construct\nh = powerlog(1, 1)\nn = 1\nb = [1]\nT = 1.0\n")
+        assert run_experiment(cfg, out_dir=tmp_path) == 2
+        assert "could not bracket target" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

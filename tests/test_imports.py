@@ -37,7 +37,7 @@ declared = make_custom(lambda s: 3.0 * s ** 2 * np.log(np.e + s), asymptotic_exp
 assert classify(declared, 2).estimate > 0.0
 assert main(["classify", "--h", "power(2.0)", "--n", "1"]) == 0
 
-# past e^709 the rest decides: F converges to 1
+# past e^709 the integral test decides: F converges to 1
 with pytest.raises(FiniteEscapeError) as exc:
     solve_autonomous_quadrature(make_power(2), 1, 1.0, [1.5])
 assert exc.value.escape_time == pytest.approx(1.0, rel=1e-12)

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blowup.classify import classify
-from blowup.errors import BracketFailureError, FiniteEscapeError, InvalidParameterError
+from blowup.errors import (
+    BracketFailureError,
+    FiniteEscapeError,
+    InvalidParameterError,
+    NumericFailureError,
+)
 from blowup.functions import (
     make_constant,
     make_custom,
@@ -113,13 +118,21 @@ class TestQuadratureInversion:
 
     def test_overflow_from_the_start_is_named(self):
         # u0 lies past e^660 (past e^709 for 1e308), so F's table cannot reach
-        # t; the integral test at scale u0 gives F(inf) = u0 * u0^-2 = 1/u0,
-        # whose u0^-2 underflows to 0, so the escape time reads 0.0
-        for u0 in (1e307, 1e308):
+        # t; the integral test from u0 gives F(inf) = u0^(1-lam)/(lam-1), a float
+        # although u0^-lam, the scaled integral's factor, underflows to 0
+        for lam, u0 in [(2.0, 1e307), (2.0, 1e308), (1.5, 1e300)]:
             with pytest.raises(FiniteEscapeError) as exc:
-                solve_autonomous_quadrature(make_power(2), 1, u0, [1.0])
-            assert 0.0 <= exc.value.escape_time < 1e-300
+                solve_autonomous_quadrature(make_power(lam), 1, u0, [1.0])
+            exact = u0 ** (1.0 - lam) / (lam - 1.0)
+            assert exc.value.escape_time == pytest.approx(exact, rel=1e-14, abs=0.0)
             assert str(exc.value) == f"majorant escapes at finite time ~{exc.value.escape_time!r} < target 1.0"
+
+    def test_start_where_g_underflows_is_named(self):
+        # g(1e-250) = 1e-375 is 0.0 in floats, so F's integrand is not finite at u0
+        with pytest.raises(NumericFailureError, match="not positive"):
+            solve_autonomous_quadrature(make_power(1.5), 1, 1e-250, [1e300])
+
+    def test_diverging_tail_names_its_verdict(self):
         # a diverging F that stays below t in floats names the integral test's verdict
         with pytest.raises(BracketFailureError) as exc:
             solve_autonomous_quadrature(make_power(1.0), 1, 1.0, [1e300])

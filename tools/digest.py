@@ -51,7 +51,8 @@ same bit for bit.  The groups:
   F(e^709), the end of the float range, the escape time of power(2) from
   1, and the target 1e300 past the float range for powerlog(1, sigma) g
   with sigma in {1.5, 3} and n = 1-3, and the target 1 for power(2) from
-  1e307: each escape time, or the type of the error raised.
+  1e307 and power(1.5) from 1e300: each escape time, or the type of the
+  error raised.
 
 Every group that runs pipelines (global-construct, blowup-ladder,
 powerlog-pipeline, piecewise-lift, zero-data) also hashes each constructed
@@ -350,11 +351,13 @@ def inversion_reach_group() -> Group:
             group.add((lam, n, targets, _escape(blowup.make_power(lam), n, 1.0, targets)))
     group.add(_escape(blowup.make_power(2.0), 1, 1.0, [1.5]))
     # past the float range: lam = 1 powerlog g (convergent where sigma > n) and
-    # a start at 1e307, where g = s^2 is inf from the first unit step
+    # starts at 1e307 (g = s^2 is inf from the first unit step) and at 1e300,
+    # where u0^-lam underflows but the escape time u0^(1-lam)/(lam-1) does not
     for sigma in (1.5, 3.0):
         for n in (1, 2, 3):
             group.add((sigma, n, _escape(blowup.make_power_log(1.0, sigma), n, 1.0, [1e300])))
     group.add(_escape(blowup.make_power(2.0), 1, 1e307, [1.0]))
+    group.add(_escape(blowup.make_power(1.5), 1, 1e300, [1.0]))
     return group
 
 
