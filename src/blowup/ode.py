@@ -23,12 +23,12 @@ calls :meth:`ProblemSpec.rhs` there.
 Everything in the intended regime (q, h >= 0, a >= 0) is monotone: w^(m)
 is nonnegative, so every lower derivative is nondecreasing.  Blow-up
 manifests as escape through a ladder of thresholds.  Where q is a positive
-constant past the escape and the reduced order is 1 with a power or
-powerlog h, or 2 with a power h, the remaining time is the integral test's
-own tail, read from the accepted node before an escape past q's last jump,
-the first it can finish from; elsewhere the finite blow-up time is
-estimated by Richardson/Aitken extrapolation of the escape times, which
-needs no knowledge of the blow-up exponent.
+constant past the escape and the reduced order is 1 with an h whose
+integral test converges from the node, or 2 with a power h, the remaining
+time is the integral test's own tail, read from the accepted node before an
+escape past q's last jump, the first it can finish from; elsewhere the
+finite blow-up time is estimated by Richardson/Aitken extrapolation of the
+escape times, which needs no knowledge of the blow-up exponent.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import (
     check_thresholds,
     check_tol,
 )
-from .classify import Verdict, classify_scaled
+from .classify import classify_from
 from .functions import Family, ScalarFn
 from .quadrature import integral
 
@@ -67,9 +67,9 @@ __all__ = [
     "aitken_blowup_estimate",
 ]
 
-ESCAPE_THRESHOLD = 1e12
+ESCAPE_THRESHOLD = 1e300
 MIN_STEP_FACTOR = 1e-13
-DEFAULT_THRESHOLDS = tuple(np.geomspace(10.0, ESCAPE_THRESHOLD, 12))
+DEFAULT_THRESHOLDS = tuple(np.geomspace(10.0, 1e12, 12))
 # Internal multiplier on the user tolerance: the per-step estimate controls
 # the embedded 5th- and 3rd-order errors while the 8th-order solution is
 # propagated, so the margin buys global accuracy near the user tol on
@@ -394,17 +394,17 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class StepStats:
-    """Counters of one forward integration.  ``evals`` counts the
-    evaluations of the top derivative the integration made, inside the step
-    or through ``ProblemSpec.rhs``: twelve per attempted step (one cut short
-    by a failing stage included), one per slope taken outside the step (the
+    """Counters of one forward integration.  ``evals`` counts the evaluations
+    of the top derivative the integration made, inside the step or through
+    ``ProblemSpec.rhs``: twelve per attempted step (one cut short by a
+    failing stage included), one per slope taken outside the step (the
     start, each restart at a jump of q, an escape), and three per step that
-    crosses a rung (the escape level is the last rung), whose continuous
-    extension the integration builds to find the crossing.  Every cell's
-    extension, a crossing step's again, is built when the trajectory is
-    first read there (see :class:`Trajectory`), and those three evaluations
-    per cell are not counted here.  ``rejected`` steps failed the error
-    test; ``retries`` followed a failed stage."""
+    crosses a rung (the escape level, 1e300 in :func:`integrate`, is the
+    last), whose continuous extension the integration builds to find the
+    crossing.  Every cell's extension, a crossing step's again, is built
+    when the trajectory is first read there (see :class:`Trajectory`), and
+    those three evaluations per cell are not counted here.  ``rejected``
+    steps failed the error test; ``retries`` followed a failed stage."""
 
     evals: int
     accepted: int
@@ -632,9 +632,9 @@ class BlowupReport:
 
 def integrate(p: ProblemSpec, T: float, tol: float = 1e-9):
     """Integrate up to T; returns a Trajectory, or a BlowupEvent if the
-    largest component of the state reaches ESCAPE_THRESHOLD (or the step
-    collapses) first.  This is the one-rung ladder: :func:`detect_blowup`'s
-    run with thresholds (ESCAPE_THRESHOLD,) and no tail."""
+    largest component of the state reaches ESCAPE_THRESHOLD = 1e300, near
+    the end of the floats, (or the step collapses) first: the one-rung
+    ladder, :func:`detect_blowup` with thresholds (ESCAPE_THRESHOLD,)."""
     return _integrate_events(p, T, tol, (ESCAPE_THRESHOLD,))[0]
 
 
@@ -939,27 +939,29 @@ def detect_blowup(
 
     Where :func:`_tail_rule` applies (reduced order n <= 2, no
     ``f_override``, a step-function q (a constant is its one piece) with a
-    last value c > 0, h a power s^lam with lam > 1 or, for n = 1, a
-    convergent powerlog), the integral test's tail gives T* - t exactly from
-    any state on q's last piece.  So the first threshold crossed by each
-    step that starts on that piece asks for T* = t_k + tail(y_k), once per
-    node, with (t_k, y_k) the accepted node that starts the crossing step
-    (y(0) for data already past the threshold), and the first T* within the
-    horizon ends the run, with ``t_blow_method`` "tail"; the escape row and
-    the trajectory end at the interpolated crossing.  A node the tail cannot
-    finish from (u = w^(k) or, for n = 2, u' still 0) passes to the next
-    rung.  No interpolation error enters T*: y_k is a state the step itself
-    computed and accepted, where the interpolated state at the crossing
-    would add the dense output's error, a sizeable share of the interval at
-    a low rung.  An error of y_k that is a time shift moves the solution
-    through y_k and its tail by opposite amounts, so to first order it
-    cancels; what is left is the drift of the solution, held near tol relative over unit spans by the
-    step control at TOL_SAFETY * tol, and the tail's quadrature error, 1e-12
-    relative (QUAD_TOL).  The interval is T* +- 10 tol max(1, T*): an error
-    estimate with a margin, not a proof.  On drawn power problems with n = 1
-    and 2 and tol from 1e-12 to 1e-4 the error stayed under 1% of its
-    half-width; the tests check it against closed-form and mpmath blow-up
-    times from ladders that start at 10, 1e3 and 1e6.
+    last value c > 0, and for n = 2 h a power s^lam with lam > 1), the
+    integral test's tail gives T* - t exactly from any state on q's last
+    piece; for n = 1 it is the integral test from the node, for any h.  So
+    the first threshold crossed by each step that starts on that piece asks
+    for T* = t_k + tail(y_k), once per node, with (t_k, y_k) the accepted
+    node that starts the crossing step (y(0) for data already past the
+    threshold), and the first T* within the horizon ends the run, with
+    ``t_blow_method`` "tail"; the escape row and the trajectory end at the
+    interpolated crossing.  A node the tail cannot finish from (u = w^(k)
+    or, for n = 2, u' still 0, or for n = 1 a test from u that gives no
+    estimate) passes to the next rung.  No interpolation error enters T*:
+    y_k is a state the step itself computed and accepted, where the
+    interpolated state at the crossing would add the dense output's error, a
+    sizeable share of the interval at a low rung.  An error of y_k that is a
+    time shift moves the solution through y_k and its tail by opposite
+    amounts, so to first order it cancels; what is left is the drift of the
+    solution, held near tol relative over unit spans by the step control at
+    TOL_SAFETY * tol, and the tail's quadrature error, 1e-12 relative
+    (QUAD_TOL).  The interval is T* +- 10 tol max(1, T*): an error estimate
+    with a margin, not a proof.  On drawn power problems with n = 1 and 2
+    and tol from 1e-12 to 1e-4 the error stayed under 1% of its half-width;
+    the tests check it against closed-form and mpmath blow-up times from
+    ladders that start at 10, 1e3 and 1e6.
 
     A T* past the horizon is final too.  The run then goes on through the
     ladder, asking again at each later crossing step, and may still escape
@@ -1045,13 +1047,11 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
     integral test's tail gives T* - t exactly; else None.
 
     The tail holds on the last piece of a step-function q (a constant is its
-    one piece), which starts at q's last cut and whose value q's params
-    give: there q is its value c > 0 and u = w^(k) solves u^(n) = c h(u).
-    With u_M = y[k]:
-    - n = 1: T* - t = (1/c) int_{u_M}^inf ds / h(s) = (u_M / c) I(u_M), where
-      I(alpha) = int_1^inf h(alpha s)^(-1) ds is :func:`classify_scaled`'s
-      estimate (closed form for a power, quadrature in log s for powerlog),
-      taken with that call's verdict, so no verdict is asked up front;
+    one piece), which starts at q's last cut: there q is its value c > 0
+    and u = w^(k) solves u^(n) = c h(u).  With u_M = y[k]:
+    - n = 1, any h: T* - t = (1/c) int_{u_M}^inf ds / h(s), the integral
+      test from u_M, whose :func:`classify_from` estimate is None unless it
+      converges, so no verdict is asked up front;
     - n = 2, h = s^lam: the energy identity u'^2 = v^2 + kappa (u^(lam+1) -
       u_M^(lam+1)), with v = y[k+1] and kappa = 2c/(lam+1), gives T* - t =
       int_{u_M}^inf ds / u'.  With s = u_M x^(-beta), beta = 2/(lam-1), and
@@ -1063,27 +1063,27 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
       no cancellation however small v^2/e is, on panels with edges at the
       powers 4^-j down to 4^-27, so that each scale at which v^2/e can take
       over from 1 - x^K, z ~ sqrt(v^2 / (e K)), starts panels of its own.
-    The returned function gives nan for a t before that piece, for a
-    powerlog h whose integral diverges (n = 1) and for a state it cannot
-    finish from: u_M <= 0, v <= 0 for n = 2, or a tail that fails
-    numerically or overflows (v^2 / e past the float range).
+    The returned function gives nan for a t before that piece, for an h
+    whose test from u_M gives no estimate (n = 1) and for a state it cannot
+    finish from: u_M <= 0, v <= 0 for n = 2, or a tail that raises an
+    ArithmeticError (a test that cannot start, v^2 / e past the floats).
     """
     q, h, n, k = p.q, p.h, p.n, p.k
     if p.f_override is not None or n > 2 or q.family is not Family.PIECEWISE:
         return None
-    after, c = q.cuts(0.0, math.inf)[-2], q.params[1][-1]
+    after = q.cuts(0.0, math.inf)[-2]
+    c = q.fn(after)
     if not c > 0.0:
         return None
-    power = h.family is Family.POWER and h.params[0] > 1.0
-    if n == 1 and (power or h.family is Family.POWER_LOG):
+    if n == 1:
 
-        def tail(y):  # the family's exact verdict at scale u: no tail where I diverges
+        def tail(y):
             u = float(y[k])
             if not u > 0.0:
                 return math.nan
-            scaled = classify_scaled(h, 1, u)
-            return u / c * scaled.estimate if scaled.verdict is Verdict.CONVERGES else math.nan
-    elif n == 2 and power:
+            est = classify_from(h, 1, u).estimate  # None unless the test converges
+            return math.nan if est is None else est / c
+    elif n == 2 and h.family is Family.POWER and h.params[0] > 1.0:
         lam = h.params[0]
         beta = 2.0 / (lam - 1.0)
         K = 2.0 * beta + 2.0
@@ -1104,7 +1104,7 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
     def t_blow(t, y):
         try:
             return t + tail(y) if t >= after else math.nan
-        except (NumericFailureError, OverflowError):
+        except ArithmeticError:
             return math.nan
 
     return t_blow

@@ -523,21 +523,23 @@ def _run_tower(h, b, q, grid, tol, max_iter) -> list:
     q_blocks = _q_blocks(q, grid)
     seed = integral_image(b, (), grid)[:, 0]
     iterates = [seed]
-    for _ in range(max_iter):
-        h_vals = h.eval_array(iterates[-1])
-        v_new = seed.copy()
-        for i0, i1, _, qv in q_blocks:
-            f = qv * h_vals[i0 : i1 + 1]
-            if i0 == 0 and i1 == full:
-                v_new += weighted_volterra(f, n, grid)
-            else:
-                v_new += partial_volterra(f, n, grid[i0 : i1 + 1], grid) / math.factorial(n - 1)
-        gap = abs(v_new - iterates[-1]).max()  # nan or inf when v_new is not finite
-        if not math.isfinite(gap):
-            raise NumericFailureError("Picard iterate became non-finite")
-        iterates.append(v_new)
-        if gap <= tol:
-            break
+    # an iterate that overflows reaches the gap test below as inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            h_vals = h.eval_array(iterates[-1])
+            v_new = seed.copy()
+            for i0, i1, _, qv in q_blocks:
+                f = qv * h_vals[i0 : i1 + 1]
+                if i0 == 0 and i1 == full:
+                    v_new += weighted_volterra(f, n, grid)
+                else:
+                    v_new += partial_volterra(f, n, grid[i0 : i1 + 1], grid) / math.factorial(n - 1)
+            gap = abs(v_new - iterates[-1]).max()  # nan or inf when v_new is not finite
+            if not math.isfinite(gap):
+                raise NumericFailureError("Picard iterate became non-finite")
+            iterates.append(v_new)
+            if gap <= tol:
+                break
     return iterates
 
 

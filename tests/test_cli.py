@@ -232,14 +232,16 @@ class TestMain:
         assert "estimate=0.25" in capsys.readouterr().out
 
     def test_integrate_reports_an_escape(self, tmp_path, capsys):
-        # w' = w^2 from 1 blows up at t = 1, before T = 2
+        # w' = w log(e + w) from 1 reaches the escape level 1e300 at
+        # t = int_0^{log 1e300} dy / log(e + e^y) = 6.988093151735821 (mpmath,
+        # 30 digits), before T = 10, and blows up only at infinity
         cfg = tmp_path / "p.cfg"
-        cfg.write_text("m = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = power(2.0)\n")
-        assert main(["integrate", "--config", str(cfg), "--T", "2.0", "--out", str(tmp_path / "out")]) == 0
+        cfg.write_text("m = 1\nk = 0\na = [1]\nq = constant(1.0)\nh = powerlog(1.0, 1.0)\n")
+        assert main(["integrate", "--config", str(cfg), "--T", "10.0", "--out", str(tmp_path / "out")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "reached_T=false" in lines and "event=escape" in lines
         t_event = float(next(line for line in lines if line.startswith("t_event=")).split("=")[1])
-        assert 1.0 <= t_event <= 1.0 + 1e-6
+        assert t_event == pytest.approx(6.988093151735821, rel=1e-9)
         assert "# escaped before T" in lines
 
     def test_verify_cmd(self, capsys):

@@ -1306,9 +1306,9 @@ class TestDetectBlowup:
         assert abs(rep.t_blow_estimate - 1.0) <= 1e-3
 
     def test_step_collapse_outside_the_tail(self):
-        # w' = w^2 with h a custom function: no tail, so the ladder runs on
+        # w' = w^2 with q a custom function: no tail, so the ladder runs on
         # to 1e12 and the step floor gives out before its last threshold
-        p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_custom(make_power(2).fn))
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=make_custom(lambda t: 1.0), h=make_power(2))
         rep = detect_blowup(p, horizon=2.0, tol=1e-10)
         assert rep.kind is BlowupKind.BLOW_UP
         assert rep.t_blow_method == "extrapolated"
@@ -1408,6 +1408,37 @@ class TestTailOracle:
         lo, hi = rep.t_blow_interval
         assert lo <= exact <= hi
         assert rep.t_blow_estimate == pytest.approx(exact, rel=1e-9)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["power", "powerlog", "custom", "declared"]), lam=st.floats(1.1, 3.0),
+           sigma=st.floats(1.2, 3.0), a=st.floats(0.5, 2.0), c=st.floats(0.5, 2.0))
+    def test_first_order_any_h(self, kind, lam, sigma, a, c):
+        # w' = c h(w): T* = (1/c) int_a^inf ds / h(s) for every h whose
+        # integral test converges from the node, a custom h's numeric test
+        # included
+        if kind == "powerlog":
+            h, exact = make_power_log(1.0, sigma), powerlog_blowup_time(sigma, a) / c
+        else:
+            with mpmath.workdps(30):
+                lam_, a_, c_ = (mpmath.mpf(x) for x in (lam, a, c))
+                exact = float(a_ ** (1 - lam_) / ((lam_ - 1) * c_))
+            h = {"power": make_power(lam),
+                 "custom": make_custom(lambda s: s ** lam),
+                 "declared": make_custom(lambda s: s ** lam, asymptotic_exponent=lam)}[kind]
+        p = ProblemSpec(m=1, k=0, a=(a,), q=make_constant(c), h=h)
+        rep = detect_blowup(p, horizon=2.0 * exact + 1.0, tol=1e-10)
+        assert rep.t_blow_method == "tail"
+        lo, hi = rep.t_blow_interval
+        assert lo <= exact <= hi
+
+    def test_first_order_tail_from_a_tiny_state(self):
+        # q steps to 2 at t = 1 and h = s^2: from u = 1e-200 at t = 2 the
+        # tail is (1/2) int_u^inf ds / s^2 = 5e199, a float, although the
+        # integral at scale u, int_1^inf ds / (u s)^2 = u^-2, overflows
+        q = make_piecewise([((0.0, 1.0), 1.0), ((1.0, math.inf), 2.0)])
+        tail = ode._tail_rule(ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(2)))
+        assert tail(2.0, (1e-200,)) == 5e199
+        assert math.isnan(tail(0.5, (1e-200,)))  # before q's last piece
 
     def test_second_order_speed_far_below_the_energy_scale(self):
         # w'' = w^2 from (1e13, 1): v^2 / e ~ 1.5e-39, so 1 + (v^2/e - 1) x^K
@@ -1553,12 +1584,12 @@ TAIL_SCOPE = {
 }
 
 
-def powerlog_blowup_time(sigma):
-    """T* of w' = w log(e + w)^sigma, w(0) = 1, sigma > 1, in mpmath: with
-    z = log(e + s) the integral int_1^inf ds / (s log(e + s)^sigma) is
+def powerlog_blowup_time(sigma, a=1.0):
+    """T* of w' = w log(e + w)^sigma, w(0) = a, sigma > 1, in mpmath: with
+    z = log(e + s) the integral int_a^inf ds / (s log(e + s)^sigma) is
     int_z0^inf z^-sigma dz / (1 - e^(1-z)), whose z^-sigma part is closed."""
     with mpmath.workdps(30):
-        sigma, z0 = mpmath.mpf(sigma), mpmath.log(mpmath.e + 1)
+        sigma, z0 = mpmath.mpf(sigma), mpmath.log(mpmath.e + mpmath.mpf(a))
         rest = mpmath.quad(lambda z: z ** -sigma * mpmath.exp(1 - z) / -mpmath.expm1(1 - z),
                            [z0, z0 + 10, z0 + 100, mpmath.inf])
         return float(z0 ** (1 - sigma) / (sigma - 1) + rest)

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from blowup.classify import Verdict, classify, classify_scaled
 from blowup.cli import parse_config, run_experiment
 from blowup.errors import InvalidParameterError, NumericFailureError, SingularIntegrandError, StageError
-from blowup.functions import make_constant, make_custom, make_piecewise, make_power, parse_fn_spec
+from blowup.functions import (
+    make_constant,
+    make_custom,
+    make_piecewise,
+    make_power,
+    make_power_log,
+    parse_fn_spec,
+)
 from blowup.ode import BlowupEvent, BlowupReport, ProblemSpec, Trajectory, detect_blowup, integrate
 from blowup.picard import PicardTower, picard_solve
 from blowup.pipeline import (
@@ -464,32 +471,47 @@ class TestPipeline:
             run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(1)), horizon=1.0)
         assert exc.value.stage == "majorize"
 
-    def test_inconclusive_keeps_the_lift_when_the_cross_check_fails(self):
+    def test_inconclusive_keeps_the_lift_when_the_cross_check_fails(self, monkeypatch):
         # h(s) = s declares no exponent, so the test is inconclusive; the tower
-        # and its lift reach the horizon, the direct solve escapes before it
+        # and its lift reach the horizon, and the direct solve fails.  No
+        # natural input gets there: a majorant that leaves the floats fails
+        # "construct" first, so the cross-check's integration is made to fail
+        import blowup.pipeline as pipeline
+
+        def fail(*args, **kwargs):
+            raise NumericFailureError("direct solve failed")
+
+        monkeypatch.setattr(pipeline, "integrate", fail)
         h = make_custom(lambda s: s)
-        rep = run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=h), horizon=30.0)
+        rep = run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=h), horizon=1.0)
         assert rep.label == "Inconclusive"
-        assert rep.constructed is not None and rep.constructed.t_end == 30.0
+        assert rep.constructed is not None and rep.constructed.t_end == 1.0
         assert rep.direct is None and rep.construction is None and rep.majorization is None
         assert rep.notes == (
             INCONCLUSIVE_NOTE,
-            "tower not converged after 60 iterations (sup gap 5.094e+06)",
-            "tower grid stopped at its cap of 16385 nodes (discretization gap 4.102e-02 > tol/4)",
-            "construction probe failed: stage 'cross-check' failed: "
-            "direct integration escaped at t=27.63102111592997; the integral test gave Inconclusive",
+            "construction probe failed: stage 'cross-check' failed: direct solve failed",
         )
 
     def test_osgood_divergent_majorant_leaving_floats_is_named(self):
         # the test diverges exactly, so a majorant that leaves the float range
         # before the horizon passes construct, and the cross-check with it; the
-        # majorization's companion w' = h(rho w) escapes before its last level,
-        # and a divergent test makes that failure the pipeline's own
+        # majorization's companion w' = h(rho w) stays below the escape level
+        # 1e300 up to its last level, so the pipeline passes
         h = parse_fn_spec("powerlog(1, 1)")
+        rep = run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=h), horizon=1.0)
+        assert rep.label == "GlobalConstructed" and rep.passed
+        assert rep.construction.consistency_sup <= rep.construction.consistency_tol
+        assert rep.majorization is not None and rep.majorization.passed
+
+    def test_overflowing_tower_is_named(self):
+        # u' = u from 1e300 leaves the floats long before t = 100: the tower's
+        # iterate overflows, and its own check names it, not numpy's warning
+        p = ProblemSpec(m=1, k=0, a=(1e300,), q=ONE, h=make_power(1.0))
         with pytest.raises(StageError) as exc:
-            run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=h), horizon=1.0)
-        assert exc.value.stage == "majorize"
-        assert str(exc.value.cause).startswith("companion solution escaped at t=")
+            run_pipeline(p, horizon=100.0)
+        assert exc.value.stage == "construct"
+        assert isinstance(exc.value.cause, NumericFailureError)
+        assert str(exc.value.cause) == "Picard iterate became non-finite"
 
     @pytest.mark.parametrize("h, a, horizon, label, notes, present", [
         (make_power(1), (1.0,), 1.0, "GlobalConstructed", (), {"construction", "majorization"}),
@@ -560,6 +582,37 @@ class TestDrawnCriterion11:
         err = np.max(np.abs(rep.constructed(ts) - direct) / (1.0 + np.abs(direct)), axis=0)
         assert np.all(err <= 1e-8), err
 
+
+
+@st.composite
+def divergent_edge_problems(draw):
+    """u^(n) = u log(e + u)^sigma on the divergent side of the flip at
+    sigma = n, sigma = n itself drawn on purpose, with data in [0.5, 2] and
+    q = 1: (problem, horizon).  The horizon stops at 1.5 for n = 1 and at
+    2 for n = 2: the majorization's companion w^(n) = h(2 w) runs to
+    tau_J, about twice the horizon, and leaves the float range near
+    tau = 3 for n = 1 with sigma <= 1 and near tau = 4.7 for n = 2 at
+    sigma = 2, where its escape is a float limit and not the regime's."""
+    n = draw(st.sampled_from([1, 2]))
+    sigma = draw(st.one_of(st.just(float(n)), st.floats(n - 0.5, n)))
+    a = tuple(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    horizon = draw(st.floats(0.5, 1.5 if n == 1 else 2.0))
+    return ProblemSpec(m=n, k=0, a=a, q=ONE, h=make_power_log(1.0, sigma)), horizon
+
+
+class TestDichotomyEdge:
+    """The divergent side of the paper's borderline h = s log(e + s)^sigma,
+    where the integral test diverges exactly for sigma <= n."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(drawn=divergent_edge_problems())
+    def test_divergent_side_constructs(self, drawn):
+        p, horizon = drawn
+        assert classify(p.h, p.n).verdict is Verdict.DIVERGES
+        rep = run_pipeline(p, horizon=horizon)
+        assert rep.label == "GlobalConstructed"
+        assert rep.passed, (rep.construction, rep.majorization)
+        assert rep.majorization is not None
 
 def _bits(x):
     """x as nested tuples of bytes and plain values: two results give the

@@ -43,9 +43,15 @@ same bit for bit.  The groups:
   one-rung ladder (1e12,) and the short ladder (10, 1e3, 1e6), each with its
   dense output at 101 points, on n = 1 and n = 3 power h, n = 2 powerlog h,
   a custom h and an ``f_override``, each under a constant q and under a q
-  that jumps before the blow-up, and on data already past 1e12 at t = 0:
-  the escape at ``integrate``'s own level and at a ladder's top rung, which
-  the workloads, whose ladders all end on the tail, do not reach;
+  that jumps before the blow-up, and on data already past 1e12, the
+  default ladder's top, at t = 0: the escape at a ladder's top rung and at
+  ``integrate``'s own level, 1e300, which the workloads, whose ladders all
+  end on the tail, do not reach;
+- tail-n1: ``detect_blowup`` on reduced order 1 (m = 1, and m = 2 with
+  k = 1) with a custom h with and without a declared exponent and powerlog
+  h with lam = 1, each under a constant q and under a q that jumps before
+  the blow-up: each report's method, T*, interval and escape rows; and
+  the n = 1 tail from u = 1e-200 past a jump of q, h = s^2;
 - inversion-reach: ``solve_autonomous_quadrature`` of power g with lam in
   {0.99, 0.999, 1}, n = 1-3 and u0 = 1 at targets between F(e^660) and
   F(e^709), the end of the float range, the escape time of power(2) from
@@ -330,6 +336,24 @@ def escape_group() -> Group:
     return group
 
 
+def tail_n1_group() -> Group:
+    group = Group("tail-n1 custom,declared,powerlog(1,sigma)")
+    spec = blowup.parse_fn_spec
+    hs = (blowup.make_custom(lambda s: s * s + s, label="s^2+s"),
+          blowup.make_custom(lambda s: s ** 1.5, asymptotic_exponent=1.5, label="s^1.5"),
+          spec("powerlog(1.0, 1.5)"), spec("powerlog(1.0, 3.0)"))
+    for h in hs:
+        for q in (spec("constant(1.0)"), spec("piecewise((0,0.25):0.5, (0.25,inf):2.0)")):
+            for m, a in ((1, (1.0,)), (2, (0.5, 1.0))):
+                p = blowup.ProblemSpec(m=m, k=m - 1, a=a, q=q, h=h)
+                rep = blowup.detect_blowup(p, horizon=20.0, tol=1e-9)
+                group.add((rep.t_blow_method, rep.t_blow_estimate, rep.t_blow_interval, rep.escape_thresholds))
+    q = spec("piecewise((0,1):1.0, (1,inf):2.0)")
+    tail = blowup.ode._tail_rule(blowup.ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=spec("power(2.0)")))
+    group.add(tail(2.0, (1e-200,)))
+    return group
+
+
 def _escape(g, n: int, u0: float, targets):
     """An inversion's values, the escape time it raises, or the other error it
     raises (hashed by its type)."""
@@ -374,6 +398,7 @@ def main() -> None:
         ladder_group,
         zero_data_group,
         escape_group,
+        tail_n1_group,
         inversion_reach_group,
     ]
     for make in groups:
