@@ -10,7 +10,15 @@ is autonomous and separable, so its solution is obtained by inverting
     F(U) = 1/n * int_{u0}^{U} g(s)^(-1/n) s^(1/n - 1) ds  =  t
 
 against one Gauss-Legendre table of F per call, with Newton steps for all
-targets at once (:func:`solve_autonomous_quadrature`).  The
+targets at once (:func:`solve_autonomous_quadrature`).  A power growth
+g(s) = kappa s^lam inverts in closed form instead: with a = (1 - lam)/n,
+F(U) = (U^a - u0^a) / ((1 - lam) kappa^(1/n)), or log(U/u0) / (n kappa^(1/n))
+at lam = 1, so U(t) = u0 exp(log1p(x)/a) with x = n a kappa^(1/n) t u0^(-a)
+(u0 exp(n kappa^(1/n) t) at lam = 1); for lam > 1, x = -t/F(inf) with
+F(inf) = u0^a / ((lam - 1) kappa^(1/n)).  A power g takes that form in
+:func:`solve_autonomous_quadrature`, and a tower of a power h in its
+``majorant``, whose g = c h(s/beta) is kappa s^lam with kappa = g(1); the
+escape check of :func:`picard_solve` keeps F's table.  The
 comparison inequality
 
     u(t) - u(0) >= alpha * int_0^t (t - tau)^(n-1) g(beta u(tau)) dtau
@@ -50,7 +58,7 @@ from .quadrature import gauss_rules, panels
 # unused here: kept only because perfbench/tracer.py patches this name to count
 # picard.invert.quad_calls
 from .quadrature import integral as quad
-from .volterra import integral_image, partial_volterra, weighted_volterra
+from .volterra import _sub_span, integral_image, weighted_volterra
 
 __all__ = [
     "ComparisonConstants",
@@ -101,7 +109,7 @@ def solve_autonomous_quadrature(
     u0: float,
     t_targets: Sequence[float],
 ) -> np.ndarray:
-    """Invert F(U) = t for each finite target t >= 0.
+    """Invert F(U) = t for each finite target t >= 0; a target 0 gives u0.
 
     F is tabulated in the log abscissa y = log s, which keeps the panels
     well-scaled over many decades: unit panels in y (edges also at log of
@@ -110,12 +118,15 @@ def solve_autonomous_quadrature(
     target or reaching y = 709, the end of the float range.  All targets
     are then solved at once by bracketed Newton steps with the analytic
     F' = g(U)^(-1/n) U^(1/n-1) / n.  Each call builds its own table, which
-    depends only on g, n, u0 and the largest target.
+    depends only on g, n, u0 and the largest target.  A power g
+    (``Family.POWER``, kappa = 1) builds no table: F inverts in closed form
+    (see the module docstring), exact to rounding.
 
     Where F stays below a target at y = 709 the integral test decides, with
     F(inf) = u0^(1/n) I(g, n; u0) / n (:func:`blowup.classify.classify_from`):
     FiniteEscapeError carrying F(inf), the majorant's own escape time, where I
-    converges and F(inf) < max(t_targets), else BracketFailureError naming the verdict.
+    converges and F(inf) < max(t_targets), else BracketFailureError naming the
+    verdict.  The closed form raises the same errors with the same texts.
     """
     n = check_int("n", n)
     if not (0.0 < u0 < math.inf):
@@ -125,6 +136,8 @@ def solve_autonomous_quadrature(
         raise InvalidParameterError("t_targets must be a 1-D sequence")
     if not np.all((targets >= 0.0) & (targets < math.inf)):
         raise InvalidParameterError("targets must be finite and >= 0")
+    if g.family is Family.POWER:
+        return _power_inverse(g, 1.0, n, float(u0), targets, g)
     out = np.full_like(targets, float(u0))
     live = np.flatnonzero(targets > 0.0)
     if not len(live):
@@ -134,6 +147,60 @@ def solve_autonomous_quadrature(
         for i in range(0, len(live), _SLICE):
             idx = live[i : i + _SLICE]
             out[idx] = np.maximum(u0, np.exp(_newton(f, n, E, C, targets[idx], *gauss_rules()[0])))
+    return out
+
+
+def _escape_error(escape: float, t_max: float) -> FiniteEscapeError:
+    return FiniteEscapeError(f"majorant escapes at finite time ~{escape!r} < target {t_max!r}",
+                             escape_time=escape)
+
+
+def _float_range_error(test, t: float) -> BracketFailureError:
+    """The error for target t, the smallest one that F reaches only past
+    e^709, naming ``test``, the integral test of g from u0."""
+    why = f"F is still below t at s = e^709, where the integral test gives {test}"
+    return BracketFailureError(f"could not bracket target t={t!r} below the overflow cap: {why}")
+
+
+def _power_inverse(h: ScalarFn, kappa: float, n: int, u0: float, targets: np.ndarray,
+                   g: ScalarFn) -> np.ndarray:
+    """F(U) = t inverted in closed form for g(s) = kappa s^lam, h = s^lam a
+    ``Family.POWER`` function; ``g`` is that growth as its caller holds it,
+    which the BracketFailureError names (see the module docstring).
+
+    A target 0 gives u0 exactly, and every other U >= u0.  Whether U passes
+    e^709 is decided on log U = log u0 + z, z = log1p(x)/a, so a U past the
+    float range is never formed; an x or z that overflows is inf only where
+    U is past it too, except x from a tiny u0, which takes log x instead.
+    For lam > 1, F(inf) is ``classify_from(h, n, u0)``'s estimate over
+    n kappa^(1/n), the table's escape time when kappa = 1."""
+    lam = h.params[0]
+    a, c = (1.0 - lam) / n, kappa ** (1.0 / n)
+    out = np.full_like(targets, u0)
+    live = targets > 0.0
+    t = targets[live]
+    if not len(t):
+        return out
+    # an overflow, or log1p(-1) = -inf at t = F(inf), makes z inf only where
+    # U is past the float range
+    with np.errstate(over="ignore", divide="ignore"):
+        if lam > 1.0:
+            escape, t_max = classify_from(h, n, u0).estimate / (n * c), float(t.max())
+            if t_max > escape:
+                raise _escape_error(escape, t_max)
+            z = np.log1p(-t / escape) / a
+        elif lam < 1.0:
+            x = n * a * c * t * np.power(u0, -a)
+            log_x = math.log(n * a * c) + np.log(t) - a * math.log(u0)
+            z = np.where(np.isfinite(x), np.log1p(x), log_x) / a
+        else:
+            z = n * c * t
+    log_u = math.log(u0) + z
+    beyond = log_u > 709.0
+    if beyond.any():
+        raise _float_range_error(classify_from(g, n, u0), float(t[beyond].min()))
+    # u0 e^z where e^z is a float (from a tiny u0, z may pass 709 while U does not)
+    out[live] = np.where(z <= 709.0, u0 * np.exp(np.minimum(z, 709.0)), np.exp(log_u))
     return out
 
 
@@ -149,7 +216,11 @@ def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
         if not np.all(gv > 0.0):
             i = np.flatnonzero(~(gv > 0.0))[0]
             raise NumericFailureError(f"g({float(s.flat[i])!r}) = {float(gv.flat[i])!r} not positive")
-        return np.exp(y / n) * gv ** (-1.0 / n)
+        out = np.exp(y / n) * gv ** (-1.0 / n)
+        if not np.isfinite(out).all():  # a subnormal g overflows g^(-1/n), not the product
+            bad = ~np.isfinite(out) & np.isfinite(gv)
+            out[bad] = np.exp(y[bad] / n - np.log(gv[bad]) / n)
+        return out
 
     bps = np.log(g.cuts(0.0, math.inf)[1:-1])
     # g may overflow to inf far out, where the integrand is 0
@@ -167,11 +238,8 @@ def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
             test = classify_from(g, n, u0)
             escape = math.inf if test.estimate is None else test.estimate / n
             if t_max > escape:
-                msg = f"majorant escapes at finite time ~{escape!r} < target {t_max!r}"
-                raise FiniteEscapeError(msg, escape_time=escape)
-            t = float(targets[targets > c_last].min())
-            why = f"F is still below t at s = e^709, where the integral test gives {test}"
-            raise BracketFailureError(f"could not bracket target t={t!r} below the overflow cap: {why}")
+                raise _escape_error(escape, t_max)
+            raise _float_range_error(test, float(targets[targets > c_last].min()))
 
     return f, np.append(np.concatenate(lefts), y), np.concatenate(cums)
 
@@ -288,8 +356,9 @@ class PicardTower:
     ``majorant`` is the quadrature majorant on ``grid`` and
     ``majorant_slack`` the most negative u - v_j over the iterates; both are
     diagnostics the tower does not use, so the majorant is inverted on the
-    returned grid, from a table of F of its own, only when one of them is
-    first read, and kept from then on.
+    returned grid, in closed form for a power h and from a table of F of its
+    own for any other, only when one of them is first read, and kept from
+    then on.
     ``trajectory`` is the solution's full derivative state, built on first
     read from the h, q and initial values the tower was built from.
     Every other diagnostic (gaps, slacks, iteration count) is read from the
@@ -313,8 +382,13 @@ class PicardTower:
 
     @functools.cached_property
     def majorant(self) -> np.ndarray:
-        """The quadrature majorant on ``grid``."""
-        return solve_autonomous_quadrature(*self._built_from[:3], self.grid)
+        """The quadrature majorant on ``grid``: for a power h, whose growth
+        g = c h(s/beta) is kappa s^lam with kappa = g(1), in closed form
+        (``_power_inverse``), else from F's table."""
+        g, n, u0, h = self._built_from[:4]
+        if h.family is Family.POWER:
+            return _power_inverse(h, float(g(1.0)), n, u0, self.grid, g)
+        return solve_autonomous_quadrature(g, n, u0, self.grid)
 
     @functools.cached_property
     def majorant_slack(self) -> float:
@@ -383,9 +457,10 @@ def picard_solve(
     leaves the float range, an exact Diverges from ``classify(h, n)`` lets
     the tower go on, as the majorant exists on [0, T].  The majorant itself is
     inverted on the grid the ladder stops at, and only when the tower's
-    ``majorant`` or ``majorant_slack`` is first read, which builds F's
-    table a second time; the values are those of an inversion on that grid
-    whenever it runs, since F's table depends only on g, n, u0 and T.
+    ``majorant`` or ``majorant_slack`` is first read: in closed form for a
+    power h, else from F's table, built a second time; the values are those
+    of an inversion on that grid whenever it runs, since F's table depends
+    only on g, n, u0 and T.
     """
     n = check_int("n", n)
     if not (0.0 < T < math.inf):
@@ -518,22 +593,27 @@ def _run_tower(h, b, q, grid, tol, max_iter) -> list:
     moves the iterate by <= tol or max_iter steps are taken.
 
     Each step is column 0 of :func:`integral_image`: the seed, built once,
-    plus the order-n image of each block of q h(v)."""
+    plus the order-n image of each block of q h(v).  A block that spans the
+    whole grid steps through :func:`weighted_volterra`; a sub-block's kernel
+    (its grid and order checks, weights and Taylor rows to every node) is
+    resolved once for the level and applied at every step, with the values
+    of ``partial_volterra(f, n, sub, grid) / (n-1)!``."""
     n, full = len(b), len(grid) - 1
-    q_blocks = _q_blocks(q, grid)
     seed = integral_image(b, (), grid)[:, 0]
+    blocks = [(i0, i1, qv, None if i0 == 0 and i1 == full else _sub_span(n, grid[i0 : i1 + 1], grid))
+              for i0, i1, _, qv in _q_blocks(q, grid)]
     iterates = [seed]
     # an iterate that overflows reaches the gap test below as inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             h_vals = h.eval_array(iterates[-1])
             v_new = seed.copy()
-            for i0, i1, _, qv in q_blocks:
+            for i0, i1, qv, image in blocks:
                 f = qv * h_vals[i0 : i1 + 1]
-                if i0 == 0 and i1 == full:
+                if image is None:
                     v_new += weighted_volterra(f, n, grid)
                 else:
-                    v_new += partial_volterra(f, n, grid[i0 : i1 + 1], grid) / math.factorial(n - 1)
+                    v_new += image(f) / math.factorial(n - 1)
             gap = abs(v_new - iterates[-1]).max()  # nan or inf when v_new is not finite
             if not math.isfinite(gap):
                 raise NumericFailureError("Picard iterate became non-finite")

@@ -224,21 +224,35 @@ def _checked(phi, p: int, grid):
     call makes: the grid's (:func:`_checked_grid`), an integer order in
     [1, 12], and finite phi sampled on the grid (or a callable)."""
     grid, key = _checked_grid(grid)
-    if not (isinstance(p, (int, np.integer)) and 1 <= p <= _MAX_ORDER):
-        raise InvalidParameterError(f"kernel order must be an integer in [1, {_MAX_ORDER}]")
+    p = _checked_order(p)
     if callable(phi):
         phi = np.array([float(phi(t)) for t in grid])
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.shape:
         raise InvalidParameterError("phi must be sampled on the grid")
+    return _finite(phi), p, grid, _cached(grid, key, p)
+
+
+def _checked_order(p) -> int:
+    if not (isinstance(p, (int, np.integer)) and 1 <= p <= _MAX_ORDER):
+        raise InvalidParameterError(f"kernel order must be an integer in [1, {_MAX_ORDER}]")
+    return int(p)
+
+
+def _finite(phi: np.ndarray) -> np.ndarray:
     if not np.isfinite(phi).all():
         raise NumericFailureError("non-finite phi samples")
-    p = int(p)
+    return phi
+
+
+def _cached(grid: np.ndarray, key: bytes, p: int) -> _Weights:
+    """The weights of a checked grid for orders >= p, from the cache or built
+    and inserted there (see _CACHE_BYTES)."""
     with _LOCK:
         entry = _WEIGHTS.pop(key, None)
         if entry is not None and entry.order >= p:
             _WEIGHTS[key] = entry  # most recently used last
-            return phi, p, grid, entry
+            return entry
     # a grid cached at a lower order keeps its rows and gains the new ones
     entry = _grid_weights(grid, p) if entry is None else _raised(entry, grid, p)
     with _LOCK:
@@ -249,7 +263,7 @@ def _checked(phi, p: int, grid):
             kept += e.nbytes
             if kept > _CACHE_BYTES and e is not entry:
                 _WEIGHTS.pop(k, None)
-    return phi, p, grid, entry
+    return entry
 
 
 def weighted_volterra(phi, p: int, grid) -> np.ndarray:
@@ -270,18 +284,37 @@ def weighted_volterra(phi, p: int, grid) -> np.ndarray:
     return _carry(phi, p, wts)[p - 1]
 
 
-def _extend(Y: np.ndarray, tau_grid: np.ndarray, t_targets: np.ndarray) -> list:
-    """(r-1)! times row r-1 of Y Taylor-extended from the last node t_k <= t
-    to each target t, r = 1..len(Y): exact, since y^(r) = 0 past t_k (targets
-    before the span extend from the first node, where Y = 0).  A target within
-    rounding of a node counts as that node; the slack stays below the
-    narrowest cell, which is far below 1e-12 near 0 on a graded grid."""
+def _taylor_rows(tau_grid: np.ndarray, t_targets: np.ndarray, p: int) -> tuple:
+    """(k, powers): each target's node t_k, the last one <= t, and the rows
+    dt^s / s!, s = 0..p-1, with dt = t - t_k, that :func:`_extend` applies to
+    a carry over the span ``tau_grid`` (targets before the span take its first
+    node, where the carry is 0).  A target within rounding of a node counts as
+    that node; the slack stays below the narrowest cell, which is far below
+    1e-12 near 0 on a graded grid.  They depend on the span and the targets
+    alone, so a caller that carries many phi over one span resolves them once."""
     tiny = min(1e-12 * max(1.0, float(np.max(np.abs(tau_grid)))), 1e-3 * float(np.min(np.diff(tau_grid))))
     k = np.maximum(np.searchsorted(tau_grid, t_targets + tiny, side="right") - 1, 0)
-    dt, Yk = t_targets - tau_grid[k], Y[:, k]
-    powers = [dt ** s / math.factorial(s) for s in range(len(Y))]
-    return [sum(Yk[r - 1 - s] * powers[s] for s in range(r)) * math.factorial(r - 1)
-            for r in range(1, len(Y) + 1)]
+    dt = t_targets - tau_grid[k]
+    return k, [dt ** s / math.factorial(s) for s in range(p)]
+
+
+def _extend(Y: np.ndarray, rows: tuple, r: int) -> np.ndarray:
+    """(r-1)! times row r-1 of the carry Y Taylor-extended from each target's
+    node t_k by ``rows`` (:func:`_taylor_rows`): exact, since y^(r) = 0 past t_k."""
+    k, powers = rows
+    return sum(Y[r - 1 - s, k] * powers[s] for s in range(r)) * math.factorial(r - 1)
+
+
+def _sub_span(p: int, tau_grid, t_targets):
+    """phi -> partial_volterra(phi, p, tau_grid, t_targets) for many phi on one
+    span: the grid and order checks, the span's weights and the targets'
+    Taylor rows are resolved once, here.  The returned function takes float
+    samples on the span and raises NumericFailureError on a non-finite one,
+    as every kernel call does; the values are partial_volterra's, bit for bit."""
+    tau_grid, key = _checked_grid(tau_grid)
+    p = _checked_order(p)
+    wts, rows = _cached(tau_grid, key, p), _taylor_rows(tau_grid, np.asarray(t_targets, dtype=float), p)
+    return lambda phi: _extend(_carry(_finite(phi), p, wts), rows, p)
 
 
 def partial_volterra(phi, p: int, tau_grid, t_targets) -> np.ndarray:
@@ -299,7 +332,7 @@ def partial_volterra(phi, p: int, tau_grid, t_targets) -> np.ndarray:
     :func:`weighted_volterra`.
     """
     phi, p, tau_grid, wts = _checked(phi, p, tau_grid)
-    return _extend(_carry(phi, p, wts), tau_grid, np.asarray(t_targets, dtype=float))[-1]
+    return _extend(_carry(phi, p, wts), _taylor_rows(tau_grid, np.asarray(t_targets, dtype=float), p), p)
 
 
 def integral_image(a, blocks, grid) -> np.ndarray:
@@ -328,6 +361,7 @@ def integral_image(a, blocks, grid) -> np.ndarray:
         f, _, sub, wts = _checked(f, p, grid[i0 : i1 + 1])
         Y = _carry(f, p, wts)
         if len(sub) < len(grid):  # a sub-block: extend its rows to every node
-            Y = [e / math.factorial(r) for r, e in enumerate(_extend(Y, sub, grid))]
+            rows = _taylor_rows(sub, grid, p)
+            Y = [_extend(Y, rows, r) / math.factorial(r - 1) for r in range(1, p + 1)]
         out += np.transpose(Y)[:, ::-1]
     return out

@@ -22,11 +22,14 @@ from blowup.functions import (
     make_power,
     make_power_log,
     parse_fn_spec,
+    scaled,
 )
 from blowup.ode import ProblemSpec, Trajectory, integrate
 from blowup.picard import (
     GRADE,
     GRID_MIN,
+    _power_inverse,
+    _q_blocks,
     _run_tower,
     _segmented_grid,
     apply_integral_operator,
@@ -37,8 +40,14 @@ from blowup.picard import (
     verify_bound_preservation,
     verify_comparison_bound,
 )
+from blowup.volterra import integral_image, partial_volterra, weighted_volterra
 
 ONE = make_constant(1.0)
+
+
+def tabled(g):
+    """g as a custom function, which F's table inverts (a power g has a closed form)."""
+    return scaled(g, 1.0, label=f"tabled({g.spec_text})")
 
 
 class TestConstants:
@@ -130,7 +139,19 @@ class TestQuadratureInversion:
     def test_start_where_g_underflows_is_named(self):
         # g(1e-250) = 1e-375 is 0.0 in floats, so F's integrand is not finite at u0
         with pytest.raises(NumericFailureError, match="not positive"):
+            solve_autonomous_quadrature(make_power_log(1.5, 0.5), 1, 1e-250, [1e300])
+        # the closed form of a power g never evaluates g: F(inf) = u0^(-1/2) / (1/2)
+        with pytest.raises(FiniteEscapeError) as exc:
             solve_autonomous_quadrature(make_power(1.5), 1, 1e-250, [1e300])
+        assert exc.value.escape_time == pytest.approx(2e125, rel=1e-14)
+
+    @pytest.mark.parametrize("g", [make_power_log(1.6, 0.5), make_power(1.6)], ids=["table", "closed-form"])
+    def test_start_where_g_is_subnormal(self, g):
+        # g(1e-200) ~ 1e-320 is subnormal, so g^(-1) overflows, although F's
+        # integrand e^y g(e^y)^(-1) is ~1e120 there; F(inf) ~ u0^(-0.6) / 0.6
+        with pytest.raises(FiniteEscapeError) as exc:
+            solve_autonomous_quadrature(g, 1, 1e-200, [1e300])
+        assert exc.value.escape_time == pytest.approx(1e120 / 0.6, rel=1e-12)
 
     def test_diverging_tail_names_its_verdict(self):
         # a diverging F that stays below t in floats names the integral test's verdict
@@ -184,22 +205,37 @@ class TestQuadratureInversion:
                 oracle = (mpmath.quad(f, ends) + rest) / n
         assert exc.value.escape_time == pytest.approx(float(oracle), rel=1e-12)
 
-    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(
-        lam=st.floats(0.0, 1.0),
+        r=st.floats(0.0, 1.0),
+        table=st.booleans(),
         n=st.integers(1, 3),
         u0=st.floats(0.1, 10.0),
         targets=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=20),
     )
-    def test_matches_mpmath_oracle(self, lam, n, u0, targets):
-        # g = s^lam: F(U) = (U^a - u0^a) / (n a) with a = (1 - lam)/n, log at a = 0
-        u = solve_autonomous_quadrature(make_power(lam), n, u0, targets)
+    def test_matches_mpmath_oracle(self, r, table, n, u0, targets):
+        # g = s^lam: F(U) = (U^a - u0^a) / (n a) with a = (1 - lam)/n, log at a = 0.
+        # A power g inverts in closed form, lam in [0, 2]; the same power as a
+        # custom g goes through F's table, lam in [0, 1].  For lam > 1 the
+        # closed form escapes at F(inf) = u0^a / (lam - 1) below the largest
+        # target, and names a target in [F(e^709), F(inf)] as past the float range
+        lam = r if table else 2.0 * r
         with mpmath.workdps(40):
-            a = (1 - mpmath.mpf(lam)) / n
+            a, v = (1 - mpmath.mpf(lam)) / n, mpmath.mpf(u0)
+            F = lambda U: (U ** a - v ** a) / (n * a) if a else mpmath.log(U / v) / n  # noqa: E731
+            try:
+                u = solve_autonomous_quadrature(tabled(make_power(lam)) if table else make_power(lam),
+                                                n, u0, targets)
+            except FiniteEscapeError as exc:
+                assert lam > 1.0 and not table
+                assert exc.escape_time == pytest.approx(float(v ** a / (lam - 1)), rel=1e-12)
+                assert exc.escape_time < max(targets)
+                return
+            except BracketFailureError:
+                assert lam > 1.0 and not table and F(mpmath.exp(709)) < max(targets) <= v ** a / (lam - 1)
+                return
             for U, t in zip(u, targets):
-                U, v = mpmath.mpf(U), mpmath.mpf(u0)
-                F = (U ** a - v ** a) / (n * a) if a else mpmath.log(U / v) / n
-                assert abs(float(F) - t) <= 1e-10
+                assert abs(float(F(mpmath.mpf(U))) - t) <= 1e-10
 
     def test_jump_of_a_piecewise_g(self):
         # n = 1, g = 1 below s = 2 and 4 above: F(U) = U - 1, then 1 + (U - 2)/4
@@ -227,11 +263,13 @@ class TestQuadratureInversion:
 
     def test_targets_up_to_the_float_range(self):
         # F's table runs on to s = e^709: g = s, n = 1 gives F = log U, and
-        # g = s^0.99 gives F = 100 (U^0.01 - 1), so t = 1e5 at U = 1001^100 ~ e^690.9
-        u = solve_autonomous_quadrature(make_power(1.0), 1, 1.0, [700.0])
-        assert u[0] == pytest.approx(math.exp(700.0), rel=1e-13)
-        u = solve_autonomous_quadrature(make_power(0.99), 1, 1.0, [1e5])
-        assert u[0] == pytest.approx(float(mpmath.mpf(1001) ** 100), rel=1e-11)
+        # g = s^0.99 gives F = 100 (U^0.01 - 1), so t = 1e5 at U = 1001^100 ~ e^690.9;
+        # the same for the closed form of a power g
+        for through in (tabled, lambda g: g):
+            u = solve_autonomous_quadrature(through(make_power(1.0)), 1, 1.0, [700.0])
+            assert u[0] == pytest.approx(math.exp(700.0), rel=1e-13)
+            u = solve_autonomous_quadrature(through(make_power(0.99)), 1, 1.0, [1e5])
+            assert u[0] == pytest.approx(float(mpmath.mpf(1001) ** 100), rel=1e-11)
 
     @pytest.mark.parametrize("lam", [0.99, 0.999, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -240,8 +278,9 @@ class TestQuadratureInversion:
         ys = np.linspace(661.0, 708.5, 6)
         a = (1.0 - lam) / n
         targets = np.expm1(a * ys) / (n * a) if a else ys / n
-        u = solve_autonomous_quadrature(make_power(lam), n, 1.0, targets)
-        assert np.max(np.abs(np.log(u) - ys)) <= 1e-11
+        for g in (tabled(make_power(lam)), make_power(lam)):  # F's table, the closed form
+            u = solve_autonomous_quadrature(g, n, 1.0, targets)
+            assert np.max(np.abs(np.log(u) - ys)) <= 1e-11
 
 
 class TestComparisonBound:
@@ -395,17 +434,30 @@ class TestPicardTower:
     def test_one_f_table_per_inversion(self, monkeypatch):
         # an inversion sums every panel of F's table once; the escape check
         # at T is the solve's one inversion, and the majorant on the final
-        # grid, which ends at T, is a second one on the same panels
+        # grid, which ends at T, is a second one on the same panels (h = s as
+        # a powerlog, whose majorant has no closed form)
         import blowup.picard as picard
 
         cuts, real = [], picard.panels
         monkeypatch.setattr(picard, "panels", lambda f, c: cuts.append(c.tobytes()) or real(f, c))
-        tw = picard_solve(make_power(1), 2, [1.0, 1.0], 3.0, tol=1e-9)
+        tw = picard_solve(make_power_log(1.0, 0.0), 2, [1.0, 1.0], 3.0, tol=1e-9)
         assert len(tw.grid) > 129 and tw.grid[-1] == 3.0
         escape = list(cuts)
         assert escape and len(set(escape)) == len(escape)
         assert np.all(tw.majorant > 0.0)  # the inversion on the final grid
         assert cuts == escape + escape
+
+    def test_power_majorant_builds_no_f_table(self, monkeypatch):
+        # the closed-form counterpart: the escape check keeps its table, and
+        # the majorant of a power h sums no panel
+        import blowup.picard as picard
+
+        cuts, real = [], picard.panels
+        monkeypatch.setattr(picard, "panels", lambda f, c: cuts.append(c.tobytes()) or real(f, c))
+        tw = picard_solve(make_power(1), 2, [1.0, 1.0], 3.0, tol=1e-9)
+        escape = list(cuts)
+        assert escape and np.all(tw.majorant > 0.0)
+        assert cuts == escape
 
     def test_second_solve_builds_no_kernel_weights(self, monkeypatch):
         # every level of a repeated solve finds its weights cached
@@ -435,7 +487,7 @@ class TestPicardTower:
             return inverse(g, n, u0, t_targets, **kw)
 
         monkeypatch.setattr(picard, "solve_autonomous_quadrature", counted)
-        tw = picard_solve(make_power(1), 1, [1.0], 1.0, tol=1e-10)
+        tw = picard_solve(make_power_log(1.0, 0.0), 1, [1.0], 1.0, tol=1e-10)
         assert len(tw.grid) > 129  # the ladder doubled at least once
         assert targets == [1]  # the escape check alone
         majorant = tw.majorant
@@ -443,14 +495,28 @@ class TestPicardTower:
         assert tw.majorant is majorant and tw.majorant_slack <= 0.0
         assert targets == [1, len(tw.grid)]
 
+    def test_power_majorant_inverts_no_target(self, monkeypatch):
+        # the closed-form counterpart: the escape check is the one inversion,
+        # and the majorant, read once and kept, adds none
+        import blowup.picard as picard
+
+        targets, inverse = [], picard.solve_autonomous_quadrature
+        monkeypatch.setattr(picard, "solve_autonomous_quadrature",
+                            lambda g, n, u0, t: targets.append(len(t)) or inverse(g, n, u0, t))
+        tw = picard_solve(make_power(1), 1, [1.0], 1.0, tol=1e-10)
+        majorant = tw.majorant
+        assert tw.majorant is majorant and tw.majorant_slack <= 0.0
+        assert targets == [1]
+
     @pytest.mark.parametrize("h, n, b, majorant_b, q", [
-        (make_power(1), 2, [1.0, 1.0], None, None),
-        (make_power(0.5), 2, [0.0, 1.0], [1.0, 1.0], None),
-        (make_power(1), 2, [1.0, 1.0], None, make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])),
+        (make_power_log(1.0, 0.0), 2, [1.0, 1.0], None, None),
+        (make_power_log(0.5, 0.0), 2, [0.0, 1.0], [1.0, 1.0], None),
+        (make_power_log(1.0, 0.0), 2, [1.0, 1.0], None, make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])),
     ], ids=["plain", "graded", "piecewise-q"])
     def test_majorant_read_later_is_the_eager_inversion(self, h, n, b, majorant_b, q):
         # the majorant read first after another solve is, bit for bit, an
-        # inversion on the tower's grid from a fresh g
+        # inversion on the tower's grid from a fresh g (powerlog h, whose
+        # majorant comes from F's table)
         T = 3.0
         tw = picard_solve(h, n, b, T, tol=1e-9, majorant_b=majorant_b, q=q)
         picard_solve(make_power(0.5), 1, [2.0], 1.0, tol=1e-9)
@@ -462,6 +528,26 @@ class TestPicardTower:
         # read right after its own solve: the same bits
         again = picard_solve(h, n, b, T, tol=1e-9, majorant_b=majorant_b, q=q)
         assert again.majorant.tobytes() == eager.tobytes()
+
+    @pytest.mark.parametrize("h, n, b, majorant_b, q", [
+        (make_power(1), 2, [1.0, 1.0], None, None),
+        (make_power(0.5), 2, [0.0, 1.0], [1.0, 1.0], None),
+        (make_power(1), 2, [1.0, 1.0], None, make_piecewise([((0, 1), 0.5), ((1, math.inf), 2.0)])),
+    ], ids=["plain", "graded", "piecewise-q"])
+    def test_power_majorant_read_later_is_the_closed_form(self, h, n, b, majorant_b, q):
+        # the closed-form counterpart: the majorant of a power h read after
+        # another solve is, bit for bit, the closed form on the tower's grid
+        # from a fresh g, kappa = g(1), and within 1e-12 of F's table
+        T = 3.0
+        tw = picard_solve(h, n, b, T, tol=1e-9, majorant_b=majorant_b, q=q)
+        picard_solve(make_power(0.5), 1, [2.0], 1.0, tol=1e-9)
+        g = majorant_growth(h, n, weight=1.0 if q is None else 2.0)
+        u0 = sum(bi * T ** i / math.factorial(i) for i, bi in enumerate(majorant_b or b))
+        closed = _power_inverse(h, g(1.0), n, u0, tw.grid, g)
+        assert tw.majorant.tobytes() == closed.tobytes()
+        assert tw.majorant[0] == u0 and tw.majorant_slack == min(float(np.min(closed - v)) for v in tw.iterates)
+        table = solve_autonomous_quadrature(g, n, u0, tw.grid)
+        assert np.max(np.abs(closed / table - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("h, n, b, majorant_b, q", [
         (make_power(1), 2, [1.0, 1.0], None, None),
@@ -606,6 +692,43 @@ class TestPicardTower:
             assert len(builds) == len(levels)
         else:
             assert len(levels) < len(builds) <= per_level * len(levels)
+
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.3, 1.0),
+        b=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=1, max_size=3),
+        T=st.floats(0.5, 3.0),
+        cuts=st.lists(st.floats(0.1, 0.9), min_size=1, max_size=2, unique=True),
+        q_vals=st.lists(st.floats(0.25, 2.0), min_size=3, max_size=3),
+    )
+    def test_piecewise_q_steps_are_the_partial_kernel(self, lam, b, T, cuts, q_vals):
+        # a tower whose q jumps inside [0, T] resolves each sub-block's kernel
+        # once per level; its iterates are, bit for bit, those of steps that
+        # call partial_volterra(f, n, sub, grid) / (n-1)! on every sub-block
+        # (b[0] = 0 with lam < 1 grades the first segment)
+        n, jumps = len(b), sorted(c * T for c in cuts)
+        edges = [0.0, *jumps, math.inf]
+        q = make_piecewise([((lo, hi), v) for lo, hi, v in zip(edges, edges[1:], q_vals)])
+        h, tol = make_power(lam), 1e-9
+        tw = picard_solve(h, n, b, T, tol=tol, q=q, majorant_b=np.add(b, 1.0))
+        grid, full = tw.grid, len(tw.grid) - 1
+        seed = integral_image(np.array(b), (), grid)[:, 0]
+        want = [seed]
+        while len(want) < 61:
+            h_vals, v = h.eval_array(want[-1]), seed.copy()
+            for i0, i1, _, qv in _q_blocks(q, grid):
+                f = qv * h_vals[i0 : i1 + 1]
+                if i0 == 0 and i1 == full:
+                    v += weighted_volterra(f, n, grid)
+                else:
+                    v += partial_volterra(f, n, grid[i0 : i1 + 1], grid) / math.factorial(n - 1)
+            gap = float(np.max(np.abs(v - want[-1])))
+            want.append(v)
+            if gap <= tol:
+                break
+        assert len(tw.iterates) == len(want)
+        assert all(got.tobytes() == ref.tobytes() for got, ref in zip(tw.iterates, want))
 
 
 def every_level(h, b, T, tol, q, max_iter=60):

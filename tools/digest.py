@@ -13,7 +13,7 @@ same bit for bit.  The groups:
 - global-construct seeds 1 and 4, rounds 0-3: every pipeline report, field
   by field (construction, majorization, the constructed and direct
   trajectories with ts/ys/dys/tol/stats/dense), and each case's Picard
-  tower: grid, iterates, levels and the inverted ``majorant``;
+  tower: grid, iterates and levels (its majorant goes to tower-majorant);
 - blowup-ladder seeds 2 and 5, rounds 0-15: every report with its
   trajectory;
 - cli-batch seed 3, rounds 0-2: every artifact, byte for byte;
@@ -57,8 +57,15 @@ same bit for bit.  The groups:
   F(e^709), the end of the float range, the escape time of power(2) from
   1, and the target 1e300 past the float range for powerlog(1, sigma) g
   with sigma in {1.5, 3} and n = 1-3, and the target 1 for power(2) from
-  1e307 and power(1.5) from 1e300: each escape time, or the type of the
-  error raised.
+  1e307 and power(1.5) from 1e300; the edges of the closed form of a power
+  g: for lam > 1, targets a relative 1e-9 and one float below F(inf) and one
+  float above it, and for lam <= 1 targets whose U lies past e^709; and the
+  target 1e300 from u0 = 1e-200, where g is subnormal, for power(1.6) and
+  powerlog(1.6, 0.5): each value or escape time, or the type of the error
+  raised;
+- tower-majorant: the inverted ``majorant`` of every Picard tower that the
+  pipeline groups above build, in their order (a power h's is the closed
+  form, any other h's comes from F's table).
 
 Every group that runs pipelines (global-construct, blowup-ladder,
 powerlog-pipeline, piecewise-lift, zero-data) also hashes each constructed
@@ -137,14 +144,14 @@ class Group:
         return f"{self.name} items={self.items} sha256={self.hasher.hexdigest()}"
 
 
-def _tower(tower) -> tuple:
-    return tower, tower.majorant
+# the majorants of the pipeline groups' towers, hashed apart from them
+MAJORANTS = Group("tower-majorant")
 
 
 def pipelines(group: Group, problems, horizon) -> None:
     """Every report of run_pipeline over problems, each constructed
     trajectory's dense output at 1001 points across its horizon, and the
-    towers it built."""
+    towers it built; each tower's majorant goes to MAJORANTS."""
     towers = []
     solve = blowup.pipeline.picard_solve
 
@@ -164,7 +171,8 @@ def pipelines(group: Group, problems, horizon) -> None:
             if getattr(rep, "constructed", None) is not None:
                 group.add(rep.constructed(np.linspace(0.0, T, 1001)))
             for tower in towers:
-                group.add(_tower(tower))
+                group.add(tower)
+                MAJORANTS.add(tower.majorant)
     finally:
         blowup.pipeline.picard_solve = solve
 
@@ -246,7 +254,8 @@ def piecewise_group() -> Group:
     for n in range(1, 8):
         g = blowup.majorant_growth(h, n, weight=1.5)
         group.add((g.breakpoints, g.eval_array(grid), [g(float(s)) for s in grid[::16]]))
-        group.add(_tower(blowup.picard_solve(h, n, [1.0] * n, 0.5, tol=1e-8)))
+        tower = blowup.picard_solve(h, n, [1.0] * n, 0.5, tol=1e-8)
+        group.add((tower, tower.majorant))
     return group
 
 
@@ -382,6 +391,17 @@ def inversion_reach_group() -> Group:
             group.add((sigma, n, _escape(blowup.make_power_log(1.0, sigma), n, 1.0, [1e300])))
     group.add(_escape(blowup.make_power(2.0), 1, 1e307, [1.0]))
     group.add(_escape(blowup.make_power(1.5), 1, 1e300, [1.0]))
+    # the closed form's edges: around F(inf) for lam > 1, U past e^709 for lam <= 1
+    for lam, n, u0 in ((2.0, 1, 1.0), (3.0, 2, 2.0), (1.5, 3, 0.5)):
+        g = blowup.make_power(lam)
+        escape = blowup.classify_from(g, n, u0).estimate / n
+        for t in (escape * (1.0 - 1e-9), np.nextafter(escape, 0.0), np.nextafter(escape, math.inf)):
+            group.add((lam, n, u0, t, _escape(g, n, u0, [0.5 * escape, t])))
+    for lam, n, t in ((0.5, 1, 1e300), (0.999, 3, 1e5), (1.0, 1, 709.5), (1.0, 2, 1e300)):
+        group.add((lam, n, t, _escape(blowup.make_power(lam), n, 1.0, [1.0, t])))
+    # from u0 = 1e-200, g = s^1.6 is subnormal: F(inf) = u0^-0.6 / 0.6 ~ 1.67e120
+    for g in (blowup.make_power(1.6), blowup.make_power_log(1.6, 0.5)):
+        group.add(_escape(g, 1, 1e-200, [1e300]))
     return group
 
 
@@ -403,6 +423,7 @@ def main() -> None:
     ]
     for make in groups:
         print(make().line(), flush=True)
+    print(MAJORANTS.line(), flush=True)
 
 
 if __name__ == "__main__":
