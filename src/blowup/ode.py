@@ -22,13 +22,13 @@ calls :meth:`ProblemSpec.rhs` there.
 
 Everything in the intended regime (q, h >= 0, a >= 0) is monotone: w^(m)
 is nonnegative, so every lower derivative is nondecreasing.  Blow-up
-manifests as escape through a ladder of thresholds.  Where q is a positive
-constant past the escape and the reduced order is 1 with an h whose
-integral test converges from the node, or 2 with a power h, the remaining
-time is the integral test's own tail, read from the accepted node before an
-escape past q's last jump, the first it can finish from; elsewhere the
-finite blow-up time is estimated by Richardson/Aitken extrapolation of the
-escape times, which needs no knowledge of the blow-up exponent.
+manifests as escape through a ladder of thresholds.  Where the reduced order
+is 1 with an h whose integral test converges from the node, or 2 with a
+power h, the remaining time is the integral test's own tail, read from the
+first accepted node before an escape that it can finish from, in a piece of
+a step-function q that is positive and holds until T*; elsewhere the finite
+blow-up time is estimated by Richardson/Aitken extrapolation of the escape
+times, which needs no knowledge of the blow-up exponent.
 """
 
 from __future__ import annotations
@@ -938,30 +938,31 @@ def detect_blowup(
     exact and by extrapolation elsewhere.
 
     Where :func:`_tail_rule` applies (reduced order n <= 2, no
-    ``f_override``, a step-function q (a constant is its one piece) with a
-    last value c > 0, and for n = 2 h a power s^lam with lam > 1), the
-    integral test's tail gives T* - t exactly from any state on q's last
-    piece; for n = 1 it is the integral test from the node, for any h.  So
-    the first threshold crossed by each step that starts on that piece asks
-    for T* = t_k + tail(y_k), once per node, with (t_k, y_k) the accepted
-    node that starts the crossing step (y(0) for data already past the
-    threshold), and the first T* within the horizon ends the run, with
-    ``t_blow_method`` "tail"; the escape row and the trajectory end at the
-    interpolated crossing.  A node the tail cannot finish from (u = w^(k)
-    or, for n = 2, u' still 0, or for n = 1 a test from u that gives no
-    estimate) passes to the next rung.  No interpolation error enters T*:
-    y_k is a state the step itself computed and accepted, where the
-    interpolated state at the crossing would add the dense output's error, a
-    sizeable share of the interval at a low rung.  An error of y_k that is a
-    time shift moves the solution through y_k and its tail by opposite
-    amounts, so to first order it cancels; what is left is the drift of the
-    solution, held near tol relative over unit spans by the step control at
-    TOL_SAFETY * tol, and the tail's quadrature error, 1e-12 relative
-    (QUAD_TOL).  The interval is T* +- 10 tol max(1, T*): an error estimate
-    with a margin, not a proof.  On drawn power problems with n = 1 and 2
-    and tol from 1e-12 to 1e-4 the error stayed under 1% of its half-width;
-    the tests check it against closed-form and mpmath blow-up times from
-    ladders that start at 10, 1e3 and 1e6.
+    ``f_override``, a step-function q (a constant is its one piece), and for
+    n = 2 h a power s^lam with lam > 1), the integral test's tail gives
+    T* - t exactly from any state in a piece of q whose value c is > 0, when
+    that piece holds until T*; for n = 1 it is the integral test from the
+    node, for any h.  So the first threshold crossed by each step asks for
+    T* = t_k + tail(y_k) with the c of the piece the node is in, once per node,
+    with (t_k, y_k) the accepted node that starts the crossing step (y(0)
+    for data already past the threshold), and the first T* within the
+    horizon ends the run, with ``t_blow_method`` "tail"; the escape row and
+    the trajectory end at the interpolated crossing.  A node the tail cannot
+    finish from (u = w^(k) or, for n = 2, u' still 0, a piece with c <= 0 or
+    that ends before T*, or for n = 1 a test from u that gives no estimate)
+    passes to the next rung, so a jump of q after T* changes nothing.  No
+    interpolation error enters T*: y_k is a state the step itself computed
+    and accepted, where the interpolated state at the crossing would add the
+    dense output's error, a sizeable share of the interval at a low rung.
+    An error of y_k that is a time shift moves the solution through y_k and
+    its tail by opposite amounts, so to first order it cancels; what is left
+    is the drift of the solution, held near tol relative over unit spans by
+    the step control at TOL_SAFETY * tol, and the tail's quadrature error,
+    1e-12 relative (QUAD_TOL).  The interval is T* +- 10 tol max(1, T*): an
+    error estimate with a margin, not a proof.  On drawn power problems with
+    n = 1 and 2 and tol from 1e-12 to 1e-4 the error stayed under 1% of its
+    half-width; the tests check it against closed-form and mpmath blow-up
+    times from ladders that start at 10, 1e3 and 1e6.
 
     A T* past the horizon is final too.  The run then goes on through the
     ladder, asking again at each later crossing step, and may still escape
@@ -981,7 +982,8 @@ def detect_blowup(
     size collapsed, which is escape to numerical infinity) the blow-up time
     is estimated by Richardson/Aitken extrapolation of the t_M sequence and
     bracketed by the heuristic [t_last, estimate + margin] (``t_blow_method``
-    "extrapolated"); otherwise the problem is reported global up to the
+    "extrapolated"), whose lower end, the last escape time, carries the
+    integration error; otherwise the problem is reported global up to the
     horizon.
     """
     thresholds = check_thresholds(thresholds)
@@ -1046,8 +1048,8 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
     """T* as a function of a time t and the state y there, where the
     integral test's tail gives T* - t exactly; else None.
 
-    The tail holds on the last piece of a step-function q (a constant is its
-    one piece), which starts at q's last cut: there q is its value c > 0
+    The tail holds in the piece of a step-function q (a constant is its one
+    piece) that t is in, when it holds until T*: there q is its value c > 0
     and u = w^(k) solves u^(n) = c h(u).  With u_M = y[k]:
     - n = 1, any h: T* - t = (1/c) int_{u_M}^inf ds / h(s), the integral
       test from u_M, whose :func:`classify_from` estimate is None unless it
@@ -1063,21 +1065,17 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
       no cancellation however small v^2/e is, on panels with edges at the
       powers 4^-j down to 4^-27, so that each scale at which v^2/e can take
       over from 1 - x^K, z ~ sqrt(v^2 / (e K)), starts panels of its own.
-    The returned function gives nan for a t before that piece, for an h
-    whose test from u_M gives no estimate (n = 1) and for a state it cannot
-    finish from: u_M <= 0, v <= 0 for n = 2, or a tail that raises an
-    ArithmeticError (a test that cannot start, v^2 / e past the floats).
+    The returned function gives nan where t's piece has c <= 0 or ends
+    before T*, where h's test from u_M gives no estimate (n = 1) and from a
+    state it cannot finish from: u_M <= 0, v <= 0 for n = 2, or a tail that
+    raises an ArithmeticError (a test that cannot start, v^2 / e overflows).
     """
     q, h, n, k = p.q, p.h, p.n, p.k
     if p.f_override is not None or n > 2 or q.family is not Family.PIECEWISE:
         return None
-    after = q.cuts(0.0, math.inf)[-2]
-    c = q.fn(after)
-    if not c > 0.0:
-        return None
     if n == 1:
 
-        def tail(y):
+        def tail(y, c):
             u = float(y[k])
             if not u > 0.0:
                 return math.nan
@@ -1088,7 +1086,7 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
         beta = 2.0 / (lam - 1.0)
         K = 2.0 * beta + 2.0
 
-        def tail(y):
+        def tail(y, c):
             u, v = float(y[k]), float(y[k + 1])
             if not (u > 0.0 and v > 0.0):
                 return math.nan
@@ -1102,10 +1100,12 @@ def _tail_rule(p: ProblemSpec) -> Optional[Callable[[float, Sequence[float]], fl
         return None
 
     def t_blow(t, y):
+        c = q.fn(t)
         try:
-            return t + tail(y) if t >= after else math.nan
+            t_star = t + tail(y, c) if c > 0.0 else math.nan
         except ArithmeticError:
             return math.nan
+        return t_star if t_star <= q.cuts(t, math.inf)[1] else math.nan
 
     return t_blow
 

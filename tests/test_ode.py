@@ -1438,7 +1438,7 @@ class TestTailOracle:
         q = make_piecewise([((0.0, 1.0), 1.0), ((1.0, math.inf), 2.0)])
         tail = ode._tail_rule(ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(2)))
         assert tail(2.0, (1e-200,)) == 5e199
-        assert math.isnan(tail(0.5, (1e-200,)))  # before q's last piece
+        assert math.isnan(tail(0.5, (1e-200,)))  # T* = 0.5 + 1e200 is past the piece's end at 1
 
     def test_second_order_speed_far_below_the_energy_scale(self):
         # w'' = w^2 from (1e13, 1): v^2 / e ~ 1.5e-39, so 1 + (v^2/e - 1) x^K
@@ -1462,10 +1462,12 @@ class TestTailOracle:
 
 
 class TestRungIndependence:
-    """The tail is exact from any state past q's last jump, so the ladder's
-    first rung does not matter: from ladders that start at 10, 1e3 and 1e6
-    T* stays within 5% of its half-width of the oracle, and the escape rows
-    are a bitwise prefix of the full ladder's on the same rungs."""
+    """The tail is exact from any state in the piece of q the node is in,
+    when it holds until T* (here q is a constant, one piece), so the
+    ladder's first rung does not matter: from ladders that start at 10, 1e3
+    and 1e6 T* stays within 5% of its half-width of the oracle, and the
+    escape rows are a bitwise prefix of the full ladder's on the same
+    rungs."""
 
     STARTS = (10.0, 1e3, 1e6)
 
@@ -1581,6 +1583,13 @@ TAIL_SCOPE = {
                  dict(horizon=5.0)),
     "f_override": (ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2),
                                f_override=lambda t, y: float(y[0]) ** 2), dict(horizon=5.0)),
+    # w' = q w^2, w(0) = 1 with q = 1 until t = 2: T* = 1 comes before the jump
+    "jump-after-the-blow-up": (ProblemSpec(m=1, k=0, a=(1.0,), q=make_piecewise(
+        [((0, 2.0), 1.0), ((2.0, math.inf), 0.5)]), h=make_power(2)), dict(horizon=5.0)),
+    # "past-the-horizon" with q = 1 until t = 20: T* = 10 comes before the
+    # jump, which lies past the horizon too
+    "last-jump-past-the-horizon": (ProblemSpec(m=1, k=0, a=(1.0,), q=make_piecewise(
+        [((0, 20.0), 1.0), ((20.0, math.inf), 2.0)]), h=make_power(1.1)), dict(horizon=8.0)),
 }
 
 
@@ -1709,6 +1718,52 @@ class TestTailScope:
         assert rep.t_blow_method == "extrapolated"
         assert_same_report(rep, ladder_only(p, **kw))
 
+    def test_jump_after_the_blow_up_takes_the_tail(self):
+        # q's jump at t = 2 is never reached: the report is q = 1's, bit for bit
+        p, kw = TAIL_SCOPE["jump-after-the-blow-up"]
+        rep = detect_blowup(p, **kw)
+        assert rep.t_blow_method == "tail"
+        lo, hi = rep.t_blow_interval
+        assert lo <= 1.0 <= hi
+        assert rep.t_blow_estimate == pytest.approx(1.0, rel=1e-9)
+        assert_same_report(rep, detect_blowup(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2)), **kw))
+
+    def test_last_jump_past_the_horizon_takes_the_tail(self):
+        # T* = 10 lies past the horizon 8 and before q's jump at 20: the
+        # report is "past-the-horizon"'s, whose q = 1 has no jump
+        p, kw = TAIL_SCOPE["last-jump-past-the-horizon"]
+        rep = detect_blowup(p, **kw)
+        assert (rep.kind, rep.t_blow_method) == (BlowupKind.GLOBAL_UP_TO_HORIZON, "tail")
+        lo, hi = rep.t_blow_interval
+        assert lo <= 10.0 <= hi
+        ref_p, ref_kw = TAIL_SCOPE["past-the-horizon"]
+        ref = detect_blowup(ref_p, **ref_kw)
+        assert_same_report(rep, ref)
+        assert rep.t_blow_method == ref.t_blow_method
+
+    def test_tail_reads_the_piece_a_node_on_a_jump_starts(self):
+        # q = 1 on [0, 1), 2 on [1, 5), 1 after; h = s^2 from u = 1 at t = 1:
+        # the piece that starts at the jump gives T* = 1 + 1/2
+        q = make_piecewise([((0.0, 1.0), 1.0), ((1.0, 5.0), 2.0), ((5.0, math.inf), 1.0)])
+        tail = ode._tail_rule(ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(2)))
+        assert tail(1.0, (1.0,)) == 1.5
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_no_tail_where_q_is_zero(self, m):
+        # the tail at a node with q = 0 has no T*, though the next piece has one
+        q = make_piecewise([((0.0, 1.0), 0.0), ((1.0, math.inf), 1.0)])
+        tail = ode._tail_rule(ProblemSpec(m=m, k=0, a=(1.0,) * m, q=q, h=make_power(2)))
+        assert math.isnan(tail(0.5, (1.0,) * m))
+        assert tail(1.0, (1.0,) * m) > 1.0
+
+    def test_tail_ending_at_the_piece_end_stands(self):
+        # q = 1 on [0, 2): from u = 1 at t = 1, h = s^2, T* = 2 is the piece's
+        # end, where q does not act before the blow-up
+        q = make_piecewise([((0.0, 2.0), 1.0), ((2.0, math.inf), 0.5)])
+        tail = ode._tail_rule(ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(2)))
+        assert tail(1.0, (1.0,)) == 2.0
+        assert math.isnan(tail(1.0, (0.9,)))  # T* = 1 + 1/0.9, past the end
+
     @pytest.mark.parametrize("name", list(TAIL_SCOPE))
     def test_one_integration_per_report(self, name, monkeypatch):
         # the tail is asked at each rung inside the loop: a report whose tail
@@ -1733,6 +1788,65 @@ class TestTailScope:
         monkeypatch.setattr(ode, "_tail_rule", counted)
         detect_blowup(p, **kw)
         assert len(asks) == len(set(asks))
+
+
+class TestTailInItsPiece:
+    """The tail reads the piece of q the node is in and keeps its T* only
+    where that piece holds until T*: a jump of q after T* changes no bit of
+    the report, and a blow-up inside q's first piece, or in its last after
+    a late jump, ends with the oracle's T* inside the interval."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(order=st.sampled_from([(1, 0), (2, 1), (3, 2), (2, 0), (3, 1)]), powerlog=st.booleans(), lam=st.floats(1.1, 3.0),
+           sigma=st.floats(1.2, 3.0), a=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+           c0=st.floats(0.5, 2.0), horizon=st.floats(0.5, 10.0), delta=st.floats(0.01, 2.0),
+           c1=st.one_of(st.just(0.0), st.floats(0.25, 2.0)))
+    def test_jump_after_the_blow_up_changes_nothing(self, order, powerlog, lam, sigma, a, c0, horizon,
+                                                      delta, c1):
+        # (m, k) with n = m - k in {1, 2}: q = c0, then q = c0 until b and c1
+        # after, with b past T* (or past the horizon when the first report
+        # has no T*)
+        m, k = order
+        h = make_power_log(1.0, sigma) if powerlog and m - k == 1 else make_power(lam)
+        ref = detect_blowup(ProblemSpec(m=m, k=k, a=tuple(a[:m]), q=make_constant(c0), h=h), horizon=horizon)
+        b = (horizon if ref.t_blow_estimate is None else ref.t_blow_estimate) * (1.0 + delta)
+        q = make_piecewise([((0.0, b), c0), ((b, math.inf), c1)])
+        rep = detect_blowup(ProblemSpec(m=m, k=k, a=tuple(a[:m]), q=q, h=h), horizon=horizon)
+        assert_same_report(rep, ref)
+        assert rep.t_blow_method == ref.t_blow_method
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["power", "powerlog", "energy", "late-jump"]), lam=st.floats(1.1, 3.0),
+           sigma=st.floats(1.2, 3.0), a0=st.floats(0.5, 2.0), a1=st.floats(0.5, 2.0),
+           c0=st.floats(0.5, 2.0), delta=st.floats(0.01, 2.0), share=st.floats(0.7, 0.95),
+           c1=st.floats(0.25, 2.0), zero=st.booleans())
+    def test_tail_in_the_piece_against_the_oracle(self, kind, lam, sigma, a0, a1, c0, delta, share, c1, zero):
+        # a blow-up in q's first piece [0, b), b = T* (1 + delta), reports
+        # the tail, with c1 = 0 or c1 after b; with the jump at b = share T*_0
+        # before T*_0 = I(a0)/c0 (n = 1, power h), int_0^T* q = I(a0) gives
+        # T* = b + (I(a0) - c0 b)/c1
+        h = make_power_log(1.0, sigma) if kind == "powerlog" else make_power(lam)
+        with mpmath.workdps(30):
+            lam_, a_, c0_, c1_ = (mpmath.mpf(x) for x in (lam, a0, c0, c1))
+            whole = a_ ** (1 - lam_) / (lam_ - 1)  # I(a0) of a power h, n = 1
+            if kind == "late-jump":
+                b = share * float(whole / c0_)
+                exact = float(b + (whole - c0_ * b) / c1_)
+            elif kind == "energy":
+                exact = energy_blowup_time(lam, a0, a1, c0)
+            elif kind == "powerlog":
+                exact = powerlog_blowup_time(sigma, a0) / c0
+            else:
+                exact = float(whole / c0_)
+        if kind != "late-jump":
+            b, c1 = exact * (1.0 + delta), 0.0 if zero else c1
+        m = 2 if kind == "energy" else 1
+        q = make_piecewise([((0.0, b), c0), ((b, math.inf), c1)])
+        rep = detect_blowup(ProblemSpec(m=m, k=0, a=(a0, a1)[:m], q=q, h=h), horizon=2.0 * exact + 1.0, tol=1e-10)
+        if kind != "late-jump":
+            assert rep.t_blow_method == "tail"
+        lo, hi = rep.t_blow_interval
+        assert lo <= exact <= hi
 
 
 class TestAitken:

@@ -52,6 +52,11 @@ same bit for bit.  The groups:
   h with lam = 1, each under a constant q and under a q that jumps before
   the blow-up: each report's method, T*, interval and escape rows; and
   the n = 1 tail from u = 1e-200 past a jump of q, h = s^2;
+- tail-piece: ``detect_blowup`` on n = 1 power(2) and powerlog(1, 2) from
+  1, n = 2 power(2) from (1, 1), and m = 2, k = 1 power(2), each under a q
+  that is 1 until a jump at 1.5 T* or 0.75 T* (T* of q = 1) and 0, 0.5 or 2
+  after it, and w' = w^1.1 from 1 under a q that jumps at 20, past T* = 10
+  and the horizon 8: every report with its trajectory;
 - inversion-reach: ``solve_autonomous_quadrature`` of power g with lam in
   {0.99, 0.999, 1}, n = 1-3 and u0 = 1 at targets between F(e^660) and
   F(e^709), the end of the float range, the escape time of power(2) from
@@ -363,6 +368,24 @@ def tail_n1_group() -> Group:
     return group
 
 
+def tail_piece_group() -> Group:
+    group = Group("tail-piece n=1,2 jumps=0.75,1.5 T*")
+    spec = blowup.parse_fn_spec
+    one = spec("constant(1.0)")
+    problems = [(1, 0, (1.0,), spec("power(2.0)")), (1, 0, (1.0,), spec("powerlog(1.0, 2.0)")),
+                (2, 0, (1.0, 1.0), spec("power(2.0)")), (2, 1, (1.0, 1.0), spec("power(2.0)"))]
+    for m, k, a, h in problems:
+        t_blow = blowup.detect_blowup(blowup.ProblemSpec(m=m, k=k, a=a, q=one, h=h), horizon=5.0).t_blow_estimate
+        for b in (1.5 * t_blow, 0.75 * t_blow):
+            for c1 in (0.0, 0.5, 2.0):
+                q = blowup.make_piecewise([((0.0, b), 1.0), ((b, math.inf), c1)])
+                group.add(blowup.detect_blowup(blowup.ProblemSpec(m=m, k=k, a=a, q=q, h=h), horizon=5.0))
+    # T* = 10 past the horizon 8 and before the jump at 20
+    q = spec("piecewise((0,20):1.0, (20,inf):2.0)")
+    group.add(blowup.detect_blowup(blowup.ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=spec("power(1.1)")), horizon=8.0))
+    return group
+
+
 def _escape(g, n: int, u0: float, targets):
     """An inversion's values, the escape time it raises, or the other error it
     raises (hashed by its type)."""
@@ -419,6 +442,7 @@ def main() -> None:
         zero_data_group,
         escape_group,
         tail_n1_group,
+        tail_piece_group,
         inversion_reach_group,
     ]
     for make in groups:
