@@ -18,7 +18,6 @@ from .classify import (
 )
 from .errors import (
     BlowupError,
-    BracketFailureError,
     ConfigError,
     FiniteEscapeError,
     InternalConsistencyError,

@@ -13,13 +13,13 @@ iff lam <= 1, for every n.
 
 Verdicts are exact for the built-in families (and for any function with a
 declared asymptotic exponent != 1); any other h is integrated out to the
-float range, the last unit step of y = log s below 710 where h is finite,
-and is Diverges once the running integral passes DIVERGE_CAP, Converges
-where the rest past that step is within QUAD_TOL of the integral, and
-honest Inconclusive otherwise — a numeric routine cannot prove divergence,
-it can only exceed a cap.  Every piece of
-I = int_0^inf h(e^y)^(-1/n) e^(y/n) dy is computed in y = log s by
-:mod:`blowup.quadrature`.
+float range, the last unit step of y = log s below Y_MAX (the log of the
+largest double) where h is finite, and is Diverges once the running
+integral passes DIVERGE_CAP, Converges where the rest past that step is
+within QUAD_TOL of the integral, and honest Inconclusive otherwise — a
+numeric routine cannot prove divergence, it can only exceed a cap.  Every
+piece of I = int_0^inf h(e^y)^(-1/n) e^(y/n) dy is computed in y = log s
+by :mod:`blowup.quadrature`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     check_int,
 )
 from .functions import Family, ScalarFn, scaled
-from .quadrature import QUAD_TOL, integral, rest
+from .quadrature import QUAD_TOL, Y_MAX, integral, rest
 
 __all__ = [
     "Verdict",
@@ -84,7 +84,8 @@ class IntegralVerdict:
 
 def blowup_integrand(h: ScalarFn, n: int, s):
     """The dichotomy integrand h(s)^(-1/n) * s^(1/n - 1) at s > 0: a float
-    for a scalar s, elementwise for an array."""
+    for a scalar s, elementwise for an array.  NumericFailureError where h or
+    the integrand is not a finite float (h subnormal there)."""
     check_int("n", n)
     s = np.asarray(s, dtype=float)
     hv = h.eval_array(s)
@@ -95,7 +96,12 @@ def blowup_integrand(h: ScalarFn, n: int, s):
             raise NumericFailureError(f"{h.spec_text} is not finite at s = {at!r}")
         raise SingularIntegrandError(
             f"{h.spec_text} = {value!r} <= 0 at s = {at!r}: integrand singular", where=at)
-    out = hv ** (-1.0 / n) * s ** (1.0 / n - 1.0)
+    with np.errstate(over="ignore"):
+        out = hv ** (-1.0 / n) * s ** (1.0 / n - 1.0)
+    bad = np.flatnonzero(np.isinf(out))
+    if len(bad):
+        at, value = float(s.flat[bad[0]]), float(hv.flat[bad[0]])
+        raise NumericFailureError(f"the integrand is not finite at s = {at!r}, where {h.spec_text} = {value!r}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -223,12 +229,12 @@ def _powerlog_estimate(lam, sigma, shift, n, scale, lift) -> float:
 
 def _custom_integral(h: ScalarFn, n: int) -> tuple:
     """(total, last panel, panels run, rest) of I for a custom h, in y = log s from 0 to
-    y_end, the last unit step of y < 710 with h finite, on :func:`_y_integral`'s panels
+    y_end, the last unit step of y < Y_MAX with h finite, on :func:`_y_integral`'s panels
     run one by one.  The rest past y_end is quadrature.rest of the last two unit steps,
     or inf where the running total passes DIVERGE_CAP: the table stops there, before a
     growing integrand can overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(h.eval_array(np.exp(np.arange(1.0, 710.0))))
+        finite = np.isfinite(h.eval_array(np.exp(np.arange(1.0, Y_MAX))))
     y_end = float(np.argmin(np.append(finite, False)))
     fy = _in_y(h, n)
     lo = total = 0.0

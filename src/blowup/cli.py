@@ -352,7 +352,6 @@ def _run_construct(cfg: ExperimentConfig, out: Optional[Path]):
     _need(cfg, "h", "n", "b")
     T = cfg.T if cfg.T is not None else 1.0
     tower = picard_solve(parse_fn_spec(cfg.h), cfg.n, cfg.b, T, **_given(cfg, "tol", "max_iter", "q"))
-    # majorant_slack inverts the majorant, which can still fail: read it before writing
     kv = [
         ("converged", tower.converged),
         ("iterations", tower.iterations),

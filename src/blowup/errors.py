@@ -72,10 +72,6 @@ class FiniteEscapeError(BlowupError, ArithmeticError):
         self.escape_time = escape_time
 
 
-class BracketFailureError(BlowupError, ArithmeticError):
-    """Monotone bracketing failed to enclose a root."""
-
-
 class InternalConsistencyError(BlowupError, RuntimeError):
     """An internal invariant was violated (e.g. decreasing escape times)."""
 

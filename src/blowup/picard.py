@@ -18,7 +18,8 @@ at lam = 1, so U(t) = u0 exp(log1p(x)/a) with x = n a kappa^(1/n) t u0^(-a)
 F(inf) = u0^a / ((lam - 1) kappa^(1/n)).  A power g takes that form in
 :func:`solve_autonomous_quadrature`, and a tower of a power h in its
 ``majorant``, whose g = c h(s/beta) is kappa s^lam with kappa = g(1); the
-escape check of :func:`picard_solve` keeps F's table.  The
+escape check of :func:`picard_solve` keeps F's table.  Either way a U past
+the largest double is +inf, which still bounds the solution from above.  The
 comparison inequality
 
     u(t) - u(0) >= alpha * int_0^t (t - tau)^(n-1) g(beta u(tau)) dtau
@@ -45,7 +46,6 @@ import numpy as np
 
 from .classify import Method, Verdict, classify, classify_from
 from .errors import (
-    BracketFailureError,
     FiniteEscapeError,
     InvalidParameterError,
     NumericFailureError,
@@ -54,7 +54,7 @@ from .errors import (
 )
 from .functions import Family, ScalarFn, make_constant, scaled
 from .ode import ProblemSpec, Trajectory
-from .quadrature import gauss_rules, panels
+from .quadrature import Y_MAX, gauss_rules, panels
 # unused here: kept only because perfbench/tracer.py patches this name to count
 # picard.invert.quad_calls
 from .quadrature import integral as quad
@@ -98,8 +98,8 @@ def comparison_constants(n: int) -> ComparisonConstants:
 # quadrature inversion
 
 # F's table in y = log s: starting panels of width _PANEL (quadrature.panels halves
-# each until its rules agree), _CHUNK per g.eval_array call, up to y = 709 (e^709 ~
-# 8e307, the float range); targets are solved _SLICE at a time
+# each until its rules agree), _CHUNK per g.eval_array call, up to y = Y_MAX (the
+# largest double, the end of the float range); targets are solved _SLICE at a time
 _PANEL, _CHUNK, _SLICE = 1.0, 64, 1024
 
 
@@ -109,24 +109,30 @@ def solve_autonomous_quadrature(
     u0: float,
     t_targets: Sequence[float],
 ) -> np.ndarray:
-    """Invert F(U) = t for each finite target t >= 0; a target 0 gives u0.
+    """Invert F(U) = t for each finite target t >= 0; a target 0 gives u0,
+    and a target whose U is not a finite float gives +inf.  So does, in F's
+    table, one whose g(U) is past the largest double, where the table reads
+    F's integrand as 0; inf still bounds U from above.
 
     F is tabulated in the log abscissa y = log s, which keeps the panels
     well-scaled over many decades: unit panels in y (edges also at log of
     g's breakpoints), each halved by :func:`blowup.quadrature.panels` until
     its two rules agree, a running sum grown until F passes the largest
-    target or reaching y = 709, the end of the float range.  All targets
-    are then solved at once by bracketed Newton steps with the analytic
-    F' = g(U)^(-1/n) U^(1/n-1) / n.  Each call builds its own table, which
-    depends only on g, n, u0 and the largest target.  A power g
-    (``Family.POWER``, kappa = 1) builds no table: F inverts in closed form
-    (see the module docstring), exact to rounding.
+    target or reaching y = Y_MAX, the log of the largest double.  All
+    targets are then solved at once by bracketed Newton steps with the
+    analytic F' = g(U)^(-1/n) U^(1/n-1) / n.  Each call builds its own
+    table, which depends only on g, n, u0 and the largest target.  A power
+    g (``Family.POWER``, kappa = 1) builds no table: F inverts in closed
+    form (see the module docstring), exact to rounding.
 
-    Where F stays below a target at y = 709 the integral test decides, with
+    Where F stays below a target at y = Y_MAX the integral test decides, with
     F(inf) = u0^(1/n) I(g, n; u0) / n (:func:`blowup.classify.classify_from`):
     FiniteEscapeError carrying F(inf), the majorant's own escape time, where I
-    converges and F(inf) < max(t_targets), else BracketFailureError naming the
-    verdict.  The closed form raises the same errors with the same texts.
+    converges and F(inf) < max(t_targets); otherwise every target the table
+    does not reach gives +inf, also where U lies past an escape that an
+    Inconclusive test cannot place.  The closed form raises the same error
+    with the same text, and gives +inf exactly where U is past the largest
+    double.
     """
     n = check_int("n", n)
     if not (0.0 < u0 < math.inf):
@@ -137,12 +143,13 @@ def solve_autonomous_quadrature(
     if not np.all((targets >= 0.0) & (targets < math.inf)):
         raise InvalidParameterError("targets must be finite and >= 0")
     if g.family is Family.POWER:
-        return _power_inverse(g, 1.0, n, float(u0), targets, g)
+        return _power_inverse(g, 1.0, n, float(u0), targets)
     out = np.full_like(targets, float(u0))
-    live = np.flatnonzero(targets > 0.0)
-    if not len(live):
+    if not np.any(targets > 0.0):
         return out
     f, E, C = _f_table(g, n, float(u0), targets)
+    out[targets > C[-1]] = math.inf  # F reaches them only where U or g(U) is past the largest double
+    live = np.flatnonzero((targets > 0.0) & (targets <= C[-1]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for i in range(0, len(live), _SLICE):
             idx = live[i : i + _SLICE]
@@ -155,25 +162,17 @@ def _escape_error(escape: float, t_max: float) -> FiniteEscapeError:
                              escape_time=escape)
 
 
-def _float_range_error(test, t: float) -> BracketFailureError:
-    """The error for target t, the smallest one that F reaches only past
-    e^709, naming ``test``, the integral test of g from u0."""
-    why = f"F is still below t at s = e^709, where the integral test gives {test}"
-    return BracketFailureError(f"could not bracket target t={t!r} below the overflow cap: {why}")
-
-
-def _power_inverse(h: ScalarFn, kappa: float, n: int, u0: float, targets: np.ndarray,
-                   g: ScalarFn) -> np.ndarray:
+def _power_inverse(h: ScalarFn, kappa: float, n: int, u0: float, targets: np.ndarray) -> np.ndarray:
     """F(U) = t inverted in closed form for g(s) = kappa s^lam, h = s^lam a
-    ``Family.POWER`` function; ``g`` is that growth as its caller holds it,
-    which the BracketFailureError names (see the module docstring).
+    ``Family.POWER`` function (see the module docstring).
 
-    A target 0 gives u0 exactly, and every other U >= u0.  Whether U passes
-    e^709 is decided on log U = log u0 + z, z = log1p(x)/a, so a U past the
-    float range is never formed; an x or z that overflows is inf only where
-    U is past it too, except x from a tiny u0, which takes log x instead.
-    For lam > 1, F(inf) is ``classify_from(h, n, u0)``'s estimate over
-    n kappa^(1/n), the table's escape time when kappa = 1."""
+    A target 0 gives u0 exactly, and every other U >= u0; a U past the
+    largest double is +inf.  U is formed as u0 e^z, z = log1p(x)/a, where
+    e^z is a float, else as e^(log u0 + z); an x or z that overflows is inf
+    only where U is past the float range too, except x from a tiny u0,
+    which takes log x instead.  For lam > 1, F(inf) is
+    ``classify_from(h, n, u0)``'s estimate over n kappa^(1/n), the table's
+    escape time when kappa = 1."""
     lam = h.params[0]
     a, c = (1.0 - lam) / n, kappa ** (1.0 / n)
     out = np.full_like(targets, u0)
@@ -182,7 +181,7 @@ def _power_inverse(h: ScalarFn, kappa: float, n: int, u0: float, targets: np.nda
     if not len(t):
         return out
     # an overflow, or log1p(-1) = -inf at t = F(inf), makes z inf only where
-    # U is past the float range
+    # U is past the float range, and U overflows to inf there
     with np.errstate(over="ignore", divide="ignore"):
         if lam > 1.0:
             escape, t_max = classify_from(h, n, u0).estimate / (n * c), float(t.max())
@@ -195,18 +194,14 @@ def _power_inverse(h: ScalarFn, kappa: float, n: int, u0: float, targets: np.nda
             z = np.where(np.isfinite(x), np.log1p(x), log_x) / a
         else:
             z = n * c * t
-    log_u = math.log(u0) + z
-    beyond = log_u > 709.0
-    if beyond.any():
-        raise _float_range_error(classify_from(g, n, u0), float(t[beyond].min()))
-    # u0 e^z where e^z is a float (from a tiny u0, z may pass 709 while U does not)
-    out[live] = np.where(z <= 709.0, u0 * np.exp(np.minimum(z, 709.0)), np.exp(log_u))
+        # u0 e^z where e^z is a float (from a tiny u0, z may pass 709 while U does not)
+        out[live] = np.where(z <= 709.0, u0 * np.exp(np.minimum(z, 709.0)), np.exp(math.log(u0) + z))
     return out
 
 
 def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
     """(f, E, C): f is n times F's integrand in y, E the table's panel edges
-    and C the values of F there, grown until F passes every target or y = 709
+    and C the values of F there, grown until F passes every target or y = Y_MAX
     (see :func:`solve_autonomous_quadrature`, which raises what this raises)."""
     t_max = float(targets.max())
 
@@ -226,20 +221,18 @@ def _f_table(g: ScalarFn, n: int, u0: float, targets: np.ndarray) -> tuple:
     # g may overflow to inf far out, where the integrand is 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lefts, cums, y, c_last = [], [[0.0]], math.log(u0), 0.0
-        while c_last <= t_max and y < 709.0:
-            z = min(y + _PANEL * _CHUNK, 709.0)
+        while c_last <= t_max and y < Y_MAX:
+            z = min(y + _PANEL * _CHUNK, Y_MAX)
             cuts = np.union1d(np.append(np.arange(y, z, _PANEL), z), bps[(bps > y) & (bps < z)])
             edges, val = panels(f, cuts)
             lefts.append(edges[:-1])
             cums.append(c_last + np.cumsum(val) / n)
             y, c_last = z, float(cums[-1][-1])
 
-        if t_max > c_last:  # past e^709 the integral test from u0 decides F(inf)
-            test = classify_from(g, n, u0)
-            escape = math.inf if test.estimate is None else test.estimate / n
-            if t_max > escape:
-                raise _escape_error(escape, t_max)
-            raise _float_range_error(test, float(targets[targets > c_last].min()))
+        if t_max > c_last:  # past the largest double the integral test from u0 decides F(inf)
+            estimate = classify_from(g, n, u0).estimate
+            if estimate is not None and t_max > estimate / n:
+                raise _escape_error(estimate / n, t_max)
 
     return f, np.append(np.concatenate(lefts), y), np.concatenate(cums)
 
@@ -384,10 +377,10 @@ class PicardTower:
     def majorant(self) -> np.ndarray:
         """The quadrature majorant on ``grid``: for a power h, whose growth
         g = c h(s/beta) is kappa s^lam with kappa = g(1), in closed form
-        (``_power_inverse``), else from F's table."""
+        (``_power_inverse``), else from F's table; +inf past the largest double."""
         g, n, u0, h = self._built_from[:4]
         if h.family is Family.POWER:
-            return _power_inverse(h, float(g(1.0)), n, u0, self.grid, g)
+            return _power_inverse(h, float(g(1.0)), n, u0, self.grid)
         return solve_autonomous_quadrature(g, n, u0, self.grid)
 
     @functools.cached_property
@@ -453,9 +446,10 @@ def picard_solve(
 
     Raises FiniteEscapeError if the quadrature majorant fails to exist on
     [0, T] (the divergence hypothesis fails numerically); that is checked
-    once, at T, before the first tower is built; where the majorant only
-    leaves the float range, an exact Diverges from ``classify(h, n)`` lets
-    the tower go on, as the majorant exists on [0, T].  The majorant itself is
+    once, at T, before the first tower is built.  Where the majorant is +inf
+    at T, past the largest double, an exact Diverges from ``classify(h, n)``
+    lets the tower go on, as the majorant exists on [0, T], and any other
+    verdict raises NumericFailureError naming T and it.  The majorant itself is
     inverted on the grid the ladder stops at, and only when the tower's
     ``majorant`` or ``majorant_slack`` is first read: in closed form for a
     power h, else from F's table, built a second time; the values are those
@@ -496,12 +490,11 @@ def picard_solve(
 
     # F is increasing, so the majorant escapes before some grid node exactly
     # when it escapes before T: one target settles escape for every grid
-    try:
-        solve_autonomous_quadrature(g, n, u0_maj, [T])
-    except BracketFailureError:
+    if math.isinf(solve_autonomous_quadrature(g, n, u0_maj, [T])[0]):
         test = classify(h, n)
         if not (test.verdict is Verdict.DIVERGES and test.method is Method.EXACT_FAMILY):
-            raise
+            raise NumericFailureError(
+                f"the majorant leaves the float range before T={T!r}, where the integral test of h gives {test}")
 
     # every segment doubles its cells, so coarse node i is fine node 2i
     parent, levels, mult = None, [], 1

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import NumericFailureError
 
 QUAD_TOL = 1e-12      # relative error allowed on each starting panel
+Y_MAX = math.log(np.finfo(float).max)  # log of the largest double, the end of the float range
 
 
 @functools.cache

@@ -182,13 +182,14 @@ class TestRunExperiment:
         text = (tmp_path / "construct.txt").read_text()
         assert "converged=true" in text
 
-    def test_construct_whose_majorant_leaves_floats_writes_nothing(self, tmp_path, capsys):
-        # the tower is built (the test diverges exactly), but majorant_slack
-        # inverts a majorant that leaves the float range before T
+    def test_construct_whose_majorant_leaves_floats_writes_its_iterates(self, tmp_path):
+        # the tower is built (the test diverges exactly), and its majorant,
+        # +inf past the largest double before T, still dominates: the slack
+        # is 0, at t = 0
         cfg = parse_config("run = construct\nh = powerlog(1, 1)\nn = 1\nb = [1]\nT = 1.0\n")
-        assert run_experiment(cfg, out_dir=tmp_path) == 2
-        assert "could not bracket target" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        assert run_experiment(cfg, out_dir=tmp_path) == 0
+        assert (tmp_path / "iterates.csv").read_text().startswith("j,t,v_j\n")
+        assert "majorant_slack=0.0\n" in (tmp_path / "construct.txt").read_text()
 
 
 class TestDeterminism:

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from blowup.classify import classify
 from blowup.errors import (
-    BracketFailureError,
     FiniteEscapeError,
     InvalidParameterError,
     NumericFailureError,
@@ -43,6 +42,7 @@ from blowup.picard import (
 from blowup.volterra import integral_image, partial_volterra, weighted_volterra
 
 ONE = make_constant(1.0)
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 def tabled(g):
@@ -121,9 +121,11 @@ class TestQuadratureInversion:
     @pytest.mark.parametrize("lam,t", [(0.5, 1e300), (1.0, 1e300), (1.01, 99.95)])
     def test_no_escape_from_a_truncated_tail(self, lam, t):
         # F is unbounded for lam <= 1 and tends to 100 for lam = 1.01, so none
-        # of these majorants escapes before t; each target lies past e^660
-        with pytest.raises(BracketFailureError):
-            solve_autonomous_quadrature(make_power(lam), 1, 1.0, [t])
+        # of these majorants escapes before t; each U lies past the largest
+        # double (F = 99.917 there for lam = 1.01), in closed form and in F's table
+        for through in (tabled, lambda g: g):
+            u = solve_autonomous_quadrature(through(make_power(lam)), 1, 1.0, [1.0, t])
+            assert math.isfinite(u[0]) and u[1] == math.inf
 
     def test_overflow_from_the_start_is_named(self):
         # u0 lies past e^660 (past e^709 for 1e308), so F's table cannot reach
@@ -154,12 +156,17 @@ class TestQuadratureInversion:
         assert exc.value.escape_time == pytest.approx(1e120 / 0.6, rel=1e-12)
 
     def test_diverging_tail_names_its_verdict(self):
-        # a diverging F that stays below t in floats names the integral test's verdict
-        with pytest.raises(BracketFailureError) as exc:
-            solve_autonomous_quadrature(make_power(1.0), 1, 1.0, [1e300])
+        # a diverging F that stays below t in floats gives U = inf; a tower
+        # whose majorant does so at T goes on only on an exact Diverges, and
+        # otherwise names T and the integral test's verdict.  h = s as a custom
+        # function (its integral reads 709 at the float range: Inconclusive):
+        # g = 12 s, F = log(U)/12, past the largest double at t ~ 59.1
+        assert solve_autonomous_quadrature(make_power(1.0), 1, 1.0, [1e300])[0] == math.inf
+        with pytest.raises(NumericFailureError) as exc:
+            picard_solve(make_custom(lambda s: s), 1, [1.0], 60.0)
         assert str(exc.value) == (
-            "could not bracket target t=1e+300 below the overflow cap: F is still below t at "
-            "s = e^709, where the integral test gives Diverges (ExactFamily)"
+            "the majorant leaves the float range before T=60.0, where the integral test of h "
+            "gives Inconclusive (NumericHeuristic)"
         )
 
     @pytest.mark.parametrize("g, n, t", [
@@ -218,7 +225,7 @@ class TestQuadratureInversion:
         # A power g inverts in closed form, lam in [0, 2]; the same power as a
         # custom g goes through F's table, lam in [0, 1].  For lam > 1 the
         # closed form escapes at F(inf) = u0^a / (lam - 1) below the largest
-        # target, and names a target in [F(e^709), F(inf)] as past the float range
+        # target, and gives inf at a target in [F(float max), F(inf)]
         lam = r if table else 2.0 * r
         with mpmath.workdps(40):
             a, v = (1 - mpmath.mpf(lam)) / n, mpmath.mpf(u0)
@@ -231,11 +238,11 @@ class TestQuadratureInversion:
                 assert exc.escape_time == pytest.approx(float(v ** a / (lam - 1)), rel=1e-12)
                 assert exc.escape_time < max(targets)
                 return
-            except BracketFailureError:
-                assert lam > 1.0 and not table and F(mpmath.exp(709)) < max(targets) <= v ** a / (lam - 1)
-                return
             for U, t in zip(u, targets):
-                assert abs(float(F(mpmath.mpf(U))) - t) <= 1e-10
+                if U == math.inf:
+                    assert lam > 1.0 and not table and F(mpmath.mpf(FLOAT_MAX)) < t <= v ** a / (lam - 1)
+                else:
+                    assert abs(float(F(mpmath.mpf(U))) - t) <= 1e-10
 
     def test_jump_of_a_piecewise_g(self):
         # n = 1, g = 1 below s = 2 and 4 above: F(U) = U - 1, then 1 + (U - 2)/4
@@ -262,7 +269,7 @@ class TestQuadratureInversion:
             assert abs(F - t) <= 1e-13
 
     def test_targets_up_to_the_float_range(self):
-        # F's table runs on to s = e^709: g = s, n = 1 gives F = log U, and
+        # F's table runs on to the largest double: g = s, n = 1 gives F = log U, and
         # g = s^0.99 gives F = 100 (U^0.01 - 1), so t = 1e5 at U = 1001^100 ~ e^690.9;
         # the same for the closed form of a power g
         for through in (tabled, lambda g: g):
@@ -281,6 +288,34 @@ class TestQuadratureInversion:
         for g in (tabled(make_power(lam)), make_power(lam)):  # F's table, the closed form
             u = solve_autonomous_quadrature(g, n, 1.0, targets)
             assert np.max(np.abs(np.log(u) - ys)) <= 1e-11
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        r=st.floats(0.0, 1.0),
+        n=st.integers(1, 3),
+        u0=st.floats(0.1, 10.0),
+        shares=st.lists(st.floats(-0.1, 0.1), min_size=1, max_size=20),
+    )
+    def test_inf_exactly_past_the_largest_double(self, r, n, u0, shares):
+        # g = s^lam, lam in [0.99, 1], at targets within 10% of F(float max),
+        # and 1e-11 relative on either side of it: the closed form and F's
+        # table give +inf at the same targets, those past F(float max), except
+        # within 1e-12 relative of it; each finite U meets the 40-digit F to
+        # 1e-10 relative
+        lam = 0.99 + 0.01 * r
+        with mpmath.workdps(40):
+            a, v = (1 - mpmath.mpf(lam)) / n, mpmath.mpf(u0)
+            F = lambda U: (U ** a - v ** a) / (n * a) if a else mpmath.log(U / v) / n  # noqa: E731
+            f_max = F(mpmath.mpf(FLOAT_MAX))
+            targets = [float(f_max * (1 + mpmath.mpf(x))) for x in [*shares, -1e-11, 1e-11]]
+            closed = solve_autonomous_quadrature(make_power(lam), n, u0, targets)
+            table = solve_autonomous_quadrature(tabled(make_power(lam)), n, u0, targets)
+            for t, *us in zip(targets, closed, table):
+                if abs(t / f_max - 1) > 1e-12:
+                    assert [U == math.inf for U in us] == [t > f_max] * 2, (t, us)
+                for U in us:
+                    if U < math.inf:
+                        assert abs(F(mpmath.mpf(U)) - t) <= 1e-10 * t
 
 
 class TestComparisonBound:
@@ -422,14 +457,25 @@ class TestPicardTower:
     def test_osgood_divergent_majorant_leaving_floats_is_named(self):
         # I(h) diverges for h = s log s, but F grows like log log U: F is
         # still below t = 1 when U leaves the float range.  The exact Diverges
-        # says the majorant exists on [0, T], so the tower is built, and only
-        # reading the majorant names where it leaves the floats
+        # says the majorant exists on [0, T], so the tower is built, and its
+        # majorant is finite, then +inf, where it still dominates.  With
+        # g = 12 s log(e + 3 s), F(U) = int_0^log U dy / (12 log(e + 3 e^y)); F's
+        # table reads its integrand as 0 where g passes the largest double, at
+        # y_g ~ 700.7, so U is +inf from the first node past F(e^y_g) on
         tw = picard_solve(parse_fn_spec("powerlog(1, 1)"), 1, [1.0], 1.0)
         assert tw.converged and tw.grid_converged
-        with pytest.raises(BracketFailureError) as exc:
-            tw.majorant
-        assert str(exc.value).startswith("could not bracket target t=")
-        assert "F is still below t at s = e^709, where the integral test gives " in str(exc.value)
+        u = tw.majorant
+        last = int(np.argmax(u == math.inf)) - 1  # the last finite node
+        assert 0 < last and np.all(np.isfinite(u[: last + 1])) and np.all(u[last + 1 :] == math.inf)
+        assert np.all(np.diff(u[: last + 1]) >= 0.0)
+        with mpmath.workdps(30):
+            integrand = lambda y: 1 / (12 * mpmath.log(mpmath.e + 3 * mpmath.exp(y)))  # noqa: E731
+            y_g = mpmath.findroot(lambda y: y + mpmath.log(12 * mpmath.log(mpmath.e + 3 * mpmath.exp(y)))
+                                  - mpmath.log(FLOAT_MAX), 700)
+            F = lambda t: mpmath.quad(integrand, [0, 1, 10, 100, t])  # noqa: E731
+            assert tw.grid[last] <= F(y_g) < tw.grid[last + 1]
+            assert abs(F(mpmath.log(u[last])) - tw.grid[last]) <= 1e-10
+        assert tw.majorant_slack == 0.0  # at t = 0, where u = v_j = 1
 
     def test_one_f_table_per_inversion(self, monkeypatch):
         # an inversion sums every panel of F's table once; the escape check
@@ -543,7 +589,7 @@ class TestPicardTower:
         picard_solve(make_power(0.5), 1, [2.0], 1.0, tol=1e-9)
         g = majorant_growth(h, n, weight=1.0 if q is None else 2.0)
         u0 = sum(bi * T ** i / math.factorial(i) for i, bi in enumerate(majorant_b or b))
-        closed = _power_inverse(h, g(1.0), n, u0, tw.grid, g)
+        closed = _power_inverse(h, g(1.0), n, u0, tw.grid)
         assert tw.majorant.tobytes() == closed.tobytes()
         assert tw.majorant[0] == u0 and tw.majorant_slack == min(float(np.min(closed - v)) for v in tw.iterates)
         table = solve_autonomous_quadrature(g, n, u0, tw.grid)
@@ -983,9 +1029,9 @@ class TestBoundPreservation:
         # v^(n) = q(t) h(v), n = len(a) in 1..3, h a power or powerlog, q a
         # step function; v is the tower's solution, whose nodes include q's
         # jumps once each, so the operator must map [0, v] into itself.  A
-        # powerlog keeps lambda <= 0.9: nearer 1 its majorant grows so slowly
-        # (log log s for n = 1, lambda = 1) that it leaves floating point
-        # before T, and picard_solve raises BracketFailureError.  The data
+        # powerlog keeps lambda <= 0.9, away from lambda = 1, where its
+        # majorant grows so slowly (log log s for n = 1) that it leaves the
+        # floats before T and is +inf there, which this check does not read.  The data
         # are 0 or >= 0.1: a start just above 0 with lambda < 1 (a = [1e-300])
         # crawls away from 0 so slowly that the iteration stops on a small
         # step long before the fixed point (see CHANGES.md)

@@ -37,7 +37,7 @@ LOG_BORDER = make_custom(
     label="log-border",
 )
 FLOAT_RANGE_NOTE = (
-    ": F is still below t at s = e^709, where the integral test gives Inconclusive (NumericHeuristic)"
+    ", where the integral test of h gives Inconclusive (NumericHeuristic)"
 )
 SMALL_NOTE = (
     "initial data are small; the convergent regime guarantees "
@@ -522,7 +522,7 @@ class TestPipeline:
          {"construction", "blowup", "majorization"}),
         (LOG_BORDER, (1.0,), 3.0, "Inconclusive",
          (INCONCLUSIVE_NOTE, "construction probe failed: stage 'construct' failed: "
-          "could not bracket target t=3.0 below the overflow cap" + FLOAT_RANGE_NOTE), {"blowup"}),
+          "the majorant leaves the float range before T=3.0" + FLOAT_RANGE_NOTE), {"blowup"}),
     ])
     def test_one_row_per_label(self, h, a, horizon, label, notes, present):
         rep = run_pipeline(ProblemSpec(m=1, k=0, a=a, q=ONE, h=h), horizon=horizon)

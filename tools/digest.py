@@ -58,16 +58,23 @@ same bit for bit.  The groups:
   after it, and w' = w^1.1 from 1 under a q that jumps at 20, past T* = 10
   and the horizon 8: every report with its trajectory;
 - inversion-reach: ``solve_autonomous_quadrature`` of power g with lam in
-  {0.99, 0.999, 1}, n = 1-3 and u0 = 1 at targets between F(e^660) and
-  F(e^709), the end of the float range, the escape time of power(2) from
+  {0.99, 0.999, 1}, n = 1-3 and u0 = 1 at targets between F(e^661) and
+  F(e^708.5), near the end of the float range, the escape time of power(2) from
   1, and the target 1e300 past the float range for powerlog(1, sigma) g
   with sigma in {1.5, 3} and n = 1-3, and the target 1 for power(2) from
   1e307 and power(1.5) from 1e300; the edges of the closed form of a power
   g: for lam > 1, targets a relative 1e-9 and one float below F(inf) and one
-  float above it, and for lam <= 1 targets whose U lies past e^709; and the
+  float above it, and for lam <= 1 targets whose U lies past e^709 (a
+  finite float at t = 709.5 for power(1), +inf at the others); and the
   target 1e300 from u0 = 1e-200, where g is subnormal, for power(1.6) and
-  powerlog(1.6, 0.5): each value or escape time, or the type of the error
-  raised;
+  powerlog(1.6, 0.5): each value (+inf where U is past the largest double)
+  or escape time, or the type of the error raised;
+- float-range: the ``majorant`` of the Picard tower of u' = h(u),
+  h = powerlog(1, 1), from 1 on [0, 1] (finite up to t ~ 0.52, then +inf),
+  CLI ``construct`` on the same problem (exit status, stdout and every
+  artifact, byte for byte), and ``solve_autonomous_quadrature`` of
+  power(1) from u0 in {0.5, 1, 3}, n = 1-3, in closed form and through F's
+  table, at targets straddling F(float max);
 - tower-majorant: the inverted ``majorant`` of every Picard tower that the
   pipeline groups above build, in their order (a power h's is the closed
   form, any other h's comes from F's table).
@@ -83,8 +90,10 @@ not its message.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import math
 import sys
 import tempfile
@@ -96,6 +105,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import blowup  # noqa: E402
+import blowup.cli  # noqa: E402
 import blowup.pipeline  # noqa: E402
 from workloads import WORKLOADS, _problem, run_cli_cases  # noqa: E402
 
@@ -414,7 +424,7 @@ def inversion_reach_group() -> Group:
             group.add((sigma, n, _escape(blowup.make_power_log(1.0, sigma), n, 1.0, [1e300])))
     group.add(_escape(blowup.make_power(2.0), 1, 1e307, [1.0]))
     group.add(_escape(blowup.make_power(1.5), 1, 1e300, [1.0]))
-    # the closed form's edges: around F(inf) for lam > 1, U past e^709 for lam <= 1
+    # the closed form's edges: around F(inf) for lam > 1, U past e^709 (a float or +inf) for lam <= 1
     for lam, n, u0 in ((2.0, 1, 1.0), (3.0, 2, 2.0), (1.5, 3, 0.5)):
         g = blowup.make_power(lam)
         escape = blowup.classify_from(g, n, u0).estimate / n
@@ -425,6 +435,30 @@ def inversion_reach_group() -> Group:
     # from u0 = 1e-200, g = s^1.6 is subnormal: F(inf) = u0^-0.6 / 0.6 ~ 1.67e120
     for g in (blowup.make_power(1.6), blowup.make_power_log(1.6, 0.5)):
         group.add(_escape(g, 1, 1e-200, [1e300]))
+    return group
+
+
+def float_range_group() -> Group:
+    group = Group("float-range powerlog(1,1) power(1)")
+    h = blowup.parse_fn_spec("powerlog(1.0, 1.0)")
+    try:
+        group.add(blowup.picard_solve(h, 1, [1.0], 1.0).majorant)
+    except blowup.BlowupError as e:
+        group.add(e)
+    text = "run = construct\nh = powerlog(1.0, 1.0)\nn = 1\nb = [1]\nT = 1.0\n"
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as stdout,
+          contextlib.redirect_stderr(io.StringIO())):
+        status = blowup.cli.run_experiment(blowup.cli.parse_config(text), out_dir=Path(tmp))
+        group.add((status, stdout.getvalue()))
+        for path in sorted(Path(tmp).rglob("*")):
+            group.add((path.name, path.read_bytes()))
+    # F(U) = log(U/u0)/n: F(float max) to rounding, and a relative 1e-9 and 1e-14 on either side
+    for u0 in (0.5, 1.0, 3.0):
+        for n in (1, 2, 3):
+            f_max = (math.log(np.finfo(float).max) - math.log(u0)) / n
+            targets = f_max * (1.0 + np.array([-1e-9, -1e-14, 0.0, 1e-14, 1e-9]))
+            for g in (blowup.make_power(1.0), blowup.scaled(blowup.make_power(1.0), 1.0, label="tabled")):
+                group.add((u0, n, targets, _escape(g, n, u0, targets)))
     return group
 
 
@@ -444,6 +478,7 @@ def main() -> None:
         tail_n1_group,
         tail_piece_group,
         inversion_reach_group,
+        float_range_group,
     ]
     for make in groups:
         print(make().line(), flush=True)
