@@ -38,7 +38,6 @@ from .functions import (
     scaled,
 )
 from .ode import (
-    BlowupEvent,
     BlowupKind,
     BlowupReport,
     ProblemSpec,

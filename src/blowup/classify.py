@@ -32,10 +32,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    InvalidParameterError,
     NumericFailureError,
     SingularIntegrandError,
     check_int,
+    check_real,
 )
 from .functions import Family, ScalarFn, scaled
 from .quadrature import QUAD_TOL, Y_MAX, integral, rest
@@ -116,9 +116,7 @@ def classify_scaled(h: ScalarFn, n: int, alpha: float) -> IntegralVerdict:
     By the substitution zeta = alpha*s the verdict agrees with
     :func:`classify` whenever both are decisive; only the estimate changes.
     """
-    if not (alpha > 0.0):
-        raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
-    return _classify(h, n, float(alpha), 0.0)
+    return _classify(h, n, check_real("alpha", alpha, alpha > 0.0, "must be > 0"), 0.0)
 
 
 def classify_from(h: ScalarFn, n: int, u0: float) -> IntegralVerdict:
@@ -131,9 +129,7 @@ def classify_from(h: ScalarFn, n: int, u0: float) -> IntegralVerdict:
     integral alone under- or overflows (u0 = 1e300, h = s^2).
     """
     n = check_int("n", n)
-    if not (u0 > 0.0):
-        raise InvalidParameterError(f"u0 must be > 0, got {u0}")
-    return _classify(h, n, float(u0), 1.0 / n)
+    return _classify(h, n, check_real("u0", u0, u0 > 0.0, "must be > 0"), 1.0 / n)
 
 
 def _classify(h: ScalarFn, n: int, scale: float, lift: float) -> IntegralVerdict:

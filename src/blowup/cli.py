@@ -32,7 +32,6 @@ from .errors import (BlowupError, ConfigError, InvalidParameterError, check_int,
                      check_tol)
 from .functions import parse_fn_spec
 from .ode import (
-    BlowupEvent,
     BlowupKind,
     ProblemSpec,
     Trajectory,
@@ -168,6 +167,8 @@ def _semantic_errors(values: dict) -> list[str]:
             errors.append(str(e))
     elif a is not None and any(x < 0 for x in a):
         errors.append("a values must be >= 0")
+    elif a is not None and not np.isfinite(a).all():
+        errors.append("a values must be finite")
     # an empty thresholds list means the default ladder
     checks = ((check_tol, values.get("tol")), (check_thresholds, values.get("thresholds") or None))
     for check, value in checks:
@@ -311,20 +312,18 @@ def _run_classify(cfg: ExperimentConfig, out: Optional[Path]):
 
 def _run_integrate(cfg: ExperimentConfig, out: Optional[Path]):
     T = cfg.T if cfg.T is not None else 5.0
-    result = integrate(cfg.problem(), T, **_given(cfg, "tol"))
-    escaped = isinstance(result, BlowupEvent)
-    traj = result.trajectory if escaped else result
+    traj = integrate(cfg.problem(), T, **_given(cfg, "tol"))
     if out is not None:
         _trajectory_csv(out / "trajectory.csv", traj)
     kv = [
-        ("reached_T", not escaped),
+        ("reached_T", traj.event is None),
         ("t_end", traj.t_end),
         ("nodes", len(traj.ts)),
         ("final_state", tuple(traj.ys[-1])),
     ]
-    if escaped:
-        kv += [("event", result.reason), ("t_event", result.t_event)]
-    return kv, ["escaped before T" if escaped else f"reached T = {T}"], 0
+    if traj.event is not None:
+        kv += [("event", traj.event), ("t_event", traj.t_end)]
+    return kv, [f"reached T = {T}" if traj.event is None else "escaped before T"], 0
 
 
 def _run_detect_blowup(cfg: ExperimentConfig, out: Optional[Path]):
@@ -374,13 +373,12 @@ def _run_construct(cfg: ExperimentConfig, out: Optional[Path]):
 
 def _run_majorize(cfg: ExperimentConfig, out: Optional[Path]):
     """The reduced problem of order n from a, solved on [0, horizon] at tol
-    (50 and 1e-12 when unset); an escape hands on its trajectory."""
+    (50 and 1e-12 when unset), read up to where the run stops."""
     _need(cfg, "h", "n", "a")
     q = parse_fn_spec(cfg.q if cfg.q is not None else "constant(1.0)")
     p = ProblemSpec(m=check_int("n", cfg.n), k=0, a=cfg.a, q=q, h=parse_fn_spec(cfg.h))
-    res = integrate(p, cfg.horizon if cfg.horizon is not None else 50.0,
-                    cfg.tol if cfg.tol is not None else 1e-12)
-    u = res.trajectory if isinstance(res, BlowupEvent) else res
+    u = integrate(p, cfg.horizon if cfg.horizon is not None else 50.0,
+                  cfg.tol if cfg.tol is not None else 1e-12)
     table = majorization_experiment(p, u, **_given(cfg, "b", "J", "rho"))
     if out is not None:
         _majorization_csv(out / "majorization.csv", table)

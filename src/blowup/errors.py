@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -24,6 +26,17 @@ def check_int(name: str, value, lo: int = 1, hi: int | None = None, rule: str = 
     return int(value)
 
 
+def check_real(what: str, value, ok: bool = True, rule: str = "") -> float:
+    """``value`` as a float when ``ok``, the caller's test of its range, holds
+    and it is finite; else InvalidParameterError "<what> <rule>, got
+    <value>", or "<what> must be finite, got <value>"."""
+    if not ok:
+        raise InvalidParameterError(f"{what} {rule}, got {value}")
+    if not math.isfinite(value := float(value)):
+        raise InvalidParameterError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def check_tol(tol) -> float:
     """``tol`` as a float when it lies in (1e-14, 1e-2), else InvalidParameterError."""
     if not (1e-14 < tol < 1e-2):
@@ -32,7 +45,8 @@ def check_tol(tol) -> float:
 
 
 def check_thresholds(thresholds) -> list[float]:
-    """The escape levels as floats: at least one, each >= 10, increasing."""
+    """The escape levels as floats: at least one, each >= 10 and finite,
+    increasing."""
     thresholds = [float(M) for M in thresholds]
     if not thresholds:
         raise InvalidParameterError("thresholds must list at least one level")
@@ -40,6 +54,8 @@ def check_thresholds(thresholds) -> list[float]:
         raise InvalidParameterError("thresholds must each be >= 10")
     if any(hi <= lo for lo, hi in zip(thresholds, thresholds[1:])):
         raise InvalidParameterError("thresholds must be strictly increasing")
+    if not all(map(math.isfinite, thresholds)):
+        raise InvalidParameterError(f"thresholds must be finite, got {thresholds!r}")
     return thresholds
 
 

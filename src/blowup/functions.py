@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_real
 
 __all__ = [
     "Family",
@@ -110,9 +110,7 @@ def _fmt(x: float) -> str:
 
 def make_power(lam: float) -> ScalarFn:
     """h(s) = s**lam, lam >= 0."""
-    if not (lam >= 0.0):
-        raise InvalidParameterError(f"power exponent must be >= 0, got {lam}")
-    lam = float(lam)
+    lam = check_real("power exponent", lam, lam >= 0.0, "must be >= 0")
 
     def fn(s, _lam=lam):
         return s ** _lam
@@ -127,17 +125,15 @@ def make_power(lam: float) -> ScalarFn:
 
 
 def make_power_log(lam: float, sigma: float = 0.0, shift: float = math.e) -> ScalarFn:
-    """h(s) = s**lam * log(shift+s)**sigma, lam >= 0, shift > 1.
+    """h(s) = s**lam * log(shift+s)**sigma, lam >= 0, shift > 1, each finite.
 
     The asymptotic exponent is lam; the log factor only matters on the
     borderline lam = 1.  For sigma < 0 the function can have a decreasing
     stretch.
     """
-    if not (lam >= 0.0):
-        raise InvalidParameterError(f"power exponent must be >= 0, got {lam}")
-    if not (shift > 1.0):
-        raise InvalidParameterError(f"log shift must be > 1, got {shift}")
-    lam, sigma, shift = float(lam), float(sigma), float(shift)
+    lam = check_real("power exponent", lam, lam >= 0.0, "must be >= 0")
+    shift = check_real("log shift", shift, shift > 1.0, "must be > 1")
+    sigma = check_real("log exponent", sigma)
 
     def fn(s, _l=lam, _sg=sigma, _sh=shift):
         if isinstance(s, float) and _sh + s > 0.0:  # the generated step's formula, for rhs
@@ -162,9 +158,10 @@ def make_constant(c: float) -> ScalarFn:
 def make_piecewise(pieces: Sequence[tuple[tuple[float, float], float]]) -> ScalarFn:
     """Step function from ((lo, hi), value) pieces.
 
-    Pieces must start at 0, be contiguous, and end at inf; each piece is
-    right-open, so the value at an interior breakpoint comes from the piece
-    starting there.  The params are (the pieces' left ends, their values).
+    Pieces must start at 0, be contiguous, and end at inf, with finite
+    values; each piece is right-open, so the value at an interior breakpoint
+    comes from the piece starting there.  The params are (the pieces' left
+    ends, their values).
     """
     if not pieces:
         raise InvalidParameterError("piecewise needs at least one piece")
@@ -180,6 +177,8 @@ def make_piecewise(pieces: Sequence[tuple[tuple[float, float], float]]) -> Scala
             raise InvalidParameterError(f"piecewise interval {i} is empty")
         if i + 1 < len(pieces) and his[i] != los[i + 1]:
             raise InvalidParameterError("piecewise intervals must be contiguous")
+    for v in vals:
+        check_real("step function value", v)
 
     # piece i holds the s with exactly i interior breakpoints at or below it;
     # s < 0 falls in the first piece, inf and nan in the last
@@ -223,10 +222,9 @@ def make_custom(
 
 
 def scaled(h: ScalarFn, factor: float, *, weight: float = 1.0, label: str) -> ScalarFn:
-    """g(s) = weight * h(factor * s), factor > 0, with h's asymptotic exponent
-    and its breakpoints moved to bp / factor."""
-    if not (factor > 0.0):
-        raise InvalidParameterError(f"scale factor must be > 0, got {factor}")
+    """g(s) = weight * h(factor * s), factor > 0 and finite, with h's
+    asymptotic exponent and its breakpoints moved to bp / factor."""
+    check_real("scale factor", factor, factor > 0.0, "must be > 0")
 
     def fn(s, _w=float(weight), _f=float(factor), _h=h):
         return _w * _h(_f * s)

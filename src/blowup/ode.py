@@ -48,6 +48,7 @@ from .errors import (
     InvalidParameterError,
     NumericFailureError,
     check_int,
+    check_real,
     check_thresholds,
     check_tol,
 )
@@ -59,7 +60,6 @@ __all__ = [
     "ProblemSpec",
     "Trajectory",
     "StepStats",
-    "BlowupEvent",
     "BlowupKind",
     "BlowupReport",
     "integrate",
@@ -341,7 +341,7 @@ class ProblemSpec:
             raise InvalidParameterError(f"need {self.m} initial values, got {len(a)}")
         if any(x < 0.0 for x in a):
             raise InvalidParameterError("initial values must be >= 0")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", tuple(check_real("initial values", x) for x in a))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
 
@@ -426,8 +426,10 @@ class Trajectory:
     q inside the span by a repeated node in ``ts``: first with the
     left-limit derivative that closes the cell before it, then with the
     right-limit one that opens the cell after it.  ``stats`` holds the
-    integrator's counters when the trajectory comes from :func:`integrate`.
-    Values are immutable once returned and safe to share.
+    integrator's counters when the trajectory comes from :func:`integrate`,
+    and ``event`` how it stopped before T, at ``t_end``: "escape" or
+    "step-collapse" (None when it reached T, and on a grid).  A read past
+    ``t_end`` raises.  Values are immutable once returned and safe to share.
 
     ``dense``, shape (cells, 4, m), holds for each cell [ts[i], ts[i+1]] the
     rows h D K of its continuous extension (see :func:`_coefficients` and
@@ -465,6 +467,7 @@ class Trajectory:
     dys: np.ndarray
     tol: float
     stats: Optional[StepStats] = None
+    event: Optional[str] = None  # None | "escape" | "step-collapse"
     # the rows, (cells, 4, m), None until a grid trajectory's first read, and
     # an integrator trajectory's cells not built yet, each with its recipe:
     # (segment, t, h, y, f, f_new, K) for a stepped cell, with segment =
@@ -590,21 +593,7 @@ class Trajectory:
         its ``crossing`` is this one's crossing of w^(k)."""
         k = check_int("k", k, 0, self.m - 1, f"must be an integer in [0, {self.m - 1}]")
         return Trajectory(ts=self.ts, ys=self.ys[:, k:], dys=self.dys[:, k:], tol=self.tol,
-                          stats=self.stats, _rows=self.dense[:, :, k:])
-
-
-@dataclass(frozen=True)
-class BlowupEvent:
-    """Escape through the threshold (or step-size collapse) before T."""
-
-    t_event: float
-    reason: str  # "escape" | "step-collapse"
-    trajectory: Trajectory
-
-    @property
-    def stats(self) -> StepStats:
-        """The integrator's counters up to the event."""
-        return self.trajectory.stats
+                          stats=self.stats, event=self.event, _rows=self.dense[:, :, k:])
 
 
 class BlowupKind(str, Enum):
@@ -630,11 +619,12 @@ class BlowupReport:
     t_blow_method: Optional[str] = None
 
 
-def integrate(p: ProblemSpec, T: float, tol: float = 1e-9):
-    """Integrate up to T; returns a Trajectory, or a BlowupEvent if the
-    largest component of the state reaches ESCAPE_THRESHOLD = 1e300, near
-    the end of the floats, (or the step collapses) first: the one-rung
-    ladder, :func:`detect_blowup` with thresholds (ESCAPE_THRESHOLD,)."""
+def integrate(p: ProblemSpec, T: float, tol: float = 1e-9) -> Trajectory:
+    """Integrate up to T; returns the Trajectory, which ends before T, with
+    ``event`` "escape" or "step-collapse", if the largest component of the
+    state reaches ESCAPE_THRESHOLD = 1e300, near the end of the floats, or
+    the step collapses first: the one-rung ladder, :func:`detect_blowup`
+    with thresholds (ESCAPE_THRESHOLD,)."""
     return _integrate_events(p, T, tol, (ESCAPE_THRESHOLD,))[0]
 
 
@@ -753,7 +743,8 @@ def _integrate_events(
     thresholds: Sequence[float],
     tail: Optional[Callable[[float, Sequence[float]], float]] = None,
 ):
-    """Core loop.  Returns (Trajectory | BlowupEvent, {M: t_M crossings}, T*).
+    """Core loop.  Returns (Trajectory, {M: t_M crossings}, T*); the
+    trajectory's ``event`` says why a run stopped before T.
 
     ``thresholds`` is the ladder, increasing; its last rung is the escape.
     A step whose largest component reaches the next rung records each rung
@@ -777,17 +768,15 @@ def _integrate_events(
     evals = accepted = rejected = retries = 0
     t_blow = math.nan
 
-    def finish(reason=None, t_event=None):
-        """The Trajectory, or with a reason the BlowupEvent, the crossings and T*."""
+    def finish(event=None):
+        """The Trajectory, stopped by ``event`` if one is given, the crossings and T*."""
         if len(ts) > 1 and ts[-1] == ts[-2]:  # stopped right at a restart
             del ts[-1], ys[-1], dys[-1], cells[-1]
         traj = Trajectory(ts=np.array(ts), ys=np.array(ys), dys=np.array(dys), tol=tol,
-                          stats=StepStats(evals, accepted, rejected, retries),
+                          stats=StepStats(evals, accepted, rejected, retries), event=event,
                           _rows=np.zeros((len(cells), 4, p.m)),
                           _todo={i: c for i, c in enumerate(cells) if c is not None})
-        if reason is None:
-            return traj, crossings, t_blow
-        return BlowupEvent(float(t_event), reason, traj), crossings, t_blow
+        return traj, crossings, t_blow
 
     def climb(t, y, t_end, y_end, cell=None):
         """Record each rung y_end reaches, where the largest component of
@@ -827,7 +816,7 @@ def _integrate_events(
 
     # data may already sit past rungs, the last one too
     if climb(t, y, t, y) is not None:
-        return finish("escape", 0.0)
+        return finish("escape")
 
     eff_tol = tol * TOL_SAFETY
     h = min(0.01 * (1.0 + max(map(abs, y))) / (1.0 + max(map(abs, f))), T / 10.0)
@@ -857,7 +846,7 @@ def _integrate_events(
             h = seg_end - t if last else h
             min_step = MIN_STEP_FACTOR * (abs(t) if abs(t) > 1.0 else 1.0)
             if h < min_step:
-                return finish("step-collapse", t)
+                return finish("step-collapse")
 
             coef = None
             try:
@@ -909,7 +898,7 @@ def _integrate_events(
                     # the step's extension ends at t_new, not at the crossing
                     cells.append(_HERMITE)
                     evals += 1
-                    return finish("escape", t_star)
+                    return finish("escape")
 
             ts.append(t_new)
             ys.append(y_new)
@@ -978,24 +967,30 @@ def detect_blowup(
     :class:`Trajectory`).
 
     Otherwise integrates until every threshold M has been escaped (recording
-    t_M) or the horizon is reached.  With the ladder escaped (or the step
-    size collapsed, which is escape to numerical infinity) the blow-up time
-    is estimated by Richardson/Aitken extrapolation of the t_M sequence and
-    bracketed by the heuristic [t_last, estimate + margin] (``t_blow_method``
+    t_M), the step size collapses, which is escape to numerical infinity, or
+    the horizon is reached; the report is global up to the horizon exactly
+    when the run reached it (its trajectory's ``event`` is None).  After an
+    escape the blow-up time is estimated by Richardson/Aitken extrapolation
+    of the t_M sequence (t_end below three of them) and bracketed by the
+    heuristic [t_last, estimate + margin] (``t_blow_method``
     "extrapolated"), whose lower end, the last escape time, carries the
-    integration error; otherwise the problem is reported global up to the
-    horizon.
+    integration error.  A collapse below the first rung reports t_end with
+    the tail's interval, since the step floor can stop a little past T*.
     """
     thresholds = check_thresholds(thresholds)
 
-    result, crossings, t_blow = _integrate_events(p, horizon, tol, thresholds, _tail_rule(p))
-    traj = result.trajectory if isinstance(result, BlowupEvent) else result
+    traj, crossings, t_blow = _integrate_events(p, horizon, tol, thresholds, _tail_rule(p))
     escapes = tuple(crossings.items())
 
     times = [tM for _, tM in escapes]
     if any(b < a for a, b in zip(times, times[1:])):
         raise InternalConsistencyError(f"escape times not monotone: {times}")
 
+    method = "tail"
+    if math.isnan(t_blow) and traj.event == "step-collapse" and not escapes:
+        # the step collapsed below the first rung, at t_end, which the step
+        # floor can put a little past T*: an interval both ways, as the tail's
+        t_blow, method = traj.t_end, "extrapolated"
     if not math.isnan(t_blow):
         half = 10.0 * tol * max(1.0, t_blow)
         return BlowupReport(
@@ -1005,13 +1000,10 @@ def detect_blowup(
             t_blow_estimate=float(t_blow),
             t_blow_interval=(t_blow - half, t_blow + half),
             trajectory=traj,
-            t_blow_method="tail",
+            t_blow_method=method,
         )
 
-    # A step-size collapse is escape to numerical infinity: very fast
-    # blow-ups can exhaust the step floor between two thresholds.
-    collapsed = isinstance(result, BlowupEvent) and result.reason == "step-collapse"
-    if len(escapes) < len(thresholds) and not (collapsed and len(escapes) >= 1):
+    if traj.event is None:
         return BlowupReport(
             kind=BlowupKind.GLOBAL_UP_TO_HORIZON,
             horizon=float(horizon),
@@ -1019,22 +1011,20 @@ def detect_blowup(
             trajectory=traj,
         )
 
-    noise_floor = max(1e-12, 20.0 * tol) * max(1.0, times[-1])
+    # A step-size collapse is escape to numerical infinity: very fast
+    # blow-ups can exhaust the step floor between two thresholds.
+    estimate = traj.t_end
     if len(times) >= 3:
-        estimate = _extrapolate_escape_times(
-            times, [M for M, _ in escapes], noise_floor
-        )
-    else:
-        estimate = result.t_event if collapsed else times[-1]
+        noise_floor = max(1e-12, 20.0 * tol) * max(1.0, times[-1])
+        estimate = _extrapolate_escape_times(times, [M for M, _ in escapes], noise_floor)
     estimate = max(times[-1], estimate)  # not a -0.0 estimate over t_last = 0.0
     margin = max(10.0 * tol * max(1.0, estimate), 0.5 * (estimate - times[-1]))
-    interval = (times[-1], estimate + margin)
     return BlowupReport(
         kind=BlowupKind.BLOW_UP,
         horizon=float(horizon),
         escape_thresholds=escapes,
         t_blow_estimate=float(estimate),
-        t_blow_interval=interval,
+        t_blow_interval=(times[-1], estimate + margin),
         trajectory=traj,
         t_blow_method="extrapolated",
     )

@@ -477,6 +477,9 @@ def picard_solve(
             )
     if np.any(b < 0.0):
         raise InvalidParameterError("tower initial values must be >= 0")
+    for what, v in (("tower initial values", b), ("majorant_b", mb)):
+        if not np.isfinite(v).all():
+            raise InvalidParameterError(f"{what} must be finite, got {v.tolist()!r}")
     q = make_constant(1.0) if q is None else q
 
     q_sup = _sup_on_interval(q, T)

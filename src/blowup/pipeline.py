@@ -39,7 +39,6 @@ from .errors import (
 from .functions import Family, make_constant, scaled
 from .ode import (
     DEFAULT_THRESHOLDS,
-    BlowupEvent,
     BlowupKind,
     BlowupReport,
     ProblemSpec,
@@ -218,9 +217,9 @@ def majorization_experiment(
     else:
         c_w, h_w = 1.0, scaled(h, rho, label=f"scaled({h.spec_text}, {rho})")
     wres = integrate(replace(p, a=b, q=make_constant(c_w), h=h_w), max(taus[-1], 1e-12), u.tol)
-    if isinstance(wres, BlowupEvent):
+    if wres.event is not None:
         raise NumericFailureError(
-            f"companion solution escaped at t={wres.t_event!r} before tau_J={taus[-1]!r}"
+            f"companion solution escaped at t={wres.t_end!r} before tau_J={taus[-1]!r}"
         )
 
     # one dense call per trajectory; at tau_0 = 0 the companion returns b exactly
@@ -383,15 +382,15 @@ def run_pipeline(p: ProblemSpec, horizon: float = 5.0, *, tol: float = 1e-10,
 
             with _stage("cross-check"):
                 solve = integrate(replace(p, f_override=None), float(horizon), tol)
-                if isinstance(solve, BlowupEvent):
+                if solve.event is not None:
                     raise NumericFailureError(
-                        f"direct integration escaped at t={solve.t_event!r}; "
+                        f"direct integration escaped at t={solve.t_end!r}; "
                         f"the integral test gave {verdict.value}"
                     )
                 sup = float(np.max(np.abs(constructed.ys - solve(constructed.ts))))
                 if p.f_override is not None:
                     wres = integrate(p, float(horizon), tol)
-                    if isinstance(wres, BlowupEvent):
+                    if wres.event is not None:
                         raise NumericFailureError("driven solution escaped under a global majorant")
                     sandwich = float(np.min(constructed.ys - wres(constructed.ts)))
                     notes.append(f"sandwich slack min(v - w) = {sandwich:.3e}")

@@ -257,6 +257,11 @@ class TestScaled:
             classify_scaled(make_power(2), 1, 0.0)
         with pytest.raises(InvalidParameterError):
             classify_from(make_power(2), 1, 0.0)
+        # an infinite scale read 0 as a convergent estimate
+        with pytest.raises(InvalidParameterError, match="^alpha must be finite, got inf$"):
+            classify_scaled(make_power(2), 1, math.inf)
+        with pytest.raises(InvalidParameterError, match="^u0 must be finite, got inf$"):
+            classify_from(make_power(2), 1, math.inf)
 
     @pytest.mark.parametrize("h", [
         make_power(2.0), make_power_log(1.0, 3.0), make_power_log(1.5, 1.0, 2.0),

@@ -66,7 +66,12 @@ class TestParseConfig:
         ("a = [1, x]\n", "line 1: a must list real numbers"),
         ("m 1\n", "line 1: expected 'key = value'"),
         ("m = 1\nm = 2\n", "line 2: duplicate key 'm'"),
-    ], ids=["real", "list", "list-entry", "no-equals", "duplicate"])
+        ("h = powerlog(1, nan)\n", "line 1: log exponent must be finite, got nan"),
+        ("h = power(2)\nn = 1\na = [nan]\n", "a values must be finite"),
+        ("m = 1\nk = 0\na = [nan]\nq = constant(1)\nh = power(2)\n", "initial values must be finite, got nan"),
+        ("thresholds = [1e3, nan]\n", "thresholds must be finite, got [1000.0, nan]"),
+    ], ids=["real", "list", "list-entry", "no-equals", "duplicate", "fn-nan", "a-nan", "problem-a-nan",
+            "thresholds-nan"])
     def test_line_errors_named(self, text, message):
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
@@ -334,8 +339,8 @@ class TestMain:
         assert main(["batch", "--configs", str(bad), "--out", str(out)]) == 2
 
     def test_majorize_from_data_past_the_escape_threshold(self, tmp_path, capsys):
-        # u escapes at t = 0 with a one-node trajectory: the run reports the
-        # companion's escape and exits 2
+        # from 1e13 u's step collapses at t = 0, a one-node trajectory: the
+        # run reports the companion's escape and exits 2
         cfg = tmp_path / "escaped.cfg"
         cfg.write_text("h = power(2.0)\nn = 1\na = [1e13]\nq = constant(1.0)\n")
         assert main(["majorize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -401,6 +406,10 @@ class TestSurface:
             ("construct", "h = power(1.0)\nn = 0\nb = [1]\n"),
             # a flag gets the same checks as the config key it sets
             ("construct --tol 0.5", "h = power(1.0)\nn = 1\nb = [1]\n"),
+            # non-finite values
+            ("classify --alpha inf", "h = power(2.0)\nn = 1\n"),
+            ("majorize", "h = power(1.0)\nn = 1\na = [nan]\nJ = 2\nhorizon = 2.0\n"),
+            ("construct", "h = power(1.0)\nn = 1\nb = [nan]\n"),
         ],
     )
     def test_rejected_configs_exit_2(self, command, text, tmp_path, capsys):

@@ -234,9 +234,10 @@ class TestScaled:
         for bp, lo, hi in zip(g.breakpoints, (0.5, 1.0, 2.0), (1.0, 2.0, 3.0)):
             assert g(bp * (1 - 1e-9)) == lo and g(bp * (1 + 1e-9)) == hi
 
-    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
     def test_factor_must_be_positive(self, factor):
-        with pytest.raises(InvalidParameterError, match="scale factor must be > 0"):
+        rule = "finite, got inf" if factor == math.inf else "> 0"
+        with pytest.raises(InvalidParameterError, match=f"scale factor must be {rule}"):
             scaled(make_power(1.0), factor, label="g")
 
 
@@ -279,6 +280,15 @@ class TestParser:
         ("power(-1)", "power exponent must be >= 0, got -1.0"),
         ("powerlog(-1, 2)", "power exponent must be >= 0, got -1.0"),
         ("powerlog(1, 2, 0.5)", "log shift must be > 1, got 0.5"),
+        ("power(inf)", "power exponent must be finite, got inf"),
+        ("powerlog(inf, 0)", "power exponent must be finite, got inf"),
+        ("powerlog(1, nan)", "log exponent must be finite, got nan"),
+        ("powerlog(1, inf)", "log exponent must be finite, got inf"),
+        ("powerlog(1, 2, inf)", "log shift must be finite, got inf"),
+        ("constant(nan)", "step function value must be finite, got nan"),
+        ("constant(inf)", "step function value must be finite, got inf"),
+        ("piecewise((0,1):nan, (1,inf):1)", "step function value must be finite, got nan"),
+        ("piecewise((0,1):1, (1,inf):inf)", "step function value must be finite, got inf"),
         ("mystery(1)", "unknown function family 'mystery'"),
         ("mystery(x)", "expected a real number, got 'x'"),
     ])

@@ -25,7 +25,6 @@ from blowup.functions import (
     make_power_log,
 )
 from blowup.ode import (
-    BlowupEvent,
     BlowupKind,
     ProblemSpec,
     Trajectory,
@@ -37,6 +36,8 @@ from blowup.picard import picard_solve
 from blowup.pipeline import lift_solution, run_pipeline
 
 ONE = make_constant(1.0)
+# q = 0.5, then 2 from t = 0.25
+STEP_UP = make_piecewise([((0.0, 0.25), 0.5), ((0.25, math.inf), 2.0)])
 
 # blow-up time of w' = w log^2(e+w), w(0)=1: the separation integral
 # int_1^inf ds/(s log^2(e+s)), three-way quadrature oracle (see classify tests)
@@ -55,6 +56,9 @@ class TestProblemSpec:
             ProblemSpec(m=2, k=0, a=(1.0,), q=ONE, h=make_power(1))
         with pytest.raises(InvalidParameterError):
             ProblemSpec(m=1, k=0, a=(-1.0,), q=ONE, h=make_power(1))
+        for x in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match=f"^initial values must be finite, got {x}$"):
+                ProblemSpec(m=2, k=0, a=(1.0, x), q=ONE, h=make_power(1))
 
     def test_reduced_order(self):
         p = ProblemSpec(m=3, k=1, a=(1.0, 1.0, 1.0), q=ONE, h=make_power(1))
@@ -434,21 +438,19 @@ class TestStepStats:
         monkeypatch.setattr(ProblemSpec, "rhs", lambda self, t, y: calls.append(t) or rhs(self, t, y))
         monkeypatch.setattr(ode, "_INLINE", {})
         ref = integrate(p, T, 1e-8)
-        assert new.stats == ref.stats
-        traj = getattr(new, "trajectory", new)
+        assert (new.stats, new.event) == (ref.stats, ref.event)
         for name in ("ts", "ys", "dys"):
-            assert getattr(traj, name).tobytes() == getattr(getattr(ref, "trajectory", ref), name).tobytes()
+            assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
         s = new.stats
         # through rhs every evaluation is a call, but a failing stage cuts its step short
         assert s.evals == len(calls) if s.retries == 0 else s.evals > len(calls)
         # twelve per attempt, one at the start, at each restart and at an
         # escape, and three for the escape step's extension, which the
         # integration reads to find the crossing; no other cell is built
-        segments = 1 + sum(0.0 < b < traj.t_end for b in p.q.breakpoints)
-        escaped = isinstance(new, BlowupEvent) and new.reason == "escape"
+        segments = 1 + sum(0.0 < b < new.t_end for b in p.q.breakpoints)
+        escaped = new.event == "escape"
         assert s.evals == 12 * (s.accepted + s.rejected + s.retries) + segments + 4 * escaped
-        assert s.accepted == len(traj.ts) - 1 - (segments - 1)
-        assert new.stats is traj.stats
+        assert s.accepted == len(new.ts) - 1 - (segments - 1)
         assert (s.retries > 0) == (p is _RETRIED)
 
 
@@ -460,10 +462,21 @@ class TestIntegrate:
 
     def test_quadratic_blowup_event(self):
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))
-        ev = integrate(p, 2.0, 1e-9)
-        assert isinstance(ev, BlowupEvent)
-        assert ev.t_event < 1.0 + 1e-9
-        assert ev.trajectory.t_end == pytest.approx(ev.t_event)
+        traj = integrate(p, 2.0, 1e-9)
+        # the step floor stops the run before w reaches the escape level 1e300
+        assert traj.event == "step-collapse"
+        assert traj.t_end < 1.0 + 1e-9
+
+    @pytest.mark.parametrize("a", [(1.0,), (1e13,)], ids=["stepped", "one-node"])
+    def test_stopped_trajectory_refuses_a_read_past_its_end(self, a):
+        # a run that stops before T is read up to where it stopped, and no further
+        traj = integrate(ProblemSpec(m=1, k=0, a=a, q=ONE, h=make_power(2)), 2.0, 1e-9)
+        assert traj.event is not None and traj.t_end < 1.0 + 1e-9
+        assert traj(traj.t_end).tobytes() == traj.ys[-1].tobytes()
+        for read in (traj, traj.reduced(0)):
+            for t in (1.5, 2.0, [0.0, 1.5]):
+                with pytest.raises(InvalidParameterError, match="outside the grid span"):
+                    read(t)
 
     @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0])
     def test_horizon_must_be_positive_and_finite(self, T):
@@ -547,10 +560,8 @@ class TestIntegrate:
         # drops the restart's second copy of that node
         q = make_piecewise([((0, 0.05), 1.0), ((0.05, 0.05000000000000001), 1.0),
                             ((0.05000000000000001, math.inf), 1.0)])
-        ev = integrate(ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(1)), 1.0, 1e-9)
-        assert isinstance(ev, BlowupEvent)
-        assert (ev.reason, ev.t_event) == ("step-collapse", 0.05)
-        traj = ev.trajectory
+        traj = integrate(ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=make_power(1)), 1.0, 1e-9)
+        assert (traj.event, traj.t_end) == ("step-collapse", 0.05)
         assert traj.ts[-2:].tolist() == [0.01, 0.05]
         assert traj(traj.t_end).tolist() == traj.ys[-1].tolist()
 
@@ -755,9 +766,8 @@ class TestDenseOutput:
         # components k.. of a trajectory, through its restart cells, its
         # escape cell or Hermite rows of its own: the same dense output, and
         # the crossing of w^(k) on it
-        res = integrate(p, T, 1e-9)
-        traj = getattr(res, "trajectory", res)
-        assert isinstance(res, BlowupEvent) == (T == 10.0)
+        traj = integrate(p, T, 1e-9)
+        assert (traj.event is not None) == (T == 10.0)
         assert (np.diff(traj.ts) == 0.0).any() == bool(p.q.breakpoints)
         if grid_built:
             traj = Trajectory(ts=traj.ts, ys=traj.ys, dys=traj.dys, tol=traj.tol)
@@ -766,7 +776,8 @@ class TestDenseOutput:
         full = traj(t)
         for k in range(p.m):
             r = traj.reduced(k)
-            assert (r.m, r.tol, r.stats, r.ts is traj.ts) == (p.m - k, traj.tol, traj.stats, True)
+            assert (r.m, r.tol, r.stats, r.event, r.ts is traj.ts) == (p.m - k, traj.tol, traj.stats,
+                                                                       traj.event, True)
             assert r(t).tobytes() == full[:, k:].tobytes()
             assert r(t[5]).tobytes() == traj(t[5])[k:].tobytes()
             w = traj.ys[:, k]
@@ -781,10 +792,11 @@ class TestDenseOutput:
             traj.reduced(p.m)
 
     def test_one_node_trajectory_evaluates_at_its_node(self):
-        # data past the escape threshold escapes at t = 0, with no cell
-        res = integrate(ProblemSpec(m=1, k=0, a=(1e13,), q=ONE, h=make_power(2)), 1.0)
-        assert isinstance(res, BlowupEvent) and res.t_event == 0.0
-        traj = res.trajectory
+        # from 1e13, below the escape threshold 1e300, w' = w^2 blows up at
+        # t = 1e-13, inside the least step: the step collapses at t = 0,
+        # with no cell
+        traj = integrate(ProblemSpec(m=1, k=0, a=(1e13,), q=ONE, h=make_power(2)), 1.0)
+        assert (traj.event, traj.t_end) == ("step-collapse", 0.0)
         assert traj.ts.tolist() == [0.0] and traj.dense.shape == (0, 4, 1)
         assert traj(0.0).tobytes() == traj.ys[0].tobytes()
         assert traj(np.zeros(3)).tobytes() == np.repeat(traj.ys, 3, axis=0).tobytes()
@@ -1315,6 +1327,35 @@ class TestDetectBlowup:
         assert len(rep.escape_thresholds) < len(ode.DEFAULT_THRESHOLDS)  # collapsed
         assert abs(rep.t_blow_estimate - 1.0) <= 1e-3
 
+    @pytest.mark.parametrize("h, q, thresholds, t_blow", [
+        (make_power(20), ONE, ode.DEFAULT_THRESHOLDS, 1.0 / 19.0),
+        (make_power(2), ONE, (1e13,), 1.0),
+        (make_power(2), STEP_UP, (1e12,), 0.6875),
+        (make_custom(lambda s: s * s + s, label="s^2+s"), STEP_UP, (1e12,), 0.25 + (math.log(2.0) - 0.125) / 2.0),
+    ], ids=["w^20", "w^2-to-1e13", "w^2-step-q", "custom-step-q"])
+    def test_collapse_below_the_first_rung_is_a_blow_up(self, h, q, thresholds, t_blow):
+        # w' = q h(w) from 1: the step collapses before w reaches the first
+        # rung, at t_end, which can lie a little past T*; the interval
+        # reaches both ways
+        p = ProblemSpec(m=1, k=0, a=(1.0,), q=q, h=h)
+        tol = 1e-9
+        rep = detect_blowup(p, thresholds=thresholds, horizon=4.0, tol=tol)
+        assert (rep.kind, rep.t_blow_method, rep.escape_thresholds) == (BlowupKind.BLOW_UP, "extrapolated", ())
+        assert rep.trajectory.event == "step-collapse"
+        assert rep.t_blow_estimate == rep.trajectory.t_end
+        half = 10.0 * tol * max(1.0, rep.t_blow_estimate)
+        assert rep.t_blow_interval == (rep.t_blow_estimate - half, rep.t_blow_estimate + half)
+        lo, hi = rep.t_blow_interval
+        assert lo <= t_blow <= hi
+        assert abs(rep.t_blow_estimate - t_blow) <= 1e-10 * t_blow
+
+    def test_collapse_below_the_first_rung_labels_the_pipeline(self):
+        # w' = w^20 from 1 blows up at 1/19, below the default ladder's first rung
+        rep = run_pipeline(ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(20)), horizon=5.0)
+        assert rep.label == "BlowUpDetected"
+        lo, hi = rep.blowup.t_blow_interval
+        assert lo <= 1.0 / 19.0 <= hi
+
     def test_first_order_tail_refuses_a_state_at_zero(self):
         # w'' = w'^2 from w' = 0: w stays at 20, past the first rung at t = 0,
         # and the tail from u = w' = 0 gives no T*
@@ -1339,12 +1380,16 @@ class TestDetectBlowup:
                 ladder()
             return
         rep = ladder()
-        traj = getattr(res, "trajectory", res)
         for name in ("ts", "ys", "dys", "dense"):
-            assert getattr(rep.trajectory, name).tobytes() == getattr(traj, name).tobytes()
-        assert rep.trajectory.stats == traj.stats
-        escaped = isinstance(res, BlowupEvent) and res.reason == "escape"
-        assert rep.escape_thresholds == (((ode.ESCAPE_THRESHOLD, res.t_event),) if escaped else ())
+            assert getattr(rep.trajectory, name).tobytes() == getattr(res, name).tobytes()
+        assert (rep.trajectory.stats, rep.trajectory.event) == (res.stats, res.event)
+        escaped = res.event == "escape"
+        assert rep.escape_thresholds == (((ode.ESCAPE_THRESHOLD, res.t_end),) if escaped else ())
+        # a run that stops before T, by escape or by a step collapse below
+        # the one rung, is a blow-up; a run that reaches T is global
+        assert rep.kind is (BlowupKind.GLOBAL_UP_TO_HORIZON if res.event is None else BlowupKind.BLOW_UP)
+        if res.event == "step-collapse":
+            assert (rep.t_blow_method, rep.t_blow_estimate) == ("extrapolated", res.t_end)
 
     def test_threshold_validation(self):
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))
@@ -1352,6 +1397,9 @@ class TestDetectBlowup:
             detect_blowup(p, thresholds=(5.0, 100.0), horizon=1.0)
         with pytest.raises(InvalidParameterError):
             detect_blowup(p, thresholds=(1e3, 1e2), horizon=1.0)
+        for M in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match=rf"^thresholds must be finite, got \[1000.0, {M}\]$"):
+                detect_blowup(p, thresholds=(1e3, M), horizon=1.0)
 
     def test_empty_ladder_is_refused(self):
         p = ProblemSpec(m=1, k=0, a=(1.0,), q=ONE, h=make_power(2))

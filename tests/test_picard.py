@@ -671,6 +671,17 @@ class TestPicardTower:
         free = picard_solve(make_power(1), 1, [1.0], 3.0, tol=1e-10)
         assert free.grid_converged and free.discretization_gap <= 1e-10 / 4
 
+    @pytest.mark.parametrize("b, majorant_b, message", [
+        ([math.nan], None, r"tower initial values must be finite, got \[nan\]"),
+        ([math.inf], None, r"tower initial values must be finite, got \[inf\]"),
+        ([0.0, math.nan], [1.0, 1.0], r"tower initial values must be finite, got \[0.0, nan\]"),
+        ([1.0], [math.nan], r"majorant_b must be finite, got \[nan\]"),
+    ], ids=["nan", "inf", "nan-with-majorant-b", "majorant-b-nan"])
+    def test_initial_values_must_be_finite(self, b, majorant_b, message):
+        # a nan start read as the majorant's u0 was refused as "u0 must be > 0 and finite"
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            picard_solve(make_power(1), len(b), b, 1.0, majorant_b=majorant_b)
+
     def test_positive_data_required_without_majorant_seed(self):
         with pytest.raises(InvalidParameterError):
             picard_solve(make_power(1), 1, [0.0], 1.0)

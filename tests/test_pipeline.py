@@ -17,7 +17,7 @@ from blowup.functions import (
     make_power_log,
     parse_fn_spec,
 )
-from blowup.ode import BlowupEvent, BlowupReport, ProblemSpec, Trajectory, detect_blowup, integrate
+from blowup.ode import BlowupReport, ProblemSpec, Trajectory, detect_blowup, integrate
 from blowup.picard import PicardTower, picard_solve
 from blowup.pipeline import (
     lift_solution,
@@ -620,8 +620,8 @@ def _bits(x):
     if isinstance(x, np.ndarray):
         return x.dtype.str, x.shape, x.tobytes()
     if isinstance(x, Trajectory):
-        return tuple(_bits(getattr(x, f)) for f in ("ts", "ys", "dys", "dense")) + (x.tol, x.stats)
-    if isinstance(x, (BlowupEvent, BlowupReport, PicardTower)):
+        return tuple(_bits(getattr(x, f)) for f in ("ts", "ys", "dys", "dense")) + (x.tol, x.stats, x.event)
+    if isinstance(x, (BlowupReport, PicardTower)):
         return type(x).__name__, tuple(_bits(getattr(x, f.name)) for f in fields(x) if f.name[0] != "_")
     if isinstance(x, (list, tuple)):
         return tuple(_bits(v) for v in x)

@@ -41,7 +41,8 @@ same bit for bit.  The groups:
   trajectories carry the solution 0 across the jump;
 - escape: ``integrate``, and ``detect_blowup`` with the default ladder, the
   one-rung ladder (1e12,) and the short ladder (10, 1e3, 1e6), each with its
-  dense output at 101 points, on n = 1 and n = 3 power h, n = 2 powerlog h,
+  dense output at 101 points (an ``integrate`` result as how the run
+  stopped, None or its event, and its trajectory), on n = 1 and n = 3 power h, n = 2 powerlog h,
   a custom h and an ``f_override``, each under a constant q and under a q
   that jumps before the blow-up, and on data already past 1e12, the
   default ladder's top, at t = 0: the escape at a ladder's top rung and at
@@ -356,6 +357,12 @@ def escape_group() -> Group:
                 group.add(e)
                 continue
             traj = getattr(res, "trajectory", res)
+            if ladder is None:
+                # an integrate result as (how it stopped, trajectory): a tree
+                # whose integrate wraps a stopped run in an event object
+                # names it by ``reason``, one that returns the trajectory by
+                # its ``event``
+                res = (getattr(res, "reason", getattr(res, "event", None)), traj)
             group.add((res, traj(np.linspace(0.0, traj.t_end, 101))))
     return group
 
